@@ -26,11 +26,6 @@ std::size_t bench_session_count(std::size_t fallback) {
   return checked_env("VSTREAM_BENCH_SESSIONS", fallback);
 }
 
-std::uint64_t bench_seed(std::uint64_t fallback) {
-  return checked_env("VSTREAM_BENCH_SEED",
-                     static_cast<std::size_t>(fallback));
-}
-
 BenchRun run_paper_workload(std::size_t sessions, std::uint64_t seed) {
   BenchRun run;
   run.scenario = workload::paper_scenario();

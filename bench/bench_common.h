@@ -8,7 +8,6 @@
 // Environment knobs (validated strictly; invalid values abort the bench
 // with a message rather than silently falling back):
 //   VSTREAM_BENCH_SESSIONS  session count for the default workload
-//   VSTREAM_BENCH_SEED      master seed for the default workload
 //   VSTREAM_SHARDS          engine worker count (see engine/engine.h)
 #pragma once
 
@@ -50,13 +49,12 @@ struct BenchRun {
 /// non-positive value prints a diagnostic and exits with status 2.
 std::size_t bench_session_count(std::size_t fallback = 2'500);
 
-/// Master seed for the default workload; override with VSTREAM_BENCH_SEED
-/// (same strict validation).
-std::uint64_t bench_seed(std::uint64_t fallback = 20160516);
+/// Master seed for the default workload.
+inline constexpr std::uint64_t kBenchSeed = 20160516;
 
 /// Run the paper-calibrated scenario end to end (warm caches, all
 /// sessions, proxy filtering, join) on the sharded engine.
 BenchRun run_paper_workload(std::size_t sessions = bench_session_count(),
-                            std::uint64_t seed = bench_seed());
+                            std::uint64_t seed = kBenchSeed);
 
 }  // namespace vstream::bench

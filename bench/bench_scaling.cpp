@@ -12,9 +12,9 @@
 // byte-identical against the single-threaded reference — a scaling
 // number for a run that changed its output would be meaningless.
 //
-// Environment knobs: VSTREAM_BENCH_SESSIONS / VSTREAM_BENCH_SEED
-// override the defaults; VSTREAM_THREADS is deliberately ignored (the
-// sweep sets threads explicitly).
+// Environment knobs: VSTREAM_BENCH_SESSIONS overrides the session count
+// (--seed the seed); VSTREAM_THREADS is deliberately ignored (the sweep
+// sets threads explicitly).
 
 #include <chrono>
 #include <cstdio>
@@ -58,7 +58,7 @@ std::string export_string(const telemetry::Dataset& data) {
 
 int main(int argc, char** argv) {
   std::size_t sessions = bench::bench_session_count(800);
-  std::uint64_t seed = bench::bench_seed();
+  std::uint64_t seed = bench::kBenchSeed;
   std::size_t reps = 3;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--sessions") == 0 && i + 1 < argc) {

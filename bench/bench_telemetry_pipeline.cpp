@@ -9,8 +9,8 @@
 // --child) and reads ru_maxrss from wait4(); the child reports record
 // count and elapsed time through a small key=value metrics file.
 //
-// Environment knobs: VSTREAM_BENCH_SESSIONS / VSTREAM_BENCH_SEED override
-// the defaults, VSTREAM_SHARDS picks the engine worker count as usual.
+// Environment knobs: VSTREAM_BENCH_SESSIONS overrides the session count,
+// VSTREAM_SHARDS picks the logical shard count as usual.
 
 #include <sys/resource.h>
 #include <sys/wait.h>
@@ -33,7 +33,6 @@
 #include "engine/engine.h"
 #include "telemetry/join.h"
 #include "telemetry/proxy_filter.h"
-#include "telemetry/spill_io.h"
 
 using namespace vstream;
 
@@ -66,7 +65,6 @@ int run_child(const std::string& mode, std::size_t sessions,
   double sim_ms = 0.0;
   double analyze_ms = 0.0;
   std::uint64_t spill_bytes = 0;
-  std::uint64_t spill_logical_bytes = 0;
 
   if (mode == "spill" || mode == "ckpt") {
     engine::RunOptions options;
@@ -83,14 +81,11 @@ int run_child(const std::string& mode, std::size_t sessions,
       std::error_code ec;
       spill_bytes += std::filesystem::file_size(file, ec);
     }
-    // One read pass to count records (also exercises the reader and
-    // collects the logical/compressed byte accounting), then the
-    // incremental two-pass analysis.
+    // One read pass to count records (also exercises the reader), then
+    // the incremental two-pass analysis.
     {
-      telemetry::SpillReadStats stats;
-      const auto stream = run.spill.open(&stats);
+      const auto stream = run.spill.open();
       while (auto group = stream->next()) records += group->record_count();
-      spill_logical_bytes = stats.logical_bytes;
     }
     const auto analyze_start = std::chrono::steady_clock::now();
     const core::StreamingAnalysis streamed =
@@ -118,9 +113,7 @@ int run_child(const std::string& mode, std::size_t sessions,
       << "sim_ms=" << sim_ms << "\n"
       << "analyze_ms=" << analyze_ms << "\n"
       << "sessions_joined=" << joined_sessions << "\n"
-      << "spill_bytes=" << spill_bytes << "\n"
-      << "spill_logical_bytes=" << spill_logical_bytes << "\n"
-      << "spill_stall_us=" << telemetry::spill_write_stall_us() << "\n";
+      << "spill_bytes=" << spill_bytes << "\n";
   out.flush();
   return out ? 0 : 1;
 }
@@ -133,8 +126,6 @@ struct ChildResult {
   std::size_t sessions_joined = 0;
   double peak_rss_mb = 0.0;
   std::uint64_t spill_bytes = 0;
-  std::uint64_t spill_logical_bytes = 0;
-  std::uint64_t spill_stall_us = 0;
 };
 
 /// Fork + re-exec this binary in `mode`, harvest ru_maxrss via wait4 and
@@ -210,8 +201,6 @@ ChildResult run_mode(const char* self, const std::string& mode,
   result.sessions_joined =
       static_cast<std::size_t>(std::stoull(kv["sessions_joined"]));
   result.spill_bytes = std::stoull(kv["spill_bytes"]);
-  result.spill_logical_bytes = std::stoull(kv["spill_logical_bytes"]);
-  result.spill_stall_us = std::stoull(kv["spill_stall_us"]);
   return result;
 }
 
@@ -255,7 +244,7 @@ int main(int argc, char** argv) {
     }
   }
   if (sessions == 0) sessions = bench::bench_session_count(5'000);
-  if (seed == 0) seed = bench::bench_seed();
+  if (seed == 0) seed = bench::kBenchSeed;
 
   if (!child_mode.empty()) {
     return run_child(child_mode, sessions, seed, metrics_path, spill_dir);
@@ -305,7 +294,7 @@ int main(int argc, char** argv) {
           ? (ckpt.elapsed_ms - spill.elapsed_ms) / spill.elapsed_ms * 100.0
           : 0.0;
   // Simulation-phase cost of spilling telemetry vs keeping it in memory:
-  // the spill byte path (encode + buffered async writes) is the delta.
+  // the spill byte path (encode + buffered writes) is the delta.
   const double spill_sim_overhead_pct =
       memory.sim_ms > 0.0
           ? (spill.sim_ms - memory.sim_ms) / memory.sim_ms * 100.0
@@ -314,10 +303,6 @@ int main(int argc, char** argv) {
       sessions > 0 ? static_cast<double>(spill.spill_bytes) /
                          static_cast<double>(sessions)
                    : 0.0;
-  const double spill_compression_ratio =
-      spill.spill_bytes > 0 ? static_cast<double>(spill.spill_logical_bytes) /
-                                  static_cast<double>(spill.spill_bytes)
-                            : 0.0;
 
   bench::emit_json(
       "BENCH_telemetry.json", "telemetry",
@@ -335,9 +320,6 @@ int main(int argc, char** argv) {
           {"spill_sim_overhead_pct", spill_sim_overhead_pct, "%"},
           {"analyze_spill_ms", spill.analyze_ms, "ms"},
           {"spill_bytes_per_session", spill_bytes_per_session, "B/session"},
-          {"spill_compression_ratio", spill_compression_ratio, "x"},
-          {"spill_write_stall_ms",
-           static_cast<double>(spill.spill_stall_us) / 1000.0, "ms"},
           {"peak_rss_ratio", rss_ratio, "x"},
           {"ckpt_elapsed_ms", ckpt.elapsed_ms, "ms"},
           {"ckpt_records_per_sec", records_per_sec(ckpt), "records/s"},
@@ -345,10 +327,10 @@ int main(int argc, char** argv) {
           {"checkpoint_overhead_pct", ckpt_overhead_pct, "%"},
       });
   std::printf("  wrote BENCH_telemetry.json (peak RSS ratio %.2fx, "
-              "spill sim overhead %.1f%%, %.0f B/session, ratio %.2fx, "
+              "spill sim overhead %.1f%%, %.0f B/session, "
               "checkpoint overhead %.1f%%)\n",
               rss_ratio, spill_sim_overhead_pct, spill_bytes_per_session,
-              spill_compression_ratio, ckpt_overhead_pct);
+              ckpt_overhead_pct);
 
   std::error_code ec;
   std::filesystem::remove_all(work_dir, ec);

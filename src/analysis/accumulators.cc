@@ -13,8 +13,7 @@ namespace vstream::analysis {
 namespace {
 
 /// Sort captured per-session entries into ascending session-id order —
-/// the canonical fold order every finalize() uses, and the order the
-/// batch functions iterate a JoinedDataset in.
+/// the canonical fold order every finalize() uses.
 template <typename Entry>
 void sort_by_session(std::vector<Entry>& entries) {
   std::sort(entries.begin(), entries.end(),
@@ -29,7 +28,28 @@ void append_entries(std::vector<Entry>& into, std::vector<Entry>&& from) {
               std::make_move_iterator(from.end()));
 }
 
+/// The batch analyses: one accumulator fed every joined session.
+template <typename Accumulator>
+auto fold(Accumulator acc, const telemetry::JoinedDataset& data) {
+  for (const telemetry::JoinedSession& session : data.sessions()) {
+    acc.add(session);
+  }
+  return std::move(acc).finalize();
+}
+
 }  // namespace
+
+QoeAggregate aggregate_qoe(const telemetry::JoinedDataset& data) {
+  return fold(QoeAccumulator{}, data);
+}
+
+std::vector<PrefixRollup> rollup_prefixes(const telemetry::JoinedDataset& data) {
+  return fold(PrefixRollupAccumulator{}, data);
+}
+
+RecoveryImpact recovery_impact(const telemetry::JoinedDataset& joined) {
+  return fold(RecoveryImpactAccumulator{}, joined);
+}
 
 // ----------------------------------------------------------- QoeAccumulator
 
@@ -73,7 +93,7 @@ QoeAggregate QoeAccumulator::finalize() && {
 
 void PrefixRollupAccumulator::add(const telemetry::JoinedSession& session) {
   const SessionNetMetrics m = session_net_metrics(session);
-  if (!m.valid) return;  // the batch roll-up skips these sessions too
+  if (!m.valid) return;  // no SRTT sample: not part of any roll-up
   Entry e;
   e.session_id = session.session_id;
   e.prefix = net::prefix24_of(session.player->client_ip);
@@ -93,9 +113,8 @@ void PrefixRollupAccumulator::merge(PrefixRollupAccumulator&& other) {
 std::vector<PrefixRollup> PrefixRollupAccumulator::finalize() && {
   sort_by_session(entries_);
 
-  // Same per-prefix fold as rollup_prefixes(), applied in the same
-  // (ascending session id) order: identical FP sums, identical last-wins
-  // country/org/access.
+  // Per-prefix fold in ascending session-id order: the FP sums and the
+  // last-wins country/org/access depend only on the session set.
   struct Acc {
     std::size_t sessions = 0;
     double srtt_min = std::numeric_limits<double>::infinity();

@@ -1,22 +1,18 @@
-// Mergeable streaming accumulators for the §4 aggregates.
+// Mergeable accumulators for the §4 aggregates — the one implementation
+// of each.
 //
-// The batch analyses (aggregate_qoe, rollup_prefixes, recovery_impact)
-// fold a fully materialized JoinedDataset.  These accumulators consume
-// one JoinedSession at a time — fed from a StreamingJoiner as sessions
-// stream off a sink — and so run in O(sessions) memory regardless of the
-// chunk count.  Per-shard accumulators merge() into one before finalize.
+// An accumulator consumes one JoinedSession at a time — fed from a
+// StreamingJoiner as sessions stream off a sink — and so runs in
+// O(sessions) memory regardless of the chunk count.  Per-shard
+// accumulators merge() into one before finalize.  The batch entry points
+// (aggregate_qoe, rollup_prefixes, recovery_impact) are the same
+// accumulators folded over a materialized JoinedDataset.
 //
 // Determinism: each add() captures only per-session values; finalize()
 // sorts the captured entries by session id and folds them in that order.
 // The result is therefore a pure function of the per-session records —
 // independent of feed order, shard count, or how accumulators were
-// merged.  QoeAccumulator and PrefixRollupAccumulator fold in exactly
-// the order the batch functions iterate (ascending session id), so their
-// output is bit-identical to the batch result.  RecoveryImpactAccumulator
-// regroups the batch version's chunk-order sums per session, so its FP
-// means can differ from the batch result in the last bits (counts are
-// exact); it is deterministic in its own right, just not bit-aligned with
-// the batch fold.
+// merged — so a streamed analysis and a batch one agree to the bit.
 #pragma once
 
 #include <cstdint>
@@ -29,7 +25,7 @@
 
 namespace vstream::analysis {
 
-/// Streaming aggregate_qoe(): bit-identical to the batch result.
+/// QoE summary over sessions (aggregate_qoe()).
 class QoeAccumulator {
  public:
   void add(const telemetry::JoinedSession& session);
@@ -46,7 +42,7 @@ class QoeAccumulator {
   std::vector<Entry> entries_;
 };
 
-/// Streaming rollup_prefixes(): bit-identical to the batch result.
+/// Per-/24-prefix latency roll-up (rollup_prefixes()).
 class PrefixRollupAccumulator {
  public:
   void add(const telemetry::JoinedSession& session);
@@ -106,9 +102,7 @@ class PerfScoreAccumulator {
   std::vector<Entry> entries_;
 };
 
-/// Streaming recovery_impact().  Counts match the batch result exactly;
-/// the FP means (mean_recovery_ms, mean_dfb_*) agree to rounding but not
-/// necessarily to the bit (see the header comment).
+/// What failure recovery cost the viewers (recovery_impact()).
 class RecoveryImpactAccumulator {
  public:
   void add(const telemetry::JoinedSession& session);

@@ -47,57 +47,6 @@ SessionNetMetrics session_net_metrics(const telemetry::JoinedSession& session) {
   return m;
 }
 
-namespace {
-
-struct PrefixAccumulator {
-  std::size_t sessions = 0;
-  double srtt_min = std::numeric_limits<double>::infinity();
-  double mean_srtt_sum = 0.0;
-  double distance_sum = 0.0;
-  std::string country;
-  std::string org;
-  net::AccessType access = net::AccessType::kResidential;
-};
-
-}  // namespace
-
-std::vector<PrefixRollup> rollup_prefixes(const telemetry::JoinedDataset& data) {
-  std::unordered_map<net::Prefix24, PrefixAccumulator> acc;
-  for (const telemetry::JoinedSession& session : data.sessions()) {
-    const SessionNetMetrics m = session_net_metrics(session);
-    if (!m.valid) continue;
-    const net::Prefix24 prefix = net::prefix24_of(session.player->client_ip);
-    PrefixAccumulator& a = acc[prefix];
-    ++a.sessions;
-    a.srtt_min = std::min(a.srtt_min, m.srtt_min_ms);
-    a.mean_srtt_sum += m.srtt_mean_ms;
-    a.distance_sum += session.cdn->client_distance_km;
-    a.country = session.cdn->country;
-    a.org = session.cdn->org;
-    a.access = session.cdn->access;
-  }
-
-  std::vector<PrefixRollup> rollups;
-  rollups.reserve(acc.size());
-  for (const auto& [prefix, a] : acc) {
-    PrefixRollup r;
-    r.prefix = prefix;
-    r.session_count = a.sessions;
-    r.srtt_min_ms = a.srtt_min;
-    r.mean_srtt_ms = a.mean_srtt_sum / static_cast<double>(a.sessions);
-    r.distance_km = a.distance_sum / static_cast<double>(a.sessions);
-    r.country = a.country;
-    r.org = a.org;
-    r.access = a.access;
-    rollups.push_back(std::move(r));
-  }
-  std::sort(rollups.begin(), rollups.end(),
-            [](const PrefixRollup& a, const PrefixRollup& b) {
-              return a.prefix < b.prefix;
-            });
-  return rollups;
-}
-
 std::vector<OrgCvRow> org_cv_table(const telemetry::JoinedDataset& data,
                                    std::size_t min_sessions) {
   std::map<std::string, OrgCvRow> rows;

@@ -41,6 +41,8 @@ struct PrefixRollup {
   net::AccessType access = net::AccessType::kResidential;
 };
 
+/// PrefixRollupAccumulator (analysis/accumulators.h) folded over every
+/// session; sorted by prefix.
 std::vector<PrefixRollup> rollup_prefixes(
     const telemetry::JoinedDataset& data);
 

@@ -90,71 +90,4 @@ DsOutlierResult detect_ds_outliers(const telemetry::JoinedSession& session,
   return result;
 }
 
-RecoveryImpact recovery_impact(const telemetry::JoinedDataset& joined) {
-  RecoveryImpact impact;
-  impact.sessions = joined.sessions().size();
-
-  double recovery_sum = 0.0;
-  std::uint64_t recovery_chunks = 0;
-  double dfb_failover_sum = 0.0, dfb_clean_sum = 0.0;
-  std::uint64_t failover_chunks = 0, clean_chunks = 0;
-  double stall_sum = 0.0, wall_sum = 0.0;
-
-  for (const telemetry::JoinedSession& session : joined.sessions()) {
-    if (session.player != nullptr && session.player->completed) {
-      ++impact.completed_sessions;
-    }
-    bool session_failed_over = false;
-    bool session_affected = false;
-    for (const telemetry::JoinedChunk& chunk : session.chunks) {
-      if (chunk.player == nullptr) continue;
-      impact.retries += chunk.player->retries;
-      impact.timeouts += chunk.player->timeouts;
-      if (chunk.cdn != nullptr && chunk.cdn->served_stale) {
-        ++impact.stale_chunks;
-      }
-      if (chunk.cdn != nullptr) {
-        if (chunk.cdn->shed) ++impact.shed_chunks;
-        if (chunk.cdn->hedged) ++impact.hedged_chunks;
-        if (chunk.cdn->hedge_won) ++impact.hedge_wins;
-        if (chunk.cdn->served_swr) ++impact.swr_chunks;
-        if (chunk.cdn->budget_denied) ++impact.budget_denied_chunks;
-      }
-      if (chunk.player->retries > 0 || chunk.player->timeouts > 0 ||
-          chunk.player->failed_over) {
-        session_affected = true;
-        recovery_sum += chunk.player->recovery_ms;
-        ++recovery_chunks;
-      }
-      if (chunk.player->failed_over) {
-        session_failed_over = true;
-        dfb_failover_sum += chunk.player->dfb_ms;
-        ++failover_chunks;
-      } else if (chunk.player->retries == 0 && chunk.player->timeouts == 0) {
-        dfb_clean_sum += chunk.player->dfb_ms;
-        ++clean_chunks;
-      }
-    }
-    if (session_failed_over) ++impact.failover_sessions;
-    if (session_affected) ++impact.affected_sessions;
-    stall_sum += session.total_rebuffer_ms();
-    wall_sum += session.duration_ms();
-  }
-
-  if (recovery_chunks > 0) {
-    impact.mean_recovery_ms = recovery_sum / static_cast<double>(recovery_chunks);
-  }
-  if (failover_chunks > 0) {
-    impact.mean_dfb_failover_ms =
-        dfb_failover_sum / static_cast<double>(failover_chunks);
-  }
-  if (clean_chunks > 0) {
-    impact.mean_dfb_clean_ms = dfb_clean_sum / static_cast<double>(clean_chunks);
-  }
-  if (wall_sum > 0.0) {
-    impact.rebuffer_rate_percent = 100.0 * stall_sum / wall_sum;
-  }
-  return impact;
-}
-
 }  // namespace vstream::analysis

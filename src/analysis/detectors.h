@@ -94,6 +94,8 @@ struct RecoveryImpact {
   }
 };
 
+/// RecoveryImpactAccumulator (analysis/accumulators.h) folded over every
+/// session.
 RecoveryImpact recovery_impact(const telemetry::JoinedDataset& joined);
 
 }  // namespace vstream::analysis

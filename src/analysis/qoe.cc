@@ -27,28 +27,4 @@ SessionQoe session_qoe(const telemetry::JoinedSession& session) {
   return qoe;
 }
 
-QoeAggregate aggregate_qoe(const telemetry::JoinedDataset& data) {
-  QoeAggregate agg;
-  std::vector<double> startup, rebuf, bitrate, dropped;
-  std::size_t with_rebuf = 0;
-  for (const telemetry::JoinedSession& session : data.sessions()) {
-    const SessionQoe qoe = session_qoe(session);
-    startup.push_back(qoe.startup_ms);
-    rebuf.push_back(qoe.rebuffer_rate_pct);
-    bitrate.push_back(qoe.avg_bitrate_kbps);
-    dropped.push_back(qoe.dropped_frame_pct);
-    if (qoe.rebuffer_events > 0) ++with_rebuf;
-  }
-  agg.sessions = data.sessions().size();
-  agg.startup_ms = summarize(std::move(startup));
-  agg.rebuffer_rate_pct = summarize(std::move(rebuf));
-  agg.avg_bitrate_kbps = summarize(std::move(bitrate));
-  agg.dropped_frame_pct = summarize(std::move(dropped));
-  agg.share_with_rebuffering =
-      agg.sessions == 0
-          ? 0.0
-          : static_cast<double>(with_rebuf) / static_cast<double>(agg.sessions);
-  return agg;
-}
-
 }  // namespace vstream::analysis

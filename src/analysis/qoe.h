@@ -37,6 +37,7 @@ struct QoeAggregate {
   std::size_t sessions = 0;
 };
 
+/// QoeAccumulator (analysis/accumulators.h) folded over every session.
 QoeAggregate aggregate_qoe(const telemetry::JoinedDataset& data);
 
 }  // namespace vstream::analysis

@@ -59,15 +59,11 @@ enum class RequestPriority : std::uint8_t {
 const char* to_string(RequestPriority priority);
 
 struct OverloadConfig {
-  // The VSTREAM_* override knobs below are resolved by
-  // engine::resolve_overload_env using the shared strict parser in
-  // sim/env_util.h (unset: keep default; set but invalid: refuse to run).
-
   // ---- circuit breaker around backend fetches ----
   bool breaker_enabled = true;
   /// A backend first byte slower than this counts as a breaker failure
   /// (healthy p99.9 is well under it; a browned-out origin's median is
-  /// well over it).  VSTREAM_BREAKER_THRESHOLD overrides.
+  /// well over it).  vstream-sim --breaker-threshold overrides.
   sim::Ms breaker_latency_threshold_ms = 200.0;
   /// Trip when the failure share of the outcome window reaches this.
   double breaker_failure_ratio = 0.5;
@@ -79,7 +75,7 @@ struct OverloadConfig {
 
   // ---- retry budget (token bucket) ----
   /// Tokens earned per served request; ~10% of traffic may be retries or
-  /// hedges.  VSTREAM_RETRY_BUDGET (in percent) overrides.
+  /// hedges.  vstream-sim --retry-budget (in percent) overrides.
   double retry_budget_ratio = 0.10;
   double retry_budget_cap = 8.0;      ///< bucket depth
   double retry_budget_initial = 4.0;  ///< tokens at cold start
@@ -92,7 +88,7 @@ struct OverloadConfig {
 
   // ---- priority load shedding ----
   /// Load factor (multiples of nominal capacity) above which shedding
-  /// starts.  VSTREAM_SHED_WATERMARK (in percent) overrides.
+  /// starts.  vstream-sim --shed-watermark (in percent) overrides.
   double shed_watermark = 1.25;
   /// Coupled mode only: queue-delay estimate that maps to the watermark
   /// (a request waiting this long sees load factor == shed_watermark).

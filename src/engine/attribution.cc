@@ -59,7 +59,9 @@ analysis::AttributionReport attribute_worst(const ReplayContext& ctx,
   constexpr std::size_t kColumns = 1 + cdn::kIdealizedSubsystemCount;
   const std::size_t tasks = worst.size() * kColumns;
   std::vector<analysis::SessionQoe> replayed(tasks);
-  std::vector<bool> found(tasks, false);
+  // One byte per task: replay tasks on different workers write
+  // neighbouring slots, which std::vector<bool> would pack into one word.
+  std::vector<char> found(tasks, 0);
 
   runtime::Executor executor(runtime::resolve_thread_count(options.threads));
   executor.parallel_for(
@@ -75,7 +77,7 @@ analysis::AttributionReport attribute_worst(const ReplayContext& ctx,
             joined.sessions()[worst[row]].session_id;
         if (const auto result = ctx.replay_session(id, policy)) {
           replayed[task] = result->qoe;
-          found[task] = true;
+          found[task] = 1;
         }
       },
       nullptr, "replay");
@@ -94,7 +96,7 @@ analysis::AttributionReport attribute_worst(const ReplayContext& ctx,
     analysis::SessionAttribution attribution =
         analysis::attribute_session(id, baseline_penalty, ideal_penalty);
     attribution.baseline_matches =
-        found[base_task] &&
+        found[base_task] != 0 &&
         same_qoe(replayed[base_task], qoes[worst[row]]);
     report.sessions.push_back(attribution);
   }

@@ -18,26 +18,6 @@ std::size_t positive_env(const char* name, std::size_t fallback) {
   return sim::positive_env(name, fallback);
 }
 
-double positive_env_double(const char* name, double fallback) {
-  return sim::positive_env_double(name, fallback);
-}
-
-cdn::OverloadConfig resolve_overload_env(cdn::OverloadConfig base) {
-  base.breaker_latency_threshold_ms = positive_env_double(
-      "VSTREAM_BREAKER_THRESHOLD", base.breaker_latency_threshold_ms);
-  // Percent in the environment (10 = 10% of requests may be retries),
-  // ratio internally.
-  base.retry_budget_ratio =
-      positive_env_double("VSTREAM_RETRY_BUDGET",
-                          base.retry_budget_ratio * 100.0) /
-      100.0;
-  // Percent of nominal capacity (125 = shed past 1.25x).
-  base.shed_watermark = positive_env_double("VSTREAM_SHED_WATERMARK",
-                                            base.shed_watermark * 100.0) /
-                        100.0;
-  return base;
-}
-
 std::size_t resolve_shard_count(std::size_t requested) {
   if (requested != 0) return requested;
   return positive_env("VSTREAM_SHARDS", runtime::kDefaultLogicalShards);
@@ -49,15 +29,9 @@ RunResult run_simulation(const workload::Scenario& scenario,
   result.scenario = scenario;
   result.shard_count = resolve_shard_count(options.shards);
   result.thread_count = runtime::resolve_thread_count(options.threads);
-  // Overload-protection knobs apply before the world is built, so every
-  // server (and the warm archive prototype) sees the same config.
-  result.scenario.fleet.server.overload =
-      resolve_overload_env(result.scenario.fleet.server.overload);
 
   // World construction mirrors core::Pipeline exactly (same master-RNG
   // consumption order), so the engine and the facade agree on the world.
-  // Built from result.scenario so the resolved overload knobs reach every
-  // server replica.
   const workload::Scenario& world = result.scenario;
   sim::Rng rng(world.seed);
   auto catalog = std::make_shared<workload::VideoCatalog>(world.catalog, rng);
@@ -74,23 +48,15 @@ RunResult run_simulation(const workload::Scenario& scenario,
   const std::vector<AdmittedSession> admitted =
       admit_sessions(world, generator, rng);
 
-  // Streaming telemetry: an explicit option wins, else the strict
-  // environment knob (unset: in-memory; set but empty: refuse to run).
-  std::string spill_dir =
-      !options.telemetry_spill_dir.empty()
-          ? options.telemetry_spill_dir
-          : sim::nonempty_env("VSTREAM_TELEMETRY_SPILL");
-
-  // Crash safety: same precedence.  Checkpointing implies spill mode
-  // (record durability lives in the spill files); with no spill dir
-  // configured the checkpoint directory carries both.
-  const std::string ckpt_dir = !options.checkpoint_dir.empty()
-                                   ? options.checkpoint_dir
-                                   : sim::nonempty_env("VSTREAM_CHECKPOINT");
+  // Crash safety implies spill mode (record durability lives in the
+  // spill files); with no spill dir configured the checkpoint directory
+  // carries both.
+  std::string spill_dir = options.telemetry_spill_dir;
+  const std::string& ckpt_dir = options.checkpoint_dir;
   if (options.resume && ckpt_dir.empty()) {
     throw std::runtime_error(
         "run_simulation: resume requested without a checkpoint directory "
-        "(RunOptions.checkpoint_dir / VSTREAM_CHECKPOINT)");
+        "(RunOptions.checkpoint_dir)");
   }
   if (!ckpt_dir.empty() && spill_dir.empty()) spill_dir = ckpt_dir;
 
@@ -105,10 +71,9 @@ RunResult run_simulation(const workload::Scenario& scenario,
     checkpoint.dir = ckpt_dir;
     std::filesystem::create_directories(checkpoint.dir);
     checkpoint.resume = options.resume;
-    checkpoint.interval =
-        options.checkpoint_interval != 0
-            ? options.checkpoint_interval
-            : positive_env("VSTREAM_CHECKPOINT_INTERVAL", 1000);
+    if (options.checkpoint_interval != 0) {
+      checkpoint.interval = options.checkpoint_interval;
+    }
     checkpoint.fingerprint =
         run_fingerprint(admitted, result.shard_count,
                         options.faults.empty() ? nullptr : &options.faults);
@@ -117,7 +82,6 @@ RunResult run_simulation(const workload::Scenario& scenario,
 
   ExecOptions exec;
   exec.threads = result.thread_count;
-  exec.spill_format = options.spill_format;
   ShardResult merged = run_sharded(
       world, *catalog, warm,
       options.faults.empty() ? nullptr : &options.faults,
@@ -149,7 +113,7 @@ AnalyzedRun run_and_analyze(const workload::Scenario& scenario,
     // incrementally instead (core::analyze_spill).
     throw std::runtime_error(
         "run_and_analyze: telemetry was spilled to disk "
-        "(VSTREAM_TELEMETRY_SPILL / RunOptions.telemetry_spill_dir); "
+        "(RunOptions.telemetry_spill_dir); "
         "use core::analyze_spill on RunResult.spill instead");
   }
   analyzed.proxies = telemetry::detect_proxies(analyzed.run.dataset);

@@ -24,7 +24,6 @@
 #include <unordered_set>
 #include <vector>
 
-#include "cdn/overload.h"
 #include "engine/ground_truth.h"
 #include "engine/shard.h"
 #include "faults/fault_schedule.h"
@@ -59,28 +58,19 @@ struct RunOptions {
   /// Non-empty: stream telemetry to per-shard spill files in this
   /// directory (created if missing) instead of materializing the Dataset
   /// — RunResult.dataset comes back empty and RunResult.spill holds the
-  /// file set.  Empty: the VSTREAM_TELEMETRY_SPILL environment variable
-  /// (a non-empty directory path; set-but-empty throws) decides, else
-  /// classic in-memory telemetry.
+  /// file set.  Empty: classic in-memory telemetry.
   std::string telemetry_spill_dir;
-  /// Spill file format version (2 or 3); 0 resolves via
-  /// telemetry::resolve_spill_format (VSTREAM_SPILL_FORMAT, else v3).
-  /// Never changes results — only the bytes in the spill files.
-  std::uint32_t spill_format = 0;
   /// Non-empty: crash-safe execution — run in checkpointed batches and
   /// write per-shard shard-<i>.vckpt sidecars to this directory (created
   /// if missing).  Checkpointing implies spill mode; when no spill dir is
   /// configured the checkpoint directory doubles as the spill directory.
-  /// Empty: the VSTREAM_CHECKPOINT environment variable (same strict
-  /// contract as the spill knob) decides, else no checkpointing.
+  /// Empty: no checkpointing.
   std::string checkpoint_dir;
   /// Resume from the sidecars in the checkpoint directory.  Missing or
   /// corrupt sidecars restart their shard from zero; sidecars from a
   /// different run configuration throw.  Requires checkpointing.
   bool resume = false;
-  /// Sessions per shard between checkpoints.  0: the
-  /// VSTREAM_CHECKPOINT_INTERVAL environment variable (strictly positive
-  /// integer), else 1000.
+  /// Sessions per shard between checkpoints.  0: 1000.
   std::size_t checkpoint_interval = 0;
   /// Test/chaos hook: stop every shard after this many committed batches
   /// (RunResult.completed turns false; a resume finishes the run).
@@ -142,18 +132,6 @@ std::size_t resolve_shard_count(std::size_t requested = 0);
 /// compatibility: unset returns `fallback`; set but invalid throws
 /// std::runtime_error naming the variable — never a silent fallback.
 std::size_t positive_env(const char* name, std::size_t fallback);
-
-/// Same contract for a strictly positive real number (the overload knobs).
-/// Forwarder for sim::positive_env_double.
-double positive_env_double(const char* name, double fallback);
-
-/// Apply the overload-protection environment knobs on top of `base`:
-///   VSTREAM_BREAKER_THRESHOLD  breaker latency threshold, milliseconds
-///   VSTREAM_RETRY_BUDGET       retry budget earn rate, percent of requests
-///   VSTREAM_SHED_WATERMARK     shed watermark, percent of nominal capacity
-/// Each must parse as a strictly positive number or the run refuses to
-/// start (std::runtime_error naming the variable).
-cdn::OverloadConfig resolve_overload_env(cdn::OverloadConfig base);
 
 /// Build the world for `scenario`, admit all sessions, execute them across
 /// the resolved shard count, and return the canonically merged result.

@@ -15,12 +15,9 @@ ReplayContext::ReplayContext(const workload::Scenario& scenario,
       warm_(scenario.fleet),
       faults_(std::move(options.faults)),
       bad_prefixes_(std::move(options.bad_prefixes)) {
-  // Mirror run_simulation()'s world construction exactly — same overload
-  // resolution, same master-RNG consumption order — so the admitted specs
-  // and RNG substreams are the ones the original run executed.
-  scenario_.fleet.server.overload =
-      resolve_overload_env(scenario_.fleet.server.overload);
-
+  // Mirror run_simulation()'s world construction exactly — same
+  // master-RNG consumption order — so the admitted specs and RNG
+  // substreams are the ones the original run executed.
   sim::Rng rng(scenario_.seed);
   catalog_ =
       std::make_shared<workload::VideoCatalog>(scenario_.catalog, rng);

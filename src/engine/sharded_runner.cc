@@ -128,6 +128,11 @@ ShardResult run_sharded(const workload::Scenario& scenario,
         "run_sharded: checkpointing requires spill-mode telemetry");
   }
   const ExecOptions options = exec != nullptr ? *exec : ExecOptions{};
+  if (options.spill_format != 0 &&
+      options.spill_format != telemetry::kSpillVersionDefault) {
+    throw std::invalid_argument("run_sharded: unsupported spill format " +
+                                std::to_string(options.spill_format));
+  }
   runtime::Executor executor(runtime::resolve_thread_count(options.threads));
 
   const std::vector<std::vector<AdmittedSession>> parts =
@@ -180,8 +185,7 @@ ShardResult run_sharded(const workload::Scenario& scenario,
       next = 0;
       ground_truth = GroundTruth{};
       server_stats.clear();
-      sink = std::make_unique<telemetry::SpillSink>(spill_file,
-                                                    options.spill_format);
+      sink = std::make_unique<telemetry::SpillSink>(spill_file);
     }
 
     const std::size_t interval = std::max<std::size_t>(1, checkpoint->interval);
@@ -270,7 +274,7 @@ ShardResult run_sharded(const workload::Scenario& scenario,
           }
           const std::filesystem::path file =
               *spill_dir / ("shard-" + std::to_string(i) + ".vspill");
-          telemetry::SpillSink sink(file, options.spill_format);
+          telemetry::SpillSink sink(file);
           Shard shard(scenario, catalog, warm, faults, bad_prefixes, &sink);
           results[i] = shard.run(parts[i]);
           sink.finish();

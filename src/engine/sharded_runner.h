@@ -62,9 +62,9 @@ struct ExecOptions {
   /// 0 uses kDefaultMemoryBatch.  Ignored with one worker (one task per
   /// shard — no replica churn when nothing can steal).
   std::size_t memory_batch = 0;
-  /// Spill file format version; 0 resolves via
-  /// telemetry::resolve_spill_format (VSTREAM_SPILL_FORMAT, else v3).
-  /// Never affects results — only the bytes on disk.
+  /// Spill format version pin: 0 or telemetry::kSpillVersionDefault (the
+  /// only format); run_sharded throws std::invalid_argument for anything
+  /// else.  Selects nothing.
   std::uint32_t spill_format = 0;
 };
 

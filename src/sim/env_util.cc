@@ -20,32 +20,9 @@ std::size_t positive_env(const char* name, std::size_t fallback) {
   return static_cast<std::size_t>(parsed);
 }
 
-double positive_env_double(const char* name, double fallback) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr) return fallback;
-  errno = 0;
-  char* end = nullptr;
-  const double parsed = std::strtod(raw, &end);
-  if (end == raw || *end != '\0' || errno == ERANGE || !(parsed > 0.0)) {
-    throw std::runtime_error(std::string(name) + " must be a positive " +
-                             "number, got \"" + raw + "\"");
-  }
-  return parsed;
-}
-
 std::string string_env(const char* name, const std::string& fallback) {
   const char* raw = std::getenv(name);
   return raw != nullptr ? std::string(raw) : fallback;
-}
-
-std::string nonempty_env(const char* name, const std::string& fallback) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr) return fallback;
-  if (*raw == '\0') {
-    throw std::runtime_error(std::string(name) +
-                             " must be a non-empty string when set");
-  }
-  return raw;
 }
 
 }  // namespace vstream::sim

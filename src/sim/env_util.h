@@ -3,11 +3,9 @@
 // One contract everywhere: an *unset* variable falls back silently; a
 // variable that is set but does not parse (empty, non-numeric, zero,
 // negative, trailing garbage) throws std::runtime_error naming the
-// variable — a run never silently ignores an operator's knob.  The
-// numeric helpers started life in engine/engine.cc and the same strict
-// semantics were re-described in core/report.h and cdn/overload.h; this
-// header is now the single home (engine/engine.h keeps thin forwarders
-// for source compatibility).
+// variable — a run never silently ignores an operator's knob.  This
+// header is the single home of the parsers (engine/engine.h keeps a thin
+// positive_env forwarder for source compatibility).
 #pragma once
 
 #include <cstddef>
@@ -20,17 +18,9 @@ namespace vstream::sim {
 /// garbage: throws std::runtime_error naming the variable.
 std::size_t positive_env(const char* name, std::size_t fallback);
 
-/// Same contract for a strictly positive real number.
-double positive_env_double(const char* name, double fallback);
-
 /// Read `name` as a string.  Unset returns `fallback`; set (including
 /// empty) returns the raw value.  For knobs where an empty string is a
 /// valid "disabled" state (e.g. VSTREAM_SERIES_DIR).
 std::string string_env(const char* name, const std::string& fallback = "");
-
-/// Read `name` as a string that must be non-empty when set: unset returns
-/// `fallback`, set-but-empty throws std::runtime_error naming the variable
-/// (the strict flavour, e.g. VSTREAM_TELEMETRY_SPILL).
-std::string nonempty_env(const char* name, const std::string& fallback = "");
 
 }  // namespace vstream::sim

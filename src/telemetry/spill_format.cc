@@ -8,7 +8,6 @@
 #include <utility>
 
 #include "failpoints/failpoint.h"
-#include "sim/env_util.h"
 #include "sim/host_error.h"
 #include "telemetry/crc32c.h"
 #include "telemetry/spill_codec.h"
@@ -31,23 +30,6 @@ void put_u64(std::string& out, std::uint64_t v) {
   out.append(bytes, 8);
 }
 
-void put_f64(std::string& out, double v) {
-  // Raw IEEE-754 bits: the round trip is bit-exact, so CSV re-export of a
-  // spilled dataset is byte-identical to the in-memory path.
-  put_u64(out, std::bit_cast<std::uint64_t>(v));
-}
-
-void put_u8(std::string& out, std::uint8_t v) {
-  out.push_back(static_cast<char>(v));
-}
-
-void put_bool(std::string& out, bool v) { put_u8(out, v ? 1 : 0); }
-
-void put_str(std::string& out, const std::string& s) {
-  put_u32(out, static_cast<std::uint32_t>(s.size()));
-  out.append(s);
-}
-
 std::uint32_t load_u32(const char* p) {
   std::uint32_t v = 0;
   for (int i = 0; i < 4; ++i) {
@@ -66,265 +48,10 @@ std::uint64_t load_u64(const char* p) {
   return v;
 }
 
-/// Bounds-checked read cursor over one v2 block payload.
-struct Cursor {
-  const char* p;
-  const char* end;
-  const std::filesystem::path& path;
-
-  void need(std::size_t n) const {
-    if (static_cast<std::size_t>(end - p) < n) {
-      throw std::runtime_error("spill: truncated block payload in " +
-                               path.string());
-    }
-  }
-  std::uint32_t get_u32() {
-    need(4);
-    const std::uint32_t v = load_u32(p);
-    p += 4;
-    return v;
-  }
-  std::uint64_t get_u64() {
-    need(8);
-    const std::uint64_t v = load_u64(p);
-    p += 8;
-    return v;
-  }
-  double get_f64() { return std::bit_cast<double>(get_u64()); }
-  std::uint8_t get_u8() {
-    need(1);
-    return static_cast<std::uint8_t>(*p++);
-  }
-  bool get_bool() { return get_u8() != 0; }
-  std::string get_str() {
-    const std::uint32_t len = get_u32();
-    need(len);
-    std::string s(p, len);
-    p += len;
-    return s;
-  }
-};
-
-// --------------------------------------------- v2 (row) record serializers
-// Field order mirrors the struct declarations in records.h; session_id is
-// block-level and omitted.
-
-void put_record(std::string& out, const PlayerSessionRecord& r) {
-  put_u32(out, r.client_ip);
-  put_str(out, r.user_agent);
-  put_f64(out, r.video_duration_s);
-  put_f64(out, r.start_time_ms);
-  put_f64(out, r.startup_ms);
-  put_u32(out, r.chunks_requested);
-  put_bool(out, r.completed);
-}
-
-PlayerSessionRecord get_player_session(Cursor& c, std::uint64_t id) {
-  PlayerSessionRecord r;
-  r.session_id = id;
-  r.client_ip = c.get_u32();
-  r.user_agent = c.get_str();
-  r.video_duration_s = c.get_f64();
-  r.start_time_ms = c.get_f64();
-  r.startup_ms = c.get_f64();
-  r.chunks_requested = c.get_u32();
-  r.completed = c.get_bool();
-  return r;
-}
-
-void put_record(std::string& out, const CdnSessionRecord& r) {
-  put_u32(out, r.observed_ip);
-  put_str(out, r.observed_user_agent);
-  put_u32(out, r.pop);
-  put_u32(out, r.server);
-  put_str(out, r.org);
-  put_u8(out, static_cast<std::uint8_t>(r.access));
-  put_str(out, r.city);
-  put_str(out, r.country);
-  put_f64(out, r.client_distance_km);
-}
-
-CdnSessionRecord get_cdn_session(Cursor& c, std::uint64_t id) {
-  CdnSessionRecord r;
-  r.session_id = id;
-  r.observed_ip = c.get_u32();
-  r.observed_user_agent = c.get_str();
-  r.pop = c.get_u32();
-  r.server = c.get_u32();
-  r.org = c.get_str();
-  r.access = static_cast<net::AccessType>(c.get_u8());
-  r.city = c.get_str();
-  r.country = c.get_str();
-  r.client_distance_km = c.get_f64();
-  return r;
-}
-
-void put_record(std::string& out, const PlayerChunkRecord& r) {
-  put_u32(out, r.chunk_id);
-  put_f64(out, r.request_sent_ms);
-  put_f64(out, r.dfb_ms);
-  put_f64(out, r.dlb_ms);
-  put_u32(out, r.bitrate_kbps);
-  put_f64(out, r.rebuffer_ms);
-  put_u32(out, r.rebuffer_count);
-  put_bool(out, r.visible);
-  put_f64(out, r.avg_fps);
-  put_u32(out, r.dropped_frames);
-  put_u32(out, r.total_frames);
-  put_u32(out, r.retries);
-  put_u32(out, r.timeouts);
-  put_bool(out, r.failed_over);
-  put_f64(out, r.recovery_ms);
-}
-
-PlayerChunkRecord get_player_chunk(Cursor& c, std::uint64_t id) {
-  PlayerChunkRecord r;
-  r.session_id = id;
-  r.chunk_id = c.get_u32();
-  r.request_sent_ms = c.get_f64();
-  r.dfb_ms = c.get_f64();
-  r.dlb_ms = c.get_f64();
-  r.bitrate_kbps = c.get_u32();
-  r.rebuffer_ms = c.get_f64();
-  r.rebuffer_count = c.get_u32();
-  r.visible = c.get_bool();
-  r.avg_fps = c.get_f64();
-  r.dropped_frames = c.get_u32();
-  r.total_frames = c.get_u32();
-  r.retries = c.get_u32();
-  r.timeouts = c.get_u32();
-  r.failed_over = c.get_bool();
-  r.recovery_ms = c.get_f64();
-  return r;
-}
-
-void put_record(std::string& out, const CdnChunkRecord& r) {
-  put_u32(out, r.chunk_id);
-  put_f64(out, r.dwait_ms);
-  put_f64(out, r.dopen_ms);
-  put_f64(out, r.dread_ms);
-  put_f64(out, r.dbe_ms);
-  put_u8(out, static_cast<std::uint8_t>(r.cache_level));
-  put_u64(out, r.chunk_bytes);
-  put_u32(out, r.pop);
-  put_u32(out, r.server);
-  put_bool(out, r.served_stale);
-  put_bool(out, r.shed);
-  put_bool(out, r.hedged);
-  put_bool(out, r.hedge_won);
-  put_bool(out, r.budget_denied);
-  put_bool(out, r.served_swr);
-  put_u8(out, static_cast<std::uint8_t>(r.breaker));
-}
-
-CdnChunkRecord get_cdn_chunk(Cursor& c, std::uint64_t id) {
-  CdnChunkRecord r;
-  r.session_id = id;
-  r.chunk_id = c.get_u32();
-  r.dwait_ms = c.get_f64();
-  r.dopen_ms = c.get_f64();
-  r.dread_ms = c.get_f64();
-  r.dbe_ms = c.get_f64();
-  r.cache_level = static_cast<cdn::CacheLevel>(c.get_u8());
-  r.chunk_bytes = c.get_u64();
-  r.pop = c.get_u32();
-  r.server = c.get_u32();
-  r.served_stale = c.get_bool();
-  r.shed = c.get_bool();
-  r.hedged = c.get_bool();
-  r.hedge_won = c.get_bool();
-  r.budget_denied = c.get_bool();
-  r.served_swr = c.get_bool();
-  r.breaker = static_cast<cdn::BreakerState>(c.get_u8());
-  return r;
-}
-
-void put_record(std::string& out, const TcpSnapshotRecord& r) {
-  put_u32(out, r.chunk_id);
-  put_f64(out, r.at_ms);
-  put_f64(out, r.info.srtt_ms);
-  put_f64(out, r.info.rttvar_ms);
-  put_u32(out, r.info.cwnd_segments);
-  put_u32(out, r.info.ssthresh_segments);
-  put_u32(out, r.info.mss_bytes);
-  put_u64(out, r.info.total_retrans);
-  put_u64(out, r.info.segments_out);
-  put_u64(out, r.info.bytes_acked);
-  put_bool(out, r.info.in_slow_start);
-}
-
-TcpSnapshotRecord get_tcp_snapshot(Cursor& c, std::uint64_t id) {
-  TcpSnapshotRecord r;
-  r.session_id = id;
-  r.chunk_id = c.get_u32();
-  r.at_ms = c.get_f64();
-  r.info.srtt_ms = c.get_f64();
-  r.info.rttvar_ms = c.get_f64();
-  r.info.cwnd_segments = c.get_u32();
-  r.info.ssthresh_segments = c.get_u32();
-  r.info.mss_bytes = c.get_u32();
-  r.info.total_retrans = c.get_u64();
-  r.info.segments_out = c.get_u64();
-  r.info.bytes_acked = c.get_u64();
-  r.info.in_slow_start = c.get_bool();
-  return r;
-}
-
-void encode_payload_v2(std::string& out, const SessionRecordGroup& group) {
-  put_u32(out, static_cast<std::uint32_t>(group.player_sessions.size()));
-  put_u32(out, static_cast<std::uint32_t>(group.cdn_sessions.size()));
-  put_u32(out, static_cast<std::uint32_t>(group.player_chunks.size()));
-  put_u32(out, static_cast<std::uint32_t>(group.cdn_chunks.size()));
-  put_u32(out, static_cast<std::uint32_t>(group.tcp_snapshots.size()));
-  for (const auto& r : group.player_sessions) put_record(out, r);
-  for (const auto& r : group.cdn_sessions) put_record(out, r);
-  for (const auto& r : group.player_chunks) put_record(out, r);
-  for (const auto& r : group.cdn_chunks) put_record(out, r);
-  for (const auto& r : group.tcp_snapshots) put_record(out, r);
-}
-
-SessionRecordGroup decode_payload_v2(const char* data, std::size_t size,
-                                     std::uint64_t session_id,
-                                     const std::filesystem::path& path) {
-  Cursor c{data, data + size, path};
-  SessionRecordGroup group;
-  group.session_id = session_id;
-  const std::uint32_t n_ps = c.get_u32();
-  const std::uint32_t n_cs = c.get_u32();
-  const std::uint32_t n_pc = c.get_u32();
-  const std::uint32_t n_cc = c.get_u32();
-  const std::uint32_t n_ts = c.get_u32();
-  group.player_sessions.reserve(n_ps);
-  group.cdn_sessions.reserve(n_cs);
-  group.player_chunks.reserve(n_pc);
-  group.cdn_chunks.reserve(n_cc);
-  group.tcp_snapshots.reserve(n_ts);
-  for (std::uint32_t i = 0; i < n_ps; ++i) {
-    group.player_sessions.push_back(get_player_session(c, session_id));
-  }
-  for (std::uint32_t i = 0; i < n_cs; ++i) {
-    group.cdn_sessions.push_back(get_cdn_session(c, session_id));
-  }
-  for (std::uint32_t i = 0; i < n_pc; ++i) {
-    group.player_chunks.push_back(get_player_chunk(c, session_id));
-  }
-  for (std::uint32_t i = 0; i < n_cc; ++i) {
-    group.cdn_chunks.push_back(get_cdn_chunk(c, session_id));
-  }
-  for (std::uint32_t i = 0; i < n_ts; ++i) {
-    group.tcp_snapshots.push_back(get_tcp_snapshot(c, session_id));
-  }
-  if (c.p != c.end) {
-    throw std::runtime_error("spill: trailing bytes in block payload in " +
-                             path.string());
-  }
-  return group;
-}
-
-// ------------------------------------------------- v3 (columnar) payloads
-// Column order within each stream is the struct declaration order —
-// exactly the v2 field order, transposed.  Encoding per column lives in
-// spill_codec.h; the helpers below just gather/scatter fields.
+// ------------------------------------------------------ columnar payloads
+// Column order within each stream is the struct declaration order (see
+// records.h; session_id is block-level and omitted).  Encoding per column
+// lives in spill_codec.h; the helpers below just gather/scatter fields.
 
 /// Decode-bomb guard: a block holds one session's records, so any count
 /// beyond this is a writer bug or adversarial input, rejected before any
@@ -397,7 +124,7 @@ constexpr std::uint64_t kMaxU32 = 0xFFFFFFFFull;
 constexpr std::uint64_t kMaxU64 = ~std::uint64_t{0};
 constexpr std::uint64_t kMaxU8 = 0xFFull;
 
-void encode_payload_v3(std::string& out, const SessionRecordGroup& g,
+void encode_payload(std::string& out, const SessionRecordGroup& g,
                        std::vector<std::uint64_t>& tmp,
                        std::vector<std::uint8_t>& btmp) {
   codec::put_varint(out, g.player_sessions.size());
@@ -482,7 +209,7 @@ void encode_payload_v3(std::string& out, const SessionRecordGroup& g,
   bool_col(out, ts, btmp, [](const auto& r) { return r.info.in_slow_start; });
 }
 
-SessionRecordGroup decode_payload_v3(const char* data, std::size_t size,
+SessionRecordGroup decode_payload(const char* data, std::size_t size,
                                      std::uint64_t session_id,
                                      std::vector<std::uint64_t>& tmp,
                                      std::vector<std::uint8_t>& btmp) {
@@ -658,75 +385,38 @@ SessionRecordGroup decode_payload_v3(const char* data, std::size_t size,
   return g;
 }
 
-/// The v2 row encoding size of a group, computed without encoding it —
-/// the "logical" size behind SpillReadStats::logical_bytes, so the
-/// compression ratio of a v3 file is measurable from the file alone.
-std::uint64_t v2_payload_bytes(const SessionRecordGroup& g) {
-  std::uint64_t b = 20;  // five u32 counts
-  for (const auto& r : g.player_sessions) b += 37 + r.user_agent.size();
-  for (const auto& r : g.cdn_sessions) {
-    b += 37 + r.observed_user_agent.size() + r.org.size() + r.city.size() +
-         r.country.size();
-  }
-  b += 78 * g.player_chunks.size();
-  b += 60 * g.cdn_chunks.size();
-  b += 65 * g.tcp_snapshots.size();
-  return b;
-}
-
 constexpr std::uint64_t kFileHeaderBytes = 8;    // magic + version
 constexpr std::uint64_t kBlockHeaderBytes = 24;  // marker+id+size+crc
 constexpr std::uint64_t kBlockTrailerBytes = 4;  // payload crc
 constexpr std::uint64_t kCommitFrameBytes = 16;  // marker+count+crc
 
-/// Validate a spill file header read into `raw` (8 bytes) and return its
-/// version; throws on a foreign or future file.
-std::uint32_t check_file_header(const char* raw,
-                                const std::filesystem::path& path) {
+/// Validate a spill file header read into `raw` (8 bytes); throws on a
+/// foreign file or any version other than kSpillVersionDefault.
+void check_file_header(const char* raw, const std::filesystem::path& path) {
   if (load_u32(raw) != kSpillMagic) {
     throw std::runtime_error("spill: bad magic in " + path.string());
   }
   const std::uint32_t version = load_u32(raw + 4);
-  if (version != kSpillVersionV2 && version != kSpillVersionV3) {
+  if (version != kSpillVersionDefault) {
     throw std::runtime_error("spill: unsupported version " +
                              std::to_string(version) + " in " + path.string());
   }
-  return version;
 }
 
 }  // namespace
-
-std::uint32_t resolve_spill_format(std::uint32_t requested) {
-  if (requested == 0) {
-    const std::string raw = sim::nonempty_env("VSTREAM_SPILL_FORMAT", "");
-    if (raw.empty()) return kSpillVersionDefault;
-    if (raw == "2") return kSpillVersionV2;
-    if (raw == "3") return kSpillVersionV3;
-    throw std::runtime_error("VSTREAM_SPILL_FORMAT must be 2 or 3 (got \"" +
-                             raw + "\")");
-  }
-  if (requested != kSpillVersionV2 && requested != kSpillVersionV3) {
-    throw std::runtime_error("spill: unsupported format request " +
-                             std::to_string(requested));
-  }
-  return requested;
-}
 
 // -------------------------------------------------------------- SpillWriter
 
 void SpillWriter::write_file_header() {
   frame_.clear();
   put_u32(frame_, kSpillMagic);
-  put_u32(frame_, version_);
+  put_u32(frame_, kSpillVersionDefault);
   io_->append(frame_.data(), frame_.size());
   offset_ = kFileHeaderBytes;
 }
 
-SpillWriter::SpillWriter(const std::filesystem::path& path,
-                         std::uint32_t format)
-    : path_(path), version_(resolve_spill_format(format)) {
-  io_ = std::make_unique<SpillFileBackend>(path, /*truncate=*/true,
-                                           resolve_spill_async());
+SpillWriter::SpillWriter(const std::filesystem::path& path) : path_(path) {
+  io_ = std::make_unique<SpillFileBackend>(path, /*truncate=*/true);
   write_file_header();
 }
 
@@ -752,15 +442,12 @@ SpillWriter::SpillWriter(const std::filesystem::path& path,
     if (!in.read(raw, kFileHeaderBytes)) {
       throw std::runtime_error("spill: truncated header in " + path.string());
     }
-    // A resumed writer appends in the file's version, not the configured
-    // one: a run that started as v2 stays v2 across a crash.
-    version_ = check_file_header(raw, path);
+    check_file_header(raw, path);
   }
   // Everything past the committed offset is uncommitted work from a
   // crashed writer; drop it so the resumed run re-emits those sessions.
   std::filesystem::resize_file(path, committed_bytes);
-  io_ = std::make_unique<SpillFileBackend>(path, /*truncate=*/false,
-                                           resolve_spill_async());
+  io_ = std::make_unique<SpillFileBackend>(path, /*truncate=*/false);
   offset_ = committed_bytes;
   blocks_written_ = blocks_already_written;
 }
@@ -780,11 +467,7 @@ void SpillWriter::write(const SessionRecordGroup& group) {
     throw sim::HostIoError("spill: error writing " + path_.string());
   }
   scratch_.clear();
-  if (version_ == kSpillVersionV3) {
-    encode_payload_v3(scratch_, group, col_, bcol_);
-  } else {
-    encode_payload_v2(scratch_, group);
-  }
+  encode_payload(scratch_, group, col_, bcol_);
 
   // One contiguous frame image: block header (incl. both CRCs staged
   // back to back), payload, payload CRC, then the commit frame.  The
@@ -845,14 +528,11 @@ void SpillWriter::close() {
 
 SpillReader::SpillReader(const std::filesystem::path& path,
                          SpillReadStats* stats)
-    : src_(open_spill_source(path)), path_(path), external_stats_(stats) {
-  file_size_ = src_->size();
-  char raw[kFileHeaderBytes];
-  if (file_size_ < kFileHeaderBytes) {
+    : map_(path), external_stats_(stats) {
+  if (map_.size() < kFileHeaderBytes) {
     throw std::runtime_error("spill: truncated header in " + path.string());
   }
-  src_->read(0, raw, kFileHeaderBytes);
-  version_ = check_file_header(raw, path_);
+  check_file_header(map_.data(), path);
   pos_ = kFileHeaderBytes;
 }
 
@@ -865,12 +545,14 @@ void SpillReader::bump(std::uint64_t SpillReadStats::* counter,
 SpillReader::FrameKind SpillReader::parse_frame(
     bool decode, std::optional<SessionRecordGroup>* out, SpillBlockRef* ref) {
   const std::uint64_t pos = pos_;
-  if (pos >= file_size_) return FrameKind::kEnd;
-  const std::uint64_t remaining = file_size_ - pos;
+  const std::uint64_t file_size = map_.size();
+  if (pos >= file_size) return FrameKind::kEnd;
+  const std::uint64_t remaining = file_size - pos;
+  const char* head = map_.data() + pos;
 
   const auto torn_tail = [&]() {
     bump(&SpillReadStats::torn_tail_bytes, remaining);
-    pos_ = file_size_;
+    pos_ = file_size;
     return FrameKind::kEnd;
   };
   const auto resync = [&]() {
@@ -879,14 +561,11 @@ SpillReader::FrameKind SpillReader::parse_frame(
     return FrameKind::kSkip;
   };
 
-  char head[kBlockHeaderBytes];
   if (remaining < 4) return torn_tail();
-  src_->read(pos, head, 4);
   const std::uint32_t marker = load_u32(head);
 
   if (marker == kSpillCommitMarker) {
     if (remaining < kCommitFrameBytes) return torn_tail();
-    src_->read(pos + 4, head + 4, kCommitFrameBytes - 4);
     if (crc32c(head, kCommitFrameBytes - 4) !=
         load_u32(head + kCommitFrameBytes - 4)) {
       return resync();
@@ -897,16 +576,17 @@ SpillReader::FrameKind SpillReader::parse_frame(
   }
   if (marker != kSpillBlockMarker) return resync();
 
-  if (remaining < kBlockHeaderBytes) return torn_tail();
-  src_->read(pos + 4, head + 4, kBlockHeaderBytes - 4);
+  if (remaining < kBlockHeaderBytes + kBlockTrailerBytes) return torn_tail();
   if (crc32c(head, 20) != load_u32(head + 20)) return resync();
   const std::uint64_t session_id = load_u64(head + 4);
   const std::uint64_t payload_size = load_u64(head + 12);
-  const std::uint64_t frame_bytes =
-      kBlockHeaderBytes + payload_size + kBlockTrailerBytes;
   // The size field is CRC-protected, so a frame that does not fit in the
   // remaining bytes means the writer died mid-block: a torn tail.
-  if (remaining < frame_bytes) return torn_tail();
+  if (payload_size > remaining - kBlockHeaderBytes - kBlockTrailerBytes) {
+    return torn_tail();
+  }
+  const std::uint64_t frame_bytes =
+      kBlockHeaderBytes + payload_size + kBlockTrailerBytes;
 
   if (!decode) {
     if (ref != nullptr) {
@@ -917,29 +597,18 @@ SpillReader::FrameKind SpillReader::parse_frame(
     return FrameKind::kBlock;
   }
 
-  // Decode straight from the mapping when the source supports views; the
-  // pread fallback copies into the reader's reusable scratch buffer.
-  const char* payload = src_->view(pos + kBlockHeaderBytes, payload_size);
-  if (payload == nullptr) {
-    scratch_.resize(payload_size);
-    src_->read(pos + kBlockHeaderBytes, scratch_.data(), payload_size);
-    payload = scratch_.data();
-  }
-  char trailer[kBlockTrailerBytes];
-  src_->read(pos + kBlockHeaderBytes + payload_size, trailer,
-             kBlockTrailerBytes);
+  // Decode straight from the mapping: no copy between page cache and the
+  // column decoders.
+  const char* payload = head + kBlockHeaderBytes;
   pos_ = pos + frame_bytes;
   out->reset();
-  if (crc32c(payload, payload_size) != load_u32(trailer)) {
+  if (crc32c(payload, payload_size) != load_u32(payload + payload_size)) {
     bump(&SpillReadStats::blocks_skipped, 1);
     bump(&SpillReadStats::bytes_skipped, frame_bytes);
     return FrameKind::kBlock;
   }
   try {
-    *out = version_ == kSpillVersionV3
-               ? decode_payload_v3(payload, payload_size, session_id, col_,
-                                   bcol_)
-               : decode_payload_v2(payload, payload_size, session_id, path_);
+    *out = decode_payload(payload, payload_size, session_id, col_, bcol_);
   } catch (const std::exception&) {
     // CRC-valid but undecodable: a writer bug or an adversarial file —
     // either way skip the block rather than abort the analysis.
@@ -950,7 +619,6 @@ SpillReader::FrameKind SpillReader::parse_frame(
   }
   bump(&SpillReadStats::blocks_ok, 1);
   bump(&SpillReadStats::bytes_salvaged, payload_size);
-  bump(&SpillReadStats::logical_bytes, v2_payload_bytes(**out));
   return FrameKind::kBlock;
 }
 

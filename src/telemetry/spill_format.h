@@ -1,9 +1,9 @@
-// Binary on-disk spill format for session record groups (versions 2 and
-// 3: CRC32C-framed, crash- and corruption-tolerant).
+// Binary on-disk spill format for session record groups (version 3:
+// CRC32C-framed, columnar, crash- and corruption-tolerant).
 //
-// Layout (all integers little-endian, fixed width):
+// Layout (all fixed-width integers little-endian):
 //
-//   file   := magic:u32 ("VSPL", 0x4C505356) version:u32 (2|3) frame*
+//   file   := magic:u32 ("VSPL", 0x4C505356) version:u32 (3) frame*
 //   frame  := block | commit
 //   block  := bmark:u32 ("VBLK") session_id:u64 payload_size:u64
 //             header_crc:u32 payload payload_crc:u32
@@ -13,47 +13,35 @@
 // over the payload, commit_crc over cmark+blocks_committed.  A commit
 // frame is written only after its record group's block is fully written,
 // so the last commit frame bounds the file's consistent prefix: anything
-// after it is at best unflushed work from a crashed writer.  Framing is
-// identical in both versions — only the payload encoding differs, so the
-// recovery scan, indexing and salvage accounting are version-blind.
+// after it is at best unflushed work from a crashed writer.
 //
-// v2 payload: count:u32 x5 (player_sessions, cdn_sessions, player_chunks,
-// cdn_chunks, tcp_snapshots) then the five record groups row by row,
-// field-by-field in the declared struct order.  Doubles are raw IEEE-754
-// bits (u64) so the round trip is bit-exact; bools and enums are one
-// byte; strings are u32 length + bytes.
+// Payload: count:varint x5 (player_sessions, cdn_sessions, player_chunks,
+// cdn_chunks, tcp_snapshots), then the five groups *columnar* — for each
+// stream, each struct field in declaration order becomes one column
+// encoded by spill_codec.h (const/zigzag-delta varints for integers,
+// const/xor-prev/exponent-split for doubles, const/bit-packed for bools,
+// varint-length strings).  Doubles round-trip bit-exactly, which is what
+// makes a spilled run's CSV export byte-identical to the in-memory one.
+// Spill files live only as long as one run, so there is one version: a
+// header with any other version is rejected as unsupported.
 //
-// v3 payload (the default): count:varint x5, then the same five groups
-// *columnar* — for each stream, each struct field in declaration order
-// becomes one column encoded by spill_codec.h (const/zigzag-delta
-// varints for integers, const/xor-prev/exponent-split for doubles,
-// const/bit-packed for bools, varint-length strings).  Same counts, same
-// field order, same bit-exact doubles — just fewer bytes.  The format is
-// selected by SpillWriter's `format` argument with 0 deferring to
-// VSTREAM_SPILL_FORMAT (strict {2,3}; default 3); readers dispatch on
-// the file header, so mixed-version spill sets work and resumed writers
-// adopt the existing file's version regardless of the environment.
+// The per-record session_id is NOT stored — it is block-level and
+// re-applied on read.  `payload_size` makes blocks skippable without
+// decoding, which is how SpillSet builds its per-file index: one header
+// scan, then random-access reads in ascending session-id order regardless
+// of write order.
 //
-// The per-record session_id is NOT stored in either version — it is
-// block-level and re-applied on read.  `payload_size` makes blocks
-// skippable without decoding, which is how SpillSet builds its per-file
-// index: one header scan, then random-access reads in ascending
-// session-id order regardless of write order.
-//
-// Byte path: writers stage frames in a buffer drained as one contiguous
-// write per ~256 KiB, by default on a dedicated writer thread so the
-// shard's serving loop never blocks on write() (spill_io.h; sync mode
-// via VSTREAM_SPILL_ASYNC=0 is byte-identical).  Readers map the file
-// read-only (madvise SEQUENTIAL) and decode straight from the page
-// cache; VSTREAM_SPILL_MMAP=0 selects the plain pread fallback.
+// Byte path (spill_io.h): writers stage frames in a buffer drained
+// synchronously as one contiguous write per ~256 KiB; readers map the file
+// read-only and decode straight from the page cache.
 //
 // Failure model: readers never throw on data damage.  A torn tail (the
 // writer was killed mid-frame) is truncated; a block whose header or
 // payload CRC fails is skipped, resynchronizing on the next frame marker;
 // every salvage decision is accounted in SpillReadStats so callers can
 // distinguish a clean read (stats.corrupted() == false) from a degraded
-// one.  Only environmental errors still throw: unopenable files, a wrong
-// magic, or an unsupported version.
+// one.  Only environmental errors still throw: unopenable or unmappable
+// files, a short header, a wrong magic, or an unsupported version.
 #pragma once
 
 #include <cstdint>
@@ -69,20 +57,13 @@
 namespace vstream::telemetry {
 
 inline constexpr std::uint32_t kSpillMagic = 0x4C505356;    // "VSPL"
-inline constexpr std::uint32_t kSpillVersionV2 = 2;
-inline constexpr std::uint32_t kSpillVersionV3 = 3;
-inline constexpr std::uint32_t kSpillVersionDefault = kSpillVersionV3;
+/// The one spill format version written and read.
+inline constexpr std::uint32_t kSpillVersionDefault = 3;
 inline constexpr std::uint32_t kSpillBlockMarker = 0x4B4C4256;   // "VBLK"
 inline constexpr std::uint32_t kSpillCommitMarker = 0x544D4356;  // "VCMT"
 
-/// Resolve a spill format request: 2 and 3 pass through, 0 defers to
-/// VSTREAM_SPILL_FORMAT (strict: unset means kSpillVersionDefault, any
-/// value other than "2"/"3" throws std::runtime_error naming the knob).
-std::uint32_t resolve_spill_format(std::uint32_t requested = 0);
-
 /// Salvage accounting for one reader (or an aggregate over a SpillSet).
-/// All-zero except blocks_ok/bytes_salvaged/commit_frames/logical_bytes
-/// on a clean file.
+/// All-zero except blocks_ok/bytes_salvaged/commit_frames on a clean file.
 struct SpillReadStats {
   std::uint64_t blocks_ok = 0;       ///< blocks read and decoded intact
   std::uint64_t blocks_skipped = 0;  ///< CRC-failed or undecodable blocks
@@ -90,10 +71,6 @@ struct SpillReadStats {
   std::uint64_t bytes_skipped = 0;   ///< corrupt bytes scanned past (resync)
   std::uint64_t torn_tail_bytes = 0; ///< incomplete trailing frame dropped
   std::uint64_t commit_frames = 0;   ///< commit records seen
-  /// v2-equivalent payload bytes of the decoded blocks: what the same
-  /// records would occupy row-encoded.  logical_bytes / bytes_salvaged is
-  /// the realized compression ratio (1.0 for v2 files by construction).
-  std::uint64_t logical_bytes = 0;
 
   /// True when any damage was encountered (skips, resyncs, torn tail).
   bool corrupted() const {
@@ -106,31 +83,26 @@ struct SpillReadStats {
     bytes_skipped += other.bytes_skipped;
     torn_tail_bytes += other.torn_tail_bytes;
     commit_frames += other.commit_frames;
-    logical_bytes += other.logical_bytes;
     return *this;
   }
 };
 
 /// Appends session blocks to one spill file.  Not thread-safe; in the
 /// sharded engine each shard owns one writer.  Frames are staged and
-/// written through SpillFileBackend (buffered, async by default); write
+/// written through SpillFileBackend (buffered, synchronous); write
 /// errors — real or failpoint-injected — surface as sim::HostIoError
 /// from the write()/flush_committed()/close() call that observes them
 /// and poison the writer for good.
 class SpillWriter {
  public:
-  /// Creates/truncates `path` and writes the file header.  `format` is
-  /// resolved via resolve_spill_format (0 = environment/default).
-  /// Throws std::runtime_error when the file cannot be opened or the
-  /// format request is invalid.
-  explicit SpillWriter(const std::filesystem::path& path,
-                       std::uint32_t format = 0);
+  /// Creates/truncates `path` and writes the file header.  Throws
+  /// sim::HostIoError when the file cannot be opened.
+  explicit SpillWriter(const std::filesystem::path& path);
 
   /// Resume an existing spill file at a previously committed offset (see
   /// committed_bytes()): validates the header, truncates everything past
   /// `committed_bytes` (uncommitted work from a crashed run), and appends
-  /// from there — in the *file's* header version, so a resume is format-
-  /// stable even when the environment changed.  `blocks_already_written`
+  /// from there.  `blocks_already_written`
   /// restores the commit counter.  Throws std::runtime_error on a
   /// missing/short/incompatible file.
   SpillWriter(const std::filesystem::path& path,
@@ -158,18 +130,16 @@ class SpillWriter {
   std::uint64_t blocks_written() const { return blocks_written_; }
   /// File offset after the last fully written frame.
   std::uint64_t committed_bytes() const { return offset_; }
-  std::uint32_t format_version() const { return version_; }
 
  private:
   void write_file_header();
 
   std::filesystem::path path_;
-  std::uint32_t version_ = kSpillVersionDefault;
   std::unique_ptr<SpillFileBackend> io_;
   std::string scratch_;  ///< reused payload buffer
   std::string frame_;    ///< reused frame-header/commit buffer
-  std::vector<std::uint64_t> col_;   ///< reused v3 column scratch
-  std::vector<std::uint8_t> bcol_;   ///< reused v3 bool column scratch
+  std::vector<std::uint64_t> col_;   ///< reused column scratch
+  std::vector<std::uint8_t> bcol_;   ///< reused bool column scratch
   std::uint64_t blocks_written_ = 0;
   std::uint64_t offset_ = 0;  ///< bytes written so far (header + frames)
   bool poisoned_ = false;     ///< sticky failpoint-injected failure
@@ -183,8 +153,9 @@ struct SpillBlockRef {
 };
 
 /// Reads one spill file: sequentially, or random-access via an index.
-/// The constructor throws std::runtime_error on an unopenable file, bad
-/// magic or unsupported version; after that, damage never throws — torn
+/// The constructor throws std::runtime_error on an unopenable file, a
+/// short header, bad magic or an unsupported version (sim::HostIoError
+/// when the file cannot be mapped); after that, damage never throws — torn
 /// tails are truncated and corrupt blocks skipped, accounted in stats()
 /// (and mirrored into the optional external `stats` accumulator, which
 /// lets a SpillSet aggregate salvage over many readers).  Decode scratch
@@ -208,10 +179,8 @@ class SpillReader {
   std::optional<SessionRecordGroup> read_at(const SpillBlockRef& ref);
 
   const SpillReadStats& stats() const { return stats_; }
-  /// The file header's format version (2 or 3).
-  std::uint32_t format_version() const { return version_; }
   /// Total file size in bytes.
-  std::uint64_t file_bytes() const { return file_size_; }
+  std::uint64_t file_bytes() const { return map_.size(); }
 
  private:
   /// Parse one frame at the cursor; decode_payload controls whether block
@@ -221,14 +190,10 @@ class SpillReader {
                         SpillBlockRef* ref);
   void bump(std::uint64_t SpillReadStats::* counter, std::uint64_t n);
 
-  std::unique_ptr<SpillByteSource> src_;
-  std::filesystem::path path_;
-  std::string scratch_;              ///< payload copy (pread fallback only)
-  std::vector<std::uint64_t> col_;   ///< reused v3 column scratch
-  std::vector<std::uint8_t> bcol_;   ///< reused v3 bool column scratch
+  SpillMapping map_;
+  std::vector<std::uint64_t> col_;   ///< reused column scratch
+  std::vector<std::uint8_t> bcol_;   ///< reused bool column scratch
   std::uint64_t pos_ = 0;
-  std::uint64_t file_size_ = 0;
-  std::uint32_t version_ = kSpillVersionV2;
   SpillReadStats stats_;
   SpillReadStats* external_stats_ = nullptr;
 };

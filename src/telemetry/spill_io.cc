@@ -5,97 +5,15 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include <chrono>
-#include <cstring>
 #include <stdexcept>
-#include <utility>
 
-#include "sim/env_util.h"
 #include "sim/host_error.h"
 
 namespace vstream::telemetry {
 
-namespace {
-
-std::atomic<std::uint64_t> g_spill_stall_us{0};
-
-/// Strict {0,1} env switch: unset falls back, anything else throws.
-bool binary_env(const char* name, bool fallback) {
-  const std::string raw = sim::nonempty_env(name, fallback ? "1" : "0");
-  if (raw == "0") return false;
-  if (raw == "1") return true;
-  throw std::runtime_error(std::string(name) + " must be 0 or 1 (got \"" +
-                           raw + "\")");
-}
-
-}  // namespace
-
-std::uint64_t spill_write_stall_us() {
-  return g_spill_stall_us.load(std::memory_order_relaxed);
-}
-
-void add_spill_write_stall_us(std::uint64_t us) {
-  g_spill_stall_us.fetch_add(us, std::memory_order_relaxed);
-}
-
-bool resolve_spill_async() { return binary_env("VSTREAM_SPILL_ASYNC", true); }
-
 // --------------------------------------------------------------- read side
 
-namespace {
-
-/// mmap-backed source: the kernel pages the file in as the scan walks it
-/// (MADV_SEQUENTIAL primes readahead); view() is a straight pointer into
-/// the mapping, so decode and CRC never copy.
-class MmapSource final : public SpillByteSource {
- public:
-  MmapSource(void* base, std::uint64_t size) : base_(base) { size_ = size; }
-  ~MmapSource() override {
-    if (base_ != nullptr) ::munmap(base_, size_);
-  }
-  void read(std::uint64_t off, char* dst, std::size_t n) override {
-    std::memcpy(dst, static_cast<const char*>(base_) + off, n);
-  }
-  const char* view(std::uint64_t off, std::size_t) override {
-    return static_cast<const char*>(base_) + off;
-  }
-
- private:
-  void* base_;
-};
-
-/// pread fallback: no views, callers copy into their scratch buffer.
-class PreadSource final : public SpillByteSource {
- public:
-  PreadSource(int fd, std::uint64_t size, std::filesystem::path path)
-      : fd_(fd), path_(std::move(path)) {
-    size_ = size;
-  }
-  ~PreadSource() override { ::close(fd_); }
-  void read(std::uint64_t off, char* dst, std::size_t n) override {
-    std::size_t done = 0;
-    while (done < n) {
-      const ::ssize_t got = ::pread(fd_, dst + done, n - done,
-                                    static_cast<::off_t>(off + done));
-      if (got <= 0) {
-        // Size was fixed at open, so a short read inside it is an
-        // environmental failure, not data damage.
-        throw sim::HostIoError("spill: read failed in " + path_.string());
-      }
-      done += static_cast<std::size_t>(got);
-    }
-  }
-  const char* view(std::uint64_t, std::size_t) override { return nullptr; }
-
- private:
-  int fd_;
-  std::filesystem::path path_;
-};
-
-}  // namespace
-
-std::unique_ptr<SpillByteSource> open_spill_source(
-    const std::filesystem::path& path) {
+SpillMapping::SpillMapping(const std::filesystem::path& path) {
   const int fd = ::open(path.c_str(), O_RDONLY);
   if (fd < 0) {
     throw std::runtime_error("spill: cannot open " + path.string());
@@ -105,150 +23,64 @@ std::unique_ptr<SpillByteSource> open_spill_source(
     ::close(fd);
     throw std::runtime_error("spill: cannot stat " + path.string());
   }
-  const std::uint64_t size = static_cast<std::uint64_t>(st.st_size);
-  if (binary_env("VSTREAM_SPILL_MMAP", true) && size > 0) {
-    void* base = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
-    if (base != MAP_FAILED) {
-      ::madvise(base, size, MADV_SEQUENTIAL);
-      ::close(fd);  // the mapping keeps the file alive
-      return std::make_unique<MmapSource>(base, size);
-    }
-    // Fall through to pread (e.g. a filesystem without mmap support).
+  size_ = static_cast<std::uint64_t>(st.st_size);
+  if (size_ == 0) {  // mmap rejects empty mappings; nothing to read anyway
+    ::close(fd);
+    return;
   }
-  return std::make_unique<PreadSource>(fd, size, path);
+  void* base = ::mmap(nullptr, size_, PROT_READ, MAP_PRIVATE, fd, 0);
+  ::close(fd);  // the mapping keeps the file alive
+  if (base == MAP_FAILED) {
+    throw sim::HostIoError("spill: cannot map " + path.string());
+  }
+  ::madvise(base, size_, MADV_SEQUENTIAL);
+  data_ = static_cast<const char*>(base);
+}
+
+SpillMapping::~SpillMapping() {
+  if (data_ != nullptr) ::munmap(const_cast<char*>(data_), size_);
 }
 
 // -------------------------------------------------------------- write side
 
 SpillFileBackend::SpillFileBackend(const std::filesystem::path& path,
-                                   bool truncate, bool async)
+                                   bool truncate)
     : out_(path, std::ios::binary | (truncate ? std::ios::trunc
-                                              : std::ios::app)),
-      async_(async) {
+                                              : std::ios::app)) {
   if (!out_) {
     throw sim::HostIoError("spill: cannot open " + path.string() +
                            " for writing");
   }
-  front_.reserve(kSpillIoBufferBytes + kSpillIoBufferBytes / 4);
-  if (async_) {
-    back_.reserve(kSpillIoBufferBytes + kSpillIoBufferBytes / 4);
-    io_ = std::thread([this] { io_thread(); });
-  }
+  buffer_.reserve(kSpillIoBufferBytes + kSpillIoBufferBytes / 4);
 }
 
 SpillFileBackend::~SpillFileBackend() { close(); }
 
-void SpillFileBackend::drain_sync() {
-  if (front_.empty()) return;
-  out_.write(front_.data(), static_cast<std::streamsize>(front_.size()));
-  front_.clear();
-  if (out_.fail()) error_.store(true, std::memory_order_release);
-}
-
-void SpillFileBackend::submit_front() {
-  if (front_.empty()) return;
-  std::unique_lock<std::mutex> lock(m_);
-  if (back_full_) {
-    // The disk is behind: this is the only place the encoder blocks, and
-    // the time is accounted so the bench can see writer-side stalls.
-    const auto t0 = std::chrono::steady_clock::now();
-    cv_room_.wait(lock, [this] { return !back_full_; });
-    add_spill_write_stall_us(static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now() - t0)
-            .count()));
-  }
-  front_.swap(back_);
-  back_full_ = true;
-  front_.clear();
-  cv_work_.notify_one();
-}
-
-void SpillFileBackend::io_thread() {
-  std::string local;
-  for (;;) {
-    std::unique_lock<std::mutex> lock(m_);
-    cv_work_.wait(lock,
-                  [this] { return back_full_ || flush_req_ || stop_; });
-    if (back_full_) {
-      io_busy_ = true;
-      local.swap(back_);
-      back_full_ = false;
-      cv_room_.notify_all();
-      lock.unlock();
-      out_.write(local.data(), static_cast<std::streamsize>(local.size()));
-      const bool bad = out_.fail();
-      local.clear();
-      lock.lock();
-      if (bad) error_.store(true, std::memory_order_release);
-      io_busy_ = false;
-      cv_room_.notify_all();
-      continue;  // re-check for queued work before sleeping
-    }
-    if (flush_req_) {
-      out_.flush();
-      if (out_.fail()) error_.store(true, std::memory_order_release);
-      flush_req_ = false;
-      flush_done_ = true;
-      cv_room_.notify_all();
-      continue;
-    }
-    break;  // stop_ and no pending work
-  }
+void SpillFileBackend::drain() {
+  if (buffer_.empty()) return;
+  out_.write(buffer_.data(), static_cast<std::streamsize>(buffer_.size()));
+  buffer_.clear();
+  if (out_.fail()) error_ = true;
 }
 
 void SpillFileBackend::append(const char* data, std::size_t n) {
-  front_.append(data, n);
-  if (front_.size() < kSpillIoBufferBytes) return;
-  if (async_) {
-    submit_front();
-  } else {
-    drain_sync();
-  }
+  buffer_.append(data, n);
+  if (buffer_.size() >= kSpillIoBufferBytes) drain();
 }
 
 void SpillFileBackend::flush() {
   if (closed_) return;
-  if (!async_) {
-    drain_sync();
-    out_.flush();
-    if (out_.fail()) error_.store(true, std::memory_order_release);
-    return;
-  }
-  submit_front();
-  std::unique_lock<std::mutex> lock(m_);
-  const auto t0 = std::chrono::steady_clock::now();
-  flush_req_ = true;
-  flush_done_ = false;
-  cv_work_.notify_one();
-  // flush_done_ implies the flush ran after the back buffer drained (the
-  // writer thread prefers buffered work), so everything staged so far is
-  // in the OS when this returns — the checkpoint ordering contract.
-  cv_room_.wait(lock, [this] {
-    return flush_done_ && !back_full_ && !io_busy_;
-  });
-  add_spill_write_stall_us(static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - t0)
-          .count()));
+  drain();
+  out_.flush();
+  if (out_.fail()) error_ = true;
 }
 
 void SpillFileBackend::close() {
   if (closed_) return;
   closed_ = true;
-  if (async_) {
-    submit_front();
-    {
-      std::unique_lock<std::mutex> lock(m_);
-      stop_ = true;
-      cv_work_.notify_one();
-    }
-    io_.join();
-  } else {
-    drain_sync();
-  }
+  drain();
   out_.close();
-  if (out_.fail()) error_.store(true, std::memory_order_release);
+  if (out_.fail()) error_ = true;
 }
 
 }  // namespace vstream::telemetry

@@ -4,8 +4,8 @@
 
 namespace vstream::telemetry {
 
-SpillSink::SpillSink(const std::filesystem::path& path, std::uint32_t format)
-    : path_(path), writer_(path, format) {}
+SpillSink::SpillSink(const std::filesystem::path& path)
+    : path_(path), writer_(path) {}
 
 SpillSink::SpillSink(const std::filesystem::path& path,
                      std::uint64_t committed_bytes,

@@ -18,11 +18,9 @@ namespace vstream::telemetry {
 
 class SpillSink final : public RecordSink {
  public:
-  /// Creates/truncates the spill file.  `format` is resolved via
-  /// resolve_spill_format (0 = environment/default).  Throws when the
-  /// file cannot be opened.
-  explicit SpillSink(const std::filesystem::path& path,
-                     std::uint32_t format = 0);
+  /// Creates/truncates the spill file.  Throws when the file cannot be
+  /// opened.
+  explicit SpillSink(const std::filesystem::path& path);
 
   /// Resume an existing spill file at a checkpointed committed offset:
   /// uncommitted tail frames are truncated and appending continues.
@@ -59,7 +57,6 @@ class SpillSink final : public RecordSink {
   std::size_t peak_live_sessions() const { return peak_live_; }
   std::uint64_t blocks_written() const { return writer_.blocks_written(); }
   std::uint64_t committed_bytes() const { return writer_.committed_bytes(); }
-  std::uint32_t format_version() const { return writer_.format_version(); }
 
  private:
   SessionRecordGroup& group_for(std::uint64_t session_id);

@@ -247,16 +247,19 @@ TEST(PerfScoreAccumulatorTest, MergePreservesTheFold) {
   EXPECT_EQ(a.min_score, b.min_score);
 }
 
-TEST(RecoveryImpactAccumulatorTest, CountsExactMeansToRounding) {
+TEST(RecoveryImpactAccumulatorTest, MatchesBatchExactly) {
   const telemetry::Dataset d = rich_dataset();
   const telemetry::JoinedDataset joined = telemetry::JoinedDataset::build(d);
   const RecoveryImpact batch = recovery_impact(joined);
 
+  // Reverse feed order: finalize must re-sort before folding.
   RecoveryImpactAccumulator acc;
-  for (const telemetry::JoinedSession& s : joined.sessions()) acc.add(s);
+  for (auto it = joined.sessions().rbegin(); it != joined.sessions().rend();
+       ++it) {
+    acc.add(*it);
+  }
   const RecoveryImpact streamed = std::move(acc).finalize();
 
-  // Integer tallies are exact.
   EXPECT_EQ(streamed.sessions, batch.sessions);
   EXPECT_EQ(streamed.completed_sessions, batch.completed_sessions);
   EXPECT_EQ(streamed.failover_sessions, batch.failover_sessions);
@@ -274,14 +277,11 @@ TEST(RecoveryImpactAccumulatorTest, CountsExactMeansToRounding) {
   EXPECT_GT(streamed.affected_sessions, 0u);
   EXPECT_GT(streamed.stale_chunks, 0u);
 
-  // The accumulator regroups the batch fold's sums per session, so the FP
-  // means agree to rounding, not necessarily to the bit (header contract).
-  EXPECT_NEAR(streamed.mean_recovery_ms, batch.mean_recovery_ms, 1e-9);
-  EXPECT_NEAR(streamed.mean_dfb_failover_ms, batch.mean_dfb_failover_ms,
-              1e-9);
-  EXPECT_NEAR(streamed.mean_dfb_clean_ms, batch.mean_dfb_clean_ms, 1e-9);
-  EXPECT_NEAR(streamed.rebuffer_rate_percent, batch.rebuffer_rate_percent,
-              1e-9);
+  // One fold, one order: the FP means agree to the bit.
+  EXPECT_EQ(streamed.mean_recovery_ms, batch.mean_recovery_ms);
+  EXPECT_EQ(streamed.mean_dfb_failover_ms, batch.mean_dfb_failover_ms);
+  EXPECT_EQ(streamed.mean_dfb_clean_ms, batch.mean_dfb_clean_ms);
+  EXPECT_EQ(streamed.rebuffer_rate_percent, batch.rebuffer_rate_percent);
 }
 
 TEST(RecoveryImpactAccumulatorTest, MergeMatchesSingleAccumulator) {

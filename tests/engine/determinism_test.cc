@@ -246,41 +246,6 @@ TEST(EngineDeterminismTest, SpillRunMatchesInMemoryForEveryShardCount) {
   std::filesystem::remove_all(dir);
 }
 
-TEST(EngineDeterminismTest, SpillFormatNeverChangesTheDataset) {
-  // v2 (row) and v3 (columnar) files must materialize byte-identical
-  // datasets — the on-disk encoding is invisible to every consumer.
-  const workload::Scenario scenario = small_scenario();
-  const std::filesystem::path dir = spill_scratch("format");
-  std::string v2_csv;
-  std::uint64_t v2_bytes = 0;
-  std::uint64_t v3_bytes = 0;
-  for (const std::uint32_t format : {2u, 3u}) {
-    engine::RunOptions options;
-    options.shards = 4;
-    options.spill_format = format;
-    options.telemetry_spill_dir =
-        (dir / ("v" + std::to_string(format))).string();
-    const engine::RunResult run = engine::run_simulation(scenario, options);
-    ASSERT_TRUE(run.spilled());
-    std::uint64_t bytes = 0;
-    for (const std::filesystem::path& file : run.spill.files()) {
-      bytes += std::filesystem::file_size(file);
-    }
-    const std::string csv = export_string(run.spill.load());
-    if (format == 2) {
-      v2_csv = csv;
-      v2_bytes = bytes;
-    } else {
-      EXPECT_EQ(csv, v2_csv);
-      v3_bytes = bytes;
-    }
-  }
-  // The columnar format must actually pay for itself on real telemetry.
-  EXPECT_LT(v3_bytes, v2_bytes * 3 / 4)
-      << "v3 " << v3_bytes << " vs v2 " << v2_bytes;
-  std::filesystem::remove_all(dir);
-}
-
 TEST(EngineDeterminismTest, SpillAnalysisMatchesBatchAnalysis) {
   const workload::Scenario scenario = small_scenario();
 
@@ -331,6 +296,27 @@ TEST(EngineDeterminismTest, SpillAnalysisMatchesBatchAnalysis) {
     EXPECT_EQ(streamed.prefixes[i].mean_srtt_ms,
               batch_prefixes[i].mean_srtt_ms);
   }
+
+  // And so is the recovery impact, field by field.
+  const analysis::RecoveryImpact batch_recovery =
+      analysis::recovery_impact(batch.joined);
+  const analysis::RecoveryImpact& r = streamed.recovery;
+  EXPECT_EQ(r.sessions, batch_recovery.sessions);
+  EXPECT_EQ(r.completed_sessions, batch_recovery.completed_sessions);
+  EXPECT_EQ(r.failover_sessions, batch_recovery.failover_sessions);
+  EXPECT_EQ(r.affected_sessions, batch_recovery.affected_sessions);
+  EXPECT_EQ(r.retries, batch_recovery.retries);
+  EXPECT_EQ(r.timeouts, batch_recovery.timeouts);
+  EXPECT_EQ(r.stale_chunks, batch_recovery.stale_chunks);
+  EXPECT_EQ(r.shed_chunks, batch_recovery.shed_chunks);
+  EXPECT_EQ(r.hedged_chunks, batch_recovery.hedged_chunks);
+  EXPECT_EQ(r.hedge_wins, batch_recovery.hedge_wins);
+  EXPECT_EQ(r.swr_chunks, batch_recovery.swr_chunks);
+  EXPECT_EQ(r.budget_denied_chunks, batch_recovery.budget_denied_chunks);
+  EXPECT_EQ(r.mean_recovery_ms, batch_recovery.mean_recovery_ms);
+  EXPECT_EQ(r.mean_dfb_failover_ms, batch_recovery.mean_dfb_failover_ms);
+  EXPECT_EQ(r.mean_dfb_clean_ms, batch_recovery.mean_dfb_clean_ms);
+  EXPECT_EQ(r.rebuffer_rate_percent, batch_recovery.rebuffer_rate_percent);
 
   // analyze_dataset over the in-memory run agrees with analyze_spill over
   // the spilled run on everything, including the recovery counts.

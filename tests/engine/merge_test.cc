@@ -11,6 +11,7 @@
 #include <filesystem>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -209,6 +210,25 @@ TEST(PartitionSkewTest, TenToOneSkewStillSpreadsAcrossWorkers) {
   EXPECT_TRUE(stats.workers_used() >= 2 || stats.steals >= 1)
       << "heavy shard was executed by a single worker with no steals";
   EXPECT_EQ(export_string(reference.dataset), export_string(skewed.dataset));
+}
+
+TEST(ShardedRunnerTest, SpillFormatPinAcceptsOnlyTheOneFormat) {
+  const workload::Scenario scenario = workload::test_scenario();
+  sim::Rng rng(scenario.seed);
+  const workload::VideoCatalog catalog(scenario.catalog, rng);
+  const engine::WarmArchive warm(scenario.fleet);
+  const std::vector<engine::AdmittedSession> none;
+  engine::ExecOptions exec;
+  exec.threads = 1;
+  const auto run = [&](std::uint32_t format) {
+    exec.spill_format = format;
+    return engine::run_sharded(scenario, catalog, warm, nullptr, nullptr,
+                               none, 1, nullptr, nullptr, &exec);
+  };
+  EXPECT_NO_THROW(run(0));
+  EXPECT_NO_THROW(run(telemetry::kSpillVersionDefault));
+  EXPECT_THROW(run(2), std::invalid_argument);
+  EXPECT_THROW(run(4), std::invalid_argument);
 }
 
 // ------------------------------------- engine-level merge edge cases

@@ -4,7 +4,6 @@
 
 #include <bit>
 #include <cstdint>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <optional>
@@ -15,17 +14,12 @@
 namespace vstream::telemetry {
 namespace {
 
-class SpillDirTest : public ::testing::Test {
+class SpillFormatTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    std::string name = ::testing::UnitTest::GetInstance()
-                           ->current_test_info()
-                           ->name();
-    // Parameterized test names carry a "/N" suffix; flatten it so the
-    // scratch stays a single directory level.
-    for (char& c : name) {
-      if (c == '/') c = '_';
-    }
+    const std::string name = ::testing::UnitTest::GetInstance()
+                                 ->current_test_info()
+                                 ->name();
     dir_ = std::filesystem::temp_directory_path() /
            ("vstream_spill_test_" +
             std::to_string(::testing::UnitTest::GetInstance()->random_seed()) +
@@ -39,14 +33,6 @@ class SpillDirTest : public ::testing::Test {
   std::filesystem::path file(const char* name) const { return dir_ / name; }
 
   std::filesystem::path dir_;
-};
-
-/// Every structural/recovery test runs against both on-disk formats: the
-/// framing, salvage and merge logic are version-blind and must stay so.
-class SpillFormatTest : public SpillDirTest,
-                        public ::testing::WithParamInterface<std::uint32_t> {
- protected:
-  std::uint32_t format() const { return GetParam(); }
 };
 
 /// One session with every field of every record type set to a distinctive
@@ -149,7 +135,7 @@ void expect_groups_equal(const SessionRecordGroup& a,
     EXPECT_EQ(x.session_id, y.session_id);
     EXPECT_EQ(x.client_ip, y.client_ip);
     EXPECT_EQ(x.user_agent, y.user_agent);
-    // Bit-exact double round trips (raw IEEE-754 bits on disk).
+    // Bit-exact double round trips.
     EXPECT_EQ(x.video_duration_s, y.video_duration_s);
     EXPECT_EQ(x.start_time_ms, y.start_time_ms);
     EXPECT_EQ(x.startup_ms, y.startup_ms);
@@ -229,25 +215,49 @@ void expect_groups_equal(const SessionRecordGroup& a,
   }
 }
 
-TEST_P(SpillFormatTest, RoundTripsEveryFieldBitExact) {
-  const auto path = file("roundtrip.vspill");
-  {
-    SpillWriter writer(path, format());
-    writer.write(full_group(11));
-    writer.close();
-    EXPECT_EQ(writer.blocks_written(), 1u);
-  }
-  SpillReader reader(path);
-  auto read = reader.next();
-  ASSERT_TRUE(read.has_value());
-  expect_groups_equal(full_group(11), *read);
-  EXPECT_FALSE(reader.next().has_value());
+std::string read_all(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
 }
 
-TEST_P(SpillFormatTest, IndexAndRandomAccessRead) {
+void write_all(const std::filesystem::path& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+TEST_F(SpillFormatTest, RoundTripsEveryFieldBitExact) {
+  const auto path = file("roundtrip.vspill");
+  std::uint64_t blocks = 0;
+  {
+    // Write, flush_committed (a checkpoint commit), write again past the
+    // staging buffer's drain threshold, close: the reader must see every
+    // block exactly once, in write order.
+    SpillWriter writer(path);
+    writer.write(full_group(11));
+    EXPECT_EQ(writer.flush_committed(), writer.committed_bytes());
+    while (writer.committed_bytes() < 2 * kSpillIoBufferBytes) {
+      writer.write(full_group(11 + writer.blocks_written()));
+    }
+    writer.close();
+    blocks = writer.blocks_written();
+    EXPECT_EQ(std::filesystem::file_size(path), writer.committed_bytes());
+  }
+  SpillReader reader(path);
+  for (std::uint64_t i = 0; i < blocks; ++i) {
+    auto read = reader.next();
+    ASSERT_TRUE(read.has_value()) << "block " << i;
+    expect_groups_equal(full_group(11 + i), *read);
+  }
+  EXPECT_FALSE(reader.next().has_value());
+  EXPECT_FALSE(reader.stats().corrupted());
+  EXPECT_EQ(reader.stats().commit_frames, blocks);
+}
+
+TEST_F(SpillFormatTest, IndexAndRandomAccessRead) {
   const auto path = file("index.vspill");
   {
-    SpillWriter writer(path, format());
+    SpillWriter writer(path);
     // Completion order is not id order — the index must not care.
     writer.write(full_group(30));
     writer.write(full_group(10));
@@ -268,14 +278,14 @@ TEST_P(SpillFormatTest, IndexAndRandomAccessRead) {
   expect_groups_equal(full_group(30), *at0);
 }
 
-TEST_P(SpillFormatTest, SpillSetStreamsAscendingAcrossFiles) {
+TEST_F(SpillFormatTest, SpillSetStreamsAscendingAcrossFiles) {
   SpillSet set;
   {
-    SpillWriter a(file("shard-0.vspill"), format());
+    SpillWriter a(file("shard-0.vspill"));
     a.write(full_group(5));
     a.write(full_group(1));
     a.close();
-    SpillWriter b(file("shard-1.vspill"), format());
+    SpillWriter b(file("shard-1.vspill"));
     b.write(full_group(4));
     b.write(full_group(2));
     b.close();
@@ -289,7 +299,7 @@ TEST_P(SpillFormatTest, SpillSetStreamsAscendingAcrossFiles) {
   EXPECT_EQ(ids, (std::vector<std::uint64_t>{1, 2, 4, 5}));
 }
 
-TEST_P(SpillFormatTest, SessionSplitAcrossFilesConcatenatesInFileOrder) {
+TEST_F(SpillFormatTest, SessionSplitAcrossFilesConcatenatesInFileOrder) {
   // The canonical in-memory merge tie-breaks equal session ids by shard
   // order; the spill stream must do the same when one session's blocks
   // land in several files.
@@ -308,10 +318,10 @@ TEST_P(SpillFormatTest, SessionSplitAcrossFilesConcatenatesInFileOrder) {
   second.player_chunks.push_back(pc1);
 
   {
-    SpillWriter a(file("shard-0.vspill"), format());
+    SpillWriter a(file("shard-0.vspill"));
     a.write(first);
     a.close();
-    SpillWriter b(file("shard-1.vspill"), format());
+    SpillWriter b(file("shard-1.vspill"));
     b.write(second);
     b.close();
   }
@@ -335,7 +345,7 @@ TEST_P(SpillFormatTest, SessionSplitAcrossFilesConcatenatesInFileOrder) {
   EXPECT_EQ(loaded.player_chunks[1].chunk_id, 1u);
 }
 
-TEST_P(SpillFormatTest, DuplicateIdsWithinOneFileMergeInFileOrder) {
+TEST_F(SpillFormatTest, DuplicateIdsWithinOneFileMergeInFileOrder) {
   SessionRecordGroup first;
   first.session_id = 3;
   PlayerChunkRecord pc0;
@@ -350,7 +360,7 @@ TEST_P(SpillFormatTest, DuplicateIdsWithinOneFileMergeInFileOrder) {
   second.player_chunks.push_back(pc1);
 
   {
-    SpillWriter w(file("dup.vspill"), format());
+    SpillWriter w(file("dup.vspill"));
     w.write(first);
     w.write(second);
     w.close();
@@ -365,25 +375,40 @@ TEST_P(SpillFormatTest, DuplicateIdsWithinOneFileMergeInFileOrder) {
   EXPECT_EQ(group->player_chunks[1].chunk_id, 1u);
 }
 
-TEST_P(SpillFormatTest, RejectsBadMagic) {
+TEST_F(SpillFormatTest, RejectsBadMagic) {
   const auto path = file("bad.vspill");
-  {
-    std::ofstream out(path, std::ios::binary);
-    out << "this is not a spill file";
-  }
-  EXPECT_THROW(SpillReader reader(path), std::runtime_error);
+  const auto rejection = [&](const std::string& bytes) -> std::string {
+    write_all(path, bytes);
+    try {
+      SpillReader reader(path);
+    } catch (const std::runtime_error& error) {
+      return error.what();
+    }
+    ADD_FAILURE() << "accepted a " << bytes.size() << "-byte file";
+    return "";
+  };
+  EXPECT_NE(rejection("this is not a spill file").find("bad magic"),
+            std::string::npos);
+  // A version-2 header: only version 3 is supported.
+  EXPECT_NE(rejection(std::string("VSPL\x02\0\0\0", 8))
+                .find("unsupported version"),
+            std::string::npos);
+  // Too short to hold a header: empty (nothing to map) and 5 bytes.
+  EXPECT_NE(rejection("").find("truncated header"), std::string::npos);
+  EXPECT_NE(rejection("VSPL\x03").find("truncated header"),
+            std::string::npos);
 }
 
-TEST_P(SpillFormatTest, RejectsMissingFile) {
+TEST_F(SpillFormatTest, RejectsMissingFile) {
   EXPECT_THROW(SpillReader reader(file("nope.vspill")), std::runtime_error);
 }
 
-TEST_P(SpillFormatTest, TruncatedTailIsDroppedNotFatal) {
+TEST_F(SpillFormatTest, TruncatedTailIsDroppedNotFatal) {
   // A writer killed mid-frame leaves a torn tail; recovery keeps every
   // fully committed block and accounts the dropped bytes.
   const auto path = file("trunc.vspill");
   {
-    SpillWriter writer(path, format());
+    SpillWriter writer(path);
     writer.write(full_group(1));
     writer.write(full_group(2));
     writer.close();
@@ -400,10 +425,10 @@ TEST_P(SpillFormatTest, TruncatedTailIsDroppedNotFatal) {
   EXPECT_EQ(reader.stats().blocks_ok, 1u);
 }
 
-TEST_P(SpillFormatTest, CorruptPayloadByteSkipsOnlyThatBlock) {
+TEST_F(SpillFormatTest, CorruptPayloadByteSkipsOnlyThatBlock) {
   const auto path = file("flip.vspill");
   {
-    SpillWriter writer(path, format());
+    SpillWriter writer(path);
     writer.write(full_group(1));
     writer.write(full_group(2));
     writer.write(full_group(3));
@@ -432,12 +457,12 @@ TEST_P(SpillFormatTest, CorruptPayloadByteSkipsOnlyThatBlock) {
   EXPECT_TRUE(reader.stats().corrupted());
 }
 
-TEST_P(SpillFormatTest, ResumedWriterTruncatesUncommittedTail) {
+TEST_F(SpillFormatTest, ResumedWriterTruncatesUncommittedTail) {
   const auto path = file("resume.vspill");
   std::uint64_t committed = 0;
   std::uint64_t blocks = 0;
   {
-    SpillWriter writer(path, format());
+    SpillWriter writer(path);
     writer.write(full_group(1));
     committed = writer.flush_committed();
     blocks = writer.blocks_written();
@@ -462,10 +487,10 @@ TEST_P(SpillFormatTest, ResumedWriterTruncatesUncommittedTail) {
   EXPECT_EQ(reader.stats().commit_frames, 2u);
 }
 
-TEST_P(SpillFormatTest, ResumeRejectsOffsetBeyondFile) {
+TEST_F(SpillFormatTest, ResumeRejectsOffsetBeyondFile) {
   const auto path = file("resume_bad.vspill");
   {
-    SpillWriter writer(path, format());
+    SpillWriter writer(path);
     writer.write(full_group(1));
     writer.close();
   }
@@ -473,17 +498,6 @@ TEST_P(SpillFormatTest, ResumeRejectsOffsetBeyondFile) {
   EXPECT_THROW(SpillWriter(path, size + 100, 1), std::runtime_error);
   EXPECT_THROW(SpillWriter(path, 3, 0), std::runtime_error);
   EXPECT_THROW(SpillWriter(file("gone.vspill"), 8, 0), std::runtime_error);
-}
-
-std::string read_all(const std::filesystem::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  return std::string(std::istreambuf_iterator<char>(in),
-                     std::istreambuf_iterator<char>());
-}
-
-void write_all(const std::filesystem::path& path, const std::string& bytes) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
 /// Drain a reader over a possibly damaged file; must terminate and never
@@ -495,10 +509,10 @@ std::vector<std::uint64_t> drain_ids(const std::filesystem::path& path) {
   return ids;
 }
 
-TEST_P(SpillFormatTest, FuzzFlipEveryByteNeverCrashes) {
+TEST_F(SpillFormatTest, FuzzFlipEveryByteNeverCrashes) {
   const auto path = file("fuzz_flip.vspill");
   {
-    SpillWriter writer(path, format());
+    SpillWriter writer(path);
     writer.write(full_group(1));
     writer.write(full_group(2));
     writer.close();
@@ -522,10 +536,10 @@ TEST_P(SpillFormatTest, FuzzFlipEveryByteNeverCrashes) {
   }
 }
 
-TEST_P(SpillFormatTest, FuzzTruncateEveryOffsetNeverCrashes) {
+TEST_F(SpillFormatTest, FuzzTruncateEveryOffsetNeverCrashes) {
   const auto path = file("fuzz_trunc.vspill");
   {
-    SpillWriter writer(path, format());
+    SpillWriter writer(path);
     writer.write(full_group(1));
     writer.write(full_group(2));
     writer.close();
@@ -548,14 +562,14 @@ TEST_P(SpillFormatTest, FuzzTruncateEveryOffsetNeverCrashes) {
   }
 }
 
-TEST_P(SpillFormatTest, SpillSetAggregatesSalvageStats) {
+TEST_F(SpillFormatTest, SpillSetAggregatesSalvageStats) {
   SpillSet set;
   {
-    SpillWriter a(file("shard-0.vspill"), format());
+    SpillWriter a(file("shard-0.vspill"));
     a.write(full_group(1));
     a.write(full_group(3));
     a.close();
-    SpillWriter b(file("shard-1.vspill"), format());
+    SpillWriter b(file("shard-1.vspill"));
     b.write(full_group(2));
     b.close();
   }
@@ -576,7 +590,7 @@ TEST_P(SpillFormatTest, SpillSetAggregatesSalvageStats) {
   EXPECT_EQ(stats.blocks_ok, 2u);
 }
 
-TEST_P(SpillFormatTest, EmptySpillSet) {
+TEST_F(SpillFormatTest, EmptySpillSet) {
   const SpillSet set;
   EXPECT_TRUE(set.empty());
   EXPECT_FALSE(set.open()->next().has_value());
@@ -584,9 +598,9 @@ TEST_P(SpillFormatTest, EmptySpillSet) {
   EXPECT_TRUE(loaded.player_sessions.empty());
 }
 
-TEST_P(SpillFormatTest, ExtremeDoublesRoundTripBitExact) {
-  // NaN payloads, infinities, signed zero and denormals must survive both
-  // encodings bit for bit.  Compared via bit patterns — EXPECT_EQ on the
+TEST_F(SpillFormatTest, ExtremeDoublesRoundTripBitExact) {
+  // NaN payloads, infinities, signed zero and denormals must survive the
+  // double column codecs bit for bit.  Compared via bit patterns — EXPECT_EQ on the
   // values would pass -0.0 == 0.0 and fail NaN == NaN.
   const std::uint64_t patterns[] = {
       0x7FF8000000000000ull,  // quiet NaN
@@ -612,7 +626,7 @@ TEST_P(SpillFormatTest, ExtremeDoublesRoundTripBitExact) {
     g.player_chunks.push_back(pc);
   }
   {
-    SpillWriter writer(path, format());
+    SpillWriter writer(path);
     writer.write(g);
     writer.close();
   }
@@ -629,174 +643,6 @@ TEST_P(SpillFormatTest, ExtremeDoublesRoundTripBitExact) {
         << "record " << i;
   }
   EXPECT_FALSE(reader.stats().corrupted());
-}
-
-INSTANTIATE_TEST_SUITE_P(Formats, SpillFormatTest,
-                         ::testing::Values(kSpillVersionV2, kSpillVersionV3),
-                         [](const auto& info) {
-                           return "v" + std::to_string(info.param);
-                         });
-
-/// Restores an environment variable on scope exit.
-class EnvGuard {
- public:
-  explicit EnvGuard(const char* name) : name_(name) {
-    if (const char* v = std::getenv(name)) saved_ = v;
-  }
-  ~EnvGuard() {
-    if (saved_.has_value()) {
-      ::setenv(name_, saved_->c_str(), 1);
-    } else {
-      ::unsetenv(name_);
-    }
-  }
-
- private:
-  const char* name_;
-  std::optional<std::string> saved_;
-};
-
-TEST_F(SpillDirTest, V3FilesAreSubstantiallySmallerThanV2) {
-  const auto v2 = file("v2.vspill");
-  const auto v3 = file("v3.vspill");
-  {
-    SpillWriter w2(v2, kSpillVersionV2);
-    SpillWriter w3(v3, kSpillVersionV3);
-    for (std::uint64_t id = 1; id <= 64; ++id) {
-      SessionRecordGroup g = full_group(id);
-      // Pad to a realistic chunk count so columns dominate the framing.
-      for (int i = 1; i < 20; ++i) {
-        g.player_chunks.push_back(g.player_chunks.front());
-        g.player_chunks.back().chunk_id = static_cast<std::uint32_t>(i + 7);
-        g.cdn_chunks.push_back(g.cdn_chunks.front());
-        g.tcp_snapshots.push_back(g.tcp_snapshots.front());
-      }
-      w2.write(g);
-      w3.write(g);
-    }
-    w2.close();
-    w3.close();
-  }
-  const auto size2 = std::filesystem::file_size(v2);
-  const auto size3 = std::filesystem::file_size(v3);
-  // Repetitive test data compresses far better than real telemetry (the
-  // realistic ratio is ~2x, see EXPERIMENTS.md); 2x is a safe floor here.
-  EXPECT_LT(size3 * 2, size2) << "v3 " << size3 << " vs v2 " << size2;
-
-  // Same records come back from both files.
-  SpillReader r2(v2);
-  SpillReader r3(v3);
-  EXPECT_EQ(r2.format_version(), kSpillVersionV2);
-  EXPECT_EQ(r3.format_version(), kSpillVersionV3);
-  for (;;) {
-    auto a = r2.next();
-    auto b = r3.next();
-    ASSERT_EQ(a.has_value(), b.has_value());
-    if (!a.has_value()) break;
-    expect_groups_equal(*a, *b);
-  }
-}
-
-TEST_F(SpillDirTest, EnvironmentSelectsFormatStrictly) {
-  EnvGuard guard("VSTREAM_SPILL_FORMAT");
-  ::setenv("VSTREAM_SPILL_FORMAT", "2", 1);
-  EXPECT_EQ(resolve_spill_format(0), kSpillVersionV2);
-  ::setenv("VSTREAM_SPILL_FORMAT", "3", 1);
-  EXPECT_EQ(resolve_spill_format(0), kSpillVersionV3);
-  ::unsetenv("VSTREAM_SPILL_FORMAT");
-  EXPECT_EQ(resolve_spill_format(0), kSpillVersionDefault);
-  ::setenv("VSTREAM_SPILL_FORMAT", "1", 1);
-  EXPECT_THROW(resolve_spill_format(0), std::runtime_error);
-  ::setenv("VSTREAM_SPILL_FORMAT", "banana", 1);
-  EXPECT_THROW(resolve_spill_format(0), std::runtime_error);
-  // An explicit request bypasses the environment entirely.
-  EXPECT_EQ(resolve_spill_format(2), kSpillVersionV2);
-  EXPECT_THROW(resolve_spill_format(4), std::runtime_error);
-}
-
-TEST_F(SpillDirTest, ResumedWriterKeepsTheFilesFormat) {
-  // A run that started as v2 must stay v2 across a crash/resume even when
-  // the environment now prefers v3.
-  const auto path = file("resume_v2.vspill");
-  std::uint64_t committed = 0;
-  {
-    SpillWriter writer(path, kSpillVersionV2);
-    writer.write(full_group(1));
-    committed = writer.flush_committed();
-  }
-  {
-    SpillWriter writer(path, committed, 1);
-    EXPECT_EQ(writer.format_version(), kSpillVersionV2);
-    writer.write(full_group(2));
-    writer.close();
-  }
-  SpillReader reader(path);
-  EXPECT_EQ(reader.format_version(), kSpillVersionV2);
-  std::vector<std::uint64_t> ids;
-  while (auto g = reader.next()) ids.push_back(g->session_id);
-  EXPECT_EQ(ids, (std::vector<std::uint64_t>{1, 2}));
-}
-
-TEST_F(SpillDirTest, AsyncAndSyncWritersProduceIdenticalFiles) {
-  EnvGuard guard("VSTREAM_SPILL_ASYNC");
-  const auto write_with = [&](const char* mode, const char* name) {
-    ::setenv("VSTREAM_SPILL_ASYNC", mode, 1);
-    const auto path = file(name);
-    SpillWriter writer(path, kSpillVersionV3);
-    for (std::uint64_t id = 1; id <= 40; ++id) writer.write(full_group(id));
-    writer.flush_committed();
-    writer.write(full_group(41));
-    writer.close();
-    return read_all(path);
-  };
-  const std::string sync_bytes = write_with("0", "sync.vspill");
-  const std::string async_bytes = write_with("1", "async.vspill");
-  EXPECT_EQ(sync_bytes, async_bytes);
-}
-
-TEST_F(SpillDirTest, MmapAndPreadReadersAgree) {
-  EnvGuard guard("VSTREAM_SPILL_MMAP");
-  const auto path = file("source.vspill");
-  {
-    SpillWriter writer(path, kSpillVersionV3);
-    for (std::uint64_t id = 1; id <= 10; ++id) writer.write(full_group(id));
-    writer.close();
-  }
-  // Tear the tail so the salvage accounting is exercised on both backends.
-  std::filesystem::resize_file(path, std::filesystem::file_size(path) - 21);
-
-  const auto drain = [&](const char* mode) {
-    ::setenv("VSTREAM_SPILL_MMAP", mode, 1);
-    SpillReader reader(path);
-    std::vector<SessionRecordGroup> groups;
-    while (auto g = reader.next()) groups.push_back(std::move(*g));
-    return std::make_pair(std::move(groups), reader.stats());
-  };
-  const auto [mmap_groups, mmap_stats] = drain("1");
-  const auto [pread_groups, pread_stats] = drain("0");
-  ASSERT_EQ(mmap_groups.size(), pread_groups.size());
-  for (std::size_t i = 0; i < mmap_groups.size(); ++i) {
-    expect_groups_equal(mmap_groups[i], pread_groups[i]);
-  }
-  EXPECT_EQ(mmap_stats.blocks_ok, pread_stats.blocks_ok);
-  EXPECT_EQ(mmap_stats.torn_tail_bytes, pread_stats.torn_tail_bytes);
-  EXPECT_EQ(mmap_stats.bytes_salvaged, pread_stats.bytes_salvaged);
-  EXPECT_EQ(mmap_stats.logical_bytes, pread_stats.logical_bytes);
-}
-
-TEST_F(SpillDirTest, V2LogicalBytesEqualPayloadBytes) {
-  // The logical-size model must match the actual v2 encoder, or the
-  // compression ratio drifts from reality.
-  const auto path = file("logical.vspill");
-  {
-    SpillWriter writer(path, kSpillVersionV2);
-    for (std::uint64_t id = 1; id <= 8; ++id) writer.write(full_group(id));
-    writer.close();
-  }
-  SpillReader reader(path);
-  while (reader.next().has_value()) {
-  }
-  EXPECT_EQ(reader.stats().logical_bytes, reader.stats().bytes_salvaged);
 }
 
 }  // namespace

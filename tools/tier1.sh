@@ -104,32 +104,22 @@ rm -rf "$spill_work"
 mkdir -p "$spill_work"
 "$build_dir/tools/vstream-sim" --sessions 200 --seed 11 --shards 4 \
   --out "$spill_work/mem" >/dev/null
-# Both on-disk formats (v2 row, v3 columnar) must reproduce the in-memory
-# CSVs byte for byte; v3 must be the smaller encoding of the same run.
-for fmt in 2 3; do
-  "$build_dir/tools/vstream-sim" --sessions 200 --seed 11 --shards 4 \
-    --spill-format "$fmt" \
-    --telemetry-spill "$spill_work/spill-dir-v$fmt" \
-    --out "$spill_work/spill-v$fmt" >/dev/null
-  spill_files=$(ls "$spill_work/spill-dir-v$fmt"/*.vspill 2>/dev/null | wc -l)
-  if [ "$spill_files" -lt 1 ]; then
-    echo "tier-1: spill run left no .vspill files (format $fmt)" >&2
-    exit 1
-  fi
-  for f in player_sessions cdn_sessions player_chunks cdn_chunks tcp_snapshots; do
-    cmp "$spill_work/mem/$f.csv" "$spill_work/spill-v$fmt/$f.csv"
-  done
-done
-v2_bytes=$(du -sb "$spill_work/spill-dir-v2" | cut -f1)
-v3_bytes=$(du -sb "$spill_work/spill-dir-v3" | cut -f1)
-if [ "$v3_bytes" -ge "$v2_bytes" ]; then
-  echo "tier-1: v3 spill ($v3_bytes B) not smaller than v2 ($v2_bytes B)" >&2
+# The spilled run must reproduce the in-memory CSVs byte for byte.
+"$build_dir/tools/vstream-sim" --sessions 200 --seed 11 --shards 4 \
+  --telemetry-spill "$spill_work/spill-dir" \
+  --out "$spill_work/spill" >/dev/null
+spill_files=$(ls "$spill_work/spill-dir"/*.vspill 2>/dev/null | wc -l)
+if [ "$spill_files" -lt 1 ]; then
+  echo "tier-1: spill run left no .vspill files" >&2
   exit 1
 fi
-"$build_dir/tools/vstream-analyze" "$spill_work/spill-dir-v3" --spill-stats \
+for f in player_sessions cdn_sessions player_chunks cdn_chunks tcp_snapshots; do
+  cmp "$spill_work/mem/$f.csv" "$spill_work/spill/$f.csv"
+done
+"$build_dir/tools/vstream-analyze" "$spill_work/spill-dir" --spill-stats \
   >/dev/null
-echo "    spill CSVs byte-identical to in-memory for v2 and v3" \
-  "(v2 $v2_bytes B, v3 $v3_bytes B)"
+spill_bytes=$(du -sb "$spill_work/spill-dir" | cut -f1)
+echo "    spill CSVs byte-identical to in-memory ($spill_bytes B of spill files)"
 
 echo "==> tier-1: attribution smoke (counterfactual replay, worst-5 blame)"
 attr_work="$build_dir/tier1-attr-smoke"

@@ -8,9 +8,8 @@
 //                       [--worst N] [--attribution-out FILE]
 //
 // --spill-stats prints a per-file byte-level report for a spill
-// directory instead of running the analyses: format version, block and
-// salvage counts, file bytes, and the realized compression ratio
-// (v2-equivalent logical bytes over the intact payload bytes on disk).
+// directory instead of running the analyses: block and salvage counts and
+// file bytes.
 //
 // --attribution replays the worst `--worst N` (default 20) sessions of
 // the dataset in DIR under each subsystem idealization
@@ -87,7 +86,7 @@ std::vector<std::filesystem::path> spill_files_in(const std::string& dir) {
 
 /// --spill-stats: byte-level inspection of each spill file.  A full
 /// sequential read per file (so payload CRCs are actually verified and
-/// the salvage/ratio numbers are real, not header-scan estimates).
+/// the salvage numbers are real, not header-scan estimates).
 int run_spill_stats(const std::vector<std::filesystem::path>& files) {
   telemetry::SpillReadStats total;
   std::uint64_t total_file_bytes = 0;
@@ -97,8 +96,6 @@ int run_spill_stats(const std::vector<std::filesystem::path>& files) {
     }
     const telemetry::SpillReadStats& s = reader.stats();
     core::print_header(file.filename().string());
-    core::print_metric("format_version",
-                       static_cast<double>(reader.format_version()));
     core::print_metric("file_bytes", static_cast<double>(reader.file_bytes()));
     core::print_metric("blocks_ok", static_cast<double>(s.blocks_ok));
     core::print_metric("blocks_skipped", static_cast<double>(s.blocks_skipped));
@@ -107,12 +104,6 @@ int run_spill_stats(const std::vector<std::filesystem::path>& files) {
     core::print_metric("bytes_skipped", static_cast<double>(s.bytes_skipped));
     core::print_metric("torn_tail_bytes",
                        static_cast<double>(s.torn_tail_bytes));
-    core::print_metric("logical_bytes", static_cast<double>(s.logical_bytes));
-    if (s.bytes_salvaged > 0) {
-      core::print_metric("compression_ratio",
-                         static_cast<double>(s.logical_bytes) /
-                             static_cast<double>(s.bytes_salvaged));
-    }
     total += s;
     total_file_bytes += reader.file_bytes();
   }
@@ -124,13 +115,6 @@ int run_spill_stats(const std::vector<std::filesystem::path>& files) {
                      static_cast<double>(total.blocks_skipped));
   core::print_metric("bytes_salvaged",
                      static_cast<double>(total.bytes_salvaged));
-  core::print_metric("logical_bytes",
-                     static_cast<double>(total.logical_bytes));
-  if (total.bytes_salvaged > 0) {
-    core::print_metric("compression_ratio",
-                       static_cast<double>(total.logical_bytes) /
-                           static_cast<double>(total.bytes_salvaged));
-  }
   return total.corrupted() ? core::kExitSalvageIncomplete : core::kExitOk;
 }
 

@@ -92,7 +92,7 @@ constexpr const char* kCsvFiles[] = {
       "          [--shards LIST] [--threads LIST] [--profiles LIST]\n"
       "          [--kills N] [--interval N] [--chaos-seed S]\n"
       "          [--failpoints default|LIST] [--fp-rounds N]\n"
-      "          [--scratch DIR] [--spill-format 2|3]\n"
+      "          [--scratch DIR]\n"
       "defaults: --shards 1,2,4,8 --threads 1 --profiles none,eventful\n"
       "          --kills 3 --sessions 600 --interval 50 (per case)\n"
       "--failpoints switches to the failpoint campaign; LIST holds\n"
@@ -624,16 +624,6 @@ int run_tool(int argc, char** argv) {
       if (cfg.fp_rounds == 0) usage(argv[0]);
     } else if (arg == "--scratch") {
       cfg.scratch = next();
-    } else if (arg == "--spill-format") {
-      const std::string v = next();
-      if (v != "2" && v != "3") {
-        std::fprintf(stderr, "--spill-format must be 2 or 3 (got %s)\n",
-                     v.c_str());
-        return 2;
-      }
-      // Children inherit the environment, so setting it here pins every
-      // spawned sim/analyze attempt to the requested format.
-      ::setenv("VSTREAM_SPILL_FORMAT", v.c_str(), 1);
     } else if (arg == "--help" || arg == "-h") {
       usage(argv[0]);
     } else {

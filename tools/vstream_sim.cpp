@@ -83,7 +83,7 @@ namespace {
       "          [--routing cache|partitioned] [--cache lru|lfu|gdsize]\n"
       "          [--prefetch N] [--pacing] [--universal-head]\n"
       "          [--abr-outlier-filter] [--out DIR]\n"
-      "          [--telemetry-spill DIR] [--spill-format 2|3]\n"
+      "          [--telemetry-spill DIR]\n"
       "          [--checkpoint DIR] [--resume] [--checkpoint-interval N]\n"
       "          [--fault-profile none|eventful|overload]\n"
       "          [--breaker-threshold MS] [--retry-budget PCT]\n"
@@ -203,10 +203,6 @@ int run_tool(int argc, char** argv) {
       out_dir = next();
     } else if (arg == "--telemetry-spill") {
       options.telemetry_spill_dir = next();
-    } else if (arg == "--spill-format") {
-      options.spill_format =
-          static_cast<std::uint32_t>(positive_size_arg("--spill-format",
-                                                       next()));
     } else if (arg == "--checkpoint") {
       options.checkpoint_dir = next();
     } else if (arg == "--resume") {
