@@ -5,13 +5,15 @@
 // variability (residential vs enterprise paths), random and bursty packet
 // loss, and throughput limits with self-loading queueing delay.  PathModel
 // captures exactly those properties and hands the TCP model per-round RTT
-// samples and per-segment loss draws.
+// samples and the per-segment loss probabilities.
 //
-// Loss comes from two processes:
-//   * random per-segment loss (rare on good paths; heterogeneous across
-//     client prefixes), and
-//   * drop-tail overflow at the bottleneck buffer, drawn by the TCP model
-//     whenever the in-flight window exceeds the pipe (BDP + buffer).  This
+// Loss comes from two processes, each an independent per-segment
+// probability that the TCP model turns into one binomial loss count per
+// round:
+//   * random loss (rare on good paths; heterogeneous across client
+//     prefixes), and
+//   * drop-tail overflow at the bottleneck buffer, for the segments by
+//     which the in-flight window exceeds the pipe (BDP + buffer).  This
 //     is what makes end-of-slow-start losses bursty (§4.2-3) while
 //     congestion-avoidance losses trickle.
 //
@@ -72,18 +74,6 @@ class PathModel {
   /// Also advances the self-loading queue and spike state.
   sim::Ms sample_rtt(std::uint32_t window_segments, std::uint32_t segment_bytes,
                      sim::Rng& rng);
-
-  /// True if this segment is lost to the random-loss process.  Defined
-  /// inline: the TCP model draws this once per in-flight segment (~70 per
-  /// round), and a cross-TU call per draw showed up in profiles.
-  bool segment_lost(sim::Rng& rng) const {
-    return rng.bernoulli(config_.random_loss);
-  }
-
-  /// True if an over-pipe segment is dropped at the bottleneck tail.
-  bool tail_dropped(sim::Rng& rng) const {
-    return rng.bernoulli(config_.tail_drop_prob);
-  }
 
   /// Bottleneck pipe size in segments: BDP plus buffer capacity.  Windows
   /// beyond this overflow the buffer (drop-tail).

@@ -164,10 +164,8 @@ TransferResult TcpConnection::transfer(std::uint64_t bytes,
         // bursting it into a full buffer.
         window = pipe_floor;
       } else {
-        const std::uint32_t excess = window - pipe_floor;
-        for (std::uint32_t s = 0; s < excess; ++s) {
-          if (path_.tail_dropped(rng_)) ++lost;
-        }
+        lost += rng_.binomial(window - pipe_floor,
+                              path_.config().tail_drop_prob);
       }
     }
 
@@ -178,10 +176,9 @@ TransferResult TcpConnection::transfer(std::uint64_t bytes,
     const sim::Ms round_ms =
         std::max(rtt, path_.serialization_ms(window, mss));
 
-    // Random per-segment loss draws for this round.
-    for (std::uint32_t s = 0; s < window; ++s) {
-      if (path_.segment_lost(rng_)) ++lost;
-    }
+    // Random loss for this round: the number of the window's segments
+    // lost, drawn as one binomial count.
+    lost += rng_.binomial(window, path_.config().random_loss);
     lost = std::min(lost, window);
 
     segments_out_ += window;

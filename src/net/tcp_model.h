@@ -8,11 +8,12 @@
 //   * slow start doubles CWND per round, congestion avoidance adds one
 //     segment per round,
 //   * losses come from random per-segment drops plus drop-tail overflow
-//     when the window exceeds the path pipe (BDP + bottleneck buffer);
-//     both trigger fast retransmit (ssthresh = cwnd/2) and cost one
-//     recovery round.  Slow start's doubling overshoots the pipe by up to
-//     2x, which is exactly the bursty end-of-slow-start loss the paper
-//     blames for first-chunk retransmissions (§4.2-3, Fig. 15),
+//     when the window exceeds the path pipe (BDP + bottleneck buffer),
+//     each sampled as one binomial count per round; both trigger fast
+//     retransmit (ssthresh = cwnd/2) and cost one recovery round.  Slow
+//     start's doubling overshoots the pipe by up to 2x, which is exactly
+//     the bursty end-of-slow-start loss the paper blames for first-chunk
+//     retransmissions (§4.2-3, Fig. 15),
 //   * after an idle period longer than the RTO the congestion window
 //     resets to IW (RFC 2861 congestion-window validation) while ssthresh
 //     keeps the learned path memory — so steady-state chunks ramp quickly

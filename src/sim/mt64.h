@@ -8,8 +8,7 @@
 // 312-word state one word at a time with a data-dependent branch per word;
 // here the twist is branchless (arithmetic mask instead of a conditional)
 // and unrolled 4-wide, which measures ~3.4x faster per draw at -O2 on the
-// bench host.  The refill is the dominant cost of the per-segment loss
-// draws in net::TcpConnection::transfer (~70 draws per TCP round).
+// bench host.
 #pragma once
 
 #include <cstdint>

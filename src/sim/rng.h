@@ -3,7 +3,8 @@
 // Every stochastic component in the library draws from an explicitly passed
 // Rng so that a simulation run is a pure function of (scenario, seed).  The
 // helpers cover the distributions the workload and path models need:
-// uniform, Bernoulli, exponential, normal, log-normal, Pareto and discrete.
+// uniform, Bernoulli, binomial, exponential, normal, log-normal, Pareto
+// and discrete.
 #pragma once
 
 #include <algorithm>
@@ -26,8 +27,7 @@ class Rng {
   /// over mt19937_64 — one engine draw scaled by 2^-64 (exact, a power of
   /// two) with the >= 1.0 guard — so it returns bit-identical values to
   /// std::uniform_real_distribution<double>(0, 1) on the same engine state
-  /// while skipping the per-call distribution machinery (~2x cheaper on
-  /// the per-segment loss path, which draws ~70 times per TCP round).
+  /// while skipping the per-call distribution machinery.
   /// tests/sim/rng_test.cc pins the equivalence.
   double uniform01() { return canonical(); }
 
@@ -48,6 +48,16 @@ class Rng {
     if (p >= 1.0) return true;
     return canonical() < p;
   }
+
+  /// Successes in n independent Bernoulli(p) trials, drawn exactly from
+  /// Binomial(n, p).  n == 0, p <= 0 and p >= 1 short-circuit without
+  /// consuming engine state, as bernoulli() does.  Small p jumps from one
+  /// success to the next with geometric gaps, so a call costs
+  /// O(successes + 1) engine draws — one per TCP round at the path loss
+  /// rates (1e-5..0.02) instead of one per segment.  Large p (tail drop's
+  /// 0.5) runs the per-trial bernoulli() loop: there most trials succeed,
+  /// so skipping saves few draws and pays a logarithm for each.
+  std::uint32_t binomial(std::uint32_t n, double p);
 
   /// Exponential with the given mean (mean > 0).
   double exponential(double mean) {

@@ -97,12 +97,11 @@ TEST(PathModelTest, LossProbabilityObeyed) {
   config.tail_drop_prob = 0.30;
   PathModel path(config);
   sim::Rng rng(6);
-  int random_losses = 0, tail_drops = 0;
-  const int n = 100'000;
-  for (int i = 0; i < n; ++i) {
-    if (path.segment_lost(rng)) ++random_losses;
-    if (path.tail_dropped(rng)) ++tail_drops;
-  }
+  const std::uint32_t n = 100'000;
+  const std::uint32_t random_losses =
+      rng.binomial(n, path.config().random_loss);
+  const std::uint32_t tail_drops =
+      rng.binomial(n, path.config().tail_drop_prob);
   EXPECT_NEAR(random_losses / static_cast<double>(n), 0.05, 0.005);
   EXPECT_NEAR(tail_drops / static_cast<double>(n), 0.30, 0.01);
 }
@@ -112,9 +111,9 @@ TEST(PathModelTest, SetRandomLossOverride) {
   config.random_loss = 0.0;
   PathModel path(config);
   sim::Rng rng(7);
-  for (int i = 0; i < 1'000; ++i) EXPECT_FALSE(path.segment_lost(rng));
+  EXPECT_EQ(rng.binomial(1'000, path.config().random_loss), 0u);
   path.set_random_loss(1.0);
-  for (int i = 0; i < 10; ++i) EXPECT_TRUE(path.segment_lost(rng));
+  EXPECT_EQ(rng.binomial(10, path.config().random_loss), 10u);
 }
 
 TEST(PathModelTest, PipeSegmentsIsBdpPlusBuffer) {

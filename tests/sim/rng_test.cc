@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstdlib>
 #include <random>
+#include <utility>
 #include <vector>
 
 namespace vstream::sim {
@@ -167,6 +170,109 @@ TEST(RngTest, BernoulliBitExactVsStdDistribution) {
     const bool expected = std::bernoulli_distribution(p)(reference);
     ASSERT_EQ(rng.bernoulli(p), expected) << "draw " << i << " p=" << p;
   }
+}
+
+// Binomial(n, p) at the TCP model's operating points: random loss at a
+// 70-segment window on a clean and on a lossy path, tail drop at its
+// default p = 0.5, and a large window at a p above the geometric-skip range.
+constexpr std::array<std::pair<std::uint32_t, double>, 4> kBinomialPoints = {
+    {{70, 1e-4}, {70, 0.02}, {300, 0.5}, {4096, 0.3}}};
+
+TEST(RngTest, BinomialShortCircuitsWithoutDrawing) {
+  Rng rng(5);
+  rng.uniform01();  // leave the engine mid-block
+  const Mt64 untouched = rng.engine();
+  EXPECT_EQ(rng.binomial(0, 0.5), 0u);
+  EXPECT_EQ(rng.binomial(70, 0.0), 0u);
+  EXPECT_EQ(rng.binomial(70, -0.5), 0u);
+  EXPECT_EQ(rng.binomial(70, 1.0), 70u);
+  EXPECT_EQ(rng.binomial(70, 1.5), 70u);
+  EXPECT_TRUE(rng.engine() == untouched);
+}
+
+TEST(RngTest, BinomialMeanAndVarianceWithinFiveSigma) {
+  Rng rng(2016);
+  constexpr int kDraws = 10'000;
+  for (const auto& [n, p] : kBinomialPoints) {
+    double sum = 0.0, sq = 0.0;
+    for (int i = 0; i < kDraws; ++i) {
+      const double k = rng.binomial(n, p);
+      sum += k;
+      sq += k * k;
+    }
+    const double mean = sum / kDraws;
+    const double var = (sq - sum * mean) / (kDraws - 1);
+    const double npq = n * p * (1.0 - p);
+    // Standard errors of the sample mean and variance; the fourth central
+    // moment of Binomial(n, p) is npq (1 + 3 (n - 2) pq).
+    const double mu4 = npq * (1.0 + 3.0 * (n - 2.0) * p * (1.0 - p));
+    const double mean_se = std::sqrt(npq / kDraws);
+    const double var_se = std::sqrt((mu4 - npq * npq) / kDraws);
+    EXPECT_NEAR(mean, n * p, 5.0 * mean_se) << "n=" << n << " p=" << p;
+    EXPECT_NEAR(var, npq, 5.0 * var_se) << "n=" << n << " p=" << p;
+  }
+}
+
+// Two-sample Kolmogorov-Smirnov test of binomial() against the per-trial
+// bernoulli() loop it replaces in the TCP model.
+TEST(RngTest, BinomialMatchesPerTrialBernoulliLoop) {
+  constexpr int kDraws = 10'000;
+  Rng binomial_rng(11), loop_rng(12);
+  for (const auto& [n, p] : kBinomialPoints) {
+    std::vector<int> binomial_hist(n + 1, 0), loop_hist(n + 1, 0);
+    for (int i = 0; i < kDraws; ++i) {
+      ++binomial_hist[binomial_rng.binomial(n, p)];
+      std::uint32_t k = 0;
+      for (std::uint32_t t = 0; t < n; ++t) {
+        if (loop_rng.bernoulli(p)) ++k;
+      }
+      ++loop_hist[k];
+    }
+    int binomial_cdf = 0, loop_cdf = 0, max_gap = 0;
+    for (std::uint32_t k = 0; k <= n; ++k) {
+      binomial_cdf += binomial_hist[k];
+      loop_cdf += loop_hist[k];
+      max_gap = std::max(max_gap, std::abs(binomial_cdf - loop_cdf));
+    }
+    // Critical distance at alpha = 1e-3: 1.949 * sqrt(2 / kDraws).
+    EXPECT_LT(static_cast<double>(max_gap) / kDraws,
+              1.949 * std::sqrt(2.0 / kDraws))
+        << "n=" << n << " p=" << p;
+  }
+}
+
+// At TCP random-loss rates a call costs one engine draw plus one per
+// success.  Draws are counted by stepping a copy of the engine until it
+// reaches the state the calls left behind.
+TEST(RngTest, BinomialSmallPDrawsAboutOncePerCall) {
+  Rng rng(70);
+  Mt64 shadow = rng.engine();
+  constexpr int kCalls = 10'000;
+  int draws = 0;
+  for (int i = 0; i < kCalls; ++i) {
+    rng.binomial(70, 1e-4);
+    while (!(shadow == rng.engine())) {
+      shadow();
+      ++draws;
+    }
+  }
+  EXPECT_GE(draws, kCalls);
+  EXPECT_LT(static_cast<double>(draws) / kCalls, 1.1);
+}
+
+// At tiny p one geometric gap passes 2^32 trials; the skip position must
+// stay in floating point rather than overflow an integer.
+TEST(RngTest, BinomialTinyPHasNoOverflow) {
+  Rng rng(9);
+  constexpr std::uint32_t kMaxN = 0xFFFF'FFFFu;
+  std::uint32_t total = 0;
+  for (int i = 0; i < 1'000; ++i) {
+    total += rng.binomial(kMaxN, 1e-12);
+    EXPECT_EQ(rng.binomial(70, 5e-324), 0u);  // denormal p
+  }
+  // Expected total: 1000 * 2^32 * 1e-12 ~ 4.3.
+  EXPECT_LT(total, 30u);
+  EXPECT_NEAR(rng.binomial(kMaxN, 1e-5) / (kMaxN * 1e-5), 1.0, 0.05);
 }
 
 // The custom engine (sim/mt64.h) must produce the standardized mt19937_64

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 verification: full build + ctest, then the sim/cdn/core/faults/
 # engine suites again under AddressSanitizer (VSTREAM_SANITIZE=address),
-# the engine/core suites under UBSan (VSTREAM_SANITIZE=undefined), and the
+# the sim/net/engine/core suites under UBSan (VSTREAM_SANITIZE=undefined;
+# sim and net cover the binomial loss sampler's float-to-integer
+# conversions, where only UBSan sees an overflow), and the
 # work-stealing executor + sharded engine suites under TSan
 # (VSTREAM_SANITIZE=thread) at >= 4 physical workers.  The engine
 # ASan/TSan passes exercise the overload-protection layer (breakers,
@@ -41,17 +43,17 @@ done
 
 echo "==> tier-1: ASan serve-unification equivalence (explicit)"
 # Runs inside test_engine above too; the explicit pass guards against the
-# filter drifting if the suite is ever split.  Golden-hash proof that the
-# unified serve pipeline reproduces both pre-refactor serve paths over all
-# five CSV streams, with ASan watching the Env overlays.
+# filter drifting if the suite is ever split.  Golden hashes of all five
+# CSV streams from both serve paths (coupled and sharded), with ASan
+# watching the Env overlays.
 "$asan_dir/tests/test_engine" --gtest_filter='ServeUnificationGolden.*'
 
 echo "==> tier-1: UBSan build ($ubsan_dir)"
 cmake -B "$ubsan_dir" -S "$repo_root" -DVSTREAM_SANITIZE=undefined
-cmake --build "$ubsan_dir" -j --target test_engine test_core test_telemetry test_failpoints
+cmake --build "$ubsan_dir" -j --target test_sim test_net test_engine test_core test_telemetry test_failpoints
 
-echo "==> tier-1: UBSan suites (engine, core, telemetry, failpoints)"
-for suite in test_engine test_core test_telemetry test_failpoints; do
+echo "==> tier-1: UBSan suites (sim, net, engine, core, telemetry, failpoints)"
+for suite in test_sim test_net test_engine test_core test_telemetry test_failpoints; do
   echo "--> $suite"
   UBSAN_OPTIONS=halt_on_error=1 "$ubsan_dir/tests/$suite"
 done
