@@ -10,7 +10,7 @@
 //      ABR's EWMA avoids over-shooting.
 #include "analysis/qoe.h"
 #include "bench_common.h"
-#include "core/pipeline.h"
+#include "engine/replay.h"
 
 using namespace vstream;
 
@@ -20,14 +20,9 @@ std::unordered_set<net::Prefix24> discover_bad_prefixes(std::size_t sessions) {
   // Measurement round: plain run, then the Fig. 9 methodology.
   workload::Scenario scenario = workload::paper_scenario();
   scenario.session_count = sessions;
-  core::Pipeline pipeline(scenario);
-  pipeline.warm_caches();
-  pipeline.run();
-  const auto proxies = telemetry::detect_proxies(pipeline.dataset());
-  const auto joined =
-      telemetry::JoinedDataset::build(pipeline.dataset(), &proxies);
+  const engine::AnalyzedRun run = engine::run_and_analyze(scenario);
   const analysis::TailPrefixStudy study =
-      analysis::persistent_tail_prefixes(joined, 100.0, 4, 0.10);
+      analysis::persistent_tail_prefixes(run.joined, 100.0, 4, 0.10);
   std::unordered_set<net::Prefix24> bad;
   for (const analysis::PrefixRollup& p : study.persistent_tail) {
     bad.insert(p.prefix);
@@ -47,13 +42,11 @@ HintResult run_serving_round(const std::unordered_set<net::Prefix24>& bad,
   scenario.session_count = bench::bench_session_count(1'500);
   scenario.seed += 1;  // serving round, different traffic
   scenario.abr = client::AbrKind::kRateBased;
-  core::Pipeline pipeline(scenario);
-  if (use_hint) pipeline.set_bad_prefixes(bad);
-  pipeline.warm_caches();
-  pipeline.run();
-  const auto proxies = telemetry::detect_proxies(pipeline.dataset());
-  const auto joined =
-      telemetry::JoinedDataset::build(pipeline.dataset(), &proxies);
+  engine::RunOptions options;
+  if (use_hint) options.bad_prefixes = bad;
+  const engine::AnalyzedRun run =
+      engine::run_and_analyze(scenario, std::move(options));
+  const telemetry::JoinedDataset& joined = run.joined;
 
   HintResult result;
   double rebuf = 0.0, startup = 0.0;
@@ -85,34 +78,34 @@ OutlierFilterResult run_outlier_round(bool filter) {
   scenario.session_count = bench::bench_session_count(1'500);
   scenario.abr = client::AbrKind::kRateBased;
   scenario.abr_filters_throughput_outliers = filter;
-  core::Pipeline pipeline(scenario);
-  pipeline.warm_caches();
+  const engine::ReplayContext world(scenario);
 
   client::DownloadStackProfile noisy;
   noisy.anomaly_probability = 0.08;  // exaggerated for signal
+  engine::SessionOverrides overrides;
+  overrides.ds_profile = noisy;
+  overrides.chunk_count = 20;
+  overrides.bottleneck_kbps = 5'000.0;
+  // 250 scripted sessions: the world's first admitted sessions, replayed.
+  const std::size_t sessions =
+      std::min<std::size_t>(250, world.admitted().size());
   std::size_t overshoot = 0, chunks = 0;
   double rebuf = 0.0;
-  const std::size_t sessions = 250;
   for (std::size_t i = 0; i < sessions; ++i) {
-    core::SessionOverrides overrides;
-    overrides.ds_profile = noisy;
-    overrides.chunk_count = 20;
-    overrides.bottleneck_kbps = 5'000.0;
-    pipeline.run_session(overrides);
-  }
-  const auto joined = telemetry::JoinedDataset::build(pipeline.dataset());
-  for (const telemetry::JoinedSession& s : joined.sessions()) {
-    rebuf += s.rebuffer_rate_percent();
-    for (const telemetry::JoinedChunk& c : s.chunks) {
+    const auto replayed = world.replay_session(
+        world.admitted()[i].spec.session_id, {}, &overrides);
+    rebuf += replayed->qoe.rebuffer_rate_pct;
+    for (const telemetry::PlayerChunkRecord& c :
+         replayed->dataset.player_chunks) {
       ++chunks;
       // Over-shoot: the ABR picked a rung the 5 Mbps pipe cannot sustain.
-      if (c.player->bitrate_kbps > 5'000) ++overshoot;
+      if (c.bitrate_kbps > 5'000) ++overshoot;
     }
   }
   OutlierFilterResult result;
   result.overshoot_chunk_share =
       static_cast<double>(overshoot) / static_cast<double>(chunks);
-  result.mean_rebuffer_pct = rebuf / static_cast<double>(joined.sessions().size());
+  result.mean_rebuffer_pct = rebuf / static_cast<double>(sessions);
   return result;
 }
 

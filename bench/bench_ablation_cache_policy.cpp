@@ -4,7 +4,10 @@
 // One edge server under sustained churn: caches far smaller than the
 // working set, a long warm-up phase (not measured) so compulsory misses
 // wash out, then a measured phase where every retained byte is a choice
-// the eviction policy made.
+// the eviction policy made.  AtsServer::serve reads cache content without
+// changing it, so the bench owns the server's cache and applies each
+// served request to it: a hit touches (and promotes) the object, a miss
+// admits it.
 #include "bench_common.h"
 
 using namespace vstream;
@@ -24,7 +27,9 @@ PolicyResult drive(cdn::PolicyKind policy, std::size_t sessions) {
   config.policy = policy;
   config.ram_bytes = 1ull << 30;
   config.disk_bytes = 12ull << 30;
-  cdn::AtsServer server(config, cdn::BackendConfig{});
+  const cdn::AtsServer server(config, cdn::BackendConfig{});
+  cdn::TwoLevelCache cache(config.ram_bytes, config.disk_bytes, policy);
+  cdn::ServerStats stats;
 
   sim::Rng rng(41);
   workload::CatalogConfig catalog_config;
@@ -42,21 +47,28 @@ PolicyResult drive(cdn::PolicyKind policy, std::size_t sessions) {
   for (std::size_t i = 0; i < sessions; ++i) {
     const workload::SessionSpec spec = generator.next(rng);
     if (i == warmup) {
-      ram0 = server.ram_hits();
-      disk0 = server.disk_hits();
-      miss0 = server.misses();
-      req0 = server.requests_served();
+      ram0 = stats.ram_hits;
+      disk0 = stats.disk_hits;
+      miss0 = stats.misses;
+      req0 = stats.requests_served;
     }
     // Mixed bitrates (clients differ): object sizes vary 20x, which is
     // exactly the regime where GD-Size's size-awareness matters.
     const auto ladder = client::default_bitrate_ladder();
     const std::uint32_t bitrate =
         ladder[spec.session_id % ladder.size()];
+    const std::uint64_t bytes =
+        cdn::chunk_bytes(bitrate, catalog.chunk_duration_s());
+    cdn::SessionServerState session;
     for (std::uint32_t c = 0; c < spec.chunk_count; ++c) {
-      const cdn::ServeResult r = server.serve(
-          cdn::ChunkKey{spec.video_id, c, bitrate},
-          cdn::chunk_bytes(bitrate, catalog.chunk_duration_s()),
-          spec.start_time_ms, rng);
+      const cdn::ChunkKey key{spec.video_id, c, bitrate};
+      const cdn::ServeResult r =
+          server.serve(key, spec.start_time_ms, rng, cache, session, stats);
+      if (r.cache_hit()) {
+        cache.lookup(key, bytes);
+      } else {
+        cache.admit(key, bytes);
+      }
       if (i >= warmup) {
         all_latency.push_back(r.total_ms());
         if (r.cache_hit()) hit_latency.push_back(r.total_ms());
@@ -65,10 +77,10 @@ PolicyResult drive(cdn::PolicyKind policy, std::size_t sessions) {
   }
 
   PolicyResult result;
-  const double n = static_cast<double>(server.requests_served() - req0);
-  result.ram_hit = static_cast<double>(server.ram_hits() - ram0) / n;
-  result.disk_hit = static_cast<double>(server.disk_hits() - disk0) / n;
-  result.miss = static_cast<double>(server.misses() - miss0) / n;
+  const double n = static_cast<double>(stats.requests_served - req0);
+  result.ram_hit = static_cast<double>(stats.ram_hits - ram0) / n;
+  result.disk_hit = static_cast<double>(stats.disk_hits - disk0) / n;
+  result.miss = static_cast<double>(stats.misses - miss0) / n;
   result.hit_median_ms = analysis::summarize(hit_latency).median;
   result.p95_total_ms = analysis::summarize(all_latency).p95;
   return result;

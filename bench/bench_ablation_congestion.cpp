@@ -4,7 +4,6 @@
 // path's capacity between losses, which shows up in session QoE.
 #include "analysis/qoe.h"
 #include "bench_common.h"
-#include "core/pipeline.h"
 
 using namespace vstream;
 
@@ -21,12 +20,8 @@ CcStats run_with(net::CongestionControl cc) {
   workload::Scenario scenario = workload::paper_scenario();
   scenario.session_count = bench::bench_session_count(1'500);
   scenario.tcp.congestion_control = cc;
-  core::Pipeline pipeline(scenario);
-  pipeline.warm_caches();
-  pipeline.run();
-  const auto proxies = telemetry::detect_proxies(pipeline.dataset());
-  const auto joined =
-      telemetry::JoinedDataset::build(pipeline.dataset(), &proxies);
+  const engine::AnalyzedRun run = engine::run_and_analyze(scenario);
+  const telemetry::JoinedDataset& joined = run.joined;
 
   CcStats stats;
   std::size_t clean = 0;

@@ -2,7 +2,6 @@
 // video ... to reduce the startup delay."  Compare startup-time tails with
 // and without universally pinned video heads.
 #include "bench_common.h"
-#include "core/pipeline.h"
 
 using namespace vstream;
 
@@ -17,17 +16,16 @@ struct HeadCacheStats {
 HeadCacheStats run_with(bool universal_head) {
   workload::Scenario scenario = workload::paper_scenario();
   scenario.session_count = bench::bench_session_count(1'500);
-  core::Pipeline pipeline(scenario);
-  pipeline.warm_caches(0.92, universal_head);
-  pipeline.run();
-  const auto proxies = telemetry::detect_proxies(pipeline.dataset());
-  const auto joined =
-      telemetry::JoinedDataset::build(pipeline.dataset(), &proxies);
+  engine::RunOptions options;
+  options.universal_head = universal_head;
+  const engine::AnalyzedRun run =
+      engine::run_and_analyze(scenario, std::move(options));
+  const telemetry::JoinedDataset& joined = run.joined;
 
   std::vector<double> startup;
   std::size_t first_chunks = 0, first_misses = 0;
   std::unordered_map<std::uint64_t, double> startup_by_session;
-  for (const auto& ps : pipeline.dataset().player_sessions) {
+  for (const auto& ps : run.run.dataset.player_sessions) {
     startup_by_session[ps.session_id] = ps.startup_ms;
   }
   for (const telemetry::JoinedSession& s : joined.sessions()) {

@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "bench_common.h"
-#include "core/pipeline.h"
 
 using namespace vstream;
 
@@ -19,22 +18,20 @@ FleetStats run_with(cdn::RoutingPolicy routing) {
   workload::Scenario scenario = workload::paper_scenario();
   scenario.session_count = bench::bench_session_count(1'500);
   scenario.routing = routing;
-  core::Pipeline pipeline(scenario);
-  pipeline.warm_caches();
-  pipeline.run();
+  const engine::RunResult run = engine::run_simulation(scenario);
 
   FleetStats stats;
-  auto& fleet = pipeline.fleet();
+  const std::uint32_t servers_per_pop = scenario.fleet.servers_per_pop;
   std::vector<double> cvs;
   std::uint64_t ram = 0, miss = 0, total = 0;
-  for (std::uint32_t pop = 0; pop < fleet.pop_count(); ++pop) {
+  for (std::uint32_t pop = 0; pop < scenario.fleet.pop_count; ++pop) {
     std::vector<double> counts;
-    for (std::uint32_t idx = 0; idx < fleet.servers_per_pop(); ++idx) {
-      const cdn::AtsServer& s = fleet.server({pop, idx});
-      counts.push_back(static_cast<double>(s.requests_served()));
-      ram += s.ram_hits();
-      miss += s.misses();
-      total += s.requests_served();
+    for (std::uint32_t idx = 0; idx < servers_per_pop; ++idx) {
+      const cdn::ServerStats& s = run.server_stats[pop * servers_per_pop + idx];
+      counts.push_back(static_cast<double>(s.requests_served));
+      ram += s.ram_hits;
+      miss += s.misses;
+      total += s.requests_served;
     }
     if (analysis::mean_of(counts) > 0.0) cvs.push_back(analysis::cv_of(counts));
   }

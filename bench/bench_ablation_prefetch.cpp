@@ -3,7 +3,6 @@
 // the first miss."  Compare prefetch depths on the same workload: session
 // miss persistence collapses, at the cost of extra backend requests.
 #include "bench_common.h"
-#include "core/pipeline.h"
 
 using namespace vstream;
 
@@ -20,12 +19,8 @@ PrefetchStats run_with(std::uint32_t prefetch_depth) {
   workload::Scenario scenario = workload::paper_scenario();
   scenario.session_count = bench::bench_session_count(1'500);
   scenario.fleet.server.prefetch_on_miss = prefetch_depth;
-  core::Pipeline pipeline(scenario);
-  pipeline.warm_caches();
-  pipeline.run();
-  const auto proxies = telemetry::detect_proxies(pipeline.dataset());
-  const auto joined =
-      telemetry::JoinedDataset::build(pipeline.dataset(), &proxies);
+  const engine::AnalyzedRun run = engine::run_and_analyze(scenario);
+  const telemetry::JoinedDataset& joined = run.joined;
 
   PrefetchStats stats;
   double chunks = 0.0, misses = 0.0, rebuf = 0.0;
@@ -49,11 +44,8 @@ PrefetchStats run_with(std::uint32_t prefetch_depth) {
       rebuf / static_cast<double>(joined.sessions().size());
 
   std::uint64_t backend = 0;
-  auto& fleet = pipeline.fleet();
-  for (std::uint32_t pop = 0; pop < fleet.pop_count(); ++pop) {
-    for (std::uint32_t idx = 0; idx < fleet.servers_per_pop(); ++idx) {
-      backend += fleet.server({pop, idx}).backend_requests();
-    }
+  for (const cdn::ServerStats& server : run.run.server_stats) {
+    backend += server.backend_requests();
   }
   stats.backend_per_1k_chunks = 1'000.0 * static_cast<double>(backend) / chunks;
   return stats;

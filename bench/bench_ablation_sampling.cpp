@@ -4,7 +4,6 @@
 // the analyses lose: per-session SRTT-variability estimates flatten and
 // snapshot volume (the overhead proxy) shrinks.
 #include "bench_common.h"
-#include "core/pipeline.h"
 
 using namespace vstream;
 
@@ -20,17 +19,13 @@ SamplingStats run_with(double interval_ms) {
   workload::Scenario scenario = workload::paper_scenario();
   scenario.session_count = bench::bench_session_count(1'500);
   scenario.tcp_sample_interval_ms = interval_ms;
-  core::Pipeline pipeline(scenario);
-  pipeline.warm_caches();
-  pipeline.run();
-  const auto proxies = telemetry::detect_proxies(pipeline.dataset());
-  const auto joined =
-      telemetry::JoinedDataset::build(pipeline.dataset(), &proxies);
+  const engine::AnalyzedRun run = engine::run_and_analyze(scenario);
+  const telemetry::JoinedDataset& joined = run.joined;
 
   SamplingStats stats;
   stats.snapshots_per_chunk =
-      static_cast<double>(pipeline.dataset().tcp_snapshots.size()) /
-      static_cast<double>(pipeline.dataset().cdn_chunks.size());
+      static_cast<double>(run.run.dataset.tcp_snapshots.size()) /
+      static_cast<double>(run.run.dataset.cdn_chunks.size());
 
   std::vector<double> sigmas;
   std::size_t high_cv = 0, valid = 0;

@@ -5,6 +5,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "sim/env_util.h"
+
 namespace vstream::bench {
 
 namespace {
@@ -13,7 +15,7 @@ namespace {
 /// instead of silently benchmarking the wrong workload.
 std::size_t checked_env(const char* name, std::size_t fallback) {
   try {
-    return engine::positive_env(name, fallback);
+    return sim::positive_env(name, fallback);
   } catch (const std::runtime_error& error) {
     std::fprintf(stderr, "error: %s\n", error.what());
     std::exit(2);

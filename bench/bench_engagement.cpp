@@ -5,7 +5,6 @@
 // viewers reproduce that relationship: sessions that stall watch less of
 // their video.
 #include "bench_common.h"
-#include "core/pipeline.h"
 
 using namespace vstream;
 
@@ -23,19 +22,15 @@ EngagementStats run_with(double abandonment_probability) {
   scenario.session_count = bench::bench_session_count(1'500);
   scenario.sessions.abandon_probability = 0.0;  // isolate the QoE effect
   scenario.stall_abandonment_probability = abandonment_probability;
-  core::Pipeline pipeline(scenario);
-  pipeline.warm_caches();
-  pipeline.run();
-  const auto proxies = telemetry::detect_proxies(pipeline.dataset());
-  const auto joined =
-      telemetry::JoinedDataset::build(pipeline.dataset(), &proxies);
+  const engine::AnalyzedRun run = engine::run_and_analyze(scenario);
+  const telemetry::JoinedDataset& joined = run.joined;
 
   EngagementStats stats;
-  stats.abandonments = pipeline.ground_truth().stall_abandonments;
+  stats.abandonments = run.run.ground_truth.stall_abandonments;
   std::vector<double> stalled, clean;
   for (const telemetry::JoinedSession& s : joined.sessions()) {
     if (s.player->video_duration_s <= 0.0) continue;
-    const double tau = pipeline.catalog().chunk_duration_s();
+    const double tau = run.run.catalog->chunk_duration_s();
     const double watched = std::min(
         1.0, static_cast<double>(s.chunks.size()) * tau /
                  s.player->video_duration_s);

@@ -2,8 +2,11 @@
 // servers" as a corrective action.  Under cache-focused routing that
 // correction has a price — the failover target's cache was warmed for a
 // different video set, so the rescued sessions land on cold content.
+#include <limits>
+#include <vector>
+
 #include "bench_common.h"
-#include "core/pipeline.h"
+#include "faults/fault_schedule.h"
 
 using namespace vstream;
 
@@ -18,18 +21,19 @@ struct FleetQoe {
 FleetQoe run_with(bool kill_one_server_per_pop) {
   workload::Scenario scenario = workload::paper_scenario();
   scenario.session_count = bench::bench_session_count(1'500);
-  core::Pipeline pipeline(scenario);
-  pipeline.warm_caches();  // warmed for the healthy assignment
-  auto& fleet = pipeline.fleet();
+  engine::RunOptions options;  // caches warmed for the healthy assignment
   if (kill_one_server_per_pop) {
-    for (std::uint32_t pop = 0; pop < fleet.pop_count(); ++pop) {
-      fleet.set_server_down({pop, 0});
+    // Down from t = 0 for the whole run.
+    std::vector<faults::FaultEvent> crashes;
+    for (std::uint32_t pop = 0; pop < scenario.fleet.pop_count; ++pop) {
+      crashes.push_back({faults::FaultKind::kServerCrash, 0.0,
+                         std::numeric_limits<double>::infinity(), pop, 0, 1.0});
     }
+    options.faults = faults::FaultSchedule::scripted(std::move(crashes));
   }
-  pipeline.run();
-  const auto proxies = telemetry::detect_proxies(pipeline.dataset());
-  const auto joined =
-      telemetry::JoinedDataset::build(pipeline.dataset(), &proxies);
+  const engine::AnalyzedRun run =
+      engine::run_and_analyze(scenario, std::move(options));
+  const telemetry::JoinedDataset& joined = run.joined;
 
   FleetQoe qoe;
   double misses = 0.0, chunks = 0.0, startup = 0.0, rebuf = 0.0;

@@ -5,7 +5,6 @@
 // here the incidents are controlled, so availability and QoE cost can be
 // charted against failure intensity.
 #include "bench_common.h"
-#include "core/pipeline.h"
 #include "faults/fault_schedule.h"
 
 using namespace vstream;
@@ -43,18 +42,18 @@ faults::StochasticFaultConfig config_for(const std::string& kind, double rate) {
 Cell run_cell(const std::string& kind, double rate, std::size_t sessions) {
   workload::Scenario scenario = workload::paper_scenario();
   scenario.session_count = sessions;
-  core::Pipeline pipeline(scenario);
-  pipeline.warm_caches();
+  engine::RunOptions options;
   if (rate > 0.0) {
     // The schedule draws from its own generator so every cell streams the
     // identical session population; only the faults differ.
     sim::Rng fault_rng(scenario.seed ^ 0xFA0175ULL);
-    pipeline.inject_faults(faults::FaultSchedule::stochastic(
-        config_for(kind, rate), pipeline.fleet().pop_count(),
-        pipeline.fleet().servers_per_pop(), fault_rng));
+    options.faults = faults::FaultSchedule::stochastic(
+        config_for(kind, rate), scenario.fleet.pop_count,
+        scenario.fleet.servers_per_pop, fault_rng);
   }
-  pipeline.run();
-  const auto joined = telemetry::JoinedDataset::build(pipeline.dataset());
+  const engine::RunResult run =
+      engine::run_simulation(scenario, std::move(options));
+  const auto joined = telemetry::JoinedDataset::build(run.dataset);
   const analysis::RecoveryImpact impact = analysis::recovery_impact(joined);
 
   Cell cell;

@@ -3,23 +3,31 @@
 //
 // The joined telemetry does not carry video ids (neither did the paper's
 // beacons), so this bench drives the CDN fleet directly with the same
-// workload generator and keys metrics by the catalog rank.
+// workload generator and keys metrics by the catalog rank.  Each session
+// is served the way the engine serves it: against the warm archive
+// through its own per-server state.
 #include <map>
 
 #include "bench_common.h"
-#include "core/pipeline.h"
+#include "cdn/fleet.h"
+#include "engine/warmup.h"
+#include "workload/population.h"
+#include "workload/session_generator.h"
 
 using namespace vstream;
 
 int main() {
   workload::Scenario scenario = workload::paper_scenario();
   scenario.session_count = bench::bench_session_count();
-  core::Pipeline pipeline(scenario);
-  pipeline.warm_caches();
+  sim::Rng world_rng(scenario.seed);
+  const workload::VideoCatalog catalog(scenario.catalog, world_rng);
+  const cdn::Fleet fleet(scenario.fleet, catalog.size());
+  const engine::RunOptions defaults;
+  const engine::WarmArchive warm = engine::build_warm_archive(
+      fleet, catalog, defaults.disk_fill, defaults.universal_head);
 
   sim::Rng rng(scenario.seed + 6);
-  const workload::VideoCatalog& catalog = pipeline.catalog();
-  cdn::Fleet& fleet = pipeline.fleet();
+  cdn::ServerStats stats;
 
   // Rank buckets (the paper plots "Rank >= x" aggregates).
   struct Bucket {
@@ -43,12 +51,12 @@ int main() {
         spec.client.prefix->location, spec.video_id, spec.video_rank,
         spec.session_id, scenario.routing);
     Bucket& bucket = buckets[bucket_floor(spec.video_rank)];
+    cdn::SessionServerState session;
     for (std::uint32_t c = 0; c < spec.chunk_count; ++c) {
       const std::uint32_t bitrate = 1'500;
       const cdn::ServeResult r = fleet.server(ref).serve(
-          cdn::ChunkKey{spec.video_id, c, bitrate},
-          cdn::chunk_bytes(bitrate, catalog.chunk_duration_s()),
-          spec.start_time_ms, rng);
+          cdn::ChunkKey{spec.video_id, c, bitrate}, spec.start_time_ms, rng,
+          warm.for_server(ref.server), session, stats);
       ++bucket.requests;
       if (!r.cache_hit()) {
         ++bucket.misses;

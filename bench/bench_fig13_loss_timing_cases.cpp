@@ -6,7 +6,7 @@
 // The paper's point: case #1 re-buffers despite 30x less loss, because the
 // playback buffer was empty when the loss hit.
 #include "bench_common.h"
-#include "core/pipeline.h"
+#include "engine/replay.h"
 
 using namespace vstream;
 
@@ -21,12 +21,11 @@ struct CaseResult {
 
 CaseResult run_case(bool loss_on_first_chunk) {
   workload::Scenario scenario = workload::test_scenario();
-  scenario.session_count = 0;
+  scenario.session_count = 1;
   scenario.seed = 1313;
-  core::Pipeline pipeline(scenario);
-  pipeline.warm_caches();
+  const engine::ReplayContext world(scenario);
 
-  core::SessionOverrides overrides;
+  engine::SessionOverrides overrides;
   overrides.chunk_count = 10;
   overrides.abr = client::AbrKind::kFixed;
   overrides.fixed_bitrate_kbps = 2'500;
@@ -41,9 +40,10 @@ CaseResult run_case(bool loss_on_first_chunk) {
     overrides.per_chunk_loss[5] = 0.10;  // late, heavier: buffer absorbs it
     overrides.per_chunk_loss[6] = 0.10;
   }
-  pipeline.run_session(overrides);
+  const auto replayed = world.replay_session(
+      world.admitted().front().spec.session_id, {}, &overrides);
 
-  const auto joined = telemetry::JoinedDataset::build(pipeline.dataset());
+  const auto joined = telemetry::JoinedDataset::build(replayed->dataset);
   const telemetry::JoinedSession& s = joined.sessions().front();
 
   CaseResult result;

@@ -2,8 +2,10 @@
 // holds a chunk: (a) D_FB and its server/network constituents per chunk,
 // (b) the connection's Eq. 3 throughput vs the player-observed
 // instantaneous throughput.  The detector (Eq. 4) must point at the chunk.
+#include <optional>
+
 #include "bench_common.h"
-#include "core/pipeline.h"
+#include "engine/replay.h"
 
 using namespace vstream;
 
@@ -11,24 +13,24 @@ int main() {
   // The paper shows one clean example session (chunk 7 held by the stack);
   // we pick ours the same way — retry seeds until the injection process
   // produced exactly one mid-session anomaly.
-  std::unique_ptr<core::Pipeline> pipeline;
+  client::DownloadStackProfile profile;
+  profile.anomaly_probability = 0.05;
+  engine::SessionOverrides overrides;
+  overrides.chunk_count = 22;
+  overrides.abr = client::AbrKind::kFixed;
+  overrides.fixed_bitrate_kbps = 2'500;
+  overrides.ds_profile = profile;
+
+  std::optional<engine::ReplayedSession> replayed;
   for (std::uint64_t seed = 1717;; ++seed) {
     workload::Scenario scenario = workload::test_scenario();
-    scenario.session_count = 0;
+    scenario.session_count = 1;
     scenario.seed = seed;
-    pipeline = std::make_unique<core::Pipeline>(scenario);
-    pipeline->warm_caches();
+    const engine::ReplayContext world(scenario);
+    const std::uint64_t id = world.admitted().front().spec.session_id;
+    replayed = world.replay_session(id, {}, &overrides);
 
-    client::DownloadStackProfile profile;
-    profile.anomaly_probability = 0.05;
-    core::SessionOverrides overrides;
-    overrides.chunk_count = 22;
-    overrides.abr = client::AbrKind::kFixed;
-    overrides.fixed_bitrate_kbps = 2'500;
-    overrides.ds_profile = profile;
-    const std::uint64_t id = pipeline->run_session(overrides);
-
-    const auto& truth = pipeline->ground_truth().ds_anomalies;
+    const auto& truth = replayed->ground_truth.ds_anomalies;
     const auto it = truth.find(id);
     if (it != truth.end() && it->second.size() == 1 && it->second[0] >= 2 &&
         it->second[0] <= 19) {
@@ -36,7 +38,7 @@ int main() {
     }
   }
 
-  const auto joined = telemetry::JoinedDataset::build(pipeline->dataset());
+  const auto joined = telemetry::JoinedDataset::build(replayed->dataset);
   const telemetry::JoinedSession& s = joined.sessions().front();
 
   core::print_header("Figure 17a: D_FB and constituents per chunk (ms)");
@@ -68,7 +70,7 @@ int main() {
       core::print_metric("flagged_chunk", static_cast<double>(i));
     }
   }
-  for (const auto& [sid, chunks] : pipeline->ground_truth().ds_anomalies) {
+  for (const auto& [sid, chunks] : replayed->ground_truth.ds_anomalies) {
     for (const std::uint32_t c : chunks) {
       core::print_metric("ground_truth_chunk", static_cast<double>(c));
     }

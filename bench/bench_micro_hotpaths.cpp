@@ -1,5 +1,5 @@
 // google-benchmark microbenchmarks of the simulator's hot paths: the event
-// loop, the isolated serve path, tcp_info sampling, the offline join, CSV
+// loop, the serve path, tcp_info sampling, the offline join, CSV
 // export, cache operations per eviction policy, TCP chunk transfers, Zipf
 // sampling and the statistical kernels.
 //
@@ -172,7 +172,7 @@ void BM_EventLoopScheduleRun(benchmark::State& state) {
 }
 BENCHMARK(BM_EventLoopScheduleRun);
 
-void BM_ServeIsolatedRamHit(benchmark::State& state) {
+void BM_ServeRamHit(benchmark::State& state) {
   // The sharded engine's per-chunk serve: warm-archive RAM hit with a
   // session overlay, the path nearly every steady-state chunk takes.
   cdn::AtsServer server(cdn::AtsConfig{}, cdn::BackendConfig{});
@@ -190,11 +190,11 @@ void BM_ServeIsolatedRamHit(benchmark::State& state) {
     const cdn::ChunkKey key{v++ % kVideos, 0, 1'500};
     now += 4.0;
     benchmark::DoNotOptimize(
-        server.serve_isolated(key, 1 << 20, now, rng, warm, session, stats));
+        server.serve(key, now, rng, warm, session, stats));
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_ServeIsolatedRamHit);
+BENCHMARK(BM_ServeRamHit);
 
 void BM_CollectorSampleTransfer(benchmark::State& state) {
   telemetry::Collector collector(500.0);

@@ -3,7 +3,6 @@
 // one point in time; a reproduction should show which conclusions survive
 // when the assumed knobs move.
 #include "bench_common.h"
-#include "core/pipeline.h"
 
 using namespace vstream;
 
@@ -19,12 +18,8 @@ struct Headlines {
 };
 
 Headlines measure(const workload::Scenario& scenario) {
-  core::Pipeline pipeline(scenario);
-  pipeline.warm_caches();
-  pipeline.run();
-  const auto proxies = telemetry::detect_proxies(pipeline.dataset());
-  const auto joined =
-      telemetry::JoinedDataset::build(pipeline.dataset(), &proxies);
+  const engine::AnalyzedRun run = engine::run_and_analyze(scenario);
+  const telemetry::JoinedDataset& joined = run.joined;
 
   Headlines h;
   double chunks = 0.0, misses = 0.0;

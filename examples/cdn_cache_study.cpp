@@ -4,6 +4,10 @@
 // policy in ATS could be changed to better suited policies for
 // popular-heavy workloads such as GD-size or perfect-LFU").
 //
+// AtsServer::serve reads cache content without changing it, so the study
+// owns the server's cache and applies each served request to it: a hit
+// touches (and promotes) the object, a miss admits it.
+//
 // Usage: ./build/examples/cdn_cache_study [requests]
 
 #include <cstdio>
@@ -11,6 +15,7 @@
 #include <vector>
 
 #include "cdn/ats_server.h"
+#include "cdn/cache.h"
 #include "core/report.h"
 #include "sim/zipf.h"
 #include "workload/catalog.h"
@@ -34,7 +39,9 @@ StudyResult drive(cdn::PolicyKind policy, std::uint64_t ram_bytes,
   config.ram_bytes = ram_bytes;
   config.disk_bytes = 24ull << 30;
 
-  cdn::AtsServer server(config, cdn::BackendConfig{});
+  const cdn::AtsServer server(config, cdn::BackendConfig{});
+  cdn::TwoLevelCache cache(config.ram_bytes, config.disk_bytes, policy);
+  cdn::ServerStats stats;
   sim::Rng rng(7);
 
   workload::CatalogConfig catalog_config;
@@ -51,20 +58,30 @@ StudyResult drive(cdn::PolicyKind policy, std::uint64_t ram_bytes,
     const std::uint32_t chunk =
         static_cast<std::uint32_t>(rng.uniform_int(0, meta.chunk_count - 1));
     const std::uint32_t bitrate = 1'500;
-    const cdn::ServeResult r = server.serve(
-        cdn::ChunkKey{video, chunk, bitrate},
-        cdn::chunk_bytes(bitrate, catalog.chunk_duration_s()), now_ms, rng);
+    const cdn::ChunkKey key{video, chunk, bitrate};
+    const std::uint64_t bytes =
+        cdn::chunk_bytes(bitrate, catalog.chunk_duration_s());
+    // Every request is its own viewer here: no per-session history.
+    cdn::SessionServerState session;
+    const cdn::ServeResult r =
+        server.serve(key, now_ms, rng, cache, session, stats);
+    if (r.cache_hit()) {
+      cache.lookup(key, bytes);
+    } else {
+      cache.admit(key, bytes);
+    }
     latencies.push_back(r.total_ms());
   }
 
   StudyResult result;
-  const double n = static_cast<double>(server.requests_served());
-  result.ram_hit = server.ram_hits() / n;
-  result.disk_hit = server.disk_hits() / n;
-  result.miss = server.misses() / n;
-  const analysis::SummaryStats stats = analysis::summarize(std::move(latencies));
-  result.median_latency_ms = stats.median;
-  result.p95_latency_ms = stats.p95;
+  const double n = static_cast<double>(stats.requests_served);
+  result.ram_hit = stats.ram_hits / n;
+  result.disk_hit = stats.disk_hits / n;
+  result.miss = stats.misses / n;
+  const analysis::SummaryStats latency =
+      analysis::summarize(std::move(latencies));
+  result.median_latency_ms = latency.median;
+  result.p95_latency_ms = latency.p95;
   return result;
 }
 

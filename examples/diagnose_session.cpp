@@ -12,18 +12,16 @@
 #include <cstdio>
 
 #include "analysis/detectors.h"
-#include "core/pipeline.h"
 #include "core/report.h"
+#include "engine/replay.h"
 #include "telemetry/join.h"
 
 using namespace vstream;
 
 int main() {
   workload::Scenario scenario = workload::test_scenario();
-  scenario.session_count = 0;
-
-  core::Pipeline pipeline(scenario);
-  pipeline.warm_caches();
+  scenario.session_count = 1;
+  const engine::ReplayContext world(scenario);
 
   // A download stack that reliably buffers chunks now and then — an
   // exaggerated version of the paper's 0.32%-of-chunks behaviour so the
@@ -32,14 +30,15 @@ int main() {
   stack.anomaly_probability = 0.12;
   stack.anomaly_hold_median_ms = 1'800.0;
 
-  core::SessionOverrides overrides;
+  engine::SessionOverrides overrides;
   overrides.chunk_count = 16;
   overrides.ds_profile = stack;
   overrides.abr = client::AbrKind::kFixed;
   overrides.fixed_bitrate_kbps = 2'500;
-  pipeline.run_session(overrides);
+  const auto replayed = world.replay_session(
+      world.admitted().front().spec.session_id, {}, &overrides);
 
-  const auto joined = telemetry::JoinedDataset::build(pipeline.dataset());
+  const auto joined = telemetry::JoinedDataset::build(replayed->dataset);
   const telemetry::JoinedSession& session = joined.sessions().front();
 
   core::print_header("Per-chunk evidence (player + CDN + tcp_info)");
@@ -81,7 +80,7 @@ int main() {
 
   // Cross-check against simulator ground truth — the validation the paper
   // could not run in production.
-  const auto& truth = pipeline.ground_truth().ds_anomalies;
+  const auto& truth = replayed->ground_truth.ds_anomalies;
   std::size_t injected = 0;
   for (const auto& [sid, chunks] : truth) injected += chunks.size();
   std::printf("\nground truth: %zu chunk(s) were really stack-buffered; "

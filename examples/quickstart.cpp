@@ -8,8 +8,8 @@
 
 #include <cstdio>
 
-#include "core/pipeline.h"
 #include "core/report.h"
+#include "engine/replay.h"
 #include "telemetry/join.h"
 
 using namespace vstream;
@@ -18,20 +18,22 @@ int main() {
   // A scenario is the complete configuration of a simulated deployment:
   // video catalog, client population, CDN fleet, transport and player.
   workload::Scenario scenario = workload::test_scenario();
-  scenario.session_count = 0;  // we will drive one scripted session
+  scenario.session_count = 1;  // one viewer, streamed as a scripted session
 
-  core::Pipeline pipeline(scenario);
-  pipeline.warm_caches();  // emulate servers that have been running a while
+  // Build the world: catalog, population, a CDN fleet whose caches are
+  // warmed to the steady state of servers that have been running a while.
+  const engine::ReplayContext world(scenario);
 
-  // Stream one 12-chunk session with the hybrid ABR.
-  core::SessionOverrides overrides;
+  // Stream the viewer's session as 12 chunks with the hybrid ABR.
+  engine::SessionOverrides overrides;
   overrides.chunk_count = 12;
   overrides.abr = client::AbrKind::kHybrid;
-  const std::uint64_t session_id = pipeline.run_session(overrides);
+  const std::uint64_t session_id = world.admitted().front().spec.session_id;
+  const auto replayed = world.replay_session(session_id, {}, &overrides);
 
   // Join the player-side and CDN-side logs by (sessionID, chunkID) —
   // the paper's §2.2 tracing methodology.
-  const auto joined = telemetry::JoinedDataset::build(pipeline.dataset());
+  const auto joined = telemetry::JoinedDataset::build(replayed->dataset);
   const telemetry::JoinedSession& session = joined.sessions().front();
 
   std::printf("session %llu: video length %.0f s, startup %.0f ms\n\n",

@@ -1,23 +1,11 @@
 #include "cdn/ats_server.h"
 
 #include <algorithm>
-#include <cmath>
-
-#include "cdn/serve_pipeline.h"
 
 namespace vstream::cdn {
 
 AtsServer::AtsServer(AtsConfig config, BackendConfig backend)
-    : config_(config),
-      cache_(config.ram_bytes, config.disk_bytes, config.policy),
-      backend_(backend),
-      thread_free_at_(std::max(1u, config.threads), 0.0) {}
-
-double AtsServer::load() const { return rate_estimate_; }
-
-sim::Ms AtsServer::earliest_thread_free_ms() const {
-  return *std::min_element(thread_free_at_.begin(), thread_free_at_.end());
-}
+    : config_(config), backend_(backend) {}
 
 ServerStats& ServerStats::operator+=(const ServerStats& other) {
   requests_served += other.requests_served;
@@ -38,7 +26,7 @@ ServerStats& ServerStats::operator+=(const ServerStats& other) {
   return *this;
 }
 
-sim::Ms AtsServer::seek_penalty_from_ms(
+sim::Ms AtsServer::seek_penalty_ms(
     const std::unordered_map<std::uint32_t, sim::Ms>& last_access,
     std::uint32_t video_id, sim::Ms now) const {
   const auto it = last_access.find(video_id);
@@ -50,185 +38,233 @@ sim::Ms AtsServer::seek_penalty_from_ms(
   return config_.seek_max_ms * coldness;
 }
 
-sim::Ms AtsServer::seek_penalty_ms(std::uint32_t video_id, sim::Ms now) const {
-  return seek_penalty_from_ms(last_video_access_, video_id, now);
-}
-
-/// Coupled-mode ServeEnv: one live server whose caches, thread pool,
-/// breaker and recency evolve across every session that hits it.
-struct FleetServeEnv {
-  AtsServer& s;
-  /// Earliest-free service thread, latched by queue_wait() for finish().
-  std::vector<sim::Ms>::iterator thread{};
-
-  const AtsConfig& config() const { return s.config_; }
-  const Backend& backend() const { return s.backend_; }
-  bool backend_down() const { return s.backend_down_; }
-  double backend_slowdown() const { return s.backend_slowdown_; }
-  double disk_slowdown() const { return s.disk_slowdown_; }
-  double overload_factor() const { return s.overload_factor_; }
-
-  void on_arrival(sim::Ms now) {
-    // Load tracking: exponentially decayed arrival rate (requests/sec),
-    // the paper's "parallel HTTP requests per second" load proxy.
-    if (s.last_arrival_ms_ >= 0.0 && now > s.last_arrival_ms_) {
-      const double dt_s = sim::to_seconds(now - s.last_arrival_ms_);
-      const double decay = std::exp(-dt_s / 10.0);  // ~10 s horizon
-      s.rate_estimate_ =
-          s.rate_estimate_ * decay + (1.0 - decay) / std::max(dt_s, 1e-6);
-    } else if (s.last_arrival_ms_ < 0.0) {
-      s.rate_estimate_ = 0.0;
-    }
-    s.last_arrival_ms_ = now;
-  }
-
-  sim::Ms queue_wait(sim::Ms now) {
-    thread = std::min_element(s.thread_free_at_.begin(),
-                              s.thread_free_at_.end());
-    return std::max(0.0, *thread - now);
-  }
-
-  CircuitBreaker& breaker() { return s.breaker_; }
-  RetryBudget& budget() { return s.budget_; }
-  ServerStats& stats() { return s.stats_; }
-
-  CacheLevel lookup(const ChunkKey& key, std::uint64_t size_bytes) {
-    return s.cache_.lookup(key, size_bytes);
-  }
-
-  sim::Ms pending_fetch_ms(const ChunkKey& key, sim::Ms now) const {
-    const auto inflight = s.inflight_fetches_.find(key);
-    if (inflight != s.inflight_fetches_.end() && inflight->second > now) {
-      return inflight->second - now;
-    }
-    return 0.0;
-  }
-
-  sim::Ms seek_penalty(std::uint32_t video_id, sim::Ms now) const {
-    return s.seek_penalty_ms(video_id, now);
-  }
-
-  /// Disk-hit promotion already happened inside the mutating lookup().
-  void promote_to_ram(const ChunkKey&) {}
-
-  void admit(const ChunkKey& key, std::uint64_t size_bytes) {
-    s.cache_.admit(key, size_bytes);
-  }
-
-  bool prefetch_would_miss(const ChunkKey& key, std::uint64_t size_bytes) {
-    return s.cache_.lookup(key, size_bytes) == CacheLevel::kMiss;
-  }
-
-  void record_inflight(const ChunkKey& key, sim::Ms ready_at, sim::Ms now,
-                       bool purge) {
-    s.inflight_fetches_[key] = ready_at;
-    if (purge && s.inflight_fetches_.size() > 4'096) {
-      // Lazy purge of completed fetches.
-      std::erase_if(s.inflight_fetches_, [now](const auto& entry) {
-        return entry.second <= now;
-      });
-    }
-  }
-
-  void finish(const ServeResult& result, const ChunkKey& key, sim::Ms now) {
-    // The thread is occupied from pickup until the first byte is written
-    // (asynchronous delivery releases it afterwards).
-    *thread = std::max(now, *thread) + result.dopen_ms + result.dread_ms;
-    s.last_video_access_[key.video_id] = now;
-  }
-};
-
-/// Session-isolated ServeEnv: immutable warm archive + the session's own
-/// overlay, breaker, budget and recency — serve outcomes become a pure
-/// function of (warm state, session history, session RNG substream), the
-/// property that makes sharded output partition-invariant.
-struct SessionServeEnv {
-  const AtsServer& s;
-  const TwoLevelCache& warm;
-  SessionServerState& session;
-  ServerStats& out;
-
-  const AtsConfig& config() const { return s.config_; }
-  const Backend& backend() const { return s.backend_; }
-  bool backend_down() const { return s.backend_down_; }
-  double backend_slowdown() const { return s.backend_slowdown_; }
-  double disk_slowdown() const { return s.disk_slowdown_; }
-  double overload_factor() const { return s.overload_factor_; }
-
-  void on_arrival(sim::Ms) {}
-
-  /// No accept-queue coupling: the thread pool is shared across sessions,
-  /// so the isolated path models D_wait as pure scheduling noise — the
-  /// regime the paper observes anyway ("latency is NOT correlated with
-  /// load").
-  sim::Ms queue_wait(sim::Ms) { return 0.0; }
-
-  CircuitBreaker& breaker() { return session.breaker; }
-  RetryBudget& budget() { return session.retry_budget; }
-  ServerStats& stats() { return out; }
-
-  /// The session's own promotions/admissions shadow the immutable warm
-  /// archive.
-  CacheLevel lookup(const ChunkKey& key, std::uint64_t) {
-    return session.ram_overlay.contains(key) ? CacheLevel::kRam
-                                             : warm.peek(key);
-  }
-
-  sim::Ms pending_fetch_ms(const ChunkKey& key, sim::Ms now) const {
-    const auto inflight = session.inflight_fetches.find(key);
-    if (inflight != session.inflight_fetches.end() &&
-        inflight->second > now) {
-      return inflight->second - now;
-    }
-    return 0.0;
-  }
-
-  sim::Ms seek_penalty(std::uint32_t video_id, sim::Ms now) const {
-    return s.seek_penalty_from_ms(session.last_video_access, video_id, now);
-  }
-
-  void promote_to_ram(const ChunkKey& key) {
-    session.ram_overlay.insert(key);  // promoted: "fresh in memory"
-  }
-
-  /// Admissions go to the boundless per-session overlay (sizes tracked by
-  /// the warm archive only).
-  void admit(const ChunkKey& key, std::uint64_t) {
-    session.ram_overlay.insert(key);
-  }
-
-  bool prefetch_would_miss(const ChunkKey& key, std::uint64_t) {
-    return !session.ram_overlay.contains(key) &&
-           warm.peek(key) == CacheLevel::kMiss;
-  }
-
-  void record_inflight(const ChunkKey& key, sim::Ms ready_at, sim::Ms,
-                       bool) {
-    session.inflight_fetches[key] = ready_at;
-  }
-
-  void finish(const ServeResult&, const ChunkKey& key, sim::Ms now) {
-    session.last_video_access[key.video_id] = now;
-  }
-};
-
-ServeResult AtsServer::serve(const ChunkKey& key, std::uint64_t size_bytes,
-                             sim::Ms now, sim::Rng& rng,
+ServeResult AtsServer::serve(const ChunkKey& key, sim::Ms now, sim::Rng& rng,
+                             const TwoLevelCache& warm,
+                             SessionServerState& session, ServerStats& stats,
                              const ServeOptions& opts,
-                             const IdealizationPolicy* ideal) {
-  FleetServeEnv env{*this};
-  return serve_pipeline(env, key, size_bytes, now, rng, opts, ideal);
-}
+                             const IdealizationPolicy* ideal) const {
+  const OverloadConfig& ocfg = config_.overload;
+  const bool ideal_cache = ideal != nullptr && ideal->zero_latency_cache();
+  const bool ideal_backend = ideal != nullptr && ideal->instant_backend();
+  const bool no_overload = ideal != nullptr && ideal->no_overload();
+  const bool backend_down = !ideal_backend && backend_down_;
+  const auto first_byte_ms = [&] {
+    return backend_.fetch_first_byte_ms(rng) * backend_slowdown_;
+  };
+  const auto error_response_ms = [&] {
+    return rng.lognormal_median(config_.error_response_median_ms,
+                                config_.error_response_sigma);
+  };
+  // The session's own promotions/admissions shadow the immutable warm cache.
+  const auto cached_level = [&](const ChunkKey& k) {
+    return session.ram_overlay.contains(k) ? CacheLevel::kRam : warm.peek(k);
+  };
+  ServeResult result;
 
-ServeResult AtsServer::serve_isolated(const ChunkKey& key,
-                                      std::uint64_t size_bytes, sim::Ms now,
-                                      sim::Rng& rng, const TwoLevelCache& warm,
-                                      SessionServerState& session,
-                                      ServerStats& stats,
-                                      const ServeOptions& opts,
-                                      const IdealizationPolicy* ideal) const {
-  SessionServeEnv env{*this, warm, session, stats};
-  return serve_pipeline(env, key, size_bytes, now, rng, opts, ideal);
+  // Every arriving request earns a sliver of retry budget (token bucket);
+  // retries and hedges spend whole tokens, so internal retry traffic is
+  // capped near retry_budget_ratio of the served load.
+  session.retry_budget.earn(ocfg);
+  const std::uint64_t trips_before = session.breaker.open_transitions();
+  result.breaker = session.breaker.state(ocfg, now);
+  if (no_overload) result.breaker = BreakerState::kClosed;
+
+  // ---- D_wait: time until a service thread picks the request up.
+  // Well-provisioned in production (§4.1: latency is NOT correlated with
+  // load), so this is scheduling noise.
+  result.dwait_ms =
+      rng.lognormal_median(config_.wait_median_ms, config_.wait_sigma);
+
+  // ---- D_open: header read + first open attempt ----
+  result.dopen_ms =
+      rng.lognormal_median(config_.open_median_ms, config_.open_sigma);
+
+  // ---- priority load shedding (past the headers: priority is known) ----
+  // Load is the fault-driven overload factor (flash crowd): a function of
+  // simulated time only, identical on every shard.
+  const double load_factor = no_overload ? 1.0 : overload_factor_;
+  const double shed_p =
+      no_overload ? 0.0 : shed_probability(ocfg, load_factor, opts.priority);
+  if (shed_p > 0.0 && rng.bernoulli(shed_p)) {
+    // Cheap local 503 before any cache work; the client retries elsewhere.
+    ++stats.shed_requests;
+    result.shed = true;
+    result.failed = true;
+    result.dread_ms = error_response_ms();
+    return result;
+  }
+
+  // ---- cache lookup and D_read ----
+  const CacheLevel level = ideal_cache ? CacheLevel::kRam : cached_level(key);
+  result.level = level;
+
+  // Read-while-writer: an object admitted by an earlier miss may still be
+  // streaming in from the backend; a hit on it cannot produce a first byte
+  // before the in-flight fetch does.  An ideal cache always has the bytes
+  // resident.
+  sim::Ms pending_fetch_ms = 0.0;
+  if (!ideal_cache) {
+    const auto inflight = session.inflight_fetches.find(key);
+    if (inflight != session.inflight_fetches.end() && inflight->second > now) {
+      pending_fetch_ms = inflight->second - now;
+    }
+  }
+
+  switch (level) {
+    case CacheLevel::kRam:
+      ++stats.ram_hits;
+      result.dread_ms = rng.lognormal_median(config_.ram_read_median_ms,
+                                             config_.ram_read_sigma);
+      if (pending_fetch_ms > 0.0) {
+        ++stats.collapsed_misses;
+        result.dread_ms += pending_fetch_ms;
+      }
+      if (backend_down) {
+        result.stale = true;
+        ++stats.stale_serves;
+      } else if (result.breaker == BreakerState::kOpen) {
+        // Open breaker: serve the cached copy without consulting the
+        // origin (stale-while-revalidate); revalidation waits until the
+        // breaker closes.
+        result.swr = true;
+        ++stats.swr_serves;
+      }
+      break;
+    case CacheLevel::kDisk: {
+      ++stats.disk_hits;
+      // First open attempt does not return immediately (object not in RAM):
+      // ATS's asynchronous read retries after the open-read-retry timer,
+      // then pays the disk read plus a cold-content seek penalty (both
+      // stretched while the disk is degraded).
+      result.retry_timer_fired = true;
+      const sim::Ms disk_read =
+          (rng.lognormal_median(config_.disk_read_median_ms,
+                                config_.disk_read_sigma) +
+           seek_penalty_ms(session.last_video_access, key.video_id, now)) *
+          disk_slowdown_;
+      result.dread_ms = config_.open_retry_ms + disk_read + pending_fetch_ms;
+      if (pending_fetch_ms > 0.0) ++stats.collapsed_misses;
+      if (backend_down) {
+        result.stale = true;
+        ++stats.stale_serves;
+      } else if (result.breaker == BreakerState::kOpen) {
+        result.swr = true;
+        ++stats.swr_serves;
+      }
+      session.ram_overlay.insert(key);  // promoted: "fresh in memory"
+      break;
+    }
+    case CacheLevel::kMiss: {
+      ++stats.misses;
+      if (backend_down) {
+        // Graceful degradation: with the origin unreachable a miss cannot
+        // be filled.  Fail fast with a locally generated error — no cache
+        // admission, no in-flight fetch — and let the client retry or fail
+        // over to a server that still holds the object.  The breaker sees
+        // the failure, so a sustained outage trips it and later misses
+        // skip straight to the fast-fail below.
+        ++stats.backend_errors;
+        result.failed = true;
+        result.dread_ms = error_response_ms();
+        session.breaker.record(ocfg, now, /*success=*/false);
+        break;
+      }
+      if (result.breaker == BreakerState::kOpen) {
+        // Breaker open and nothing cached: fast-fail instead of queueing
+        // on a melted origin.  The client retries or fails over.
+        result.failed = true;
+        result.dread_ms = error_response_ms();
+        break;
+      }
+      // Collapsed forwarding: if this session already has the object in
+      // flight from the backend (a prefetch), wait for that fetch instead
+      // of issuing a duplicate.
+      if (pending_fetch_ms > 0.0) {
+        result.retry_timer_fired = true;
+        ++stats.collapsed_misses;
+        result.dbe_ms = pending_fetch_ms;
+      } else {
+        if (opts.retry && !(no_overload || session.retry_budget.spend(ocfg))) {
+          // A re-issued request needs a fresh backend fetch but the retry
+          // budget is dry: stop the retry storm here with a local error
+          // rather than amplify the outage.
+          ++stats.retry_budget_exhausted;
+          result.budget_denied = true;
+          result.failed = true;
+          result.dread_ms = error_response_ms();
+          break;
+        }
+        // Retry timer fires while the backend request is issued; backend
+        // and delivery are pipelined (§2.1) so D_read is dominated by the
+        // backend's first byte.
+        result.retry_timer_fired = true;
+        ++stats.backend_fetches;
+        result.dbe_ms = ideal_backend ? 0.0 : first_byte_ms();
+        // Hedged fetch: once the primary is past the backend's healthy p95
+        // first byte, race one hedge against a second origin replica and
+        // take whichever responds first.  Budget-bounded, and only while
+        // the breaker is fully closed (half-open probes stay single).
+        if (ocfg.hedge_enabled && result.breaker == BreakerState::kClosed) {
+          const sim::Ms hedge_after = ocfg.hedge_after_ms > 0.0
+                                          ? ocfg.hedge_after_ms
+                                          : backend_.p95_first_byte_ms();
+          if (result.dbe_ms > hedge_after &&
+              (no_overload || session.retry_budget.spend(ocfg))) {
+            ++stats.hedged_fetches;
+            result.hedged = true;
+            const sim::Ms hedge_total = hedge_after + first_byte_ms();
+            if (hedge_total < result.dbe_ms) {
+              result.dbe_ms = hedge_total;
+              result.hedge_won = true;
+              ++stats.hedge_wins;
+            }
+          }
+        }
+        session.breaker.record(
+            ocfg, now, result.dbe_ms <= ocfg.breaker_latency_threshold_ms);
+        session.inflight_fetches[key] = now + result.dbe_ms;
+      }
+      result.dread_ms = config_.open_retry_ms + result.dbe_ms;
+      session.ram_overlay.insert(key);
+
+      // §4.1-2 take-away: after the first miss, fetch the session's next
+      // chunks in the background so its later requests hit.  The transfer
+      // is asynchronous (off the serving path); the cost is backend load,
+      // tracked in backend_requests().  Prefetches are the lowest-priority
+      // class: an overloaded server sheds them first, and a non-closed
+      // breaker suppresses them entirely.
+      if (result.breaker == BreakerState::kClosed) {
+        const double prefetch_shed_p =
+            no_overload ? 0.0
+                        : shed_probability(ocfg, load_factor,
+                                           RequestPriority::kPrefetch);
+        for (std::uint32_t ahead = 1; ahead <= config_.prefetch_on_miss;
+             ++ahead) {
+          const ChunkKey next{key.video_id, key.chunk_index + ahead,
+                              key.bitrate_kbps};
+          if (cached_level(next) != CacheLevel::kMiss) continue;
+          if (prefetch_shed_p > 0.0 && rng.bernoulli(prefetch_shed_p)) {
+            ++stats.shed_requests;  // suppressed speculative fetch
+            continue;
+          }
+          session.ram_overlay.insert(next);
+          ++stats.prefetched_chunks;
+          // The speculative fetch is in flight too: a request arriving
+          // before it completes waits for it (read-while-writer), it just
+          // skips the backend round trip of its own.
+          session.inflight_fetches[next] =
+              now + (ideal_backend ? 0.0 : first_byte_ms());
+        }
+      }
+      break;
+    }
+  }
+
+  stats.breaker_open_transitions +=
+      session.breaker.open_transitions() - trips_before;
+  session.last_video_access[key.video_id] = now;
+  ++stats.requests_served;
+  return result;
 }
 
 }  // namespace vstream::cdn

@@ -3,8 +3,8 @@
 // Models the Apache Traffic Server behaviours the paper's §4.1 findings
 // hinge on:
 //
-//   * a FIFO accept queue served by a thread pool (D_wait grows only under
-//     heavy load — the paper finds servers well-provisioned),
+//   * D_wait: accept-queue scheduling noise (the paper finds servers
+//     well-provisioned, so the wait does not grow with load),
 //   * D_open: header parsing + first attempt to open the cache object,
 //   * the asynchronous open-read-retry timer: when the object is not
 //     immediately available in RAM, ATS retries the open after a fixed
@@ -19,7 +19,6 @@
 #include <cstdint>
 #include <unordered_map>
 #include <unordered_set>
-#include <vector>
 
 #include "cdn/backend.h"
 #include "cdn/cache.h"
@@ -35,8 +34,6 @@ struct AtsConfig {
   std::uint64_t ram_bytes = 8ull << 30;    ///< main-memory cache
   std::uint64_t disk_bytes = 256ull << 30; ///< disk cache
   PolicyKind policy = PolicyKind::kLru;
-
-  std::uint32_t threads = 64;  ///< service thread pool size
 
   sim::Ms open_retry_ms = 10.0;  ///< ATS open-read-retry timeout
 
@@ -128,19 +125,22 @@ struct ServeResult {
   sim::Ms total_ms() const { return dwait_ms + dopen_ms + dread_ms; }
 };
 
-/// Serve counters decoupled from the server object, so the sharded engine
-/// can account them per shard and sum across shards after the run.  Field
-/// meanings match the AtsServer accessors of the same names.
+/// Serve counters, kept outside the server object so the sharded engine
+/// can account them per shard and sum across shards after the run.
 struct ServerStats {
   std::uint64_t requests_served = 0;
   std::uint64_t ram_hits = 0;
   std::uint64_t disk_hits = 0;
   std::uint64_t misses = 0;
+  /// Chunks fetched speculatively after misses (backend load the §4.1-2
+  /// recommendation pays for its latency win).
   std::uint64_t prefetched_chunks = 0;
+  /// Requests that waited for the session's own in-flight backend fetch
+  /// of the same object instead of issuing another (read-while-writer).
   std::uint64_t collapsed_misses = 0;
   std::uint64_t backend_fetches = 0;
-  std::uint64_t stale_serves = 0;
-  std::uint64_t backend_errors = 0;
+  std::uint64_t stale_serves = 0;    ///< hits served while the backend was down
+  std::uint64_t backend_errors = 0;  ///< misses turned into error responses
 
   // ---- overload protection ----
   std::uint64_t shed_requests = 0;         ///< requests + suppressed prefetches
@@ -165,14 +165,13 @@ struct ServerStats {
   ServerStats& operator+=(const ServerStats& other);
 };
 
-/// One session's private view of a server's mutable serving state, used by
-/// serve_isolated().  The sharded engine requires serve outcomes to be a
-/// pure function of (immutable warm cache, the session's own request
-/// history, the session's RNG substream) — otherwise outcomes would depend
-/// on how sessions interleave, which changes with the shard count.  Every
-/// cross-session coupling of serve() therefore lives here, scoped to one
-/// session: its own admissions/promotions, its own seek recency, its own
-/// in-flight backend fetches.
+/// One session's private view of a server's mutable serving state.  Serve
+/// outcomes must be a pure function of (immutable warm cache, the
+/// session's own request history, the session's RNG substream) — otherwise
+/// they would depend on how sessions interleave, which changes with the
+/// shard count.  Everything a request changes therefore lives here, scoped
+/// to one session: its own admissions/promotions, its own seek recency,
+/// its own in-flight backend fetches, its own breaker and retry budget.
 struct SessionServerState {
   /// Chunks this session promoted into or admitted to RAM on this server.
   std::unordered_set<ChunkKey, ChunkKeyHash> ram_overlay;
@@ -182,81 +181,41 @@ struct SessionServerState {
   /// prefetch pipelining).
   std::unordered_map<ChunkKey, sim::Ms, ChunkKeyHash> inflight_fetches;
   /// This session's view of the server's circuit breaker, fed only by its
-  /// own observed backend outcomes — a pure function of the session's
-  /// history, which is what keeps sharded output partition-invariant.
+  /// own observed backend outcomes.
   CircuitBreaker breaker;
   /// This session's slice of the server's retry budget (same rationale).
   RetryBudget retry_budget;
 };
 
+/// An edge server: immutable configuration plus the degradation flags the
+/// fault injector drives.  All serving state is external (the warm cache,
+/// the session's SessionServerState, the caller's ServerStats), so serve()
+/// is const and concurrent calls with distinct state are race-free.
 class AtsServer {
  public:
   AtsServer(AtsConfig config, BackendConfig backend);
 
-  /// Serve one chunk request arriving at `now` (simulated clock).  Both
-  /// entry points run the single cdn::serve_pipeline (serve_pipeline.h)
-  /// against mode-specific ServeEnv backends; `ideal` (null for factual
-  /// serving) is the counterfactual-replay hook (cdn/idealization.h).
-  ServeResult serve(const ChunkKey& key, std::uint64_t size_bytes, sim::Ms now,
-                    sim::Rng& rng, const ServeOptions& opts = {},
-                    const IdealizationPolicy* ideal = nullptr);
-
-  /// Session-isolated twin of serve(): the same pipeline, but all mutable
-  /// state is external — cache content comes from the immutable `warm`
-  /// archive plus the session's own overlay, counters go to `stats`, and
-  /// there is no cross-session thread-pool queueing (the paper finds
-  /// production servers well-provisioned, §4.1: D_wait is scheduling
-  /// noise).  Degradation flags (backend down/slow, disk degraded) are
-  /// still read from this server, which the fault injector drives per
-  /// shard.  const: concurrent calls on the same server object with
-  /// distinct rng/session/stats are race-free.
-  ServeResult serve_isolated(const ChunkKey& key, std::uint64_t size_bytes,
-                             sim::Ms now, sim::Rng& rng,
-                             const TwoLevelCache& warm,
-                             SessionServerState& session, ServerStats& stats,
-                             const ServeOptions& opts = {},
-                             const IdealizationPolicy* ideal = nullptr) const;
-
-  /// Pre-load an object into the cache hierarchy without serving a request
-  /// (steady-state warm-up; does not touch the hit/miss counters).
-  void warm(const ChunkKey& key, std::uint64_t size_bytes) {
-    cache_.admit(key, size_bytes);
-  }
-
-  /// Pre-size the cache indexes (expected resident objects per level) —
-  /// called by the warm-up before bulk admission.
-  void reserve_cache(std::size_t ram_objects, std::size_t disk_objects) {
-    cache_.reserve(ram_objects, disk_objects);
-  }
-
-  /// Exponentially decayed request arrival rate (requests/s) — the load
-  /// proxy the paper estimates as "parallel HTTP requests ... per second"
-  /// (§4.1-2 footnote).
-  double load() const;
-
-  /// When the earliest service thread frees up (exposed for tests).
-  sim::Ms earliest_thread_free_ms() const;
-
-  std::uint64_t requests_served() const { return stats_.requests_served; }
-  std::uint64_t ram_hits() const { return stats_.ram_hits; }
-  std::uint64_t disk_hits() const { return stats_.disk_hits; }
-  std::uint64_t misses() const { return stats_.misses; }
-  double miss_ratio() const { return stats_.miss_ratio(); }
-  /// Chunks fetched speculatively after misses (backend load the §4.1-2
-  /// recommendation pays for its latency win).
-  std::uint64_t prefetched_chunks() const { return stats_.prefetched_chunks; }
-  /// Misses that piggybacked on an already in-flight backend fetch for the
-  /// same object (collapsed forwarding — the backend-protection role the
-  /// paper ascribes to the retry timer, §4.1-2 take-away 2).
-  std::uint64_t collapsed_misses() const { return stats_.collapsed_misses; }
-  /// Actual backend fetches issued: misses - collapsed + prefetches +
-  /// hedges.  Hedges reach a real origin replica, so they count toward
-  /// backend load; budget-denied retries never leave the server and are
-  /// structurally excluded.
-  std::uint64_t backend_requests() const { return stats_.backend_requests(); }
-  /// The coupled-mode counters as one ServerStats block (the same struct
-  /// the sharded engine accounts per shard).
-  const ServerStats& stats() const { return stats_; }
+  /// Serve one chunk request arriving at `now` (simulated clock).  Cache
+  /// content is the immutable `warm` cache (which tracks object sizes)
+  /// shadowed by the session's own boundless overlay; counters go to
+  /// `stats`.  D_wait is scheduling noise only — there is no
+  /// cross-session accept queue (§4.1: server latency is not correlated
+  /// with load).  `ideal` (null for factual serving) is the
+  /// counterfactual-replay hook (cdn/idealization.h).
+  ///
+  /// Determinism contract: for a null (or kNone) `ideal` the RNG draws are
+  /// D_wait, D_open, the shed coin (only when the shed probability is
+  /// positive), the level's read or error latency, the backend first byte,
+  /// the hedge's first byte, and per prefetch its shed coin and first
+  /// byte — in that order.  tests/engine/serve_equivalence_test.cc pins
+  /// the exported CSV bytes of a full run to golden hashes.
+  /// Idealizations may skip draws; replay output is then deterministic per
+  /// policy, just no longer byte-comparable to the factual run.
+  ServeResult serve(const ChunkKey& key, sim::Ms now, sim::Rng& rng,
+                    const TwoLevelCache& warm,
+                    SessionServerState& session, ServerStats& stats,
+                    const ServeOptions& opts = {},
+                    const IdealizationPolicy* ideal = nullptr) const;
 
   // ---- degraded-operation modes (driven by faults::FaultInjector) ----
 
@@ -274,81 +233,21 @@ class AtsServer {
   void set_overload(double factor) { overload_factor_ = factor; }
   double overload() const { return overload_factor_; }
 
-  /// Cache hits served while the backend was down.
-  std::uint64_t stale_serves() const { return stats_.stale_serves; }
-  /// Misses turned into error responses by a backend outage.
-  std::uint64_t backend_errors() const { return stats_.backend_errors; }
-
-  // ---- overload protection (coupled-mode counters; the sharded engine
-  // accounts the same events into per-shard ServerStats) ----
-  std::uint64_t shed_requests() const { return stats_.shed_requests; }
-  std::uint64_t hedged_fetches() const { return stats_.hedged_fetches; }
-  std::uint64_t hedge_wins() const { return stats_.hedge_wins; }
-  std::uint64_t breaker_open_transitions() const {
-    return breaker_.open_transitions();
-  }
-  std::uint64_t retry_budget_exhausted() const {
-    return stats_.retry_budget_exhausted;
-  }
-  std::uint64_t swr_serves() const { return stats_.swr_serves; }
-  /// Coupled-mode breaker state at `now` (advances open -> half-open).
-  BreakerState breaker_state(sim::Ms now) {
-    return breaker_.state(config_.overload, now);
-  }
-  /// Const peek of the same (no state advance; Fleet health scoring).
-  BreakerState peek_breaker_state(sim::Ms now) const {
-    return breaker_.peek_state(config_.overload, now);
-  }
-
-  const TwoLevelCache& cache() const { return cache_; }
   const AtsConfig& config() const { return config_; }
 
  private:
-  // The coupled and session-isolated ServeEnv backends (defined in
-  // ats_server.cc) plug this server's state into cdn::serve_pipeline.
-  friend struct FleetServeEnv;
-  friend struct SessionServeEnv;
-
-  /// Cold-content seek penalty from the video's access recency.
-  sim::Ms seek_penalty_ms(std::uint32_t video_id, sim::Ms now) const;
-
-  /// Same penalty computed from an externally supplied recency map
-  /// (the session-isolated env's per-session view).
-  sim::Ms seek_penalty_from_ms(
+  /// Cold-content seek penalty from the session's video access recency.
+  sim::Ms seek_penalty_ms(
       const std::unordered_map<std::uint32_t, sim::Ms>& last_access,
       std::uint32_t video_id, sim::Ms now) const;
 
   AtsConfig config_;
-  TwoLevelCache cache_;
   Backend backend_;
-
-  std::unordered_map<std::uint32_t, sim::Ms> last_video_access_;
-  /// Coupled-mode serve counters (one block, same struct the sharded
-  /// engine accounts per shard and sums after the run).
-  ServerStats stats_;
 
   bool backend_down_ = false;
   double backend_slowdown_ = 1.0;
   double disk_slowdown_ = 1.0;
   double overload_factor_ = 1.0;
-
-  // ---- overload protection (coupled mode) ----
-  CircuitBreaker breaker_;
-  RetryBudget budget_;
-
-  /// In-flight backend fetches (key -> completion time): concurrent misses
-  /// for the same object wait for the ongoing fetch instead of issuing
-  /// another backend request.
-  std::unordered_map<ChunkKey, sim::Ms, ChunkKeyHash> inflight_fetches_;
-
-  // Load tracking: exponentially decayed request rate (requests/sec).
-  double rate_estimate_ = 0.0;
-  sim::Ms last_arrival_ms_ = -1.0;
-
-  // Thread pool occupancy: when each service thread becomes free.  A
-  // request waits (D_wait) until the earliest thread frees, then occupies
-  // it for its service time.
-  std::vector<sim::Ms> thread_free_at_;
 };
 
 }  // namespace vstream::cdn

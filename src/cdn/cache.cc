@@ -84,11 +84,6 @@ void TwoLevelCache::admit(const ChunkKey& key, std::uint64_t size_bytes) {
   ram_.insert(key, size_bytes);
 }
 
-void TwoLevelCache::reserve(std::size_t ram_objects, std::size_t disk_objects) {
-  ram_.reserve(ram_objects);
-  disk_.reserve(disk_objects);
-}
-
 void TwoLevelCache::warm_bulk(
     std::span<const std::pair<ChunkKey, std::uint64_t>> disk_items,
     std::span<const std::pair<ChunkKey, std::uint64_t>> ram_items) {

@@ -77,9 +77,6 @@ class TwoLevelCache {
   /// Admit a freshly fetched object (backend miss path).
   void admit(const ChunkKey& key, std::uint64_t size_bytes);
 
-  /// Pre-size both levels (expected resident object counts).
-  void reserve(std::size_t ram_objects, std::size_t disk_objects);
-
   /// Bulk warm-load: directly insert each level's final resident set
   /// (deduplicated, oldest -> newest, pre-sized to fit capacity), skipping
   /// the write-through admission churn.  Precondition: both levels empty.

@@ -39,13 +39,9 @@ Fleet::Fleet(FleetConfig config, std::size_t catalog_size)
     throw std::invalid_argument("Fleet: more PoPs than available cities");
   }
   pop_cities_.assign(cities.begin(), cities.begin() + config_.pop_count);
-  servers_.reserve(static_cast<std::size_t>(config_.pop_count) *
-                   config_.servers_per_pop);
-  for (std::uint32_t i = 0; i < config_.pop_count * config_.servers_per_pop;
-       ++i) {
-    servers_.push_back(
-        std::make_unique<AtsServer>(config_.server, config_.backend));
-  }
+  servers_.assign(static_cast<std::size_t>(config_.pop_count) *
+                      config_.servers_per_pop,
+                  AtsServer(config_.server, config_.backend));
   down_.assign(servers_.size(), false);
   pop_down_.assign(config_.pop_count, false);
 }
@@ -121,12 +117,7 @@ double Fleet::health_score(ServerRef ref, sim::Ms now) const {
     }
   }
   const double watermark = config_.server.overload.shed_watermark;
-  double score =
-      (watermark <= 0.0 || factor <= watermark) ? 1.0 : watermark / factor;
-  if (server(ref).peek_breaker_state(now) == BreakerState::kOpen) {
-    score *= 0.5;  // open breaker: misses fast-fail there
-  }
-  return score;
+  return (watermark <= 0.0 || factor <= watermark) ? 1.0 : watermark / factor;
 }
 
 ServerRef Fleet::route(const net::GeoPoint& client, std::uint32_t video_id,
@@ -221,15 +212,15 @@ std::uint32_t Fleet::server_index_for_video(std::uint32_t video_id) const {
 }
 
 AtsServer& Fleet::server(ServerRef ref) {
-  return *servers_.at(static_cast<std::size_t>(ref.pop) *
-                          config_.servers_per_pop +
-                      ref.server);
+  return servers_.at(static_cast<std::size_t>(ref.pop) *
+                         config_.servers_per_pop +
+                     ref.server);
 }
 
 const AtsServer& Fleet::server(ServerRef ref) const {
-  return *servers_.at(static_cast<std::size_t>(ref.pop) *
-                          config_.servers_per_pop +
-                      ref.server);
+  return servers_.at(static_cast<std::size_t>(ref.pop) *
+                         config_.servers_per_pop +
+                     ref.server);
 }
 
 const net::City& Fleet::pop_city(std::uint32_t pop) const {

@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "cdn/ats_server.h"
@@ -58,14 +57,13 @@ class Fleet {
   /// the PoP; an entirely-dead PoP fails over to the nearest live PoP
   /// (paying the extra propagation RTT).  When the whole fleet is down the
   /// nominal assignment is returned with is_down(ref) still true — callers
-  /// own the error model (core::Pipeline times requests out, retries with
-  /// backoff, and eventually abandons the session).
+  /// own the error model (engine::SessionRuntime times requests out,
+  /// retries with backoff, and eventually abandons the session).
   ///
   /// `now` enables health-aware steering: a nominal assignment whose
-  /// health_score(ref, now) is below 1.0 (inside an overload window, or
-  /// with an open circuit breaker) is swapped for the healthiest live
-  /// server of the PoP.  With no overload windows and closed breakers
-  /// every score is 1.0 and routing is unchanged.
+  /// health_score(ref, now) is below 1.0 (inside an overload window) is
+  /// swapped for the healthiest live server of the PoP.  With no overload
+  /// windows every score is 1.0 and routing is unchanged.
   ServerRef route(const net::GeoPoint& client, std::uint32_t video_id,
                   std::size_t video_rank, std::uint64_t session_token,
                   RoutingPolicy policy, sim::Ms now = 0.0) const;
@@ -111,8 +109,7 @@ class Fleet {
   void add_overload_window(ServerRef ref, sim::Ms start, sim::Ms end,
                            double factor);
   /// Routing health of a server at `now`: 1.0 when healthy; watermark /
-  /// factor inside an overload window past the shed watermark; halved
-  /// again while the server's (coupled-mode) circuit breaker is open.
+  /// factor inside an overload window past the shed watermark.
   double health_score(ServerRef ref, sim::Ms now) const;
   /// True if at least one server of the PoP can serve.
   bool pop_live(std::uint32_t pop) const;
@@ -141,9 +138,7 @@ class Fleet {
   std::size_t popular_head_ranks_;
   std::vector<net::City> pop_cities_;
   std::vector<OverloadWindow> overload_windows_;
-  // servers_[pop * servers_per_pop + server]; unique_ptr keeps AtsServer
-  // addresses stable (it is move-averse because of its internal maps).
-  std::vector<std::unique_ptr<AtsServer>> servers_;
+  std::vector<AtsServer> servers_;  // [pop * servers_per_pop + server]
   std::vector<bool> down_;
   std::vector<bool> pop_down_;
 };

@@ -25,7 +25,7 @@
 //              at the session's true bottleneck bandwidth, which the
 //              simulator knows and a production ABR can only estimate.
 //
-// The hooks live in cdn::serve_pipeline (cache/backend/overload) and
+// The hooks live in cdn::AtsServer::serve (cache/backend/overload) and
 // engine::SessionRuntime (network/ABR); a null policy (or kNone) is the
 // bit-exact factual replay.
 #pragma once

@@ -25,12 +25,11 @@
 // Determinism: the sharded engine requires serve outcomes to be a pure
 // function of (immutable warm state, the session's own history, the
 // session's RNG substream).  CircuitBreaker and RetryBudget are therefore
-// plain state holders configured per call — AtsServer keeps one of each
-// for the coupled serve() path, and every session's per-server overlay
-// (SessionServerState) keeps its own pair for serve_isolated(), fed only
-// by that session's observed backend outcomes.  Server-level overload
-// pressure comes from fault-driven epochs (FaultKind::kOverload), which
-// are pure functions of simulated time and identical on every shard.
+// plain state holders configured per call — every session's per-server
+// overlay (SessionServerState) keeps its own pair for AtsServer::serve(),
+// fed only by that session's observed backend outcomes.  Server-level
+// overload pressure comes from fault-driven epochs (FaultKind::kOverload),
+// which are pure functions of simulated time and identical on every shard.
 #pragma once
 
 #include <cstdint>
@@ -90,9 +89,6 @@ struct OverloadConfig {
   /// Load factor (multiples of nominal capacity) above which shedding
   /// starts.  vstream-sim --shed-watermark (in percent) overrides.
   double shed_watermark = 1.25;
-  /// Coupled mode only: queue-delay estimate that maps to the watermark
-  /// (a request waiting this long sees load factor == shed_watermark).
-  sim::Ms shed_queue_delay_ms = 50.0;
 };
 
 /// Shed probability for a request of `priority` at `load_factor` (multiples
@@ -106,16 +102,14 @@ double shed_probability(const OverloadConfig& config, double load_factor,
 
 /// Deterministic breaker state machine around one server's backend fetches.
 /// Holds no configuration: callers pass the OverloadConfig on every call,
-/// so the same default-constructed object works as the server-level breaker
-/// (coupled mode) and as a per-session overlay member (isolated mode).
+/// so a default-constructed object can sit in a per-session overlay.
 class CircuitBreaker {
  public:
   /// Current state at `now`, advancing open -> half-open once the open
   /// dwell has passed.
   BreakerState state(const OverloadConfig& config, sim::Ms now);
 
-  /// Same answer as state() without mutating (for const observers, e.g.
-  /// Fleet health scoring).
+  /// Same answer as state() without mutating (for const observers).
   BreakerState peek_state(const OverloadConfig& config, sim::Ms now) const;
 
   /// True if a backend fetch may be issued at `now`: closed, or half-open
@@ -143,7 +137,7 @@ class CircuitBreaker {
 
 /// Token-bucket retry budget: every served request earns a fraction of a
 /// token; each fleet-internal retry or hedge spends one.  Like the breaker,
-/// it is configured per call so one type serves both execution modes.
+/// it is configured per call so it can sit in a per-session overlay.
 class RetryBudget {
  public:
   /// Accrue the per-request earn (call once per arriving request).

@@ -14,13 +14,9 @@
 
 namespace vstream::engine {
 
-std::size_t positive_env(const char* name, std::size_t fallback) {
-  return sim::positive_env(name, fallback);
-}
-
 std::size_t resolve_shard_count(std::size_t requested) {
   if (requested != 0) return requested;
-  return positive_env("VSTREAM_SHARDS", runtime::kDefaultLogicalShards);
+  return sim::positive_env("VSTREAM_SHARDS", runtime::kDefaultLogicalShards);
 }
 
 RunResult run_simulation(const workload::Scenario& scenario,
@@ -30,8 +26,8 @@ RunResult run_simulation(const workload::Scenario& scenario,
   result.shard_count = resolve_shard_count(options.shards);
   result.thread_count = runtime::resolve_thread_count(options.threads);
 
-  // World construction mirrors core::Pipeline exactly (same master-RNG
-  // consumption order), so the engine and the facade agree on the world.
+  // World construction: catalog, population, then admission, all from one
+  // master RNG (engine::ReplayContext mirrors this order exactly).
   const workload::Scenario& world = result.scenario;
   sim::Rng rng(world.seed);
   auto catalog = std::make_shared<workload::VideoCatalog>(world.catalog, rng);

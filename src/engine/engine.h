@@ -127,12 +127,6 @@ struct AnalyzedRun {
 /// hardware.
 std::size_t resolve_shard_count(std::size_t requested = 0);
 
-/// Strictly parse environment variable `name` as a positive integer.
-/// Forwarder for sim::positive_env (src/sim/env_util.h), kept for source
-/// compatibility: unset returns `fallback`; set but invalid throws
-/// std::runtime_error naming the variable — never a silent fallback.
-std::size_t positive_env(const char* name, std::size_t fallback);
-
 /// Build the world for `scenario`, admit all sessions, execute them across
 /// the resolved shard count, and return the canonically merged result.
 RunResult run_simulation(const workload::Scenario& scenario,

@@ -1,8 +1,7 @@
 // Simulator ground truth for validation (never fed to analyses).
 //
-// Lives in the engine layer so every run mode — the legacy coupled
-// core::Pipeline facade and the sharded engine — accounts into the same
-// structure, and per-shard instances can be merged after a parallel run.
+// Every shard of the sharded engine accounts into its own instance, and
+// the per-shard instances are merged after the run.
 #pragma once
 
 #include <cstdint>

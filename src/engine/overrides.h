@@ -17,7 +17,8 @@ struct SessionOverrides {
   std::vector<std::optional<double>> per_chunk_loss;
   std::optional<client::AbrKind> abr;
   std::optional<std::uint32_t> fixed_bitrate_kbps;
-  /// Exact number of chunks to stream (clamped to the video's length).
+  /// Exact number of chunks to stream (at least 1, regardless of the
+  /// video's length).
   std::optional<std::uint32_t> chunk_count;
   std::optional<bool> gpu;
   std::optional<double> cpu_load;

@@ -35,7 +35,8 @@ ReplayContext::ReplayContext(const workload::Scenario& scenario,
 }
 
 std::optional<ReplayedSession> ReplayContext::replay_session(
-    std::uint64_t session_id, const cdn::IdealizationPolicy& policy) const {
+    std::uint64_t session_id, const cdn::IdealizationPolicy& policy,
+    const SessionOverrides* overrides) const {
   // Admitted ids are ascending, so the session is a binary search away.
   const auto it = std::lower_bound(
       admitted_.begin(), admitted_.end(), session_id,
@@ -56,11 +57,19 @@ std::optional<ReplayedSession> ReplayContext::replay_session(
               /*sink=*/nullptr,
               policy.target == cdn::IdealizedSubsystem::kNone ? nullptr
                                                               : &policy);
-  ShardResult result = shard.run(std::span(&*it, 1));
+  AdmittedSession session = *it;
+  if (overrides != nullptr && overrides->chunk_count) {
+    // Scripted sessions may stream a fixed chunk count regardless of the
+    // sampled video's length (case studies need equal-length sessions).
+    session.spec.chunk_count =
+        std::max<std::uint32_t>(1, *overrides->chunk_count);
+  }
+  ShardResult result = shard.run(std::span(&session, 1), overrides);
 
   ReplayedSession replayed;
   replayed.completed = result.ground_truth.failed_sessions == 0;
   replayed.dataset = std::move(result.dataset);
+  replayed.ground_truth = std::move(result.ground_truth);
 
   // Same join + metric pass as the analysis tools, proxy filter off: a
   // replay always wants its session's QoE, proxied or not.

@@ -25,6 +25,7 @@
 #include "cdn/idealization.h"
 #include "engine/admission.h"
 #include "engine/engine.h"
+#include "engine/overrides.h"
 #include "engine/warmup.h"
 #include "workload/population.h"
 
@@ -40,6 +41,9 @@ struct ReplayedSession {
   analysis::SessionQoe qoe;
   /// False when the player surfaced a fatal error (recovery exhausted).
   bool completed = true;
+  /// The replay's simulator ground truth (download-stack holds, proxy
+  /// placement, recovery counters).
+  GroundTruth ground_truth;
 };
 
 class ReplayContext {
@@ -59,13 +63,15 @@ class ReplayContext {
   /// The world's scenario after overload-knob resolution.
   const workload::Scenario& scenario() const { return scenario_; }
 
-  /// Re-run one session under `policy`.  A default (kNone) policy is the
-  /// factual replay and reproduces the original run's records for this
-  /// session bit-exactly.  Returns nullopt for a session id that was
-  /// never admitted.  Thread-safe.
+  /// Re-run one session under `policy`.  A default (kNone) policy with no
+  /// `overrides` is the factual replay and reproduces the original run's
+  /// records for this session bit-exactly.  `overrides` (null for none)
+  /// scripts the replay for case studies and ablations; its chunk_count
+  /// replaces the admitted spec's.  Returns nullopt for a session id that
+  /// was never admitted.  Thread-safe.
   std::optional<ReplayedSession> replay_session(
-      std::uint64_t session_id,
-      const cdn::IdealizationPolicy& policy = {}) const;
+      std::uint64_t session_id, const cdn::IdealizationPolicy& policy = {},
+      const SessionOverrides* overrides = nullptr) const;
 
  private:
   workload::Scenario scenario_;

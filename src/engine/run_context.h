@@ -1,9 +1,8 @@
 // RunContext: the narrow interface a SessionRuntime sees.
 //
-// One context per execution domain — the legacy coupled core::Pipeline has
-// one, each shard of the sharded engine has its own — binding the services
-// a session touches while it streams.  Raw pointers, non-owning: the
-// owner (Pipeline or Shard) outlives every session it runs.
+// One context per shard, binding the services a session touches while it
+// streams.  Raw pointers, non-owning: the Shard outlives every session it
+// runs.
 #pragma once
 
 #include <unordered_set>
@@ -38,14 +37,14 @@ struct RunContext {
   /// kNone policy — is the bit-exact factual run.
   const cdn::IdealizationPolicy* idealization = nullptr;
 
-  // -- sharded (session-isolated) mode; both null in coupled mode --
-
-  /// Shared immutable warm cache content.  Non-null switches serving to
-  /// AtsServer::serve_isolated: outcomes become a pure function of (warm
-  /// state, the session's own history, the session's RNG substream), which
-  /// is what makes sharded output invariant to the shard count.
+  /// Shared immutable warm cache content (required).  Every serve reads it
+  /// through the session's own overlay (AtsServer::serve), so outcomes are
+  /// a pure function of (warm state, the session's own history, the
+  /// session's RNG substream) — what makes sharded output invariant to
+  /// the shard count.
   const WarmArchive* warm_archive = nullptr;
-  /// Per-server serve counters, indexed pop * servers_per_pop + server.
+  /// Per-server serve counters, indexed pop * servers_per_pop + server
+  /// (required).
   std::vector<cdn::ServerStats>* server_stats = nullptr;
 
   /// Execution-domain scratch for per-round TCP samples.  Sessions within

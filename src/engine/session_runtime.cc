@@ -125,19 +125,14 @@ void SessionRuntime::rebuild_connection() {
 }
 
 cdn::ServeResult SessionRuntime::serve_chunk(const cdn::ChunkKey& key,
-                                             std::uint64_t bytes, sim::Ms now,
+                                             sim::Ms now,
                                              const cdn::ServeOptions& opts) {
-  cdn::AtsServer& server = ctx_.fleet->server(ref_);
-  if (ctx_.warm_archive == nullptr) {
-    return server.serve(key, bytes, now, rng_, opts, ctx_.idealization);
-  }
   const std::uint32_t linear =
       ref_.pop * ctx_.fleet->servers_per_pop() + ref_.server;
-  return server.serve_isolated(key, bytes, now, rng_,
-                               ctx_.warm_archive->for_server(ref_.server),
-                               server_states_[linear],
-                               (*ctx_.server_stats)[linear], opts,
-                               ctx_.idealization);
+  return ctx_.fleet->server(ref_).serve(
+      key, now, rng_, ctx_.warm_archive->for_server(ref_.server),
+      server_states_[linear], (*ctx_.server_stats)[linear], opts,
+      ctx_.idealization);
 }
 
 sim::Ms SessionRuntime::step(sim::Ms fleet_now) {
@@ -230,7 +225,7 @@ sim::Ms SessionRuntime::step(sim::Ms fleet_now) {
       ++ctx_.ground_truth->request_timeouts;
     } else {
       serve_opts.retry = attempt > 0;
-      serve = serve_chunk(key, bytes, fleet_now + recovery_ms, serve_opts);
+      serve = serve_chunk(key, fleet_now + recovery_ms, serve_opts);
       any_shed |= serve.shed;
       any_budget_denied |= serve.budget_denied;
       if (serve.failed) {

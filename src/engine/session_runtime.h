@@ -1,5 +1,4 @@
-// One streaming session as a state machine, extracted from the old
-// monolithic core::Pipeline.
+// One streaming session as a state machine.
 //
 // step() executes exactly one chunk (ABR decision -> server -> TCP
 // transfer -> download stack -> playout -> rendering -> telemetry) and
@@ -8,9 +7,9 @@
 // draws come from the per-session generator handed to the constructor,
 // keeping runs deterministic regardless of interleaving.
 //
-// The runtime talks to the world only through its RunContext.  With
-// ctx.warm_archive set it serves chunks through the session-isolated path
-// (AtsServer::serve_isolated) — the mode the sharded engine runs in.
+// The runtime talks to the world only through its RunContext.  Chunks are
+// served against the context's warm archive through the session's own
+// per-server state (AtsServer::serve).
 #pragma once
 
 #include <cstdint>
@@ -59,10 +58,9 @@ class SessionRuntime {
   /// from a cold congestion window — the §4.1 failover penalty.
   void rebuild_connection();
 
-  /// Serve one chunk on the currently assigned server: the live coupled
-  /// path, or the session-isolated path when ctx_.warm_archive is set.
-  cdn::ServeResult serve_chunk(const cdn::ChunkKey& key, std::uint64_t bytes,
-                               sim::Ms now, const cdn::ServeOptions& opts);
+  /// Serve one chunk on the currently assigned server.
+  cdn::ServeResult serve_chunk(const cdn::ChunkKey& key, sim::Ms now,
+                               const cdn::ServeOptions& opts);
 
   RunContext& ctx_;
   workload::SessionSpec spec_;
@@ -76,9 +74,8 @@ class SessionRuntime {
   std::unique_ptr<net::TcpConnection> conn_;
   std::unique_ptr<client::AbrAlgorithm> abr_;
 
-  /// Isolated mode only: this session's private server-state overlays,
-  /// keyed by linear server index (a failover must not carry one server's
-  /// overlay to another).
+  /// This session's private server-state overlays, keyed by linear server
+  /// index (a failover must not carry one server's overlay to another).
   std::unordered_map<std::uint32_t, cdn::SessionServerState> server_states_;
 
   // Path ingredients kept so a failover can rebuild the connection with

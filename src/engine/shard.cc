@@ -43,7 +43,8 @@ void Shard::step_event(SessionRuntime* runtime) {
   }
 }
 
-ShardResult Shard::run(std::span<const AdmittedSession> sessions) {
+ShardResult Shard::run(std::span<const AdmittedSession> sessions,
+                       const SessionOverrides* overrides) {
   // Arm faults FIRST: at equal timestamps the queue is FIFO, so fault
   // epochs flip the fleet before any same-instant chunk request fires —
   // the same relative order on every shard, for every shard count.
@@ -65,7 +66,7 @@ ShardResult Shard::run(std::span<const AdmittedSession> sessions) {
   runtimes.reserve(sessions.size());
   for (const AdmittedSession& session : sessions) {
     runtimes.push_back(std::make_unique<SessionRuntime>(
-        ctx_, session.spec, sim::Rng(session.rng_seed), nullptr));
+        ctx_, session.spec, sim::Rng(session.rng_seed), overrides));
     SessionRuntime* runtime = runtimes.back().get();
     queue_.schedule_at(session.spec.start_time_ms,
                        [this, runtime] { step_event(runtime); });

@@ -18,6 +18,7 @@
 #include "cdn/fleet.h"
 #include "engine/admission.h"
 #include "engine/ground_truth.h"
+#include "engine/overrides.h"
 #include "engine/run_context.h"
 #include "engine/session_runtime.h"
 #include "engine/warmup.h"
@@ -65,8 +66,11 @@ class Shard {
         const cdn::IdealizationPolicy* ideal = nullptr);
 
   /// Run this shard's session partition through the event queue and return
-  /// the shard-local telemetry and accounting.  Call once.
-  ShardResult run(std::span<const AdmittedSession> sessions);
+  /// the shard-local telemetry and accounting.  Call once.  `overrides`
+  /// (null for none) scripts every session of the partition (see
+  /// ReplayContext::replay_session).
+  ShardResult run(std::span<const AdmittedSession> sessions,
+                  const SessionOverrides* overrides = nullptr);
 
  private:
   void step_event(SessionRuntime* runtime);

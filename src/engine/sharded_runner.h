@@ -3,7 +3,7 @@
 // Sessions are partitioned by session id across N *logical* shards, each
 // shard runs its partition on a private replica stack (see Shard), and
 // the per-shard outputs are merged in canonical session-id order.
-// Because session outcomes are session-isolated (serve_isolated) and
+// Because session outcomes are session-isolated (cdn::AtsServer::serve) and
 // fault epochs are pure functions of simulated time, the merged output
 // is bit-identical for ANY shard count — shards only change wall-clock
 // time, never results.

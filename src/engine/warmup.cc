@@ -123,33 +123,6 @@ WarmArchive::WarmArchive(const cdn::FleetConfig& config) {
   }
 }
 
-void warm_fleet(cdn::Fleet& fleet, const workload::VideoCatalog& catalog,
-                double disk_fill, bool universal_head) {
-  const cdn::AtsConfig& server_config = fleet.config().server;
-  const double ram_share =
-      static_cast<double>(server_config.ram_bytes) /
-      std::max(1.0, disk_fill * static_cast<double>(server_config.disk_bytes));
-  for (std::uint32_t sidx = 0; sidx < fleet.servers_per_pop(); ++sidx) {
-    std::size_t admits = 0;
-    enumerate_warm_set(fleet, catalog, sidx, disk_fill, universal_head,
-                       [&](const cdn::ChunkKey&, std::uint64_t) { ++admits; });
-    const auto ram_objects =
-        static_cast<std::size_t>(static_cast<double>(admits) * ram_share) + 16;
-    // Warm content only depends on the within-PoP index, so one traversal
-    // feeds the same-index server of every PoP.
-    for (std::uint32_t pop = 0; pop < fleet.pop_count(); ++pop) {
-      fleet.server({pop, sidx}).reserve_cache(ram_objects, admits);
-    }
-    enumerate_warm_set(fleet, catalog, sidx, disk_fill, universal_head,
-                       [&](const cdn::ChunkKey& key, std::uint64_t size) {
-                         for (std::uint32_t pop = 0; pop < fleet.pop_count();
-                              ++pop) {
-                           fleet.server({pop, sidx}).warm(key, size);
-                         }
-                       });
-  }
-}
-
 namespace {
 
 /// The final resident set of an empty LRU level fed an admission sequence:

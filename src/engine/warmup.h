@@ -1,12 +1,13 @@
 // Cache warm-up: the steady state of edge servers that have been running
 // for weeks, reproduced deterministically.
 //
-// Two consumers share one membership computation:
-//
-//   * warm_fleet() pre-loads a live fleet's caches in place (the legacy
-//     coupled mode behind core::Pipeline::warm_caches), and
-//   * build_warm_archive() materializes the same content once as an
-//     immutable archive the sharded engine's workers read concurrently.
+// build_warm_archive() materializes that content once as an immutable
+// archive the sharded engine's workers read concurrently.  The paper
+// measures steady state (~2% session-chunk miss rate), so caches are
+// pre-populated in popularity order; RunOptions::universal_head
+// additionally pins the first few chunks of *every* video — the §4.3-3
+// take-away ("cache the first chunk of every video ... to reduce the
+// startup delay").
 //
 // Warm content is identical for every PoP — membership depends only on the
 // within-PoP server index a video maps to — so the archive keeps one cache
@@ -43,19 +44,14 @@ class WarmArchive {
   std::vector<cdn::TwoLevelCache> caches_;  // indexed by within-PoP index
 };
 
-/// Pre-populate a live fleet's caches in popularity order (see
-/// core::Pipeline::warm_caches for the tiering rationale).
-void warm_fleet(cdn::Fleet& fleet, const workload::VideoCatalog& catalog,
-                double disk_fill, bool universal_head);
-
 /// How build_warm_archive fills the archive.  kAuto picks the LRU
 /// resident-set shortcut when the policy allows it; kWriteThrough always
 /// replays every admission through the two-level hierarchy (the reference
 /// behaviour the shortcut must reproduce — kept selectable for tests).
 enum class WarmBuildMode { kAuto, kWriteThrough };
 
-/// Build the shared read-only archive with exactly the content warm_fleet
-/// would load into each server.  `prototype` supplies the fleet geometry,
+/// Build the shared read-only archive: each within-PoP server index's warm
+/// set, admitted cold -> hot.  `prototype` supplies the fleet geometry,
 /// server configuration and the video->server mapping; it is not modified.
 WarmArchive build_warm_archive(const cdn::Fleet& prototype,
                                const workload::VideoCatalog& catalog,

@@ -7,7 +7,7 @@
 // only when its last covering epoch ends.
 //
 // Client-path loss bursts have no fleet-side switch to flip; sessions query
-// extra_client_loss() at each chunk instead (see core::Pipeline).
+// extra_client_loss() at each chunk instead (see engine::SessionRuntime).
 #pragma once
 
 #include <cstdint>

@@ -4,8 +4,7 @@
 // variable that is set but does not parse (empty, non-numeric, zero,
 // negative, trailing garbage) throws std::runtime_error naming the
 // variable — a run never silently ignores an operator's knob.  This
-// header is the single home of the parsers (engine/engine.h keeps a thin
-// positive_env forwarder for source compatibility).
+// header is the single home of the parsers.
 #pragma once
 
 #include <cstddef>

@@ -17,7 +17,7 @@ namespace vstream::workload {
 
 /// Player-side failure recovery policy: per-chunk request timeouts with
 /// capped exponential backoff, and failover to another server when a
-/// request keeps dying.  Drives the recovery loop in core::Pipeline.
+/// request keeps dying.  Drives the recovery loop in engine::SessionRuntime.
 struct RecoveryPolicy {
   /// Client abandons a request whose first byte has not arrived by then.
   sim::Ms request_timeout_ms = 4'000.0;

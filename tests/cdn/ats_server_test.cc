@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
+
+#include "serve_session.h"
 
 namespace vstream::cdn {
 namespace {
@@ -18,36 +21,39 @@ ChunkKey key(std::uint32_t v, std::uint32_t c = 0) { return ChunkKey{v, c, 1500}
 
 TEST(AtsServerTest, ColdRequestIsMissWithBackendLatency) {
   AtsServer server(small_config(), BackendConfig{});
+  ServeSession session(server);
   sim::Rng rng(1);
-  const ServeResult r = server.serve(key(1), 1'000'000, 0.0, rng);
+  const ServeResult r = session.serve(key(1), 0.0, rng);
   EXPECT_EQ(r.level, CacheLevel::kMiss);
   EXPECT_FALSE(r.cache_hit());
   EXPECT_GT(r.dbe_ms, 0.0);
   EXPECT_TRUE(r.retry_timer_fired);
   // Miss D_read includes the retry timer plus backend first byte.
   EXPECT_GE(r.dread_ms, server.config().open_retry_ms + r.dbe_ms - 1e-9);
-  EXPECT_EQ(server.misses(), 1u);
+  EXPECT_EQ(session.stats.misses, 1u);
 }
 
 TEST(AtsServerTest, SecondRequestIsRamHit) {
   AtsServer server(small_config(), BackendConfig{});
+  ServeSession session(server);
   sim::Rng rng(1);
-  server.serve(key(1), 1'000'000, 0.0, rng);
-  const ServeResult r = server.serve(key(1), 1'000'000, 100.0, rng);
+  session.serve(key(1), 0.0, rng);
+  const ServeResult r = session.serve(key(1), 100.0, rng);
   EXPECT_EQ(r.level, CacheLevel::kRam);
   EXPECT_DOUBLE_EQ(r.dbe_ms, 0.0);
   EXPECT_FALSE(r.retry_timer_fired);
-  EXPECT_EQ(server.ram_hits(), 1u);
+  EXPECT_EQ(session.stats.ram_hits, 1u);
 }
 
 TEST(AtsServerTest, RamHitLatencyCalibratedToPaper) {
   // Fig. 5 / §4.1-1: median server latency on a cache hit is ~2 ms.
   AtsServer server(small_config(), BackendConfig{});
+  ServeSession session(server);
   sim::Rng rng(2);
-  server.serve(key(1), 500'000, 0.0, rng);
+  session.serve(key(1), 0.0, rng);
   std::vector<double> totals;
   for (int i = 0; i < 2'001; ++i) {
-    totals.push_back(server.serve(key(1), 500'000, i * 10.0, rng).total_ms());
+    totals.push_back(session.serve(key(1), i * 10.0, rng).total_ms());
   }
   std::nth_element(totals.begin(), totals.begin() + totals.size() / 2,
                    totals.end());
@@ -58,17 +64,17 @@ TEST(AtsServerTest, RamHitLatencyCalibratedToPaper) {
 
 TEST(AtsServerTest, MissLatencyRoughly40xHitLatency) {
   // §4.1-1: median miss latency (~80 ms) is ~40x the hit median (~2 ms).
-  AtsServer hit_server(small_config(), BackendConfig{});
+  AtsServer server(small_config(), BackendConfig{});
+  ServeSession hit_session(server);
   sim::Rng rng(3);
-  hit_server.serve(key(1), 500'000, 0.0, rng);
+  hit_session.serve(key(1), 0.0, rng);
 
   std::vector<double> hits, misses;
   for (int i = 0; i < 1'500; ++i) {
-    hits.push_back(hit_server.serve(key(1), 500'000, i * 10.0, rng).total_ms());
-    // A fresh key every time: always a miss.
-    AtsServer miss_server(small_config(), BackendConfig{});
-    misses.push_back(
-        miss_server.serve(key(100 + i), 500'000, 0.0, rng).total_ms());
+    hits.push_back(hit_session.serve(key(1), i * 10.0, rng).total_ms());
+    // A fresh session and key every time: always a miss.
+    ServeSession miss_session(server);
+    misses.push_back(miss_session.serve(key(100 + i), 0.0, rng).total_ms());
   }
   const auto median = [](std::vector<double>& v) {
     std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
@@ -81,15 +87,16 @@ TEST(AtsServerTest, MissLatencyRoughly40xHitLatency) {
 }
 
 TEST(AtsServerTest, DiskHitPaysRetryTimer) {
-  // Force a disk hit: object admitted, then evicted from RAM by other
-  // admissions, then requested again.
+  // Force a disk hit: the warm cache admitted the object, then evicted it
+  // from RAM by a later admission.
   AtsConfig config = small_config();
   config.ram_bytes = 1'200'000;  // barely one object
   AtsServer server(config, BackendConfig{});
+  ServeSession session(server);
+  session.warm.admit(key(1), 1'000'000);
+  session.warm.admit(key(2), 1'000'000);  // evicts 1 from RAM
   sim::Rng rng(4);
-  server.serve(key(1), 1'000'000, 0.0, rng);      // miss -> admitted
-  server.serve(key(2), 1'000'000, 10.0, rng);     // miss -> evicts 1 from RAM
-  const ServeResult r = server.serve(key(1), 1'000'000, 20.0, rng);
+  const ServeResult r = session.serve(key(1), 20.0, rng);
   EXPECT_EQ(r.level, CacheLevel::kDisk);
   EXPECT_TRUE(r.retry_timer_fired);
   EXPECT_GE(r.dread_ms, config.open_retry_ms);
@@ -103,101 +110,88 @@ TEST(AtsServerTest, ColdContentPaysSeekPenalty) {
   AtsServer server(config, BackendConfig{});
   sim::Rng rng(5);
 
-  // Warm a video, displace it from RAM, and read it again quickly (warm
-  // disk) vs after a long gap (cold disk).
-  server.serve(key(1), 1'000'000, 0.0, rng);
-  server.serve(key(2), 1'000'000, 1.0, rng);
+  // Two chunks of video 1 sit on disk only (a later admission displaced
+  // them from RAM).  Touch the video, then read its other chunk quickly
+  // (warm disk) vs after a long gap (cold disk).
+  const auto disk_read_after = [&](sim::Ms gap_ms) {
+    ServeSession session(server);
+    session.warm.admit(key(1, 0), 1'000'000);
+    session.warm.admit(key(1, 1), 1'000'000);
+    session.warm.admit(key(2), 1'000'000);
+    session.serve(key(1, 0), 0.0, rng);
+    const ServeResult r = session.serve(key(1, 1), gap_ms, rng);
+    EXPECT_EQ(r.level, CacheLevel::kDisk);
+    return r.dread_ms;
+  };
   double warm_sum = 0.0, cold_sum = 0.0;
   const int trials = 300;
   for (int i = 0; i < trials; ++i) {
-    // Re-displace from RAM each time, then read soon after.
-    server.serve(key(2), 1'000'000, 100.0 * i + 2.0, rng);
-    warm_sum += server.serve(key(1), 1'000'000, 100.0 * i + 50.0, rng).dread_ms;
-  }
-  AtsServer cold_server(config, BackendConfig{});
-  cold_server.serve(key(1), 1'000'000, 0.0, rng);
-  cold_server.serve(key(2), 1'000'000, 1.0, rng);
-  for (int i = 0; i < trials; ++i) {
-    cold_server.serve(key(2), 1'000'000, 200'000.0 * i + 2.0, rng);
-    cold_sum += cold_server
-                    .serve(key(1), 1'000'000, 200'000.0 * (i + 1), rng)
-                    .dread_ms;
+    warm_sum += disk_read_after(50.0);
+    cold_sum += disk_read_after(200'000.0);
   }
   EXPECT_GT(cold_sum / trials, warm_sum / trials + 5.0);
 }
 
 TEST(AtsServerTest, DcdnExcludesBackendShare) {
   AtsServer server(small_config(), BackendConfig{});
+  ServeSession session(server);
   sim::Rng rng(6);
-  const ServeResult r = server.serve(key(1), 500'000, 0.0, rng);
+  const ServeResult r = session.serve(key(1), 0.0, rng);
   EXPECT_NEAR(r.dcdn_ms() + r.dbe_ms, r.total_ms(), 1e-9);
 }
 
 TEST(AtsServerTest, CountersAddUp) {
   AtsServer server(small_config(), BackendConfig{});
+  ServeSession session(server);
   sim::Rng rng(7);
   for (int i = 0; i < 200; ++i) {
-    server.serve(key(static_cast<std::uint32_t>(i % 7)), 400'000, i * 5.0, rng);
+    session.serve(key(static_cast<std::uint32_t>(i % 7)), i * 5.0, rng);
   }
-  EXPECT_EQ(server.requests_served(), 200u);
-  EXPECT_EQ(server.ram_hits() + server.disk_hits() + server.misses(), 200u);
-  EXPECT_GT(server.miss_ratio(), 0.0);
-  EXPECT_LT(server.miss_ratio(), 1.0);
+  const ServerStats& stats = session.stats;
+  EXPECT_EQ(stats.requests_served, 200u);
+  EXPECT_EQ(stats.ram_hits + stats.disk_hits + stats.misses, 200u);
+  EXPECT_GT(stats.miss_ratio(), 0.0);
+  EXPECT_LT(stats.miss_ratio(), 1.0);
 }
 
 TEST(AtsServerTest, WarmPreloadsWithoutCountingRequests) {
   AtsServer server(small_config(), BackendConfig{});
-  server.warm(key(1), 500'000);
-  EXPECT_EQ(server.requests_served(), 0u);
+  ServeSession session(server);
+  session.warm.admit(key(1), 500'000);
+  EXPECT_EQ(session.stats.requests_served, 0u);
   sim::Rng rng(8);
-  const ServeResult r = server.serve(key(1), 500'000, 0.0, rng);
+  const ServeResult r = session.serve(key(1), 0.0, rng);
   EXPECT_EQ(r.level, CacheLevel::kRam);
 }
 
 TEST(AtsServerTest, WaitDelayStaysSmallAtLowLoad) {
   // §4.1: servers are well provisioned; D_wait < 1 ms for most chunks.
   AtsServer server(small_config(), BackendConfig{});
+  ServeSession session(server);
   sim::Rng rng(9);
   int below_1ms = 0;
   const int n = 2'000;
   for (int i = 0; i < n; ++i) {
-    // 10 req/s: far below capacity.
-    const ServeResult r = server.serve(key(1), 400'000, i * 100.0, rng);
+    const ServeResult r = session.serve(key(1), i * 100.0, rng);
     if (r.dwait_ms < 1.0) ++below_1ms;
   }
   EXPECT_GT(static_cast<double>(below_1ms) / n, 0.75);
 }
 
-TEST(AtsServerTest, ThreadPoolSaturationGrowsWait) {
-  // One slow thread pool: every backend fetch pins a thread for ~100 ms;
-  // a burst of simultaneous misses beyond the pool size must queue.
-  AtsConfig config = small_config();
-  config.threads = 4;
-  config.disk_bytes = 4ull << 20;  // too small to hold anything -> misses
-  config.ram_bytes = 2ull << 20;
-  AtsServer server(config, BackendConfig{});
+TEST(AtsServerTest, SimultaneousMissesDoNotQueue) {
+  // No accept queue couples requests: a burst of simultaneous misses (each
+  // a backend fetch) leaves D_wait at scheduling noise, as in production
+  // (§4.1: server latency is not correlated with load).
+  AtsServer server(small_config(), BackendConfig{});
   sim::Rng rng(11);
-
   double max_wait = 0.0;
   for (int i = 0; i < 32; ++i) {
-    // All requests arrive at the same instant; distinct keys -> misses.
-    const ServeResult r = server.serve(key(1'000 + i), 3ull << 20, 0.0, rng);
+    ServeSession session(server);
+    const ServeResult r = session.serve(key(1'000 + i), 0.0, rng);
+    ASSERT_EQ(r.level, CacheLevel::kMiss);
     max_wait = std::max(max_wait, r.dwait_ms);
   }
-  // The 5th+ request had to wait for a thread held by a backend fetch.
-  EXPECT_GT(max_wait, 50.0);
-  EXPECT_GT(server.earliest_thread_free_ms(), 0.0);
-}
-
-TEST(AtsServerTest, ThreadPoolDrainsBetweenArrivals) {
-  AtsConfig config = small_config();
-  config.threads = 2;
-  AtsServer server(config, BackendConfig{});
-  sim::Rng rng(12);
-  server.serve(key(1), 400'000, 0.0, rng);
-  // Long after the burst, a new request sees an idle pool.
-  const ServeResult r = server.serve(key(1), 400'000, 10'000.0, rng);
-  EXPECT_LT(r.dwait_ms, 5.0);
+  EXPECT_LT(max_wait, 10.0);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <set>
 
 #include "net/geo.h"
+#include "serve_session.h"
 
 namespace vstream::cdn {
 namespace {
@@ -99,11 +100,16 @@ TEST(FleetTest, VideosSpreadAcrossServers) {
 
 TEST(FleetTest, ServersAreIndependentInstances) {
   Fleet fleet(small_fleet(), 1'000);
+  fleet.server({0, 0}).set_backend_down(true);
   sim::Rng rng(1);
-  fleet.server({0, 0}).serve(ChunkKey{1, 0, 1500}, 1'000, 0.0, rng);
-  EXPECT_EQ(fleet.server({0, 0}).requests_served(), 1u);
-  EXPECT_EQ(fleet.server({0, 1}).requests_served(), 0u);
-  EXPECT_EQ(fleet.server({1, 0}).requests_served(), 0u);
+  const auto serve_miss = [&](ServerRef ref) {
+    ServeSession session(fleet.server(ref));
+    return session.serve(ChunkKey{1, 0, 1500}, 0.0, rng);
+  };
+  // Only the degraded server turns its miss into an error response.
+  EXPECT_TRUE(serve_miss({0, 0}).failed);
+  EXPECT_FALSE(serve_miss({0, 1}).failed);
+  EXPECT_FALSE(serve_miss({1, 0}).failed);
 }
 
 TEST(FleetTest, FailoverRoutesAroundDownServer) {

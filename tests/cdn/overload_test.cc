@@ -1,12 +1,12 @@
 // Overload-protection layer: shed-probability policy, circuit-breaker state
-// machine, retry budget, and their wiring into AtsServer (coupled and
-// session-isolated paths).
+// machine, retry budget, and their wiring into AtsServer::serve.
 #include "cdn/overload.h"
 
 #include <gtest/gtest.h>
 
 #include "cdn/ats_server.h"
 #include "cdn/cache.h"
+#include "serve_session.h"
 
 namespace vstream::cdn {
 namespace {
@@ -210,52 +210,54 @@ TEST(RetryBudgetTest, BucketDepthIsCapped) {
 
 TEST(OverloadServerTest, FlashCrowdShedsSteadyWorkButNeverFirstChunks) {
   AtsServer server(small_config(), BackendConfig{});
-  server.warm(key(1), 500'000);
+  ServeSession session(server);
+  session.warm.admit(key(1), 500'000);
   server.set_overload(8.0);  // excess 0.84: steady shed probability is 1.0
   sim::Rng rng(21);
 
   ServeOptions steady;  // default priority kSteady
   for (int i = 0; i < 50; ++i) {
-    const ServeResult r = server.serve(key(1), 500'000, i * 10.0, rng, steady);
+    const ServeResult r = session.serve(key(1), i * 10.0, rng, steady);
     EXPECT_TRUE(r.shed);
     EXPECT_TRUE(r.failed);
   }
   ServeOptions first;
   first.priority = RequestPriority::kFirstChunk;
   for (int i = 0; i < 50; ++i) {
-    const ServeResult r =
-        server.serve(key(1), 500'000, 1'000.0 + i * 10.0, rng, first);
+    const ServeResult r = session.serve(key(1), 1'000.0 + i * 10.0, rng, first);
     EXPECT_FALSE(r.shed);
     EXPECT_FALSE(r.failed);
   }
-  EXPECT_EQ(server.shed_requests(), 50u);
+  EXPECT_EQ(session.stats.shed_requests, 50u);
   // Shed requests are turned away before counting as served.
-  EXPECT_EQ(server.requests_served(), 50u);
+  EXPECT_EQ(session.stats.requests_served, 50u);
 }
 
 TEST(OverloadServerTest, OpenBreakerServesCachedStaleWhileRevalidate) {
   AtsConfig config = small_config();
   config.overload.hedge_enabled = false;
   AtsServer server(config, BackendConfig{});
-  server.warm(key(1), 500'000);
+  ServeSession session(server);
+  session.warm.admit(key(1), 500'000);
   server.set_backend_slowdown(10'000.0);  // every fetch blows the threshold
   sim::Rng rng(22);
 
   for (std::uint32_t i = 0; i < 4; ++i) {
-    server.serve(key(100 + i), 500'000, i * 1.0, rng);
+    session.serve(key(100 + i), i * 1.0, rng);
   }
-  ASSERT_EQ(server.breaker_state(10.0), BreakerState::kOpen);
-  ASSERT_EQ(server.breaker_open_transitions(), 1u);
+  ASSERT_EQ(session.state.breaker.state(config.overload, 10.0),
+            BreakerState::kOpen);
+  ASSERT_EQ(session.stats.breaker_open_transitions, 1u);
 
   // Cached object: served without an origin consult, flagged SWR.
-  const ServeResult hit = server.serve(key(1), 500'000, 20.0, rng);
+  const ServeResult hit = session.serve(key(1), 20.0, rng);
   EXPECT_TRUE(hit.cache_hit());
   EXPECT_TRUE(hit.swr);
   EXPECT_FALSE(hit.failed);
-  EXPECT_EQ(server.swr_serves(), 1u);
+  EXPECT_EQ(session.stats.swr_serves, 1u);
 
   // Uncached object: fast-fail instead of queueing on the melted origin.
-  const ServeResult miss = server.serve(key(200), 500'000, 21.0, rng);
+  const ServeResult miss = session.serve(key(200), 21.0, rng);
   EXPECT_TRUE(miss.failed);
   EXPECT_FALSE(miss.shed);
   EXPECT_DOUBLE_EQ(miss.dbe_ms, 0.0);
@@ -264,17 +266,18 @@ TEST(OverloadServerTest, OpenBreakerServesCachedStaleWhileRevalidate) {
 
 TEST(OverloadServerTest, BackendOutageTripsBreakerAndStaleWins) {
   AtsServer server(small_config(), BackendConfig{});
-  server.warm(key(1), 500'000);
+  ServeSession session(server);
+  session.warm.admit(key(1), 500'000);
   server.set_backend_down(true);
   sim::Rng rng(23);
 
   for (std::uint32_t i = 0; i < 4; ++i) {
-    const ServeResult r = server.serve(key(100 + i), 500'000, i * 1.0, rng);
+    const ServeResult r = session.serve(key(100 + i), i * 1.0, rng);
     EXPECT_TRUE(r.failed);
   }
-  EXPECT_EQ(server.breaker_open_transitions(), 1u);
+  EXPECT_EQ(session.stats.breaker_open_transitions, 1u);
   // During an outage the hit path reports stale (outage), not SWR (breaker).
-  const ServeResult hit = server.serve(key(1), 500'000, 10.0, rng);
+  const ServeResult hit = session.serve(key(1), 10.0, rng);
   EXPECT_TRUE(hit.stale);
   EXPECT_FALSE(hit.swr);
 }
@@ -285,35 +288,36 @@ TEST(OverloadServerTest, HedgedFetchCountsTowardBackendLoad) {
   AtsConfig config = small_config();
   config.overload.hedge_after_ms = 0.001;  // hedge on effectively every miss
   AtsServer server(config, BackendConfig{});
+  ServeSession session(server);
   sim::Rng rng(24);
 
-  const ServeResult r = server.serve(key(1), 500'000, 0.0, rng);
+  const ServeResult r = session.serve(key(1), 0.0, rng);
   EXPECT_TRUE(r.hedged);
-  EXPECT_EQ(server.hedged_fetches(), 1u);
-  EXPECT_EQ(server.backend_requests(), 2u) << "primary fetch + hedge";
+  EXPECT_EQ(session.stats.hedged_fetches, 1u);
+  EXPECT_EQ(session.stats.backend_requests(), 2u) << "primary fetch + hedge";
 }
 
 TEST(OverloadServerTest, HedgeWinsTakeTheFasterFirstByte) {
   AtsConfig config = small_config();
   config.overload.hedge_after_ms = 0.001;
   AtsServer server(config, BackendConfig{});
+  ServeSession session(server);
   sim::Rng rng(25);
 
   std::uint64_t wins_seen = 0;
   for (std::uint32_t i = 0; i < 200; ++i) {
-    const ServeResult r =
-        server.serve(key(1'000 + i), 500'000, i * 1'000.0, rng);
+    const ServeResult r = session.serve(key(1'000 + i), i * 1'000.0, rng);
     if (r.hedge_won) {
       ++wins_seen;
       EXPECT_TRUE(r.hedged);
     }
   }
-  EXPECT_GT(server.hedge_wins(), 0u);
-  EXPECT_LE(server.hedge_wins(), server.hedged_fetches());
-  EXPECT_EQ(server.hedge_wins(), wins_seen);
+  EXPECT_GT(session.stats.hedge_wins, 0u);
+  EXPECT_LE(session.stats.hedge_wins, session.stats.hedged_fetches);
+  EXPECT_EQ(session.stats.hedge_wins, wins_seen);
   // The budget caps hedging near retry_budget_ratio of traffic (plus the
   // initial bucket), so most of the 200 misses went unhedged.
-  EXPECT_LT(server.hedged_fetches(), 50u);
+  EXPECT_LT(session.stats.hedged_fetches, 50u);
 }
 
 TEST(OverloadServerTest, DryRetryBudgetFastFailsRetries) {
@@ -322,18 +326,19 @@ TEST(OverloadServerTest, DryRetryBudgetFastFailsRetries) {
   config.overload.retry_budget_initial = 1.0;
   config.overload.retry_budget_ratio = 1e-6;  // effectively no refill
   AtsServer server(config, BackendConfig{});
+  ServeSession session(server);
   sim::Rng rng(26);
 
   ServeOptions retry;
   retry.retry = true;
-  const ServeResult first = server.serve(key(1), 500'000, 0.0, rng, retry);
+  const ServeResult first = session.serve(key(1), 0.0, rng, retry);
   EXPECT_FALSE(first.failed) << "one token: the first retry re-fetches";
-  const ServeResult second = server.serve(key(2), 500'000, 10.0, rng, retry);
+  const ServeResult second = session.serve(key(2), 10.0, rng, retry);
   EXPECT_TRUE(second.budget_denied);
   EXPECT_TRUE(second.failed);
-  EXPECT_EQ(server.retry_budget_exhausted(), 1u);
+  EXPECT_EQ(session.stats.retry_budget_exhausted, 1u);
   // Fresh (non-retry) requests never draw on the budget.
-  const ServeResult fresh = server.serve(key(3), 500'000, 20.0, rng);
+  const ServeResult fresh = session.serve(key(3), 20.0, rng);
   EXPECT_FALSE(fresh.failed);
 }
 
@@ -341,36 +346,35 @@ TEST(OverloadServerTest, IsolatedPathMirrorsSheddingAndBreaker) {
   AtsConfig config = small_config();
   config.overload.hedge_enabled = false;
   AtsServer server(config, BackendConfig{});
-  const TwoLevelCache warm(10ull << 20, 100ull << 20, PolicyKind::kLru);
+  ServeSession session(server);
   sim::Rng rng(27);
 
   // Shedding: driven purely by the fault-driven overload factor.
   server.set_overload(8.0);
-  SessionServerState session;
-  ServerStats stats;
-  const ServeResult shed =
-      server.serve_isolated(key(1), 500'000, 0.0, rng, warm, session, stats);
+  const ServeResult shed = session.serve(key(1), 0.0, rng);
   EXPECT_TRUE(shed.shed);
-  EXPECT_EQ(stats.shed_requests, 1u);
-  EXPECT_EQ(stats.requests_served, 0u);
+  EXPECT_EQ(session.stats.shed_requests, 1u);
+  EXPECT_EQ(session.stats.requests_served, 0u);
   server.set_overload(1.0);
 
   // Breaker: fed only by this session's own observed outcomes.
   server.set_backend_down(true);
   for (std::uint32_t i = 0; i < 4; ++i) {
-    server.serve_isolated(key(100 + i), 500'000, 10.0 + i, rng, warm, session,
-                          stats);
+    session.serve(key(100 + i), 10.0 + i, rng);
   }
-  EXPECT_EQ(stats.breaker_open_transitions, 1u);
-  EXPECT_EQ(stats.backend_errors, 4u);
+  EXPECT_EQ(session.stats.breaker_open_transitions, 1u);
+  EXPECT_EQ(session.stats.backend_errors, 4u);
   server.set_backend_down(false);
-  const ServeResult miss = server.serve_isolated(key(200), 500'000, 20.0, rng,
-                                                 warm, session, stats);
+  const ServeResult miss = session.serve(key(200), 20.0, rng);
   EXPECT_EQ(miss.breaker, BreakerState::kOpen);
   EXPECT_TRUE(miss.failed);
   EXPECT_DOUBLE_EQ(miss.dbe_ms, 0.0);
-  // The server's own coupled-mode breaker never saw any of it.
-  EXPECT_EQ(server.breaker_open_transitions(), 0u);
+  // Another session on the same server never saw any of it.
+  ServeSession other(server);
+  const ServeResult fresh = other.serve(key(201), 20.0, rng);
+  EXPECT_EQ(fresh.breaker, BreakerState::kClosed);
+  EXPECT_FALSE(fresh.failed);
+  EXPECT_EQ(other.stats.breaker_open_transitions, 0u);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "cdn/ats_server.h"
+#include "serve_session.h"
 
 namespace vstream::cdn {
 namespace {
@@ -19,99 +20,107 @@ ChunkKey key(std::uint32_t video, std::uint32_t chunk) {
 
 TEST(PrefetchTest, DisabledByDefault) {
   AtsServer server(AtsConfig{}, BackendConfig{});
+  ServeSession session(server);
   sim::Rng rng(1);
-  server.serve(key(1, 0), 1'000'000, 0.0, rng);
-  EXPECT_EQ(server.prefetched_chunks(), 0u);
+  session.serve(key(1, 0), 0.0, rng);
+  EXPECT_EQ(session.stats.prefetched_chunks, 0u);
   // The next chunk was not prefetched: it misses.
-  EXPECT_EQ(server.serve(key(1, 1), 1'000'000, 10.0, rng).level,
+  EXPECT_EQ(session.serve(key(1, 1), 10.0, rng).level,
             CacheLevel::kMiss);
 }
 
 TEST(PrefetchTest, MissTriggersPrefetchOfFollowingChunks) {
   AtsServer server(config_with_prefetch(3), BackendConfig{});
+  ServeSession session(server);
   sim::Rng rng(2);
-  const ServeResult first = server.serve(key(7, 0), 1'000'000, 0.0, rng);
+  const ServeResult first = session.serve(key(7, 0), 0.0, rng);
   EXPECT_EQ(first.level, CacheLevel::kMiss);
-  EXPECT_EQ(server.prefetched_chunks(), 3u);
+  EXPECT_EQ(session.stats.prefetched_chunks, 3u);
 
   // Chunks 1..3 now hit; chunk 4 is beyond the prefetch window.
   for (std::uint32_t c = 1; c <= 3; ++c) {
-    EXPECT_TRUE(server.serve(key(7, c), 1'000'000, c * 10.0, rng).cache_hit())
+    EXPECT_TRUE(session.serve(key(7, c), c * 10.0, rng).cache_hit())
         << "chunk " << c;
   }
-  EXPECT_EQ(server.serve(key(7, 4), 1'000'000, 40.0, rng).level,
+  EXPECT_EQ(session.serve(key(7, 4), 40.0, rng).level,
             CacheLevel::kMiss);
 }
 
 TEST(PrefetchTest, PrefetchedChunksServeFromRam) {
   AtsServer server(config_with_prefetch(2), BackendConfig{});
+  ServeSession session(server);
   sim::Rng rng(3);
-  server.serve(key(7, 0), 1'000'000, 0.0, rng);
+  session.serve(key(7, 0), 0.0, rng);
   // Freshly admitted -> RAM-resident: no retry timer, fast read.
-  const ServeResult r = server.serve(key(7, 1), 1'000'000, 10.0, rng);
+  const ServeResult r = session.serve(key(7, 1), 10.0, rng);
   EXPECT_EQ(r.level, CacheLevel::kRam);
   EXPECT_FALSE(r.retry_timer_fired);
 }
 
 TEST(PrefetchTest, NoDoubleFetchOfCachedChunks) {
   AtsServer server(config_with_prefetch(4), BackendConfig{});
+  ServeSession session(server);
   sim::Rng rng(4);
-  server.warm(key(9, 2), 1'000'000);  // chunk 2 already cached
-  server.serve(key(9, 0), 1'000'000, 0.0, rng);
+  session.warm.admit(key(9, 2), 1'000'000);  // chunk 2 already cached
+  session.serve(key(9, 0), 0.0, rng);
   // Chunks 1, 3, 4 prefetched; chunk 2 skipped (already resident).
-  EXPECT_EQ(server.prefetched_chunks(), 3u);
+  EXPECT_EQ(session.stats.prefetched_chunks, 3u);
 }
 
 TEST(PrefetchTest, BackendRequestsIncludePrefetches) {
   AtsServer server(config_with_prefetch(2), BackendConfig{});
+  ServeSession session(server);
   sim::Rng rng(5);
-  server.serve(key(1, 0), 1'000'000, 0.0, rng);   // miss + 2 prefetches
-  server.serve(key(2, 0), 1'000'000, 10.0, rng);  // miss + 2 prefetches
-  EXPECT_EQ(server.misses(), 2u);
-  EXPECT_EQ(server.prefetched_chunks(), 4u);
-  EXPECT_EQ(server.backend_requests(), 6u);
+  session.serve(key(1, 0), 0.0, rng);   // miss + 2 prefetches
+  session.serve(key(2, 0), 10.0, rng);  // miss + 2 prefetches
+  EXPECT_EQ(session.stats.misses, 2u);
+  EXPECT_EQ(session.stats.prefetched_chunks, 4u);
+  EXPECT_EQ(session.stats.backend_requests(), 6u);
 }
 
 TEST(PrefetchTest, HitsNeverPrefetch) {
   AtsServer server(config_with_prefetch(4), BackendConfig{});
+  ServeSession session(server);
   sim::Rng rng(6);
-  server.serve(key(1, 0), 1'000'000, 0.0, rng);
-  const std::uint64_t after_miss = server.prefetched_chunks();
-  server.serve(key(1, 0), 1'000'000, 10.0, rng);  // hit
-  EXPECT_EQ(server.prefetched_chunks(), after_miss);
+  session.serve(key(1, 0), 0.0, rng);
+  const std::uint64_t after_miss = session.stats.prefetched_chunks;
+  session.serve(key(1, 0), 10.0, rng);  // hit
+  EXPECT_EQ(session.stats.prefetched_chunks, after_miss);
 }
 
 TEST(CollapsedForwardingTest, ConcurrentRequestsShareOneBackendFetch) {
   AtsServer server(AtsConfig{}, BackendConfig{});
+  ServeSession session(server);
   sim::Rng rng(9);
   // First request misses and issues the backend fetch.
-  const ServeResult first = server.serve(key(5, 0), 1'000'000, 0.0, rng);
+  const ServeResult first = session.serve(key(5, 0), 0.0, rng);
   ASSERT_EQ(first.level, CacheLevel::kMiss);
-  EXPECT_EQ(server.backend_requests(), 1u);
+  EXPECT_EQ(session.stats.backend_requests(), 1u);
 
   // A near-simultaneous request for the same object hits the just-admitted
   // entry but must wait out the in-flight fetch (read-while-writer) — and
   // must NOT issue a second backend request.
-  const ServeResult second = server.serve(key(5, 0), 1'000'000, 1.0, rng);
+  const ServeResult second = session.serve(key(5, 0), 1.0, rng);
   EXPECT_TRUE(second.cache_hit());
-  EXPECT_EQ(server.backend_requests(), 1u);
-  EXPECT_EQ(server.collapsed_misses(), 1u);
+  EXPECT_EQ(session.stats.backend_requests(), 1u);
+  EXPECT_EQ(session.stats.collapsed_misses, 1u);
   // Its first byte cannot beat the backend's by more than the 1 ms skew.
   EXPECT_GE(second.dread_ms, first.dbe_ms - 1.0);
 
   // Long after the fetch completed, the same object is a plain fast hit.
-  const ServeResult later = server.serve(key(5, 0), 1'000'000, 10'000.0, rng);
+  const ServeResult later = session.serve(key(5, 0), 10'000.0, rng);
   EXPECT_LT(later.dread_ms, 10.0);
-  EXPECT_EQ(server.collapsed_misses(), 1u);
+  EXPECT_EQ(session.stats.collapsed_misses, 1u);
 }
 
 TEST(CollapsedForwardingTest, DistinctObjectsFetchIndependently) {
   AtsServer server(AtsConfig{}, BackendConfig{});
+  ServeSession session(server);
   sim::Rng rng(10);
-  server.serve(key(5, 0), 1'000'000, 0.0, rng);
-  server.serve(key(5, 1), 1'000'000, 1.0, rng);
-  EXPECT_EQ(server.backend_requests(), 2u);
-  EXPECT_EQ(server.collapsed_misses(), 0u);
+  session.serve(key(5, 0), 0.0, rng);
+  session.serve(key(5, 1), 1.0, rng);
+  EXPECT_EQ(session.stats.backend_requests(), 2u);
+  EXPECT_EQ(session.stats.collapsed_misses, 0u);
 }
 
 // Property: with prefetch depth >= session length, a sequential session has
@@ -121,10 +130,11 @@ class PrefetchDepthTest : public ::testing::TestWithParam<std::uint32_t> {};
 TEST_P(PrefetchDepthTest, SequentialSessionMissesOnce) {
   const std::uint32_t chunks = GetParam();
   AtsServer server(config_with_prefetch(chunks), BackendConfig{});
+  ServeSession session(server);
   sim::Rng rng(7);
   std::size_t misses = 0;
   for (std::uint32_t c = 0; c < chunks; ++c) {
-    if (!server.serve(key(3, c), 500'000, c * 10.0, rng).cache_hit()) ++misses;
+    if (!session.serve(key(3, c), c * 10.0, rng).cache_hit()) ++misses;
   }
   EXPECT_EQ(misses, 1u);
 }

@@ -7,13 +7,13 @@
 #include <string>
 
 #include "analysis/detectors.h"
-#include "core/pipeline.h"
+#include "engine/engine.h"
 #include "faults/fault_schedule.h"
 #include "telemetry/export.h"
 #include "telemetry/join.h"
 #include "workload/scenario.h"
 
-namespace vstream::core {
+namespace vstream::engine {
 namespace {
 
 /// Serialize all five telemetry streams; equal strings == equal datasets.
@@ -25,6 +25,13 @@ std::string dataset_fingerprint(const telemetry::Dataset& data) {
   telemetry::write_cdn_chunks_csv(out, data.cdn_chunks);
   telemetry::write_tcp_snapshots_csv(out, data.tcp_snapshots);
   return out.str();
+}
+
+RunResult run_with_faults(const workload::Scenario& scenario,
+                          faults::FaultSchedule schedule) {
+  RunOptions options;
+  options.faults = std::move(schedule);
+  return run_simulation(scenario, std::move(options));
 }
 
 faults::FaultSchedule crash_and_outage_schedule() {
@@ -39,20 +46,16 @@ faults::FaultSchedule crash_and_outage_schedule() {
 
 TEST(FaultRecoveryTest, MidRunCrashAndOutageEndToEnd) {
   const workload::Scenario scenario = workload::test_scenario();
-  Pipeline pipeline(scenario);
-  pipeline.warm_caches();
-  pipeline.inject_faults(crash_and_outage_schedule());
-  pipeline.run();
+  const RunResult run = run_with_faults(scenario, crash_and_outage_schedule());
 
   // Every session terminated — abandoned ones included — never hung.
-  const telemetry::Dataset& data = pipeline.dataset();
+  const telemetry::Dataset& data = run.dataset;
   ASSERT_EQ(data.player_sessions.size(), scenario.session_count);
   ASSERT_EQ(data.cdn_sessions.size(), scenario.session_count);
 
-  // The injected epochs really fired (2 epochs = 2 applies).
-  ASSERT_NE(pipeline.injector(), nullptr);
-  EXPECT_EQ(pipeline.injector()->applied_count(), 2u);
-  EXPECT_EQ(pipeline.ground_truth().injected_faults.size(), 2u);
+  // Both injected epochs are on record (the timeouts and stale serves
+  // below show they fired).
+  EXPECT_EQ(run.ground_truth.injected_faults.size(), 2u);
 
   // Recovery machinery is visible in the player-side telemetry...
   std::uint64_t retries = 0, timeouts = 0, failover_chunks = 0;
@@ -68,7 +71,7 @@ TEST(FaultRecoveryTest, MidRunCrashAndOutageEndToEnd) {
   // ...and is bounded by the simulator's ground truth.  (Abandoned chunks
   // retry and time out too but never emit a telemetry record, so ground
   // truth is a superset of what the player logs.)
-  const GroundTruth& truth = pipeline.ground_truth();
+  const GroundTruth& truth = run.ground_truth;
   EXPECT_GE(truth.chunk_retries, retries);
   EXPECT_GE(truth.request_timeouts, timeouts);
   EXPECT_GE(truth.failover_events, failover_chunks);
@@ -88,23 +91,19 @@ TEST(FaultRecoveryTest, MidRunCrashAndOutageEndToEnd) {
   EXPECT_GT(impact.stale_chunks, 0u);
 
   // The same seed and schedule reproduce the dataset exactly.
-  Pipeline again(scenario);
-  again.warm_caches();
-  again.inject_faults(crash_and_outage_schedule());
-  again.run();
-  EXPECT_EQ(dataset_fingerprint(data), dataset_fingerprint(again.dataset()));
+  const RunResult again =
+      run_with_faults(scenario, crash_and_outage_schedule());
+  EXPECT_EQ(dataset_fingerprint(data), dataset_fingerprint(again.dataset));
 }
 
 TEST(FaultRecoveryTest, PopBlackoutFailsOverCrossPopAndRecovers) {
-  workload::Scenario scenario = workload::test_scenario();
-  Pipeline pipeline(scenario);
-  pipeline.warm_caches();
-  pipeline.inject_faults(faults::FaultSchedule::scripted({
-      {faults::FaultKind::kPopBlackout, 2'000.0, 6'000.0, 0, 0, 1.0},
-  }));
-  pipeline.run();
+  const workload::Scenario scenario = workload::test_scenario();
+  const RunResult run =
+      run_with_faults(scenario, faults::FaultSchedule::scripted({
+          {faults::FaultKind::kPopBlackout, 2'000.0, 6'000.0, 0, 0, 1.0},
+      }));
 
-  const telemetry::Dataset& data = pipeline.dataset();
+  const telemetry::Dataset& data = run.dataset;
   ASSERT_EQ(data.player_sessions.size(), scenario.session_count);
 
   const auto joined = telemetry::JoinedDataset::build(data);
@@ -138,15 +137,13 @@ TEST(FaultRecoveryTest, PopBlackoutFailsOverCrossPopAndRecovers) {
 TEST(FaultRecoveryTest, WholeFleetDarkSessionsAbandonButTerminate) {
   workload::Scenario scenario = workload::test_scenario();
   scenario.session_count = 60;  // all arrive within the dark window
-  Pipeline pipeline(scenario);
-  pipeline.warm_caches();
-  pipeline.inject_faults(faults::FaultSchedule::scripted({
-      {faults::FaultKind::kPopBlackout, 0.0, 120'000.0, 0, 0, 1.0},
-      {faults::FaultKind::kPopBlackout, 0.0, 120'000.0, 1, 0, 1.0},
-  }));
-  pipeline.run();
+  const RunResult run =
+      run_with_faults(scenario, faults::FaultSchedule::scripted({
+          {faults::FaultKind::kPopBlackout, 0.0, 120'000.0, 0, 0, 1.0},
+          {faults::FaultKind::kPopBlackout, 0.0, 120'000.0, 1, 0, 1.0},
+      }));
 
-  const telemetry::Dataset& data = pipeline.dataset();
+  const telemetry::Dataset& data = run.dataset;
   ASSERT_EQ(data.player_sessions.size(), scenario.session_count);
   // With nowhere to fail over, every session exhausts its retries and ends
   // incomplete — but *ends*.
@@ -154,7 +151,7 @@ TEST(FaultRecoveryTest, WholeFleetDarkSessionsAbandonButTerminate) {
     EXPECT_FALSE(session.completed);
     EXPECT_EQ(session.chunks_requested, 0u);
   }
-  EXPECT_EQ(pipeline.ground_truth().failed_sessions, scenario.session_count);
+  EXPECT_EQ(run.ground_truth.failed_sessions, scenario.session_count);
 }
 
 TEST(FaultRecoveryTest, StochasticScheduleIsBitForBitReproducible) {
@@ -168,14 +165,13 @@ TEST(FaultRecoveryTest, StochasticScheduleIsBitForBitReproducible) {
   config.loss_bursts_per_hour = 60.0;
 
   const auto run_once = [&](std::uint64_t fault_seed) {
-    Pipeline pipeline(scenario);
-    pipeline.warm_caches();
     sim::Rng fault_rng(fault_seed);
-    pipeline.inject_faults(faults::FaultSchedule::stochastic(
-        config, pipeline.fleet().pop_count(), pipeline.fleet().servers_per_pop(),
-        fault_rng));
-    pipeline.run();
-    return dataset_fingerprint(pipeline.dataset());
+    return dataset_fingerprint(
+        run_with_faults(scenario, faults::FaultSchedule::stochastic(
+                                      config, scenario.fleet.pop_count,
+                                      scenario.fleet.servers_per_pop,
+                                      fault_rng))
+            .dataset);
   };
 
   const std::string first = run_once(2016);
@@ -187,4 +183,4 @@ TEST(FaultRecoveryTest, StochasticScheduleIsBitForBitReproducible) {
 }
 
 }  // namespace
-}  // namespace vstream::core
+}  // namespace vstream::engine

@@ -1,13 +1,15 @@
-#include "core/pipeline.h"
-
+// The end-to-end measurement pipeline through the sharded engine: both
+// telemetry sides, the join, determinism, warm-up and scripted sessions.
 #include <gtest/gtest.h>
 
-#include <set>
-
+#include "cdn/fleet.h"
+#include "engine/engine.h"
+#include "engine/replay.h"
+#include "engine/warmup.h"
 #include "telemetry/join.h"
 #include "telemetry/proxy_filter.h"
 
-namespace vstream::core {
+namespace vstream::engine {
 namespace {
 
 workload::Scenario tiny_scenario(std::size_t sessions = 60) {
@@ -17,10 +19,8 @@ workload::Scenario tiny_scenario(std::size_t sessions = 60) {
 }
 
 TEST(PipelineTest, ProducesBothTelemetrySides) {
-  Pipeline pipeline(tiny_scenario());
-  pipeline.warm_caches();
-  pipeline.run();
-  const telemetry::Dataset& d = pipeline.dataset();
+  const RunResult run = run_simulation(tiny_scenario());
+  const telemetry::Dataset& d = run.dataset;
   EXPECT_EQ(d.player_sessions.size(), 60u);
   EXPECT_EQ(d.cdn_sessions.size(), 60u);
   EXPECT_EQ(d.player_chunks.size(), d.cdn_chunks.size());
@@ -30,13 +30,10 @@ TEST(PipelineTest, ProducesBothTelemetrySides) {
 
 TEST(PipelineTest, DeterministicForSeed) {
   workload::Scenario s = tiny_scenario(30);
-  Pipeline a(s), b(s);
-  a.warm_caches();
-  b.warm_caches();
-  a.run();
-  b.run();
-  const auto& da = a.dataset();
-  const auto& db = b.dataset();
+  const RunResult a = run_simulation(s);
+  const RunResult b = run_simulation(s);
+  const auto& da = a.dataset;
+  const auto& db = b.dataset;
   ASSERT_EQ(da.player_chunks.size(), db.player_chunks.size());
   for (std::size_t i = 0; i < da.player_chunks.size(); ++i) {
     EXPECT_DOUBLE_EQ(da.player_chunks[i].dfb_ms, db.player_chunks[i].dfb_ms);
@@ -49,12 +46,11 @@ TEST(PipelineTest, DifferentSeedsDiffer) {
   workload::Scenario s1 = tiny_scenario(30);
   workload::Scenario s2 = tiny_scenario(30);
   s2.seed = s1.seed + 1;
-  Pipeline a(s1), b(s2);
-  a.run();
-  b.run();
+  const RunResult a = run_simulation(s1);
+  const RunResult b = run_simulation(s2);
   // At least some chunk timings must differ.
-  const auto& da = a.dataset();
-  const auto& db = b.dataset();
+  const auto& da = a.dataset;
+  const auto& db = b.dataset;
   bool any_diff = da.player_chunks.size() != db.player_chunks.size();
   for (std::size_t i = 0;
        !any_diff && i < std::min(da.player_chunks.size(), db.player_chunks.size());
@@ -65,10 +61,8 @@ TEST(PipelineTest, DifferentSeedsDiffer) {
 }
 
 TEST(PipelineTest, JoinedDatasetIsComplete) {
-  Pipeline pipeline(tiny_scenario());
-  pipeline.warm_caches();
-  pipeline.run();
-  const auto joined = telemetry::JoinedDataset::build(pipeline.dataset());
+  const RunResult run = run_simulation(tiny_scenario());
+  const auto joined = telemetry::JoinedDataset::build(run.dataset);
   EXPECT_EQ(joined.sessions().size(), 60u);
   for (const telemetry::JoinedSession& s : joined.sessions()) {
     EXPECT_NE(s.player, nullptr);
@@ -87,9 +81,10 @@ TEST(PipelineTest, JoinedDatasetIsComplete) {
 }
 
 TEST(PipelineTest, ChunkIdsAreDenseAndOrdered) {
-  Pipeline pipeline(tiny_scenario());
-  pipeline.run();
-  const auto joined = telemetry::JoinedDataset::build(pipeline.dataset());
+  RunOptions cold;
+  cold.warm_caches = false;
+  const RunResult run = run_simulation(tiny_scenario(), cold);
+  const auto joined = telemetry::JoinedDataset::build(run.dataset);
   for (const telemetry::JoinedSession& s : joined.sessions()) {
     for (std::size_t i = 0; i < s.chunks.size(); ++i) {
       EXPECT_EQ(s.chunks[i].player->chunk_id, i);
@@ -99,10 +94,10 @@ TEST(PipelineTest, ChunkIdsAreDenseAndOrdered) {
 
 TEST(PipelineTest, WarmCachesRaisesHitRate) {
   workload::Scenario s = tiny_scenario(120);
-  Pipeline cold(s), warm(s);
-  warm.warm_caches();
-  cold.run();
-  warm.run();
+  RunOptions cold_options;
+  cold_options.warm_caches = false;
+  const RunResult cold = run_simulation(s, cold_options);
+  const RunResult warm = run_simulation(s);
   const auto miss_ratio = [](const telemetry::Dataset& d) {
     std::size_t misses = 0;
     for (const auto& c : d.cdn_chunks) {
@@ -110,20 +105,21 @@ TEST(PipelineTest, WarmCachesRaisesHitRate) {
     }
     return static_cast<double>(misses) / static_cast<double>(d.cdn_chunks.size());
   };
-  EXPECT_LT(miss_ratio(warm.dataset()), miss_ratio(cold.dataset()));
+  EXPECT_LT(miss_ratio(warm.dataset), miss_ratio(cold.dataset));
 }
 
 TEST(PipelineTest, GroundTruthProxiesMatchFilterTargets) {
   workload::Scenario s = tiny_scenario(300);
   s.population.proxy_fraction = 0.15;
-  Pipeline pipeline(s);
-  pipeline.run();
-  const auto& truth = pipeline.ground_truth();
+  RunOptions cold;
+  cold.warm_caches = false;
+  const RunResult run = run_simulation(s, cold);
+  const auto& truth = run.ground_truth;
   ASSERT_GT(truth.proxied.size(), 10u);
 
   telemetry::ProxyFilterConfig config;
   config.max_sessions_per_ip = 8;
-  const auto detected = telemetry::detect_proxies(pipeline.dataset(), config);
+  const auto detected = telemetry::detect_proxies(run.dataset, config);
   // Every mismatch-detected session is truly proxied (rule (i) has no false
   // positives by construction).
   std::size_t truly_proxied = 0;
@@ -137,29 +133,29 @@ TEST(PipelineTest, GroundTruthProxiesMatchFilterTargets) {
 }
 
 TEST(PipelineTest, ScriptedSessionOverridesApply) {
-  Pipeline pipeline(tiny_scenario(0));
-  pipeline.warm_caches();
+  const ReplayContext world(tiny_scenario(1));
+  const std::uint64_t id = world.admitted().front().spec.session_id;
 
   SessionOverrides overrides;
   overrides.abr = client::AbrKind::kFixed;
   overrides.fixed_bitrate_kbps = 1'500;
   overrides.disable_ds_anomalies = true;
   overrides.gpu = true;
-  const std::uint64_t id = pipeline.run_session(overrides);
+  const auto replayed = world.replay_session(id, {}, &overrides);
+  ASSERT_TRUE(replayed.has_value());
 
-  const auto joined = telemetry::JoinedDataset::build(pipeline.dataset());
+  const auto joined = telemetry::JoinedDataset::build(replayed->dataset);
   ASSERT_EQ(joined.sessions().size(), 1u);
   const telemetry::JoinedSession& session = joined.sessions()[0];
   EXPECT_EQ(session.session_id, id);
   for (const telemetry::JoinedChunk& c : session.chunks) {
     EXPECT_EQ(c.player->bitrate_kbps, 1'500u);
   }
-  EXPECT_TRUE(pipeline.ground_truth().ds_anomalies.empty());
+  EXPECT_TRUE(replayed->ground_truth.ds_anomalies.empty());
 }
 
 TEST(PipelineTest, PerChunkLossOverrideDrivesRetransmissions) {
-  Pipeline pipeline(tiny_scenario(0));
-  pipeline.warm_caches();
+  const ReplayContext world(tiny_scenario(1));
 
   SessionOverrides overrides;
   overrides.abr = client::AbrKind::kFixed;
@@ -169,12 +165,14 @@ TEST(PipelineTest, PerChunkLossOverrideDrivesRetransmissions) {
   overrides.per_chunk_loss.assign(10, std::optional<double>(0.0));
   overrides.per_chunk_loss[4] = 0.25;  // heavy loss on chunk 4 only
   overrides.disable_ds_anomalies = true;
-  pipeline.run_session(overrides);
+  const auto replayed = world.replay_session(
+      world.admitted().front().spec.session_id, {}, &overrides);
+  ASSERT_TRUE(replayed.has_value());
 
-  const auto joined = telemetry::JoinedDataset::build(pipeline.dataset());
+  const auto joined = telemetry::JoinedDataset::build(replayed->dataset);
   ASSERT_EQ(joined.sessions().size(), 1u);
   const auto& chunks = joined.sessions()[0].chunks;
-  ASSERT_GE(chunks.size(), 6u);
+  ASSERT_EQ(chunks.size(), 10u) << "chunk_count overrides the video length";
   EXPECT_GT(chunks[4].retransmissions, 0u);
   // Chunks after the overridden one keep the new loss rate only until the
   // next override entry resets it (entry 5 = 0.0): no retransmissions.
@@ -182,21 +180,16 @@ TEST(PipelineTest, PerChunkLossOverrideDrivesRetransmissions) {
 }
 
 TEST(PipelineTest, StartupDelayRecorded) {
-  Pipeline pipeline(tiny_scenario());
-  pipeline.warm_caches();
-  pipeline.run();
-  for (const auto& s : pipeline.dataset().player_sessions) {
+  const RunResult run = run_simulation(tiny_scenario());
+  for (const auto& s : run.dataset.player_sessions) {
     EXPECT_GT(s.startup_ms, 0.0);
     EXPECT_LT(s.startup_ms, 60'000.0);  // sane upper bound
   }
 }
 
 TEST(PipelineTest, DsAnomalyGroundTruthConsistent) {
-  workload::Scenario s = tiny_scenario(400);
-  Pipeline pipeline(s);
-  pipeline.warm_caches();
-  pipeline.run();
-  const auto& truth = pipeline.ground_truth();
+  const RunResult run = run_simulation(tiny_scenario(400));
+  const auto& truth = run.ground_truth;
   EXPECT_GT(truth.total_chunks, 0u);
   std::size_t listed = 0;
   for (const auto& [session, chunks] : truth.ds_anomalies) {
@@ -210,14 +203,15 @@ TEST(PipelineTest, DsAnomalyGroundTruthConsistent) {
 }
 
 TEST(PipelineTest, WarmTiersFollowPopularity) {
-  workload::Scenario s = tiny_scenario(0);
-  Pipeline pipeline(s);
-  pipeline.warm_caches();
+  const RunResult run = run_simulation(tiny_scenario(0));
+  const workload::VideoCatalog& catalog = *run.catalog;
+  const cdn::Fleet fleet(run.scenario.fleet, catalog.size());
+  const RunOptions defaults;
+  const WarmArchive archive = build_warm_archive(
+      fleet, catalog, defaults.disk_fill, defaults.universal_head);
 
   // The hottest video of each server is fully resident; a deep-tail video
   // (bottom 10% of the assigned list) holds nothing.
-  auto& fleet = pipeline.fleet();
-  const auto& catalog = pipeline.catalog();
   const auto ladder = client::default_bitrate_ladder();
   for (std::uint32_t sidx = 0; sidx < fleet.servers_per_pop(); ++sidx) {
     // Find this server's hottest and coldest assigned videos.
@@ -231,12 +225,9 @@ TEST(PipelineTest, WarmTiersFollowPopularity) {
       found = true;
     }
     ASSERT_TRUE(found);
-    const cdn::AtsServer& server = fleet.server({0, sidx});
     const auto resident = [&](std::uint32_t video, std::uint32_t chunk) {
-      // Peek via a const-safe path: both cache levels' contains().
       const cdn::ChunkKey key{video, chunk, ladder[2]};
-      return server.cache().ram().contains(key) ||
-             server.cache().disk().contains(key);
+      return archive.for_server(sidx).peek(key) != cdn::CacheLevel::kMiss;
     };
     EXPECT_TRUE(resident(hottest, 0));
     EXPECT_TRUE(resident(hottest, catalog.video(hottest).chunk_count - 1));
@@ -244,11 +235,5 @@ TEST(PipelineTest, WarmTiersFollowPopularity) {
   }
 }
 
-TEST(RunScenarioTest, ConvenienceWrapperWorks) {
-  const telemetry::Dataset d = run_scenario(tiny_scenario(10));
-  EXPECT_EQ(d.player_sessions.size(), 10u);
-  EXPECT_FALSE(d.player_chunks.empty());
-}
-
 }  // namespace
-}  // namespace vstream::core
+}  // namespace vstream::engine

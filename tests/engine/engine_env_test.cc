@@ -6,6 +6,7 @@
 
 #include "engine/engine.h"
 #include "runtime/executor.h"
+#include "sim/env_util.h"
 
 namespace vstream {
 namespace {
@@ -22,47 +23,47 @@ class EnvGuard {
 
 TEST(PositiveEnvTest, UnsetReturnsFallback) {
   EnvGuard guard("VSTREAM_TEST_KNOB");
-  EXPECT_EQ(engine::positive_env("VSTREAM_TEST_KNOB", 42u), 42u);
+  EXPECT_EQ(sim::positive_env("VSTREAM_TEST_KNOB", 42u), 42u);
 }
 
 TEST(PositiveEnvTest, ValidValueParses) {
   EnvGuard guard("VSTREAM_TEST_KNOB");
   guard.set("17");
-  EXPECT_EQ(engine::positive_env("VSTREAM_TEST_KNOB", 42u), 17u);
+  EXPECT_EQ(sim::positive_env("VSTREAM_TEST_KNOB", 42u), 17u);
 }
 
 TEST(PositiveEnvTest, RejectsZero) {
   EnvGuard guard("VSTREAM_TEST_KNOB");
   guard.set("0");
-  EXPECT_THROW(engine::positive_env("VSTREAM_TEST_KNOB", 42u),
+  EXPECT_THROW(sim::positive_env("VSTREAM_TEST_KNOB", 42u),
                std::runtime_error);
 }
 
 TEST(PositiveEnvTest, RejectsNegative) {
   EnvGuard guard("VSTREAM_TEST_KNOB");
   guard.set("-3");
-  EXPECT_THROW(engine::positive_env("VSTREAM_TEST_KNOB", 42u),
+  EXPECT_THROW(sim::positive_env("VSTREAM_TEST_KNOB", 42u),
                std::runtime_error);
 }
 
 TEST(PositiveEnvTest, RejectsNonNumeric) {
   EnvGuard guard("VSTREAM_TEST_KNOB");
   guard.set("many");
-  EXPECT_THROW(engine::positive_env("VSTREAM_TEST_KNOB", 42u),
+  EXPECT_THROW(sim::positive_env("VSTREAM_TEST_KNOB", 42u),
                std::runtime_error);
 }
 
 TEST(PositiveEnvTest, RejectsTrailingGarbage) {
   EnvGuard guard("VSTREAM_TEST_KNOB");
   guard.set("12abc");
-  EXPECT_THROW(engine::positive_env("VSTREAM_TEST_KNOB", 42u),
+  EXPECT_THROW(sim::positive_env("VSTREAM_TEST_KNOB", 42u),
                std::runtime_error);
 }
 
 TEST(PositiveEnvTest, RejectsEmpty) {
   EnvGuard guard("VSTREAM_TEST_KNOB");
   guard.set("");
-  EXPECT_THROW(engine::positive_env("VSTREAM_TEST_KNOB", 42u),
+  EXPECT_THROW(sim::positive_env("VSTREAM_TEST_KNOB", 42u),
                std::runtime_error);
 }
 

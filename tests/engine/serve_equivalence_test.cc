@@ -1,19 +1,14 @@
-// Byte goldens for both execution modes of the serve path: the hashes
-// below pin every byte of all five exported CSV streams for
+// Byte golden for the serve path: the hashes below pin every byte of all
+// five exported CSV streams of an engine::run_simulation run whose fault
+// schedule drives every serve regime (AtsServer::serve against the
+// immutable warm archive through each session's own state).
 //
-//   * coupled   — core::Pipeline, one live fleet, mutable caches/queues;
-//   * sharded   — engine::run_simulation, session-isolated serving against
-//                 the immutable warm archive.
-//
-// They were first captured from the two hand-mirrored serve bodies
-// (AtsServer::serve / serve_isolated) that cdn::serve_pipeline<Env>
-// replaced, proving the unified pipeline reproduced both exactly.  They
-// were re-blessed once, for a deliberate model change: TCP losses are now
-// sampled as one binomial count per round instead of one Bernoulli draw per
-// segment, which changes every RNG draw downstream.  The constants now pin
-// that loss sampler; the behaviour it must keep is checked by distribution
-// (tests/integration/model_distribution_golden_test.cc) and by the paper's
-// findings (tests/integration/findings_test.cc), not by these bytes.
+// The constants pin the current random stream, including the per-round
+// binomial TCP loss sampler they were last re-blessed for.  The behaviour
+// the model must keep across such deliberate changes is checked by
+// distribution (tests/integration/model_distribution_golden_test.cc) and
+// by the paper's findings (tests/integration/findings_test.cc), not by
+// these bytes.
 //
 // A refactor must leave these hashes unchanged.  After a deliberate
 // behaviour change, regenerate with:
@@ -30,7 +25,6 @@
 #include <sstream>
 #include <string>
 
-#include "core/pipeline.h"
 #include "engine/engine.h"
 #include "faults/fault_schedule.h"
 #include "telemetry/export.h"
@@ -122,7 +116,7 @@ void check_or_print(const char* label, const StreamHashes& got,
       << label << ": tcp_snapshots.csv changed";
 }
 
-/// The schedule mixes every serve-path regime the pipeline has to
+/// The schedule mixes every serve-path regime the serve path has to
 /// reproduce: overload shedding, breaker trips + hedges (brownout), a
 /// backend outage (stale serves, miss errors), a server crash (failover)
 /// and a degraded disk (seek/retry-timer path).
@@ -150,21 +144,6 @@ TEST(ServeUnificationGolden, ShardedIsolatedPathMatchesPreRefactorBytes) {
                              0xf285b9d6c4426d59ull, 0x43ad849043ecd174ull,
                              0xf67819ee9b032bf3ull};
   check_or_print("sharded", hash_streams(run.dataset), want);
-}
-
-TEST(ServeUnificationGolden, CoupledFleetPathMatchesPreRefactorBytes) {
-  workload::Scenario scenario = workload::test_scenario();
-  scenario.session_count = 150;
-  core::Pipeline pipeline(scenario);
-  pipeline.warm_caches();
-  pipeline.inject_faults(serve_path_schedule());
-  pipeline.run();
-  ASSERT_FALSE(pipeline.dataset().player_chunks.empty());
-
-  const StreamHashes want = {0x625aefc47f0e0121ull, 0x942eaa2b61b874e4ull,
-                             0xb119bca82cdb4395ull, 0x856cddc8935cad72ull,
-                             0xfa7b5d0783a382bfull};
-  check_or_print("coupled", hash_streams(pipeline.dataset()), want);
 }
 
 }  // namespace

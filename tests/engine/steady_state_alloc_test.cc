@@ -20,6 +20,7 @@
 #include "engine/overrides.h"
 #include "engine/run_context.h"
 #include "engine/session_runtime.h"
+#include "engine/warmup.h"
 #include "telemetry/collector.h"
 #include "workload/scenario.h"
 
@@ -59,8 +60,8 @@ namespace {
 
 TEST(SteadyStateAllocTest, ChunkServingAllocatesNothingAfterWarmup) {
   workload::Scenario scenario = workload::test_scenario();
-  // Plenty of RAM: every chunk the warm pass admits stays RAM-resident, so
-  // the probe pass below is a pure hit path.
+  // Plenty of RAM: every chunk the warm archive holds stays RAM-resident,
+  // so the probe session below is a pure hit path.
   scenario.fleet.server.ram_bytes = 64ull << 30;
 
   sim::Rng rng(scenario.seed);
@@ -73,6 +74,9 @@ TEST(SteadyStateAllocTest, ChunkServingAllocatesNothingAfterWarmup) {
   engine::GroundTruth ground_truth;
   std::unordered_set<net::Prefix24> bad_prefixes;
   std::vector<net::RoundSample> round_scratch;
+  engine::WarmArchive archive(scenario.fleet);
+  std::vector<cdn::ServerStats> server_stats(
+      static_cast<std::size_t>(fleet.pop_count()) * fleet.servers_per_pop());
 
   engine::RunContext ctx;
   ctx.scenario = &scenario;
@@ -82,6 +86,8 @@ TEST(SteadyStateAllocTest, ChunkServingAllocatesNothingAfterWarmup) {
   ctx.ground_truth = &ground_truth;
   ctx.bad_prefixes = &bad_prefixes;
   ctx.round_scratch = &round_scratch;
+  ctx.warm_archive = &archive;
+  ctx.server_stats = &server_stats;
 
   constexpr std::uint32_t kChunks = 48;
   workload::SessionSpec spec = generator.next(rng);
@@ -97,7 +103,19 @@ TEST(SteadyStateAllocTest, ChunkServingAllocatesNothingAfterWarmup) {
   overrides.gpu = true;
   overrides.cpu_load = 0.1;
 
-  // Warm pass: every chunk misses and is admitted write-through.
+  // Warm content: every chunk the session will request (same video, fixed
+  // rung), on every server index it could be routed to.
+  for (std::uint32_t sidx = 0; sidx < fleet.servers_per_pop(); ++sidx) {
+    for (std::uint32_t c = 0; c < kChunks; ++c) {
+      archive.mutable_for_server(sidx).admit(
+          cdn::ChunkKey{spec.video_id, c, *overrides.fixed_bitrate_kbps},
+          cdn::chunk_bytes_vbr(*overrides.fixed_bitrate_kbps,
+                               catalog.chunk_duration_s(), spec.video_id, c));
+    }
+  }
+
+  // Warm pass: one full session sizes the shard's shared buffers (round
+  // scratch, collector streams).
   {
     engine::SessionRuntime warm(ctx, spec, rng.fork(), &overrides);
     sim::Ms now = 0.0;
@@ -105,7 +123,7 @@ TEST(SteadyStateAllocTest, ChunkServingAllocatesNothingAfterWarmup) {
     warm.finish();
   }
 
-  // Probe pass: identical keys (same video, fixed rung), now all RAM hits.
+  // Probe pass: identical keys, all RAM hits.
   workload::SessionSpec probe_spec = spec;
   probe_spec.session_id += 1000;
   engine::SessionRuntime probe(ctx, probe_spec, rng.fork(), &overrides);

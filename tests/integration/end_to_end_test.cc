@@ -1,11 +1,11 @@
-// End-to-end integration: run a full scenario through the pipeline and
+// End-to-end integration: run a full scenario through the engine and
 // check structural invariants that span modules (Eq. 1 composition, cache
 // accounting vs telemetry, QoE bookkeeping).
 #include <gtest/gtest.h>
 
 #include "analysis/aggregate.h"
 #include "analysis/detectors.h"
-#include "core/pipeline.h"
+#include "engine/engine.h"
 #include "telemetry/join.h"
 #include "telemetry/proxy_filter.h"
 
@@ -17,36 +17,30 @@ class EndToEndTest : public ::testing::Test {
   static void SetUpTestSuite() {
     workload::Scenario s = workload::test_scenario();
     s.session_count = 500;
-    pipeline_ = new core::Pipeline(s);
-    pipeline_->warm_caches();
-    pipeline_->run();
-    proxies_ = new telemetry::ProxyFilterResult(
-        telemetry::detect_proxies(pipeline_->dataset()));
-    joined_ = new telemetry::JoinedDataset(
-        telemetry::JoinedDataset::build(pipeline_->dataset(), proxies_));
+    analyzed_ = new engine::AnalyzedRun(engine::run_and_analyze(s));
+    run_ = &analyzed_->run;
+    joined_ = &analyzed_->joined;
   }
   static void TearDownTestSuite() {
-    delete joined_;
-    delete proxies_;
-    delete pipeline_;
+    delete analyzed_;
+    analyzed_ = nullptr;
+    run_ = nullptr;
     joined_ = nullptr;
-    proxies_ = nullptr;
-    pipeline_ = nullptr;
   }
 
-  static core::Pipeline* pipeline_;
-  static telemetry::ProxyFilterResult* proxies_;
-  static telemetry::JoinedDataset* joined_;
+  static engine::AnalyzedRun* analyzed_;
+  static const engine::RunResult* run_;
+  static const telemetry::JoinedDataset* joined_;
 };
 
-core::Pipeline* EndToEndTest::pipeline_ = nullptr;
-telemetry::ProxyFilterResult* EndToEndTest::proxies_ = nullptr;
-telemetry::JoinedDataset* EndToEndTest::joined_ = nullptr;
+engine::AnalyzedRun* EndToEndTest::analyzed_ = nullptr;
+const engine::RunResult* EndToEndTest::run_ = nullptr;
+const telemetry::JoinedDataset* EndToEndTest::joined_ = nullptr;
 
 TEST_F(EndToEndTest, SessionsSurviveJoin) {
   EXPECT_GT(joined_->sessions().size(), 400u);
   EXPECT_EQ(joined_->sessions().size() + joined_->dropped_as_proxy(),
-            pipeline_->dataset().player_sessions.size());
+            run_->dataset.player_sessions.size());
 }
 
 TEST_F(EndToEndTest, Equation1Composition) {
@@ -64,7 +58,7 @@ TEST_F(EndToEndTest, Equation1Composition) {
 }
 
 TEST_F(EndToEndTest, ServerLatencyComponentsNonNegative) {
-  for (const auto& c : pipeline_->dataset().cdn_chunks) {
+  for (const auto& c : run_->dataset.cdn_chunks) {
     EXPECT_GE(c.dwait_ms, 0.0);
     EXPECT_GE(c.dopen_ms, 0.0);
     EXPECT_GE(c.dread_ms, 0.0);
@@ -78,20 +72,19 @@ TEST_F(EndToEndTest, ServerLatencyComponentsNonNegative) {
 }
 
 TEST_F(EndToEndTest, FleetCountersMatchTelemetry) {
+  // Conservation: every delivered chunk is one served request in the
+  // per-server counters, and every miss chunk one counted miss.
   std::size_t telemetry_misses = 0;
-  for (const auto& c : pipeline_->dataset().cdn_chunks) {
+  for (const auto& c : run_->dataset.cdn_chunks) {
     if (!c.cache_hit()) ++telemetry_misses;
   }
   std::uint64_t server_misses = 0, server_requests = 0;
-  auto& fleet = pipeline_->fleet();
-  for (std::uint32_t pop = 0; pop < fleet.pop_count(); ++pop) {
-    for (std::uint32_t idx = 0; idx < fleet.servers_per_pop(); ++idx) {
-      server_misses += fleet.server({pop, idx}).misses();
-      server_requests += fleet.server({pop, idx}).requests_served();
-    }
+  for (const cdn::ServerStats& stats : run_->server_stats) {
+    server_misses += stats.misses;
+    server_requests += stats.requests_served;
   }
   EXPECT_EQ(server_misses, telemetry_misses);
-  EXPECT_EQ(server_requests, pipeline_->dataset().cdn_chunks.size());
+  EXPECT_EQ(server_requests, run_->dataset.cdn_chunks.size());
 }
 
 TEST_F(EndToEndTest, TcpSnapshotsBelongToSessions) {
@@ -123,7 +116,7 @@ TEST_F(EndToEndTest, SessionNetMetricsValidEverywhere) {
 TEST_F(EndToEndTest, RebufferingImpliesSlowChunks) {
   // Sessions that stalled must contain at least one chunk whose download
   // was slower than real time (perfscore < 1).
-  const double tau = pipeline_->catalog().chunk_duration_s();
+  const double tau = run_->catalog->chunk_duration_s();
   for (const telemetry::JoinedSession& s : joined_->sessions()) {
     if (s.total_rebuffer_ms() <= 0.0) continue;
     bool any_slow = false;
@@ -138,7 +131,7 @@ TEST_F(EndToEndTest, RebufferingImpliesSlowChunks) {
 }
 
 TEST_F(EndToEndTest, RenderingBookkeepingConsistent) {
-  for (const auto& c : pipeline_->dataset().player_chunks) {
+  for (const auto& c : run_->dataset.player_chunks) {
     EXPECT_LE(c.dropped_frames, c.total_frames);
     EXPECT_GE(c.avg_fps, 0.0);
     EXPECT_LE(c.avg_fps, 30.0 + 1e-9);
@@ -148,7 +141,7 @@ TEST_F(EndToEndTest, RenderingBookkeepingConsistent) {
 TEST_F(EndToEndTest, DsDetectorFindsTruthWithoutWildFalsePositives) {
   // Score the Eq. 4 detector against simulator ground truth — the
   // validation the paper could not run.
-  const auto& truth = pipeline_->ground_truth().ds_anomalies;
+  const auto& truth = run_->ground_truth.ds_anomalies;
   std::size_t true_positives = 0, false_positives = 0, flagged = 0;
   for (const telemetry::JoinedSession& s : joined_->sessions()) {
     const analysis::DsOutlierResult r = analysis::detect_ds_outliers(s);

@@ -7,7 +7,7 @@
 #include "analysis/aggregate.h"
 #include "analysis/detectors.h"
 #include "analysis/stats.h"
-#include "core/pipeline.h"
+#include "engine/engine.h"
 #include "telemetry/join.h"
 #include "telemetry/proxy_filter.h"
 
@@ -19,31 +19,30 @@ class FindingsTest : public ::testing::Test {
   static void SetUpTestSuite() {
     workload::Scenario s = workload::paper_scenario();
     s.session_count = 3'500;  // enough statistics, seconds of runtime
-    pipeline_ = new core::Pipeline(s);
-    pipeline_->warm_caches();
-    pipeline_->run();
-    const auto proxies = telemetry::detect_proxies(pipeline_->dataset());
-    joined_ = new telemetry::JoinedDataset(
-        telemetry::JoinedDataset::build(pipeline_->dataset(), &proxies));
+    analyzed_ = new engine::AnalyzedRun(engine::run_and_analyze(s));
+    run_ = &analyzed_->run;
+    joined_ = &analyzed_->joined;
   }
   static void TearDownTestSuite() {
-    delete joined_;
-    delete pipeline_;
+    delete analyzed_;
+    analyzed_ = nullptr;
+    run_ = nullptr;
     joined_ = nullptr;
-    pipeline_ = nullptr;
   }
 
-  static core::Pipeline* pipeline_;
-  static telemetry::JoinedDataset* joined_;
+  static engine::AnalyzedRun* analyzed_;
+  static const engine::RunResult* run_;
+  static const telemetry::JoinedDataset* joined_;
 };
 
-core::Pipeline* FindingsTest::pipeline_ = nullptr;
-telemetry::JoinedDataset* FindingsTest::joined_ = nullptr;
+engine::AnalyzedRun* FindingsTest::analyzed_ = nullptr;
+const engine::RunResult* FindingsTest::run_ = nullptr;
+const telemetry::JoinedDataset* FindingsTest::joined_ = nullptr;
 
 TEST_F(FindingsTest, Cdn1_CacheMissesOrderOfMagnitudeSlower) {
   // §4.1-1: hit median ~2 ms, miss median ~80 ms (~40x).
   std::vector<double> hit_totals, miss_totals;
-  for (const auto& c : pipeline_->dataset().cdn_chunks) {
+  for (const auto& c : run_->dataset.cdn_chunks) {
     (c.cache_hit() ? hit_totals : miss_totals).push_back(c.server_total_ms());
   }
   ASSERT_GT(hit_totals.size(), 100u);
@@ -60,7 +59,7 @@ TEST_F(FindingsTest, Cdn1_RetryTimerSplitsReadLatency) {
   // open-read-retry timer).  Chunks served from RAM sit below 10 ms; disk
   // and backend chunks above.
   std::size_t below = 0, above = 0;
-  for (const auto& c : pipeline_->dataset().cdn_chunks) {
+  for (const auto& c : run_->dataset.cdn_chunks) {
     if (c.dread_ms < 10.0) {
       ++below;
     } else {
@@ -185,7 +184,7 @@ TEST_F(FindingsTest, Net3_FirstChunkHasHighestRetransmissionRate) {
 TEST_F(FindingsTest, Net4_BadChunksAreThroughputLimited) {
   // Fig. 16 / §4.2-4: bad chunks (perfscore < 1) are throughput-limited —
   // "difference in D_FB is negligible compared to the values of D_LB".
-  const double tau = pipeline_->catalog().chunk_duration_s();
+  const double tau = run_->catalog->chunk_duration_s();
   std::vector<double> share_bad, dfb_bad, dfb_good, dlb_bad, dlb_good;
   for (const telemetry::JoinedSession& s : joined_->sessions()) {
     for (const auto& c : s.chunks) {
@@ -234,9 +233,9 @@ TEST_F(FindingsTest, Client1_FirstChunksHaveHigherDfb) {
 TEST_F(FindingsTest, Client2_SlowDownloadsDropFrames) {
   // Fig. 19: chunks downloaded below 1.5 s/s drop far more frames than
   // fast ones (among visible, software-rendered sessions).
-  const double tau = pipeline_->catalog().chunk_duration_s();
+  const double tau = run_->catalog->chunk_duration_s();
   std::vector<double> slow_drops, fast_drops;
-  for (const auto& c : pipeline_->dataset().player_chunks) {
+  for (const auto& c : run_->dataset.player_chunks) {
     if (!c.visible || c.total_frames == 0) continue;
     const double rate = c.download_rate(tau);
     const double drop =
@@ -256,7 +255,7 @@ TEST_F(FindingsTest, Client3_UnpopularBrowsersDropMoreFrames) {
   // Fig. 22: Yandex/Vivaldi/Opera/Safari-on-Windows trail the mainstream.
   double other_drop = 0.0, main_drop = 0.0;
   std::size_t other_n = 0, main_n = 0;
-  const double tau = pipeline_->catalog().chunk_duration_s();
+  const double tau = run_->catalog->chunk_duration_s();
   std::unordered_map<std::uint64_t, const telemetry::JoinedSession*> sessions;
   for (const auto& s : joined_->sessions()) sessions[s.session_id] = &s;
   for (const telemetry::JoinedSession& s : joined_->sessions()) {
@@ -291,7 +290,7 @@ TEST_F(FindingsTest, Client5_LowerBitratesDropMoreFramesParadox) {
   // chunk-level correlation between bitrate and dropped share must
   // therefore be non-positive.
   std::vector<double> bitrate, dropped;
-  const double tau = pipeline_->catalog().chunk_duration_s();
+  const double tau = run_->catalog->chunk_duration_s();
   for (const telemetry::JoinedSession& s : joined_->sessions()) {
     for (const auto& c : s.chunks) {
       if (!c.player->visible || c.player->total_frames == 0) continue;
@@ -328,7 +327,7 @@ TEST_F(FindingsTest, Net3_BitrateDistributionsSimilarAcrossLossGroups) {
 TEST_F(FindingsTest, Client4_DsAnomalyShareMatchesPaperOrder) {
   // §4.3-1: ~0.32% of chunks show transient stack buffering.  Our
   // population-level injection rate should land in the same decade.
-  const auto& truth = pipeline_->ground_truth();
+  const auto& truth = run_->ground_truth;
   const double share = static_cast<double>(truth.total_ds_anomalies) /
                        static_cast<double>(truth.total_chunks);
   EXPECT_GT(share, 0.0005);
@@ -340,7 +339,7 @@ TEST_F(FindingsTest, Startup_ServerAndNetworkLatencyRaiseStartup) {
   // first-chunk SRTT.
   std::vector<double> x_server, x_srtt, y_startup;
   std::unordered_map<std::uint64_t, double> startup;
-  for (const auto& ps : pipeline_->dataset().player_sessions) {
+  for (const auto& ps : run_->dataset.player_sessions) {
     startup[ps.session_id] = ps.startup_ms;
   }
   for (const telemetry::JoinedSession& s : joined_->sessions()) {

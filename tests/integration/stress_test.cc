@@ -1,16 +1,16 @@
-// Failure injection and extreme-configuration stress: the pipeline must
+// Failure injection and extreme-configuration stress: the engine must
 // stay invariant-clean when pushed far outside the calibrated regime.
 #include <gtest/gtest.h>
 
-#include "core/pipeline.h"
+#include "engine/engine.h"
 #include "telemetry/join.h"
 #include "telemetry/proxy_filter.h"
 
 namespace vstream {
 namespace {
 
-void check_invariants(core::Pipeline& pipeline) {
-  const auto joined = telemetry::JoinedDataset::build(pipeline.dataset());
+void check_invariants(const engine::RunResult& run) {
+  const auto joined = telemetry::JoinedDataset::build(run.dataset);
   for (const telemetry::JoinedSession& s : joined.sessions()) {
     for (const telemetry::JoinedChunk& c : s.chunks) {
       ASSERT_NE(c.player, nullptr);
@@ -38,12 +38,10 @@ TEST(StressTest, DialUpBottlenecks) {
   s.population.bandwidth_median_kbps = 56.0;
   s.population.min_bandwidth_kbps = 56.0;
   s.population.bandwidth_sigma = 0.01;
-  core::Pipeline pipeline(s);
-  pipeline.warm_caches();
-  pipeline.run();
-  check_invariants(pipeline);
+  const engine::RunResult run = engine::run_simulation(s);
+  check_invariants(run);
   // Everyone is throughput-starved: rebuffering must be rampant.
-  const auto joined = telemetry::JoinedDataset::build(pipeline.dataset());
+  const auto joined = telemetry::JoinedDataset::build(run.dataset);
   std::size_t stalled = 0;
   for (const auto& session : joined.sessions()) {
     if (session.total_rebuffer_ms() > 0.0) ++stalled;
@@ -54,15 +52,10 @@ TEST(StressTest, DialUpBottlenecks) {
 TEST(StressTest, ZeroRamCache) {
   workload::Scenario s = stress_base();
   s.fleet.server.ram_bytes = 0;  // every hit is a disk hit
-  core::Pipeline pipeline(s);
-  pipeline.warm_caches();
-  pipeline.run();
-  check_invariants(pipeline);
-  auto& fleet = pipeline.fleet();
-  for (std::uint32_t pop = 0; pop < fleet.pop_count(); ++pop) {
-    for (std::uint32_t idx = 0; idx < fleet.servers_per_pop(); ++idx) {
-      EXPECT_EQ(fleet.server({pop, idx}).ram_hits(), 0u);
-    }
+  const engine::RunResult run = engine::run_simulation(s);
+  check_invariants(run);
+  for (const cdn::ServerStats& stats : run.server_stats) {
+    EXPECT_EQ(stats.ram_hits, 0u);
   }
 }
 
@@ -70,10 +63,8 @@ TEST(StressTest, TinyDiskChurnsConstantly) {
   workload::Scenario s = stress_base();
   s.fleet.server.ram_bytes = 8ull << 20;
   s.fleet.server.disk_bytes = 64ull << 20;  // a handful of chunks
-  core::Pipeline pipeline(s);
-  pipeline.warm_caches();
-  pipeline.run();
-  check_invariants(pipeline);
+  const engine::RunResult run = engine::run_simulation(s);
+  check_invariants(run);
 }
 
 TEST(StressTest, BackendMeltdown) {
@@ -82,22 +73,21 @@ TEST(StressTest, BackendMeltdown) {
   s.fleet.backend.hiccup_probability = 1.0;
   s.fleet.backend.hiccup_multiplier = 50.0;
   s.fleet.server.disk_bytes = 256ull << 20;  // force misses
-  core::Pipeline pipeline(s);
-  pipeline.run();  // cold caches: lots of backend traffic
-  check_invariants(pipeline);
+  engine::RunOptions cold;  // cold caches: lots of backend traffic
+  cold.warm_caches = false;
+  const engine::RunResult run = engine::run_simulation(s, cold);
+  check_invariants(run);
 }
 
 TEST(StressTest, EveryoneBehindProxies) {
   workload::Scenario s = stress_base();
   s.population.proxy_fraction = 1.0;
-  core::Pipeline pipeline(s);
-  pipeline.warm_caches();
-  pipeline.run();
+  const engine::RunResult run = engine::run_simulation(s);
   telemetry::ProxyFilterConfig config;
   config.max_sessions_per_ip = 5;
-  const auto proxies = telemetry::detect_proxies(pipeline.dataset(), config);
+  const auto proxies = telemetry::detect_proxies(run.dataset, config);
   const auto joined =
-      telemetry::JoinedDataset::build(pipeline.dataset(), &proxies);
+      telemetry::JoinedDataset::build(run.dataset, &proxies);
   // Most sessions are filtered; whatever survives still joins cleanly.
   EXPECT_LT(joined.sessions().size(), 40u);
   EXPECT_EQ(joined.sessions().size() + joined.dropped_as_proxy(), 80u);
@@ -109,10 +99,8 @@ TEST(StressTest, AllEnterpriseHighSpikePopulation) {
   s.population.us_fraction = 1.0;
   s.population.congestion_prone_fraction = 1.0;
   s.congestion_epoch_probability = 1.0;
-  core::Pipeline pipeline(s);
-  pipeline.warm_caches();
-  pipeline.run();
-  check_invariants(pipeline);
+  const engine::RunResult run = engine::run_simulation(s);
+  check_invariants(run);
 }
 
 TEST(StressTest, ImmediateAbandonmentEverywhere) {
@@ -120,10 +108,8 @@ TEST(StressTest, ImmediateAbandonmentEverywhere) {
   s.stall_abandonment_probability = 1.0;
   s.population.bandwidth_median_kbps = 900.0;  // guarantees stalls
   s.population.min_bandwidth_kbps = 700.0;
-  core::Pipeline pipeline(s);
-  pipeline.warm_caches();
-  pipeline.run();
-  check_invariants(pipeline);
+  const engine::RunResult run = engine::run_simulation(s);
+  check_invariants(run);
 }
 
 TEST(StressTest, SingleChunkVideos) {
@@ -132,11 +118,9 @@ TEST(StressTest, SingleChunkVideos) {
   s.catalog.duration_sigma = 0.05;
   s.catalog.min_duration_s = 4.0;
   s.catalog.max_duration_s = 6.0;
-  core::Pipeline pipeline(s);
-  pipeline.warm_caches();
-  pipeline.run();
-  check_invariants(pipeline);
-  for (const auto& session : pipeline.dataset().player_sessions) {
+  const engine::RunResult run = engine::run_simulation(s);
+  check_invariants(run);
+  for (const auto& session : run.dataset.player_sessions) {
     EXPECT_GE(session.chunks_requested, 1u);
     EXPECT_GT(session.startup_ms, 0.0);
   }
@@ -145,10 +129,8 @@ TEST(StressTest, SingleChunkVideos) {
 TEST(StressTest, HugeSessionCountSmokesThrough) {
   workload::Scenario s = workload::test_scenario();
   s.session_count = 2'000;
-  core::Pipeline pipeline(s);
-  pipeline.warm_caches();
-  pipeline.run();
-  EXPECT_EQ(pipeline.dataset().player_sessions.size(), 2'000u);
+  const engine::RunResult run = engine::run_simulation(s);
+  EXPECT_EQ(run.dataset.player_sessions.size(), 2'000u);
 }
 
 TEST(StressTest, PathologicalTcpConfigs) {
@@ -156,10 +138,8 @@ TEST(StressTest, PathologicalTcpConfigs) {
   s.tcp.initial_window = 1;
   s.tcp.max_cwnd = 4;
   s.rwnd_median_segments = 64.0;
-  core::Pipeline pipeline(s);
-  pipeline.warm_caches();
-  pipeline.run();
-  check_invariants(pipeline);
+  const engine::RunResult run = engine::run_simulation(s);
+  check_invariants(run);
 }
 
 }  // namespace

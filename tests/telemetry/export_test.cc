@@ -8,7 +8,6 @@
 #include <string>
 #include <utility>
 
-#include "core/pipeline.h"
 #include "engine/engine.h"
 #include "faults/fault_schedule.h"
 #include "telemetry/join.h"
@@ -344,10 +343,8 @@ TEST(ExportTest, ReExportIsFixedPointOnFaultedEngineRun) {
 TEST(ExportTest, DirectoryRoundTripFromPipeline) {
   workload::Scenario scenario = workload::test_scenario();
   scenario.session_count = 25;
-  core::Pipeline pipeline(scenario);
-  pipeline.warm_caches();
-  pipeline.run();
-  const Dataset& original = pipeline.dataset();
+  const engine::RunResult run = engine::run_simulation(scenario);
+  const Dataset& original = run.dataset;
 
   const std::filesystem::path dir =
       std::filesystem::temp_directory_path() / "vstream_export_test";

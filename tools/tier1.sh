@@ -44,8 +44,8 @@ done
 echo "==> tier-1: ASan serve-unification equivalence (explicit)"
 # Runs inside test_engine above too; the explicit pass guards against the
 # filter drifting if the suite is ever split.  Golden hashes of all five
-# CSV streams from both serve paths (coupled and sharded), with ASan
-# watching the Env overlays.
+# CSV streams from the one serve path (AtsServer::serve), with ASan
+# watching the per-session server-state overlays.
 "$asan_dir/tests/test_engine" --gtest_filter='ServeUnificationGolden.*'
 
 echo "==> tier-1: UBSan build ($ubsan_dir)"
