@@ -4,10 +4,11 @@
 // One edge server under sustained churn: caches far smaller than the
 // working set, a long warm-up phase (not measured) so compulsory misses
 // wash out, then a measured phase where every retained byte is a choice
-// the eviction policy made.  AtsServer::serve reads cache content without
-// changing it, so the bench owns the server's cache and applies each
-// served request to it: a hit touches (and promotes) the object, a miss
-// admits it.
+// the eviction policy made.  AtsServer::serve reads cache residency from an
+// immutable warm archive, so the bench owns the server's live cache: before
+// each request it copies the object's current level into a catalog-sized
+// archive, and afterwards applies the served request to the cache — a hit
+// touches (and promotes) the object, a miss admits it.
 #include "bench_common.h"
 
 using namespace vstream;
@@ -39,6 +40,15 @@ PolicyResult drive(cdn::PolicyKind policy, std::size_t sessions) {
   pop_config.prefix_count = 100;
   const workload::Population population(pop_config, rng);
   workload::SessionGenerator generator({}, catalog, population);
+  // Mixed bitrates (clients differ): object sizes vary 20x, which is
+  // exactly the regime where GD-Size's size-awareness matters.
+  const auto ladder = client::default_bitrate_ladder();
+  std::vector<std::uint32_t> chunk_counts;
+  for (std::uint32_t v = 0; v < catalog.size(); ++v) {
+    chunk_counts.push_back(catalog.video(v).chunk_count);
+  }
+  cdn::WarmArchive residency(
+      chunk_counts, std::vector<std::uint32_t>(catalog.size(), 0), ladder);
 
   const std::size_t warmup = sessions / 2;
   std::uint64_t ram0 = 0, disk0 = 0, miss0 = 0, req0 = 0;
@@ -52,9 +62,6 @@ PolicyResult drive(cdn::PolicyKind policy, std::size_t sessions) {
       miss0 = stats.misses;
       req0 = stats.requests_served;
     }
-    // Mixed bitrates (clients differ): object sizes vary 20x, which is
-    // exactly the regime where GD-Size's size-awareness matters.
-    const auto ladder = client::default_bitrate_ladder();
     const std::uint32_t bitrate =
         ladder[spec.session_id % ladder.size()];
     const std::uint64_t bytes =
@@ -62,8 +69,10 @@ PolicyResult drive(cdn::PolicyKind policy, std::size_t sessions) {
     cdn::SessionServerState session;
     for (std::uint32_t c = 0; c < spec.chunk_count; ++c) {
       const cdn::ChunkKey key{spec.video_id, c, bitrate};
+      residency.set(residency.slot(key), cache.peek(key));
       const cdn::ServeResult r =
-          server.serve(key, spec.start_time_ms, rng, cache, session, stats);
+          server.serve(key, spec.start_time_ms, rng, residency,
+                       /*server_index=*/0, session, stats);
       if (r.cache_hit()) {
         cache.lookup(key, bytes);
       } else {

@@ -56,7 +56,7 @@ int main() {
       const std::uint32_t bitrate = 1'500;
       const cdn::ServeResult r = fleet.server(ref).serve(
           cdn::ChunkKey{spec.video_id, c, bitrate}, spec.start_time_ms, rng,
-          warm.for_server(ref.server), session, stats);
+          warm, ref.server, session, stats);
       ++bucket.requests;
       if (!r.cache_hit()) {
         ++bucket.misses;

@@ -1,7 +1,7 @@
 // google-benchmark microbenchmarks of the simulator's hot paths: the event
-// loop, the serve path, tcp_info sampling, the offline join, CSV
-// export, cache operations per eviction policy, TCP chunk transfers, Zipf
-// sampling and the statistical kernels.
+// loop, the serve path, the warm-archive build, tcp_info sampling, the
+// offline join, CSV export, cache operations per eviction policy, TCP chunk
+// transfers, Zipf sampling and the statistical kernels.
 //
 // The custom main() additionally times one end-to-end paper workload and
 // writes every measured rate to BENCH_hotpaths.json (bench_json.h) so the
@@ -17,6 +17,10 @@
 #include "bench_json.h"
 #include "cdn/ats_server.h"
 #include "cdn/cache.h"
+#include "cdn/fleet.h"
+#include "cdn/warm_archive.h"
+#include "engine/engine.h"
+#include "engine/warmup.h"
 #include "failpoints/failpoint.h"
 #include "net/packet_sim.h"
 #include "net/tcp_model.h"
@@ -25,6 +29,8 @@
 #include "telemetry/collector.h"
 #include "telemetry/export.h"
 #include "telemetry/join.h"
+#include "workload/catalog.h"
+#include "workload/scenario.h"
 
 using namespace vstream;
 
@@ -176,10 +182,13 @@ void BM_ServeRamHit(benchmark::State& state) {
   // The sharded engine's per-chunk serve: warm-archive RAM hit with a
   // session overlay, the path nearly every steady-state chunk takes.
   cdn::AtsServer server(cdn::AtsConfig{}, cdn::BackendConfig{});
-  cdn::TwoLevelCache warm(8ull << 30, 64ull << 30, cdn::PolicyKind::kLru);
   constexpr std::uint32_t kVideos = 256;
+  constexpr std::uint32_t kLadder[] = {1'500};
+  const std::vector<std::uint32_t> one_chunk(kVideos, 1);
+  cdn::WarmArchive warm(one_chunk, std::vector<std::uint32_t>(kVideos, 0),
+                        kLadder);
   for (std::uint32_t v = 0; v < kVideos; ++v) {
-    warm.admit(cdn::ChunkKey{v, 0, 1'500}, 1 << 20);
+    warm.set(warm.slot(cdn::ChunkKey{v, 0, 1'500}), cdn::CacheLevel::kRam);
   }
   cdn::SessionServerState session;
   cdn::ServerStats stats;
@@ -190,11 +199,32 @@ void BM_ServeRamHit(benchmark::State& state) {
     const cdn::ChunkKey key{v++ % kVideos, 0, 1'500};
     now += 4.0;
     benchmark::DoNotOptimize(
-        server.serve(key, now, rng, warm, session, stats));
+        server.serve(key, now, rng, warm, /*server_index=*/0, session, stats));
   }
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ServeRamHit);
+
+void BM_WarmArchiveBuild(benchmark::State& state) {
+  // The steady-state cache residency every run builds before simulating:
+  // the paper_scenario catalog on its fleet, default warm-up options.
+  // Items are catalog slots (video x chunk x rung).
+  const workload::Scenario scenario = workload::paper_scenario();
+  sim::Rng rng(scenario.seed);
+  const workload::VideoCatalog catalog(scenario.catalog, rng);
+  const cdn::Fleet fleet(scenario.fleet, catalog.size());
+  const engine::RunOptions defaults;
+  std::size_t slots = 0;
+  for (auto _ : state) {
+    const engine::WarmArchive archive = engine::build_warm_archive(
+        fleet, catalog, defaults.disk_fill, defaults.universal_head);
+    slots = archive.slot_count();
+    benchmark::DoNotOptimize(archive.count(cdn::CacheLevel::kRam));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(slots));
+}
+BENCHMARK(BM_WarmArchiveBuild)->Unit(benchmark::kMillisecond);
 
 void BM_CollectorSampleTransfer(benchmark::State& state) {
   telemetry::Collector collector(500.0);

@@ -4,9 +4,11 @@
 // policy in ATS could be changed to better suited policies for
 // popular-heavy workloads such as GD-size or perfect-LFU").
 //
-// AtsServer::serve reads cache content without changing it, so the study
-// owns the server's cache and applies each served request to it: a hit
-// touches (and promotes) the object, a miss admits it.
+// AtsServer::serve reads cache residency from an immutable warm archive, so
+// the study owns the server's live cache: before each request it copies the
+// object's current level into a catalog-sized archive, and afterwards
+// applies the served request to the cache — a hit touches (and promotes)
+// the object, a miss admits it.
 //
 // Usage: ./build/examples/cdn_cache_study [requests]
 
@@ -16,6 +18,7 @@
 
 #include "cdn/ats_server.h"
 #include "cdn/cache.h"
+#include "cdn/warm_archive.h"
 #include "core/report.h"
 #include "sim/zipf.h"
 #include "workload/catalog.h"
@@ -47,6 +50,14 @@ StudyResult drive(cdn::PolicyKind policy, std::uint64_t ram_bytes,
   workload::CatalogConfig catalog_config;
   catalog_config.video_count = 2'000;
   const workload::VideoCatalog catalog(catalog_config, rng);
+  const std::uint32_t bitrate = 1'500;
+  std::vector<std::uint32_t> chunk_counts;
+  for (std::uint32_t v = 0; v < catalog.size(); ++v) {
+    chunk_counts.push_back(catalog.video(v).chunk_count);
+  }
+  const std::uint32_t ladder[] = {bitrate};
+  cdn::WarmArchive residency(
+      chunk_counts, std::vector<std::uint32_t>(catalog.size(), 0), ladder);
 
   std::vector<double> latencies;
   latencies.reserve(requests);
@@ -57,14 +68,14 @@ StudyResult drive(cdn::PolicyKind policy, std::uint64_t ram_bytes,
     const workload::VideoMeta& meta = catalog.video(video);
     const std::uint32_t chunk =
         static_cast<std::uint32_t>(rng.uniform_int(0, meta.chunk_count - 1));
-    const std::uint32_t bitrate = 1'500;
     const cdn::ChunkKey key{video, chunk, bitrate};
     const std::uint64_t bytes =
         cdn::chunk_bytes(bitrate, catalog.chunk_duration_s());
+    residency.set(residency.slot(key), cache.peek(key));
     // Every request is its own viewer here: no per-session history.
     cdn::SessionServerState session;
-    const cdn::ServeResult r =
-        server.serve(key, now_ms, rng, cache, session, stats);
+    const cdn::ServeResult r = server.serve(key, now_ms, rng, residency,
+                                            /*server_index=*/0, session, stats);
     if (r.cache_hit()) {
       cache.lookup(key, bytes);
     } else {

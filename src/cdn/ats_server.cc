@@ -39,7 +39,8 @@ sim::Ms AtsServer::seek_penalty_ms(
 }
 
 ServeResult AtsServer::serve(const ChunkKey& key, sim::Ms now, sim::Rng& rng,
-                             const TwoLevelCache& warm,
+                             const WarmArchive& warm,
+                             std::uint32_t server_index,
                              SessionServerState& session, ServerStats& stats,
                              const ServeOptions& opts,
                              const IdealizationPolicy* ideal) const {
@@ -55,9 +56,11 @@ ServeResult AtsServer::serve(const ChunkKey& key, sim::Ms now, sim::Rng& rng,
     return rng.lognormal_median(config_.error_response_median_ms,
                                 config_.error_response_sigma);
   };
-  // The session's own promotions/admissions shadow the immutable warm cache.
+  // The session's own promotions/admissions shadow the immutable warm
+  // archive.
   const auto cached_level = [&](const ChunkKey& k) {
-    return session.ram_overlay.contains(k) ? CacheLevel::kRam : warm.peek(k);
+    return session.ram_overlay.contains(k) ? CacheLevel::kRam
+                                           : warm.peek(server_index, k);
   };
   ServeResult result;
 

@@ -25,6 +25,7 @@
 #include "cdn/chunk.h"
 #include "cdn/idealization.h"
 #include "cdn/overload.h"
+#include "cdn/warm_archive.h"
 #include "sim/rng.h"
 #include "sim/time.h"
 
@@ -188,20 +189,21 @@ struct SessionServerState {
 };
 
 /// An edge server: immutable configuration plus the degradation flags the
-/// fault injector drives.  All serving state is external (the warm cache,
+/// fault injector drives.  All serving state is external (the warm archive,
 /// the session's SessionServerState, the caller's ServerStats), so serve()
 /// is const and concurrent calls with distinct state are race-free.
 class AtsServer {
  public:
   AtsServer(AtsConfig config, BackendConfig backend);
 
-  /// Serve one chunk request arriving at `now` (simulated clock).  Cache
-  /// content is the immutable `warm` cache (which tracks object sizes)
-  /// shadowed by the session's own boundless overlay; counters go to
-  /// `stats`.  D_wait is scheduling noise only — there is no
-  /// cross-session accept queue (§4.1: server latency is not correlated
-  /// with load).  `ideal` (null for factual serving) is the
-  /// counterfactual-replay hook (cdn/idealization.h).
+  /// Serve one chunk request arriving at `now` (simulated clock) on the
+  /// server at within-PoP index `server_index`.  Cache content is that
+  /// index's residency in the immutable `warm` archive, shadowed by the
+  /// session's own boundless overlay; counters go to `stats`.  D_wait is
+  /// scheduling noise only — there is no cross-session accept queue (§4.1:
+  /// server latency is not correlated with load).  `ideal` (null for
+  /// factual serving) is the counterfactual-replay hook
+  /// (cdn/idealization.h).
   ///
   /// Determinism contract: for a null (or kNone) `ideal` the RNG draws are
   /// D_wait, D_open, the shed coin (only when the shed probability is
@@ -212,7 +214,7 @@ class AtsServer {
   /// Idealizations may skip draws; replay output is then deterministic per
   /// policy, just no longer byte-comparable to the factual run.
   ServeResult serve(const ChunkKey& key, sim::Ms now, sim::Rng& rng,
-                    const TwoLevelCache& warm,
+                    const WarmArchive& warm, std::uint32_t server_index,
                     SessionServerState& session, ServerStats& stats,
                     const ServeOptions& opts = {},
                     const IdealizationPolicy* ideal = nullptr) const;

@@ -13,11 +13,6 @@ CacheStore::CacheStore(std::uint64_t capacity_bytes,
 
 bool CacheStore::touch(const ChunkKey& key) { return policy_->on_access(key); }
 
-void CacheStore::reserve(std::size_t expected_objects) {
-  objects_.reserve(expected_objects);
-  policy_->reserve(expected_objects);
-}
-
 bool CacheStore::insert(const ChunkKey& key, std::uint64_t size_bytes) {
   if (size_bytes > capacity_bytes_) return false;
   const auto [it, inserted] = objects_.try_emplace(key, size_bytes);
@@ -82,15 +77,6 @@ CacheLevel TwoLevelCache::peek(const ChunkKey& key) const {
 void TwoLevelCache::admit(const ChunkKey& key, std::uint64_t size_bytes) {
   disk_.insert(key, size_bytes);
   ram_.insert(key, size_bytes);
-}
-
-void TwoLevelCache::warm_bulk(
-    std::span<const std::pair<ChunkKey, std::uint64_t>> disk_items,
-    std::span<const std::pair<ChunkKey, std::uint64_t>> ram_items) {
-  disk_.reserve(disk_items.size());
-  ram_.reserve(ram_items.size());
-  for (const auto& [key, size] : disk_items) disk_.insert(key, size);
-  for (const auto& [key, size] : ram_items) ram_.insert(key, size);
 }
 
 }  // namespace vstream::cdn

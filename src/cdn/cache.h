@@ -8,9 +8,7 @@
 
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <unordered_map>
-#include <utility>
 
 #include "cdn/cache_policy.h"
 #include "cdn/chunk.h"
@@ -29,9 +27,6 @@ class CacheStore {
   /// resident set, so presence and the recency update cost one lookup.
   bool touch(const ChunkKey& key);
 
-  /// Pre-size the index and policy for about this many resident objects.
-  void reserve(std::size_t expected_objects);
-
   /// Insert an object, evicting as needed.  Objects larger than the whole
   /// capacity are not admitted.  Returns false if not admitted.
   bool insert(const ChunkKey& key, std::uint64_t size_bytes);
@@ -43,7 +38,6 @@ class CacheStore {
   std::uint64_t capacity_bytes() const { return capacity_bytes_; }
   std::size_t object_count() const { return objects_.size(); }
   std::uint64_t eviction_count() const { return evictions_; }
-  const CachePolicy& policy() const { return *policy_; }
 
  private:
   std::uint64_t capacity_bytes_;
@@ -70,22 +64,11 @@ class TwoLevelCache {
   CacheLevel lookup(const ChunkKey& key, std::uint64_t size_bytes);
 
   /// Read-only probe: where the object would be found, without touching
-  /// recency state or promoting between levels.  Safe to call concurrently
-  /// (the sharded engine probes one shared warm archive from all workers).
+  /// recency state or promoting between levels.
   CacheLevel peek(const ChunkKey& key) const;
 
   /// Admit a freshly fetched object (backend miss path).
   void admit(const ChunkKey& key, std::uint64_t size_bytes);
-
-  /// Bulk warm-load: directly insert each level's final resident set
-  /// (deduplicated, oldest -> newest, pre-sized to fit capacity), skipping
-  /// the write-through admission churn.  Precondition: both levels empty.
-  void warm_bulk(
-      std::span<const std::pair<ChunkKey, std::uint64_t>> disk_items,
-      std::span<const std::pair<ChunkKey, std::uint64_t>> ram_items);
-
-  const CacheStore& ram() const { return ram_; }
-  const CacheStore& disk() const { return disk_; }
 
  private:
   CacheStore ram_;

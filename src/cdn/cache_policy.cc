@@ -74,11 +74,6 @@ void LruPolicy::on_evict(const ChunkKey& key) {
   position_.erase(it);
 }
 
-void LruPolicy::reserve(std::size_t expected_objects) {
-  nodes_.reserve(expected_objects);
-  position_.reserve(expected_objects);
-}
-
 // ---------------------------------------------------------------- LFU
 
 void PerfectLfuPolicy::on_insert(const ChunkKey& key,

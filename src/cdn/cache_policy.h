@@ -36,9 +36,6 @@ class CachePolicy {
   /// A resident object was removed (eviction or invalidation).
   virtual void on_evict(const ChunkKey& key) = 0;
 
-  /// Capacity hint: the caller expects about this many resident objects.
-  virtual void reserve(std::size_t /*expected_objects*/) {}
-
   virtual std::string name() const = 0;
 };
 
@@ -54,7 +51,6 @@ class LruPolicy final : public CachePolicy {
   bool on_access(const ChunkKey& key) override;
   ChunkKey choose_victim() override;
   void on_evict(const ChunkKey& key) override;
-  void reserve(std::size_t expected_objects) override;
   std::string name() const override { return "lru"; }
 
  private:

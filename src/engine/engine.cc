@@ -39,7 +39,7 @@ RunResult run_simulation(const workload::Scenario& scenario,
       options.warm_caches
           ? build_warm_archive(prototype, *catalog, options.disk_fill,
                                options.universal_head)
-          : WarmArchive(world.fleet);
+          : WarmArchive{};
 
   const std::vector<AdmittedSession> admitted =
       admit_sessions(world, generator, rng);

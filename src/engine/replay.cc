@@ -12,7 +12,6 @@ namespace vstream::engine {
 ReplayContext::ReplayContext(const workload::Scenario& scenario,
                              RunOptions options)
     : scenario_(scenario),
-      warm_(scenario.fleet),
       faults_(std::move(options.faults)),
       bad_prefixes_(std::move(options.bad_prefixes)) {
   // Mirror run_simulation()'s world construction exactly — same

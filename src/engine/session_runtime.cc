@@ -130,7 +130,7 @@ cdn::ServeResult SessionRuntime::serve_chunk(const cdn::ChunkKey& key,
   const std::uint32_t linear =
       ref_.pop * ctx_.fleet->servers_per_pop() + ref_.server;
   return ctx_.fleet->server(ref_).serve(
-      key, now, rng_, ctx_.warm_archive->for_server(ref_.server),
+      key, now, rng_, *ctx_.warm_archive, ref_.server,
       server_states_[linear], (*ctx_.server_stats)[linear], opts,
       ctx_.idealization);
 }

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <functional>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
+#include "cdn/cache.h"
 #include "client/abr.h"
 
 namespace vstream::engine {
@@ -113,43 +113,31 @@ void enumerate_warm_set(
   }
 }
 
-}  // namespace
-
-WarmArchive::WarmArchive(const cdn::FleetConfig& config) {
-  caches_.reserve(config.servers_per_pop);
-  for (std::uint32_t sidx = 0; sidx < config.servers_per_pop; ++sidx) {
-    caches_.emplace_back(config.server.ram_bytes, config.server.disk_bytes,
-                         config.server.policy);
-  }
-}
-
-namespace {
-
-/// The final resident set of an empty LRU level fed an admission sequence:
-/// dedupe by *last* admission (re-admits only refresh recency), then take
-/// the maximal most-recent suffix whose bytes fit the capacity.  Greedy
-/// LRU eviction can only ever remove objects older than that suffix — by
-/// the time any suffix member could be threatened, everything older has
-/// already been evicted and the remaining bytes fit.  Returned oldest ->
-/// newest (admissible insertion order).  LRU-specific by construction;
+/// One LRU level's fill during the backward pass.  Walking the admission
+/// sequence newest first over each key's *last* admission (re-admits only
+/// refresh recency), the level's final resident set is the longest run that
+/// fits its capacity: an object larger than the whole level is never
+/// admitted and evicts nothing, so it is skipped; the first object that no
+/// longer fits ends the run, because greedy LRU eviction only ever removes
+/// objects older than that run — by the time any run member could be
+/// threatened, everything older has been evicted and the rest fits.
 /// tests/engine/warmup_test.cc pins the equivalence against the
 /// write-through admission path.
-std::vector<std::pair<cdn::ChunkKey, std::uint64_t>> lru_resident_suffix(
-    const std::vector<std::pair<cdn::ChunkKey, std::uint64_t>>& sequence,
-    const std::vector<char>& is_last, std::uint64_t capacity_bytes) {
-  std::vector<std::pair<cdn::ChunkKey, std::uint64_t>> resident;
+struct LevelFill {
+  std::uint64_t capacity = 0;
   std::uint64_t bytes = 0;
-  for (std::size_t i = sequence.size(); i-- > 0;) {
-    if (!is_last[i]) continue;
-    const std::uint64_t size = sequence[i].second;
-    if (size > capacity_bytes) continue;  // never admitted, evicts nothing
-    if (bytes + size > capacity_bytes) break;
+  bool full = false;
+
+  bool admits(std::uint64_t size) {
+    if (full || size > capacity) return false;
+    if (bytes + size > capacity) {
+      full = true;
+      return false;
+    }
     bytes += size;
-    resident.push_back(sequence[i]);
+    return true;
   }
-  std::reverse(resident.begin(), resident.end());
-  return resident;
-}
+};
 
 }  // namespace
 
@@ -157,40 +145,69 @@ WarmArchive build_warm_archive(const cdn::Fleet& prototype,
                                const workload::VideoCatalog& catalog,
                                double disk_fill, bool universal_head,
                                WarmBuildMode mode) {
-  WarmArchive archive(prototype.config());
+  const auto ladder = client::default_bitrate_ladder();
+  std::vector<std::uint32_t> chunk_counts(catalog.size());
+  std::vector<std::uint32_t> owners(catalog.size());
+  for (std::uint32_t video = 0; video < catalog.size(); ++video) {
+    chunk_counts[video] = catalog.video(video).chunk_count;
+    owners[video] = prototype.server_index_for_video(video);
+  }
+  WarmArchive archive(chunk_counts, owners, ladder);
   const cdn::AtsConfig& server = prototype.config().server;
-  for (std::uint32_t sidx = 0; sidx < prototype.servers_per_pop(); ++sidx) {
-    cdn::TwoLevelCache& cache = archive.mutable_for_server(sidx);
-    if (mode == WarmBuildMode::kWriteThrough ||
-        server.policy != cdn::PolicyKind::kLru) {
-      // Non-LRU policies take the plain write-through admission path (the
-      // suffix shortcut below encodes LRU's eviction order).
+
+  if (mode == WarmBuildMode::kWriteThrough ||
+      server.policy != cdn::PolicyKind::kLru) {
+    // Non-LRU policies take the plain write-through admission path (the
+    // backward pass below encodes LRU's eviction order).
+    for (std::uint32_t sidx = 0; sidx < prototype.servers_per_pop(); ++sidx) {
+      cdn::TwoLevelCache cache(server.ram_bytes, server.disk_bytes,
+                               server.policy);
       enumerate_warm_set(prototype, catalog, sidx, disk_fill, universal_head,
                          [&](const cdn::ChunkKey& key, std::uint64_t size) {
                            cache.admit(key, size);
                          });
-      continue;
+      for (std::uint32_t video = 0; video < catalog.size(); ++video) {
+        if (owners[video] != sidx) continue;
+        for (std::uint32_t c = 0; c < chunk_counts[video]; ++c) {
+          for (const std::uint32_t rung : ladder) {
+            const cdn::ChunkKey key{video, c, rung};
+            archive.set(archive.slot(key), cache.peek(key));
+          }
+        }
+      }
     }
-    // LRU fast path.  The archive is immutable once built — sharded serving
-    // only reads residency — so instead of replaying every admission
-    // through the write-through hierarchy (which cycles nearly the whole
-    // warm set through the small RAM level), compute each level's final
-    // resident set directly and insert exactly those objects.
-    std::vector<std::pair<cdn::ChunkKey, std::uint64_t>> sequence;
+    return archive;
+  }
+
+  // LRU: the archive is immutable once built — serving only reads
+  // residency — so instead of replaying every admission through the
+  // write-through hierarchy (which cycles nearly the whole warm set through
+  // the small RAM level), walk each server index's admission sequence once,
+  // newest first, and fill both levels at the same time.  Slots of
+  // different indices never overlap, so one "seen" mark serves them all.
+  std::vector<char> seen(archive.slot_count(), 0);
+  std::vector<std::pair<std::size_t, std::uint64_t>> sequence;
+  for (std::uint32_t sidx = 0; sidx < prototype.servers_per_pop(); ++sidx) {
+    sequence.clear();
     enumerate_warm_set(prototype, catalog, sidx, disk_fill, universal_head,
                        [&](const cdn::ChunkKey& key, std::uint64_t size) {
-                         sequence.emplace_back(key, size);
+                         sequence.emplace_back(archive.slot(key), size);
                        });
-    // Mark each key's last admission (recency order is by last touch).
-    std::vector<char> is_last(sequence.size(), 0);
-    std::unordered_set<cdn::ChunkKey, cdn::ChunkKeyHash> seen;
-    seen.reserve(sequence.size());
-    for (std::size_t i = sequence.size(); i-- > 0;) {
-      is_last[i] = seen.insert(sequence[i].first).second ? 1 : 0;
+    LevelFill disk{server.disk_bytes};
+    LevelFill ram{server.ram_bytes};
+    for (std::size_t i = sequence.size();
+         i-- > 0 && !(disk.full && ram.full);) {
+      const auto [slot, size] = sequence[i];
+      if (seen[slot]) continue;
+      seen[slot] = 1;
+      const bool on_disk = disk.admits(size);
+      const bool in_ram = ram.admits(size);
+      if (in_ram) {
+        archive.set(slot, cdn::CacheLevel::kRam);
+      } else if (on_disk) {
+        archive.set(slot, cdn::CacheLevel::kDisk);
+      }
     }
-    cache.warm_bulk(
-        lru_resident_suffix(sequence, is_last, server.disk_bytes),
-        lru_resident_suffix(sequence, is_last, server.ram_bytes));
   }
   return archive;
 }

@@ -10,49 +10,33 @@
 // startup delay").
 //
 // Warm content is identical for every PoP — membership depends only on the
-// within-PoP server index a video maps to — so the archive keeps one cache
-// per server index instead of one per server, and per-shard fleet replicas
-// carry no cache content at all.
+// within-PoP server index a video maps to — and each video is warmed on one
+// index only, so the archive is one dense residency table for the whole
+// fleet (cdn/warm_archive.h) and per-shard fleet replicas carry no cache
+// content at all.
 #pragma once
 
-#include <cstdint>
-#include <vector>
-
-#include "cdn/cache.h"
 #include "cdn/fleet.h"
+#include "cdn/warm_archive.h"
 #include "workload/catalog.h"
 
 namespace vstream::engine {
 
 /// Immutable warmed cache content shared read-only across shards.
-class WarmArchive {
- public:
-  /// Empty archive (all probes miss) shaped for `servers_per_pop` indices.
-  WarmArchive(const cdn::FleetConfig& config);
+using cdn::WarmArchive;
 
-  const cdn::TwoLevelCache& for_server(std::uint32_t server_index) const {
-    return caches_[server_index];
-  }
-  cdn::TwoLevelCache& mutable_for_server(std::uint32_t server_index) {
-    return caches_[server_index];
-  }
-  std::uint32_t server_count() const {
-    return static_cast<std::uint32_t>(caches_.size());
-  }
-
- private:
-  std::vector<cdn::TwoLevelCache> caches_;  // indexed by within-PoP index
-};
-
-/// How build_warm_archive fills the archive.  kAuto picks the LRU
-/// resident-set shortcut when the policy allows it; kWriteThrough always
-/// replays every admission through the two-level hierarchy (the reference
-/// behaviour the shortcut must reproduce — kept selectable for tests).
+/// How build_warm_archive fills the archive.  kAuto takes the one backward
+/// pass over the admission sequence when the policy is LRU; kWriteThrough
+/// replays every admission through a real cdn::TwoLevelCache and records
+/// where each object ended up (the reference the backward pass must
+/// reproduce, kept selectable for tests, and the path for non-LRU
+/// policies).
 enum class WarmBuildMode { kAuto, kWriteThrough };
 
 /// Build the shared read-only archive: each within-PoP server index's warm
 /// set, admitted cold -> hot.  `prototype` supplies the fleet geometry,
 /// server configuration and the video->server mapping; it is not modified.
+/// Without a build, `WarmArchive{}` is the all-miss archive of cold caches.
 WarmArchive build_warm_archive(const cdn::Fleet& prototype,
                                const workload::VideoCatalog& catalog,
                                double disk_fill, bool universal_head,

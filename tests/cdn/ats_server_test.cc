@@ -87,14 +87,10 @@ TEST(AtsServerTest, MissLatencyRoughly40xHitLatency) {
 }
 
 TEST(AtsServerTest, DiskHitPaysRetryTimer) {
-  // Force a disk hit: the warm cache admitted the object, then evicted it
-  // from RAM by a later admission.
-  AtsConfig config = small_config();
-  config.ram_bytes = 1'200'000;  // barely one object
+  // key(1) is warm on disk only.
+  const AtsConfig config = small_config();
   AtsServer server(config, BackendConfig{});
-  ServeSession session(server);
-  session.warm.admit(key(1), 1'000'000);
-  session.warm.admit(key(2), 1'000'000);  // evicts 1 from RAM
+  ServeSession session(server, {{key(1), CacheLevel::kDisk}});
   sim::Rng rng(4);
   const ServeResult r = session.serve(key(1), 20.0, rng);
   EXPECT_EQ(r.level, CacheLevel::kDisk);
@@ -105,19 +101,14 @@ TEST(AtsServerTest, DiskHitPaysRetryTimer) {
 
 TEST(AtsServerTest, ColdContentPaysSeekPenalty) {
   // Fig. 6b: unpopular (cold) videos see higher read latency even on hits.
-  AtsConfig config = small_config();
-  config.ram_bytes = 1'200'000;
-  AtsServer server(config, BackendConfig{});
+  AtsServer server(small_config(), BackendConfig{});
   sim::Rng rng(5);
 
-  // Two chunks of video 1 sit on disk only (a later admission displaced
-  // them from RAM).  Touch the video, then read its other chunk quickly
-  // (warm disk) vs after a long gap (cold disk).
+  // Two chunks of video 1 sit on disk only.  Touch the video, then read
+  // its other chunk quickly (warm disk) vs after a long gap (cold disk).
   const auto disk_read_after = [&](sim::Ms gap_ms) {
-    ServeSession session(server);
-    session.warm.admit(key(1, 0), 1'000'000);
-    session.warm.admit(key(1, 1), 1'000'000);
-    session.warm.admit(key(2), 1'000'000);
+    ServeSession session(server, {{key(1, 0), CacheLevel::kDisk},
+                                  {key(1, 1), CacheLevel::kDisk}});
     session.serve(key(1, 0), 0.0, rng);
     const ServeResult r = session.serve(key(1, 1), gap_ms, rng);
     EXPECT_EQ(r.level, CacheLevel::kDisk);
@@ -156,8 +147,7 @@ TEST(AtsServerTest, CountersAddUp) {
 
 TEST(AtsServerTest, WarmPreloadsWithoutCountingRequests) {
   AtsServer server(small_config(), BackendConfig{});
-  ServeSession session(server);
-  session.warm.admit(key(1), 500'000);
+  ServeSession session(server, {{key(1), CacheLevel::kRam}});
   EXPECT_EQ(session.stats.requests_served, 0u);
   sim::Rng rng(8);
   const ServeResult r = session.serve(key(1), 0.0, rng);

@@ -210,8 +210,7 @@ TEST(RetryBudgetTest, BucketDepthIsCapped) {
 
 TEST(OverloadServerTest, FlashCrowdShedsSteadyWorkButNeverFirstChunks) {
   AtsServer server(small_config(), BackendConfig{});
-  ServeSession session(server);
-  session.warm.admit(key(1), 500'000);
+  ServeSession session(server, {{key(1), CacheLevel::kRam}});
   server.set_overload(8.0);  // excess 0.84: steady shed probability is 1.0
   sim::Rng rng(21);
 
@@ -237,8 +236,7 @@ TEST(OverloadServerTest, OpenBreakerServesCachedStaleWhileRevalidate) {
   AtsConfig config = small_config();
   config.overload.hedge_enabled = false;
   AtsServer server(config, BackendConfig{});
-  ServeSession session(server);
-  session.warm.admit(key(1), 500'000);
+  ServeSession session(server, {{key(1), CacheLevel::kRam}});
   server.set_backend_slowdown(10'000.0);  // every fetch blows the threshold
   sim::Rng rng(22);
 
@@ -266,8 +264,7 @@ TEST(OverloadServerTest, OpenBreakerServesCachedStaleWhileRevalidate) {
 
 TEST(OverloadServerTest, BackendOutageTripsBreakerAndStaleWins) {
   AtsServer server(small_config(), BackendConfig{});
-  ServeSession session(server);
-  session.warm.admit(key(1), 500'000);
+  ServeSession session(server, {{key(1), CacheLevel::kRam}});
   server.set_backend_down(true);
   sim::Rng rng(23);
 

@@ -59,9 +59,9 @@ TEST(PrefetchTest, PrefetchedChunksServeFromRam) {
 
 TEST(PrefetchTest, NoDoubleFetchOfCachedChunks) {
   AtsServer server(config_with_prefetch(4), BackendConfig{});
-  ServeSession session(server);
+  // Chunk 2 already cached.
+  ServeSession session(server, {{key(9, 2), CacheLevel::kRam}});
   sim::Rng rng(4);
-  session.warm.admit(key(9, 2), 1'000'000);  // chunk 2 already cached
   session.serve(key(9, 0), 0.0, rng);
   // Chunks 1, 3, 4 prefetched; chunk 2 skipped (already resident).
   EXPECT_EQ(session.stats.prefetched_chunks, 3u);

@@ -227,7 +227,7 @@ TEST(PipelineTest, WarmTiersFollowPopularity) {
     ASSERT_TRUE(found);
     const auto resident = [&](std::uint32_t video, std::uint32_t chunk) {
       const cdn::ChunkKey key{video, chunk, ladder[2]};
-      return archive.for_server(sidx).peek(key) != cdn::CacheLevel::kMiss;
+      return archive.peek(sidx, key) != cdn::CacheLevel::kMiss;
     };
     EXPECT_TRUE(resident(hottest, 0));
     EXPECT_TRUE(resident(hottest, catalog.video(hottest).chunk_count - 1));

@@ -216,7 +216,7 @@ TEST(ShardedRunnerTest, SpillFormatPinAcceptsOnlyTheOneFormat) {
   const workload::Scenario scenario = workload::test_scenario();
   sim::Rng rng(scenario.seed);
   const workload::VideoCatalog catalog(scenario.catalog, rng);
-  const engine::WarmArchive warm(scenario.fleet);
+  const engine::WarmArchive warm;
   const std::vector<engine::AdmittedSession> none;
   engine::ExecOptions exec;
   exec.threads = 1;

@@ -59,10 +59,7 @@ namespace vstream {
 namespace {
 
 TEST(SteadyStateAllocTest, ChunkServingAllocatesNothingAfterWarmup) {
-  workload::Scenario scenario = workload::test_scenario();
-  // Plenty of RAM: every chunk the warm archive holds stays RAM-resident,
-  // so the probe session below is a pure hit path.
-  scenario.fleet.server.ram_bytes = 64ull << 30;
+  const workload::Scenario scenario = workload::test_scenario();
 
   sim::Rng rng(scenario.seed);
   workload::VideoCatalog catalog(scenario.catalog, rng);
@@ -74,7 +71,6 @@ TEST(SteadyStateAllocTest, ChunkServingAllocatesNothingAfterWarmup) {
   engine::GroundTruth ground_truth;
   std::unordered_set<net::Prefix24> bad_prefixes;
   std::vector<net::RoundSample> round_scratch;
-  engine::WarmArchive archive(scenario.fleet);
   std::vector<cdn::ServerStats> server_stats(
       static_cast<std::size_t>(fleet.pop_count()) * fleet.servers_per_pop());
 
@@ -86,7 +82,6 @@ TEST(SteadyStateAllocTest, ChunkServingAllocatesNothingAfterWarmup) {
   ctx.ground_truth = &ground_truth;
   ctx.bad_prefixes = &bad_prefixes;
   ctx.round_scratch = &round_scratch;
-  ctx.warm_archive = &archive;
   ctx.server_stats = &server_stats;
 
   constexpr std::uint32_t kChunks = 48;
@@ -104,14 +99,23 @@ TEST(SteadyStateAllocTest, ChunkServingAllocatesNothingAfterWarmup) {
   overrides.cpu_load = 0.1;
 
   // Warm content: every chunk the session will request (same video, fixed
-  // rung), on every server index it could be routed to.
-  for (std::uint32_t sidx = 0; sidx < fleet.servers_per_pop(); ++sidx) {
-    for (std::uint32_t c = 0; c < kChunks; ++c) {
-      archive.mutable_for_server(sidx).admit(
-          cdn::ChunkKey{spec.video_id, c, *overrides.fixed_bitrate_kbps},
-          cdn::chunk_bytes_vbr(*overrides.fixed_bitrate_kbps,
-                               catalog.chunk_duration_s(), spec.video_id, c));
-    }
+  // rung) is RAM-resident on the video's server, so the probe session below
+  // is a pure hit path.  The archive's copy of the video is as long as the
+  // spec asks for.
+  std::vector<std::uint32_t> chunk_counts;
+  std::vector<std::uint32_t> owners;
+  for (std::uint32_t video = 0; video < catalog.size(); ++video) {
+    chunk_counts.push_back(catalog.video(video).chunk_count);
+    owners.push_back(fleet.server_index_for_video(video));
+  }
+  chunk_counts[spec.video_id] = kChunks;
+  engine::WarmArchive archive(chunk_counts, owners,
+                              client::default_bitrate_ladder());
+  ctx.warm_archive = &archive;
+  for (std::uint32_t c = 0; c < kChunks; ++c) {
+    archive.set(archive.slot(cdn::ChunkKey{spec.video_id, c,
+                                           *overrides.fixed_bitrate_kbps}),
+                cdn::CacheLevel::kRam);
   }
 
   // Warm pass: one full session sizes the shard's shared buffers (round

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Tier-1 verification: full build + ctest, then the sim/cdn/core/faults/
-# engine suites again under AddressSanitizer (VSTREAM_SANITIZE=address),
-# the sim/net/engine/core suites under UBSan (VSTREAM_SANITIZE=undefined;
-# sim and net cover the binomial loss sampler's float-to-integer
-# conversions, where only UBSan sees an overflow), and the
+# engine suites again under AddressSanitizer (VSTREAM_SANITIZE=address,
+# with libstdc++'s container assertions), the sim/net/cdn/engine/core
+# suites under UBSan (VSTREAM_SANITIZE=undefined; sim and net cover the
+# binomial loss sampler's float-to-integer conversions, where only UBSan
+# sees an overflow, and cdn the warm archive's slot arithmetic), and the
 # work-stealing executor + sharded engine suites under TSan
 # (VSTREAM_SANITIZE=thread) at >= 4 physical workers.  The engine
 # ASan/TSan passes exercise the overload-protection layer (breakers,
@@ -50,10 +51,10 @@ echo "==> tier-1: ASan serve-unification equivalence (explicit)"
 
 echo "==> tier-1: UBSan build ($ubsan_dir)"
 cmake -B "$ubsan_dir" -S "$repo_root" -DVSTREAM_SANITIZE=undefined
-cmake --build "$ubsan_dir" -j --target test_sim test_net test_engine test_core test_telemetry test_failpoints
+cmake --build "$ubsan_dir" -j --target test_sim test_net test_cdn test_engine test_core test_telemetry test_failpoints
 
-echo "==> tier-1: UBSan suites (sim, net, engine, core, telemetry, failpoints)"
-for suite in test_sim test_net test_engine test_core test_telemetry test_failpoints; do
+echo "==> tier-1: UBSan suites (sim, net, cdn, engine, core, telemetry, failpoints)"
+for suite in test_sim test_net test_cdn test_engine test_core test_telemetry test_failpoints; do
   echo "--> $suite"
   UBSAN_OPTIONS=halt_on_error=1 "$ubsan_dir/tests/$suite"
 done
