@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <functional>
 #include <memory>
+#include <numeric>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -19,23 +20,86 @@ namespace vstream::engine {
 
 namespace {
 
-/// Stable-sort a record stream by session id.  Stability preserves each
-/// session's internal record order (chunks ascend, snapshots ascend in
-/// time), and since every session lives wholly inside one shard, the
-/// sorted stream depends only on per-session content — not on the shard
-/// count or the interleaving.
+/// A maximal run of one session's records inside one part's stream.
+struct SessionRun {
+  std::uint64_t session = 0;
+  std::size_t begin = 0;
+  std::size_t len = 0;
+};
+
+/// Where one record stream's runs go in the merged stream.  `runs` lists
+/// every part's runs in part order, part p's in [first[p], first[p + 1]);
+/// run r lands at offset dest[r].
+struct StreamPlan {
+  std::vector<SessionRun> runs;
+  std::vector<std::size_t> first;
+  std::vector<std::size_t> dest;
+};
+
+/// Run-sort plan for one stream.  The runs are listed in concatenation
+/// order and a run's records share one key, so stable-sorting the run
+/// table by session id and laying the runs out back to back gives
+/// exactly std::stable_sort of the concatenated records — for any input:
+/// a session split across parts keeps part order, ids interleaved within
+/// a part keep their positions, and ids need not be dense.  The table has
+/// about one entry per session, not per record.
 template <typename Record>
-void canonicalize(std::vector<Record>& records) {
-  std::stable_sort(records.begin(), records.end(),
-                   [](const Record& a, const Record& b) {
-                     return a.session_id < b.session_id;
+StreamPlan plan_stream(const std::vector<ShardResult>& parts,
+                       std::vector<Record> telemetry::Dataset::*member) {
+  StreamPlan plan;
+  plan.first.reserve(parts.size() + 1);
+  for (const ShardResult& part : parts) {
+    plan.first.push_back(plan.runs.size());
+    const std::vector<Record>& records = part.dataset.*member;
+    for (std::size_t i = 0; i < records.size();) {
+      const std::uint64_t session = records[i].session_id;
+      std::size_t end = i + 1;
+      while (end < records.size() && records[end].session_id == session) {
+        ++end;
+      }
+      plan.runs.push_back({session, i, end - i});
+      i = end;
+    }
+  }
+  plan.first.push_back(plan.runs.size());
+
+  std::vector<std::size_t> order(plan.runs.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&plan](std::size_t a, std::size_t b) {
+                     return plan.runs[a].session < plan.runs[b].session;
                    });
+  plan.dest.resize(plan.runs.size());
+  std::size_t offset = 0;
+  for (const std::size_t r : order) {
+    plan.dest[r] = offset;
+    offset += plan.runs[r].len;
+  }
+  return plan;
 }
 
+/// Move part `part`'s runs of one stream to their planned offsets in
+/// `into`, then free the part's vector.
 template <typename Record>
-void append(std::vector<Record>& into, std::vector<Record>&& from) {
-  into.insert(into.end(), std::make_move_iterator(from.begin()),
-              std::make_move_iterator(from.end()));
+void move_runs(std::vector<Record>& from, const StreamPlan& plan,
+               std::size_t part, std::vector<Record>& into) {
+  for (std::size_t r = plan.first[part]; r < plan.first[part + 1]; ++r) {
+    const SessionRun& run = plan.runs[r];
+    std::move(from.data() + run.begin, from.data() + run.begin + run.len,
+              into.data() + plan.dest[r]);
+  }
+  std::vector<Record>().swap(from);
+}
+
+/// Run `body(i)` for every i in [0, count): on `executor` when it has
+/// more than one worker, else serially in index order.
+void run_tasks(runtime::Executor* executor, std::size_t count,
+               const std::function<void(std::size_t)>& body) {
+  if (executor != nullptr && executor->workers() > 1) {
+    executor->parallel_for(count, body, nullptr, "merge");
+  } else {
+    for (std::size_t i = 0; i < count; ++i) body(i);
+  }
 }
 
 }  // namespace
@@ -79,36 +143,44 @@ ShardResult merge_shard_results(std::vector<ShardResult> parts,
     }
   }
 
-  // The five record streams are disjoint dataset members, so their
-  // append-in-part-order + canonical sort runs as five independent
-  // tasks.  Each task reads only its own member of every part; output
-  // order is fixed by part order + session id, never by task timing.
-  const auto merge_stream = [&parts, &merged](auto member) {
-    auto& into = merged.dataset.*member;
+  // Run-sort the five record streams.  A plan walks only session ids and
+  // sizing touches only the new output, so the five walks and the five
+  // resizes are ten independent tasks; the longest, the first touch of
+  // the tcp_snapshots output, runs beside the walks.  Then one task per
+  // part moves its runs: a part's runs land in disjoint ranges of the
+  // outputs, so tasks share nothing mutable, and the output order is the
+  // plans', never the tasks' timing.
+  using telemetry::Dataset;
+  Dataset& into = merged.dataset;
+  std::array<StreamPlan, 5> plans;
+  const auto size = [&](auto member) {
     std::size_t total = 0;
     for (const ShardResult& part : parts) {
       total += (part.dataset.*member).size();
     }
-    into.reserve(total);
-    for (ShardResult& part : parts) {
-      append(into, std::move(part.dataset.*member));
-    }
-    canonicalize(into);
+    (into.*member).resize(total);
   };
-  const std::array<std::function<void()>, 5> streams = {
-      [&] { merge_stream(&telemetry::Dataset::player_sessions); },
-      [&] { merge_stream(&telemetry::Dataset::cdn_sessions); },
-      [&] { merge_stream(&telemetry::Dataset::player_chunks); },
-      [&] { merge_stream(&telemetry::Dataset::cdn_chunks); },
-      [&] { merge_stream(&telemetry::Dataset::tcp_snapshots); },
+  const std::array<std::function<void()>, 10> prepare = {
+      [&] { plans[0] = plan_stream(parts, &Dataset::player_sessions); },
+      [&] { plans[1] = plan_stream(parts, &Dataset::cdn_sessions); },
+      [&] { plans[2] = plan_stream(parts, &Dataset::player_chunks); },
+      [&] { plans[3] = plan_stream(parts, &Dataset::cdn_chunks); },
+      [&] { plans[4] = plan_stream(parts, &Dataset::tcp_snapshots); },
+      [&] { size(&Dataset::player_sessions); },
+      [&] { size(&Dataset::cdn_sessions); },
+      [&] { size(&Dataset::player_chunks); },
+      [&] { size(&Dataset::cdn_chunks); },
+      [&] { size(&Dataset::tcp_snapshots); },
   };
-  if (executor != nullptr && executor->workers() > 1) {
-    executor->parallel_for(streams.size(),
-                           [&](std::size_t i) { streams[i](); }, nullptr,
-                           "merge");
-  } else {
-    for (const auto& stream : streams) stream();
-  }
+  run_tasks(executor, prepare.size(), [&](std::size_t i) { prepare[i](); });
+  run_tasks(executor, parts.size(), [&](std::size_t p) {
+    Dataset& from = parts[p].dataset;
+    move_runs(from.player_sessions, plans[0], p, into.player_sessions);
+    move_runs(from.cdn_sessions, plans[1], p, into.cdn_sessions);
+    move_runs(from.player_chunks, plans[2], p, into.player_chunks);
+    move_runs(from.cdn_chunks, plans[3], p, into.cdn_chunks);
+    move_runs(from.tcp_snapshots, plans[4], p, into.tcp_snapshots);
+  });
   return merged;
 }
 

@@ -92,13 +92,22 @@ std::vector<std::vector<AdmittedSession>> partition_sessions(
 /// record stream into ascending session id (stable within a session, i.e.
 /// chunk/time order).  The result is a pure function of the per-session
 /// records and therefore independent of the shard count.
+///
+/// Each stream is run-sorted: every part's maximal runs of equal session
+/// id are collected into a run table (about one entry per session, since
+/// a part holds a session's records contiguously), the table is
+/// stable-sorted by session id, and a prefix sum over the run lengths
+/// gives each run its offset in the pre-sized output.  The records are
+/// then moved run by run and each part's vectors are freed as soon as
+/// they are moved.  The output equals std::stable_sort of the
+/// concatenated parts for any input (a session split across parts,
+/// interleaved ids, sparse ids), with no fallback path.
 ShardResult merge_shard_results(std::vector<ShardResult> parts);
 
-/// Same merge with the five record streams (player/CDN sessions,
-/// player/CDN chunks, TCP snapshots) appended and sorted as five
-/// independent executor tasks — the streams are disjoint members, so
-/// the only shared state is read-only.  `executor` null falls back to
-/// the serial loop.  Byte-identical to the serial merge.
+/// Same merge with the moves run as one executor task per part: the
+/// tasks write disjoint ranges of the outputs and each frees only its
+/// own part.  `executor` null (or one worker) moves the parts serially.
+/// Byte-identical to the serial merge.
 ShardResult merge_shard_results(std::vector<ShardResult> parts,
                                 runtime::Executor* executor);
 

@@ -6,8 +6,8 @@
 // per shard, so the shard count was simultaneously the correctness unit
 // and the parallelism knob.  The Executor breaks that coupling: callers
 // enumerate independent tasks (shard batches, per-file analysis folds,
-// per-stream sorts) and a fixed pool of M workers executes them,
-// stealing from each other when their own queues drain.
+// per-part merge moves, CSV row ranges) and a fixed pool of M workers
+// executes them, stealing from each other when their own queues drain.
 //
 // Design:
 //   * fixed worker pool — worker 0 is whatever thread calls

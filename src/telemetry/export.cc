@@ -1,5 +1,6 @@
 #include "telemetry/export.h"
 
+#include <algorithm>
 #include <array>
 #include <fstream>
 #include <functional>
@@ -460,14 +461,6 @@ void check_written(std::ofstream& out, const std::filesystem::path& path) {
   }
 }
 
-template <typename Writer>
-void write_file(const std::filesystem::path& path, Writer&& writer) {
-  std::ofstream out(path);
-  check_open(out, path);
-  writer(out);
-  check_written(out, path);
-}
-
 template <typename Reader>
 auto read_file(const std::filesystem::path& path, Reader&& reader) {
   std::ifstream in(path);
@@ -481,40 +474,92 @@ void export_dataset(const Dataset& data,
                     const std::filesystem::path& directory,
                     runtime::Executor* executor) {
   std::filesystem::create_directories(directory);
-  // Five independent files: each task owns one path and reads one
-  // record vector, so parallel execution shares nothing mutable.
-  const std::array<std::function<void()>, 5> writers = {
-      [&] {
-        write_file(directory / "player_sessions.csv", [&](std::ostream& out) {
-          write_player_sessions_csv(out, data.player_sessions);
-        });
-      },
-      [&] {
-        write_file(directory / "cdn_sessions.csv", [&](std::ostream& out) {
-          write_cdn_sessions_csv(out, data.cdn_sessions);
-        });
-      },
-      [&] {
-        write_file(directory / "player_chunks.csv", [&](std::ostream& out) {
-          write_player_chunks_csv(out, data.player_chunks);
-        });
-      },
-      [&] {
-        write_file(directory / "cdn_chunks.csv", [&](std::ostream& out) {
-          write_cdn_chunks_csv(out, data.cdn_chunks);
-        });
-      },
-      [&] {
-        write_file(directory / "tcp_snapshots.csv", [&](std::ostream& out) {
-          write_tcp_snapshots_csv(out, data.tcp_snapshots);
-        });
-      },
+
+  // Every file is cut into contiguous row ranges (at least one, so an
+  // empty stream still gets its header).  Ranges are formatted into
+  // their own buffers in parallel, a window at a time, then written in
+  // file order on the calling thread, so the bytes match a serial loop
+  // and the formatted-but-unwritten text stays within one window.
+  struct File {
+    const char* name;
+    const char* header;
+    std::size_t rows;
+    std::function<void(WriteBuffer&, std::size_t, std::size_t)> format;
   };
-  if (executor != nullptr && executor->workers() > 1) {
-    executor->parallel_for(writers.size(),
-                           [&](std::size_t i) { writers[i](); });
-  } else {
-    for (const auto& writer : writers) writer();
+  const auto rows_of = [](const auto& records) {
+    return [&records](WriteBuffer& buf, std::size_t begin, std::size_t end) {
+      for (std::size_t i = begin; i < end; ++i) append_csv_row(buf, records[i]);
+    };
+  };
+  const std::array<File, 5> files = {{
+      {"player_sessions.csv", kPlayerSessionHeader, data.player_sessions.size(),
+       rows_of(data.player_sessions)},
+      {"cdn_sessions.csv", kCdnSessionHeader, data.cdn_sessions.size(),
+       rows_of(data.cdn_sessions)},
+      {"player_chunks.csv", kPlayerChunkHeader, data.player_chunks.size(),
+       rows_of(data.player_chunks)},
+      {"cdn_chunks.csv", kCdnChunkHeader, data.cdn_chunks.size(),
+       rows_of(data.cdn_chunks)},
+      {"tcp_snapshots.csv", kTcpSnapshotHeader, data.tcp_snapshots.size(),
+       rows_of(data.tcp_snapshots)},
+  }};
+
+  // A window of two ranges per worker leaves stealing room for the
+  // shorter last range of each file.
+  struct Range {
+    std::size_t file;
+    std::size_t begin;
+    std::size_t end;
+  };
+  std::vector<Range> ranges;
+  for (std::size_t f = 0; f < files.size(); ++f) {
+    std::size_t begin = 0;
+    do {
+      const std::size_t end = std::min(begin + kExportRangeRows, files[f].rows);
+      ranges.push_back({f, begin, end});
+      begin = end;
+    } while (begin < files[f].rows);
+  }
+
+  const bool parallel = executor != nullptr && executor->workers() > 1;
+  const std::size_t window = parallel ? 2 * executor->workers() : 1;
+  std::vector<std::string> text(window);
+  std::ofstream out;
+  for (std::size_t base = 0; base < ranges.size(); base += window) {
+    const std::size_t count = std::min(window, ranges.size() - base);
+    const auto format = [&](std::size_t k) {
+      const Range& range = ranges[base + k];
+      const File& file = files[range.file];
+      std::ostringstream stream;
+      {
+        WriteBuffer buf(stream);
+        if (range.begin == 0) {
+          buf.append(file.header);
+          buf.append('\n');
+        }
+        file.format(buf, range.begin, range.end);
+      }
+      text[k] = std::move(stream).str();
+    };
+    if (parallel) {
+      executor->parallel_for(count, format, nullptr, "export");
+    } else {
+      format(0);
+    }
+    for (std::size_t k = 0; k < count; ++k) {
+      const Range& range = ranges[base + k];
+      const std::filesystem::path path = directory / files[range.file].name;
+      if (range.begin == 0) {
+        out = std::ofstream(path);
+        check_open(out, path);
+      }
+      out.write(text[k].data(), static_cast<std::streamsize>(text[k].size()));
+      text[k] = std::string();
+      if (range.end == files[range.file].rows) {
+        check_written(out, path);
+        out.close();
+      }
+    }
   }
 }
 

@@ -12,6 +12,7 @@
 // rejects rows with the wrong field count rather than guessing.
 #pragma once
 
+#include <cstddef>
 #include <filesystem>
 #include <iosfwd>
 
@@ -59,13 +60,19 @@ std::vector<PlayerChunkRecord> read_player_chunks_csv(std::istream& in);
 std::vector<CdnChunkRecord> read_cdn_chunks_csv(std::istream& in);
 std::vector<TcpSnapshotRecord> read_tcp_snapshots_csv(std::istream& in);
 
+/// Rows per range of export_dataset(): each range of a stream is
+/// formatted into its own buffer (about 0.8 MiB of tcp_snapshots text).
+inline constexpr std::size_t kExportRangeRows = 8192;
+
 /// Write all five streams into `directory` (created if missing) as
 /// player_sessions.csv, cdn_sessions.csv, player_chunks.csv,
-/// cdn_chunks.csv, tcp_snapshots.csv.  `executor` non-null writes the
-/// five files as five independent tasks (distinct files — no shared
-/// mutable state); the bytes of every file are identical either way.
-/// Every file's stream state is checked after its final flush: a short
-/// write (full disk, or the export.open/export.write failpoints) throws
+/// cdn_chunks.csv, tcp_snapshots.csv.  Each stream is cut into ranges of
+/// kExportRangeRows rows.  `executor` non-null formats a window of two
+/// ranges per worker in parallel, then the calling thread writes them in
+/// file order; the formatted-but-unwritten text never exceeds one window,
+/// and the bytes of every file are identical either way.  Every file's
+/// stream state is checked after its final flush: a short write (full
+/// disk, or the export.open/export.write failpoints) throws
 /// sim::HostIoError — a truncated CSV never goes unreported.
 void export_dataset(const Dataset& data,
                     const std::filesystem::path& directory,

@@ -88,15 +88,41 @@ void finalize_joined_session(JoinedSession& session) {
               return a->at_ms < b->at_ms;
             });
 
-  // Per-chunk counter deltas and "last snapshot of chunk" context, from
-  // the cumulative connection counters.
+  // "Last snapshot of chunk": the last snapshot in time order with the
+  // chunk's id, found in one pass over the snapshots.  Each snapshot is
+  // keyed to the first chunk carrying its id (chunks are sorted by id);
+  // a connection's snapshots advance chunk by chunk, so the cursor is
+  // nearly always already there and the binary search runs once per
+  // chunk change.
+  const std::vector<JoinedChunk>& chunks = session.chunks;
+  std::vector<const TcpSnapshotRecord*> last_at(chunks.size(), nullptr);
+  std::size_t at = 0;
+  for (const TcpSnapshotRecord* snap : session.snapshots) {
+    const std::uint32_t id = snap->chunk_id;
+    if (at == chunks.size() || chunks[at].player->chunk_id != id) {
+      at = static_cast<std::size_t>(
+          std::lower_bound(chunks.begin(), chunks.end(), id,
+                           [](const JoinedChunk& c, std::uint32_t key) {
+                             return c.player->chunk_id < key;
+                           }) -
+          chunks.begin());
+      if (at == chunks.size() || chunks[at].player->chunk_id != id) {
+        continue;  // no chunk with this id
+      }
+    }
+    last_at[at] = snap;
+  }
+
+  // Per-chunk counter deltas from the cumulative connection counters.
   std::uint64_t prev_retrans = 0;
   std::uint64_t prev_segments = 0;
-  for (JoinedChunk& chunk : session.chunks) {
-    const TcpSnapshotRecord* last = nullptr;
-    for (const TcpSnapshotRecord* snap : session.snapshots) {
-      if (snap->chunk_id == chunk.player->chunk_id) last = snap;
+  std::size_t first = 0;  // first chunk with the current chunk's id
+  for (std::size_t i = 0; i < session.chunks.size(); ++i) {
+    JoinedChunk& chunk = session.chunks[i];
+    if (chunk.player->chunk_id != session.chunks[first].player->chunk_id) {
+      first = i;
     }
+    const TcpSnapshotRecord* last = last_at[first];
     chunk.last_snapshot = last;
     if (last != nullptr) {
       chunk.retransmissions = last->info.total_retrans - prev_retrans;

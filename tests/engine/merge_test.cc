@@ -1,4 +1,5 @@
-// merge_shard_results edge cases and partition-skew behavior.
+// merge_shard_results edge cases, its run-sort against a reference
+// std::stable_sort, and partition-skew behavior.
 //
 // The canonical merge is the one place every shard's (or batch's) output
 // flows through, so its edge cases — empty parts, parts with no records,
@@ -8,11 +9,16 @@
 // the executor's batch granularity absorbs it.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <filesystem>
+#include <limits>
 #include <memory>
+#include <random>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "engine/admission.h"
@@ -138,6 +144,145 @@ TEST(MergeShardResultsTest, ParallelMergeIsByteIdenticalToSerial) {
   const engine::ShardResult parallel =
       engine::merge_shard_results(build_parts(), &executor);
   EXPECT_EQ(export_string(serial.dataset), export_string(parallel.dataset));
+}
+
+// ------------------------------------------ run-sort vs. stable sort
+
+using Tagged = std::pair<std::uint64_t, std::uint32_t>;  // (session id, tag)
+
+/// One record of every stream per entry, in the given order.  The tag
+/// goes into a field the merge never reads, so any reordering within a
+/// session shows in the exported bytes.
+engine::ShardResult tagged_part(const std::vector<Tagged>& entries) {
+  engine::ShardResult part;
+  telemetry::Dataset& d = part.dataset;
+  for (const auto& [id, tag] : entries) {
+    telemetry::PlayerSessionRecord player;
+    player.session_id = id;
+    player.chunks_requested = tag;
+    d.player_sessions.push_back(player);
+    telemetry::CdnSessionRecord cdn;
+    cdn.session_id = id;
+    cdn.server = tag;
+    d.cdn_sessions.push_back(cdn);
+    telemetry::PlayerChunkRecord player_chunk;
+    player_chunk.session_id = id;
+    player_chunk.chunk_id = tag;
+    d.player_chunks.push_back(player_chunk);
+    telemetry::CdnChunkRecord cdn_chunk;
+    cdn_chunk.session_id = id;
+    cdn_chunk.chunk_id = tag;
+    d.cdn_chunks.push_back(cdn_chunk);
+    telemetry::TcpSnapshotRecord snapshot;
+    snapshot.session_id = id;
+    snapshot.chunk_id = tag;
+    d.tcp_snapshots.push_back(snapshot);
+  }
+  return part;
+}
+
+/// The definition the merge must meet: concatenate the parts in order
+/// and std::stable_sort every stream by session id.
+telemetry::Dataset reference_merge(
+    const std::vector<engine::ShardResult>& parts) {
+  telemetry::Dataset all;
+  const auto merge = [&](auto member) {
+    auto& into = all.*member;
+    for (const engine::ShardResult& part : parts) {
+      const auto& from = part.dataset.*member;
+      into.insert(into.end(), from.begin(), from.end());
+    }
+    std::stable_sort(into.begin(), into.end(),
+                     [](const auto& a, const auto& b) {
+                       return a.session_id < b.session_id;
+                     });
+  };
+  merge(&telemetry::Dataset::player_sessions);
+  merge(&telemetry::Dataset::cdn_sessions);
+  merge(&telemetry::Dataset::player_chunks);
+  merge(&telemetry::Dataset::cdn_chunks);
+  merge(&telemetry::Dataset::tcp_snapshots);
+  return all;
+}
+
+/// The serial merge and the 4-worker merge both equal the reference.
+void expect_matches_stable_sort(const std::vector<std::vector<Tagged>>& spec) {
+  const auto build = [&spec] {
+    std::vector<engine::ShardResult> parts;
+    for (const std::vector<Tagged>& entries : spec) {
+      parts.push_back(tagged_part(entries));
+    }
+    return parts;
+  };
+  const std::string expected = export_string(reference_merge(build()));
+  EXPECT_EQ(
+      export_string(engine::merge_shard_results(build(), nullptr).dataset),
+      expected)
+      << "serial merge";
+  runtime::Executor executor(4);
+  EXPECT_EQ(
+      export_string(engine::merge_shard_results(build(), &executor).dataset),
+      expected)
+      << "4-worker merge";
+}
+
+TEST(MergeRunSortTest, SessionSplitAcrossPartsKeepsPartOrder) {
+  expect_matches_stable_sort({
+      {{5, 0}, {5, 1}, {7, 0}},
+      {{5, 2}, {5, 3}, {6, 0}},
+      {{7, 1}},
+  });
+  std::vector<engine::ShardResult> parts;
+  parts.push_back(tagged_part({{5, 0}, {5, 1}}));
+  parts.push_back(tagged_part({{5, 2}}));
+  const engine::ShardResult merged =
+      engine::merge_shard_results(std::move(parts));
+  ASSERT_EQ(merged.dataset.tcp_snapshots.size(), 3u);
+  for (std::uint32_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(merged.dataset.tcp_snapshots[i].chunk_id, i);
+  }
+}
+
+TEST(MergeRunSortTest, IdsInterleavedWithinOnePart) {
+  expect_matches_stable_sort({
+      {{3, 0}, {1, 0}, {3, 1}, {2, 0}, {1, 1}, {3, 2}, {1, 2}},
+      {{2, 1}, {0, 0}, {2, 2}, {0, 1}},
+  });
+}
+
+TEST(MergeRunSortTest, SparseIdsNearUint64Max) {
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  expect_matches_stable_sort({
+      {{kMax, 0}, {kMax - 1, 0}, {kMax, 1}},
+      {{std::uint64_t{1} << 63, 0}, {0, 0}, {kMax - 1000, 0}},
+      {{kMax - 1, 1}, {kMax, 2}, {std::uint64_t{1} << 63, 1}},
+  });
+}
+
+TEST(MergeRunSortTest, ZeroRecordPartsBetweenNonEmptyOnes) {
+  expect_matches_stable_sort({
+      {},
+      {{4, 0}, {4, 1}},
+      {},
+      {},
+      {{1, 0}, {4, 2}, {2, 0}},
+      {},
+  });
+}
+
+TEST(MergeRunSortTest, RandomPartsMatchStableSort) {
+  // Many parts, few distinct ids: long split sessions, short runs and
+  // interleaving all at once.
+  std::mt19937_64 rng(20161114);
+  std::vector<std::vector<Tagged>> spec(23);
+  std::uint32_t tag = 0;
+  for (std::vector<Tagged>& entries : spec) {
+    const std::size_t size = rng() % 40;  // some parts stay empty
+    for (std::size_t i = 0; i < size; ++i) {
+      entries.emplace_back(rng() % 17, tag++);
+    }
+  }
+  expect_matches_stable_sort(spec);
 }
 
 // --------------------------------------------------- partition skew

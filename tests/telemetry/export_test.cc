@@ -4,12 +4,16 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <utility>
 
 #include "engine/engine.h"
+#include "failpoints/failpoint.h"
 #include "faults/fault_schedule.h"
+#include "runtime/executor.h"
+#include "sim/host_error.h"
 #include "telemetry/join.h"
 #include "workload/scenario.h"
 
@@ -338,6 +342,117 @@ TEST(ExportTest, ReExportIsFixedPointOnFaultedEngineRun) {
     incomplete += s.completed ? 0 : 1;
   }
   EXPECT_GT(retries + failovers + incomplete, 0u);
+}
+
+// ------------------------------------------------ parallel range export
+
+/// `rows` records in every stream, each row distinct.
+Dataset dataset_with_rows(std::size_t rows) {
+  const Dataset one = sample_dataset();
+  Dataset d;
+  for (std::size_t i = 0; i < rows; ++i) {
+    const std::uint64_t id = i / 3;
+    const auto chunk = static_cast<std::uint32_t>(i % 3);
+    PlayerSessionRecord ps = one.player_sessions[0];
+    ps.session_id = i;
+    ps.startup_ms = 0.5 * static_cast<double>(i);
+    d.player_sessions.push_back(ps);
+    CdnSessionRecord cs = one.cdn_sessions[0];
+    cs.session_id = i;
+    cs.server = static_cast<std::uint32_t>(i % 11);
+    d.cdn_sessions.push_back(cs);
+    PlayerChunkRecord pc = one.player_chunks[0];
+    pc.session_id = id;
+    pc.chunk_id = chunk;
+    pc.dfb_ms = 1.25 * static_cast<double>(i);
+    d.player_chunks.push_back(pc);
+    CdnChunkRecord cc = one.cdn_chunks[0];
+    cc.session_id = id;
+    cc.chunk_id = chunk;
+    cc.chunk_bytes = 1'000 + i;
+    d.cdn_chunks.push_back(cc);
+    TcpSnapshotRecord ts = one.tcp_snapshots[0];
+    ts.session_id = id;
+    ts.chunk_id = chunk;
+    ts.info.segments_out = 7 * i;
+    d.tcp_snapshots.push_back(ts);
+  }
+  return d;
+}
+
+std::string file_bytes(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+TEST(ExportTest, ParallelRangesMatchSerialExportByteForByte) {
+  const std::filesystem::path root =
+      std::filesystem::temp_directory_path() / "vstream_export_ranges";
+  runtime::Executor executor(4);
+  constexpr std::size_t kRange = kExportRangeRows;
+  for (const std::size_t rows :
+       {std::size_t{0}, std::size_t{1}, kRange - 1, kRange, kRange + 1,
+        5 * kRange + 17}) {
+    SCOPED_TRACE("rows = " + std::to_string(rows));
+    const Dataset d = dataset_with_rows(rows);
+    std::filesystem::remove_all(root);
+    export_dataset(d, root / "serial");
+    export_dataset(d, root / "parallel", &executor);
+
+    // The single-buffer stream writers are the reference bytes.
+    std::ostringstream ps, cs, pc, cc, ts;
+    write_player_sessions_csv(ps, d.player_sessions);
+    write_cdn_sessions_csv(cs, d.cdn_sessions);
+    write_player_chunks_csv(pc, d.player_chunks);
+    write_cdn_chunks_csv(cc, d.cdn_chunks);
+    write_tcp_snapshots_csv(ts, d.tcp_snapshots);
+    const std::pair<const char*, std::string> expected[] = {
+        {"player_sessions.csv", ps.str()}, {"cdn_sessions.csv", cs.str()},
+        {"player_chunks.csv", pc.str()},   {"cdn_chunks.csv", cc.str()},
+        {"tcp_snapshots.csv", ts.str()},
+    };
+    for (const auto& [name, bytes] : expected) {
+      EXPECT_EQ(file_bytes(root / "serial" / name), bytes) << name;
+      EXPECT_EQ(file_bytes(root / "parallel" / name), bytes) << name;
+    }
+  }
+  std::filesystem::remove_all(root);
+}
+
+class ExportFailpointTest : public ::testing::Test {
+ protected:
+  void SetUp() override { failpoints::Registry::instance().disarm_all(); }
+  void TearDown() override {
+    failpoints::Registry::instance().disarm_all();
+    std::filesystem::remove_all(dir_);
+  }
+  // One directory per test: ctest runs the tests as concurrent processes.
+  const std::filesystem::path dir_ =
+      std::filesystem::temp_directory_path() /
+      (std::string("vstream_export_fp_") +
+       ::testing::UnitTest::GetInstance()->current_test_info()->name());
+};
+
+TEST_F(ExportFailpointTest, ParallelExportOpenFailureThrowsHostIoError) {
+  runtime::Executor executor(4);
+  const Dataset d = dataset_with_rows(2 * kExportRangeRows + 3);
+  // Fire on the third file's open: the first two files are written, the
+  // error still surfaces.
+  failpoints::Registry::instance().arm("export.open=error@once:2");
+  EXPECT_THROW(export_dataset(d, dir_, &executor), sim::HostIoError);
+  failpoints::Registry::instance().arm("export.open=error");
+  EXPECT_THROW(export_dataset(d, dir_, &executor), sim::HostIoError);
+}
+
+TEST_F(ExportFailpointTest, ParallelExportWriteFailureThrowsHostIoError) {
+  runtime::Executor executor(4);
+  const Dataset d = dataset_with_rows(2 * kExportRangeRows + 3);
+  failpoints::Registry::instance().arm("export.write=error@once:4");
+  EXPECT_THROW(export_dataset(d, dir_, &executor), sim::HostIoError);
+  failpoints::Registry::instance().arm("export.write=error");
+  EXPECT_THROW(export_dataset(d, dir_, &executor), sim::HostIoError);
 }
 
 TEST(ExportTest, DirectoryRoundTripFromPipeline) {

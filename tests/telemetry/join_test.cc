@@ -94,6 +94,66 @@ TEST(JoinTest, CounterDeltasComputedPerChunk) {
   EXPECT_TRUE(s.has_loss());
 }
 
+TEST(JoinTest, InterleavedChunkSnapshotsKeepLastInTimeOrder) {
+  // Session 1's snapshots go back and forth between chunks 0 and 1 and
+  // include one for a chunk the player never requested.  Each chunk's
+  // context is the last snapshot in time order carrying its id, whatever
+  // the record order, and the deltas follow from those snapshots alone.
+  Dataset d = tiny_dataset();
+  std::erase_if(d.tcp_snapshots, [](const TcpSnapshotRecord& snap) {
+    return snap.session_id == 1;
+  });
+  const auto snap = [&d](std::uint32_t chunk, double at_ms,
+                         std::uint64_t retrans, std::uint64_t segments) {
+    TcpSnapshotRecord r;
+    r.session_id = 1;
+    r.chunk_id = chunk;
+    r.at_ms = at_ms;
+    r.info.total_retrans = retrans;
+    r.info.segments_out = segments;
+    d.tcp_snapshots.push_back(r);
+  };
+  // Deliberately out of time order: the join sorts by at_ms.
+  snap(1, 3'000.0, 9, 400);
+  snap(0, 500.0, 2, 100);
+  snap(7, 2'000.0, 8, 380);
+  snap(0, 1'500.0, 5, 220);
+  snap(1, 1'000.0, 3, 150);
+  snap(2, 3'500.0, 10, 450);
+  snap(0, 200.0, 1, 40);
+
+  const JoinedDataset joined = JoinedDataset::build(d);
+  const JoinedSession& s = joined.sessions()[0];
+  ASSERT_EQ(s.session_id, 1u);
+  ASSERT_EQ(s.chunks.size(), 3u);
+
+  // Reference: rescan every snapshot in time order for every chunk.
+  for (const JoinedChunk& chunk : s.chunks) {
+    const TcpSnapshotRecord* expected = nullptr;
+    for (const TcpSnapshotRecord* r : s.snapshots) {
+      if (r->chunk_id == chunk.player->chunk_id) expected = r;
+    }
+    EXPECT_EQ(chunk.last_snapshot, expected);
+  }
+  ASSERT_NE(s.chunks[0].last_snapshot, nullptr);
+  EXPECT_EQ(s.chunks[0].last_snapshot->at_ms, 1'500.0);
+  EXPECT_EQ(s.chunks[1].last_snapshot->at_ms, 3'000.0);
+  EXPECT_EQ(s.chunks[2].last_snapshot->at_ms, 3'500.0);
+  EXPECT_EQ(s.chunks[0].retransmissions, 5u);
+  EXPECT_EQ(s.chunks[0].segments, 220u);
+  EXPECT_EQ(s.chunks[1].retransmissions, 4u);
+  EXPECT_EQ(s.chunks[1].segments, 180u);
+  EXPECT_EQ(s.chunks[2].retransmissions, 1u);
+  EXPECT_EQ(s.chunks[2].segments, 50u);
+
+  // Session 2 is untouched: 2,2,2 / 100 each.
+  const JoinedSession& other = joined.sessions()[1];
+  for (const JoinedChunk& chunk : other.chunks) {
+    EXPECT_EQ(chunk.retransmissions, 2u);
+    EXPECT_EQ(chunk.segments, 100u);
+  }
+}
+
 TEST(JoinTest, SessionAggregates) {
   const Dataset d = tiny_dataset();
   const JoinedDataset joined = JoinedDataset::build(d);

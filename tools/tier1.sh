@@ -5,8 +5,9 @@
 # suites under UBSan (VSTREAM_SANITIZE=undefined; sim and net cover the
 # binomial loss sampler's float-to-integer conversions, where only UBSan
 # sees an overflow, and cdn the warm archive's slot arithmetic), and the
-# work-stealing executor + sharded engine suites under TSan
-# (VSTREAM_SANITIZE=thread) at >= 4 physical workers.  The engine
+# work-stealing executor, sharded engine and telemetry suites under TSan
+# (VSTREAM_SANITIZE=thread) at >= 4 physical workers (telemetry covers the
+# parallel range export, which formats on several threads).  The engine
 # ASan/TSan passes exercise the overload-protection layer (breakers,
 # shedding, hedges) via the determinism suite's overload scenario; the
 # TSan pass additionally runs the steal-heavy executor stress tests and
@@ -61,16 +62,27 @@ done
 
 echo "==> tier-1: TSan build ($tsan_dir)"
 cmake -B "$tsan_dir" -S "$repo_root" -DVSTREAM_SANITIZE=thread
-cmake --build "$tsan_dir" -j --target test_runtime test_engine
+cmake --build "$tsan_dir" -j --target test_runtime test_engine test_telemetry
 
 echo "==> tier-1: TSan executor suite (steal-heavy stress included)"
 TSAN_OPTIONS=halt_on_error=1 "$tsan_dir/tests/test_runtime"
 
 echo "==> tier-1: TSan sharded engine suite (VSTREAM_SHARDS=4, 4 workers)"
-# Covers the parallel shard/batch execution, parallel merge, parallel
-# analyze_spill and the checkpoint/resume paths on real worker threads.
+# Covers the parallel shard/batch execution, the per-part merge tasks,
+# parallel analyze_spill and the checkpoint/resume paths on real worker threads.
 VSTREAM_SHARDS=4 VSTREAM_THREADS=4 TSAN_OPTIONS=halt_on_error=1 \
   "$tsan_dir/tests/test_engine"
+
+echo "==> tier-1: TSan telemetry suite (4 workers)"
+# The parallel export formats row ranges on pool workers while the
+# calling thread writes the files; its tests run a 4-worker executor,
+# and VSTREAM_THREADS=4 covers the engine runs the suite starts.  The two
+# randomized formatter sweeps are single-threaded and compare against
+# iostream output, which TSan slows ~100x, so they are left to the
+# ASan/UBSan passes.
+VSTREAM_THREADS=4 TSAN_OPTIONS=halt_on_error=1 \
+  "$tsan_dir/tests/test_telemetry" \
+  --gtest_filter='-FastFormatTest.DoubleMatchesOstreamOnRandom*'
 
 echo "==> tier-1: oversubscribed determinism (threads > cores)"
 # More workers than the machine has cores forces preemption mid-steal.
