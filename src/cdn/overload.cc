@@ -69,20 +69,6 @@ BreakerState CircuitBreaker::state(const OverloadConfig& config, sim::Ms now) {
   return state_;
 }
 
-BreakerState CircuitBreaker::peek_state(const OverloadConfig& config,
-                                        sim::Ms now) const {
-  if (!config.breaker_enabled) return BreakerState::kClosed;
-  if (state_ == BreakerState::kOpen &&
-      now >= opened_at_ms_ + config.breaker_open_ms) {
-    return BreakerState::kHalfOpen;
-  }
-  return state_;
-}
-
-bool CircuitBreaker::allow_fetch(const OverloadConfig& config, sim::Ms now) {
-  return state(config, now) != BreakerState::kOpen;
-}
-
 void CircuitBreaker::record(const OverloadConfig& config, sim::Ms now,
                             bool success) {
   if (!config.breaker_enabled) return;

@@ -109,13 +109,6 @@ class CircuitBreaker {
   /// dwell has passed.
   BreakerState state(const OverloadConfig& config, sim::Ms now);
 
-  /// Same answer as state() without mutating (for const observers).
-  BreakerState peek_state(const OverloadConfig& config, sim::Ms now) const;
-
-  /// True if a backend fetch may be issued at `now`: closed, or half-open
-  /// (the probe that will close or re-open the breaker).
-  bool allow_fetch(const OverloadConfig& config, sim::Ms now);
-
   /// Record a fetch outcome.  Failures are errors or first bytes past
   /// breaker_latency_threshold_ms; the caller classifies.
   void record(const OverloadConfig& config, sim::Ms now, bool success);

@@ -2,89 +2,82 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <memory>
-#include <optional>
 #include <unordered_set>
 #include <utility>
 
 #include "runtime/executor.h"
-#include "telemetry/streaming_join.h"
+#include "telemetry/join.h"
 
 namespace vstream::core {
 
 namespace {
 
-/// The shared two-pass fold; `open` must return a fresh canonical-order
-/// stream each call.
-template <typename OpenStream>
-StreamingAnalysis analyze_impl(const OpenStream& open,
-                               double chunk_duration_s,
-                               const telemetry::ProxyFilterConfig& proxy_config) {
-  StreamingAnalysis out;
+/// The per-session fold behind a StreamingAnalysis: the join's counts and
+/// the four mergeable accumulators.
+struct Fold {
+  explicit Fold(double chunk_duration_s) : perf(chunk_duration_s) {}
 
-  // Pass 1: proxy detection sees only the two session-level streams, so a
-  // session-only dataset — O(sessions), no chunk records — reproduces
-  // detect_proxies on the full dataset exactly.
-  {
-    telemetry::Dataset session_level;
-    auto stream = open();
-    while (auto group = stream->next()) {
-      for (auto& r : group->player_sessions) {
-        session_level.player_sessions.push_back(std::move(r));
-      }
-      for (auto& r : group->cdn_sessions) {
-        session_level.cdn_sessions.push_back(std::move(r));
-      }
-    }
-    out.proxies = telemetry::detect_proxies(session_level, proxy_config);
-  }
-
-  // Pass 2: join + accumulate, one session resident at a time.
-  telemetry::StreamingJoiner joiner(&out.proxies);
+  std::size_t joined = 0;
+  std::size_t as_proxy = 0;
+  std::size_t incomplete = 0;
   analysis::QoeAccumulator qoe;
   analysis::PrefixRollupAccumulator prefixes;
-  analysis::PerfScoreAccumulator perf(chunk_duration_s);
+  analysis::PerfScoreAccumulator perf;
   analysis::RecoveryImpactAccumulator recovery;
-  {
-    auto stream = open();
-    while (auto group = stream->next()) {
-      const auto joined = joiner.join(*group);
-      if (!joined) continue;
-      qoe.add(*joined);
-      prefixes.add(*joined);
-      perf.add(*joined);
-      recovery.add(*joined);
-    }
+
+  void add(const telemetry::JoinedSession& session) {
+    qoe.add(session);
+    prefixes.add(session);
+    perf.add(session);
+    recovery.add(session);
   }
-  out.sessions_joined = joiner.sessions_joined();
-  out.dropped_as_proxy = joiner.dropped_as_proxy();
-  out.dropped_incomplete = joiner.dropped_incomplete();
-  out.qoe = std::move(qoe).finalize();
-  out.prefixes = std::move(prefixes).finalize();
-  out.perf = std::move(perf).finalize();
-  out.recovery = std::move(recovery).finalize();
-  return out;
-}
 
-/// Stable-sort a session-level record stream by session id — turns the
-/// concatenation of per-file (ascending-id) record runs into exactly the
-/// sequence the merged SpillSet stream would have produced: ascending id,
-/// ties broken by file order, per-file emission order preserved.
-template <typename Record>
-void sort_by_session(std::vector<Record>& records) {
-  std::stable_sort(records.begin(), records.end(),
-                   [](const Record& a, const Record& b) {
-                     return a.session_id < b.session_id;
-                   });
-}
+  /// Join every group of `stream` whose session `take` accepts, and add
+  /// the joined sessions and the join's counts.
+  template <typename Take>
+  void join_and_add(telemetry::SessionGroupStream& stream,
+                    const telemetry::ProxyFilterResult& proxies,
+                    const Take& take) {
+    telemetry::StreamingJoiner joiner(&proxies);
+    while (auto group = stream.next()) {
+      if (!take(group->session_id)) continue;
+      if (const auto session = joiner.join(*group)) add(*session);
+    }
+    joined += joiner.sessions_joined();
+    as_proxy += joiner.dropped_as_proxy();
+    incomplete += joiner.dropped_incomplete();
+  }
 
-/// The parallel spill fold: per-file tasks on `executor`, merged in file
-/// order.  Bit-identical to the serial analyze_impl fold (see the header
-/// doc for why).
-StreamingAnalysis analyze_spill_parallel(
-    const telemetry::SpillSet& spill, double chunk_duration_s,
-    const telemetry::ProxyFilterConfig& proxy_config,
-    runtime::Executor& executor) {
+  void merge(Fold&& other) {
+    joined += other.joined;
+    as_proxy += other.as_proxy;
+    incomplete += other.incomplete;
+    qoe.merge(std::move(other.qoe));
+    prefixes.merge(std::move(other.prefixes));
+    perf.merge(std::move(other.perf));
+    recovery.merge(std::move(other.recovery));
+  }
+
+  /// finalize() sorts by session id, so neither the feed order nor the
+  /// merge grouping shows in the result.
+  void finalize(StreamingAnalysis& out) && {
+    out.sessions_joined = joined;
+    out.dropped_as_proxy = as_proxy;
+    out.dropped_incomplete = incomplete;
+    out.qoe = std::move(qoe).finalize();
+    out.prefixes = std::move(prefixes).finalize();
+    out.perf = std::move(perf).finalize();
+    out.recovery = std::move(recovery).finalize();
+  }
+};
+
+}  // namespace
+
+StreamingAnalysis analyze_spill(const telemetry::SpillSet& spill,
+                                double chunk_duration_s,
+                                const telemetry::ProxyFilterConfig& proxy_config,
+                                std::size_t threads) {
+  runtime::Executor executor(runtime::resolve_thread_count(threads));
   const std::vector<std::filesystem::path>& files = spill.files();
   StreamingAnalysis out;
 
@@ -113,13 +106,15 @@ StreamingAnalysis analyze_spill_parallel(
     }
   });
 
-  // Salvage accounting comes from pass 1 only (the serial path likewise
-  // accounts only its first scan); the per-file counters sum to exactly
-  // the merged stream's totals.
+  // Salvage accounting comes from pass 1 only; the per-file counters sum
+  // to exactly the merged stream's totals.
   for (const FileScan& scan : scans) out.spill += scan.stats;
 
-  // Rebuild the merged-stream record order from the per-file runs, then
-  // detect proxies on it — identical input to the serial path's pass 1.
+  // Rebuild the merged-stream record order from the per-file runs — the
+  // stable sort keeps file order among equal ids — then detect proxies on
+  // it.  Proxy detection sees only the two session-level streams, so this
+  // O(sessions) dataset reproduces detect_proxies on the full dataset
+  // exactly.
   {
     telemetry::Dataset session_level;
     std::size_t players = 0, cdns = 0;
@@ -138,8 +133,7 @@ StreamingAnalysis analyze_spill_parallel(
       }
       scan.session_level = telemetry::Dataset{};
     }
-    sort_by_session(session_level.player_sessions);
-    sort_by_session(session_level.cdn_sessions);
+    telemetry::canonicalize(session_level);
     out.proxies = telemetry::detect_proxies(session_level, proxy_config);
   }
 
@@ -162,116 +156,50 @@ StreamingAnalysis analyze_spill_parallel(
       if (all_ids[i] == all_ids[i - 1]) cross_file.insert(all_ids[i]);
     }
   }
-
-  // Pass 2, per file: join + accumulate into per-file accumulators.
-  struct FileFold {
-    std::size_t joined = 0;
-    std::size_t as_proxy = 0;
-    std::size_t incomplete = 0;
-    analysis::QoeAccumulator qoe;
-    analysis::PrefixRollupAccumulator prefixes;
-    std::optional<analysis::PerfScoreAccumulator> perf;
-    analysis::RecoveryImpactAccumulator recovery;
+  const auto single_file = [&](std::uint64_t id) {
+    return cross_file.count(id) == 0;
   };
-  std::vector<FileFold> folds(files.size());
+
+  // Pass 2, per file: join + accumulate into per-file folds, merged in
+  // file order.
+  std::vector<Fold> folds(files.size(), Fold(chunk_duration_s));
   executor.parallel_for(files.size(), [&](std::size_t f) {
-    FileFold& fold = folds[f];
-    fold.perf.emplace(chunk_duration_s);
-    telemetry::StreamingJoiner joiner(&out.proxies);
     telemetry::SpillSet one;
     one.add_file(files[f]);
     auto stream = one.open();  // salvage was accounted in pass 1
-    while (auto group = stream->next()) {
-      if (cross_file.count(group->session_id) != 0) continue;
-      const auto joined = joiner.join(*group);
-      if (!joined) continue;
-      fold.qoe.add(*joined);
-      fold.prefixes.add(*joined);
-      fold.perf->add(*joined);
-      fold.recovery.add(*joined);
-    }
-    fold.joined = joiner.sessions_joined();
-    fold.as_proxy = joiner.dropped_as_proxy();
-    fold.incomplete = joiner.dropped_incomplete();
+    folds[f].join_and_add(*stream, out.proxies, single_file);
   });
-
-  // Merge in file order; finalize() sorts by session id, so the merge
-  // grouping is invisible in the result.
-  analysis::QoeAccumulator qoe;
-  analysis::PrefixRollupAccumulator prefixes;
-  analysis::PerfScoreAccumulator perf(chunk_duration_s);
-  analysis::RecoveryImpactAccumulator recovery;
-  for (FileFold& fold : folds) {
-    out.sessions_joined += fold.joined;
-    out.dropped_as_proxy += fold.as_proxy;
-    out.dropped_incomplete += fold.incomplete;
-    qoe.merge(std::move(fold.qoe));
-    prefixes.merge(std::move(fold.prefixes));
-    perf.merge(std::move(*fold.perf));
-    recovery.merge(std::move(fold.recovery));
-  }
+  Fold total(chunk_duration_s);
+  for (Fold& fold : folds) total.merge(std::move(fold));
 
   if (!cross_file.empty()) {
     // Final serial pass: the merged stream concatenates a cross-file
     // session's blocks in file order before the join sees them.
-    telemetry::StreamingJoiner joiner(&out.proxies);
     auto stream = spill.open();
-    while (auto group = stream->next()) {
-      if (cross_file.count(group->session_id) == 0) continue;
-      const auto joined = joiner.join(*group);
-      if (!joined) continue;
-      qoe.add(*joined);
-      prefixes.add(*joined);
-      perf.add(*joined);
-      recovery.add(*joined);
-    }
-    out.sessions_joined += joiner.sessions_joined();
-    out.dropped_as_proxy += joiner.dropped_as_proxy();
-    out.dropped_incomplete += joiner.dropped_incomplete();
+    total.join_and_add(*stream, out.proxies,
+                       [&](std::uint64_t id) { return !single_file(id); });
   }
 
-  out.qoe = std::move(qoe).finalize();
-  out.prefixes = std::move(prefixes).finalize();
-  out.perf = std::move(perf).finalize();
-  out.recovery = std::move(recovery).finalize();
-  return out;
-}
-
-}  // namespace
-
-StreamingAnalysis analyze_spill(const telemetry::SpillSet& spill,
-                                double chunk_duration_s,
-                                const telemetry::ProxyFilterConfig& proxy_config,
-                                std::size_t threads) {
-  const std::size_t workers =
-      threads == 1 ? 1 : runtime::resolve_thread_count(threads);
-  if (workers > 1 && spill.files().size() > 1) {
-    runtime::Executor executor(workers);
-    return analyze_spill_parallel(spill, chunk_duration_s, proxy_config,
-                                  executor);
-  }
-
-  // Both passes re-open (and re-scan) the files; account salvage once, on
-  // the first pass, or every counter would double.
-  telemetry::SpillReadStats stats;
-  bool first_pass = true;
-  StreamingAnalysis out = analyze_impl(
-      [&] {
-        auto stream = spill.open(first_pass ? &stats : nullptr);
-        first_pass = false;
-        return stream;
-      },
-      chunk_duration_s, proxy_config);
-  out.spill = stats;
+  std::move(total).finalize(out);
   return out;
 }
 
 StreamingAnalysis analyze_dataset(const telemetry::Dataset& data,
                                   double chunk_duration_s,
                                   const telemetry::ProxyFilterConfig& proxy_config) {
-  return analyze_impl(
-      [&] { return std::make_unique<telemetry::DatasetGroupStream>(data); },
-      chunk_duration_s, proxy_config);
+  StreamingAnalysis out;
+  out.proxies = telemetry::detect_proxies(data, proxy_config);
+  const telemetry::JoinedDataset joined =
+      telemetry::JoinedDataset::build(data, &out.proxies);
+  Fold fold(chunk_duration_s);
+  for (const telemetry::JoinedSession& session : joined.sessions()) {
+    fold.add(session);
+  }
+  fold.joined = joined.sessions().size();
+  fold.as_proxy = joined.dropped_as_proxy();
+  fold.incomplete = joined.dropped_incomplete();
+  std::move(fold).finalize(out);
+  return out;
 }
 
 }  // namespace vstream::core

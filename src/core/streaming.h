@@ -1,19 +1,17 @@
-// Incremental analysis over streamed telemetry.
+// Analysis over spilled telemetry, one session resident at a time.
 //
-// The classic pipeline materializes every record, joins, then analyzes.
-// analyze_stream() folds the same analyses over a SessionGroupStream in
-// two passes instead:
+// analyze_spill() folds a spilled run (one .vspill file per shard) in two
+// passes, each a task per file on a runtime::Executor:
 //
 //   pass 1  session-level records only -> proxy detection (the §3 filter
 //           needs nothing chunk-grained), O(sessions) memory
-//   pass 2  StreamingJoiner + the mergeable accumulators of
-//           analysis/accumulators.h, one session resident at a time
+//   pass 2  StreamingJoiner (join.h) + the mergeable accumulators of
+//           analysis/accumulators.h, merged in file order
 //
-// Because the stream yields sessions in canonical (ascending session-id)
-// order and the accumulators fold in that same order, the result is a
+// The accumulators' finalize() sorts by session id, so the result is a
 // pure function of the per-session records: analyze_spill on a spilled
 // run and analyze_dataset on the equivalent in-memory run agree exactly,
-// shard count and all.
+// for every shard and thread count.
 #pragma once
 
 #include <cstddef>
@@ -21,7 +19,6 @@
 
 #include "analysis/accumulators.h"
 #include "telemetry/proxy_filter.h"
-#include "telemetry/record_group.h"
 #include "telemetry/spill_format.h"
 
 namespace vstream::core {
@@ -46,25 +43,23 @@ struct StreamingAnalysis {
 /// Analyze a spilled run (engine::RunResult::spill).  `chunk_duration_s`
 /// is Eq. 2's tau — workload::VideoCatalog::chunk_duration_s().
 ///
-/// `threads` > 1 folds the per-shard spill files as parallel tasks on a
-/// work-stealing pool (runtime::Executor) and merges the per-file
-/// accumulators in file order; 0 resolves via
-/// runtime::resolve_thread_count (VSTREAM_THREADS, else hardware
-/// concurrency); 1 — the default — keeps the serial merged-stream fold.
-/// Every value produces a bit-identical StreamingAnalysis: finalize()
-/// sorts by session id, so the fold partition is invisible, and proxy
-/// detection sees the records in exactly the merged-stream order either
-/// way.  Sessions whose blocks span several files (never produced by the
-/// engine, where a session completes wholly on one shard) are detected
-/// and joined in a final cross-file pass so their groups are never split.
+/// `threads` is the worker count of the pool the per-file tasks run on;
+/// 0 resolves via runtime::resolve_thread_count (VSTREAM_THREADS, else
+/// hardware concurrency), and 1 — the default — runs every task inline.
+/// Every value produces a bit-identical StreamingAnalysis: proxy
+/// detection sees the session records in merged-stream order (ascending
+/// id, file-order ties) whatever the partition.  Sessions whose blocks
+/// span several files (never produced by the engine, where a session
+/// completes wholly on one shard) are joined from their merged group in
+/// a final serial pass, so their groups are never split.
 StreamingAnalysis analyze_spill(const telemetry::SpillSet& spill,
                                 double chunk_duration_s,
                                 const telemetry::ProxyFilterConfig& proxy_config = {},
                                 std::size_t threads = 1);
 
-/// Same analysis over a canonical in-memory dataset, streamed through
-/// DatasetGroupStream — the equivalence oracle for the spill path, and a
-/// bounded-peak-memory alternative to the batch join for big datasets.
+/// Same analysis over a canonical in-memory dataset: detect_proxies, then
+/// JoinedDataset::build, then the same accumulator fold — the independent
+/// oracle for the spill path.
 StreamingAnalysis analyze_dataset(const telemetry::Dataset& data,
                                   double chunk_duration_s,
                                   const telemetry::ProxyFilterConfig& proxy_config = {});

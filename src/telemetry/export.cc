@@ -680,6 +680,7 @@ Dataset import_dataset(const std::filesystem::path& directory) {
   data.cdn_chunks = read_file(directory / "cdn_chunks.csv", read_cdn_chunks_csv);
   data.tcp_snapshots =
       read_file(directory / "tcp_snapshots.csv", read_tcp_snapshots_csv);
+  canonicalize(data);
   return data;
 }
 

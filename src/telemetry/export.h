@@ -78,7 +78,8 @@ void export_dataset(const Dataset& data,
                     const std::filesystem::path& directory,
                     runtime::Executor* executor = nullptr);
 
-/// Load a dataset previously written by export_dataset().
+/// Load a dataset previously written by export_dataset(), or any CSVs of
+/// the same schema with rows in any order: the result is canonicalized.
 Dataset import_dataset(const std::filesystem::path& directory);
 
 /// Stream session groups into the same five CSV files as export_dataset()

@@ -1,26 +1,11 @@
 #include "telemetry/join.h"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 #include <unordered_map>
 
 namespace vstream::telemetry {
-
-namespace {
-
-/// (session, chunk) composite key for the chunk-level join.
-struct JoinKey {
-  std::uint64_t session;
-  std::uint32_t chunk;
-  friend bool operator==(const JoinKey&, const JoinKey&) = default;
-};
-
-struct JoinKeyHash {
-  std::size_t operator()(const JoinKey& k) const {
-    return std::hash<std::uint64_t>()(k.session * 1'000'003ull + k.chunk);
-  }
-};
-
-}  // namespace
 
 std::uint64_t JoinedSession::total_retransmissions() const {
   std::uint64_t total = 0;
@@ -78,6 +63,13 @@ sim::Ms JoinedSession::duration_ms() const {
   return last;
 }
 
+namespace {
+
+/// The last step of StreamingJoiner::join: sort chunks into chunk-id order
+/// and snapshots into time order, attach each chunk's last tcp_info
+/// snapshot, and derive the per-chunk retransmission/segment deltas from
+/// the cumulative connection counters.  `session.chunks`/`session.snapshots`
+/// must be populated (any order); pointers are left untouched.
 void finalize_joined_session(JoinedSession& session) {
   std::sort(session.chunks.begin(), session.chunks.end(),
             [](const JoinedChunk& a, const JoinedChunk& b) {
@@ -133,61 +125,84 @@ void finalize_joined_session(JoinedSession& session) {
   }
 }
 
-JoinedDataset JoinedDataset::build(const Dataset& data,
-                                   const ProxyFilterResult* proxies) {
-  JoinedDataset joined;
-
-  std::unordered_map<std::uint64_t, JoinedSession> by_session;
-  by_session.reserve(data.player_sessions.size());
-
-  for (const PlayerSessionRecord& r : data.player_sessions) {
-    by_session[r.session_id].session_id = r.session_id;
-    by_session[r.session_id].player = &r;
+template <typename Record>
+void require_canonical(const std::vector<Record>& records, const char* name) {
+  if (!std::is_sorted(records.begin(), records.end(),
+                      [](const Record& a, const Record& b) {
+                        return a.session_id < b.session_id;
+                      })) {
+    throw std::invalid_argument(
+        std::string("JoinedDataset::build: ") + name +
+        " not in ascending session-id order (see telemetry::canonicalize)");
   }
-  for (const CdnSessionRecord& r : data.cdn_sessions) {
-    by_session[r.session_id].session_id = r.session_id;
-    by_session[r.session_id].cdn = &r;
+}
+
+}  // namespace
+
+std::optional<JoinedSession> StreamingJoiner::join(
+    const SessionRecordView& records) {
+  JoinedSession session;
+  session.session_id = records.session_id;
+  if (!records.player_sessions.empty()) {
+    session.player = &records.player_sessions.back();
+  }
+  if (!records.cdn_sessions.empty()) {
+    session.cdn = &records.cdn_sessions.back();
   }
 
-  // Chunk-level join: index CDN chunks by (session, chunk).
-  std::unordered_map<JoinKey, const CdnChunkRecord*, JoinKeyHash> cdn_chunks;
-  cdn_chunks.reserve(data.cdn_chunks.size());
-  for (const CdnChunkRecord& r : data.cdn_chunks) {
-    cdn_chunks.emplace(JoinKey{r.session_id, r.chunk_id}, &r);
+  if (session.player == nullptr && session.cdn == nullptr) return std::nullopt;
+  if (session.player == nullptr || session.cdn == nullptr) {
+    ++dropped_incomplete_;
+    return std::nullopt;
+  }
+  if (proxies_ != nullptr && proxies_->is_proxy(records.session_id)) {
+    ++dropped_as_proxy_;
+    return std::nullopt;
   }
 
-  for (const PlayerChunkRecord& r : data.player_chunks) {
-    auto it = by_session.find(r.session_id);
-    if (it == by_session.end()) continue;
+  std::unordered_map<std::uint32_t, const CdnChunkRecord*> cdn_by_chunk;
+  cdn_by_chunk.reserve(records.cdn_chunks.size());
+  for (const CdnChunkRecord& r : records.cdn_chunks) {
+    cdn_by_chunk.emplace(r.chunk_id, &r);  // first wins
+  }
+  session.chunks.reserve(records.player_chunks.size());
+  for (const PlayerChunkRecord& r : records.player_chunks) {
     JoinedChunk chunk;
     chunk.player = &r;
-    const auto cit = cdn_chunks.find(JoinKey{r.session_id, r.chunk_id});
-    if (cit != cdn_chunks.end()) chunk.cdn = cit->second;
-    it->second.chunks.push_back(chunk);
+    const auto it = cdn_by_chunk.find(r.chunk_id);
+    if (it != cdn_by_chunk.end()) chunk.cdn = it->second;
+    session.chunks.push_back(chunk);
   }
 
-  for (const TcpSnapshotRecord& r : data.tcp_snapshots) {
-    auto it = by_session.find(r.session_id);
-    if (it != by_session.end()) it->second.snapshots.push_back(&r);
+  session.snapshots.reserve(records.tcp_snapshots.size());
+  for (const TcpSnapshotRecord& r : records.tcp_snapshots) {
+    session.snapshots.push_back(&r);
   }
 
-  for (auto& [id, session] : by_session) {
-    if (session.player == nullptr || session.cdn == nullptr) {
-      ++joined.dropped_incomplete_;
-      continue;
+  finalize_joined_session(session);
+  ++sessions_joined_;
+  return session;
+}
+
+JoinedDataset JoinedDataset::build(const Dataset& data,
+                                   const ProxyFilterResult* proxies) {
+  require_canonical(data.player_sessions, "player_sessions");
+  require_canonical(data.cdn_sessions, "cdn_sessions");
+  require_canonical(data.player_chunks, "player_chunks");
+  require_canonical(data.cdn_chunks, "cdn_chunks");
+  require_canonical(data.tcp_snapshots, "tcp_snapshots");
+
+  JoinedDataset joined;
+  joined.sessions_.reserve(data.player_sessions.size());
+  StreamingJoiner joiner(proxies);
+  DatasetSessionRuns runs(data);
+  while (const std::optional<SessionRecordView> run = runs.next()) {
+    if (std::optional<JoinedSession> session = joiner.join(*run)) {
+      joined.sessions_.push_back(std::move(*session));
     }
-    if (proxies != nullptr && proxies->is_proxy(id)) {
-      ++joined.dropped_as_proxy_;
-      continue;
-    }
-    finalize_joined_session(session);
-    joined.sessions_.push_back(std::move(session));
   }
-
-  std::sort(joined.sessions_.begin(), joined.sessions_.end(),
-            [](const JoinedSession& a, const JoinedSession& b) {
-              return a.session_id < b.session_id;
-            });
+  joined.dropped_as_proxy_ = joiner.dropped_as_proxy();
+  joined.dropped_incomplete_ = joiner.dropped_incomplete();
   return joined;
 }
 

@@ -3,8 +3,12 @@
 // "A key to end-to-end analysis is to trace session performance from the
 // player through the CDN (at the granularity of chunks).  We implement
 // tracing by using a globally unique session ID and per-session chunk IDs."
-// (§2.2).  JoinedDataset::build() performs that join and optionally drops
-// proxy sessions (§3 preprocessing).
+// (§2.2).  StreamingJoiner::join() performs that join for one session's
+// records and optionally drops proxy sessions (§3 preprocessing); it is
+// the only join.  JoinedDataset::build() walks a canonical Dataset one
+// session run at a time (DatasetSessionRuns, record_group.h) and hands
+// each run to a StreamingJoiner, copying no records; the spill path feeds
+// the same joiner the groups it reads back from disk.
 #pragma once
 
 #include <cstdint>
@@ -13,6 +17,7 @@
 
 #include "telemetry/collector.h"
 #include "telemetry/proxy_filter.h"
+#include "telemetry/record_group.h"
 
 namespace vstream::telemetry {
 
@@ -64,19 +69,46 @@ struct JoinedSession {
   sim::Ms duration_ms() const;
 };
 
-/// Per-session finalize shared by the batch join below and the streaming
-/// joiner (streaming_join.h): sort chunks into chunk-id order and
-/// snapshots into time order, attach each chunk's last tcp_info snapshot,
-/// and derive the per-chunk retransmission/segment deltas from the
-/// cumulative connection counters.  `session.chunks`/`session.snapshots`
-/// must be populated (any order); pointers are left untouched.
-void finalize_joined_session(JoinedSession& session);
+/// Joins player and CDN views by (sessionID, chunkID), one session at a
+/// time.
+class StreamingJoiner {
+ public:
+  /// `proxies` may be null (no proxy filtering); if set it must outlive
+  /// the joiner.
+  explicit StreamingJoiner(const ProxyFilterResult* proxies = nullptr)
+      : proxies_(proxies) {}
+
+  /// Join one session's records.  The returned session's pointers alias
+  /// the records behind `records`, which must stay alive and unmoved while
+  /// the result is used.
+  ///
+  /// Duplicate session records: the last in stream order wins.  Duplicate
+  /// (session, chunk) CDN records: the first wins.  nullopt when the
+  /// session is dropped: records with no session-level record on either
+  /// side are ignored silently (orphans), sessions missing one side count
+  /// as dropped_incomplete, and proxy-flagged sessions count as
+  /// dropped_as_proxy.
+  std::optional<JoinedSession> join(const SessionRecordView& records);
+
+  std::size_t sessions_joined() const { return sessions_joined_; }
+  std::size_t dropped_as_proxy() const { return dropped_as_proxy_; }
+  std::size_t dropped_incomplete() const { return dropped_incomplete_; }
+
+ private:
+  const ProxyFilterResult* proxies_;
+  std::size_t sessions_joined_ = 0;
+  std::size_t dropped_as_proxy_ = 0;
+  std::size_t dropped_incomplete_ = 0;
+};
 
 class JoinedDataset {
  public:
-  /// Join player and CDN views by (sessionID, chunkID).  Sessions flagged
-  /// by `proxies` (if provided) are dropped, as are sessions missing either
-  /// side.  The Dataset must outlive the JoinedDataset.
+  /// Join every session of a canonical Dataset — each stream in ascending
+  /// session-id order (telemetry::canonicalize establishes it) — in
+  /// ascending session-id order.  Throws std::invalid_argument naming the
+  /// first stream that is out of order.  Sessions flagged by `proxies`
+  /// (if provided) are dropped, as are sessions missing either side.  The
+  /// Dataset must outlive the JoinedDataset.
   static JoinedDataset build(const Dataset& data,
                              const ProxyFilterResult* proxies = nullptr);
 

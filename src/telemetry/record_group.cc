@@ -19,15 +19,16 @@ void append_vec(std::vector<Record>& into, std::vector<Record>&& from) {
               std::make_move_iterator(from.end()));
 }
 
-/// Copy the run of records for `id` at the head of `records` into `out`,
-/// advancing `cursor` past it.
+/// The run of records for `id` at the head of `records`, advancing
+/// `cursor` past it.
 template <typename Record>
-void collect_run(const std::vector<Record>& records, std::size_t& cursor,
-                 std::uint64_t id, std::vector<Record>& out) {
+std::span<const Record> take_run(const std::vector<Record>& records,
+                                 std::size_t& cursor, std::uint64_t id) {
+  const std::size_t begin = cursor;
   while (cursor < records.size() && records[cursor].session_id == id) {
-    out.push_back(records[cursor]);
     ++cursor;
   }
+  return std::span<const Record>(records).subspan(begin, cursor - begin);
 }
 
 }  // namespace
@@ -40,12 +41,10 @@ void SessionRecordGroup::append(SessionRecordGroup&& other) {
   append_vec(tcp_snapshots, std::move(other.tcp_snapshots));
 }
 
-std::optional<SessionRecordGroup> DatasetGroupStream::next() {
+std::optional<SessionRecordView> DatasetSessionRuns::next() {
   const Dataset& d = *data_;
   // The next session id is the smallest id at any stream head — streams
-  // are individually sorted, so this walks ids in ascending order and
-  // naturally yields groups for sessions present in only some streams
-  // (orphan records).
+  // are individually sorted, so this walks ids in ascending order.
   std::uint64_t id = 0;
   bool found = false;
   const auto consider = [&](const auto& records, std::size_t cursor) {
@@ -62,13 +61,27 @@ std::optional<SessionRecordGroup> DatasetGroupStream::next() {
   consider(d.tcp_snapshots, ts_);
   if (!found) return std::nullopt;
 
+  return SessionRecordView{id,
+                           take_run(d.player_sessions, ps_, id),
+                           take_run(d.cdn_sessions, cs_, id),
+                           take_run(d.player_chunks, pc_, id),
+                           take_run(d.cdn_chunks, cc_, id),
+                           take_run(d.tcp_snapshots, ts_, id)};
+}
+
+std::optional<SessionRecordGroup> DatasetGroupStream::next() {
+  const std::optional<SessionRecordView> run = runs_.next();
+  if (!run) return std::nullopt;
+  const auto copy = [](const auto& span) {
+    return std::vector(span.begin(), span.end());
+  };
   SessionRecordGroup group;
-  group.session_id = id;
-  collect_run(d.player_sessions, ps_, id, group.player_sessions);
-  collect_run(d.cdn_sessions, cs_, id, group.cdn_sessions);
-  collect_run(d.player_chunks, pc_, id, group.player_chunks);
-  collect_run(d.cdn_chunks, cc_, id, group.cdn_chunks);
-  collect_run(d.tcp_snapshots, ts_, id, group.tcp_snapshots);
+  group.session_id = run->session_id;
+  group.player_sessions = copy(run->player_sessions);
+  group.cdn_sessions = copy(run->cdn_sessions);
+  group.player_chunks = copy(run->player_chunks);
+  group.cdn_chunks = copy(run->cdn_chunks);
+  group.tcp_snapshots = copy(run->tcp_snapshots);
   return group;
 }
 

@@ -33,6 +33,14 @@ struct Dataset {
   std::vector<TcpSnapshotRecord> tcp_snapshots;
 };
 
+/// Put `data` into canonical order — every stream in ascending session-id
+/// order — by stable-sorting each stream that is not already sorted.  The
+/// sort is stable, so each session keeps its records in their original
+/// relative order (and the join its last-wins/first-wins choices).
+/// Engine runs and spill loads are canonical already; CSVs from
+/// elsewhere may not be.
+void canonicalize(Dataset& data);
+
 class RecordSink {
  public:
   virtual ~RecordSink();

@@ -92,7 +92,6 @@ TEST(CircuitBreakerTest, StaysClosedOnSuccesses) {
   CircuitBreaker breaker;
   for (int i = 0; i < 100; ++i) breaker.record(cfg, i * 10.0, true);
   EXPECT_EQ(breaker.state(cfg, 1'000.0), BreakerState::kClosed);
-  EXPECT_TRUE(breaker.allow_fetch(cfg, 1'000.0));
   EXPECT_EQ(breaker.open_transitions(), 0u);
 }
 
@@ -106,7 +105,6 @@ TEST(CircuitBreakerTest, TripsOnlyWithMinSamples) {
       << "three failures are below the evidence floor";
   breaker.record(cfg, 3.0, false);
   EXPECT_EQ(breaker.state(cfg, 4.0), BreakerState::kOpen);
-  EXPECT_FALSE(breaker.allow_fetch(cfg, 4.0));
   EXPECT_EQ(breaker.open_transitions(), 1u);
 }
 
@@ -116,7 +114,6 @@ TEST(CircuitBreakerTest, RecoversThroughHalfOpenProbes) {
   for (int i = 0; i < 4; ++i) breaker.record(cfg, 0.0, false);
   ASSERT_EQ(breaker.state(cfg, 100.0), BreakerState::kOpen);
   EXPECT_EQ(breaker.state(cfg, cfg.breaker_open_ms), BreakerState::kHalfOpen);
-  EXPECT_TRUE(breaker.allow_fetch(cfg, cfg.breaker_open_ms));
   breaker.record(cfg, cfg.breaker_open_ms + 1.0, true);
   EXPECT_EQ(breaker.state(cfg, cfg.breaker_open_ms + 2.0),
             BreakerState::kHalfOpen)
@@ -139,18 +136,6 @@ TEST(CircuitBreakerTest, FailedProbeReopensForAnotherDwell) {
             BreakerState::kOpen);
   EXPECT_EQ(breaker.state(cfg, 2.0 * cfg.breaker_open_ms + 1.0),
             BreakerState::kHalfOpen);
-}
-
-TEST(CircuitBreakerTest, PeekStateDoesNotAdvance) {
-  const OverloadConfig cfg;
-  CircuitBreaker breaker;
-  for (int i = 0; i < 4; ++i) breaker.record(cfg, 0.0, false);
-  const CircuitBreaker& observer = breaker;
-  EXPECT_EQ(observer.peek_state(cfg, cfg.breaker_open_ms + 1.0),
-            BreakerState::kHalfOpen);
-  // Had peek mutated, the breaker would now report half-open even before
-  // the dwell has passed; the mutating state() still says open.
-  EXPECT_EQ(breaker.state(cfg, 100.0), BreakerState::kOpen);
 }
 
 TEST(CircuitBreakerTest, DisabledBreakerNeverTrips) {

@@ -619,10 +619,10 @@ TEST(ThreadDeterminismTest, ResumedRunIsThreadCountInvariant) {
 }
 
 TEST(ThreadDeterminismTest, ParallelSpillAnalysisMatchesSerial) {
-  // analyze_spill folds per-file accumulators as parallel tasks; every
-  // thread count must produce the bit-identical analysis the serial
-  // merged-stream fold produces.  64 shards → 64 spill files gives the
-  // pool real work to steal.
+  // analyze_spill folds per-file accumulators as tasks; every thread
+  // count must produce the bit-identical analysis the single-worker run
+  // produces.  64 shards → 64 spill files gives the pool real work to
+  // steal.
   const workload::Scenario scenario = small_scenario();
   const std::filesystem::path dir = spill_scratch("threads_analysis");
   engine::RunOptions options;

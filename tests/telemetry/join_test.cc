@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <stdexcept>
+#include <string>
+
 namespace vstream::telemetry {
 namespace {
 
@@ -122,6 +126,7 @@ TEST(JoinTest, InterleavedChunkSnapshotsKeepLastInTimeOrder) {
   snap(2, 3'500.0, 10, 450);
   snap(0, 200.0, 1, 40);
 
+  canonicalize(d);
   const JoinedDataset joined = JoinedDataset::build(d);
   const JoinedSession& s = joined.sessions()[0];
   ASSERT_EQ(s.session_id, 1u);
@@ -210,6 +215,58 @@ TEST(JoinTest, EmptyDatasetYieldsEmptyJoin) {
   const JoinedDataset joined = JoinedDataset::build(d);
   EXPECT_TRUE(joined.sessions().empty());
   EXPECT_EQ(joined.chunk_count(), 0u);
+}
+
+TEST(JoinTest, BuildRejectsEachOutOfOrderStream) {
+  // Moving a stream's first record (session 1) to its end breaks
+  // ascending session-id order in that stream alone; build names it.
+  const auto expect_rejected = [](auto stream, const std::string& name) {
+    SCOPED_TRACE(name);
+    Dataset d = tiny_dataset();
+    auto& records = d.*stream;
+    std::rotate(records.begin(), records.begin() + 1, records.end());
+    try {
+      (void)JoinedDataset::build(d);
+      ADD_FAILURE() << "out-of-order stream accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(name), std::string::npos)
+          << e.what();
+    }
+  };
+  expect_rejected(&Dataset::player_sessions, "player_sessions");
+  expect_rejected(&Dataset::cdn_sessions, "cdn_sessions");
+  expect_rejected(&Dataset::player_chunks, "player_chunks");
+  expect_rejected(&Dataset::cdn_chunks, "cdn_chunks");
+  expect_rejected(&Dataset::tcp_snapshots, "tcp_snapshots");
+}
+
+TEST(JoinTest, CanonicalizeKeepsPerSessionRecordOrder) {
+  // Duplicates for session 1 appended after session 2's records: out of
+  // order until canonicalize moves each behind session 1's originals.
+  Dataset d = tiny_dataset();
+  CdnChunkRecord dup_chunk;
+  dup_chunk.session_id = 1;
+  dup_chunk.chunk_id = 0;
+  dup_chunk.dread_ms = 999.0;
+  d.cdn_chunks.push_back(dup_chunk);
+  PlayerSessionRecord dup_session;
+  dup_session.session_id = 1;
+  dup_session.user_agent = "Override/UA";
+  d.player_sessions.push_back(dup_session);
+
+  canonicalize(d);
+  ASSERT_EQ(d.cdn_chunks.size(), 7u);
+  EXPECT_EQ(d.cdn_chunks[3].session_id, 1u);
+  EXPECT_DOUBLE_EQ(d.cdn_chunks[3].dread_ms, 999.0);
+  EXPECT_EQ(d.player_sessions[1].user_agent, "Override/UA");
+
+  const JoinedDataset joined = JoinedDataset::build(d);
+  ASSERT_EQ(joined.sessions().size(), 2u);
+  const JoinedSession& s = joined.sessions()[0];
+  ASSERT_EQ(s.session_id, 1u);
+  EXPECT_EQ(s.player->user_agent, "Override/UA");  // last wins
+  ASSERT_NE(s.chunks[0].cdn, nullptr);
+  EXPECT_DOUBLE_EQ(s.chunks[0].cdn->dread_ms, 80.0);  // first wins
 }
 
 TEST(JoinTest, RecordHelpers) {

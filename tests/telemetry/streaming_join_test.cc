@@ -1,4 +1,4 @@
-#include "telemetry/streaming_join.h"
+#include "telemetry/join.h"
 
 #include <gtest/gtest.h>
 
@@ -6,7 +6,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "telemetry/join.h"
 #include "telemetry/record_group.h"
 #include "telemetry/record_sink.h"
 

@@ -246,8 +246,9 @@ int run_tool(int argc, char** argv) {
   }
   int exit_code = core::kExitOk;
 
-  // Spilled runs analyze incrementally from disk; in-memory runs use the
-  // classic batch join.  Both yield the same numbers (see
+  // Spilled runs analyze incrementally from disk (core::analyze_spill);
+  // in-memory runs join the merged dataset with JoinedDataset::build.
+  // Both feed the same per-session join and yield the same numbers (see
   // tests/engine/determinism_test.cc).
   analysis::QoeAggregate qoe;
   std::size_t dropped_as_proxy = 0;
