@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "failpoints/failpoint.h"
+#include "runtime/executor.h"
 #include "sim/host_error.h"
 #include "telemetry/crc32c.h"
 #include "telemetry/spill_codec.h"
@@ -209,6 +210,19 @@ void encode_payload(std::string& out, const SessionRecordGroup& g,
   bool_col(out, ts, btmp, [](const auto& r) { return r.info.in_slow_start; });
 }
 
+/// The payload head: five record counts, each checked against
+/// kMaxBlockRecords before anything is sized from it.
+SpillBlockCounts get_counts(codec::Reader& r) {
+  SpillBlockCounts counts;
+  for (std::uint64_t& n : counts) n = codec::get_varint(r);
+  for (const std::uint64_t n : counts) {
+    if (n > kMaxBlockRecords) {
+      codec::fail("implausible record count in block");
+    }
+  }
+  return counts;
+}
+
 SessionRecordGroup decode_payload(const char* data, std::size_t size,
                                      std::uint64_t session_id,
                                      std::vector<std::uint64_t>& tmp,
@@ -216,16 +230,7 @@ SessionRecordGroup decode_payload(const char* data, std::size_t size,
   codec::Reader r{data, data + size};
   SessionRecordGroup g;
   g.session_id = session_id;
-  const std::uint64_t n_ps = codec::get_varint(r);
-  const std::uint64_t n_cs = codec::get_varint(r);
-  const std::uint64_t n_pc = codec::get_varint(r);
-  const std::uint64_t n_cc = codec::get_varint(r);
-  const std::uint64_t n_ts = codec::get_varint(r);
-  if (n_ps > kMaxBlockRecords || n_cs > kMaxBlockRecords ||
-      n_pc > kMaxBlockRecords || n_cc > kMaxBlockRecords ||
-      n_ts > kMaxBlockRecords) {
-    codec::fail("implausible record count in block");
-  }
+  const auto [n_ps, n_cs, n_pc, n_cc, n_ts] = get_counts(r);
 
   auto& ps = g.player_sessions;
   ps.resize(n_ps);
@@ -664,42 +669,92 @@ std::optional<SessionRecordGroup> SpillReader::read_at(
   return group;
 }
 
+SpillBlockCounts SpillReader::block_counts(const SpillBlockRef& ref) const {
+  // The checks parse_frame makes before decoding, in the same order, so a
+  // block counts records exactly when read_at can decode it (barring a
+  // payload whose columns do not parse).
+  const std::uint64_t file_size = map_.size();
+  if (ref.offset > file_size ||
+      file_size - ref.offset < kBlockHeaderBytes + kBlockTrailerBytes) {
+    return {};
+  }
+  const char* head = map_.data() + ref.offset;
+  if (load_u32(head) != kSpillBlockMarker ||
+      crc32c(head, 20) != load_u32(head + 20)) {
+    return {};
+  }
+  const std::uint64_t payload_size = load_u64(head + 12);
+  if (payload_size >
+      file_size - ref.offset - kBlockHeaderBytes - kBlockTrailerBytes) {
+    return {};
+  }
+  const char* payload = head + kBlockHeaderBytes;
+  if (crc32c(payload, payload_size) != load_u32(payload + payload_size)) {
+    return {};
+  }
+  codec::Reader r{payload, payload + payload_size};
+  try {
+    return get_counts(r);
+  } catch (const std::exception&) {
+    return {};
+  }
+}
+
 // ----------------------------------------------------------------- SpillSet
 
 namespace {
 
-/// Merged ascending-session-id stream over a set of spill files, driven by
-/// a pre-sorted (session_id, file, offset) index.  Blocks for the same
-/// session across files are concatenated in file order — the canonical
-/// merge's tie-break.  Corrupt blocks are skipped (accounted in `stats`);
-/// a session whose every block is corrupt is absent from the stream.
+/// One block of a spill set: its file and its position in that file's
+/// index.
+struct SetBlock {
+  std::uint64_t session_id;
+  std::size_t file;
+  std::size_t block;
+};
+
+/// The canonical block order of a spill set: every file's index
+/// concatenated in file order, then stable-sorted by session id — that is
+/// (session id, file, offset) order, so a session split over blocks or
+/// files concatenates them as the canonical in-memory merge does.
+/// SpillSetStream and SpillSet::load both read blocks in this order.
+std::vector<SetBlock> canonical_block_order(
+    const std::vector<std::vector<SpillBlockRef>>& index) {
+  std::vector<SetBlock> order;
+  for (std::size_t f = 0; f < index.size(); ++f) {
+    for (std::size_t b = 0; b < index[f].size(); ++b) {
+      order.push_back(SetBlock{index[f][b].session_id, f, b});
+    }
+  }
+  std::stable_sort(order.begin(), order.end(),
+                   [](const SetBlock& a, const SetBlock& b) {
+                     return a.session_id < b.session_id;
+                   });
+  return order;
+}
+
+/// Merged ascending-session-id stream over a set of spill files, read in
+/// canonical_block_order.  Corrupt blocks are skipped (accounted in
+/// `stats`); a session whose every block is corrupt is absent from the
+/// stream.
 class SpillSetStream final : public SessionGroupStream {
  public:
   SpillSetStream(const std::vector<std::filesystem::path>& files,
                  SpillReadStats* stats) {
-    readers_.reserve(files.size());
-    for (std::size_t i = 0; i < files.size(); ++i) {
-      readers_.push_back(std::make_unique<SpillReader>(files[i], stats));
-      for (const SpillBlockRef& ref : readers_.back()->index()) {
-        entries_.push_back(Entry{ref.session_id, i, ref.offset});
-      }
+    for (const std::filesystem::path& file : files) {
+      readers_.push_back(std::make_unique<SpillReader>(file, stats));
+      index_.push_back(readers_.back()->index());
     }
-    std::sort(entries_.begin(), entries_.end(), [](const Entry& a,
-                                                   const Entry& b) {
-      if (a.session_id != b.session_id) return a.session_id < b.session_id;
-      if (a.file != b.file) return a.file < b.file;
-      return a.offset < b.offset;
-    });
+    order_ = canonical_block_order(index_);
   }
 
   std::optional<SessionRecordGroup> next() override {
-    while (cursor_ < entries_.size()) {
-      const std::uint64_t id = entries_[cursor_].session_id;
+    while (cursor_ < order_.size()) {
+      const std::uint64_t id = order_[cursor_].session_id;
       std::optional<SessionRecordGroup> group;
-      while (cursor_ < entries_.size() &&
-             entries_[cursor_].session_id == id) {
+      while (cursor_ < order_.size() && order_[cursor_].session_id == id) {
+        const SetBlock& b = order_[cursor_++];
         std::optional<SessionRecordGroup> piece =
-            read_entry(entries_[cursor_++]);
+            readers_[b.file]->read_at(index_[b.file][b.block]);
         if (!piece.has_value()) continue;  // corrupt block: salvage the rest
         if (!group.has_value()) {
           group = std::move(piece);
@@ -713,20 +768,39 @@ class SpillSetStream final : public SessionGroupStream {
   }
 
  private:
-  struct Entry {
-    std::uint64_t session_id;
-    std::size_t file;
-    std::uint64_t offset;
-  };
-
-  std::optional<SessionRecordGroup> read_entry(const Entry& e) {
-    return readers_[e.file]->read_at(SpillBlockRef{e.session_id, e.offset});
-  }
-
   std::vector<std::unique_ptr<SpillReader>> readers_;
-  std::vector<Entry> entries_;
+  std::vector<std::vector<SpillBlockRef>> index_;
+  std::vector<SetBlock> order_;
   std::size_t cursor_ = 0;
 };
+
+/// Call `f(s, stream...)` for each of the five record streams of `sets`
+/// (Datasets or SessionRecordGroups), s in SpillBlockCounts order.
+template <typename F, typename... Sets>
+void for_each_stream(F&& f, Sets&... sets) {
+  f(0, sets.player_sessions...);
+  f(1, sets.cdn_sessions...);
+  f(2, sets.player_chunks...);
+  f(3, sets.cdn_chunks...);
+  f(4, sets.tcp_snapshots...);
+}
+
+/// Remove the (offset, length) ranges `gaps` from `out`, keeping the
+/// order of everything else: one left shift of each stretch between gaps.
+template <typename Record>
+void close_gaps(std::vector<Record>& out,
+                std::vector<std::pair<std::uint64_t, std::uint64_t>> gaps) {
+  if (gaps.empty()) return;
+  std::sort(gaps.begin(), gaps.end());
+  Record* write = out.data() + gaps.front().first;
+  for (std::size_t g = 0; g < gaps.size(); ++g) {
+    Record* from = out.data() + gaps[g].first + gaps[g].second;
+    Record* to = g + 1 < gaps.size() ? out.data() + gaps[g + 1].first
+                                     : out.data() + out.size();
+    write = std::move(from, to, write);
+  }
+  out.resize(static_cast<std::size_t>(write - out.data()));
+}
 
 }  // namespace
 
@@ -735,25 +809,103 @@ std::unique_ptr<SessionGroupStream> SpillSet::open(
   return std::make_unique<SpillSetStream>(files_, stats);
 }
 
-Dataset SpillSet::load(SpillReadStats* stats) const {
+Dataset SpillSet::load(SpillReadStats* stats, std::size_t threads) const {
+  // Both passes are one task per file, so workers beyond the file count
+  // would only ever park.
+  const std::size_t files = files_.size();
+  runtime::Executor executor(std::min(runtime::resolve_thread_count(threads),
+                                      std::max<std::size_t>(files, 1)));
+
+  // Readers open in file order, so an unopenable file throws what open()
+  // would throw, at any thread count.  Each reader keeps its own stats.
+  std::vector<std::unique_ptr<SpillReader>> readers;
+  readers.reserve(files);
+  for (const std::filesystem::path& file : files_) {
+    readers.push_back(std::make_unique<SpillReader>(file));
+  }
+
+  // Pass 1, one task per file: index it and count every block's records.
+  std::vector<std::vector<SpillBlockRef>> index(files);
+  std::vector<std::vector<SpillBlockCounts>> counts(files);
+  std::vector<std::vector<SpillBlockCounts>> offsets(files);
+  executor.parallel_for(
+      files,
+      [&](std::size_t f) {
+        index[f] = readers[f]->index();
+        counts[f].reserve(index[f].size());
+        for (const SpillBlockRef& ref : index[f]) {
+          counts[f].push_back(readers[f]->block_counts(ref));
+        }
+        offsets[f].resize(index[f].size());
+      },
+      nullptr, "spill_load");
+
+  // A prefix sum over the canonical order gives each block its offset in
+  // each output; the five outputs are sized once, one task each.
+  SpillBlockCounts totals{};
+  for (const SetBlock& b : canonical_block_order(index)) {
+    offsets[b.file][b.block] = totals;
+    for (std::size_t s = 0; s < totals.size(); ++s) {
+      totals[s] += counts[b.file][b.block][s];
+    }
+  }
   Dataset data;
-  std::unique_ptr<SessionGroupStream> stream = open(stats);
-  while (std::optional<SessionRecordGroup> group = stream->next()) {
-    for (auto& r : group->player_sessions) {
-      data.player_sessions.push_back(std::move(r));
+  executor.parallel_for(
+      totals.size(),
+      [&](std::size_t task) {
+        for_each_stream(
+            [&](std::size_t s, auto& out) {
+              if (s == task) out.resize(totals[s]);
+            },
+            data);
+      },
+      nullptr, "spill_load");
+
+  // Pass 2, one task per file: decode its blocks in file order and move
+  // each block's records into its slices.  A block counted in pass 1 that
+  // does not decode leaves its slices default-constructed: a gap.
+  std::vector<std::vector<std::size_t>> gaps(files);
+  executor.parallel_for(
+      files,
+      [&](std::size_t f) {
+        for (std::size_t b = 0; b < index[f].size(); ++b) {
+          std::optional<SessionRecordGroup> group =
+              readers[f]->read_at(index[f][b]);
+          if (!group.has_value()) {
+            if (counts[f][b] != SpillBlockCounts{}) gaps[f].push_back(b);
+            continue;
+          }
+          for_each_stream(
+              [&](std::size_t s, auto& out, auto& in) {
+                // Both passes read the same mapped bytes; a mismatch means
+                // the file was rewritten underneath the load.
+                if (in.size() != counts[f][b][s]) {
+                  throw std::runtime_error("spill: " + files_[f].string() +
+                                           " changed while loading");
+                }
+                std::move(in.begin(), in.end(),
+                          out.data() + offsets[f][b][s]);
+              },
+              data, *group);
+        }
+      },
+      nullptr, "spill_load");
+
+  // Close the gaps, one stable compaction per affected stream.
+  for_each_stream([&](std::size_t s, auto& out) {
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> ranges;
+    for (std::size_t f = 0; f < files; ++f) {
+      for (const std::size_t b : gaps[f]) {
+        if (counts[f][b][s] != 0) {
+          ranges.emplace_back(offsets[f][b][s], counts[f][b][s]);
+        }
+      }
     }
-    for (auto& r : group->cdn_sessions) {
-      data.cdn_sessions.push_back(std::move(r));
-    }
-    for (auto& r : group->player_chunks) {
-      data.player_chunks.push_back(std::move(r));
-    }
-    for (auto& r : group->cdn_chunks) {
-      data.cdn_chunks.push_back(std::move(r));
-    }
-    for (auto& r : group->tcp_snapshots) {
-      data.tcp_snapshots.push_back(std::move(r));
-    }
+    close_gaps(out, std::move(ranges));
+  }, data);
+
+  if (stats != nullptr) {
+    for (const auto& reader : readers) *stats += reader->stats();
   }
   return data;
 }

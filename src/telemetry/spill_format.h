@@ -44,6 +44,7 @@
 // files, a short header, a wrong magic, or an unsupported version.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <filesystem>
 #include <memory>
@@ -85,6 +86,7 @@ struct SpillReadStats {
     commit_frames += other.commit_frames;
     return *this;
   }
+  bool operator==(const SpillReadStats&) const = default;
 };
 
 /// Appends session blocks to one spill file.  Not thread-safe; in the
@@ -152,6 +154,10 @@ struct SpillBlockRef {
   std::uint64_t offset = 0;  ///< file offset of the block frame
 };
 
+/// One block's record count per stream, in payload order: player_sessions,
+/// cdn_sessions, player_chunks, cdn_chunks, tcp_snapshots.
+using SpillBlockCounts = std::array<std::uint64_t, 5>;
+
 /// Reads one spill file: sequentially, or random-access via an index.
 /// The constructor throws std::runtime_error on an unopenable file, a
 /// short header, bad magic or an unsupported version (sim::HostIoError
@@ -177,6 +183,13 @@ class SpillReader {
   /// Read the block at `ref.offset` (moves the sequential cursor).
   /// nullopt when the block is corrupt (accounted in stats()).
   std::optional<SessionRecordGroup> read_at(const SpillBlockRef& ref);
+
+  /// The record counts of the block at `ref.offset`, read from the payload
+  /// head without decoding the columns, after checking the payload CRC.
+  /// A block that fails the check, or whose counts do not parse or exceed
+  /// the decode-bomb bound, counts zero records.  Touches neither the
+  /// cursor nor the stats, so a reader can size outputs before read_at.
+  SpillBlockCounts block_counts(const SpillBlockRef& ref) const;
 
   const SpillReadStats& stats() const { return stats_; }
   /// Total file size in bytes.
@@ -224,8 +237,21 @@ class SpillSet {
 
   /// Materialize every record back into one canonical Dataset (ascending
   /// session id, per-session emission order) — byte-equivalent to the
-  /// in-memory run's merged dataset.
-  Dataset load(SpillReadStats* stats = nullptr) const;
+  /// in-memory run's merged dataset, and record for record what draining
+  /// open() yields, with the same salvage accounting in `stats`.
+  ///
+  /// Two passes, each one task per file on a runtime::Executor of
+  /// `threads` workers (0 resolves through runtime::resolve_thread_count;
+  /// capped at the file count; a single worker runs inline).  Pass 1
+  /// indexes each file and reads every block's record counts
+  /// (block_counts); the blocks, sorted into the stream's (session id,
+  /// file, offset) order, get their output offsets from a prefix sum, and
+  /// the five outputs are sized once.  Pass 2 decodes each file's blocks
+  /// in file order and moves their records into their slices.  A block
+  /// that passes pass 1 but fails to decode leaves a gap, closed afterwards
+  /// by one stable compaction of each affected stream.  Output and stats
+  /// do not depend on `threads`.
+  Dataset load(SpillReadStats* stats = nullptr, std::size_t threads = 0) const;
 
  private:
   std::vector<std::filesystem::path> files_;

@@ -8,8 +8,11 @@
 #include <fstream>
 #include <optional>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
+
+#include "telemetry/crc32c.h"
 
 namespace vstream::telemetry {
 namespace {
@@ -226,6 +229,43 @@ void write_all(const std::filesystem::path& path, const std::string& bytes) {
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
+/// A Dataset's five streams as one group, to compare with
+/// expect_groups_equal.
+SessionRecordGroup as_group(const Dataset& data) {
+  SessionRecordGroup g;
+  g.player_sessions = data.player_sessions;
+  g.cdn_sessions = data.cdn_sessions;
+  g.player_chunks = data.player_chunks;
+  g.cdn_chunks = data.cdn_chunks;
+  g.tcp_snapshots = data.tcp_snapshots;
+  return g;
+}
+
+/// The oracle for SpillSet::load: the merged stream drained into one
+/// Dataset, group after group, with the stream's salvage stats.
+Dataset drain_set(const SpillSet& set, SpillReadStats* stats) {
+  SessionRecordGroup all;
+  const auto stream = set.open(stats);
+  while (auto group = stream->next()) all.append(std::move(*group));
+  return Dataset{std::move(all.player_sessions), std::move(all.cdn_sessions),
+                 std::move(all.player_chunks), std::move(all.cdn_chunks),
+                 std::move(all.tcp_snapshots)};
+}
+
+/// load() at 1 and at 4 workers yields the stream oracle's records, in
+/// its order, and its SpillReadStats.
+void expect_load_matches_stream(const SpillSet& set) {
+  SpillReadStats oracle_stats;
+  const SessionRecordGroup oracle = as_group(drain_set(set, &oracle_stats));
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    SpillReadStats stats;
+    const Dataset loaded = set.load(&stats, threads);
+    expect_groups_equal(oracle, as_group(loaded));
+    EXPECT_EQ(stats, oracle_stats);
+  }
+}
+
 TEST_F(SpillFormatTest, RoundTripsEveryFieldBitExact) {
   const auto path = file("roundtrip.vspill");
   std::uint64_t blocks = 0;
@@ -343,6 +383,7 @@ TEST_F(SpillFormatTest, SessionSplitAcrossFilesConcatenatesInFileOrder) {
   ASSERT_EQ(loaded.player_chunks.size(), 2u);
   EXPECT_EQ(loaded.player_chunks[0].chunk_id, 0u);
   EXPECT_EQ(loaded.player_chunks[1].chunk_id, 1u);
+  expect_load_matches_stream(set);
 }
 
 TEST_F(SpillFormatTest, DuplicateIdsWithinOneFileMergeInFileOrder) {
@@ -373,6 +414,7 @@ TEST_F(SpillFormatTest, DuplicateIdsWithinOneFileMergeInFileOrder) {
   ASSERT_EQ(group->player_chunks.size(), 2u);
   EXPECT_EQ(group->player_chunks[0].chunk_id, 0u);
   EXPECT_EQ(group->player_chunks[1].chunk_id, 1u);
+  expect_load_matches_stream(set);
 }
 
 TEST_F(SpillFormatTest, RejectsBadMagic) {
@@ -562,6 +604,127 @@ TEST_F(SpillFormatTest, FuzzTruncateEveryOffsetNeverCrashes) {
   }
 }
 
+TEST_F(SpillFormatTest, LoadMatchesStreamOnEveryFlipAndTruncation) {
+  // A two-file set with a session (3) split across the files; every
+  // one-byte flip and every truncation of either file must load to what
+  // the merged stream yields, records and salvage stats alike.
+  const std::filesystem::path paths[] = {file("shard-0.vspill"),
+                                         file("shard-1.vspill")};
+  {
+    SpillWriter a(paths[0]);
+    a.write(full_group(1));
+    a.write(full_group(3));
+    a.close();
+    SpillWriter b(paths[1]);
+    b.write(full_group(2));
+    b.write(full_group(3));
+    b.close();
+  }
+  SpillSet set;
+  set.add_file(paths[0]);
+  set.add_file(paths[1]);
+  expect_load_matches_stream(set);
+
+  for (const std::filesystem::path& path : paths) {
+    const std::string clean = read_all(path);
+    for (std::size_t i = 0; i < clean.size(); ++i) {
+      SCOPED_TRACE(path.filename().string() + " flip " + std::to_string(i));
+      std::string bytes = clean;
+      bytes[i] = static_cast<char>(bytes[i] ^ 0xA5);
+      write_all(path, bytes);
+      if (i < 8) {
+        EXPECT_THROW(set.load(nullptr, 4), std::runtime_error);
+        continue;
+      }
+      expect_load_matches_stream(set);
+    }
+    for (std::size_t len = 0; len < clean.size(); ++len) {
+      SCOPED_TRACE(path.filename().string() + " len " + std::to_string(len));
+      write_all(path, clean.substr(0, len));
+      if (len < 8) {
+        EXPECT_THROW(set.load(nullptr, 4), std::runtime_error);
+        continue;
+      }
+      expect_load_matches_stream(set);
+    }
+    write_all(path, clean);
+  }
+}
+
+TEST_F(SpillFormatTest, LoadClosesTheGapOfAnUndecodableBlock) {
+  // Block 2 of shard-0 is reframed with valid header and payload CRCs
+  // around a payload with one trailing byte: its counts read fine, so the
+  // load reserves its slices, but it does not decode.  The gap it leaves
+  // sits between good blocks (shard-1's half of session 2, then 3) and
+  // must be closed without a trace.
+  const auto a_path = file("shard-0.vspill");
+  const auto b_path = file("shard-1.vspill");
+  {
+    SpillWriter a(a_path);
+    a.write(full_group(1));
+    a.write(full_group(2));
+    a.write(full_group(3));
+    a.close();
+    SpillWriter b(b_path);
+    b.write(full_group(2));
+    b.write(full_group(4));
+    b.close();
+  }
+  std::uint64_t offset = 0;
+  {
+    SpillReader probe(a_path);
+    const auto index = probe.index();
+    ASSERT_EQ(index.size(), 3u);
+    offset = index[1].offset;
+  }
+  std::string bytes = read_all(a_path);
+  std::uint64_t payload_size = 0;
+  for (int i = 0; i < 8; ++i) {
+    payload_size |= std::uint64_t{static_cast<unsigned char>(
+                        bytes[offset + 12 + i])}
+                    << (8 * i);
+  }
+  const auto put_le = [](std::string& out, std::uint64_t v, int n) {
+    for (int i = 0; i < n; ++i) out.push_back(static_cast<char>(v >> (8 * i)));
+  };
+  const std::string payload = bytes.substr(offset + 24, payload_size) + '\0';
+  std::string frame = bytes.substr(offset, 12);  // marker + session id
+  put_le(frame, payload.size(), 8);
+  put_le(frame, crc32c(frame.data(), frame.size()), 4);
+  frame += payload;
+  put_le(frame, crc32c(payload.data(), payload.size()), 4);
+  bytes.replace(offset, 24 + payload_size + 4, frame);
+  write_all(a_path, bytes);
+
+  {
+    SpillReader reader(a_path);
+    const auto index = reader.index();
+    ASSERT_EQ(index.size(), 3u);
+    EXPECT_EQ(reader.block_counts(index[1]), reader.block_counts(index[0]));
+    EXPECT_FALSE(reader.read_at(index[1]).has_value());
+  }
+
+  SpillSet set;
+  set.add_file(a_path);
+  set.add_file(b_path);
+  expect_load_matches_stream(set);
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    SpillReadStats stats;
+    const Dataset loaded = set.load(&stats, threads);
+    EXPECT_EQ(stats.blocks_skipped, 1u);
+    EXPECT_EQ(stats.blocks_ok, 4u);
+    // One record per stream per intact block; a default-constructed
+    // leftover would carry session id 0.
+    ASSERT_EQ(loaded.player_chunks.size(),
+              4u * full_group(1).player_chunks.size());
+    std::vector<std::uint64_t> ids;
+    for (const auto& r : loaded.player_sessions) ids.push_back(r.session_id);
+    EXPECT_EQ(ids, (std::vector<std::uint64_t>{1, 2, 3, 4}));
+    for (const auto& r : loaded.tcp_snapshots) EXPECT_NE(r.session_id, 0u);
+    for (const auto& r : loaded.cdn_chunks) EXPECT_NE(r.session_id, 0u);
+  }
+}
+
 TEST_F(SpillFormatTest, SpillSetAggregatesSalvageStats) {
   SpillSet set;
   {
@@ -596,6 +759,7 @@ TEST_F(SpillFormatTest, EmptySpillSet) {
   EXPECT_FALSE(set.open()->next().has_value());
   const Dataset loaded = set.load();
   EXPECT_TRUE(loaded.player_sessions.empty());
+  expect_load_matches_stream(set);
 }
 
 TEST_F(SpillFormatTest, ExtremeDoublesRoundTripBitExact) {

@@ -7,7 +7,8 @@
 # sees an overflow, and cdn the warm archive's slot arithmetic), and the
 # work-stealing executor, sharded engine and telemetry suites under TSan
 # (VSTREAM_SANITIZE=thread) at >= 4 physical workers (telemetry covers the
-# parallel range export, which formats on several threads).  The engine
+# parallel range export, which formats on several threads, and the
+# parallel spill load, which decodes on several threads).  The engine
 # ASan/TSan passes exercise the overload-protection layer (breakers,
 # shedding, hedges) via the determinism suite's overload scenario; the
 # TSan pass additionally runs the steal-heavy executor stress tests and
@@ -76,7 +77,10 @@ VSTREAM_SHARDS=4 VSTREAM_THREADS=4 TSAN_OPTIONS=halt_on_error=1 \
 echo "==> tier-1: TSan telemetry suite (4 workers)"
 # The parallel export formats row ranges on pool workers while the
 # calling thread writes the files; its tests run a 4-worker executor,
-# and VSTREAM_THREADS=4 covers the engine runs the suite starts.  The two
+# and VSTREAM_THREADS=4 covers the engine runs the suite starts.  The
+# parallel SpillSet::load (one index/count task and one decode task per
+# file, moving records into shared pre-sized outputs) runs at 4 workers
+# in the load-vs-stream oracle tests and at VSTREAM_THREADS elsewhere.  The two
 # randomized formatter sweeps are single-threaded and compare against
 # iostream output, which TSan slows ~100x, so they are left to the
 # ASan/UBSan passes.

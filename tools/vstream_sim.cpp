@@ -330,8 +330,10 @@ int run_tool(int argc, char** argv) {
     // idealized subsystem and report who is to blame.  Spilled runs
     // materialize the dataset first (the worst-N selection needs it).
     const telemetry::Dataset& baseline =
-        run.spilled() ? (run.dataset = run.spill.load(), run.dataset)
-                      : run.dataset;
+        run.spilled()
+            ? (run.dataset = run.spill.load(nullptr, run.thread_count),
+               run.dataset)
+            : run.dataset;
     const engine::ReplayContext replay_ctx(scenario, replay_options);
     engine::AttributionOptions attr_options;
     attr_options.worst_n = attribute_worst_n;
