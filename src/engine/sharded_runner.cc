@@ -114,10 +114,6 @@ std::vector<std::vector<AdmittedSession>> partition_sessions(
   return parts;
 }
 
-ShardResult merge_shard_results(std::vector<ShardResult> parts) {
-  return merge_shard_results(std::move(parts), nullptr);
-}
-
 ShardResult merge_shard_results(std::vector<ShardResult> parts,
                                 runtime::Executor* executor) {
   ShardResult merged;
@@ -354,8 +350,8 @@ ShardResult run_sharded(const workload::Scenario& scenario,
         },
         stats, "shard");
   } else {
-    // Memory mode: task = one memory_batch-session slice of a shard's
-    // partition on a fresh replica.  Batching is just finer sharding
+    // Memory mode: task = one kDefaultMemoryBatch-session slice of a
+    // shard's partition on a fresh replica.  Batching is just finer sharding
     // (bit-identical — the checkpoint-equivalence tests prove the same
     // split), and fine tasks are what lets work-stealing absorb a
     // skewed partition.  Batch list order (shard, then offset) is the
@@ -366,12 +362,9 @@ ShardResult run_sharded(const workload::Scenario& scenario,
       std::size_t offset;
       std::size_t count;
     };
+    // One worker: one task per shard, no replica churn.
     const std::size_t batch_size =
-        executor.workers() > 1
-            ? std::max<std::size_t>(1, options.memory_batch != 0
-                                           ? options.memory_batch
-                                           : kDefaultMemoryBatch)
-            : 0;  // one worker: one task per shard, no replica churn
+        executor.workers() > 1 ? kDefaultMemoryBatch : 0;
     std::vector<MemoryBatch> batches;
     batches.reserve(parts.size());
     for (std::size_t s = 0; s < parts.size(); ++s) {

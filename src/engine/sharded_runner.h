@@ -47,31 +47,26 @@ struct CheckpointConfig {
 };
 
 /// Physical execution config: how many OS threads run the logical
-/// shards' work, and how finely memory-mode partitions are batched.
+/// shards' work.
 struct ExecOptions {
   /// Physical worker threads; 0 resolves via
   /// runtime::resolve_thread_count (VSTREAM_THREADS environment
   /// variable, else hardware concurrency).  Never affects results.
   std::size_t threads = 0;
-  /// Memory-mode batch granularity: each shard's partition is split into
-  /// batches of this many sessions, each an independent executor task on
-  /// a fresh replica (batching is just finer sharding — bit-identical,
-  /// proven by the checkpoint-equivalence tests).  Fine batches are what
-  /// let work-stealing absorb partition skew: a shard holding 10x the
-  /// sessions becomes many steal-able tasks instead of one long one.
-  /// 0 uses kDefaultMemoryBatch.  Ignored with one worker (one task per
-  /// shard — no replica churn when nothing can steal).
-  std::size_t memory_batch = 0;
   /// Spill format version pin: 0 or telemetry::kSpillVersionDefault (the
   /// only format); run_sharded throws std::invalid_argument for anything
   /// else.  Selects nothing.
   std::uint32_t spill_format = 0;
 };
 
-/// Memory-mode batch size when ExecOptions.memory_batch is 0: small
-/// enough that even a worst-case skewed shard splits into dozens of
-/// steal-able tasks, large enough that replica construction stays
-/// negligible next to the sessions it serves.
+/// Memory-mode batch granularity: with more than one worker, each shard's
+/// partition is split into batches of this many sessions, each an
+/// independent executor task on a fresh replica (batching is just finer
+/// sharding — bit-identical, proven by the checkpoint-equivalence tests).
+/// Small enough that even a worst-case skewed shard splits into dozens
+/// of steal-able tasks, large enough that replica construction stays
+/// negligible next to the sessions it serves.  One worker runs one task
+/// per shard (no replica churn when nothing can steal).
 inline constexpr std::size_t kDefaultMemoryBatch = 64;
 
 /// Deterministic partition: session id modulo shard_count.  Within each
@@ -82,7 +77,7 @@ inline constexpr std::size_t kDefaultMemoryBatch = 64;
 /// clustered in one residue class) land every session in ONE shard —
 /// id-modulo is the canonical partition for determinism, not a balanced
 /// one.  The executor absorbs the imbalance instead: memory-mode batches
-/// (ExecOptions.memory_batch) turn the heavy shard into many steal-able
+/// (kDefaultMemoryBatch) turn the heavy shard into many steal-able
 /// tasks, so idle workers drain it (see the skew tests in
 /// tests/engine/merge_test.cc).
 std::vector<std::vector<AdmittedSession>> partition_sessions(
@@ -102,14 +97,13 @@ std::vector<std::vector<AdmittedSession>> partition_sessions(
 /// they are moved.  The output equals std::stable_sort of the
 /// concatenated parts for any input (a session split across parts,
 /// interleaved ids, sparse ids), with no fallback path.
-ShardResult merge_shard_results(std::vector<ShardResult> parts);
-
-/// Same merge with the moves run as one executor task per part: the
-/// tasks write disjoint ranges of the outputs and each frees only its
-/// own part.  `executor` null (or one worker) moves the parts serially.
-/// Byte-identical to the serial merge.
+///
+/// `executor` with more than one worker runs the moves as one task per
+/// part: the tasks write disjoint ranges of the outputs and each frees
+/// only its own part.  Null (or one worker) moves the parts serially;
+/// the bytes are identical either way.
 ShardResult merge_shard_results(std::vector<ShardResult> parts,
-                                runtime::Executor* executor);
+                                runtime::Executor* executor = nullptr);
 
 /// Run `admitted` partitioned across `shard_count` logical shards on a
 /// work-stealing pool of `exec->threads` physical workers (null `exec`
@@ -120,8 +114,8 @@ ShardResult merge_shard_results(std::vector<ShardResult> parts,
 /// task/steal accounting for the main run (not the merge).
 ///
 /// Task granularity per telemetry mode:
-///   memory      one task per memory_batch sessions of a shard, each on
-///               a fresh replica — fine-grained, steal-friendly;
+///   memory      one task per kDefaultMemoryBatch sessions of a shard,
+///               each on a fresh replica — fine-grained, steal-friendly;
 ///   spill       one task per shard: a shard owns its spill file, so the
 ///               file is single-writer and the file set stays in shard
 ///               order for the canonical merge;

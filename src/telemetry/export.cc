@@ -3,7 +3,8 @@
 #include <algorithm>
 #include <array>
 #include <fstream>
-#include <functional>
+#include <iterator>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -440,27 +441,6 @@ std::vector<TcpSnapshotRecord> read_tcp_snapshots_csv(std::istream& in) {
 
 namespace {
 
-/// Open failure, real or injected (export.open): sim::HostIoError.
-void check_open(std::ofstream& out, const std::filesystem::path& path) {
-  if (failpoints::should_fail(failpoints::Site::kExportOpen)) {
-    out.setstate(std::ios::badbit);
-  }
-  if (!out) throw sim::HostIoError("csv: cannot open " + path.string());
-}
-
-/// Per-file completion check: a short write (full disk) latches the
-/// stream's badbit; detect it after the final flush so the tool exits
-/// nonzero instead of leaving a truncated CSV behind with exit 0.
-void check_written(std::ofstream& out, const std::filesystem::path& path) {
-  if (failpoints::should_fail(failpoints::Site::kExportWrite)) {
-    out.setstate(std::ios::badbit);
-  }
-  out.flush();
-  if (out.fail()) {
-    throw sim::HostIoError("csv: error writing " + path.string());
-  }
-}
-
 template <typename Reader>
 auto read_file(const std::filesystem::path& path, Reader&& reader) {
   std::ifstream in(path);
@@ -468,205 +448,193 @@ auto read_file(const std::filesystem::path& path, Reader&& reader) {
   return reader(in);
 }
 
+struct CsvFile {
+  const char* name;
+  const char* header;
+};
+
+/// The five files of an export directory, in Dataset stream order.
+constexpr std::array<CsvFile, 5> kCsvFiles = {{
+    {"player_sessions.csv", kPlayerSessionHeader},
+    {"cdn_sessions.csv", kCdnSessionHeader},
+    {"player_chunks.csv", kPlayerChunkHeader},
+    {"cdn_chunks.csv", kCdnChunkHeader},
+    {"tcp_snapshots.csv", kTcpSnapshotHeader},
+}};
+
+/// Call `fn` with stream `file` (kCsvFiles order) of `data`.
+template <typename Fn>
+decltype(auto) visit_stream(const Dataset& data, std::size_t file, Fn&& fn) {
+  switch (file) {
+    case 0: return fn(data.player_sessions);
+    case 1: return fn(data.cdn_sessions);
+    case 2: return fn(data.player_chunks);
+    case 3: return fn(data.cdn_chunks);
+    default: return fn(data.tcp_snapshots);
+  }
+}
+
+/// Ranges formatted per window: two per worker leaves stealing room for
+/// the shorter last range of each stream.
+std::size_t window_ranges(const runtime::Executor* executor) {
+  return 2 * (executor != nullptr ? executor->workers() : 1);
+}
+
+/// The one CSV writer behind export_dataset() and export_stream().  The
+/// constructor opens all five files and writes their headers; every
+/// write() appends a Dataset's rows; close() flushes and checks each
+/// file.  write() cuts every stream into kExportRangeRows-row ranges,
+/// formats a window of them into their own buffers (in parallel on a
+/// multi-worker executor), then writes them in file order on the calling
+/// thread: the bytes match a serial loop, and the formatted-but-unwritten
+/// text stays within one window.
+class CsvWriter {
+ public:
+  explicit CsvWriter(const std::filesystem::path& directory)
+      : directory_(directory) {
+    std::filesystem::create_directories(directory);
+    for (std::size_t f = 0; f < kCsvFiles.size(); ++f) {
+      out_[f].open(path(f));
+      // Open failure, real or injected (export.open).
+      if (failpoints::should_fail(failpoints::Site::kExportOpen)) {
+        out_[f].setstate(std::ios::badbit);
+      }
+      if (!out_[f]) {
+        throw sim::HostIoError("csv: cannot open " + path(f).string());
+      }
+      out_[f] << kCsvFiles[f].header << '\n';
+    }
+  }
+
+  /// Append every row of `data`.  Throws sim::HostIoError as soon as a
+  /// file's stream has failed (a short write latches badbit even while
+  /// rows are still buffered), so a full disk stops the export early.
+  void write(const Dataset& data, runtime::Executor* executor) {
+    struct Range {
+      std::size_t file;
+      std::size_t begin;
+      std::size_t end;
+    };
+    std::vector<Range> ranges;
+    for (std::size_t f = 0; f < kCsvFiles.size(); ++f) {
+      const std::size_t rows = visit_stream(
+          data, f, [](const auto& records) { return records.size(); });
+      for (std::size_t begin = 0; begin < rows; begin += kExportRangeRows) {
+        ranges.push_back({f, begin, std::min(begin + kExportRangeRows, rows)});
+      }
+    }
+
+    const bool parallel = executor != nullptr && executor->workers() > 1;
+    const std::size_t window = window_ranges(executor);
+    std::vector<std::string> text(std::min(window, ranges.size()));
+    for (std::size_t base = 0; base < ranges.size(); base += window) {
+      const std::size_t count = std::min(window, ranges.size() - base);
+      const auto format = [&](std::size_t k) {
+        const Range& range = ranges[base + k];
+        std::ostringstream stream;
+        {
+          WriteBuffer buf(stream);
+          visit_stream(data, range.file, [&](const auto& records) {
+            for (std::size_t i = range.begin; i < range.end; ++i) {
+              append_csv_row(buf, records[i]);
+            }
+          });
+        }
+        text[k] = std::move(stream).str();
+      };
+      if (parallel) {
+        executor->parallel_for(count, format, nullptr, "export");
+      } else {
+        for (std::size_t k = 0; k < count; ++k) format(k);
+      }
+      for (std::size_t k = 0; k < count; ++k) {
+        std::ofstream& out = out_[ranges[base + k].file];
+        out.write(text[k].data(),
+                  static_cast<std::streamsize>(text[k].size()));
+        text[k] = std::string();
+      }
+    }
+    for (std::size_t f = 0; f < kCsvFiles.size(); ++f) {
+      if (out_[f].bad()) {
+        throw sim::HostIoError("csv: error writing " + path(f).string());
+      }
+    }
+  }
+
+  /// Flush and close every file.  A short write (full disk, or the
+  /// export.write failpoint) throws sim::HostIoError, so the tool exits
+  /// nonzero instead of leaving a truncated CSV behind with exit 0.
+  void close() {
+    for (std::size_t f = 0; f < kCsvFiles.size(); ++f) {
+      if (failpoints::should_fail(failpoints::Site::kExportWrite)) {
+        out_[f].setstate(std::ios::badbit);
+      }
+      out_[f].flush();
+      if (out_[f].fail()) {
+        throw sim::HostIoError("csv: error writing " + path(f).string());
+      }
+      out_[f].close();
+    }
+  }
+
+ private:
+  std::filesystem::path path(std::size_t file) const {
+    return directory_ / kCsvFiles[file].name;
+  }
+
+  std::filesystem::path directory_;
+  std::array<std::ofstream, kCsvFiles.size()> out_;
+};
+
+/// Move `from` onto the end of `to`.
+template <typename Record>
+void append_moved(std::vector<Record>& to, std::vector<Record>& from) {
+  to.insert(to.end(), std::make_move_iterator(from.begin()),
+            std::make_move_iterator(from.end()));
+}
+
 }  // namespace
 
 void export_dataset(const Dataset& data,
                     const std::filesystem::path& directory,
                     runtime::Executor* executor) {
-  std::filesystem::create_directories(directory);
-
-  // Every file is cut into contiguous row ranges (at least one, so an
-  // empty stream still gets its header).  Ranges are formatted into
-  // their own buffers in parallel, a window at a time, then written in
-  // file order on the calling thread, so the bytes match a serial loop
-  // and the formatted-but-unwritten text stays within one window.
-  struct File {
-    const char* name;
-    const char* header;
-    std::size_t rows;
-    std::function<void(WriteBuffer&, std::size_t, std::size_t)> format;
-  };
-  const auto rows_of = [](const auto& records) {
-    return [&records](WriteBuffer& buf, std::size_t begin, std::size_t end) {
-      for (std::size_t i = begin; i < end; ++i) append_csv_row(buf, records[i]);
-    };
-  };
-  const std::array<File, 5> files = {{
-      {"player_sessions.csv", kPlayerSessionHeader, data.player_sessions.size(),
-       rows_of(data.player_sessions)},
-      {"cdn_sessions.csv", kCdnSessionHeader, data.cdn_sessions.size(),
-       rows_of(data.cdn_sessions)},
-      {"player_chunks.csv", kPlayerChunkHeader, data.player_chunks.size(),
-       rows_of(data.player_chunks)},
-      {"cdn_chunks.csv", kCdnChunkHeader, data.cdn_chunks.size(),
-       rows_of(data.cdn_chunks)},
-      {"tcp_snapshots.csv", kTcpSnapshotHeader, data.tcp_snapshots.size(),
-       rows_of(data.tcp_snapshots)},
-  }};
-
-  // A window of two ranges per worker leaves stealing room for the
-  // shorter last range of each file.
-  struct Range {
-    std::size_t file;
-    std::size_t begin;
-    std::size_t end;
-  };
-  std::vector<Range> ranges;
-  for (std::size_t f = 0; f < files.size(); ++f) {
-    std::size_t begin = 0;
-    do {
-      const std::size_t end = std::min(begin + kExportRangeRows, files[f].rows);
-      ranges.push_back({f, begin, end});
-      begin = end;
-    } while (begin < files[f].rows);
-  }
-
-  const bool parallel = executor != nullptr && executor->workers() > 1;
-  const std::size_t window = parallel ? 2 * executor->workers() : 1;
-  std::vector<std::string> text(window);
-  std::ofstream out;
-  for (std::size_t base = 0; base < ranges.size(); base += window) {
-    const std::size_t count = std::min(window, ranges.size() - base);
-    const auto format = [&](std::size_t k) {
-      const Range& range = ranges[base + k];
-      const File& file = files[range.file];
-      std::ostringstream stream;
-      {
-        WriteBuffer buf(stream);
-        if (range.begin == 0) {
-          buf.append(file.header);
-          buf.append('\n');
-        }
-        file.format(buf, range.begin, range.end);
-      }
-      text[k] = std::move(stream).str();
-    };
-    if (parallel) {
-      executor->parallel_for(count, format, nullptr, "export");
-    } else {
-      format(0);
-    }
-    for (std::size_t k = 0; k < count; ++k) {
-      const Range& range = ranges[base + k];
-      const std::filesystem::path path = directory / files[range.file].name;
-      if (range.begin == 0) {
-        out = std::ofstream(path);
-        check_open(out, path);
-      }
-      out.write(text[k].data(), static_cast<std::streamsize>(text[k].size()));
-      text[k] = std::string();
-      if (range.end == files[range.file].rows) {
-        check_written(out, path);
-        out.close();
-      }
-    }
-  }
+  CsvWriter writer(directory);
+  writer.write(data, executor);
+  writer.close();
 }
 
 void export_stream(SessionGroupStream& groups,
                    const std::filesystem::path& directory,
                    runtime::Executor* executor) {
-  std::filesystem::create_directories(directory);
-  const auto open = [&](const char* name) {
-    std::ofstream out(directory / name);
-    check_open(out, directory / name);
-    return out;
-  };
-  std::ofstream ps_out = open("player_sessions.csv");
-  std::ofstream cs_out = open("cdn_sessions.csv");
-  std::ofstream pc_out = open("player_chunks.csv");
-  std::ofstream cc_out = open("cdn_chunks.csv");
-  std::ofstream ts_out = open("tcp_snapshots.csv");
-  // One failure check covering all five streams, evaluated after every
-  // drained window (fail fast on a mid-export disk error — badbit
-  // latches even while rows are still buffered) and once after the
-  // final buffer flush.  The export.write failpoint fails all five, the
-  // shape a full disk actually has.
-  const std::array<std::pair<std::ofstream*, const char*>, 5> streams = {{
-      {&ps_out, "player_sessions.csv"},
-      {&cs_out, "cdn_sessions.csv"},
-      {&pc_out, "player_chunks.csv"},
-      {&cc_out, "cdn_chunks.csv"},
-      {&ts_out, "tcp_snapshots.csv"},
-  }};
-  const auto check_streams = [&] {
-    if (failpoints::should_fail(failpoints::Site::kExportWrite)) {
-      for (const auto& [out, name] : streams) out->setstate(std::ios::badbit);
+  CsvWriter writer(directory);
+  // Groups arrive in canonical order, so a window of consecutive groups
+  // is a canonical Dataset slice and writing the windows in turn writes
+  // every stream in order.  A window holds about one write() window of
+  // ranges, so memory stays bounded by the worker count (or one session,
+  // if a session is larger), not by the run.
+  const std::size_t window_records =
+      window_ranges(executor) * kExportRangeRows;
+  Dataset window;
+  std::size_t records = 0;
+  while (std::optional<SessionRecordGroup> group = groups.next()) {
+    records += group->record_count();
+    append_moved(window.player_sessions, group->player_sessions);
+    append_moved(window.cdn_sessions, group->cdn_sessions);
+    append_moved(window.player_chunks, group->player_chunks);
+    append_moved(window.cdn_chunks, group->cdn_chunks);
+    append_moved(window.tcp_snapshots, group->tcp_snapshots);
+    if (records >= window_records) {
+      writer.write(window, executor);
+      window.player_sessions.clear();
+      window.cdn_sessions.clear();
+      window.player_chunks.clear();
+      window.cdn_chunks.clear();
+      window.tcp_snapshots.clear();
+      records = 0;
     }
-    for (const auto& [out, name] : streams) {
-      if (out->fail()) {
-        throw sim::HostIoError("csv: error writing " +
-                               (directory / name).string());
-      }
-    }
-  };
-  {
-    WriteBuffer ps(ps_out), cs(cs_out), pc(pc_out), cc(cc_out), ts(ts_out);
-    ps.append(kPlayerSessionHeader);
-    ps.append('\n');
-    cs.append(kCdnSessionHeader);
-    cs.append('\n');
-    pc.append(kPlayerChunkHeader);
-    pc.append('\n');
-    cc.append(kCdnChunkHeader);
-    cc.append('\n');
-    ts.append(kTcpSnapshotHeader);
-    ts.append('\n');
-
-    // The group stream is a serial pull source, but formatting dominates:
-    // pull a window of groups, then drain each of the five streams over
-    // the whole window as an independent task (each task touches only its
-    // own buffer + file).  Rows keep stream order per file, so the bytes
-    // match the serial loop exactly.
-    constexpr std::size_t kWindowGroups = 256;
-    std::vector<SessionRecordGroup> window;
-    window.reserve(kWindowGroups);
-    const std::array<std::function<void()>, 5> drains = {
-        [&] {
-          for (const auto& g : window) {
-            for (const auto& r : g.player_sessions) append_csv_row(ps, r);
-          }
-        },
-        [&] {
-          for (const auto& g : window) {
-            for (const auto& r : g.cdn_sessions) append_csv_row(cs, r);
-          }
-        },
-        [&] {
-          for (const auto& g : window) {
-            for (const auto& r : g.player_chunks) append_csv_row(pc, r);
-          }
-        },
-        [&] {
-          for (const auto& g : window) {
-            for (const auto& r : g.cdn_chunks) append_csv_row(cc, r);
-          }
-        },
-        [&] {
-          for (const auto& g : window) {
-            for (const auto& r : g.tcp_snapshots) append_csv_row(ts, r);
-          }
-        },
-    };
-    const auto drain_window = [&] {
-      if (window.empty()) return;
-      if (executor != nullptr && executor->workers() > 1) {
-        executor->parallel_for(drains.size(),
-                               [&](std::size_t i) { drains[i](); });
-      } else {
-        for (const auto& drain : drains) drain();
-      }
-      window.clear();
-      check_streams();
-    };
-    while (std::optional<SessionRecordGroup> group = groups.next()) {
-      window.push_back(std::move(*group));
-      if (window.size() >= kWindowGroups) drain_window();
-    }
-    drain_window();
-  }  // buffers flush before the streams close
-  for (const auto& [out, name] : streams) out->flush();
-  check_streams();
+  }
+  writer.write(window, executor);
+  writer.close();
 }
 
 Dataset import_dataset(const std::filesystem::path& directory) {

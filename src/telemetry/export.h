@@ -29,8 +29,8 @@ class WriteBuffer;
 
 // ---- row appenders ----
 // One CSV row (with trailing newline), no header — the shared formatting
-// core of the batch writers below and the streaming exporter, so both
-// paths are byte-identical by construction.
+// core of the stream writers below and of the directory export, so both
+// are byte-identical by construction.
 
 void append_csv_row(WriteBuffer& buf, const PlayerSessionRecord& r);
 void append_csv_row(WriteBuffer& buf, const CdnSessionRecord& r);
@@ -60,20 +60,20 @@ std::vector<PlayerChunkRecord> read_player_chunks_csv(std::istream& in);
 std::vector<CdnChunkRecord> read_cdn_chunks_csv(std::istream& in);
 std::vector<TcpSnapshotRecord> read_tcp_snapshots_csv(std::istream& in);
 
-/// Rows per range of export_dataset(): each range of a stream is
-/// formatted into its own buffer (about 0.8 MiB of tcp_snapshots text).
+/// Rows per range of the CSV writer: each range of a stream is formatted
+/// into its own buffer (about 0.8 MiB of tcp_snapshots text).
 inline constexpr std::size_t kExportRangeRows = 8192;
 
 /// Write all five streams into `directory` (created if missing) as
 /// player_sessions.csv, cdn_sessions.csv, player_chunks.csv,
 /// cdn_chunks.csv, tcp_snapshots.csv.  Each stream is cut into ranges of
-/// kExportRangeRows rows.  `executor` non-null formats a window of two
-/// ranges per worker in parallel, then the calling thread writes them in
-/// file order; the formatted-but-unwritten text never exceeds one window,
-/// and the bytes of every file are identical either way.  Every file's
-/// stream state is checked after its final flush: a short write (full
-/// disk, or the export.open/export.write failpoints) throws
-/// sim::HostIoError — a truncated CSV never goes unreported.
+/// kExportRangeRows rows, formatted a window of two ranges per worker at
+/// a time (in parallel when `executor` has more than one worker) and
+/// written in file order by the calling thread; the formatted-but-
+/// unwritten text never exceeds one window, and the bytes of every file
+/// are identical either way.  A failed open or short write (full disk,
+/// or the export.open/export.write failpoints) throws sim::HostIoError —
+/// a truncated CSV never goes unreported.
 void export_dataset(const Dataset& data,
                     const std::filesystem::path& directory,
                     runtime::Executor* executor = nullptr);
@@ -88,11 +88,11 @@ Dataset import_dataset(const std::filesystem::path& directory);
 /// what SpillSet::open() and DatasetGroupStream produce), the files are
 /// byte-identical to export_dataset() on the equivalent merged dataset.
 ///
-/// `executor` non-null formats in windows: groups are pulled serially
-/// into a bounded window, then each of the five streams formats the
-/// whole window into its own file as an independent task.  Rows keep
-/// stream order within each file, so the output is byte-identical to
-/// the serial path.
+/// Groups are moved into a window Dataset; each time the window holds
+/// one export_dataset() window of rows (two kExportRangeRows ranges per
+/// worker, over all five streams) it goes through the same writer and
+/// is cleared.  Memory is bounded by the worker count — or by one
+/// session, when a session is larger — never by the run.
 void export_stream(SessionGroupStream& groups,
                    const std::filesystem::path& directory,
                    runtime::Executor* executor = nullptr);

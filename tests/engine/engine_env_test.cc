@@ -2,7 +2,11 @@
 // loudly (a silent fallback would quietly benchmark the wrong workload).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
+#include <limits>
+#include <stdexcept>
+#include <string>
 
 #include "engine/engine.h"
 #include "runtime/executor.h"
@@ -65,6 +69,54 @@ TEST(PositiveEnvTest, RejectsEmpty) {
   guard.set("");
   EXPECT_THROW(sim::positive_env("VSTREAM_TEST_KNOB", 42u),
                std::runtime_error);
+}
+
+TEST(PositiveEnvTest, RejectsSignsAndBlanks) {
+  EnvGuard guard("VSTREAM_TEST_KNOB");
+  for (const char* raw : {"+3", " 3", "3 ", "-0"}) {
+    guard.set(raw);
+    EXPECT_THROW(sim::positive_env("VSTREAM_TEST_KNOB", 42u),
+                 std::runtime_error)
+        << raw;
+  }
+}
+
+// The same parser behind every numeric command-line flag.
+TEST(ParseUintTest, AcceptsDigitsWithinRange) {
+  EXPECT_EQ(sim::parse_uint("--n", "1"), 1u);
+  EXPECT_EQ(sim::parse_uint("--n", "007"), 7u);
+  EXPECT_EQ(sim::parse_uint("--n", "18446744073709551615"),
+            std::numeric_limits<std::uint64_t>::max());
+  EXPECT_EQ(sim::parse_uint("--seed", "0", 0), 0u);
+  EXPECT_EQ(sim::parse_uint("--n", "10", 0, 10), 10u);
+}
+
+TEST(ParseUintTest, RejectsEverythingElse) {
+  // "-1" is the case strtoull alone would wrap to 2^64 - 1.
+  for (const char* raw : {"-1", "+1", " 1", "1 ", "abc", "12abc", "", "0",
+                          "1.5", "18446744073709551616"}) {
+    EXPECT_THROW(sim::parse_uint("--n", raw), std::runtime_error) << raw;
+  }
+  EXPECT_THROW(sim::parse_uint("--n", "11", 0, 10), std::runtime_error);
+  try {
+    sim::parse_uint("--threads", "-1");
+    FAIL() << "no exception";
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what()).find("--threads"), std::string::npos);
+  }
+}
+
+TEST(ParsePositiveDoubleTest, AcceptsPositiveFiniteNumbers) {
+  EXPECT_DOUBLE_EQ(sim::parse_positive_double("--ms", "150"), 150.0);
+  EXPECT_DOUBLE_EQ(sim::parse_positive_double("--ms", "0.5"), 0.5);
+}
+
+TEST(ParsePositiveDoubleTest, RejectsEverythingElse) {
+  for (const char* raw :
+       {"0", "-1", "abc", "", "1.5x", "inf", "nan", "1e999"}) {
+    EXPECT_THROW(sim::parse_positive_double("--ms", raw), std::runtime_error)
+        << raw;
+  }
 }
 
 TEST(ResolveShardCountTest, ExplicitRequestWins) {

@@ -313,12 +313,16 @@ TEST(PartitionSkewTest, TenToOneSkewStillSpreadsAcrossWorkers) {
   // One shard holding 10x the sessions must not serialize the run: the
   // memory-mode batch granularity turns the heavy shard into many
   // steal-able tasks.  Build a real world, then remap session ids so
-  // shard 0 of 4 holds ~10x what shard 1 holds (the other two are
-  // empty), run with 4 workers and small batches, and require (a) more
-  // than one worker executed tasks — or at least one steal happened —
-  // and (b) the output is bit-identical to the single-threaded run.
+  // shard 0 of 4 holds 10x what shard 1 holds (the other two are empty)
+  // and kDefaultMemoryBatch splits it into 8 tasks, run with 4 workers,
+  // and require (a) more than one worker executed tasks — or at least
+  // one steal happened — and (b) the output is bit-identical to the
+  // single-threaded run.
+  constexpr std::size_t kBatch = engine::kDefaultMemoryBatch;
+  constexpr std::size_t kHeavy = 8 * kBatch;
+  constexpr std::size_t kLight = kHeavy / 10;
   workload::Scenario scenario = workload::test_scenario();
-  scenario.session_count = 110;
+  scenario.session_count = kHeavy + kLight;
 
   sim::Rng rng(scenario.seed);
   const workload::VideoCatalog catalog(scenario.catalog, rng);
@@ -329,29 +333,28 @@ TEST(PartitionSkewTest, TenToOneSkewStillSpreadsAcrossWorkers) {
       engine::build_warm_archive(prototype, catalog, 0.92, false);
   std::vector<engine::AdmittedSession> admitted =
       engine::admit_sessions(scenario, generator, rng);
-  ASSERT_EQ(admitted.size(), 110u);
-  // 100 sessions into residue 0, 10 into residue 1 (ids stay unique).
+  ASSERT_EQ(admitted.size(), kHeavy + kLight);
+  // kHeavy sessions into residue 0, kLight into residue 1 (ids stay
+  // unique).
   for (std::size_t i = 0; i < admitted.size(); ++i) {
     admitted[i].spec.session_id =
-        i < 100 ? i * 4 : (i - 100) * 4 + 1;
+        i < kHeavy ? i * 4 : (i - kHeavy) * 4 + 1;
   }
 
-  const auto run = [&](std::size_t threads, std::size_t batch,
-                       runtime::ParallelStats* stats) {
+  const auto run = [&](std::size_t threads, runtime::ParallelStats* stats) {
     engine::ExecOptions exec;
     exec.threads = threads;
-    exec.memory_batch = batch;
     return engine::run_sharded(scenario, catalog, warm, nullptr, nullptr,
                                admitted, 4, nullptr, nullptr, &exec, stats);
   };
 
-  const engine::ShardResult reference = run(1, 0, nullptr);
+  const engine::ShardResult reference = run(1, nullptr);
   runtime::ParallelStats stats;
-  const engine::ShardResult skewed = run(4, 8, &stats);
+  const engine::ShardResult skewed = run(4, &stats);
 
-  // 100 sessions / batch 8 = 13 tasks for the heavy shard, 2 for the
-  // light one, 2 empty-shard tasks.
-  EXPECT_EQ(stats.tasks, 17u);
+  // 8 tasks for the heavy shard, one per started batch for the light
+  // one, one for each empty shard.
+  EXPECT_EQ(stats.tasks, kHeavy / kBatch + (kLight + kBatch - 1) / kBatch + 2);
   EXPECT_TRUE(stats.workers_used() >= 2 || stats.steals >= 1)
       << "heavy shard was executed by a single worker with no steals";
   EXPECT_EQ(export_string(reference.dataset), export_string(skewed.dataset));

@@ -5,9 +5,12 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "engine/engine.h"
 #include "failpoints/failpoint.h"
@@ -15,6 +18,7 @@
 #include "runtime/executor.h"
 #include "sim/host_error.h"
 #include "telemetry/join.h"
+#include "telemetry/spill_format.h"
 #include "workload/scenario.h"
 
 namespace vstream::telemetry {
@@ -387,6 +391,21 @@ std::string file_bytes(const std::filesystem::path& path) {
   return text.str();
 }
 
+/// The five files' names and bytes as the single-buffer stream writers
+/// produce them — the reference bytes for every directory export.
+std::vector<std::pair<std::string, std::string>> reference_files(
+    const Dataset& d) {
+  std::ostringstream ps, cs, pc, cc, ts;
+  write_player_sessions_csv(ps, d.player_sessions);
+  write_cdn_sessions_csv(cs, d.cdn_sessions);
+  write_player_chunks_csv(pc, d.player_chunks);
+  write_cdn_chunks_csv(cc, d.cdn_chunks);
+  write_tcp_snapshots_csv(ts, d.tcp_snapshots);
+  return {{"player_sessions.csv", ps.str()}, {"cdn_sessions.csv", cs.str()},
+          {"player_chunks.csv", pc.str()},   {"cdn_chunks.csv", cc.str()},
+          {"tcp_snapshots.csv", ts.str()}};
+}
+
 TEST(ExportTest, ParallelRangesMatchSerialExportByteForByte) {
   const std::filesystem::path root =
       std::filesystem::temp_directory_path() / "vstream_export_ranges";
@@ -401,24 +420,175 @@ TEST(ExportTest, ParallelRangesMatchSerialExportByteForByte) {
     export_dataset(d, root / "serial");
     export_dataset(d, root / "parallel", &executor);
 
-    // The single-buffer stream writers are the reference bytes.
-    std::ostringstream ps, cs, pc, cc, ts;
-    write_player_sessions_csv(ps, d.player_sessions);
-    write_cdn_sessions_csv(cs, d.cdn_sessions);
-    write_player_chunks_csv(pc, d.player_chunks);
-    write_cdn_chunks_csv(cc, d.cdn_chunks);
-    write_tcp_snapshots_csv(ts, d.tcp_snapshots);
-    const std::pair<const char*, std::string> expected[] = {
-        {"player_sessions.csv", ps.str()}, {"cdn_sessions.csv", cs.str()},
-        {"player_chunks.csv", pc.str()},   {"cdn_chunks.csv", cc.str()},
-        {"tcp_snapshots.csv", ts.str()},
-    };
-    for (const auto& [name, bytes] : expected) {
+    for (const auto& [name, bytes] : reference_files(d)) {
       EXPECT_EQ(file_bytes(root / "serial" / name), bytes) << name;
       EXPECT_EQ(file_bytes(root / "parallel" / name), bytes) << name;
     }
   }
   std::filesystem::remove_all(root);
+}
+
+// ------------------------------------------------------ streaming export
+
+/// Records per export_stream() window at `workers` workers: two
+/// kExportRangeRows ranges per worker.
+constexpr std::size_t window_records(std::size_t workers) {
+  return 2 * workers * kExportRangeRows;
+}
+
+/// A canonical dataset that spans several export_stream() windows even at
+/// 4 workers: chunk counts vary per session, some sessions lack whole
+/// streams (no player session, no CDN session, no chunks, no snapshots),
+/// and one session alone is larger than a 4-worker window.
+Dataset multi_window_dataset() {
+  const Dataset one = sample_dataset();
+  constexpr std::uint64_t kSessions = 2'000;
+  constexpr std::uint64_t kHugeSession = 1'000;
+  Dataset d;
+  for (std::uint64_t id = 0; id < kSessions; ++id) {
+    if (id % 7 != 3) {
+      PlayerSessionRecord ps = one.player_sessions[0];
+      ps.session_id = id;
+      ps.startup_ms = 0.25 * static_cast<double>(id);
+      d.player_sessions.push_back(ps);
+    }
+    if (id % 5 != 1) {
+      CdnSessionRecord cs = one.cdn_sessions[0];
+      cs.session_id = id;
+      cs.server = static_cast<std::uint32_t>(id % 13);
+      d.cdn_sessions.push_back(cs);
+    }
+    const std::uint32_t chunks =
+        id % 11 == 4 ? 0 : static_cast<std::uint32_t>(id * 7 % 40);
+    for (std::uint32_t c = 0; c < chunks; ++c) {
+      PlayerChunkRecord pc = one.player_chunks[0];
+      pc.session_id = id;
+      pc.chunk_id = c;
+      pc.dfb_ms = 1.5 * c + static_cast<double>(id);
+      d.player_chunks.push_back(pc);
+      CdnChunkRecord cc = one.cdn_chunks[0];
+      cc.session_id = id;
+      cc.chunk_id = c;
+      cc.chunk_bytes = 1'000 + 40 * id + c;
+      d.cdn_chunks.push_back(cc);
+    }
+    const std::size_t snapshots = id == kHugeSession ? window_records(4) + 100
+                                  : id % 9 == 2      ? 0
+                                                     : 2 * chunks;
+    for (std::size_t k = 0; k < snapshots; ++k) {
+      TcpSnapshotRecord ts = one.tcp_snapshots[0];
+      ts.session_id = id;
+      ts.chunk_id = static_cast<std::uint32_t>(k / 2);
+      ts.at_ms = 10.0 * static_cast<double>(k);
+      ts.info.segments_out = id + k;
+      d.tcp_snapshots.push_back(ts);
+    }
+  }
+  return d;
+}
+
+std::size_t record_count(const Dataset& d) {
+  return d.player_sessions.size() + d.cdn_sessions.size() +
+         d.player_chunks.size() + d.cdn_chunks.size() + d.tcp_snapshots.size();
+}
+
+TEST(ExportStreamTest, MatchesExportDatasetAcrossWindows) {
+  const std::filesystem::path root =
+      std::filesystem::temp_directory_path() / "vstream_export_stream";
+  std::filesystem::remove_all(root);
+  std::filesystem::create_directories(root);
+  const Dataset d = multi_window_dataset();
+  ASSERT_GT(record_count(d), 3 * window_records(4));
+
+  // The same sessions as a two-file spill set, alternating files.
+  SpillSet spill;
+  {
+    SpillWriter even(root / "shard-0.vspill");
+    SpillWriter odd(root / "shard-1.vspill");
+    DatasetGroupStream groups(d);
+    while (std::optional<SessionRecordGroup> group = groups.next()) {
+      (group->session_id % 2 == 0 ? even : odd).write(*group);
+    }
+    even.close();
+    odd.close();
+  }
+  spill.add_file(root / "shard-0.vspill");
+  spill.add_file(root / "shard-1.vspill");
+
+  const auto expected = reference_files(d);
+  export_dataset(d, root / "dataset");
+  for (const auto& [name, bytes] : expected) {
+    ASSERT_TRUE(file_bytes(root / "dataset" / name) == bytes) << name;
+  }
+
+  runtime::Executor executor(4);
+  for (runtime::Executor* exec : {static_cast<runtime::Executor*>(nullptr),
+                                  &executor}) {
+    for (const bool from_spill : {false, true}) {
+      SCOPED_TRACE(std::string(exec == nullptr ? "serial" : "4 workers") +
+                   (from_spill ? ", from spill" : ", from dataset"));
+      std::unique_ptr<SessionGroupStream> groups =
+          from_spill ? spill.open() : std::make_unique<DatasetGroupStream>(d);
+      const std::filesystem::path dir = root / "stream";
+      std::filesystem::remove_all(dir);
+      export_stream(*groups, dir, exec);
+      for (const auto& [name, bytes] : expected) {
+        // Several MiB per file: report the file, not a diff of it.
+        EXPECT_TRUE(file_bytes(dir / name) == bytes) << name;
+      }
+    }
+  }
+  std::filesystem::remove_all(root);
+}
+
+TEST(ExportStreamTest, EmptyStreamWritesHeadersOnly) {
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "vstream_export_stream_empty";
+  std::filesystem::remove_all(dir);
+  const Dataset empty;
+  DatasetGroupStream groups(empty);
+  runtime::Executor executor(4);
+  export_stream(groups, dir, &executor);
+  for (const auto& [name, bytes] : reference_files(empty)) {
+    EXPECT_EQ(file_bytes(dir / name), bytes) << name;
+  }
+  std::filesystem::remove_all(dir);
+}
+
+/// A group stream that counts the groups pulled from it.
+class CountingGroupStream final : public SessionGroupStream {
+ public:
+  explicit CountingGroupStream(const Dataset& data) : groups_(data) {}
+  std::optional<SessionRecordGroup> next() override {
+    std::optional<SessionRecordGroup> group = groups_.next();
+    if (group.has_value()) ++pulled;
+    return group;
+  }
+  std::size_t pulled = 0;
+
+ private:
+  DatasetGroupStream groups_;
+};
+
+TEST(ExportStreamTest, FullDiskStopsTheExportAtTheFirstWindow) {
+  // A file that refuses every write — the device that is always full —
+  // must fail the export as soon as a window's rows reach it, not after
+  // the whole stream has been pulled and formatted.
+  const std::filesystem::path full_device = "/dev/full";
+  if (!std::filesystem::exists(full_device)) {
+    GTEST_SKIP() << "no always-full device";
+  }
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "vstream_export_stream_full";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  std::filesystem::create_symlink(full_device, dir / "tcp_snapshots.csv");
+  const Dataset d = multi_window_dataset();
+  CountingGroupStream groups(d);
+  EXPECT_THROW(export_stream(groups, dir), sim::HostIoError);
+  EXPECT_GT(groups.pulled, 0u);
+  EXPECT_LT(groups.pulled, d.player_sessions.size() / 2);
+  std::filesystem::remove_all(dir);
 }
 
 class ExportFailpointTest : public ::testing::Test {
@@ -453,6 +623,39 @@ TEST_F(ExportFailpointTest, ParallelExportWriteFailureThrowsHostIoError) {
   EXPECT_THROW(export_dataset(d, dir_, &executor), sim::HostIoError);
   failpoints::Registry::instance().arm("export.write=error");
   EXPECT_THROW(export_dataset(d, dir_, &executor), sim::HostIoError);
+}
+
+TEST_F(ExportFailpointTest, StreamExportOpenFailureThrowsHostIoError) {
+  runtime::Executor executor(4);
+  const Dataset d = dataset_with_rows(2 * kExportRangeRows + 3);
+  failpoints::Registry::instance().arm("export.open=error@once:2");
+  {
+    DatasetGroupStream groups(d);
+    EXPECT_THROW(export_stream(groups, dir_, &executor), sim::HostIoError);
+  }
+  failpoints::Registry::instance().arm("export.open=error");
+  {
+    DatasetGroupStream groups(d);
+    EXPECT_THROW(export_stream(groups, dir_), sim::HostIoError);
+  }
+}
+
+TEST_F(ExportFailpointTest, StreamExportWriteFailureThrowsHostIoError) {
+  runtime::Executor executor(4);
+  // More rows than one 4-worker window: the failure surfaces after the
+  // windows were written, at the final flush of the last file.
+  const Dataset d = dataset_with_rows(2 * kExportRangeRows + 3);
+  ASSERT_GT(record_count(d), window_records(4));
+  failpoints::Registry::instance().arm("export.write=error@once:4");
+  {
+    DatasetGroupStream groups(d);
+    EXPECT_THROW(export_stream(groups, dir_, &executor), sim::HostIoError);
+  }
+  failpoints::Registry::instance().arm("export.write=error");
+  {
+    DatasetGroupStream groups(d);
+    EXPECT_THROW(export_stream(groups, dir_), sim::HostIoError);
+  }
 }
 
 TEST(ExportTest, DirectoryRoundTripFromPipeline) {

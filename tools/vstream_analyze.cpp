@@ -57,6 +57,7 @@
 #include "engine/attribution.h"
 #include "engine/replay.h"
 #include "faults/fault_schedule.h"
+#include "sim/env_util.h"
 #include "sim/host_error.h"
 #include "telemetry/export.h"
 #include "telemetry/join.h"
@@ -192,17 +193,18 @@ int run_tool(int argc, char** argv) {
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--tail-threshold" && i + 1 < argc) {
-      tail_threshold_ms = std::atof(argv[++i]);
+      tail_threshold_ms =
+          sim::parse_positive_double("--tail-threshold", argv[++i]);
     } else if (arg == "--epochs" && i + 1 < argc) {
-      epochs = static_cast<std::size_t>(std::atol(argv[++i]));
+      epochs = sim::parse_uint("--epochs", argv[++i]);
     } else if (arg == "--spill-stats") {
       spill_stats_only = true;
     } else if (arg == "--attribution") {
       attribution = true;
     } else if (arg == "--sessions" && i + 1 < argc) {
-      scenario.session_count = static_cast<std::size_t>(std::atol(argv[++i]));
+      scenario.session_count = sim::parse_uint("--sessions", argv[++i]);
     } else if (arg == "--seed" && i + 1 < argc) {
-      scenario.seed = static_cast<std::uint64_t>(std::atoll(argv[++i]));
+      scenario.seed = sim::parse_uint("--seed", argv[++i], 0);
     } else if (arg == "--fault-profile" && i + 1 < argc) {
       const std::optional<faults::FaultSchedule> named =
           faults::FaultSchedule::named(argv[++i]);
@@ -212,7 +214,7 @@ int run_tool(int argc, char** argv) {
       }
       faults = *named;
     } else if (arg == "--worst" && i + 1 < argc) {
-      worst_n = static_cast<std::size_t>(std::atol(argv[++i]));
+      worst_n = sim::parse_uint("--worst", argv[++i]);
     } else if (arg == "--attribution-out" && i + 1 < argc) {
       attribution_out = argv[++i];
     } else {

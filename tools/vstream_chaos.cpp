@@ -77,6 +77,8 @@
 #include <string>
 #include <vector>
 
+#include "sim/env_util.h"
+
 namespace {
 
 namespace fs = std::filesystem;
@@ -570,8 +572,8 @@ int run_failpoint_campaign(const Config& cfg,
                   cfg.kills > 0 ? "on" : "off");
       std::fflush(stdout);
       const bool ok = run_fp_cell(
-          cfg, static_cast<std::size_t>(std::atol(shards.c_str())),
-          static_cast<std::size_t>(std::atol(threads.c_str())), rng,
+          cfg, vstream::sim::parse_uint("--shards", shards),
+          vstream::sim::parse_uint("--threads", threads), rng,
           &total_kills, &total_aborts, &total_rounds);
       all_ok = all_ok && ok;
       ++cells;
@@ -599,9 +601,9 @@ int run_tool(int argc, char** argv) {
     if (arg == "--sim") {
       cfg.sim = next();
     } else if (arg == "--sessions") {
-      cfg.sessions = static_cast<std::size_t>(std::atol(next().c_str()));
+      cfg.sessions = vstream::sim::parse_uint("--sessions", next());
     } else if (arg == "--seed") {
-      cfg.seed = static_cast<std::uint64_t>(std::atoll(next().c_str()));
+      cfg.seed = vstream::sim::parse_uint("--seed", next(), 0);
     } else if (arg == "--shards") {
       shard_list = split_csv(next());
     } else if (arg == "--threads") {
@@ -609,19 +611,18 @@ int run_tool(int argc, char** argv) {
     } else if (arg == "--profiles") {
       profiles = split_csv(next());
     } else if (arg == "--kills") {
-      cfg.kills = static_cast<std::size_t>(std::atol(next().c_str()));
+      cfg.kills = vstream::sim::parse_uint("--kills", next(), 0);
     } else if (arg == "--interval") {
-      cfg.interval = static_cast<std::size_t>(std::atol(next().c_str()));
+      cfg.interval = vstream::sim::parse_uint("--interval", next());
     } else if (arg == "--chaos-seed") {
-      cfg.chaos_seed = static_cast<std::uint64_t>(std::atoll(next().c_str()));
+      cfg.chaos_seed = vstream::sim::parse_uint("--chaos-seed", next(), 0);
     } else if (arg == "--failpoints") {
       const std::string list = next();
       cfg.failpoints =
           list == "default" ? default_failpoint_specs() : split_csv(list);
       if (cfg.failpoints.empty()) usage(argv[0]);
     } else if (arg == "--fp-rounds") {
-      cfg.fp_rounds = static_cast<std::size_t>(std::atol(next().c_str()));
-      if (cfg.fp_rounds == 0) usage(argv[0]);
+      cfg.fp_rounds = vstream::sim::parse_uint("--fp-rounds", next());
     } else if (arg == "--scratch") {
       cfg.scratch = next();
     } else if (arg == "--help" || arg == "-h") {

@@ -45,7 +45,7 @@
 // corruption limited it to the salvaged subset.  Never a raw terminate,
 // never a truncated CSV with exit 0.
 
-#include <cerrno>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -66,6 +66,7 @@
 #include "failpoints/failpoint.h"
 #include "faults/fault_schedule.h"
 #include "runtime/executor.h"
+#include "sim/env_util.h"
 #include "sim/host_error.h"
 #include "telemetry/export.h"
 #include "telemetry/join.h"
@@ -104,34 +105,6 @@ faults::FaultSchedule parse_fault_profile(const std::string& s,
   return *schedule;
 }
 
-/// Strict positive-number parse for the overload knobs (same contract as
-/// the VSTREAM_* environment variables: zero/negative/non-numeric exit 2).
-double positive_double_arg(const char* flag, const std::string& raw) {
-  errno = 0;
-  char* end = nullptr;
-  const double parsed = std::strtod(raw.c_str(), &end);
-  if (end == raw.c_str() || *end != '\0' || errno == ERANGE ||
-      !(parsed > 0.0)) {
-    std::fprintf(stderr, "%s must be a positive number, got \"%s\"\n", flag,
-                 raw.c_str());
-    std::exit(2);
-  }
-  return parsed;
-}
-
-/// Strict positive-integer parse (--checkpoint-interval).
-std::size_t positive_size_arg(const char* flag, const std::string& raw) {
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(raw.c_str(), &end, 10);
-  if (end == raw.c_str() || *end != '\0' || errno == ERANGE || parsed == 0) {
-    std::fprintf(stderr, "%s must be a positive integer, got \"%s\"\n", flag,
-                 raw.c_str());
-    std::exit(2);
-  }
-  return static_cast<std::size_t>(parsed);
-}
-
 client::AbrKind parse_abr(const std::string& s, const char* argv0) {
   if (s == "fixed") return client::AbrKind::kFixed;
   if (s == "rate") return client::AbrKind::kRateBased;
@@ -168,13 +141,13 @@ int run_tool(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--sessions") {
-      scenario.session_count = static_cast<std::size_t>(std::atol(next().c_str()));
+      scenario.session_count = sim::parse_uint("--sessions", next());
     } else if (arg == "--seed") {
-      scenario.seed = static_cast<std::uint64_t>(std::atoll(next().c_str()));
+      scenario.seed = sim::parse_uint("--seed", next(), 0);
     } else if (arg == "--shards") {
-      options.shards = static_cast<std::size_t>(std::atol(next().c_str()));
+      options.shards = sim::parse_uint("--shards", next());
     } else if (arg == "--threads") {
-      options.threads = positive_size_arg("--threads", next());
+      options.threads = sim::parse_uint("--threads", next());
     } else if (arg == "--abr") {
       scenario.abr = parse_abr(next(), argv[0]);
     } else if (arg == "--routing") {
@@ -182,8 +155,9 @@ int run_tool(int argc, char** argv) {
     } else if (arg == "--cache") {
       scenario.fleet.server.policy = parse_cache(next(), argv[0]);
     } else if (arg == "--prefetch") {
-      scenario.fleet.server.prefetch_on_miss =
-          static_cast<std::uint32_t>(std::atoi(next().c_str()));
+      // 0 disables prefetching (the default).
+      scenario.fleet.server.prefetch_on_miss = static_cast<std::uint32_t>(
+          sim::parse_uint("--prefetch", next(), 0, UINT32_MAX));
     } else if (arg == "--pacing") {
       scenario.tcp.pacing = true;
     } else if (arg == "--universal-head") {
@@ -192,13 +166,13 @@ int run_tool(int argc, char** argv) {
       scenario.abr_filters_throughput_outliers = true;
     } else if (arg == "--breaker-threshold") {
       scenario.fleet.server.overload.breaker_latency_threshold_ms =
-          positive_double_arg("--breaker-threshold", next());
+          sim::parse_positive_double("--breaker-threshold", next());
     } else if (arg == "--retry-budget") {
       scenario.fleet.server.overload.retry_budget_ratio =
-          positive_double_arg("--retry-budget", next()) / 100.0;
+          sim::parse_positive_double("--retry-budget", next()) / 100.0;
     } else if (arg == "--shed-watermark") {
       scenario.fleet.server.overload.shed_watermark =
-          positive_double_arg("--shed-watermark", next()) / 100.0;
+          sim::parse_positive_double("--shed-watermark", next()) / 100.0;
     } else if (arg == "--out") {
       out_dir = next();
     } else if (arg == "--telemetry-spill") {
@@ -209,11 +183,11 @@ int run_tool(int argc, char** argv) {
       options.resume = true;
     } else if (arg == "--checkpoint-interval") {
       options.checkpoint_interval =
-          positive_size_arg("--checkpoint-interval", next());
+          sim::parse_uint("--checkpoint-interval", next());
     } else if (arg == "--fault-profile") {
       options.faults = parse_fault_profile(next(), argv[0]);
     } else if (arg == "--attribute-worst") {
-      attribute_worst_n = positive_size_arg("--attribute-worst", next());
+      attribute_worst_n = sim::parse_uint("--attribute-worst", next());
     } else if (arg == "--attribution-out") {
       attribution_out = next();
     } else if (arg == "--help" || arg == "-h") {
