@@ -336,11 +336,11 @@ void BM_ExportCsv(benchmark::State& state) {
   std::ostringstream out;
   for (auto _ : state) {
     out.str(std::string());
-    telemetry::write_player_sessions_csv(out, data.player_sessions);
-    telemetry::write_cdn_sessions_csv(out, data.cdn_sessions);
-    telemetry::write_player_chunks_csv(out, data.player_chunks);
-    telemetry::write_cdn_chunks_csv(out, data.cdn_chunks);
-    telemetry::write_tcp_snapshots_csv(out, data.tcp_snapshots);
+    telemetry::write_csv(out, data.player_sessions);
+    telemetry::write_csv(out, data.cdn_sessions);
+    telemetry::write_csv(out, data.player_chunks);
+    telemetry::write_csv(out, data.cdn_chunks);
+    telemetry::write_csv(out, data.tcp_snapshots);
     benchmark::DoNotOptimize(out.tellp());
   }
   state.SetItemsProcessed(state.iterations() *

@@ -31,6 +31,8 @@ struct TcpInfo {
     if (srtt_ms <= 0.0) return 0.0;
     return static_cast<double>(mss_bytes) * cwnd_segments * 8.0 / srtt_ms;
   }
+
+  bool operator==(const TcpInfo&) const = default;
 };
 
 }  // namespace vstream::net

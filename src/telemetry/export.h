@@ -6,10 +6,15 @@
 // so datasets can be generated once and analysed elsewhere (or inspected
 // with standard tooling).
 //
-// Format notes: one file per stream, first line is the header, fields are
-// comma-separated; strings (user agents, orgs, cities) are written
-// verbatim — they never contain commas by construction, and the loader
-// rejects rows with the wrong field count rather than guessing.
+// Format notes: one file per stream, named after the stream
+// (player_sessions.csv, ...); the first line is the header, the column
+// names of record_schema.h in schema order; fields are comma-separated.
+// Strings (user agents, orgs, cities) are written verbatim — they never
+// contain commas by construction.  The loader is strict and never guesses:
+// a row with the wrong field count, an integer that is not all digits or
+// does not fit its column, a double with trailing text, a flag other than
+// 0 or 1, or an enum token its to_string() never writes is an error
+// naming the stream, the line and the column.
 #pragma once
 
 #include <cstddef>
@@ -27,38 +32,25 @@ namespace vstream::telemetry {
 
 class WriteBuffer;
 
-// ---- row appenders ----
-// One CSV row (with trailing newline), no header — the shared formatting
-// core of the stream writers below and of the directory export, so both
-// are byte-identical by construction.
+// ---- one stream ----
+// Generic over the five record types; each is a fold over its column list
+// in record_schema.h, instantiated for the five types in export.cc.
 
-void append_csv_row(WriteBuffer& buf, const PlayerSessionRecord& r);
-void append_csv_row(WriteBuffer& buf, const CdnSessionRecord& r);
-void append_csv_row(WriteBuffer& buf, const PlayerChunkRecord& r);
-void append_csv_row(WriteBuffer& buf, const CdnChunkRecord& r);
-void append_csv_row(WriteBuffer& buf, const TcpSnapshotRecord& r);
+/// One CSV row (with trailing newline), no header — the shared formatting
+/// core of write_csv() and of the directory export, so both are
+/// byte-identical by construction.
+template <typename Rec>
+void append_csv_row(WriteBuffer& buf, const Rec& r);
 
-// ---- stream writers (stable column order, documented in the header row) --
+/// The header line, then one row per record.
+template <typename Rec>
+void write_csv(std::ostream& out, const std::vector<Rec>& records);
 
-void write_player_sessions_csv(std::ostream& out,
-                               const std::vector<PlayerSessionRecord>& records);
-void write_cdn_sessions_csv(std::ostream& out,
-                            const std::vector<CdnSessionRecord>& records);
-void write_player_chunks_csv(std::ostream& out,
-                             const std::vector<PlayerChunkRecord>& records);
-void write_cdn_chunks_csv(std::ostream& out,
-                          const std::vector<CdnChunkRecord>& records);
-void write_tcp_snapshots_csv(std::ostream& out,
-                             const std::vector<TcpSnapshotRecord>& records);
-
-// ---- stream readers ----
-// Throw std::runtime_error on malformed headers or rows.
-
-std::vector<PlayerSessionRecord> read_player_sessions_csv(std::istream& in);
-std::vector<CdnSessionRecord> read_cdn_sessions_csv(std::istream& in);
-std::vector<PlayerChunkRecord> read_player_chunks_csv(std::istream& in);
-std::vector<CdnChunkRecord> read_cdn_chunks_csv(std::istream& in);
-std::vector<TcpSnapshotRecord> read_tcp_snapshots_csv(std::istream& in);
+/// Read a stream written by write_csv().  Throws std::runtime_error naming
+/// the stream, the line and (for a bad field) the column on a wrong
+/// header, a wrong field count or a malformed field.
+template <typename Rec>
+std::vector<Rec> read_csv(std::istream& in);
 
 /// Rows per range of the CSV writer: each range of a stream is formatted
 /// into its own buffer (about 0.8 MiB of tcp_snapshots text).

@@ -5,6 +5,8 @@
 #include <string>
 #include <unordered_map>
 
+#include "telemetry/record_schema.h"
+
 namespace vstream::telemetry {
 
 std::uint64_t JoinedSession::total_retransmissions() const {
@@ -126,13 +128,13 @@ void finalize_joined_session(JoinedSession& session) {
 }
 
 template <typename Record>
-void require_canonical(const std::vector<Record>& records, const char* name) {
+void require_canonical(const std::vector<Record>& records) {
   if (!std::is_sorted(records.begin(), records.end(),
                       [](const Record& a, const Record& b) {
                         return a.session_id < b.session_id;
                       })) {
     throw std::invalid_argument(
-        std::string("JoinedDataset::build: ") + name +
+        "JoinedDataset::build: " + std::string(RecordSchema<Record>::kStream) +
         " not in ascending session-id order (see telemetry::canonicalize)");
   }
 }
@@ -186,11 +188,9 @@ std::optional<JoinedSession> StreamingJoiner::join(
 
 JoinedDataset JoinedDataset::build(const Dataset& data,
                                    const ProxyFilterResult* proxies) {
-  require_canonical(data.player_sessions, "player_sessions");
-  require_canonical(data.cdn_sessions, "cdn_sessions");
-  require_canonical(data.player_chunks, "player_chunks");
-  require_canonical(data.cdn_chunks, "cdn_chunks");
-  require_canonical(data.tcp_snapshots, "tcp_snapshots");
+  for_each_stream(
+      [](std::size_t, const auto& records) { require_canonical(records); },
+      data);
 
   JoinedDataset joined;
   joined.sessions_.reserve(data.player_sessions.size());

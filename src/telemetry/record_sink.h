@@ -16,6 +16,7 @@
 // ends the stream; no calls may follow it.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -32,6 +33,19 @@ struct Dataset {
   std::vector<CdnChunkRecord> cdn_chunks;
   std::vector<TcpSnapshotRecord> tcp_snapshots;
 };
+
+inline constexpr std::size_t kStreamCount = 5;
+
+/// Call `f(s, stream...)` for each of the five record streams of `sets`
+/// (Datasets or SessionRecordGroups), s = 0..4 in Dataset order.
+template <typename F, typename... Sets>
+void for_each_stream(F&& f, Sets&... sets) {
+  f(0, sets.player_sessions...);
+  f(1, sets.cdn_sessions...);
+  f(2, sets.player_chunks...);
+  f(3, sets.cdn_chunks...);
+  f(4, sets.tcp_snapshots...);
+}
 
 /// Put `data` into canonical order — every stream in ascending session-id
 /// order — by stable-sorting each stream that is not already sorted.  The

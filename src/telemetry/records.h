@@ -52,6 +52,8 @@ struct PlayerChunkRecord {
     const sim::Ms total = dfb_ms + dlb_ms;
     return total <= 0.0 ? 0.0 : sim::seconds(chunk_duration_s) / total;
   }
+
+  bool operator==(const PlayerChunkRecord&) const = default;
 };
 
 /// Table 2, "CDN (App layer)" row.
@@ -87,6 +89,8 @@ struct CdnChunkRecord {
   sim::Ms server_total_ms() const { return dwait_ms + dopen_ms + dread_ms; }
   /// D_CDN of Eq. 1 (server latency excluding the backend share).
   sim::Ms dcdn_ms() const { return server_total_ms() - dbe_ms; }
+
+  bool operator==(const CdnChunkRecord&) const = default;
 };
 
 /// Table 2, "CDN (TCP layer)" row: one tcp_info sample with chunk context.
@@ -95,6 +99,8 @@ struct TcpSnapshotRecord {
   std::uint32_t chunk_id = 0;  ///< chunk being served when sampled
   sim::Ms at_ms = 0.0;         ///< session-relative sample time
   net::TcpInfo info;
+
+  bool operator==(const TcpSnapshotRecord&) const = default;
 };
 
 /// Table 3, player row.
@@ -109,6 +115,8 @@ struct PlayerSessionRecord {
   /// False when the player gave up on an unrecoverable chunk (every retry
   /// and failover exhausted) and ended the session early.
   bool completed = true;
+
+  bool operator==(const PlayerSessionRecord&) const = default;
 };
 
 /// Table 3, CDN row.
@@ -124,6 +132,8 @@ struct CdnSessionRecord {
   std::string city;
   std::string country;
   double client_distance_km = 0.0;  ///< geo-located client <-> PoP distance
+
+  bool operator==(const CdnSessionRecord&) const = default;
 };
 
 }  // namespace vstream::telemetry

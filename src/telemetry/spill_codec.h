@@ -1,10 +1,10 @@
-// Columnar encoding primitives for spill format v3 (spill_format.h).
+// Columnar encoding primitives for the spill format (spill_format.h).
 //
-// A v3 block payload stores each record field as one *column* with a
+// A block payload stores each record field as one *column* with a
 // 1-byte mode prefix, chosen per column by exact cost comparison at
 // encode time (deterministic: equal costs break toward the lower mode
-// number).  The primitives here are value codecs only — framing, CRCs
-// and the column order live in spill_format.cc:
+// number).  The primitives here are value codecs only — framing and CRCs
+// live in spill_format.cc, the column order in record_schema.h:
 //
 //   varint    LEB128, 7 bits per byte, little-endian groups, <= 10 bytes
 //   zigzag    maps two's-complement deltas to small unsigned varints

@@ -4,13 +4,16 @@
 #include <bit>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <stdexcept>
+#include <type_traits>
 #include <utility>
 
 #include "failpoints/failpoint.h"
 #include "runtime/executor.h"
 #include "sim/host_error.h"
 #include "telemetry/crc32c.h"
+#include "telemetry/record_schema.h"
 #include "telemetry/spill_codec.h"
 
 namespace vstream::telemetry {
@@ -50,164 +53,89 @@ std::uint64_t load_u64(const char* p) {
 }
 
 // ------------------------------------------------------ columnar payloads
-// Column order within each stream is the struct declaration order (see
-// records.h; session_id is block-level and omitted).  Encoding per column
-// lives in spill_codec.h; the helpers below just gather/scatter fields.
+// Each stream's columns are its record_schema.h columns after session_id
+// (block-level), in schema order; spill_codec.h encodes each column.
 
 /// Decode-bomb guard: a block holds one session's records, so any count
 /// beyond this is a writer bug or adversarial input, rejected before any
 /// allocation is sized from it.
 constexpr std::uint64_t kMaxBlockRecords = std::uint64_t{1} << 24;
 
-template <typename Rec, typename Get>
-void int_col(std::string& out, const std::vector<Rec>& recs,
-             std::vector<std::uint64_t>& tmp, Get get) {
-  tmp.clear();
-  tmp.reserve(recs.size());
-  for (const Rec& r : recs) {
-    tmp.push_back(static_cast<std::uint64_t>(get(r)));
-  }
-  codec::encode_int_column(out, tmp);
+template <typename Rec>
+void encode_stream(std::string& out, const std::vector<Rec>& recs,
+                   std::vector<std::uint64_t>& tmp,
+                   std::vector<std::uint8_t>& btmp) {
+  for_each_payload_column<Rec>([&](const auto& col) {
+    using T = field_t<Rec, decltype(col)>;
+    if constexpr (std::is_same_v<T, std::string>) {
+      for (const Rec& r : recs) codec::put_string(out, col.get(r));
+    } else if constexpr (std::is_same_v<T, bool>) {
+      btmp.clear();
+      for (const Rec& r : recs) btmp.push_back(col.get(r) ? 1 : 0);
+      codec::encode_bool_column(out, btmp);
+    } else if constexpr (std::is_same_v<T, double>) {
+      tmp.clear();
+      for (const Rec& r : recs) {
+        tmp.push_back(std::bit_cast<std::uint64_t>(col.get(r)));
+      }
+      codec::encode_f64_column(out, tmp);
+    } else {
+      tmp.clear();
+      for (const Rec& r : recs) {
+        tmp.push_back(static_cast<std::uint64_t>(col.get(r)));
+      }
+      codec::encode_int_column(out, tmp);
+    }
+  });
 }
 
-template <typename Rec, typename Get>
-void f64_col(std::string& out, const std::vector<Rec>& recs,
-             std::vector<std::uint64_t>& tmp, Get get) {
-  tmp.clear();
-  tmp.reserve(recs.size());
-  for (const Rec& r : recs) {
-    tmp.push_back(std::bit_cast<std::uint64_t>(static_cast<double>(get(r))));
-  }
-  codec::encode_f64_column(out, tmp);
+/// Decode one stream's columns into `recs` (already sized), range-checking
+/// every integer against its field type and every enum against its last
+/// enumerator.
+template <typename Rec>
+void decode_stream(codec::Reader& r, std::vector<Rec>& recs,
+                   std::uint64_t session_id, std::vector<std::uint64_t>& tmp,
+                   std::vector<std::uint8_t>& btmp) {
+  for (Rec& rec : recs) rec.session_id = session_id;
+  for_each_payload_column<Rec>([&](const auto& col) {
+    using T = field_t<Rec, decltype(col)>;
+    if constexpr (std::is_same_v<T, std::string>) {
+      for (Rec& rec : recs) col.get(rec) = codec::get_string(r);
+    } else if constexpr (std::is_same_v<T, bool>) {
+      codec::decode_bool_column(r, recs.size(), btmp);
+      for (std::size_t i = 0; i < recs.size(); ++i) {
+        col.get(recs[i]) = btmp[i] != 0;
+      }
+    } else if constexpr (std::is_same_v<T, double>) {
+      codec::decode_f64_column(r, recs.size(), tmp);
+      for (std::size_t i = 0; i < recs.size(); ++i) {
+        col.get(recs[i]) = std::bit_cast<double>(tmp[i]);
+      }
+    } else {
+      std::uint64_t max = 0;
+      if constexpr (std::is_enum_v<T>) {
+        max = static_cast<std::uint64_t>(last_enumerator(T{}));
+      } else {
+        max = std::numeric_limits<T>::max();
+      }
+      codec::decode_int_column(r, recs.size(), tmp);
+      for (std::size_t i = 0; i < recs.size(); ++i) {
+        if (tmp[i] > max) codec::fail("integer column value out of range");
+        col.get(recs[i]) = static_cast<T>(tmp[i]);
+      }
+    }
+  });
 }
-
-template <typename Rec, typename Get>
-void bool_col(std::string& out, const std::vector<Rec>& recs,
-              std::vector<std::uint8_t>& tmp, Get get) {
-  tmp.clear();
-  tmp.reserve(recs.size());
-  for (const Rec& r : recs) {
-    tmp.push_back(get(r) ? 1 : 0);
-  }
-  codec::encode_bool_column(out, tmp);
-}
-
-template <typename Rec, typename Set>
-void get_int_col(codec::Reader& r, std::vector<Rec>& recs,
-                 std::vector<std::uint64_t>& tmp, std::uint64_t max,
-                 Set set) {
-  codec::decode_int_column(r, recs.size(), tmp);
-  for (std::size_t i = 0; i < recs.size(); ++i) {
-    if (tmp[i] > max) codec::fail("integer column value out of range");
-    set(recs[i], tmp[i]);
-  }
-}
-
-template <typename Rec, typename Set>
-void get_f64_col(codec::Reader& r, std::vector<Rec>& recs,
-                 std::vector<std::uint64_t>& tmp, Set set) {
-  codec::decode_f64_column(r, recs.size(), tmp);
-  for (std::size_t i = 0; i < recs.size(); ++i) {
-    set(recs[i], std::bit_cast<double>(tmp[i]));
-  }
-}
-
-template <typename Rec, typename Set>
-void get_bool_col(codec::Reader& r, std::vector<Rec>& recs,
-                  std::vector<std::uint8_t>& tmp, Set set) {
-  codec::decode_bool_column(r, recs.size(), tmp);
-  for (std::size_t i = 0; i < recs.size(); ++i) {
-    set(recs[i], tmp[i] != 0);
-  }
-}
-
-constexpr std::uint64_t kMaxU32 = 0xFFFFFFFFull;
-constexpr std::uint64_t kMaxU64 = ~std::uint64_t{0};
-constexpr std::uint64_t kMaxU8 = 0xFFull;
 
 void encode_payload(std::string& out, const SessionRecordGroup& g,
-                       std::vector<std::uint64_t>& tmp,
-                       std::vector<std::uint8_t>& btmp) {
-  codec::put_varint(out, g.player_sessions.size());
-  codec::put_varint(out, g.cdn_sessions.size());
-  codec::put_varint(out, g.player_chunks.size());
-  codec::put_varint(out, g.cdn_chunks.size());
-  codec::put_varint(out, g.tcp_snapshots.size());
-
-  const auto& ps = g.player_sessions;
-  int_col(out, ps, tmp, [](const auto& r) { return r.client_ip; });
-  for (const auto& r : ps) codec::put_string(out, r.user_agent);
-  f64_col(out, ps, tmp, [](const auto& r) { return r.video_duration_s; });
-  f64_col(out, ps, tmp, [](const auto& r) { return r.start_time_ms; });
-  f64_col(out, ps, tmp, [](const auto& r) { return r.startup_ms; });
-  int_col(out, ps, tmp, [](const auto& r) { return r.chunks_requested; });
-  bool_col(out, ps, btmp, [](const auto& r) { return r.completed; });
-
-  const auto& cs = g.cdn_sessions;
-  int_col(out, cs, tmp, [](const auto& r) { return r.observed_ip; });
-  for (const auto& r : cs) codec::put_string(out, r.observed_user_agent);
-  int_col(out, cs, tmp, [](const auto& r) { return r.pop; });
-  int_col(out, cs, tmp, [](const auto& r) { return r.server; });
-  for (const auto& r : cs) codec::put_string(out, r.org);
-  int_col(out, cs, tmp, [](const auto& r) {
-    return static_cast<std::uint8_t>(r.access);
-  });
-  for (const auto& r : cs) codec::put_string(out, r.city);
-  for (const auto& r : cs) codec::put_string(out, r.country);
-  f64_col(out, cs, tmp, [](const auto& r) { return r.client_distance_km; });
-
-  const auto& pc = g.player_chunks;
-  int_col(out, pc, tmp, [](const auto& r) { return r.chunk_id; });
-  f64_col(out, pc, tmp, [](const auto& r) { return r.request_sent_ms; });
-  f64_col(out, pc, tmp, [](const auto& r) { return r.dfb_ms; });
-  f64_col(out, pc, tmp, [](const auto& r) { return r.dlb_ms; });
-  int_col(out, pc, tmp, [](const auto& r) { return r.bitrate_kbps; });
-  f64_col(out, pc, tmp, [](const auto& r) { return r.rebuffer_ms; });
-  int_col(out, pc, tmp, [](const auto& r) { return r.rebuffer_count; });
-  bool_col(out, pc, btmp, [](const auto& r) { return r.visible; });
-  f64_col(out, pc, tmp, [](const auto& r) { return r.avg_fps; });
-  int_col(out, pc, tmp, [](const auto& r) { return r.dropped_frames; });
-  int_col(out, pc, tmp, [](const auto& r) { return r.total_frames; });
-  int_col(out, pc, tmp, [](const auto& r) { return r.retries; });
-  int_col(out, pc, tmp, [](const auto& r) { return r.timeouts; });
-  bool_col(out, pc, btmp, [](const auto& r) { return r.failed_over; });
-  f64_col(out, pc, tmp, [](const auto& r) { return r.recovery_ms; });
-
-  const auto& cc = g.cdn_chunks;
-  int_col(out, cc, tmp, [](const auto& r) { return r.chunk_id; });
-  f64_col(out, cc, tmp, [](const auto& r) { return r.dwait_ms; });
-  f64_col(out, cc, tmp, [](const auto& r) { return r.dopen_ms; });
-  f64_col(out, cc, tmp, [](const auto& r) { return r.dread_ms; });
-  f64_col(out, cc, tmp, [](const auto& r) { return r.dbe_ms; });
-  int_col(out, cc, tmp, [](const auto& r) {
-    return static_cast<std::uint8_t>(r.cache_level);
-  });
-  int_col(out, cc, tmp, [](const auto& r) { return r.chunk_bytes; });
-  int_col(out, cc, tmp, [](const auto& r) { return r.pop; });
-  int_col(out, cc, tmp, [](const auto& r) { return r.server; });
-  bool_col(out, cc, btmp, [](const auto& r) { return r.served_stale; });
-  bool_col(out, cc, btmp, [](const auto& r) { return r.shed; });
-  bool_col(out, cc, btmp, [](const auto& r) { return r.hedged; });
-  bool_col(out, cc, btmp, [](const auto& r) { return r.hedge_won; });
-  bool_col(out, cc, btmp, [](const auto& r) { return r.budget_denied; });
-  bool_col(out, cc, btmp, [](const auto& r) { return r.served_swr; });
-  int_col(out, cc, tmp, [](const auto& r) {
-    return static_cast<std::uint8_t>(r.breaker);
-  });
-
-  const auto& ts = g.tcp_snapshots;
-  int_col(out, ts, tmp, [](const auto& r) { return r.chunk_id; });
-  f64_col(out, ts, tmp, [](const auto& r) { return r.at_ms; });
-  f64_col(out, ts, tmp, [](const auto& r) { return r.info.srtt_ms; });
-  f64_col(out, ts, tmp, [](const auto& r) { return r.info.rttvar_ms; });
-  int_col(out, ts, tmp, [](const auto& r) { return r.info.cwnd_segments; });
-  int_col(out, ts, tmp,
-          [](const auto& r) { return r.info.ssthresh_segments; });
-  int_col(out, ts, tmp, [](const auto& r) { return r.info.mss_bytes; });
-  int_col(out, ts, tmp, [](const auto& r) { return r.info.total_retrans; });
-  int_col(out, ts, tmp, [](const auto& r) { return r.info.segments_out; });
-  int_col(out, ts, tmp, [](const auto& r) { return r.info.bytes_acked; });
-  bool_col(out, ts, btmp, [](const auto& r) { return r.info.in_slow_start; });
+                    std::vector<std::uint64_t>& tmp,
+                    std::vector<std::uint8_t>& btmp) {
+  for_each_stream([&](std::size_t, const auto& recs) {
+    codec::put_varint(out, recs.size());
+  }, g);
+  for_each_stream([&](std::size_t, const auto& recs) {
+    encode_stream(out, recs, tmp, btmp);
+  }, g);
 }
 
 /// The payload head: five record counts, each checked against
@@ -224,168 +152,17 @@ SpillBlockCounts get_counts(codec::Reader& r) {
 }
 
 SessionRecordGroup decode_payload(const char* data, std::size_t size,
-                                     std::uint64_t session_id,
-                                     std::vector<std::uint64_t>& tmp,
-                                     std::vector<std::uint8_t>& btmp) {
+                                  std::uint64_t session_id,
+                                  std::vector<std::uint64_t>& tmp,
+                                  std::vector<std::uint8_t>& btmp) {
   codec::Reader r{data, data + size};
   SessionRecordGroup g;
   g.session_id = session_id;
-  const auto [n_ps, n_cs, n_pc, n_cc, n_ts] = get_counts(r);
-
-  auto& ps = g.player_sessions;
-  ps.resize(n_ps);
-  for (auto& rec : ps) rec.session_id = session_id;
-  get_int_col(r, ps, tmp, kMaxU32,
-              [](auto& rec, std::uint64_t v) {
-                rec.client_ip = static_cast<std::uint32_t>(v);
-              });
-  for (auto& rec : ps) rec.user_agent = codec::get_string(r);
-  get_f64_col(r, ps, tmp,
-              [](auto& rec, double v) { rec.video_duration_s = v; });
-  get_f64_col(r, ps, tmp, [](auto& rec, double v) { rec.start_time_ms = v; });
-  get_f64_col(r, ps, tmp, [](auto& rec, double v) { rec.startup_ms = v; });
-  get_int_col(r, ps, tmp, kMaxU32,
-              [](auto& rec, std::uint64_t v) {
-                rec.chunks_requested = static_cast<std::uint32_t>(v);
-              });
-  get_bool_col(r, ps, btmp, [](auto& rec, bool v) { rec.completed = v; });
-
-  auto& cs = g.cdn_sessions;
-  cs.resize(n_cs);
-  for (auto& rec : cs) rec.session_id = session_id;
-  get_int_col(r, cs, tmp, kMaxU32,
-              [](auto& rec, std::uint64_t v) {
-                rec.observed_ip = static_cast<std::uint32_t>(v);
-              });
-  for (auto& rec : cs) rec.observed_user_agent = codec::get_string(r);
-  get_int_col(r, cs, tmp, kMaxU32,
-              [](auto& rec, std::uint64_t v) {
-                rec.pop = static_cast<std::uint32_t>(v);
-              });
-  get_int_col(r, cs, tmp, kMaxU32,
-              [](auto& rec, std::uint64_t v) {
-                rec.server = static_cast<std::uint32_t>(v);
-              });
-  for (auto& rec : cs) rec.org = codec::get_string(r);
-  get_int_col(r, cs, tmp, kMaxU8,
-              [](auto& rec, std::uint64_t v) {
-                rec.access = static_cast<net::AccessType>(v);
-              });
-  for (auto& rec : cs) rec.city = codec::get_string(r);
-  for (auto& rec : cs) rec.country = codec::get_string(r);
-  get_f64_col(r, cs, tmp,
-              [](auto& rec, double v) { rec.client_distance_km = v; });
-
-  auto& pc = g.player_chunks;
-  pc.resize(n_pc);
-  for (auto& rec : pc) rec.session_id = session_id;
-  get_int_col(r, pc, tmp, kMaxU32,
-              [](auto& rec, std::uint64_t v) {
-                rec.chunk_id = static_cast<std::uint32_t>(v);
-              });
-  get_f64_col(r, pc, tmp,
-              [](auto& rec, double v) { rec.request_sent_ms = v; });
-  get_f64_col(r, pc, tmp, [](auto& rec, double v) { rec.dfb_ms = v; });
-  get_f64_col(r, pc, tmp, [](auto& rec, double v) { rec.dlb_ms = v; });
-  get_int_col(r, pc, tmp, kMaxU32,
-              [](auto& rec, std::uint64_t v) {
-                rec.bitrate_kbps = static_cast<std::uint32_t>(v);
-              });
-  get_f64_col(r, pc, tmp, [](auto& rec, double v) { rec.rebuffer_ms = v; });
-  get_int_col(r, pc, tmp, kMaxU32,
-              [](auto& rec, std::uint64_t v) {
-                rec.rebuffer_count = static_cast<std::uint32_t>(v);
-              });
-  get_bool_col(r, pc, btmp, [](auto& rec, bool v) { rec.visible = v; });
-  get_f64_col(r, pc, tmp, [](auto& rec, double v) { rec.avg_fps = v; });
-  get_int_col(r, pc, tmp, kMaxU32,
-              [](auto& rec, std::uint64_t v) {
-                rec.dropped_frames = static_cast<std::uint32_t>(v);
-              });
-  get_int_col(r, pc, tmp, kMaxU32,
-              [](auto& rec, std::uint64_t v) {
-                rec.total_frames = static_cast<std::uint32_t>(v);
-              });
-  get_int_col(r, pc, tmp, kMaxU32,
-              [](auto& rec, std::uint64_t v) {
-                rec.retries = static_cast<std::uint32_t>(v);
-              });
-  get_int_col(r, pc, tmp, kMaxU32,
-              [](auto& rec, std::uint64_t v) {
-                rec.timeouts = static_cast<std::uint32_t>(v);
-              });
-  get_bool_col(r, pc, btmp, [](auto& rec, bool v) { rec.failed_over = v; });
-  get_f64_col(r, pc, tmp, [](auto& rec, double v) { rec.recovery_ms = v; });
-
-  auto& cc = g.cdn_chunks;
-  cc.resize(n_cc);
-  for (auto& rec : cc) rec.session_id = session_id;
-  get_int_col(r, cc, tmp, kMaxU32,
-              [](auto& rec, std::uint64_t v) {
-                rec.chunk_id = static_cast<std::uint32_t>(v);
-              });
-  get_f64_col(r, cc, tmp, [](auto& rec, double v) { rec.dwait_ms = v; });
-  get_f64_col(r, cc, tmp, [](auto& rec, double v) { rec.dopen_ms = v; });
-  get_f64_col(r, cc, tmp, [](auto& rec, double v) { rec.dread_ms = v; });
-  get_f64_col(r, cc, tmp, [](auto& rec, double v) { rec.dbe_ms = v; });
-  get_int_col(r, cc, tmp, kMaxU8,
-              [](auto& rec, std::uint64_t v) {
-                rec.cache_level = static_cast<cdn::CacheLevel>(v);
-              });
-  get_int_col(r, cc, tmp, kMaxU64,
-              [](auto& rec, std::uint64_t v) { rec.chunk_bytes = v; });
-  get_int_col(r, cc, tmp, kMaxU32,
-              [](auto& rec, std::uint64_t v) {
-                rec.pop = static_cast<std::uint32_t>(v);
-              });
-  get_int_col(r, cc, tmp, kMaxU32,
-              [](auto& rec, std::uint64_t v) {
-                rec.server = static_cast<std::uint32_t>(v);
-              });
-  get_bool_col(r, cc, btmp, [](auto& rec, bool v) { rec.served_stale = v; });
-  get_bool_col(r, cc, btmp, [](auto& rec, bool v) { rec.shed = v; });
-  get_bool_col(r, cc, btmp, [](auto& rec, bool v) { rec.hedged = v; });
-  get_bool_col(r, cc, btmp, [](auto& rec, bool v) { rec.hedge_won = v; });
-  get_bool_col(r, cc, btmp,
-               [](auto& rec, bool v) { rec.budget_denied = v; });
-  get_bool_col(r, cc, btmp, [](auto& rec, bool v) { rec.served_swr = v; });
-  get_int_col(r, cc, tmp, kMaxU8,
-              [](auto& rec, std::uint64_t v) {
-                rec.breaker = static_cast<cdn::BreakerState>(v);
-              });
-
-  auto& ts = g.tcp_snapshots;
-  ts.resize(n_ts);
-  for (auto& rec : ts) rec.session_id = session_id;
-  get_int_col(r, ts, tmp, kMaxU32,
-              [](auto& rec, std::uint64_t v) {
-                rec.chunk_id = static_cast<std::uint32_t>(v);
-              });
-  get_f64_col(r, ts, tmp, [](auto& rec, double v) { rec.at_ms = v; });
-  get_f64_col(r, ts, tmp, [](auto& rec, double v) { rec.info.srtt_ms = v; });
-  get_f64_col(r, ts, tmp,
-              [](auto& rec, double v) { rec.info.rttvar_ms = v; });
-  get_int_col(r, ts, tmp, kMaxU32,
-              [](auto& rec, std::uint64_t v) {
-                rec.info.cwnd_segments = static_cast<std::uint32_t>(v);
-              });
-  get_int_col(r, ts, tmp, kMaxU32,
-              [](auto& rec, std::uint64_t v) {
-                rec.info.ssthresh_segments = static_cast<std::uint32_t>(v);
-              });
-  get_int_col(r, ts, tmp, kMaxU32,
-              [](auto& rec, std::uint64_t v) {
-                rec.info.mss_bytes = static_cast<std::uint32_t>(v);
-              });
-  get_int_col(r, ts, tmp, kMaxU64,
-              [](auto& rec, std::uint64_t v) { rec.info.total_retrans = v; });
-  get_int_col(r, ts, tmp, kMaxU64,
-              [](auto& rec, std::uint64_t v) { rec.info.segments_out = v; });
-  get_int_col(r, ts, tmp, kMaxU64,
-              [](auto& rec, std::uint64_t v) { rec.info.bytes_acked = v; });
-  get_bool_col(r, ts, btmp,
-               [](auto& rec, bool v) { rec.info.in_slow_start = v; });
-
+  const SpillBlockCounts counts = get_counts(r);
+  for_each_stream([&](std::size_t s, auto& recs) {
+    recs.resize(counts[s]);
+    decode_stream(r, recs, session_id, tmp, btmp);
+  }, g);
   if (r.p != r.end) codec::fail("trailing bytes in block payload");
   return g;
 }
@@ -773,17 +550,6 @@ class SpillSetStream final : public SessionGroupStream {
   std::vector<SetBlock> order_;
   std::size_t cursor_ = 0;
 };
-
-/// Call `f(s, stream...)` for each of the five record streams of `sets`
-/// (Datasets or SessionRecordGroups), s in SpillBlockCounts order.
-template <typename F, typename... Sets>
-void for_each_stream(F&& f, Sets&... sets) {
-  f(0, sets.player_sessions...);
-  f(1, sets.cdn_sessions...);
-  f(2, sets.player_chunks...);
-  f(3, sets.cdn_chunks...);
-  f(4, sets.tcp_snapshots...);
-}
 
 /// Remove the (offset, length) ranges `gaps` from `out`, keeping the
 /// order of everything else: one left shift of each stretch between gaps.

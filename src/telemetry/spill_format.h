@@ -1,9 +1,9 @@
-// Binary on-disk spill format for session record groups (version 3:
+// Binary on-disk spill format for session record groups (version 4:
 // CRC32C-framed, columnar, crash- and corruption-tolerant).
 //
 // Layout (all fixed-width integers little-endian):
 //
-//   file   := magic:u32 ("VSPL", 0x4C505356) version:u32 (3) frame*
+//   file   := magic:u32 ("VSPL", 0x4C505356) version:u32 (4) frame*
 //   frame  := block | commit
 //   block  := bmark:u32 ("VBLK") session_id:u64 payload_size:u64
 //             header_crc:u32 payload payload_crc:u32
@@ -17,10 +17,12 @@
 //
 // Payload: count:varint x5 (player_sessions, cdn_sessions, player_chunks,
 // cdn_chunks, tcp_snapshots), then the five groups *columnar* — for each
-// stream, each struct field in declaration order becomes one column
-// encoded by spill_codec.h (const/zigzag-delta varints for integers,
-// const/xor-prev/exponent-split for doubles, const/bit-packed for bools,
-// varint-length strings).  Doubles round-trip bit-exactly, which is what
+// stream, each column of record_schema.h in schema (CSV) order becomes one
+// column encoded by spill_codec.h (const/zigzag-delta varints for integers
+// and enums, const/xor-prev/exponent-split for doubles, const/bit-packed
+// for bools, varint-length strings).  A decoded integer must fit its field
+// and an enum must not pass its last enumerator, or the block counts as
+// undecodable.  Doubles round-trip bit-exactly, which is what
 // makes a spilled run's CSV export byte-identical to the in-memory one.
 // Spill files live only as long as one run, so there is one version: a
 // header with any other version is rejected as unsupported.
@@ -59,7 +61,7 @@ namespace vstream::telemetry {
 
 inline constexpr std::uint32_t kSpillMagic = 0x4C505356;    // "VSPL"
 /// The one spill format version written and read.
-inline constexpr std::uint32_t kSpillVersionDefault = 3;
+inline constexpr std::uint32_t kSpillVersionDefault = 4;
 inline constexpr std::uint32_t kSpillBlockMarker = 0x4B4C4256;   // "VBLK"
 inline constexpr std::uint32_t kSpillCommitMarker = 0x544D4356;  // "VCMT"
 
@@ -156,7 +158,7 @@ struct SpillBlockRef {
 
 /// One block's record count per stream, in payload order: player_sessions,
 /// cdn_sessions, player_chunks, cdn_chunks, tcp_snapshots.
-using SpillBlockCounts = std::array<std::uint64_t, 5>;
+using SpillBlockCounts = std::array<std::uint64_t, kStreamCount>;
 
 /// Reads one spill file: sequentially, or random-access via an index.
 /// The constructor throws std::runtime_error on an unopenable file, a

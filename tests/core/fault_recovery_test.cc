@@ -19,11 +19,11 @@ namespace {
 /// Serialize all five telemetry streams; equal strings == equal datasets.
 std::string dataset_fingerprint(const telemetry::Dataset& data) {
   std::ostringstream out;
-  telemetry::write_player_sessions_csv(out, data.player_sessions);
-  telemetry::write_cdn_sessions_csv(out, data.cdn_sessions);
-  telemetry::write_player_chunks_csv(out, data.player_chunks);
-  telemetry::write_cdn_chunks_csv(out, data.cdn_chunks);
-  telemetry::write_tcp_snapshots_csv(out, data.tcp_snapshots);
+  telemetry::write_csv(out, data.player_sessions);
+  telemetry::write_csv(out, data.cdn_sessions);
+  telemetry::write_csv(out, data.player_chunks);
+  telemetry::write_csv(out, data.cdn_chunks);
+  telemetry::write_csv(out, data.tcp_snapshots);
   return out.str();
 }
 

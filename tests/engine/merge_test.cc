@@ -36,11 +36,11 @@ namespace {
 
 std::string export_string(const telemetry::Dataset& data) {
   std::ostringstream out;
-  telemetry::write_player_sessions_csv(out, data.player_sessions);
-  telemetry::write_cdn_sessions_csv(out, data.cdn_sessions);
-  telemetry::write_player_chunks_csv(out, data.player_chunks);
-  telemetry::write_cdn_chunks_csv(out, data.cdn_chunks);
-  telemetry::write_tcp_snapshots_csv(out, data.tcp_snapshots);
+  telemetry::write_csv(out, data.player_sessions);
+  telemetry::write_csv(out, data.cdn_sessions);
+  telemetry::write_csv(out, data.player_chunks);
+  telemetry::write_csv(out, data.cdn_chunks);
+  telemetry::write_csv(out, data.tcp_snapshots);
   return out.str();
 }
 
@@ -375,8 +375,8 @@ TEST(ShardedRunnerTest, SpillFormatPinAcceptsOnlyTheOneFormat) {
   };
   EXPECT_NO_THROW(run(0));
   EXPECT_NO_THROW(run(telemetry::kSpillVersionDefault));
-  EXPECT_THROW(run(2), std::invalid_argument);
-  EXPECT_THROW(run(4), std::invalid_argument);
+  EXPECT_THROW(run(telemetry::kSpillVersionDefault - 1), std::invalid_argument);
+  EXPECT_THROW(run(telemetry::kSpillVersionDefault + 1), std::invalid_argument);
 }
 
 // ------------------------------------- engine-level merge edge cases

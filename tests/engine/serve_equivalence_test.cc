@@ -52,36 +52,16 @@ struct StreamHashes {
 
 StreamHashes hash_streams(const telemetry::Dataset& data) {
   StreamHashes hashes;
-  const auto hash_of = [](const auto& writer, const auto& records) {
+  const auto hash_of = [](const auto& records) {
     std::ostringstream out;
-    writer(out, records);
+    telemetry::write_csv(out, records);
     return fnv1a64(out.str());
   };
-  hashes.player_sessions = hash_of(
-      [](std::ostream& o, const auto& r) {
-        telemetry::write_player_sessions_csv(o, r);
-      },
-      data.player_sessions);
-  hashes.cdn_sessions = hash_of(
-      [](std::ostream& o, const auto& r) {
-        telemetry::write_cdn_sessions_csv(o, r);
-      },
-      data.cdn_sessions);
-  hashes.player_chunks = hash_of(
-      [](std::ostream& o, const auto& r) {
-        telemetry::write_player_chunks_csv(o, r);
-      },
-      data.player_chunks);
-  hashes.cdn_chunks = hash_of(
-      [](std::ostream& o, const auto& r) {
-        telemetry::write_cdn_chunks_csv(o, r);
-      },
-      data.cdn_chunks);
-  hashes.tcp_snapshots = hash_of(
-      [](std::ostream& o, const auto& r) {
-        telemetry::write_tcp_snapshots_csv(o, r);
-      },
-      data.tcp_snapshots);
+  hashes.player_sessions = hash_of(data.player_sessions);
+  hashes.cdn_sessions = hash_of(data.cdn_sessions);
+  hashes.player_chunks = hash_of(data.player_chunks);
+  hashes.cdn_chunks = hash_of(data.cdn_chunks);
+  hashes.tcp_snapshots = hash_of(data.tcp_snapshots);
   return hashes;
 }
 

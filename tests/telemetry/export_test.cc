@@ -109,8 +109,8 @@ Dataset sample_dataset() {
 TEST(ExportTest, PlayerSessionRoundTrip) {
   const Dataset d = sample_dataset();
   std::stringstream buffer;
-  write_player_sessions_csv(buffer, d.player_sessions);
-  const auto loaded = read_player_sessions_csv(buffer);
+  write_csv(buffer, d.player_sessions);
+  const auto loaded = read_csv<PlayerSessionRecord>(buffer);
   ASSERT_EQ(loaded.size(), 1u);
   const PlayerSessionRecord& r = loaded[0];
   EXPECT_EQ(r.session_id, 42u);
@@ -125,8 +125,8 @@ TEST(ExportTest, PlayerSessionRoundTrip) {
 TEST(ExportTest, CdnSessionRoundTrip) {
   const Dataset d = sample_dataset();
   std::stringstream buffer;
-  write_cdn_sessions_csv(buffer, d.cdn_sessions);
-  const auto loaded = read_cdn_sessions_csv(buffer);
+  write_csv(buffer, d.cdn_sessions);
+  const auto loaded = read_csv<CdnSessionRecord>(buffer);
   ASSERT_EQ(loaded.size(), 1u);
   const CdnSessionRecord& r = loaded[0];
   EXPECT_EQ(r.org, "Enterprise#1");
@@ -138,8 +138,8 @@ TEST(ExportTest, CdnSessionRoundTrip) {
 TEST(ExportTest, PlayerChunkRoundTrip) {
   const Dataset d = sample_dataset();
   std::stringstream buffer;
-  write_player_chunks_csv(buffer, d.player_chunks);
-  const auto loaded = read_player_chunks_csv(buffer);
+  write_csv(buffer, d.player_chunks);
+  const auto loaded = read_csv<PlayerChunkRecord>(buffer);
   ASSERT_EQ(loaded.size(), 1u);
   const PlayerChunkRecord& r = loaded[0];
   EXPECT_DOUBLE_EQ(r.dfb_ms, 240.125);
@@ -154,8 +154,8 @@ TEST(ExportTest, PlayerChunkRoundTrip) {
 TEST(ExportTest, CdnChunkRoundTrip) {
   const Dataset d = sample_dataset();
   std::stringstream buffer;
-  write_cdn_chunks_csv(buffer, d.cdn_chunks);
-  const auto loaded = read_cdn_chunks_csv(buffer);
+  write_csv(buffer, d.cdn_chunks);
+  const auto loaded = read_csv<CdnChunkRecord>(buffer);
   ASSERT_EQ(loaded.size(), 1u);
   EXPECT_EQ(loaded[0].cache_level, cdn::CacheLevel::kMiss);
   EXPECT_EQ(loaded[0].chunk_bytes, 1'875'000u);
@@ -177,12 +177,12 @@ TEST(ExportTest, CdnChunkRoundTrip) {
 TEST(ExportTest, OverloadColumnsAreAFixedPoint) {
   std::stringstream first;
   const Dataset d = sample_dataset();
-  write_cdn_chunks_csv(first, d.cdn_chunks);
+  write_csv(first, d.cdn_chunks);
   const std::string first_csv = first.str();
-  const auto once = read_cdn_chunks_csv(first);
+  const auto once = read_csv<CdnChunkRecord>(first);
 
   std::stringstream second;
-  write_cdn_chunks_csv(second, once);
+  write_csv(second, once);
   EXPECT_EQ(second.str(), first_csv);
 
   ASSERT_EQ(once.size(), 1u);
@@ -200,8 +200,8 @@ TEST(ExportTest, OverloadColumnsAreAFixedPoint) {
   open_chunk.breaker = cdn::BreakerState::kOpen;
   states.cdn_chunks.push_back(open_chunk);
   std::stringstream buffer;
-  write_cdn_chunks_csv(buffer, states.cdn_chunks);
-  const auto loaded = read_cdn_chunks_csv(buffer);
+  write_csv(buffer, states.cdn_chunks);
+  const auto loaded = read_csv<CdnChunkRecord>(buffer);
   ASSERT_EQ(loaded.size(), 2u);
   EXPECT_EQ(loaded[0].breaker, cdn::BreakerState::kClosed);
   EXPECT_EQ(loaded[1].breaker, cdn::BreakerState::kOpen);
@@ -210,8 +210,8 @@ TEST(ExportTest, OverloadColumnsAreAFixedPoint) {
 TEST(ExportTest, TcpSnapshotRoundTrip) {
   const Dataset d = sample_dataset();
   std::stringstream buffer;
-  write_tcp_snapshots_csv(buffer, d.tcp_snapshots);
-  const auto loaded = read_tcp_snapshots_csv(buffer);
+  write_csv(buffer, d.tcp_snapshots);
+  const auto loaded = read_csv<TcpSnapshotRecord>(buffer);
   ASSERT_EQ(loaded.size(), 1u);
   EXPECT_DOUBLE_EQ(loaded[0].info.srtt_ms, 48.5);
   EXPECT_EQ(loaded[0].info.total_retrans, 12u);
@@ -220,37 +220,119 @@ TEST(ExportTest, TcpSnapshotRoundTrip) {
 
 TEST(ExportTest, RejectsBadHeader) {
   std::stringstream buffer("not,a,header\n");
-  EXPECT_THROW(read_player_chunks_csv(buffer), std::runtime_error);
+  EXPECT_THROW(read_csv<PlayerChunkRecord>(buffer), std::runtime_error);
 }
 
 TEST(ExportTest, RejectsShortRow) {
   std::stringstream buffer;
-  write_cdn_chunks_csv(buffer, {});
+  write_csv<CdnChunkRecord>(buffer, {});
   std::stringstream in(buffer.str() + "1,2,3\n");
-  EXPECT_THROW(read_cdn_chunks_csv(in), std::runtime_error);
+  EXPECT_THROW(read_csv<CdnChunkRecord>(in), std::runtime_error);
 }
 
 TEST(ExportTest, RejectsUnknownEnums) {
   std::stringstream buffer;
-  write_cdn_chunks_csv(buffer, {});
+  write_csv<CdnChunkRecord>(buffer, {});
   std::stringstream in(buffer.str() + "1,2,0.1,0.2,0.3,0,warp-hit,100,0,0,0\n");
-  EXPECT_THROW(read_cdn_chunks_csv(in), std::runtime_error);
+  EXPECT_THROW(read_csv<CdnChunkRecord>(in), std::runtime_error);
 }
 
 TEST(ExportTest, EmptyStreamsRoundTrip) {
   std::stringstream buffer;
-  write_tcp_snapshots_csv(buffer, {});
-  EXPECT_TRUE(read_tcp_snapshots_csv(buffer).empty());
+  write_csv<TcpSnapshotRecord>(buffer, {});
+  EXPECT_TRUE(read_csv<TcpSnapshotRecord>(buffer).empty());
+}
+
+/// Read the sample player_chunks CSV with the field of `column` replaced
+/// by `text`: the error message, or "" when the row is accepted.
+std::string player_chunk_error(const std::string& column,
+                               const std::string& text) {
+  std::ostringstream out;
+  write_csv(out, sample_dataset().player_chunks);
+  std::istringstream lines(out.str());
+  std::string header, row;
+  std::getline(lines, header);
+  std::getline(lines, row);
+  std::vector<std::string> names, fields;
+  std::string field;
+  for (std::istringstream h(header); std::getline(h, field, ',');) {
+    names.push_back(field);
+  }
+  for (std::istringstream r(row); std::getline(r, field, ',');) {
+    fields.push_back(field);
+  }
+  std::string edited;
+  for (std::size_t i = 0; i < fields.size(); ++i) {
+    edited += (i == 0 ? "" : ",") + (names[i] == column ? text : fields[i]);
+  }
+  std::istringstream in(header + "\n" + edited + "\n");
+  try {
+    read_csv<PlayerChunkRecord>(in);
+  } catch (const std::runtime_error& error) {
+    return error.what();
+  }
+  return "";
+}
+
+/// `text` in `column` is rejected with a message naming the stream, the
+/// line and the column.
+void expect_rejected(const std::string& column, const std::string& text) {
+  SCOPED_TRACE(column + " = '" + text + "'");
+  const std::string error = player_chunk_error(column, text);
+  EXPECT_NE(error.find("player_chunks"), std::string::npos) << error;
+  EXPECT_NE(error.find("line 2"), std::string::npos) << error;
+  EXPECT_NE(error.find(column), std::string::npos) << error;
+}
+
+TEST(ExportTest, StrictFieldsAcceptTheSampleRow) {
+  EXPECT_EQ(player_chunk_error("chunk_id", "3"), "");
+}
+
+TEST(ExportTest, RejectsIntegerBeyondItsColumnType) {
+  expect_rejected("chunk_id", "4294967296");
+  expect_rejected("bitrate_kbps", "99999999999999999999");
+}
+
+TEST(ExportTest, RejectsIntegerThatIsNotAllDigits) {
+  expect_rejected("bitrate_kbps", "-1");
+  expect_rejected("bitrate_kbps", "+1");
+  expect_rejected("bitrate_kbps", " 1");
+  expect_rejected("bitrate_kbps", "1.5");
+  expect_rejected("bitrate_kbps", "0x10");
+  expect_rejected("bitrate_kbps", "");
+}
+
+TEST(ExportTest, RejectsDoubleWithTrailingText) {
+  expect_rejected("request_sent_ms", "1.5x");
+  expect_rejected("request_sent_ms", "1.5 ");
+  expect_rejected("request_sent_ms", "");
+}
+
+TEST(ExportTest, RejectsBoolOtherThanZeroOrOne) {
+  expect_rejected("visible", "yes");
+  expect_rejected("failed_over", "true");
+  expect_rejected("failed_over", "2");
+  expect_rejected("failed_over", "");
+}
+
+TEST(ExportTest, U64MaxRoundTripsInAU64Column) {
+  std::vector<CdnChunkRecord> chunks = sample_dataset().cdn_chunks;
+  chunks[0].chunk_bytes = UINT64_MAX;
+  std::stringstream buffer;
+  write_csv(buffer, chunks);
+  const auto loaded = read_csv<CdnChunkRecord>(buffer);
+  ASSERT_EQ(loaded.size(), 1u);
+  EXPECT_EQ(loaded[0].chunk_bytes, UINT64_MAX);
 }
 
 /// Serialize all five streams to one string (byte-equality of the export).
 std::string export_string(const Dataset& data) {
   std::ostringstream out;
-  write_player_sessions_csv(out, data.player_sessions);
-  write_cdn_sessions_csv(out, data.cdn_sessions);
-  write_player_chunks_csv(out, data.player_chunks);
-  write_cdn_chunks_csv(out, data.cdn_chunks);
-  write_tcp_snapshots_csv(out, data.tcp_snapshots);
+  write_csv(out, data.player_sessions);
+  write_csv(out, data.cdn_sessions);
+  write_csv(out, data.player_chunks);
+  write_csv(out, data.cdn_chunks);
+  write_csv(out, data.tcp_snapshots);
   return out.str();
 }
 
@@ -261,15 +343,15 @@ std::string export_string(const Dataset& data) {
 TEST(ExportTest, ReExportIsFixedPointOnSampleDataset) {
   std::stringstream first;
   const Dataset d = sample_dataset();
-  write_player_chunks_csv(first, d.player_chunks);
-  const auto once = read_player_chunks_csv(first);
+  write_csv(first, d.player_chunks);
+  const auto once = read_csv<PlayerChunkRecord>(first);
 
   std::stringstream second;
-  write_player_chunks_csv(second, once);
-  const auto twice = read_player_chunks_csv(second);
+  write_csv(second, once);
+  const auto twice = read_csv<PlayerChunkRecord>(second);
 
   std::stringstream third;
-  write_player_chunks_csv(third, twice);
+  write_csv(third, twice);
   EXPECT_EQ(second.str(), third.str());
 
   // The PR-1 recovery fields survive the cycle exactly (they are integral
@@ -311,28 +393,28 @@ TEST(ExportTest, ReExportIsFixedPointOnFaultedEngineRun) {
   Dataset reloaded;
   {
     std::stringstream s;
-    write_player_sessions_csv(s, loaded.player_sessions);
-    reloaded.player_sessions = read_player_sessions_csv(s);
+    write_csv(s, loaded.player_sessions);
+    reloaded.player_sessions = read_csv<PlayerSessionRecord>(s);
   }
   {
     std::stringstream s;
-    write_cdn_sessions_csv(s, loaded.cdn_sessions);
-    reloaded.cdn_sessions = read_cdn_sessions_csv(s);
+    write_csv(s, loaded.cdn_sessions);
+    reloaded.cdn_sessions = read_csv<CdnSessionRecord>(s);
   }
   {
     std::stringstream s;
-    write_player_chunks_csv(s, loaded.player_chunks);
-    reloaded.player_chunks = read_player_chunks_csv(s);
+    write_csv(s, loaded.player_chunks);
+    reloaded.player_chunks = read_csv<PlayerChunkRecord>(s);
   }
   {
     std::stringstream s;
-    write_cdn_chunks_csv(s, loaded.cdn_chunks);
-    reloaded.cdn_chunks = read_cdn_chunks_csv(s);
+    write_csv(s, loaded.cdn_chunks);
+    reloaded.cdn_chunks = read_csv<CdnChunkRecord>(s);
   }
   {
     std::stringstream s;
-    write_tcp_snapshots_csv(s, loaded.tcp_snapshots);
-    reloaded.tcp_snapshots = read_tcp_snapshots_csv(s);
+    write_csv(s, loaded.tcp_snapshots);
+    reloaded.tcp_snapshots = read_csv<TcpSnapshotRecord>(s);
   }
   EXPECT_EQ(export_string(reloaded), first);
 
@@ -396,11 +478,11 @@ std::string file_bytes(const std::filesystem::path& path) {
 std::vector<std::pair<std::string, std::string>> reference_files(
     const Dataset& d) {
   std::ostringstream ps, cs, pc, cc, ts;
-  write_player_sessions_csv(ps, d.player_sessions);
-  write_cdn_sessions_csv(cs, d.cdn_sessions);
-  write_player_chunks_csv(pc, d.player_chunks);
-  write_cdn_chunks_csv(cc, d.cdn_chunks);
-  write_tcp_snapshots_csv(ts, d.tcp_snapshots);
+  write_csv(ps, d.player_sessions);
+  write_csv(cs, d.cdn_sessions);
+  write_csv(pc, d.player_chunks);
+  write_csv(cc, d.cdn_chunks);
+  write_csv(ts, d.tcp_snapshots);
   return {{"player_sessions.csv", ps.str()}, {"cdn_sessions.csv", cs.str()},
           {"player_chunks.csv", pc.str()},   {"cdn_chunks.csv", cc.str()},
           {"tcp_snapshots.csv", ts.str()}};

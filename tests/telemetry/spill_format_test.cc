@@ -126,96 +126,13 @@ SessionRecordGroup full_group(std::uint64_t id) {
 
 void expect_groups_equal(const SessionRecordGroup& a,
                          const SessionRecordGroup& b) {
+  // Defaulted record equality: every field, so none can be left out.
   EXPECT_EQ(a.session_id, b.session_id);
-  ASSERT_EQ(a.player_sessions.size(), b.player_sessions.size());
-  ASSERT_EQ(a.cdn_sessions.size(), b.cdn_sessions.size());
-  ASSERT_EQ(a.player_chunks.size(), b.player_chunks.size());
-  ASSERT_EQ(a.cdn_chunks.size(), b.cdn_chunks.size());
-  ASSERT_EQ(a.tcp_snapshots.size(), b.tcp_snapshots.size());
-  for (std::size_t i = 0; i < a.player_sessions.size(); ++i) {
-    const auto& x = a.player_sessions[i];
-    const auto& y = b.player_sessions[i];
-    EXPECT_EQ(x.session_id, y.session_id);
-    EXPECT_EQ(x.client_ip, y.client_ip);
-    EXPECT_EQ(x.user_agent, y.user_agent);
-    // Bit-exact double round trips.
-    EXPECT_EQ(x.video_duration_s, y.video_duration_s);
-    EXPECT_EQ(x.start_time_ms, y.start_time_ms);
-    EXPECT_EQ(x.startup_ms, y.startup_ms);
-    EXPECT_EQ(x.chunks_requested, y.chunks_requested);
-    EXPECT_EQ(x.completed, y.completed);
-  }
-  for (std::size_t i = 0; i < a.cdn_sessions.size(); ++i) {
-    const auto& x = a.cdn_sessions[i];
-    const auto& y = b.cdn_sessions[i];
-    EXPECT_EQ(x.session_id, y.session_id);
-    EXPECT_EQ(x.observed_ip, y.observed_ip);
-    EXPECT_EQ(x.observed_user_agent, y.observed_user_agent);
-    EXPECT_EQ(x.pop, y.pop);
-    EXPECT_EQ(x.server, y.server);
-    EXPECT_EQ(x.org, y.org);
-    EXPECT_EQ(x.access, y.access);
-    EXPECT_EQ(x.city, y.city);
-    EXPECT_EQ(x.country, y.country);
-    EXPECT_EQ(x.client_distance_km, y.client_distance_km);
-  }
-  for (std::size_t i = 0; i < a.player_chunks.size(); ++i) {
-    const auto& x = a.player_chunks[i];
-    const auto& y = b.player_chunks[i];
-    EXPECT_EQ(x.session_id, y.session_id);
-    EXPECT_EQ(x.chunk_id, y.chunk_id);
-    EXPECT_EQ(x.request_sent_ms, y.request_sent_ms);
-    EXPECT_EQ(x.dfb_ms, y.dfb_ms);
-    EXPECT_EQ(x.dlb_ms, y.dlb_ms);
-    EXPECT_EQ(x.bitrate_kbps, y.bitrate_kbps);
-    EXPECT_EQ(x.rebuffer_ms, y.rebuffer_ms);
-    EXPECT_EQ(x.rebuffer_count, y.rebuffer_count);
-    EXPECT_EQ(x.visible, y.visible);
-    EXPECT_EQ(x.avg_fps, y.avg_fps);
-    EXPECT_EQ(x.dropped_frames, y.dropped_frames);
-    EXPECT_EQ(x.total_frames, y.total_frames);
-    EXPECT_EQ(x.retries, y.retries);
-    EXPECT_EQ(x.timeouts, y.timeouts);
-    EXPECT_EQ(x.failed_over, y.failed_over);
-    EXPECT_EQ(x.recovery_ms, y.recovery_ms);
-  }
-  for (std::size_t i = 0; i < a.cdn_chunks.size(); ++i) {
-    const auto& x = a.cdn_chunks[i];
-    const auto& y = b.cdn_chunks[i];
-    EXPECT_EQ(x.session_id, y.session_id);
-    EXPECT_EQ(x.chunk_id, y.chunk_id);
-    EXPECT_EQ(x.dwait_ms, y.dwait_ms);
-    EXPECT_EQ(x.dopen_ms, y.dopen_ms);
-    EXPECT_EQ(x.dread_ms, y.dread_ms);
-    EXPECT_EQ(x.dbe_ms, y.dbe_ms);
-    EXPECT_EQ(x.cache_level, y.cache_level);
-    EXPECT_EQ(x.chunk_bytes, y.chunk_bytes);
-    EXPECT_EQ(x.pop, y.pop);
-    EXPECT_EQ(x.server, y.server);
-    EXPECT_EQ(x.served_stale, y.served_stale);
-    EXPECT_EQ(x.shed, y.shed);
-    EXPECT_EQ(x.hedged, y.hedged);
-    EXPECT_EQ(x.hedge_won, y.hedge_won);
-    EXPECT_EQ(x.budget_denied, y.budget_denied);
-    EXPECT_EQ(x.served_swr, y.served_swr);
-    EXPECT_EQ(x.breaker, y.breaker);
-  }
-  for (std::size_t i = 0; i < a.tcp_snapshots.size(); ++i) {
-    const auto& x = a.tcp_snapshots[i];
-    const auto& y = b.tcp_snapshots[i];
-    EXPECT_EQ(x.session_id, y.session_id);
-    EXPECT_EQ(x.chunk_id, y.chunk_id);
-    EXPECT_EQ(x.at_ms, y.at_ms);
-    EXPECT_EQ(x.info.srtt_ms, y.info.srtt_ms);
-    EXPECT_EQ(x.info.rttvar_ms, y.info.rttvar_ms);
-    EXPECT_EQ(x.info.cwnd_segments, y.info.cwnd_segments);
-    EXPECT_EQ(x.info.ssthresh_segments, y.info.ssthresh_segments);
-    EXPECT_EQ(x.info.mss_bytes, y.info.mss_bytes);
-    EXPECT_EQ(x.info.total_retrans, y.info.total_retrans);
-    EXPECT_EQ(x.info.segments_out, y.info.segments_out);
-    EXPECT_EQ(x.info.bytes_acked, y.info.bytes_acked);
-    EXPECT_EQ(x.info.in_slow_start, y.info.in_slow_start);
-  }
+  EXPECT_EQ(a.player_sessions, b.player_sessions);
+  EXPECT_EQ(a.cdn_sessions, b.cdn_sessions);
+  EXPECT_EQ(a.player_chunks, b.player_chunks);
+  EXPECT_EQ(a.cdn_chunks, b.cdn_chunks);
+  EXPECT_EQ(a.tcp_snapshots, b.tcp_snapshots);
 }
 
 std::string read_all(const std::filesystem::path& path) {
@@ -431,8 +348,13 @@ TEST_F(SpillFormatTest, RejectsBadMagic) {
   };
   EXPECT_NE(rejection("this is not a spill file").find("bad magic"),
             std::string::npos);
-  // A version-2 header: only version 3 is supported.
+  // A version-2 header: only version 4 is supported.
   EXPECT_NE(rejection(std::string("VSPL\x02\0\0\0", 8))
+                .find("unsupported version"),
+            std::string::npos);
+  // Version 3 held cdn_chunks' breaker column after served_swr: refused,
+  // never mis-decoded.
+  EXPECT_NE(rejection(std::string("VSPL\x03\0\0\0", 8))
                 .find("unsupported version"),
             std::string::npos);
   // Too short to hold a header: empty (nothing to map) and 5 bytes.
@@ -722,6 +644,61 @@ TEST_F(SpillFormatTest, LoadClosesTheGapOfAnUndecodableBlock) {
     EXPECT_EQ(ids, (std::vector<std::uint64_t>{1, 2, 3, 4}));
     for (const auto& r : loaded.tcp_snapshots) EXPECT_NE(r.session_id, 0u);
     for (const auto& r : loaded.cdn_chunks) EXPECT_NE(r.session_id, 0u);
+  }
+}
+
+TEST_F(SpillFormatTest, EnumBeyondItsLastEnumeratorIsUndecodable) {
+  // The writer does not validate enums, so it frames a block whose header
+  // and payload CRCs are valid around an enum column holding 7 — past
+  // every enumerator.  Both read paths must skip that block as
+  // undecodable (CSV export would write "unknown", which import refuses)
+  // and keep the blocks around it.
+  const auto mutations = {
+      +[](SessionRecordGroup& g) {
+        g.cdn_chunks[0].cache_level = static_cast<cdn::CacheLevel>(7);
+      },
+      +[](SessionRecordGroup& g) {
+        g.cdn_sessions[0].access = static_cast<net::AccessType>(7);
+      },
+      +[](SessionRecordGroup& g) {
+        g.cdn_chunks[0].breaker = static_cast<cdn::BreakerState>(7);
+      },
+  };
+  int case_no = 0;
+  for (const auto mutate : mutations) {
+    SCOPED_TRACE("mutation " + std::to_string(case_no));
+    const auto path =
+        file(("enum-" + std::to_string(case_no++) + ".vspill").c_str());
+    {
+      SessionRecordGroup bad = full_group(2);
+      mutate(bad);
+      SpillWriter writer(path);
+      writer.write(full_group(1));
+      writer.write(bad);
+      writer.write(full_group(3));
+      writer.close();
+    }
+    SpillSet set;
+    set.add_file(path);
+
+    SpillReadStats stream_stats;
+    std::vector<std::uint64_t> ids;
+    const auto stream = set.open(&stream_stats);
+    while (auto g = stream->next()) ids.push_back(g->session_id);
+    EXPECT_EQ(ids, (std::vector<std::uint64_t>{1, 3}));
+    EXPECT_EQ(stream_stats.blocks_skipped, 1u);
+    EXPECT_EQ(stream_stats.blocks_ok, 2u);
+
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      SpillReadStats stats;
+      const Dataset loaded = set.load(&stats, threads);
+      EXPECT_EQ(stats.blocks_skipped, 1u);
+      ids.clear();
+      for (const auto& r : loaded.player_sessions) ids.push_back(r.session_id);
+      EXPECT_EQ(ids, (std::vector<std::uint64_t>{1, 3}));
+      for (const auto& r : loaded.cdn_chunks) EXPECT_NE(r.session_id, 0u);
+    }
+    expect_load_matches_stream(set);
   }
 }
 
