@@ -1,6 +1,8 @@
 #include "net/path_model.h"
 
 #include <algorithm>
+#include <cmath>
+#include <stdexcept>
 
 #include "net/geo.h"
 
@@ -59,6 +61,23 @@ PathConfig make_path_config(AccessType type, double distance_km,
   return config;
 }
 
+PathModel::PathModel(PathConfig config)
+    : config_(config),
+      log_jitter_median_(std::log(config.jitter_median_ms)),
+      log_spike_median_(std::log(config.spike_median_ms)),
+      log_fail_(std::log1p(-config.random_loss)) {
+  if (config.jitter_median_ms <= 0.0 ||
+      (config.spike_prob_per_round > 0.0 && config.spike_median_ms <= 0.0)) {
+    throw std::invalid_argument("path jitter and spike medians must be > 0");
+  }
+}
+
+void PathModel::set_random_loss(double p) {
+  if (p == config_.random_loss) return;
+  config_.random_loss = p;
+  log_fail_ = std::log1p(-p);
+}
+
 sim::Ms PathModel::sample_rtt(std::uint32_t window_segments,
                               std::uint32_t segment_bytes, sim::Rng& rng) {
   // Episodic latency spikes (enterprise congestion events, path changes).
@@ -68,7 +87,7 @@ sim::Ms PathModel::sample_rtt(std::uint32_t window_segments,
     --spike_rounds_left_;
   } else if (config_.spike_prob_per_round > 0.0 &&
              rng.bernoulli(config_.spike_prob_per_round)) {
-    spike_ms_ = rng.lognormal_median(config_.spike_median_ms, config_.spike_sigma);
+    spike_ms_ = rng.lognormal(log_spike_median_, config_.spike_sigma);
     spike_rounds_left_ = static_cast<std::uint32_t>(rng.uniform_int(
         config_.spike_min_rounds, config_.spike_max_rounds));
     spike = spike_ms_;
@@ -85,8 +104,7 @@ sim::Ms PathModel::sample_rtt(std::uint32_t window_segments,
   queue_ms_ = std::clamp(serialize - config_.base_rtt_ms, 0.0,
                          config_.max_queue_ms);
 
-  const sim::Ms jitter =
-      rng.lognormal_median(config_.jitter_median_ms, config_.jitter_sigma);
+  const sim::Ms jitter = rng.lognormal(log_jitter_median_, config_.jitter_sigma);
   return config_.base_rtt_ms + jitter + spike + queue_ms_;
 }
 

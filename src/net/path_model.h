@@ -65,7 +65,9 @@ PathConfig make_path_config(AccessType type, double distance_km,
 /// plus the sampling logic.
 class PathModel {
  public:
-  explicit PathModel(PathConfig config) : config_(config) {}
+  /// Throws std::invalid_argument for a non-positive jitter median, or a
+  /// non-positive spike median on a path that can spike.
+  explicit PathModel(PathConfig config);
 
   const PathConfig& config() const { return config_; }
 
@@ -91,13 +93,23 @@ class PathModel {
 
   /// Override the random per-segment loss probability (scripted loss
   /// schedules, e.g. the Fig. 13 loss-timing case study).
-  void set_random_loss(double p) { config_.random_loss = p; }
+  void set_random_loss(double p);
+
+  /// Random losses among the next `segments` segments sent.
+  std::uint32_t random_losses(std::uint32_t segments, sim::Rng& rng) {
+    return rng.binomial(segments, config_.random_loss, log_fail_);
+  }
 
   /// Idle period: the bottleneck queue drains between chunk downloads.
   void drain(sim::Ms idle_ms);
 
  private:
   PathConfig config_;
+  // The distributions' fixed logarithms, taken once per path:
+  // ln(jitter median), ln(spike median) and log1p(-random_loss).
+  double log_jitter_median_;
+  double log_spike_median_;
+  double log_fail_;
   sim::Ms queue_ms_ = 0.0;
   std::uint32_t spike_rounds_left_ = 0;
   sim::Ms spike_ms_ = 0.0;

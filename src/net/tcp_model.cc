@@ -178,7 +178,7 @@ TransferResult TcpConnection::transfer(std::uint64_t bytes,
 
     // Random loss for this round: the number of the window's segments
     // lost, drawn as one binomial count.
-    lost += rng_.binomial(window, path_.config().random_loss);
+    lost += path_.random_losses(window, rng_);
     lost = std::min(lost, window);
 
     segments_out_ += window;

@@ -6,20 +6,29 @@
 
 namespace vstream::sim {
 
+namespace {
+
+// From here up binomial()'s per-trial loop is cheaper than geometric skips:
+// each gap costs a logarithm and a division, and from p ~0.3 that outweighs
+// the draws it skips (measured at n = 70, -O2).
+constexpr double kGeometricMaxP = 0.25;
+
+}  // namespace
+
 std::uint32_t Rng::binomial(std::uint32_t n, double p) {
   if (n == 0 || p <= 0.0) return 0;
+  return binomial(n, p, p < kGeometricMaxP ? std::log1p(-p) : 0.0);
+}
+
+std::uint32_t Rng::binomial(std::uint32_t n, double p, double log_fail) {
+  if (n == 0 || p <= 0.0) return 0;
   if (p >= 1.0) return n;
-  // From here up the per-trial loop is cheaper: each gap costs a logarithm
-  // and a division, and from p ~0.3 that outweighs the draws it skips
-  // (measured at n = 70, -O2).  NaN also takes the loop, where it never
-  // succeeds.
-  constexpr double kGeometricMaxP = 0.25;
+  // NaN takes the per-trial loop, where it never succeeds.
   std::uint32_t successes = 0;
   if (p < kGeometricMaxP) {
     // Inversion: floor(log(1 - u) / log(1 - p)) failures precede the next
     // success.  The trial index stays a double: at p = 1e-5 one gap can
     // pass 2^32, and converting that to an integer would overflow.
-    const double log_fail = std::log1p(-p);
     double trial = 0.0;
     for (;;) {
       trial += std::floor(std::log1p(-canonical()) / log_fail);
@@ -36,7 +45,7 @@ std::uint32_t Rng::binomial(std::uint32_t n, double p) {
 
 double Rng::lognormal_median(double median, double sigma) {
   if (median <= 0.0) throw std::invalid_argument("lognormal median must be > 0");
-  return std::lognormal_distribution<double>(std::log(median), sigma)(engine_);
+  return lognormal(std::log(median), sigma);
 }
 
 double Rng::pareto(double x_m, double alpha) {

@@ -59,6 +59,10 @@ class Rng {
   /// so skipping saves few draws and pays a logarithm for each.
   std::uint32_t binomial(std::uint32_t n, double p);
 
+  /// binomial(n, p) with log_fail = log1p(-p) precomputed by a caller
+  /// whose p rarely changes; draws exactly what binomial(n, p) draws.
+  std::uint32_t binomial(std::uint32_t n, double p, double log_fail);
+
   /// Exponential with the given mean (mean > 0).
   double exponential(double mean) {
     return std::exponential_distribution<double>(1.0 / mean)(engine_);
@@ -72,6 +76,12 @@ class Rng {
   /// Log-normal parameterized by the *median* and the shape sigma of the
   /// underlying normal.  median = exp(mu), so mu = ln(median).
   double lognormal_median(double median, double sigma);
+
+  /// Log-normal exp(N(mu, sigma^2)): lognormal_median with the logarithm
+  /// of the median taken once by a caller whose median is fixed.
+  double lognormal(double mu, double sigma) {
+    return std::lognormal_distribution<double>(mu, sigma)(engine_);
+  }
 
   /// Pareto with scale x_m (minimum) and shape alpha.
   double pareto(double x_m, double alpha);
