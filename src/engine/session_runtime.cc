@@ -11,6 +11,12 @@ namespace vstream::engine {
 
 namespace {
 
+/// Rounds the per-round TCP sample buffer holds before it must grow: a
+/// chunk takes ~8-20 rounds, and only a lossy chunk with timeouts takes
+/// more.  Reserving it up front keeps the buffer's size independent of
+/// which chunk happens to come first.
+constexpr std::size_t kRoundSampleReserve = 64;
+
 std::uint64_t mix64(std::uint64_t h) {
   h ^= h >> 30;
   h *= 0xbf58476d1ce4e5b9ULL;
@@ -303,6 +309,7 @@ sim::Ms SessionRuntime::step(sim::Ms fleet_now) {
   std::vector<net::RoundSample>& rounds =
       ctx_.round_scratch != nullptr ? *ctx_.round_scratch : local_rounds;
   rounds.clear();
+  rounds.reserve(kRoundSampleReserve);
   const net::TransferResult transfer = conn_->transfer(bytes, &rounds);
 
   // ---- download stack ----

@@ -65,7 +65,8 @@ PathModel::PathModel(PathConfig config)
     : config_(config),
       log_jitter_median_(std::log(config.jitter_median_ms)),
       log_spike_median_(std::log(config.spike_median_ms)),
-      log_fail_(std::log1p(-config.random_loss)) {
+      log_fail_(std::log1p(-config.random_loss)),
+      log_quiet_(std::log1p(-config.spike_prob_per_round)) {
   if (config.jitter_median_ms <= 0.0 ||
       (config.spike_prob_per_round > 0.0 && config.spike_median_ms <= 0.0)) {
     throw std::invalid_argument("path jitter and spike medians must be > 0");
@@ -76,6 +77,26 @@ void PathModel::set_random_loss(double p) {
   if (p == config_.random_loss) return;
   config_.random_loss = p;
   log_fail_ = std::log1p(-p);
+  segments_to_loss_ = -1.0;
+}
+
+std::uint32_t PathModel::random_losses(std::uint32_t segments, sim::Rng& rng) {
+  const double p = config_.random_loss;
+  if (!(p < sim::Rng::kGeometricMaxP)) return rng.binomial(segments, p);
+  if (p <= 0.0 || segments == 0) return 0;
+  // Segments are independent Bernoulli(p) trials, so the clean run before
+  // the next loss is geometric wherever it starts: the countdown carries
+  // over from round to round and is only drawn afresh after a loss.
+  if (segments_to_loss_ < 0.0) segments_to_loss_ = rng.geometric(log_fail_);
+  std::uint32_t lost = 0;
+  double left = segments;
+  while (segments_to_loss_ < left) {
+    left -= segments_to_loss_ + 1.0;
+    ++lost;
+    segments_to_loss_ = rng.geometric(log_fail_);
+  }
+  segments_to_loss_ -= left;
+  return lost;
 }
 
 sim::Ms PathModel::sample_rtt(std::uint32_t window_segments,
@@ -85,12 +106,20 @@ sim::Ms PathModel::sample_rtt(std::uint32_t window_segments,
   if (spike_rounds_left_ > 0) {
     spike = spike_ms_;
     --spike_rounds_left_;
-  } else if (config_.spike_prob_per_round > 0.0 &&
-             rng.bernoulli(config_.spike_prob_per_round)) {
-    spike_ms_ = rng.lognormal(log_spike_median_, config_.spike_sigma);
-    spike_rounds_left_ = static_cast<std::uint32_t>(rng.uniform_int(
-        config_.spike_min_rounds, config_.spike_max_rounds));
-    spike = spike_ms_;
+  } else if (config_.spike_prob_per_round > 0.0) {
+    // Quiet rounds are independent Bernoulli(spike_prob_per_round) trials
+    // for a spike start, so the quiet run before the next start is
+    // geometric: one draw per spike instead of one per round.
+    if (rounds_to_spike_ < 0.0) rounds_to_spike_ = rng.geometric(log_quiet_);
+    if (rounds_to_spike_ > 0.0) {
+      --rounds_to_spike_;
+    } else {
+      rounds_to_spike_ = -1.0;
+      spike_ms_ = rng.lognormal(log_spike_median_, config_.spike_sigma);
+      spike_rounds_left_ = static_cast<std::uint32_t>(rng.uniform_int(
+          config_.spike_min_rounds, config_.spike_max_rounds));
+      spike = spike_ms_;
+    }
   }
 
   // Self-loading (paper §4.2-1 footnote): in an ack-clocked steady state

@@ -5,21 +5,26 @@
 // variability (residential vs enterprise paths), random and bursty packet
 // loss, and throughput limits with self-loading queueing delay.  PathModel
 // captures exactly those properties and hands the TCP model per-round RTT
-// samples and the per-segment loss probabilities.
+// samples and per-round loss counts.
 //
 // Loss comes from two processes, each an independent per-segment
-// probability that the TCP model turns into one binomial loss count per
-// round:
+// probability:
 //   * random loss (rare on good paths; heterogeneous across client
-//     prefixes), and
+//     prefixes).  random_losses() counts a round's losses off a
+//     per-connection countdown of clean segments before the next loss — a
+//     geometric gap, exact by memorylessness — so a round with no loss
+//     draws nothing; and
 //   * drop-tail overflow at the bottleneck buffer, for the segments by
-//     which the in-flight window exceeds the pipe (BDP + buffer).  This
-//     is what makes end-of-slow-start losses bursty (§4.2-3) while
-//     congestion-avoidance losses trickle.
+//     which the in-flight window exceeds the pipe (BDP + buffer), which the
+//     TCP model draws as one binomial count per round.  This is what makes
+//     end-of-slow-start losses bursty (§4.2-3) while congestion-avoidance
+//     losses trickle.
 //
-// Latency variability comes from per-round jitter plus episodic "spikes"
-// (path-change/middlebox congestion events lasting many rounds) — the
-// mechanism behind enterprise paths' CV(SRTT) > 1 sessions (Table 4).
+// Latency variability comes from per-round log-normal jitter plus episodic
+// "spikes" (path-change/middlebox congestion events lasting many rounds) —
+// the mechanism behind enterprise paths' CV(SRTT) > 1 sessions (Table 4).
+// A spike starts in each quiet round with a fixed probability; a countdown
+// of quiet rounds before the next start draws that too, once per spike.
 #pragma once
 
 #include <cstdint>
@@ -92,24 +97,32 @@ class PathModel {
   bool spiking() const { return spike_rounds_left_ > 0; }
 
   /// Override the random per-segment loss probability (scripted loss
-  /// schedules, e.g. the Fig. 13 loss-timing case study).
+  /// schedules, e.g. the Fig. 13 loss-timing case study).  A new p
+  /// redraws the loss countdown; the same p keeps it.
   void set_random_loss(double p);
 
-  /// Random losses among the next `segments` segments sent.
-  std::uint32_t random_losses(std::uint32_t segments, sim::Rng& rng) {
-    return rng.binomial(segments, config_.random_loss, log_fail_);
-  }
+  /// Random losses among the next `segments` segments sent, distributed
+  /// as Binomial(segments, random_loss).  Counts down to the next loss,
+  /// so it draws once per loss; at p <= 0 it draws nothing, and from
+  /// sim::Rng::kGeometricMaxP up it draws rng.binomial().
+  std::uint32_t random_losses(std::uint32_t segments, sim::Rng& rng);
 
   /// Idle period: the bottleneck queue drains between chunk downloads.
   void drain(sim::Ms idle_ms);
 
  private:
   PathConfig config_;
-  // The distributions' fixed logarithms, taken once per path:
-  // ln(jitter median), ln(spike median) and log1p(-random_loss).
+  // The distributions' fixed logarithms, taken once per path: ln(jitter
+  // median), ln(spike median), log1p(-random_loss), log1p(-spike prob).
   double log_jitter_median_;
   double log_spike_median_;
   double log_fail_;
+  double log_quiet_;
+  // Geometric countdowns, drawn when first needed (-1 until then): clean
+  // segments before the next random loss, quiet rounds before the next
+  // spike starts.
+  double segments_to_loss_ = -1.0;
+  double rounds_to_spike_ = -1.0;
   sim::Ms queue_ms_ = 0.0;
   std::uint32_t spike_rounds_left_ = 0;
   sim::Ms spike_ms_ = 0.0;

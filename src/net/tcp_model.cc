@@ -177,7 +177,7 @@ TransferResult TcpConnection::transfer(std::uint64_t bytes,
         std::max(rtt, path_.serialization_ms(window, mss));
 
     // Random loss for this round: the number of the window's segments
-    // lost, drawn as one binomial count.
+    // lost, counted off the path's loss countdown.
     lost += path_.random_losses(window, rng_);
     lost = std::min(lost, window);
 

@@ -3,11 +3,16 @@
 // Every stochastic component in the library draws from an explicitly passed
 // Rng so that a simulation run is a pure function of (scenario, seed).  The
 // helpers cover the distributions the workload and path models need:
-// uniform, Bernoulli, binomial, exponential, normal, log-normal, Pareto
-// and discrete.
+// uniform, Bernoulli, binomial, geometric, exponential, normal, log-normal,
+// Pareto and discrete.
+//
+// Normal and log-normal variates come from one exact N(0, 1) sampler, a
+// 128-layer ziggurat (standard_normal()).  It keeps no cached variate, so
+// an Rng's whole state is its engine.
 #pragma once
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <random>
 #include <span>
@@ -52,25 +57,41 @@ class Rng {
   /// Successes in n independent Bernoulli(p) trials, drawn exactly from
   /// Binomial(n, p).  n == 0, p <= 0 and p >= 1 short-circuit without
   /// consuming engine state, as bernoulli() does.  Small p jumps from one
-  /// success to the next with geometric gaps, so a call costs
-  /// O(successes + 1) engine draws — one per TCP round at the path loss
-  /// rates (1e-5..0.02) instead of one per segment.  Large p (tail drop's
-  /// 0.5) runs the per-trial bernoulli() loop: there most trials succeed,
-  /// so skipping saves few draws and pays a logarithm for each.
+  /// success to the next with geometric() gaps, so a call costs
+  /// O(successes + 1) engine draws.  From kGeometricMaxP up (tail drop's
+  /// 0.5) it runs the per-trial bernoulli() loop: there most trials
+  /// succeed, so skipping saves few draws and pays a logarithm for each.
   std::uint32_t binomial(std::uint32_t n, double p);
 
-  /// binomial(n, p) with log_fail = log1p(-p) precomputed by a caller
-  /// whose p rarely changes; draws exactly what binomial(n, p) draws.
-  std::uint32_t binomial(std::uint32_t n, double p, double log_fail);
+  /// The p from which binomial() loops over trials instead of skipping:
+  /// each gap costs a logarithm and a division, and from p ~0.3 that
+  /// outweighs the draws it skips (measured at n = 70, -O2).
+  static constexpr double kGeometricMaxP = 0.25;
 
+  /// Failures before the first success in Bernoulli(p) trials, given
+  /// log_fail = log1p(-p) for 0 < p < 1: floor(log(1 - u) / log(1 - p)) by
+  /// inversion, one engine draw.  Returned as a double, since at p = 1e-5
+  /// a gap can pass 2^32.
+  double geometric(double log_fail) {
+    return std::floor(std::log1p(-canonical()) / log_fail);
+  }
   /// Exponential with the given mean (mean > 0).
   double exponential(double mean) {
     return std::exponential_distribution<double>(1.0 / mean)(engine_);
   }
 
+  /// Standard normal N(0, 1), drawn exactly by a 128-layer ziggurat
+  /// (Marsaglia & Tsang 2000, with Doornik's 2005 layout): one engine draw
+  /// picks a layer, a sign and a point in the layer, and 97.2% of points
+  /// return at once.  The rest take the wedge test against the density or,
+  /// in the base layer, the exact tail beyond r = 3.44 by Marsaglia's
+  /// exponential rejection; a rejected point (1.2%) draws afresh.  A
+  /// variate costs 1.04 engine draws on average.
+  double standard_normal();
+
   /// Normal with the given mean and standard deviation.
   double normal(double mean, double stddev) {
-    return std::normal_distribution<double>(mean, stddev)(engine_);
+    return mean + stddev * standard_normal();
   }
 
   /// Log-normal parameterized by the *median* and the shape sigma of the
@@ -80,7 +101,7 @@ class Rng {
   /// Log-normal exp(N(mu, sigma^2)): lognormal_median with the logarithm
   /// of the median taken once by a caller whose median is fixed.
   double lognormal(double mu, double sigma) {
-    return std::lognormal_distribution<double>(mu, sigma)(engine_);
+    return std::exp(mu + sigma * standard_normal());
   }
 
   /// Pareto with scale x_m (minimum) and shape alpha.
@@ -120,8 +141,9 @@ class Rng {
   }
 
   // Bit-exact mt19937_64 replacement with a faster refill (sim/mt64.h);
-  // the std distribution templates above accept it like any URBG and draw
-  // the same values they would from std::mt19937_64.
+  // the std templates above (uniform_int, exponential, shuffle) accept it
+  // like any URBG and draw the same values they would from
+  // std::mt19937_64.
   Mt64 engine_;
 };
 

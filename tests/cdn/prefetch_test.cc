@@ -89,7 +89,11 @@ TEST(PrefetchTest, HitsNeverPrefetch) {
 }
 
 TEST(CollapsedForwardingTest, ConcurrentRequestsShareOneBackendFetch) {
-  AtsServer server(AtsConfig{}, BackendConfig{});
+  // Hedging off: a slow primary fetch would add a hedge to the backend
+  // count, and this test counts collapsed forwarding alone.
+  AtsConfig config;
+  config.overload.hedge_enabled = false;
+  AtsServer server(config, BackendConfig{});
   ServeSession session(server);
   sim::Rng rng(9);
   // First request misses and issues the backend fetch.

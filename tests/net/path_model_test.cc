@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdlib>
+#include <utility>
+#include <vector>
+
 #include "net/geo.h"
 
 namespace vstream::net {
@@ -193,6 +199,152 @@ INSTANTIATE_TEST_SUITE_P(
                                          AccessType::kEnterprise,
                                          AccessType::kInternational),
                        ::testing::Values(10.0, 200.0, 1'500.0, 9'000.0)));
+
+// ---- Memoryless countdowns: random losses and spike starts ----
+
+PathModel lossy_path(double random_loss) {
+  PathConfig config;
+  config.random_loss = random_loss;
+  return PathModel(config);
+}
+
+/// Mean and variance of per-window loss counts within five standard errors
+/// of Binomial(n, p), and a two-sample KS test against `reference` counts.
+void expect_binomial_counts(const std::vector<std::uint32_t>& counts,
+                            const std::vector<std::uint32_t>& reference,
+                            std::uint32_t n, double p) {
+  SCOPED_TRACE("n=" + std::to_string(n) + " p=" + std::to_string(p));
+  const double draws = static_cast<double>(counts.size());
+  double sum = 0.0, sq = 0.0;
+  for (const std::uint32_t k : counts) {
+    sum += k;
+    sq += static_cast<double>(k) * k;
+  }
+  const double mean = sum / draws;
+  const double var = (sq - sum * mean) / (draws - 1.0);
+  const double npq = n * p * (1.0 - p);
+  const double mu4 = npq * (1.0 + 3.0 * (n - 2.0) * p * (1.0 - p));
+  EXPECT_NEAR(mean, n * p, 5.0 * std::sqrt(npq / draws));
+  EXPECT_NEAR(var, npq, 5.0 * std::sqrt((mu4 - npq * npq) / draws));
+
+  std::vector<long> hist(n + 1, 0), ref_hist(n + 1, 0);
+  for (const std::uint32_t k : counts) ++hist[k];
+  for (const std::uint32_t k : reference) ++ref_hist[k];
+  long cdf = 0, ref_cdf = 0, max_gap = 0;
+  for (std::uint32_t k = 0; k <= n; ++k) {
+    cdf += hist[k];
+    ref_cdf += ref_hist[k];
+    max_gap = std::max(max_gap, std::abs(cdf - ref_cdf));
+  }
+  // Critical distance at alpha = 1e-3 for two equal samples.
+  EXPECT_LT(max_gap / draws, 1.949 * std::sqrt(2.0 / draws));
+}
+
+// Per-window counts off the countdown match rng.binomial() at a short
+// window on a lossy path and a long window on a clean one, with p changed
+// in mid-stream between the two.
+TEST(PathModelTest, RandomLossesMatchBinomialAcrossAPChange) {
+  constexpr int kWindows = 200'000;
+  const std::pair<std::uint32_t, double> phases[] = {{40, 1e-3},
+                                                     {400, 2e-4}};
+  PathModel path = lossy_path(phases[0].second);
+  sim::Rng rng(13), binomial_rng(14);
+  for (const auto& [n, p] : phases) {
+    path.set_random_loss(p);
+    std::vector<std::uint32_t> counts, reference;
+    for (int w = 0; w < kWindows; ++w) {
+      counts.push_back(path.random_losses(n, rng));
+      reference.push_back(binomial_rng.binomial(n, p));
+    }
+    expect_binomial_counts(counts, reference, n, p);
+  }
+}
+
+// The countdown is the per-segment Bernoulli process itself: losses sit at
+// geometric gaps drawn back to back, whatever the window boundaries, and a
+// new p starts a fresh gap.
+TEST(PathModelTest, RandomLossesSitAtGeometricGaps) {
+  PathModel path = lossy_path(0.02);
+  sim::Rng rng(21);
+  sim::Rng gaps = rng;
+  double p = 0.02;
+  double next_loss = gaps.geometric(std::log1p(-p));  // segment index
+  double sent = 0.0;
+  for (int w = 0; w < 20'000; ++w) {
+    if (w == 10'000) {
+      p = 0.05;
+      path.set_random_loss(p);
+      next_loss = sent + gaps.geometric(std::log1p(-p));
+    }
+    const std::uint32_t window = 1 + static_cast<std::uint32_t>(w % 97);
+    std::uint32_t expected = 0;
+    while (next_loss < sent + window) {
+      ++expected;
+      next_loss += 1.0 + gaps.geometric(std::log1p(-p));
+    }
+    sent += window;
+    ASSERT_EQ(path.random_losses(window, rng), expected) << "window " << w;
+  }
+  EXPECT_TRUE(rng.engine() == gaps.engine());
+}
+
+TEST(PathModelTest, SameRandomLossKeepsTheCountdown) {
+  PathModel reset_each_window = lossy_path(1e-3);
+  PathModel untouched = lossy_path(1e-3);
+  sim::Rng rng_a(3), rng_b(3);
+  for (int w = 0; w < 10'000; ++w) {
+    reset_each_window.set_random_loss(1e-3);
+    ASSERT_EQ(reset_each_window.random_losses(40, rng_a),
+              untouched.random_losses(40, rng_b));
+  }
+  EXPECT_TRUE(rng_a.engine() == rng_b.engine());
+}
+
+TEST(PathModelTest, RandomLossesDrawNothingWithoutLoss) {
+  PathModel path = lossy_path(0.0);
+  sim::Rng rng(4);
+  rng.uniform01();  // leave the engine mid-block
+  const sim::Mt64 untouched = rng.engine();
+  for (int w = 0; w < 1'000; ++w) EXPECT_EQ(path.random_losses(400, rng), 0u);
+  path.set_random_loss(-0.5);
+  EXPECT_EQ(path.random_losses(400, rng), 0u);
+  path.set_random_loss(1e-3);
+  EXPECT_EQ(path.random_losses(0, rng), 0u);
+  EXPECT_TRUE(rng.engine() == untouched);
+}
+
+// From sim::Rng::kGeometricMaxP up the count is rng.binomial() itself.
+TEST(PathModelTest, HighRandomLossFallsBackToBinomial) {
+  PathModel path = lossy_path(0.3);
+  sim::Rng rng(5), binomial_rng(5);
+  for (int w = 0; w < 1'000; ++w) {
+    ASSERT_EQ(path.random_losses(70, rng), binomial_rng.binomial(70, 0.3));
+  }
+  path.set_random_loss(1.0);
+  EXPECT_EQ(path.random_losses(70, rng), 70u);
+  EXPECT_TRUE(rng.engine() == binomial_rng.engine());
+}
+
+// A spike starts in a quiet round with probability spike_prob_per_round.
+TEST(PathModelTest, SpikeStartsPerQuietRoundMatchProbability) {
+  PathConfig config = make_path_config(AccessType::kEnterprise, 500.0, 10'000);
+  config.spike_min_rounds = 1;
+  config.spike_max_rounds = 9;
+  PathModel path(config);
+  sim::Rng rng(6);
+  constexpr int kRounds = 1'000'000;
+  int quiet = 0, starts = 0;
+  for (int i = 0; i < kRounds; ++i) {
+    const bool was_spiking = path.spiking();
+    path.sample_rtt(10, 1'460, rng);
+    if (!was_spiking) {
+      ++quiet;
+      if (path.spiking()) ++starts;
+    }
+  }
+  const double q = config.spike_prob_per_round;
+  EXPECT_NEAR(starts, quiet * q, 5.0 * std::sqrt(quiet * q * (1.0 - q)));
+}
 
 }  // namespace
 }  // namespace vstream::net

@@ -6,6 +6,7 @@
 #include <array>
 #include <cmath>
 #include <cstdlib>
+#include <numbers>
 #include <random>
 #include <utility>
 #include <vector>
@@ -331,6 +332,103 @@ TEST(RngTest, NormalMeanAndStddev) {
   const double var = sq / n - mean * mean;
   EXPECT_NEAR(mean, 5.0, 0.05);
   EXPECT_NEAR(std::sqrt(var), 2.0, 0.05);
+}
+
+// ---- The ziggurat N(0, 1) sampler behind normal() and lognormal*() ----
+
+/// Standard normal CDF.
+double phi(double x) { return 0.5 * std::erfc(-x / std::numbers::sqrt2); }
+
+// The sampler's state is the engine alone: no cached second variate, so
+// copying the engine copies the stream.
+static_assert(sizeof(Rng) == sizeof(Mt64));
+
+TEST(RngTest, StandardNormalKolmogorovSmirnovVsPhi) {
+  Rng rng(1966);
+  constexpr int kDraws = 1'000'000;
+  std::vector<double> z(kDraws);
+  for (double& v : z) v = rng.standard_normal();
+  std::sort(z.begin(), z.end());
+  double d = 0.0;
+  for (int i = 0; i < kDraws; ++i) {
+    const double f = phi(z[i]);
+    d = std::max({d, (i + 1.0) / kDraws - f, f - static_cast<double>(i) / kDraws});
+  }
+  // Critical distance at alpha = 1e-3: 1.949 / sqrt(n).
+  EXPECT_LT(d, 1.949 / std::sqrt(static_cast<double>(kDraws)));
+}
+
+// The tail beyond the ziggurat's base (r = 3.44) comes from its own
+// rejection sampler, and the masses beyond 3, 3.5 and 4 straddle it.
+TEST(RngTest, StandardNormalTailMassesWithinFiveSigma) {
+  Rng rng(2000);
+  constexpr int kDraws = 10'000'000;
+  constexpr std::array<double, 3> kCuts = {3.0, 3.5, 4.0};
+  std::array<int, 3> beyond = {0, 0, 0};
+  int negative = 0;
+  for (int i = 0; i < kDraws; ++i) {
+    const double v = rng.standard_normal();
+    if (v < 0.0) ++negative;
+    for (std::size_t c = 0; c < kCuts.size(); ++c) {
+      if (std::abs(v) > kCuts[c]) ++beyond[c];
+    }
+  }
+  for (std::size_t c = 0; c < kCuts.size(); ++c) {
+    const double p = std::erfc(kCuts[c] / std::numbers::sqrt2);
+    const double sigma = std::sqrt(kDraws * p * (1.0 - p));
+    EXPECT_NEAR(beyond[c], kDraws * p, 5.0 * sigma) << "|z| > " << kCuts[c];
+  }
+  EXPECT_NEAR(negative, kDraws / 2.0, 5.0 * std::sqrt(kDraws / 4.0));
+}
+
+// About one engine draw per variate: 97.2% of proposals return from the
+// first word, 1.2% are rejected, and the rest draw one or a few more
+// words, 1.04 in all.  Draws are counted by stepping a copy of the engine.
+TEST(RngTest, StandardNormalDrawsAboutOncePerVariate) {
+  Rng rng(128);
+  Mt64 shadow = rng.engine();
+  constexpr int kVariates = 100'000;
+  int draws = 0;
+  for (int i = 0; i < kVariates; ++i) {
+    rng.standard_normal();
+    while (!(shadow == rng.engine())) {
+      shadow();
+      ++draws;
+    }
+  }
+  EXPECT_LT(static_cast<double>(draws) / kVariates, 1.05);
+}
+
+TEST(RngTest, NormalMeanAndSdWithinFiveSigma) {
+  Rng rng(4);
+  constexpr int kDraws = 1'000'000;
+  constexpr double kMean = -7.5, kSd = 3.25;
+  double sum = 0.0, sq = 0.0;
+  for (int i = 0; i < kDraws; ++i) {
+    const double v = rng.normal(kMean, kSd) - kMean;
+    sum += v;
+    sq += v * v;
+  }
+  const double mean = sum / kDraws;
+  const double sd = std::sqrt((sq - sum * mean) / (kDraws - 1));
+  // Standard errors: sd / sqrt(n) for the mean, ~sd / sqrt(2n) for the sd.
+  EXPECT_NEAR(mean, 0.0, 5.0 * kSd / std::sqrt(kDraws));
+  EXPECT_NEAR(sd, kSd, 5.0 * kSd / std::sqrt(2.0 * kDraws));
+}
+
+// Half the mass lies below the median, and lognormal(mu, sigma) is
+// lognormal_median(exp(mu), sigma) draw for draw.
+TEST(RngTest, LognormalMedianHalvesTheMass) {
+  Rng rng(5), mu_form(5);
+  constexpr int kDraws = 1'000'000;
+  constexpr double kMedian = 450.0, kSigma = 1.1;
+  int below = 0;
+  for (int i = 0; i < kDraws; ++i) {
+    const double v = rng.lognormal_median(kMedian, kSigma);
+    ASSERT_EQ(v, mu_form.lognormal(std::log(kMedian), kSigma));
+    if (v < kMedian) ++below;
+  }
+  EXPECT_NEAR(below, kDraws / 2.0, 5.0 * std::sqrt(kDraws / 4.0));
 }
 
 }  // namespace
