@@ -1,7 +1,9 @@
 #include "net/prefix.h"
 
+#include <charconv>
 #include <cstdio>
 #include <stdexcept>
+#include <string>
 
 namespace vstream::net {
 
@@ -16,16 +18,29 @@ std::string format_prefix24(Prefix24 prefix) {
   return format_ip(prefix) + "/24";
 }
 
-IpV4 parse_ip(const std::string& text) {
-  unsigned a = 0, b = 0, c = 0, d = 0;
-  char tail = 0;
-  const int n =
-      std::sscanf(text.c_str(), "%u.%u.%u.%u%c", &a, &b, &c, &d, &tail);
-  if (n != 4 || a > 255 || b > 255 || c > 255 || d > 255) {
-    throw std::invalid_argument("parse_ip: malformed address: " + text);
+IpV4 parse_ip(std::string_view text) {
+  const auto malformed = [text] {
+    return std::invalid_argument("parse_ip: malformed address: " +
+                                 std::string(text));
+  };
+  // Exactly four dot-separated octets of 1-3 ASCII digits, each <= 255,
+  // and nothing else: std::from_chars takes no sign and no blank.
+  const char* at = text.data();
+  const char* const end = at + text.size();
+  IpV4 ip = 0;
+  for (int octet = 0; octet < 4; ++octet) {
+    if (octet > 0) {
+      if (at == end || *at != '.') throw malformed();
+      ++at;
+    }
+    unsigned value = 0;
+    const auto [next, error] = std::from_chars(at, end, value);
+    if (error != std::errc{} || next - at > 3 || value > 255) throw malformed();
+    ip = (ip << 8) | value;
+    at = next;
   }
-  return make_ip(static_cast<std::uint8_t>(a), static_cast<std::uint8_t>(b),
-                 static_cast<std::uint8_t>(c), static_cast<std::uint8_t>(d));
+  if (at != end) throw malformed();
+  return ip;
 }
 
 }  // namespace vstream::net

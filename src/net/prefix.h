@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 namespace vstream::net {
 
@@ -31,7 +32,9 @@ std::string format_ip(IpV4 ip);
 /// Prefix formatting, e.g. "192.0.2.0/24".
 std::string format_prefix24(Prefix24 prefix);
 
-/// Parse a dotted quad; throws std::invalid_argument on malformed input.
-IpV4 parse_ip(const std::string& text);
+/// Parse a dotted quad of four 1-3-digit octets <= 255 with nothing
+/// around them (no sign, no blank); throws std::invalid_argument on
+/// anything else.
+IpV4 parse_ip(std::string_view text);
 
 }  // namespace vstream::net

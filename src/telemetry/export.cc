@@ -51,7 +51,7 @@ template <typename Col, typename T>
 bool parse_field(std::string_view text, const Col&, T& v) {
   if constexpr (Col::is_ip) {
     try {
-      v = net::parse_ip(std::string(text));
+      v = net::parse_ip(text);
     } catch (const std::invalid_argument&) {
       return false;
     }

@@ -34,6 +34,16 @@ TEST(PrefixTest, ParseRejectsMalformed) {
   EXPECT_THROW(parse_ip("a.b.c.d"), std::invalid_argument);
 }
 
+TEST(PrefixTest, ParseRejectsSignsBlanksAndLongOctets) {
+  for (const char* text :
+       {"+20.0.116.155", " 20.0.116.155", "20.0.116.155 ", "20.0.+116.155",
+        "20.0. 116.155", "20.0.-116.155", "20..116.155", "20.0.116.",
+        ".20.0.116.155", "20.0.116.0155", "20.0.116.155\n", "20,0,116,155"}) {
+    EXPECT_THROW(parse_ip(text), std::invalid_argument) << "'" << text << "'";
+  }
+  EXPECT_EQ(parse_ip("020.000.116.155"), make_ip(20, 0, 116, 155));
+}
+
 TEST(PrefixTest, ExtremeValues) {
   EXPECT_EQ(format_ip(make_ip(0, 0, 0, 0)), "0.0.0.0");
   EXPECT_EQ(format_ip(make_ip(255, 255, 255, 255)), "255.255.255.255");

@@ -243,12 +243,13 @@ TEST(ExportTest, EmptyStreamsRoundTrip) {
   EXPECT_TRUE(read_csv<TcpSnapshotRecord>(buffer).empty());
 }
 
-/// Read the sample player_chunks CSV with the field of `column` replaced
-/// by `text`: the error message, or "" when the row is accepted.
-std::string player_chunk_error(const std::string& column,
-                               const std::string& text) {
+/// Read the CSV of `records` with the first row's field of `column`
+/// replaced by `text`: the error message, or "" when the row is accepted.
+template <typename Rec>
+std::string field_error(const std::vector<Rec>& records,
+                        const std::string& column, const std::string& text) {
   std::ostringstream out;
-  write_csv(out, sample_dataset().player_chunks);
+  write_csv(out, records);
   std::istringstream lines(out.str());
   std::string header, row;
   std::getline(lines, header);
@@ -267,21 +268,34 @@ std::string player_chunk_error(const std::string& column,
   }
   std::istringstream in(header + "\n" + edited + "\n");
   try {
-    read_csv<PlayerChunkRecord>(in);
+    read_csv<Rec>(in);
   } catch (const std::runtime_error& error) {
     return error.what();
   }
   return "";
 }
 
-/// `text` in `column` is rejected with a message naming the stream, the
-/// line and the column.
-void expect_rejected(const std::string& column, const std::string& text) {
-  SCOPED_TRACE(column + " = '" + text + "'");
-  const std::string error = player_chunk_error(column, text);
-  EXPECT_NE(error.find("player_chunks"), std::string::npos) << error;
+std::string player_chunk_error(const std::string& column,
+                               const std::string& text) {
+  return field_error(sample_dataset().player_chunks, column, text);
+}
+
+/// `text` in `column` of `stream` is rejected with a message naming the
+/// stream, the line and the column.
+template <typename Rec>
+void expect_rejected_in(const std::string& stream,
+                        const std::vector<Rec>& records,
+                        const std::string& column, const std::string& text) {
+  SCOPED_TRACE(stream + "." + column + " = '" + text + "'");
+  const std::string error = field_error(records, column, text);
+  EXPECT_NE(error.find(stream), std::string::npos) << error;
   EXPECT_NE(error.find("line 2"), std::string::npos) << error;
   EXPECT_NE(error.find(column), std::string::npos) << error;
+}
+
+void expect_rejected(const std::string& column, const std::string& text) {
+  expect_rejected_in("player_chunks", sample_dataset().player_chunks, column,
+                     text);
 }
 
 TEST(ExportTest, StrictFieldsAcceptTheSampleRow) {
@@ -313,6 +327,20 @@ TEST(ExportTest, RejectsBoolOtherThanZeroOrOne) {
   expect_rejected("failed_over", "true");
   expect_rejected("failed_over", "2");
   expect_rejected("failed_over", "");
+}
+
+TEST(ExportTest, RejectsIpWithSignOrBlank) {
+  const std::vector<PlayerSessionRecord> sessions =
+      sample_dataset().player_sessions;
+  EXPECT_EQ(field_error(sessions, "client_ip", "20.0.116.155"), "");
+  expect_rejected_in("player_sessions", sessions, "client_ip",
+                     "+20.0.116.155");
+  expect_rejected_in("player_sessions", sessions, "client_ip",
+                     " 20.0.116.155");
+  expect_rejected_in("player_sessions", sessions, "client_ip",
+                     "20.0.116.155 ");
+  expect_rejected_in("player_sessions", sessions, "client_ip",
+                     "20.0.116.1555");
 }
 
 TEST(ExportTest, U64MaxRoundTripsInAU64Column) {
