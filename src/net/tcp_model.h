@@ -7,9 +7,10 @@
 //
 //   * slow start doubles CWND per round, congestion avoidance adds one
 //     segment per round,
-//   * losses come from random per-segment drops plus drop-tail overflow
-//     when the window exceeds the path pipe (BDP + bottleneck buffer),
-//     each sampled as one binomial count per round; both trigger fast
+//   * losses come from random per-segment drops, counted off the path's
+//     countdown to the next loss (PathModel::random_losses), plus
+//     drop-tail overflow when the window exceeds the path pipe (BDP +
+//     bottleneck buffer), one binomial count per round; both trigger fast
 //     retransmit (ssthresh = cwnd/2) and cost one recovery round.  Slow
 //     start's doubling overshoots the pipe by up to 2x, which is exactly
 //     the bursty end-of-slow-start loss the paper blames for first-chunk

@@ -17,7 +17,6 @@ namespace {
 // [f(x[i]), f(x[i+1])), also of area v; x[128] = 0 caps the top.
 struct Ziggurat {
   static constexpr int kLayers = 128;
-  double r = 0.0;
   std::array<double, kLayers + 1> x{};
   std::array<double, kLayers + 1> f{};  // f[i] = f(x[i])
 };
@@ -54,10 +53,9 @@ Ziggurat make_ziggurat() {
     (top_gap(mid, nullptr) > 0.0 ? lo : hi) = mid;
   }
   Ziggurat z;
-  z.r = hi;
-  z.x[0] = base_area(z.r) / density(z.r);
-  z.x[1] = z.r;
-  top_gap(z.r, &z);
+  z.x[0] = base_area(hi) / density(hi);
+  z.x[1] = hi;
+  top_gap(hi, &z);
   z.x[Ziggurat::kLayers] = 0.0;
   for (int i = 0; i <= Ziggurat::kLayers; ++i) z.f[i] = density(z.x[i]);
   return z;
@@ -78,14 +76,15 @@ double Rng::standard_normal() {
     // Inside the next layer up's width the point lies under the curve.
     if (x < z.x[layer + 1]) [[likely]] return sign * x;
     if (layer == 0) {
-      // Past r in the base strip: draw from the tail beyond r exactly
-      // (Marsaglia 1964), with uniforms in (0, 1] for the logarithms.
+      // Past r = x[1] in the base strip: draw from the tail beyond r
+      // exactly (Marsaglia 1964), with uniforms in (0, 1] for the logs.
+      const double r = z.x[1];
       double t = 0.0, e = 0.0;
       do {
-        t = -std::log(1.0 - canonical()) / z.r;
+        t = -std::log(1.0 - canonical()) / r;
         e = -std::log(1.0 - canonical());
       } while (e + e < t * t);
-      return sign * (z.r + t);
+      return sign * (r + t);
     }
     // The wedge between the layer's rectangle and the curve: accept if a
     // uniform height in [f(x[layer]), f(x[layer+1])) falls under f(x).

@@ -75,18 +75,19 @@ class Rng {
   double geometric(double log_fail) {
     return std::floor(std::log1p(-canonical()) / log_fail);
   }
+
   /// Exponential with the given mean (mean > 0).
   double exponential(double mean) {
     return std::exponential_distribution<double>(1.0 / mean)(engine_);
   }
 
   /// Standard normal N(0, 1), drawn exactly by a 128-layer ziggurat
-  /// (Marsaglia & Tsang 2000, with Doornik's 2005 layout): one engine draw
-  /// picks a layer, a sign and a point in the layer, and 97.2% of points
-  /// return at once.  The rest take the wedge test against the density or,
-  /// in the base layer, the exact tail beyond r = 3.44 by Marsaglia's
-  /// exponential rejection; a rejected point (1.2%) draws afresh.  A
-  /// variate costs 1.04 engine draws on average.
+  /// (Marsaglia & Tsang 2000): one engine draw picks a layer, a sign and a
+  /// point in the layer, and 97.2% of points return at once.  The rest
+  /// take the wedge test against the density or, in the base layer, the
+  /// exact tail beyond r = 3.44 by Marsaglia's exponential rejection; a
+  /// rejected point (1.2%) draws afresh.  A variate costs 1.04 engine
+  /// draws on average.
   double standard_normal();
 
   /// Normal with the given mean and standard deviation.
