@@ -1,7 +1,9 @@
 // google-benchmark microbenchmarks of the simulator's hot paths: the event
 // loop, the serve path, the warm-archive build, tcp_info sampling, the
 // offline join, CSV export, cache operations per eviction policy, TCP chunk
-// transfers, Zipf sampling and the statistical kernels.
+// transfers, a TCP round's random draws (normal and log-normal variates,
+// RTT samples, random-loss counts), Zipf sampling and the statistical
+// kernels.
 //
 // The custom main() additionally times one end-to-end paper workload and
 // writes every measured rate to BENCH_hotpaths.json (bench_json.h) so the
@@ -93,6 +95,52 @@ void BM_ZipfSample(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ZipfSample)->Arg(1'000)->Arg(100'000);
+
+void BM_StandardNormal(benchmark::State& state) {
+  sim::Rng rng(3);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(rng.standard_normal());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_StandardNormal);
+
+void BM_LognormalMedian(benchmark::State& state) {
+  sim::Rng rng(4);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(rng.lognormal_median(8.0, 1.1));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_LognormalMedian);
+
+/// One TCP round's RTT on an enterprise path: spike countdown, jitter and
+/// the self-loading queue.
+void BM_PathSampleRtt(benchmark::State& state) {
+  net::PathModel path(
+      net::make_path_config(net::AccessType::kEnterprise, 800.0, 20'000.0));
+  sim::Rng rng(5);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(path.sample_rtt(40, 1'460, rng));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_PathSampleRtt);
+
+/// One TCP round's random-loss count for a window of range(0) segments at
+/// an international path's loss rate.
+void BM_RandomLosses(benchmark::State& state) {
+  net::PathConfig config;
+  config.random_loss = 2e-4;
+  net::PathModel path(config);
+  sim::Rng rng(6);
+  const auto window = static_cast<std::uint32_t>(state.range(0));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(path.random_losses(window, rng));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RandomLosses)->Arg(40)->Arg(400);
 
 void BM_PacketLevelTransfer(benchmark::State& state) {
   net::PacketSimConfig config;

@@ -109,7 +109,13 @@ metric_count=$(python3 -c "
 import json, sys
 with open('$build_dir/BENCH_hotpaths.json') as f:
     doc = json.load(f)
-print(len(doc['metrics']))
+names = [m['name'] for m in doc['metrics']]
+# A TCP round's random draws: each must be measured.
+for want in ('BM_StandardNormal', 'BM_LognormalMedian', 'BM_PathSampleRtt',
+             'BM_RandomLosses'):
+    if not any(n == want or n.startswith(want + '_') for n in names):
+        sys.exit('tier-1: BENCH_hotpaths.json lacks ' + want)
+print(len(names))
 ")
 if [ "$metric_count" -lt 5 ]; then
   echo "tier-1: BENCH_hotpaths.json has only $metric_count metrics (< 5)" >&2
