@@ -1,6 +1,7 @@
 #include "analysis/attribution.h"
 
 #include <algorithm>
+#include <limits>
 #include <numeric>
 #include <ostream>
 
@@ -95,6 +96,11 @@ void write_blame_object(std::ostream& out, const double (&values)[
 
 void write_attribution_json(std::ostream& out,
                             const AttributionReport& report) {
+  // Doubles round-trip: readers check the report's invariants (blame
+  // fractions sum to <= 1, blame + residual = 1) on the parsed values, and
+  // six significant digits can round a sum of 1 past it.
+  const std::streamsize caller_precision =
+      out.precision(std::numeric_limits<double>::max_digits10);
   out << "{\n";
   out << "  \"schema\": \"vstream-attribution-v1\",\n";
   out << "  \"sessions_analyzed\": " << report.sessions_analyzed << ",\n";
@@ -133,6 +139,7 @@ void write_attribution_json(std::ostream& out,
   }
   out << "\n  ]\n";
   out << "}\n";
+  out.precision(caller_precision);
 }
 
 }  // namespace vstream::analysis

@@ -3,6 +3,7 @@
 // orchestration is deterministic for any thread count.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <set>
 #include <sstream>
 #include <string>
@@ -224,6 +225,37 @@ TEST(AttributionMathTest, ZeroPenaltySessionHasNoBlame) {
     EXPECT_EQ(a.blame[i], 0.0);
   }
   EXPECT_EQ(a.residual, 0.0);
+}
+
+// The JSON report carries each blame fraction exactly, so a reader can
+// check "sum <= 1" on the parsed values: at six significant digits these
+// fractions (sum 1 in doubles) would read 1.0000008.
+TEST(AttributionMathTest, JsonBlameRoundTripsExactly) {
+  const double ideals[cdn::kIdealizedSubsystemCount] = {2.0, 1.0, 2.5, 3.0,
+                                                        2.9};
+  analysis::AttributionReport report;
+  report.sessions.push_back(analysis::attribute_session(3, 3.0, ideals));
+  std::ostringstream json;
+  json << 0.25;  // the caller's stream precision is restored afterwards
+  const std::streamsize before = json.precision();
+  analysis::write_attribution_json(json, report);
+  EXPECT_EQ(json.precision(), before);
+  const std::string doc = json.str();
+  const std::size_t blame = doc.find("\"blame\": {");
+  ASSERT_NE(blame, std::string::npos);
+  double sum = 0.0;
+  for (std::size_t i = 0; i < cdn::kIdealizedSubsystemCount; ++i) {
+    const std::string key =
+        "\"" +
+        std::string(cdn::idealization_name(cdn::kIdealizedSubsystems[i])) +
+        "\": ";
+    const std::size_t at = doc.find(key, blame);
+    ASSERT_NE(at, std::string::npos) << key;
+    const double parsed = std::strtod(doc.c_str() + at + key.size(), nullptr);
+    EXPECT_EQ(parsed, report.sessions[0].blame[i]) << key;
+    sum += parsed;
+  }
+  EXPECT_LE(sum, 1.0 + 1e-12);
 }
 
 // -------------------------------------------------------------------

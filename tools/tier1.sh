@@ -109,7 +109,7 @@ metric_count=$(python3 -c "
 import json, sys
 with open('$build_dir/BENCH_hotpaths.json') as f:
     doc = json.load(f)
-names = [m['name'] for m in doc['metrics']]
+names = list(doc['metrics'])
 # A TCP round's random draws: each must be measured.
 for want in ('BM_StandardNormal', 'BM_LognormalMedian', 'BM_PathSampleRtt',
              'BM_RandomLosses'):
