@@ -82,8 +82,8 @@ void PathModel::set_random_loss(double p) {
 
 std::uint32_t PathModel::random_losses(std::uint32_t segments, sim::Rng& rng) {
   const double p = config_.random_loss;
-  if (!(p < sim::Rng::kGeometricMaxP)) return rng.binomial(segments, p);
-  if (p <= 0.0 || segments == 0) return 0;
+  if (p >= 1.0) return segments;
+  if (!(p > 0.0) || segments == 0) return 0;  // p <= 0 or NaN: no loss
   // Segments are independent Bernoulli(p) trials, so the clean run before
   // the next loss is geometric wherever it starts: the countdown carries
   // over from round to round and is only drawn afresh after a loss.

@@ -103,8 +103,8 @@ class PathModel {
 
   /// Random losses among the next `segments` segments sent, distributed
   /// as Binomial(segments, random_loss).  Counts down to the next loss,
-  /// so it draws once per loss; at p <= 0 it draws nothing, and from
-  /// sim::Rng::kGeometricMaxP up it draws rng.binomial().
+  /// so it draws once per loss; at p <= 0 (or NaN) it loses nothing and
+  /// at p >= 1 every segment, and neither draws.
   std::uint32_t random_losses(std::uint32_t segments, sim::Rng& rng);
 
   /// Idle period: the bottleneck queue drains between chunk downloads.

@@ -242,11 +242,12 @@ void expect_binomial_counts(const std::vector<std::uint32_t>& counts,
 
 // Per-window counts off the countdown match rng.binomial() at a short
 // window on a lossy path and a long window on a clean one, with p changed
-// in mid-stream between the two.
+// in mid-stream between the two, and then at a loss as heavy as tail
+// drop's, where rng.binomial() loops over trials instead.
 TEST(PathModelTest, RandomLossesMatchBinomialAcrossAPChange) {
   constexpr int kWindows = 200'000;
-  const std::pair<std::uint32_t, double> phases[] = {{40, 1e-3},
-                                                     {400, 2e-4}};
+  const std::pair<std::uint32_t, double> phases[] = {
+      {40, 1e-3}, {400, 2e-4}, {70, 0.5}};
   PathModel path = lossy_path(phases[0].second);
   sim::Rng rng(13), binomial_rng(14);
   for (const auto& [n, p] : phases) {
@@ -300,7 +301,9 @@ TEST(PathModelTest, SameRandomLossKeepsTheCountdown) {
   EXPECT_TRUE(rng_a.engine() == rng_b.engine());
 }
 
-TEST(PathModelTest, RandomLossesDrawNothingWithoutLoss) {
+// No loss (p <= 0, NaN, an empty window) and certain loss (p >= 1) leave
+// nothing to draw.
+TEST(PathModelTest, RandomLossesDrawNothingWhenCertain) {
   PathModel path = lossy_path(0.0);
   sim::Rng rng(4);
   rng.uniform01();  // leave the engine mid-block
@@ -308,21 +311,13 @@ TEST(PathModelTest, RandomLossesDrawNothingWithoutLoss) {
   for (int w = 0; w < 1'000; ++w) EXPECT_EQ(path.random_losses(400, rng), 0u);
   path.set_random_loss(-0.5);
   EXPECT_EQ(path.random_losses(400, rng), 0u);
+  path.set_random_loss(std::nan(""));
+  EXPECT_EQ(path.random_losses(400, rng), 0u);
   path.set_random_loss(1e-3);
   EXPECT_EQ(path.random_losses(0, rng), 0u);
-  EXPECT_TRUE(rng.engine() == untouched);
-}
-
-// From sim::Rng::kGeometricMaxP up the count is rng.binomial() itself.
-TEST(PathModelTest, HighRandomLossFallsBackToBinomial) {
-  PathModel path = lossy_path(0.3);
-  sim::Rng rng(5), binomial_rng(5);
-  for (int w = 0; w < 1'000; ++w) {
-    ASSERT_EQ(path.random_losses(70, rng), binomial_rng.binomial(70, 0.3));
-  }
   path.set_random_loss(1.0);
   EXPECT_EQ(path.random_losses(70, rng), 70u);
-  EXPECT_TRUE(rng.engine() == binomial_rng.engine());
+  EXPECT_TRUE(rng.engine() == untouched);
 }
 
 // A spike starts in a quiet round with probability spike_prob_per_round.
