@@ -64,14 +64,15 @@ void Executor::worker_main(std::size_t worker) {
   }
 }
 
-void Executor::execute(Run* run, std::size_t worker) {
+void Executor::execute(Run* run, std::size_t worker, std::size_t first) {
   std::size_t executed = 0;
   std::size_t stolen = 0;
   for (;;) {
-    std::size_t index = 0;
-    bool have = false;
+    std::size_t index = first;
+    bool have = first != TaskSlot::kIdle;
     bool steal = false;
-    {
+    first = TaskSlot::kIdle;
+    if (!have) {
       // Own deque, back first (the block was pushed in reverse, so the
       // owner walks its range in ascending order).
       WorkerQueue& own = queues_[worker];
@@ -194,8 +195,12 @@ void Executor::parallel_for(std::size_t count,
   // Pre-split [0, count) into one contiguous block per worker, pushed in
   // reverse so the owner's back-pop walks ascending indices.  All deque
   // storage is reserved here; nothing on the per-task path allocates.
+  // The caller keeps its block's first task out of the deque, so the pool
+  // cannot steal the whole block before the caller gets to it.
+  const std::size_t caller_first = count >= workers_ ? 0 : TaskSlot::kIdle;
   for (std::size_t w = 0; w < workers_; ++w) {
-    const std::size_t lo = w * count / workers_;
+    std::size_t lo = w * count / workers_;
+    if (w == 0 && caller_first == 0) lo = 1;
     const std::size_t hi = (w + 1) * count / workers_;
     WorkerQueue& queue = queues_[w];
     std::lock_guard<std::mutex> lock(queue.mu);
@@ -230,7 +235,7 @@ void Executor::parallel_for(std::size_t count,
   }
   work_cv_.notify_all();
 
-  execute(&run, 0);  // the caller is worker 0
+  execute(&run, 0, caller_first);  // the caller is worker 0
 
   {
     // Wait for every background worker to leave the run: only then is

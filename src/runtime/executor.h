@@ -144,8 +144,10 @@ class Executor {
   };
 
   void worker_main(std::size_t worker);
-  /// Drain tasks (own deque first, then steal) until none remain.
-  void execute(Run* run, std::size_t worker);
+  /// Drain tasks (`first` if given, then own deque, then steal) until
+  /// none remain.
+  void execute(Run* run, std::size_t worker,
+               std::size_t first = TaskSlot::kIdle);
   /// Watchdog monitor loop; runs on its own thread for watched runs.
   void watchdog_main(Run* run, const std::atomic<bool>* run_done);
 
