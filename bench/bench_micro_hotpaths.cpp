@@ -396,13 +396,18 @@ void BM_ExportCsv(benchmark::State& state) {
 }
 BENCHMARK(BM_ExportCsv)->Arg(64);
 
-/// Console reporter that also captures every run for the JSON emitter.
-class CapturingReporter : public benchmark::ConsoleReporter {
+/// Display reporter that captures every run for the JSON emitter and
+/// forwards everything to the reporter --benchmark_format selects.
+class CapturingReporter : public benchmark::BenchmarkReporter {
  public:
+  bool ReportContext(const Context& context) override {
+    return display_->ReportContext(context);
+  }
   void ReportRuns(const std::vector<Run>& runs) override {
-    benchmark::ConsoleReporter::ReportRuns(runs);
+    display_->ReportRuns(runs);
     for (const Run& run : runs) captured_.push_back(run);
   }
+  void Finalize() override { display_->Finalize(); }
 
   /// Per-benchmark rate metrics: items/s where SetItemsProcessed was
   /// called, plain iterations/s otherwise.
@@ -434,6 +439,9 @@ class CapturingReporter : public benchmark::ConsoleReporter {
     return name;
   }
 
+  /// Owned by the library.
+  benchmark::BenchmarkReporter* display_ =
+      benchmark::CreateDefaultDisplayReporter();
   std::vector<Run> captured_;
 };
 

@@ -22,10 +22,17 @@ void sort_by_session(std::vector<Entry>& entries) {
             });
 }
 
+/// True when `drop` flags the session, which finalize() then leaves out.
+bool flagged(const telemetry::ProxyFilterResult* drop,
+             std::uint64_t session_id) {
+  return drop != nullptr && drop->is_proxy(session_id);
+}
+
 template <typename Entry>
 void append_entries(std::vector<Entry>& into, std::vector<Entry>&& from) {
   into.insert(into.end(), std::make_move_iterator(from.begin()),
               std::make_move_iterator(from.end()));
+  std::vector<Entry>().swap(from);  // a merged-away accumulator holds nothing
 }
 
 /// The batch analyses: one accumulator fed every joined session.
@@ -54,14 +61,15 @@ RecoveryImpact recovery_impact(const telemetry::JoinedDataset& joined) {
 // ----------------------------------------------------------- QoeAccumulator
 
 void QoeAccumulator::add(const telemetry::JoinedSession& session) {
-  entries_.push_back(Entry{session.session_id, session_qoe(session)});
+  entries_.push_back({session.session_id, session_qoe(session)});
 }
 
 void QoeAccumulator::merge(QoeAccumulator&& other) {
   append_entries(entries_, std::move(other.entries_));
 }
 
-QoeAggregate QoeAccumulator::finalize() && {
+QoeAggregate QoeAccumulator::finalize(const telemetry::ProxyFilterResult* drop,
+                                      std::vector<SessionQoeRow>* rows) && {
   sort_by_session(entries_);
   QoeAggregate agg;
   std::vector<double> startup, rebuf, bitrate, dropped;
@@ -70,14 +78,15 @@ QoeAggregate QoeAccumulator::finalize() && {
   bitrate.reserve(entries_.size());
   dropped.reserve(entries_.size());
   std::size_t with_rebuf = 0;
-  for (const Entry& e : entries_) {
+  for (const SessionQoeRow& e : entries_) {
+    if (flagged(drop, e.session_id)) continue;
     startup.push_back(e.qoe.startup_ms);
     rebuf.push_back(e.qoe.rebuffer_rate_pct);
     bitrate.push_back(e.qoe.avg_bitrate_kbps);
     dropped.push_back(e.qoe.dropped_frame_pct);
     if (e.qoe.rebuffer_events > 0) ++with_rebuf;
   }
-  agg.sessions = entries_.size();
+  agg.sessions = startup.size();
   agg.startup_ms = summarize(std::move(startup));
   agg.rebuffer_rate_pct = summarize(std::move(rebuf));
   agg.avg_bitrate_kbps = summarize(std::move(bitrate));
@@ -86,6 +95,7 @@ QoeAggregate QoeAccumulator::finalize() && {
       agg.sessions == 0
           ? 0.0
           : static_cast<double>(with_rebuf) / static_cast<double>(agg.sessions);
+  if (rows != nullptr) *rows = std::move(entries_);
   return agg;
 }
 
@@ -110,7 +120,8 @@ void PrefixRollupAccumulator::merge(PrefixRollupAccumulator&& other) {
   append_entries(entries_, std::move(other.entries_));
 }
 
-std::vector<PrefixRollup> PrefixRollupAccumulator::finalize() && {
+std::vector<PrefixRollup> PrefixRollupAccumulator::finalize(
+    const telemetry::ProxyFilterResult* drop) && {
   sort_by_session(entries_);
 
   // Per-prefix fold in ascending session-id order: the FP sums and the
@@ -126,6 +137,7 @@ std::vector<PrefixRollup> PrefixRollupAccumulator::finalize() && {
   };
   std::unordered_map<net::Prefix24, Acc> acc;
   for (Entry& e : entries_) {
+    if (flagged(drop, e.session_id)) continue;
     Acc& a = acc[e.prefix];
     ++a.sessions;
     a.srtt_min = std::min(a.srtt_min, e.srtt_min_ms);
@@ -182,12 +194,14 @@ void PerfScoreAccumulator::merge(PerfScoreAccumulator&& other) {
   append_entries(entries_, std::move(other.entries_));
 }
 
-PerfScoreSummary PerfScoreAccumulator::finalize() && {
+PerfScoreSummary PerfScoreAccumulator::finalize(
+    const telemetry::ProxyFilterResult* drop) && {
   sort_by_session(entries_);
   PerfScoreSummary summary;
   double score_sum = 0.0;
   double score_min = std::numeric_limits<double>::infinity();
   for (const Entry& e : entries_) {
+    if (flagged(drop, e.session_id)) continue;
     summary.chunks += e.chunks;
     summary.scored_chunks += e.scored;
     summary.bad_chunks += e.bad;
@@ -244,16 +258,18 @@ void RecoveryImpactAccumulator::merge(RecoveryImpactAccumulator&& other) {
   append_entries(entries_, std::move(other.entries_));
 }
 
-RecoveryImpact RecoveryImpactAccumulator::finalize() && {
+RecoveryImpact RecoveryImpactAccumulator::finalize(
+    const telemetry::ProxyFilterResult* drop) && {
   sort_by_session(entries_);
   RecoveryImpact impact;
-  impact.sessions = entries_.size();
   double recovery_sum = 0.0;
   std::uint64_t recovery_chunks = 0;
   double dfb_failover_sum = 0.0, dfb_clean_sum = 0.0;
   std::uint64_t failover_chunks = 0, clean_chunks = 0;
   double stall_sum = 0.0, wall_sum = 0.0;
   for (const Entry& e : entries_) {
+    if (flagged(drop, e.session_id)) continue;
+    ++impact.sessions;
     if (e.completed) ++impact.completed_sessions;
     if (e.failed_over) ++impact.failover_sessions;
     if (e.affected) ++impact.affected_sessions;

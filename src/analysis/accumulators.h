@@ -13,6 +13,11 @@
 // The result is therefore a pure function of the per-session records —
 // independent of feed order, shard count, or how accumulators were
 // merged — so a streamed analysis and a batch one agree to the bit.
+//
+// Every finalize() takes an optional proxy set and leaves the sessions it
+// flags out: the §3 proxy rule is global (sessions per IP over the whole
+// dataset), so a streamed fold adds every joined session and drops the
+// proxies only once the merged fold knows them.
 #pragma once
 
 #include <cstdint>
@@ -22,6 +27,7 @@
 #include "analysis/aggregate.h"
 #include "analysis/detectors.h"
 #include "analysis/qoe.h"
+#include "telemetry/proxy_filter.h"
 
 namespace vstream::analysis {
 
@@ -30,16 +36,13 @@ class QoeAccumulator {
  public:
   void add(const telemetry::JoinedSession& session);
   void merge(QoeAccumulator&& other);
-  QoeAggregate finalize() &&;
-
-  std::size_t sessions() const { return entries_.size(); }
+  /// When `rows` is set it receives every added session's row, the
+  /// dropped ones included, in ascending session-id order.
+  QoeAggregate finalize(const telemetry::ProxyFilterResult* drop = nullptr,
+                        std::vector<SessionQoeRow>* rows = nullptr) &&;
 
  private:
-  struct Entry {
-    std::uint64_t session_id = 0;
-    SessionQoe qoe;
-  };
-  std::vector<Entry> entries_;
+  std::vector<SessionQoeRow> entries_;
 };
 
 /// Per-/24-prefix latency roll-up (rollup_prefixes()).
@@ -47,7 +50,8 @@ class PrefixRollupAccumulator {
  public:
   void add(const telemetry::JoinedSession& session);
   void merge(PrefixRollupAccumulator&& other);
-  std::vector<PrefixRollup> finalize() &&;
+  std::vector<PrefixRollup> finalize(
+      const telemetry::ProxyFilterResult* drop = nullptr) &&;
 
  private:
   struct Entry {
@@ -87,7 +91,8 @@ class PerfScoreAccumulator {
   void add(const telemetry::JoinedSession& session);
   /// Both sides must have been built with the same chunk duration.
   void merge(PerfScoreAccumulator&& other);
-  PerfScoreSummary finalize() &&;
+  PerfScoreSummary finalize(
+      const telemetry::ProxyFilterResult* drop = nullptr) &&;
 
  private:
   struct Entry {
@@ -107,7 +112,8 @@ class RecoveryImpactAccumulator {
  public:
   void add(const telemetry::JoinedSession& session);
   void merge(RecoveryImpactAccumulator&& other);
-  RecoveryImpact finalize() &&;
+  RecoveryImpact finalize(
+      const telemetry::ProxyFilterResult* drop = nullptr) &&;
 
  private:
   struct Entry {

@@ -17,16 +17,16 @@ double qoe_penalty(const SessionQoe& qoe, const PenaltyWeights& weights) {
          deficit_mbps * weights.bitrate_deficit_per_mbps;
 }
 
-std::vector<std::size_t> worst_sessions(const std::vector<SessionQoe>& qoes,
+std::vector<std::size_t> worst_sessions(const std::vector<SessionQoeRow>& rows,
                                         std::size_t n,
                                         const PenaltyWeights& weights) {
-  std::vector<std::size_t> order(qoes.size());
+  std::vector<std::size_t> order(rows.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
   const std::size_t take = std::min(n, order.size());
   std::partial_sort(order.begin(), order.begin() + take, order.end(),
                     [&](std::size_t a, std::size_t b) {
-                      const double pa = qoe_penalty(qoes[a], weights);
-                      const double pb = qoe_penalty(qoes[b], weights);
+                      const double pa = qoe_penalty(rows[a].qoe, weights);
+                      const double pb = qoe_penalty(rows[b].qoe, weights);
                       if (pa != pb) return pa > pb;
                       return a < b;
                     });

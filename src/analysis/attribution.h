@@ -44,9 +44,9 @@ struct PenaltyWeights {
 /// Scalar badness of one session's QoE; ≥ 0, lower is better.
 double qoe_penalty(const SessionQoe& qoe, const PenaltyWeights& weights = {});
 
-/// Indices of the worst-`n` entries of `qoes` by penalty, worst first.
+/// Indices of the worst-`n` entries of `rows` by penalty, worst first.
 /// Ties break toward the lower index so the selection is deterministic.
-std::vector<std::size_t> worst_sessions(const std::vector<SessionQoe>& qoes,
+std::vector<std::size_t> worst_sessions(const std::vector<SessionQoeRow>& rows,
                                         std::size_t n,
                                         const PenaltyWeights& weights = {});
 

@@ -27,4 +27,14 @@ SessionQoe session_qoe(const telemetry::JoinedSession& session) {
   return qoe;
 }
 
+std::vector<SessionQoeRow> session_qoe_rows(
+    const telemetry::JoinedDataset& data) {
+  std::vector<SessionQoeRow> rows;
+  rows.reserve(data.sessions().size());
+  for (const telemetry::JoinedSession& session : data.sessions()) {
+    rows.push_back({session.session_id, session_qoe(session)});
+  }
+  return rows;
+}
+
 }  // namespace vstream::analysis

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "analysis/stats.h"
 #include "telemetry/join.h"
@@ -22,11 +23,26 @@ struct SessionQoe {
   double dropped_frame_pct = 0.0;    ///< over visible chunks
   std::uint32_t bitrate_switches = 0;
   std::size_t chunks = 0;
+
+  bool operator==(const SessionQoe&) const = default;
 };
 
 /// Per-session QoE from the joined records; `startup_ms` comes from the
 /// player session record.
 SessionQoe session_qoe(const telemetry::JoinedSession& session);
+
+/// One joined session's QoE, keyed by session id: what QoeAccumulator
+/// keeps per session, and the ranking input of worst-N attribution.
+struct SessionQoeRow {
+  std::uint64_t session_id = 0;
+  SessionQoe qoe;
+
+  bool operator==(const SessionQoeRow&) const = default;
+};
+
+/// Every session of `data`, in its order (ascending id).
+std::vector<SessionQoeRow> session_qoe_rows(
+    const telemetry::JoinedDataset& data);
 
 struct QoeAggregate {
   SummaryStats startup_ms;

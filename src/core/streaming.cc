@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <unordered_set>
+#include <iterator>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "runtime/executor.h"
@@ -12,18 +14,30 @@ namespace vstream::core {
 
 namespace {
 
-/// The per-session fold behind a StreamingAnalysis: the join's counts and
-/// the four mergeable accumulators.
+/// Move `from`'s records to the end of `into` and free `from`, so a
+/// merge does not hold every record twice.
+template <typename Record>
+void append(std::vector<Record>& into, std::vector<Record>&& from) {
+  into.insert(into.end(), std::make_move_iterator(from.begin()),
+              std::make_move_iterator(from.end()));
+  std::vector<Record>().swap(from);
+}
+
+/// The per-session fold behind a StreamingAnalysis: the four mergeable
+/// accumulators, plus what analyze_spill's finalize needs beyond them.
 struct Fold {
   explicit Fold(double chunk_duration_s) : perf(chunk_duration_s) {}
 
-  std::size_t joined = 0;
-  std::size_t as_proxy = 0;
-  std::size_t incomplete = 0;
   analysis::QoeAccumulator qoe;
   analysis::PrefixRollupAccumulator prefixes;
   analysis::PerfScoreAccumulator perf;
   analysis::RecoveryImpactAccumulator recovery;
+  /// The two session-level streams: the proxy rule's whole input.
+  telemetry::Dataset session_level;
+  /// Every session group's id, one per group.
+  std::vector<std::uint64_t> ids;
+  std::size_t incomplete = 0;
+  telemetry::SpillReadStats stats;
 
   void add(const telemetry::JoinedSession& session) {
     qoe.add(session);
@@ -32,42 +46,43 @@ struct Fold {
     recovery.add(session);
   }
 
-  /// Join every group of `stream` whose session `take` accepts, and add
-  /// the joined sessions and the join's counts.
-  template <typename Take>
-  void join_and_add(telemetry::SessionGroupStream& stream,
-                    const telemetry::ProxyFilterResult& proxies,
-                    const Take& take) {
-    telemetry::StreamingJoiner joiner(&proxies);
+  /// Join and add every group of `stream`, with no proxy filter, and
+  /// keep its session-level records.
+  void join_all(telemetry::SessionGroupStream& stream) {
+    telemetry::StreamingJoiner joiner;
     while (auto group = stream.next()) {
-      if (!take(group->session_id)) continue;
+      ids.push_back(group->session_id);
       if (const auto session = joiner.join(*group)) add(*session);
+      append(session_level.player_sessions, std::move(group->player_sessions));
+      append(session_level.cdn_sessions, std::move(group->cdn_sessions));
     }
-    joined += joiner.sessions_joined();
-    as_proxy += joiner.dropped_as_proxy();
     incomplete += joiner.dropped_incomplete();
   }
 
   void merge(Fold&& other) {
-    joined += other.joined;
-    as_proxy += other.as_proxy;
-    incomplete += other.incomplete;
     qoe.merge(std::move(other.qoe));
     prefixes.merge(std::move(other.prefixes));
     perf.merge(std::move(other.perf));
     recovery.merge(std::move(other.recovery));
+    append(session_level.player_sessions,
+           std::move(other.session_level.player_sessions));
+    append(session_level.cdn_sessions,
+           std::move(other.session_level.cdn_sessions));
+    append(ids, std::move(other.ids));
+    incomplete += other.incomplete;
+    stats += other.stats;
   }
 
   /// finalize() sorts by session id, so neither the feed order nor the
-  /// merge grouping shows in the result.
-  void finalize(StreamingAnalysis& out) && {
-    out.sessions_joined = joined;
-    out.dropped_as_proxy = as_proxy;
-    out.dropped_incomplete = incomplete;
-    out.qoe = std::move(qoe).finalize();
-    out.prefixes = std::move(prefixes).finalize();
-    out.perf = std::move(perf).finalize();
-    out.recovery = std::move(recovery).finalize();
+  /// merge grouping shows in the result.  Sessions `drop` flags are left
+  /// out of the aggregates; `rows`, when set, gets every session's QoE.
+  void finalize(const telemetry::ProxyFilterResult* drop,
+                std::vector<analysis::SessionQoeRow>* rows,
+                StreamingAnalysis& out) && {
+    out.qoe = std::move(qoe).finalize(drop, rows);
+    out.prefixes = std::move(prefixes).finalize(drop);
+    out.perf = std::move(perf).finalize(drop);
+    out.recovery = std::move(recovery).finalize(drop);
   }
 };
 
@@ -79,108 +94,44 @@ StreamingAnalysis analyze_spill(const telemetry::SpillSet& spill,
                                 std::size_t threads) {
   runtime::Executor executor(runtime::resolve_thread_count(threads));
   const std::vector<std::filesystem::path>& files = spill.files();
-  StreamingAnalysis out;
 
-  // Pass 1, per file: the session-level records (all proxy detection
-  // needs) plus every block's session id (for cross-file session
-  // detection), each file read by one task into its own slot.
-  struct FileScan {
-    telemetry::Dataset session_level;
-    std::vector<std::uint64_t> ids;  ///< ascending; one per session group
-    telemetry::SpillReadStats stats;
-  };
-  std::vector<FileScan> scans(files.size());
-  executor.parallel_for(files.size(), [&](std::size_t f) {
-    FileScan& scan = scans[f];
-    telemetry::SpillSet one;
-    one.add_file(files[f]);
-    auto stream = one.open(&scan.stats);
-    while (auto group = stream->next()) {
-      scan.ids.push_back(group->session_id);
-      for (auto& r : group->player_sessions) {
-        scan.session_level.player_sessions.push_back(std::move(r));
-      }
-      for (auto& r : group->cdn_sessions) {
-        scan.session_level.cdn_sessions.push_back(std::move(r));
-      }
-    }
-  });
-
-  // Salvage accounting comes from pass 1 only; the per-file counters sum
-  // to exactly the merged stream's totals.
-  for (const FileScan& scan : scans) out.spill += scan.stats;
-
-  // Rebuild the merged-stream record order from the per-file runs — the
-  // stable sort keeps file order among equal ids — then detect proxies on
-  // it.  Proxy detection sees only the two session-level streams, so this
-  // O(sessions) dataset reproduces detect_proxies on the full dataset
-  // exactly.
-  {
-    telemetry::Dataset session_level;
-    std::size_t players = 0, cdns = 0;
-    for (const FileScan& scan : scans) {
-      players += scan.session_level.player_sessions.size();
-      cdns += scan.session_level.cdn_sessions.size();
-    }
-    session_level.player_sessions.reserve(players);
-    session_level.cdn_sessions.reserve(cdns);
-    for (FileScan& scan : scans) {
-      for (auto& r : scan.session_level.player_sessions) {
-        session_level.player_sessions.push_back(std::move(r));
-      }
-      for (auto& r : scan.session_level.cdn_sessions) {
-        session_level.cdn_sessions.push_back(std::move(r));
-      }
-      scan.session_level = telemetry::Dataset{};
-    }
-    telemetry::canonicalize(session_level);
-    out.proxies = telemetry::detect_proxies(session_level, proxy_config);
-  }
-
-  // Sessions whose blocks live in more than one file must be joined from
-  // the *merged* group (the per-file fold would see torn halves and
-  // mis-count them as incomplete).  The engine never produces them — a
-  // session completes wholly on one shard — but analyze_spill accepts
-  // arbitrary file sets.
-  std::unordered_set<std::uint64_t> cross_file;
-  {
-    std::vector<std::uint64_t> all_ids;
-    std::size_t total = 0;
-    for (const FileScan& scan : scans) total += scan.ids.size();
-    all_ids.reserve(total);
-    for (const FileScan& scan : scans) {
-      all_ids.insert(all_ids.end(), scan.ids.begin(), scan.ids.end());
-    }
-    std::sort(all_ids.begin(), all_ids.end());
-    for (std::size_t i = 1; i < all_ids.size(); ++i) {
-      if (all_ids[i] == all_ids[i - 1]) cross_file.insert(all_ids[i]);
-    }
-  }
-  const auto single_file = [&](std::uint64_t id) {
-    return cross_file.count(id) == 0;
-  };
-
-  // Pass 2, per file: join + accumulate into per-file folds, merged in
-  // file order.
+  // The one pass, a task per file, each into its own fold; the folds
+  // merge in file order.  The per-file salvage counters sum to exactly
+  // the merged stream's totals.
   std::vector<Fold> folds(files.size(), Fold(chunk_duration_s));
   executor.parallel_for(files.size(), [&](std::size_t f) {
     telemetry::SpillSet one;
     one.add_file(files[f]);
-    auto stream = one.open();  // salvage was accounted in pass 1
-    folds[f].join_and_add(*stream, out.proxies, single_file);
+    folds[f].join_all(*one.open(&folds[f].stats));
   });
   Fold total(chunk_duration_s);
   for (Fold& fold : folds) total.merge(std::move(fold));
 
-  if (!cross_file.empty()) {
-    // Final serial pass: the merged stream concatenates a cross-file
-    // session's blocks in file order before the join sees them.
-    auto stream = spill.open();
-    total.join_and_add(*stream, out.proxies,
-                       [&](std::uint64_t id) { return !single_file(id); });
+  // A session split across files would have been joined as torn halves.
+  std::sort(total.ids.begin(), total.ids.end());
+  const auto split = std::adjacent_find(total.ids.begin(), total.ids.end());
+  if (split != total.ids.end()) {
+    throw std::invalid_argument(
+        "analyze_spill: session " + std::to_string(*split) +
+        " has records in more than one spill file");
   }
 
-  std::move(total).finalize(out);
+  // detect_proxies depends on record order only within a session, and
+  // one file holds all of a session's records in stream order.
+  StreamingAnalysis out;
+  out.proxies = telemetry::detect_proxies(total.session_level, proxy_config);
+  out.spill = total.stats;
+  out.dropped_incomplete = total.incomplete;
+  std::move(total).finalize(&out.proxies, &out.session_qoe, out);
+
+  // The join checks "incomplete" before "proxy", so the proxies it would
+  // have dropped are exactly the flagged joined sessions.
+  out.dropped_as_proxy = static_cast<std::size_t>(std::count_if(
+      out.session_qoe.begin(), out.session_qoe.end(),
+      [&](const analysis::SessionQoeRow& row) {
+        return out.proxies.is_proxy(row.session_id);
+      }));
+  out.sessions_joined = out.session_qoe.size() - out.dropped_as_proxy;
   return out;
 }
 
@@ -195,10 +146,12 @@ StreamingAnalysis analyze_dataset(const telemetry::Dataset& data,
   for (const telemetry::JoinedSession& session : joined.sessions()) {
     fold.add(session);
   }
-  fold.joined = joined.sessions().size();
-  fold.as_proxy = joined.dropped_as_proxy();
-  fold.incomplete = joined.dropped_incomplete();
-  std::move(fold).finalize(out);
+  std::move(fold).finalize(nullptr, nullptr, out);
+  out.sessions_joined = joined.sessions().size();
+  out.dropped_as_proxy = joined.dropped_as_proxy();
+  out.dropped_incomplete = joined.dropped_incomplete();
+  out.session_qoe =
+      analysis::session_qoe_rows(telemetry::JoinedDataset::build(data));
   return out;
 }
 

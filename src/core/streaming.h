@@ -1,12 +1,15 @@
 // Analysis over spilled telemetry, one session resident at a time.
 //
-// analyze_spill() folds a spilled run (one .vspill file per shard) in two
-// passes, each a task per file on a runtime::Executor:
-//
-//   pass 1  session-level records only -> proxy detection (the §3 filter
-//           needs nothing chunk-grained), O(sessions) memory
-//   pass 2  StreamingJoiner (join.h) + the mergeable accumulators of
-//           analysis/accumulators.h, merged in file order
+// analyze_spill() folds a spilled run (one .vspill file per shard) in one
+// pass, a task per file on a runtime::Executor.  Each task joins every
+// session of its file with a StreamingJoiner (join.h), folds it into the
+// mergeable accumulators of analysis/accumulators.h, and keeps the
+// file's session-level records.  The per-file folds merge in file order;
+// finalize then runs the §3 proxy filter once over the merged
+// session-level records — rule (ii) counts sessions per IP over the whole
+// dataset, so no single file can apply it — and the accumulators leave
+// the flagged sessions out.  Memory is O(sessions), whatever the chunk
+// count.
 //
 // The accumulators' finalize() sorts by session id, so the result is a
 // pure function of the per-session records: analyze_spill on a spilled
@@ -32,6 +35,9 @@ struct StreamingAnalysis {
   analysis::RecoveryImpact recovery;
   analysis::PerfScoreSummary perf;  ///< Eq. 2 roll-up over joined chunks
   std::vector<analysis::PrefixRollup> prefixes;
+  /// Every joined session's QoE, proxies included, in ascending session
+  /// id: the ranking input of engine::attribute_worst.
+  std::vector<analysis::SessionQoeRow> session_qoe;
   /// Spill-path salvage accounting: all-damage-counters-zero on a clean
   /// read (spill.corrupted() == false).  A degraded spill still analyzes
   /// — corrupt blocks are skipped, torn tails truncated — and this is
@@ -46,20 +52,20 @@ struct StreamingAnalysis {
 /// `threads` is the worker count of the pool the per-file tasks run on;
 /// 0 resolves via runtime::resolve_thread_count (VSTREAM_THREADS, else
 /// hardware concurrency), and 1 — the default — runs every task inline.
-/// Every value produces a bit-identical StreamingAnalysis: proxy
-/// detection sees the session records in merged-stream order (ascending
-/// id, file-order ties) whatever the partition.  Sessions whose blocks
-/// span several files (never produced by the engine, where a session
-/// completes wholly on one shard) are joined from their merged group in
-/// a final serial pass, so their groups are never split.
+/// Every value produces a bit-identical StreamingAnalysis.  Each
+/// session's records must sit in one file, as the engine writes them (a
+/// session completes wholly on one shard); a session id found in more
+/// than one file throws std::invalid_argument naming it.
 StreamingAnalysis analyze_spill(const telemetry::SpillSet& spill,
                                 double chunk_duration_s,
                                 const telemetry::ProxyFilterConfig& proxy_config = {},
                                 std::size_t threads = 1);
 
 /// Same analysis over a canonical in-memory dataset: detect_proxies, then
-/// JoinedDataset::build, then the same accumulator fold — the independent
-/// oracle for the spill path.
+/// JoinedDataset::build with the proxies dropped in the join, then the
+/// same accumulator fold; the session_qoe rows come from a second,
+/// unfiltered JoinedDataset::build.  The independent oracle for the spill
+/// path.
 StreamingAnalysis analyze_dataset(const telemetry::Dataset& data,
                                   double chunk_duration_s,
                                   const telemetry::ProxyFilterConfig& proxy_config = {});

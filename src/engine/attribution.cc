@@ -33,23 +33,15 @@ bool same_qoe(const analysis::SessionQoe& a, const analysis::SessionQoe& b) {
 
 }  // namespace
 
-analysis::AttributionReport attribute_worst(const ReplayContext& ctx,
-                                            const telemetry::Dataset& baseline,
-                                            AttributionOptions options) {
-  // Rank by penalty over the proxy-unfiltered join: attribution explains
-  // the worst *sessions*, whether or not a proxy sat in front of them.
-  const telemetry::JoinedDataset joined =
-      telemetry::JoinedDataset::build(baseline);
-  std::vector<analysis::SessionQoe> qoes;
-  qoes.reserve(joined.sessions().size());
-  for (const telemetry::JoinedSession& session : joined.sessions()) {
-    qoes.push_back(analysis::session_qoe(session));
-  }
+analysis::AttributionReport attribute_worst(
+    const ReplayContext& ctx,
+    const std::vector<analysis::SessionQoeRow>& sessions,
+    AttributionOptions options) {
   const std::vector<std::size_t> worst =
-      analysis::worst_sessions(qoes, options.worst_n, options.weights);
+      analysis::worst_sessions(sessions, options.worst_n, options.weights);
 
   analysis::AttributionReport report;
-  report.sessions_analyzed = joined.sessions().size();
+  report.sessions_analyzed = sessions.size();
   report.weights = options.weights;
   if (worst.empty()) return report;
 
@@ -73,8 +65,7 @@ analysis::AttributionReport attribute_worst(const ReplayContext& ctx,
         if (column != 0) {
           policy.target = cdn::kIdealizedSubsystems[column - 1];
         }
-        const std::uint64_t id =
-            joined.sessions()[worst[row]].session_id;
+        const std::uint64_t id = sessions[worst[row]].session_id;
         if (const auto result = ctx.replay_session(id, policy)) {
           replayed[task] = result->qoe;
           found[task] = 1;
@@ -85,7 +76,7 @@ analysis::AttributionReport attribute_worst(const ReplayContext& ctx,
   report.sessions.reserve(worst.size());
   for (std::size_t row = 0; row < worst.size(); ++row) {
     const std::size_t base_task = row * kColumns;
-    const std::uint64_t id = joined.sessions()[worst[row]].session_id;
+    const analysis::SessionQoeRow& measured = sessions[worst[row]];
     const double baseline_penalty =
         analysis::qoe_penalty(replayed[base_task], options.weights);
     double ideal_penalty[cdn::kIdealizedSubsystemCount];
@@ -93,14 +84,23 @@ analysis::AttributionReport attribute_worst(const ReplayContext& ctx,
       ideal_penalty[i] = analysis::qoe_penalty(replayed[base_task + 1 + i],
                                                options.weights);
     }
-    analysis::SessionAttribution attribution =
-        analysis::attribute_session(id, baseline_penalty, ideal_penalty);
+    analysis::SessionAttribution attribution = analysis::attribute_session(
+        measured.session_id, baseline_penalty, ideal_penalty);
     attribution.baseline_matches =
-        found[base_task] != 0 &&
-        same_qoe(replayed[base_task], qoes[worst[row]]);
+        found[base_task] != 0 && same_qoe(replayed[base_task], measured.qoe);
     report.sessions.push_back(attribution);
   }
   return report;
+}
+
+analysis::AttributionReport attribute_worst(const ReplayContext& ctx,
+                                            const telemetry::Dataset& baseline,
+                                            AttributionOptions options) {
+  // Rank by penalty over the proxy-unfiltered join: attribution explains
+  // the worst *sessions*, whether or not a proxy sat in front of them.
+  const telemetry::JoinedDataset joined =
+      telemetry::JoinedDataset::build(baseline);
+  return attribute_worst(ctx, analysis::session_qoe_rows(joined), options);
 }
 
 }  // namespace vstream::engine

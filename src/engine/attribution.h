@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstddef>
+#include <vector>
 
 #include "analysis/attribution.h"
 #include "engine/replay.h"
@@ -25,11 +26,19 @@ struct AttributionOptions {
   std::size_t threads = 0;
 };
 
-/// Attribute the worst sessions of `baseline` (the materialized dataset
-/// of the factual run whose world `ctx` rebuilt).  Sessions are ranked by
-/// penalty over the proxy-unfiltered join; each selected session is
-/// replayed per subsystem and the blame math applied.  The report's
-/// sessions come back worst first.
+/// Attribute the worst of `sessions`: the measured QoE of every joined
+/// session of the factual run whose world `ctx` rebuilt, proxies
+/// included, in ascending session-id order (core::StreamingAnalysis's
+/// session_qoe).  Sessions are ranked by penalty, ties toward the lower
+/// id; each selected session is replayed per subsystem and the blame math
+/// applied.  The report's sessions come back worst first.
+analysis::AttributionReport attribute_worst(
+    const ReplayContext& ctx,
+    const std::vector<analysis::SessionQoeRow>& sessions,
+    AttributionOptions options = {});
+
+/// The same over `baseline`, the materialized dataset of the factual run:
+/// ranks the sessions of its proxy-unfiltered join.
 analysis::AttributionReport attribute_worst(const ReplayContext& ctx,
                                             const telemetry::Dataset& baseline,
                                             AttributionOptions options = {});

@@ -10,6 +10,7 @@
 #include "failpoints/failpoint.h"
 #include "sim/host_error.h"
 #include "telemetry/crc32c.h"
+#include "telemetry/le_bytes.h"
 
 namespace vstream::engine {
 
@@ -18,35 +19,10 @@ namespace {
 constexpr std::uint32_t kCkptMagic = 0x504B4356;  // "VCKP"
 constexpr std::uint32_t kCkptVersion = 1;
 
-void put_u32(std::string& out, std::uint32_t v) {
-  char bytes[4];
-  for (int i = 0; i < 4; ++i) bytes[i] = static_cast<char>(v >> (8 * i));
-  out.append(bytes, 4);
-}
-
-void put_u64(std::string& out, std::uint64_t v) {
-  char bytes[8];
-  for (int i = 0; i < 8; ++i) bytes[i] = static_cast<char>(v >> (8 * i));
-  out.append(bytes, 8);
-}
-
-std::uint32_t load_u32(const char* p) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(static_cast<unsigned char>(p[i]))
-         << (8 * i);
-  }
-  return v;
-}
-
-std::uint64_t load_u64(const char* p) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(static_cast<unsigned char>(p[i]))
-         << (8 * i);
-  }
-  return v;
-}
+using telemetry::load_u32;
+using telemetry::load_u64;
+using telemetry::put_u32;
+using telemetry::put_u64;
 
 /// Bounds-checked payload cursor; overruns throw (caught by
 /// read_checkpoint and mapped to "no checkpoint").

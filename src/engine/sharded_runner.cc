@@ -216,22 +216,26 @@ ShardResult run_sharded(const workload::Scenario& scenario,
   // degradation still resumes from the last good checkpoint.
   std::atomic<bool> checkpoints_disabled{false};
 
-  // Checkpointed path: run the shard's partition in sequential batches on
-  // fresh Shard replicas (batching is just a finer sharding — see
-  // engine/checkpoint.h), flushing the spill file and writing a sidecar
-  // after every batch.
-  const auto run_checkpointed = [&](std::size_t i) {
+  // Spill mode: task = logical shard.  A shard owns its spill file (single
+  // writer, and the file set keeps shard order for the canonical merge).
+  // Without checkpointing the partition runs as one batch.  With it, the
+  // partition runs in sequential batches on fresh Shard replicas
+  // (batching is just a finer sharding — see engine/checkpoint.h), and
+  // every batch flushes the spill file and writes a sidecar.
+  const auto run_spilled = [&](std::size_t i) {
     const std::span<const AdmittedSession> part(parts[i]);
     const std::filesystem::path spill_file =
         *spill_dir / ("shard-" + std::to_string(i) + ".vspill");
     const std::filesystem::path ckpt_file =
-        checkpoint->dir / ("shard-" + std::to_string(i) + ".vckpt");
+        checkpoint == nullptr
+            ? std::filesystem::path()
+            : checkpoint->dir / ("shard-" + std::to_string(i) + ".vckpt");
 
     std::size_t next = 0;
     GroundTruth ground_truth;
     std::vector<cdn::ServerStats> server_stats;
     std::unique_ptr<telemetry::SpillSink> sink;
-    if (checkpoint->resume) {
+    if (checkpoint != nullptr && checkpoint->resume) {
       if (std::optional<ShardCheckpoint> saved = read_checkpoint(ckpt_file)) {
         if (saved->fingerprint != checkpoint->fingerprint ||
             saved->shard_index != i ||
@@ -256,7 +260,9 @@ ShardResult run_sharded(const workload::Scenario& scenario,
       sink = std::make_unique<telemetry::SpillSink>(spill_file);
     }
 
-    const std::size_t interval = std::max<std::size_t>(1, checkpoint->interval);
+    const std::size_t interval =
+        checkpoint != nullptr ? std::max<std::size_t>(1, checkpoint->interval)
+                              : part.size();
     std::size_t batches = 0;
     while (next < part.size()) {
       const std::size_t count = std::min(interval, part.size() - next);
@@ -270,6 +276,7 @@ ShardResult run_sharded(const workload::Scenario& scenario,
       for (std::size_t j = 0; j < batch.server_stats.size(); ++j) {
         server_stats[j] += batch.server_stats[j];
       }
+      if (checkpoint == nullptr) continue;
 
       ShardCheckpoint cp;
       cp.fingerprint = checkpoint->fingerprint;
@@ -306,16 +313,11 @@ ShardResult run_sharded(const workload::Scenario& scenario,
           batches >= checkpoint->stop_after_batches && next < part.size()) {
         // Deliberate early stop (test/chaos hook): leave the spill file in
         // its committed state for a later resume.
-        results[i].ground_truth = std::move(ground_truth);
-        results[i].server_stats = std::move(server_stats);
-        results[i].spill_files.push_back(spill_file);
         results[i].completed = false;
-        results[i].checkpoints_degraded =
-            checkpoints_disabled.load(std::memory_order_relaxed);
-        return;
+        break;
       }
     }
-    sink->finish();
+    if (results[i].completed) sink->finish();
     results[i].ground_truth = std::move(ground_truth);
     results[i].server_stats = std::move(server_stats);
     results[i].spill_files.push_back(spill_file);
@@ -329,26 +331,7 @@ ShardResult run_sharded(const workload::Scenario& scenario,
   // task's exception (resume mismatch, disk full, ...) is parked and
   // rethrown on the calling thread after the run drains.
   if (spill_dir != nullptr) {
-    // Spill / checkpoint mode: task = logical shard.  A shard owns its
-    // spill file (single writer, and the file set keeps shard order for
-    // the canonical merge) and its sidecar commit sequence — the
-    // checkpoint batches still run sequentially *inside* the task.
-    executor.parallel_for(
-        parts.size(),
-        [&](std::size_t i) {
-          if (checkpoint != nullptr) {
-            run_checkpointed(i);
-            return;
-          }
-          const std::filesystem::path file =
-              *spill_dir / ("shard-" + std::to_string(i) + ".vspill");
-          telemetry::SpillSink sink(file);
-          Shard shard(scenario, catalog, warm, faults, bad_prefixes, &sink);
-          results[i] = shard.run(parts[i]);
-          sink.finish();
-          results[i].spill_files.push_back(file);
-        },
-        stats, "shard");
+    executor.parallel_for(parts.size(), run_spilled, stats, "shard");
   } else {
     // Memory mode: task = one kDefaultMemoryBatch-session slice of a
     // shard's partition on a fresh replica.  Batching is just finer sharding

@@ -13,44 +13,13 @@
 #include "runtime/executor.h"
 #include "sim/host_error.h"
 #include "telemetry/crc32c.h"
+#include "telemetry/le_bytes.h"
 #include "telemetry/record_schema.h"
 #include "telemetry/spill_codec.h"
 
 namespace vstream::telemetry {
 
 namespace {
-
-// --------------------------------------------------------------- encoding
-
-void put_u32(std::string& out, std::uint32_t v) {
-  char bytes[4];
-  for (int i = 0; i < 4; ++i) bytes[i] = static_cast<char>(v >> (8 * i));
-  out.append(bytes, 4);
-}
-
-void put_u64(std::string& out, std::uint64_t v) {
-  char bytes[8];
-  for (int i = 0; i < 8; ++i) bytes[i] = static_cast<char>(v >> (8 * i));
-  out.append(bytes, 8);
-}
-
-std::uint32_t load_u32(const char* p) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(static_cast<unsigned char>(p[i]))
-         << (8 * i);
-  }
-  return v;
-}
-
-std::uint64_t load_u64(const char* p) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(static_cast<unsigned char>(p[i]))
-         << (8 * i);
-  }
-  return v;
-}
 
 // ------------------------------------------------------ columnar payloads
 // Each stream's columns are its record_schema.h columns after session_id

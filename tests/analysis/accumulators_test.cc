@@ -305,5 +305,79 @@ TEST(RecoveryImpactAccumulatorTest, MergeMatchesSingleAccumulator) {
   EXPECT_EQ(a.rebuffer_rate_percent, b.rebuffer_rate_percent);
 }
 
+TEST(AccumulatorsTest, DroppingAtFinalizeEqualsFilteringTheJoin) {
+  // Sessions 2 and 5 are proxies: every accumulator fed the unfiltered
+  // join and told the proxy set at finalize must equal the same
+  // accumulator fed the proxy-filtered join.
+  const telemetry::Dataset d = rich_dataset();
+  telemetry::ProxyFilterResult proxies;
+  proxies.proxy_sessions = {2, 5};
+  const telemetry::JoinedDataset all = telemetry::JoinedDataset::build(d);
+  const telemetry::JoinedDataset kept =
+      telemetry::JoinedDataset::build(d, &proxies);
+  ASSERT_EQ(kept.sessions().size(), 4u);
+
+  QoeAccumulator qoe_all, qoe_kept;
+  PrefixRollupAccumulator prefix_all, prefix_kept;
+  PerfScoreAccumulator perf_all(kTau), perf_kept(kTau);
+  RecoveryImpactAccumulator recovery_all, recovery_kept;
+  for (const telemetry::JoinedSession& s : all.sessions()) {
+    qoe_all.add(s);
+    prefix_all.add(s);
+    perf_all.add(s);
+    recovery_all.add(s);
+  }
+  for (const telemetry::JoinedSession& s : kept.sessions()) {
+    qoe_kept.add(s);
+    prefix_kept.add(s);
+    perf_kept.add(s);
+    recovery_kept.add(s);
+  }
+
+  std::vector<SessionQoeRow> rows;
+  const QoeAggregate q = std::move(qoe_all).finalize(&proxies, &rows);
+  const QoeAggregate q_want = std::move(qoe_kept).finalize();
+  EXPECT_EQ(q.sessions, 4u);
+  EXPECT_EQ(q.sessions, q_want.sessions);
+  EXPECT_EQ(q.share_with_rebuffering, q_want.share_with_rebuffering);
+  expect_stats_equal(q.startup_ms, q_want.startup_ms);
+  expect_stats_equal(q.rebuffer_rate_pct, q_want.rebuffer_rate_pct);
+  expect_stats_equal(q.avg_bitrate_kbps, q_want.avg_bitrate_kbps);
+  expect_stats_equal(q.dropped_frame_pct, q_want.dropped_frame_pct);
+  // The rows keep every session, the dropped ones included.
+  EXPECT_EQ(rows, session_qoe_rows(all));
+
+  const std::vector<PrefixRollup> p = std::move(prefix_all).finalize(&proxies);
+  const std::vector<PrefixRollup> p_want = std::move(prefix_kept).finalize();
+  ASSERT_EQ(p.size(), p_want.size());
+  for (std::size_t i = 0; i < p.size(); ++i) {
+    EXPECT_EQ(p[i].prefix, p_want[i].prefix);
+    EXPECT_EQ(p[i].session_count, p_want[i].session_count);
+    EXPECT_EQ(p[i].mean_srtt_ms, p_want[i].mean_srtt_ms);
+    EXPECT_EQ(p[i].distance_km, p_want[i].distance_km);
+  }
+
+  const PerfScoreSummary f = std::move(perf_all).finalize(&proxies);
+  const PerfScoreSummary f_want = std::move(perf_kept).finalize();
+  EXPECT_EQ(f.chunks, f_want.chunks);
+  EXPECT_EQ(f.scored_chunks, f_want.scored_chunks);
+  EXPECT_EQ(f.bad_chunks, f_want.bad_chunks);
+  EXPECT_EQ(f.mean_score, f_want.mean_score);
+  EXPECT_EQ(f.min_score, f_want.min_score);
+
+  const RecoveryImpact r = std::move(recovery_all).finalize(&proxies);
+  const RecoveryImpact r_want = std::move(recovery_kept).finalize();
+  EXPECT_EQ(r.sessions, 4u);
+  EXPECT_EQ(r.sessions, r_want.sessions);
+  EXPECT_EQ(r.completed_sessions, r_want.completed_sessions);
+  EXPECT_EQ(r.affected_sessions, r_want.affected_sessions);
+  EXPECT_EQ(r.retries, r_want.retries);
+  EXPECT_EQ(r.stale_chunks, r_want.stale_chunks);
+  EXPECT_EQ(r.budget_denied_chunks, r_want.budget_denied_chunks);
+  EXPECT_EQ(r.mean_recovery_ms, r_want.mean_recovery_ms);
+  EXPECT_EQ(r.mean_dfb_clean_ms, r_want.mean_dfb_clean_ms);
+  EXPECT_EQ(r.rebuffer_rate_percent, r_want.rebuffer_rate_percent);
+}
+
 }  // namespace
 }  // namespace vstream::analysis

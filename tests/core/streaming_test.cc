@@ -1,10 +1,14 @@
-// analyze_spill over hand-written spill files whose sessions do not all
-// sit in one file — the cross-file pass the engine never exercises.
+// analyze_spill over hand-written spill files: sessions spread over two
+// files match the in-memory oracle, and a session whose records span two
+// files (which the engine never writes) is refused.
 #include "core/streaming.h"
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <filesystem>
+#include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -45,38 +49,44 @@ void expect_same(const StreamingAnalysis& got, const StreamingAnalysis& want) {
   EXPECT_EQ(got.recovery.timeouts, want.recovery.timeouts);
   EXPECT_EQ(got.recovery.mean_recovery_ms, want.recovery.mean_recovery_ms);
   EXPECT_EQ(got.recovery.mean_dfb_clean_ms, want.recovery.mean_dfb_clean_ms);
+  EXPECT_EQ(got.proxies.proxy_sessions, want.proxies.proxy_sessions);
+  EXPECT_EQ(got.session_qoe, want.session_qoe);
 }
 
-TEST(AnalyzeSpillTest, SessionSplitAcrossFilesMatchesDatasetOracle) {
-  workload::Scenario scenario = workload::test_scenario();
-  scenario.session_count = 40;
-  const engine::RunResult run = engine::run_simulation(scenario);
-  const double tau = run.catalog->chunk_duration_s();
+/// Hand-written two-file spill sets of one 40-session run.
+class AnalyzeSpillTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    workload::Scenario scenario = workload::test_scenario();
+    scenario.session_count = 40;
+    run_ = engine::run_simulation(scenario);
+    tau_ = run_.catalog->chunk_duration_s();
+    // One directory per test: ctest runs the tests as parallel processes.
+    dir_ = std::filesystem::temp_directory_path() /
+           (std::string("vstream_analyze_spill_") +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name());
+    std::filesystem::remove_all(dir_);
+    std::filesystem::create_directories(dir_);
+  }
+  void TearDown() override { std::filesystem::remove_all(dir_); }
 
-  const std::filesystem::path dir =
-      std::filesystem::temp_directory_path() /
-      ("vstream_analyze_spill_" +
-       std::to_string(::testing::UnitTest::GetInstance()->random_seed()));
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  const std::filesystem::path file0 = dir / "shard-0.vspill";
-  const std::filesystem::path file1 = dir / "shard-1.vspill";
-
-  // Sessions alternate between the two files, except that session group
-  // 2 is cut in half — its player side and first chunks in file 0, its
-  // CDN side and the remaining chunks in file 1 — and group 5 loses its
-  // CDN session record, so the drop counts are not all zero.
-  {
-    telemetry::SpillWriter w0(file0);
-    telemetry::SpillWriter w1(file1);
-    telemetry::DatasetGroupStream stream(run.dataset);
+  /// Session groups alternate between two files, and group 5 loses its
+  /// CDN session record, so the drop counts are not all zero.  When
+  /// `split_session` is set, that session is cut in half instead: its
+  /// player side and first chunks in file 0, its CDN side and the
+  /// remaining chunks in file 1.  Returns whether a session was split.
+  bool write_files(std::optional<std::uint64_t> split_session) {
+    telemetry::SpillWriter w0(dir_ / "shard-0.vspill");
+    telemetry::SpillWriter w1(dir_ / "shard-1.vspill");
+    telemetry::DatasetGroupStream stream(run_.dataset);
     std::size_t index = 0;
+    bool split = false;
     while (auto group = stream.next()) {
-      if (index == 2) {
+      if (split_session == group->session_id) {
+        split = true;
         const std::size_t pc = group->player_chunks.size() / 2;
         const std::size_t cc = group->cdn_chunks.size() / 2;
         const std::size_t ts = group->tcp_snapshots.size() / 2;
-        ASSERT_GT(pc, 0u);
         telemetry::SessionRecordGroup first;
         first.session_id = group->session_id;
         first.player_sessions = group->player_sessions;
@@ -99,23 +109,49 @@ TEST(AnalyzeSpillTest, SessionSplitAcrossFilesMatchesDatasetOracle) {
     }
     w0.close();
     w1.close();
+    return split;
   }
-  telemetry::SpillSet spill;
-  spill.add_file(file0);
-  spill.add_file(file1);
 
-  const StreamingAnalysis oracle = analyze_dataset(spill.load(), tau);
+  telemetry::SpillSet spill() const {
+    telemetry::SpillSet set;
+    set.add_file(dir_ / "shard-0.vspill");
+    set.add_file(dir_ / "shard-1.vspill");
+    return set;
+  }
+
+  engine::RunResult run_;
+  double tau_ = 0.0;
+  std::filesystem::path dir_;
+};
+
+TEST_F(AnalyzeSpillTest, SessionsSpreadOverFilesMatchDatasetOracle) {
+  write_files(std::nullopt);
+  const StreamingAnalysis oracle = analyze_dataset(spill().load(), tau_);
   EXPECT_EQ(oracle.dropped_incomplete, 1u);
-  EXPECT_EQ(oracle.sessions_joined + oracle.dropped_as_proxy, 39u)
-      << "the split session is joined whole";
+  EXPECT_EQ(oracle.sessions_joined + oracle.dropped_as_proxy, 39u);
 
   for (const std::size_t threads : {1, 4}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
-    const StreamingAnalysis streamed = analyze_spill(spill, tau, {}, threads);
+    const StreamingAnalysis streamed =
+        analyze_spill(spill(), tau_, {}, threads);
     EXPECT_FALSE(streamed.spill.corrupted());
     expect_same(streamed, oracle);
   }
-  std::filesystem::remove_all(dir);
+}
+
+TEST_F(AnalyzeSpillTest, SessionSplitAcrossFilesThrowsNamingIt) {
+  ASSERT_TRUE(write_files(2));
+  for (const std::size_t threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    try {
+      analyze_spill(spill(), tau_, {}, threads);
+      ADD_FAILURE() << "a session split across files must throw";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find("session 2 "),
+                std::string::npos)
+          << error.what();
+    }
+  }
 }
 
 }  // namespace

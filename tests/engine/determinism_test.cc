@@ -319,17 +319,39 @@ TEST(EngineDeterminismTest, SpillAnalysisMatchesBatchAnalysis) {
   EXPECT_EQ(r.rebuffer_rate_percent, batch_recovery.rebuffer_rate_percent);
 
   // analyze_dataset over the in-memory run agrees with analyze_spill over
-  // the spilled run on everything, including the recovery counts.
+  // the spilled run on everything, including the recovery counts and the
+  // per-session QoE rows, at one worker and at four.  The run has
+  // proxies, so the spill path's drop at finalize is exercised.
   const core::StreamingAnalysis in_memory =
       core::analyze_dataset(batch.run.dataset, tau);
-  EXPECT_EQ(in_memory.sessions_joined, streamed.sessions_joined);
-  EXPECT_EQ(in_memory.qoe.startup_ms.mean, streamed.qoe.startup_ms.mean);
-  EXPECT_EQ(in_memory.perf.chunks, streamed.perf.chunks);
-  EXPECT_EQ(in_memory.perf.scored_chunks, streamed.perf.scored_chunks);
-  EXPECT_EQ(in_memory.perf.mean_score, streamed.perf.mean_score);
-  EXPECT_EQ(in_memory.recovery.retries, streamed.recovery.retries);
-  EXPECT_EQ(in_memory.recovery.mean_recovery_ms,
-            streamed.recovery.mean_recovery_ms);
+  ASSERT_GT(in_memory.dropped_as_proxy, 0u);
+  for (const std::size_t threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const core::StreamingAnalysis spilled_analysis =
+        core::analyze_spill(spilled.spill, tau, {}, threads);
+    EXPECT_EQ(in_memory.proxies.proxy_sessions,
+              spilled_analysis.proxies.proxy_sessions);
+    EXPECT_EQ(in_memory.sessions_joined, spilled_analysis.sessions_joined);
+    EXPECT_EQ(in_memory.dropped_as_proxy, spilled_analysis.dropped_as_proxy);
+    EXPECT_EQ(in_memory.dropped_incomplete,
+              spilled_analysis.dropped_incomplete);
+    EXPECT_EQ(in_memory.qoe.sessions, spilled_analysis.qoe.sessions);
+    EXPECT_EQ(in_memory.qoe.startup_ms.mean,
+              spilled_analysis.qoe.startup_ms.mean);
+    EXPECT_EQ(in_memory.perf.chunks, spilled_analysis.perf.chunks);
+    EXPECT_EQ(in_memory.perf.scored_chunks,
+              spilled_analysis.perf.scored_chunks);
+    EXPECT_EQ(in_memory.perf.mean_score, spilled_analysis.perf.mean_score);
+    EXPECT_EQ(in_memory.recovery.sessions, spilled_analysis.recovery.sessions);
+    EXPECT_EQ(in_memory.recovery.retries, spilled_analysis.recovery.retries);
+    EXPECT_EQ(in_memory.recovery.mean_recovery_ms,
+              spilled_analysis.recovery.mean_recovery_ms);
+    EXPECT_EQ(in_memory.prefixes.size(), spilled_analysis.prefixes.size());
+    EXPECT_EQ(in_memory.session_qoe, spilled_analysis.session_qoe);
+    EXPECT_EQ(spilled_analysis.session_qoe.size(),
+              spilled_analysis.sessions_joined +
+                  spilled_analysis.dropped_as_proxy);
+  }
   std::filesystem::remove_all(dir);
 }
 
@@ -381,6 +403,7 @@ TEST(EngineDeterminismTest, ResumedRunIsBitIdenticalToUninterrupted) {
   const double tau = reference.catalog->chunk_duration_s();
   const core::StreamingAnalysis reference_analysis =
       core::analyze_dataset(reference.dataset, tau);
+  ASSERT_GT(reference_analysis.dropped_as_proxy, 0u);
 
   const std::filesystem::path dir = spill_scratch("resume");
   for (const std::size_t shards : {1, 2, 4}) {
@@ -412,17 +435,23 @@ TEST(EngineDeterminismTest, ResumedRunIsBitIdenticalToUninterrupted) {
     expect_equal_ground_truth(resumed.ground_truth, reference.ground_truth);
     expect_equal_server_stats(resumed.server_stats, reference.server_stats);
 
-    const core::StreamingAnalysis resumed_analysis =
-        core::analyze_spill(resumed.spill, tau);
-    EXPECT_EQ(resumed_analysis.sessions_joined,
-              reference_analysis.sessions_joined);
-    EXPECT_EQ(resumed_analysis.qoe.startup_ms.mean,
-              reference_analysis.qoe.startup_ms.mean);
-    EXPECT_EQ(resumed_analysis.perf.mean_score,
-              reference_analysis.perf.mean_score);
-    EXPECT_EQ(resumed_analysis.recovery.retries,
-              reference_analysis.recovery.retries);
-    EXPECT_FALSE(resumed_analysis.spill.corrupted()) << "shards=" << shards;
+    for (const std::size_t threads : {1, 4}) {
+      const core::StreamingAnalysis resumed_analysis =
+          core::analyze_spill(resumed.spill, tau, {}, threads);
+      EXPECT_EQ(resumed_analysis.sessions_joined,
+                reference_analysis.sessions_joined);
+      EXPECT_EQ(resumed_analysis.dropped_as_proxy,
+                reference_analysis.dropped_as_proxy);
+      EXPECT_EQ(resumed_analysis.qoe.startup_ms.mean,
+                reference_analysis.qoe.startup_ms.mean);
+      EXPECT_EQ(resumed_analysis.perf.mean_score,
+                reference_analysis.perf.mean_score);
+      EXPECT_EQ(resumed_analysis.recovery.retries,
+                reference_analysis.recovery.retries);
+      EXPECT_EQ(resumed_analysis.session_qoe, reference_analysis.session_qoe)
+          << "shards=" << shards << " threads=" << threads;
+      EXPECT_FALSE(resumed_analysis.spill.corrupted()) << "shards=" << shards;
+    }
   }
   std::filesystem::remove_all(dir);
 }
@@ -659,6 +688,7 @@ TEST(ThreadDeterminismTest, ParallelSpillAnalysisMatchesSerial) {
     EXPECT_EQ(parallel.recovery.retries, serial.recovery.retries);
     EXPECT_EQ(parallel.recovery.mean_recovery_ms,
               serial.recovery.mean_recovery_ms);
+    EXPECT_EQ(parallel.session_qoe, serial.session_qoe);
     ASSERT_EQ(parallel.prefixes.size(), serial.prefixes.size());
     for (std::size_t i = 0; i < serial.prefixes.size(); ++i) {
       EXPECT_EQ(parallel.prefixes[i].prefix, serial.prefixes[i].prefix);

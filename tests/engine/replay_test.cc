@@ -4,11 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <filesystem>
 #include <set>
 #include <sstream>
 #include <string>
 
 #include "analysis/attribution.h"
+#include "core/streaming.h"
 #include "engine/attribution.h"
 #include "engine/engine.h"
 #include "engine/replay.h"
@@ -174,17 +176,17 @@ TEST(AttributionMathTest, PenaltyWeighsAllThreeComponents) {
 }
 
 TEST(AttributionMathTest, WorstSessionsSortsByPenaltyDescending) {
-  std::vector<analysis::SessionQoe> qoes(4);
-  qoes[0].startup_ms = 1'000.0;
-  qoes[1].startup_ms = 9'000.0;
-  qoes[2].startup_ms = 5'000.0;
-  qoes[3].startup_ms = 9'000.0;  // tie with 1 -> lower index first
-  const auto worst = analysis::worst_sessions(qoes, 3);
+  std::vector<analysis::SessionQoeRow> rows(4);
+  rows[0].qoe.startup_ms = 1'000.0;
+  rows[1].qoe.startup_ms = 9'000.0;
+  rows[2].qoe.startup_ms = 5'000.0;
+  rows[3].qoe.startup_ms = 9'000.0;  // tie with 1 -> lower index first
+  const auto worst = analysis::worst_sessions(rows, 3);
   ASSERT_EQ(worst.size(), 3u);
   EXPECT_EQ(worst[0], 1u);
   EXPECT_EQ(worst[1], 3u);
   EXPECT_EQ(worst[2], 2u);
-  EXPECT_EQ(analysis::worst_sessions(qoes, 10).size(), 4u);
+  EXPECT_EQ(analysis::worst_sessions(rows, 10).size(), 4u);
 }
 
 TEST(AttributionMathTest, BlameFractionsSumToAtMostOne) {
@@ -314,6 +316,58 @@ TEST(AttributeWorstTest, ReportIsWellFormedAndBaselineExact) {
   }
   EXPECT_NE(doc.find("\"mean_blame\""), std::string::npos);
   EXPECT_NE(doc.find("\"residual\""), std::string::npos);
+}
+
+TEST(AttributeWorstTest, SpilledRowsMatchTheDatasetOverload) {
+  // A spilled run ranks the session_qoe rows analyze_spill folded; an
+  // in-memory run ranks its dataset's unfiltered join.  Same run, same
+  // report.
+  const workload::Scenario scenario = replay_scenario();
+  const engine::RunResult memory =
+      engine::run_simulation(scenario, stress_options());
+
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "vstream_replay_spilled_rows";
+  std::filesystem::remove_all(dir);
+  engine::RunOptions spill_options = stress_options();
+  spill_options.telemetry_spill_dir = dir.string();
+  const engine::RunResult spilled =
+      engine::run_simulation(scenario, spill_options);
+  ASSERT_TRUE(spilled.spilled());
+  const core::StreamingAnalysis streamed =
+      core::analyze_spill(spilled.spill, spilled.catalog->chunk_duration_s());
+  EXPECT_EQ(streamed.session_qoe.size(),
+            streamed.sessions_joined + streamed.dropped_as_proxy);
+
+  const engine::ReplayContext ctx(scenario, stress_options());
+  engine::AttributionOptions options;
+  options.worst_n = 5;
+  const analysis::AttributionReport from_rows =
+      engine::attribute_worst(ctx, streamed.session_qoe, options);
+  const analysis::AttributionReport from_dataset =
+      engine::attribute_worst(ctx, memory.dataset, options);
+
+  ASSERT_EQ(from_rows.sessions.size(), 5u);
+  EXPECT_EQ(from_rows.sessions_analyzed, from_dataset.sessions_analyzed);
+  ASSERT_EQ(from_rows.sessions.size(), from_dataset.sessions.size());
+  for (std::size_t i = 0; i < from_rows.sessions.size(); ++i) {
+    const analysis::SessionAttribution& a = from_rows.sessions[i];
+    const analysis::SessionAttribution& b = from_dataset.sessions[i];
+    EXPECT_EQ(a.session_id, b.session_id);
+    EXPECT_EQ(a.baseline_penalty, b.baseline_penalty);
+    EXPECT_TRUE(a.baseline_matches) << "session " << a.session_id;
+    EXPECT_EQ(a.baseline_matches, b.baseline_matches);
+    EXPECT_EQ(a.residual, b.residual);
+    for (std::size_t k = 0; k < cdn::kIdealizedSubsystemCount; ++k) {
+      EXPECT_EQ(a.ideal_penalty[k], b.ideal_penalty[k]);
+      EXPECT_EQ(a.blame[k], b.blame[k]);
+    }
+  }
+  std::ostringstream json_rows, json_dataset;
+  analysis::write_attribution_json(json_rows, from_rows);
+  analysis::write_attribution_json(json_dataset, from_dataset);
+  EXPECT_EQ(json_rows.str(), json_dataset.str());
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -171,8 +171,8 @@ for s in sessions:
     assert set(s['ideal_penalty']) == subsystems
     total = sum(s['blame'].values())
     assert 0.0 <= total <= 1.0 + 1e-9, (s['session_id'], total)
-    # The JSON rounds to 6 significant digits, so the complement check
-    # needs slack beyond the per-field rounding noise.
+    # The JSON writes doubles at max_digits10, so each field round-trips;
+    # the slack covers the rounding of the sum itself.
     assert abs(total + s['residual'] - 1.0) <= 1e-5 or s['baseline_penalty'] == 0
     assert s['replay_matches_baseline'] is True, s['session_id']
 print('    BENCH_attribution.json OK (5 sessions, blame sums <= 1)')

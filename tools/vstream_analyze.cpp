@@ -43,11 +43,11 @@
 #include <cstdlib>
 #include <exception>
 #include <filesystem>
-#include <fstream>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "cli_report.h"
 #include "analysis/aggregate.h"
 #include "analysis/attribution.h"
 #include "analysis/detectors.h"
@@ -58,7 +58,6 @@
 #include "engine/replay.h"
 #include "faults/fault_schedule.h"
 #include "sim/env_util.h"
-#include "sim/host_error.h"
 #include "telemetry/export.h"
 #include "telemetry/join.h"
 #include "telemetry/proxy_filter.h"
@@ -134,21 +133,8 @@ int run_attribution(const telemetry::Dataset& data,
   attr_options.worst_n = worst_n;
   const analysis::AttributionReport report =
       engine::attribute_worst(replay_ctx, data, attr_options);
-
-  core::print_header("worst-session attribution (counterfactual replay)");
-  core::print_metric("sessions_attributed",
-                     static_cast<double>(report.sessions.size()));
-  core::Table blame({"subsystem", "mean blame"});
-  for (std::size_t i = 0; i < cdn::kIdealizedSubsystemCount; ++i) {
-    blame.add_row({cdn::idealization_name(cdn::kIdealizedSubsystems[i]),
-                   core::fmt(report.mean_blame(i), 3)});
-  }
-  blame.add_row({"(residual)", core::fmt(report.mean_residual(), 3)});
-  blame.print();
-  std::size_t replay_mismatches = 0;
-  for (const analysis::SessionAttribution& s : report.sessions) {
-    if (!s.baseline_matches) ++replay_mismatches;
-  }
+  const std::size_t replay_mismatches =
+      tools::print_attribution(report, out_path);
   if (replay_mismatches > 0) {
     std::fprintf(stderr,
                  "warning: %zu factual replays diverged from the measured "
@@ -156,14 +142,6 @@ int run_attribution(const telemetry::Dataset& data,
                  "run that produced it?\n",
                  replay_mismatches);
   }
-
-  std::ofstream json_out(out_path);
-  if (!json_out) {
-    throw sim::HostIoError("attribution: cannot open " + out_path +
-                           " for writing");
-  }
-  analysis::write_attribution_json(json_out, report);
-  std::printf("\nwrote attribution report to %s\n", out_path.c_str());
   return core::kExitOk;
 }
 
@@ -253,18 +231,7 @@ int run_tool(int argc, char** argv) {
   core::print_metric("player_sessions", static_cast<double>(data.player_sessions.size()));
   core::print_metric("player_chunks", static_cast<double>(data.player_chunks.size()));
   core::print_metric("tcp_snapshots", static_cast<double>(data.tcp_snapshots.size()));
-  if (spill_stats.corrupted()) {
-    core::print_header("spill recovery (corruption detected)");
-    core::print_metric("blocks_ok", static_cast<double>(spill_stats.blocks_ok));
-    core::print_metric("blocks_skipped",
-                       static_cast<double>(spill_stats.blocks_skipped));
-    core::print_metric("bytes_salvaged",
-                       static_cast<double>(spill_stats.bytes_salvaged));
-    core::print_metric("bytes_skipped",
-                       static_cast<double>(spill_stats.bytes_skipped));
-    core::print_metric("torn_tail_bytes",
-                       static_cast<double>(spill_stats.torn_tail_bytes));
-  }
+  if (spill_stats.corrupted()) tools::print_spill_recovery(spill_stats);
 
   if (attribution) {
     const int status = run_attribution(data, scenario, std::move(faults),

@@ -50,12 +50,13 @@
 #include <cstdlib>
 #include <cstring>
 #include <exception>
-#include <fstream>
 #include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
+#include <vector>
 
+#include "cli_report.h"
 #include "analysis/attribution.h"
 #include "analysis/qoe.h"
 #include "core/exit_codes.h"
@@ -67,7 +68,6 @@
 #include "faults/fault_schedule.h"
 #include "runtime/executor.h"
 #include "sim/env_util.h"
-#include "sim/host_error.h"
 #include "telemetry/export.h"
 #include "telemetry/join.h"
 #include "telemetry/proxy_filter.h"
@@ -220,33 +220,26 @@ int run_tool(int argc, char** argv) {
   }
   int exit_code = core::kExitOk;
 
-  // Spilled runs analyze incrementally from disk (core::analyze_spill);
+  // Spilled runs analyze incrementally from disk (core::analyze_spill),
+  // which also yields every session's QoE for the attribution ranking;
   // in-memory runs join the merged dataset with JoinedDataset::build.
   // Both feed the same per-session join and yield the same numbers (see
   // tests/engine/determinism_test.cc).
   analysis::QoeAggregate qoe;
   std::size_t dropped_as_proxy = 0;
+  std::vector<analysis::SessionQoeRow> spilled_sessions;
   if (run.spilled()) {
-    const core::StreamingAnalysis streamed = core::analyze_spill(
+    core::StreamingAnalysis streamed = core::analyze_spill(
         run.spill, run.catalog->chunk_duration_s(), {}, run.thread_count);
     qoe = streamed.qoe;
     dropped_as_proxy = streamed.dropped_as_proxy;
+    spilled_sessions = std::move(streamed.session_qoe);
     if (streamed.spill.corrupted()) {
       // Damaged spill data is salvaged, not fatal — but say so out loud
       // and exit with the documented salvage-incomplete status so a
       // script knows the numbers cover a subset.
       exit_code = core::kExitSalvageIncomplete;
-      core::print_header("spill recovery (corruption detected)");
-      core::print_metric("blocks_ok",
-                         static_cast<double>(streamed.spill.blocks_ok));
-      core::print_metric("blocks_skipped",
-                         static_cast<double>(streamed.spill.blocks_skipped));
-      core::print_metric("bytes_salvaged",
-                         static_cast<double>(streamed.spill.bytes_salvaged));
-      core::print_metric("bytes_skipped",
-                         static_cast<double>(streamed.spill.bytes_skipped));
-      core::print_metric("torn_tail_bytes",
-                         static_cast<double>(streamed.spill.torn_tail_bytes));
+      tools::print_spill_recovery(streamed.spill);
     }
   } else {
     const telemetry::ProxyFilterResult proxies =
@@ -301,48 +294,25 @@ int run_tool(int argc, char** argv) {
 
   if (attribute_worst_n > 0) {
     // Counterfactual attribution: replay the worst-N sessions once per
-    // idealized subsystem and report who is to blame.  Spilled runs
-    // materialize the dataset first (the worst-N selection needs it).
-    const telemetry::Dataset& baseline =
-        run.spilled()
-            ? (run.dataset = run.spill.load(nullptr, run.thread_count),
-               run.dataset)
-            : run.dataset;
+    // idealized subsystem and report who is to blame.  A spilled run ranks
+    // the sessions analyze_spill already folded; nothing is reloaded.
     const engine::ReplayContext replay_ctx(scenario, replay_options);
     engine::AttributionOptions attr_options;
     attr_options.worst_n = attribute_worst_n;
     attr_options.threads = run.thread_count;
     const analysis::AttributionReport report =
-        engine::attribute_worst(replay_ctx, baseline, attr_options);
-
-    core::print_header("worst-session attribution (counterfactual replay)");
-    core::print_metric("sessions_attributed",
-                       static_cast<double>(report.sessions.size()));
-    core::Table blame({"subsystem", "mean blame"});
-    for (std::size_t i = 0; i < cdn::kIdealizedSubsystemCount; ++i) {
-      blame.add_row({cdn::idealization_name(cdn::kIdealizedSubsystems[i]),
-                     core::fmt(report.mean_blame(i), 3)});
-    }
-    blame.add_row({"(residual)", core::fmt(report.mean_residual(), 3)});
-    blame.print();
-    std::size_t replay_mismatches = 0;
-    for (const analysis::SessionAttribution& s : report.sessions) {
-      if (!s.baseline_matches) ++replay_mismatches;
-    }
+        run.spilled()
+            ? engine::attribute_worst(replay_ctx, spilled_sessions,
+                                      attr_options)
+            : engine::attribute_worst(replay_ctx, run.dataset, attr_options);
+    const std::size_t replay_mismatches =
+        tools::print_attribution(report, attribution_out);
     if (replay_mismatches > 0) {
       std::fprintf(stderr,
                    "warning: %zu factual replays diverged from the measured "
                    "run; blame numbers are suspect\n",
                    replay_mismatches);
     }
-
-    std::ofstream json_out(attribution_out);
-    if (!json_out) {
-      throw sim::HostIoError("attribution: cannot open " + attribution_out +
-                             " for writing");
-    }
-    analysis::write_attribution_json(json_out, report);
-    std::printf("\nwrote attribution report to %s\n", attribution_out.c_str());
   }
 
   if (!out_dir.empty()) {
