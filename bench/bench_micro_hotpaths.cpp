@@ -1,9 +1,9 @@
 // google-benchmark microbenchmarks of the simulator's hot paths: the event
 // loop, the serve path, the warm-archive build, tcp_info sampling, the
-// offline join, CSV export, cache operations per eviction policy, TCP chunk
-// transfers, a TCP round's random draws (normal and log-normal variates,
-// RTT samples, random-loss counts), Zipf sampling and the statistical
-// kernels.
+// offline join, CSV export and its double formatter, cache operations per
+// eviction policy, TCP chunk transfers, a TCP round's random draws (normal
+// and log-normal variates, RTT samples, random-loss counts), Zipf sampling
+// and the statistical kernels.
 //
 // The custom main() additionally times one end-to-end paper workload and
 // writes every measured rate to BENCH_hotpaths.json (bench_json.h) so the
@@ -12,6 +12,8 @@
 
 #include <chrono>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "analysis/detectors.h"
 #include "analysis/stats.h"
@@ -30,6 +32,7 @@
 #include "sim/zipf.h"
 #include "telemetry/collector.h"
 #include "telemetry/export.h"
+#include "telemetry/fast_format.h"
 #include "telemetry/join.h"
 #include "workload/catalog.h"
 #include "workload/scenario.h"
@@ -395,6 +398,35 @@ void BM_ExportCsv(benchmark::State& state) {
                           static_cast<std::int64_t>(rows));
 }
 BENCHMARK(BM_ExportCsv)->Arg(64);
+
+/// append_double_g6 over a mix shaped like the CSV's doubles: srtt and
+/// rttvar (ms), snapshot timestamps (ms since session start) and delays,
+/// one item per formatted field (ns per field = 1e9 / items/s).
+void BM_AppendDoubleG6(benchmark::State& state) {
+  sim::Rng rng(6);
+  std::vector<double> values(4096);
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    const double medians[4] = {60.0, 8.0, 200'000.0, 5.0};
+    const double sigmas[4] = {0.8, 1.2, 1.5, 2.0};
+    values[i] = rng.lognormal_median(medians[i % 4], sigmas[i % 4]);
+  }
+  std::ostringstream out;
+  for (auto _ : state) {
+    out.str(std::string());
+    {
+      telemetry::WriteBuffer buf(out);
+      for (const double v : values) {
+        buf.append_double_g6(v);
+        buf.append(',');
+      }
+    }
+    benchmark::DoNotOptimize(out.tellp());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(values.size()));
+}
+BENCHMARK(BM_AppendDoubleG6);
 
 /// Display reporter that captures every run for the JSON emitter and
 /// forwards everything to the reporter --benchmark_format selects.

@@ -40,9 +40,7 @@ void TcpConnection::on_loss() {
   if (config_.congestion_control == CongestionControl::kCubic) {
     // CUBIC multiplicative decrease: remember where the loss happened and
     // back off by beta; the cubic curve then climbs back toward W_max.
-    cubic_wmax_ = static_cast<double>(cwnd_);
-    cubic_epoch_ms_ = 0.0;
-    cubic_epoch_rounds_ = 0;
+    set_cubic_wmax(static_cast<double>(cwnd_));
     ssthresh_ = std::max(
         2u, static_cast<std::uint32_t>(config_.cubic_beta * cwnd_));
     cwnd_ = ssthresh_;
@@ -52,6 +50,13 @@ void TcpConnection::on_loss() {
   // per loss round and leave slow start.
   ssthresh_ = std::max(2u, cwnd_ / 2);
   cwnd_ = ssthresh_;
+}
+
+void TcpConnection::set_cubic_wmax(double wmax) {
+  cubic_wmax_ = wmax;
+  cubic_k_ = std::cbrt(wmax * (1.0 - config_.cubic_beta) / config_.cubic_c);
+  cubic_epoch_ms_ = 0.0;
+  cubic_epoch_rounds_ = 0;
 }
 
 void TcpConnection::grow_window(sim::Ms round_ms) {
@@ -64,9 +69,7 @@ void TcpConnection::grow_window(sim::Ms round_ms) {
       if (config_.congestion_control == CongestionControl::kCubic &&
           cubic_wmax_ < static_cast<double>(cwnd_)) {
         // Treat the HyStart exit point as the curve's anchor.
-        cubic_wmax_ = static_cast<double>(cwnd_);
-        cubic_epoch_ms_ = 0.0;
-        cubic_epoch_rounds_ = 0;
+        set_cubic_wmax(static_cast<double>(cwnd_));
       }
     } else {
       cwnd_ = std::min(config_.max_cwnd, cwnd_ * 2);
@@ -76,16 +79,14 @@ void TcpConnection::grow_window(sim::Ms round_ms) {
 
   if (config_.congestion_control == CongestionControl::kCubic &&
       cubic_wmax_ > 0.0) {
-    // RFC 8312: W(t) = C*(t-K)^3 + W_max with K = cbrt(W_max*(1-beta)/C),
-    // t advancing with congestion-avoidance time; never below the
-    // TCP-friendly Reno-equivalent estimate.
+    // RFC 8312: W(t) = C*(t-K)^3 + W_max, t advancing with
+    // congestion-avoidance time; never below the TCP-friendly
+    // Reno-equivalent estimate.
     cubic_epoch_ms_ += std::max(round_ms, 0.0);
     ++cubic_epoch_rounds_;
     const double t_s = sim::to_seconds(cubic_epoch_ms_);
-    const double k = std::cbrt(cubic_wmax_ * (1.0 - config_.cubic_beta) /
-                               config_.cubic_c);
-    const double w_cubic =
-        config_.cubic_c * (t_s - k) * (t_s - k) * (t_s - k) + cubic_wmax_;
+    const double dt = t_s - cubic_k_;
+    const double w_cubic = config_.cubic_c * dt * dt * dt + cubic_wmax_;
     const double w_friendly =
         cubic_wmax_ * config_.cubic_beta +
         3.0 * (1.0 - config_.cubic_beta) / (1.0 + config_.cubic_beta) *

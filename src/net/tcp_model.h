@@ -127,6 +127,8 @@ class TcpConnection {
   void observe_rtt(sim::Ms sample_ms);
   void on_loss();
   void grow_window(sim::Ms round_ms);
+  /// Anchor the cubic curve at `wmax` and restart its epoch.
+  void set_cubic_wmax(double wmax);
 
   TcpConfig config_;
   PathModel path_;
@@ -142,10 +144,12 @@ class TcpConnection {
   std::uint64_t segments_out_ = 0;
   std::uint64_t bytes_acked_ = 0;
 
-  // CUBIC state: window at the last loss, congestion-avoidance time since
-  // it (the `t` of the cubic curve), and CA rounds for the TCP-friendly
-  // lower bound.
+  // CUBIC state: window at the last loss, the curve's K =
+  // cbrt(W_max*(1-beta)/C) (taken once per anchor, not per round),
+  // congestion-avoidance time since the loss (the `t` of the cubic curve),
+  // and CA rounds for the TCP-friendly lower bound.
   double cubic_wmax_ = 0.0;
+  double cubic_k_ = 0.0;
   sim::Ms cubic_epoch_ms_ = 0.0;
   std::uint64_t cubic_epoch_rounds_ = 0;
 };

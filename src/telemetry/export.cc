@@ -6,7 +6,6 @@
 #include <fstream>
 #include <iterator>
 #include <optional>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -184,11 +183,12 @@ std::size_t window_ranges(const runtime::Executor* executor) {
 /// The one CSV writer behind export_dataset() and export_stream().  The
 /// constructor opens all five files and writes their headers; every
 /// write() appends a Dataset's rows; close() flushes and checks each
-/// file.  write() cuts every stream into kExportRangeRows-row ranges,
-/// formats a window of them into their own buffers (in parallel on a
-/// multi-worker executor), then writes them in file order on the calling
-/// thread: the bytes match a serial loop, and the formatted-but-unwritten
-/// text stays within one window.
+/// file.  write() cuts every stream into kExportRangeRows-row ranges and
+/// formats a window of them into their own strings (in parallel on a
+/// multi-worker executor) while one more task of the same run writes the
+/// previous window's strings in file order: the bytes match a serial
+/// loop, the pool keeps formatting during the writes, and the text alive
+/// stays within two windows.
 class CsvWriter {
  public:
   explicit CsvWriter(const std::filesystem::path& directory) {
@@ -231,39 +231,49 @@ class CsvWriter {
         },
         data);
 
+    // Window w is formatted into text while task 0 of the same run writes
+    // window w - 1 from written, in file order; the last window is written
+    // after the loop.  The strings keep their capacity from window to
+    // window, so at most two windows of text are alive.
     const bool parallel = executor != nullptr && executor->workers() > 1;
     const std::size_t window = window_ranges(executor);
     std::vector<std::string> text(std::min(window, ranges.size()));
+    std::vector<std::string> written(text.size());
+    std::size_t written_base = 0;
+    std::size_t written_count = 0;
+    const auto write_previous = [&] {
+      for (std::size_t k = 0; k < written_count; ++k) {
+        out_[ranges[written_base + k].file].write(
+            written[k].data(), static_cast<std::streamsize>(written[k].size()));
+      }
+    };
     for (std::size_t base = 0; base < ranges.size(); base += window) {
       const std::size_t count = std::min(window, ranges.size() - base);
-      const auto format = [&](std::size_t k) {
-        const Range& range = ranges[base + k];
-        std::ostringstream stream;
-        {
-          WriteBuffer buf(stream);
-          for_each_stream(
-              [&](std::size_t f, const auto& records) {
-                if (f != range.file) return;
-                for (std::size_t i = range.begin; i < range.end; ++i) {
-                  append_csv_row(buf, records[i]);
-                }
-              },
-              data);
-        }
-        text[k] = std::move(stream).str();
+      const auto task = [&](std::size_t t) {
+        if (t == 0) return write_previous();
+        const Range& range = ranges[base + t - 1];
+        std::string& out = text[t - 1];
+        out.clear();
+        WriteBuffer buf(out);
+        for_each_stream(
+            [&](std::size_t f, const auto& records) {
+              if (f != range.file) return;
+              for (std::size_t i = range.begin; i < range.end; ++i) {
+                append_csv_row(buf, records[i]);
+              }
+            },
+            data);
       };
       if (parallel) {
-        executor->parallel_for(count, format, nullptr, "export");
+        executor->parallel_for(count + 1, task, nullptr, "export");
       } else {
-        for (std::size_t k = 0; k < count; ++k) format(k);
+        for (std::size_t t = 0; t <= count; ++t) task(t);
       }
-      for (std::size_t k = 0; k < count; ++k) {
-        std::ofstream& out = out_[ranges[base + k].file];
-        out.write(text[k].data(),
-                  static_cast<std::streamsize>(text[k].size()));
-        text[k] = std::string();
-      }
+      text.swap(written);
+      written_base = base;
+      written_count = count;
     }
+    write_previous();
     for (std::size_t f = 0; f < kStreamCount; ++f) {
       if (out_[f].bad()) {
         throw sim::HostIoError("csv: error writing " + path_[f].string());

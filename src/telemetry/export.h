@@ -53,17 +53,18 @@ template <typename Rec>
 std::vector<Rec> read_csv(std::istream& in);
 
 /// Rows per range of the CSV writer: each range of a stream is formatted
-/// into its own buffer (about 0.8 MiB of tcp_snapshots text).
+/// into its own string (about 0.8 MiB of tcp_snapshots text).
 inline constexpr std::size_t kExportRangeRows = 8192;
 
 /// Write all five streams into `directory` (created if missing) as
 /// player_sessions.csv, cdn_sessions.csv, player_chunks.csv,
 /// cdn_chunks.csv, tcp_snapshots.csv.  Each stream is cut into ranges of
 /// kExportRangeRows rows, formatted a window of two ranges per worker at
-/// a time (in parallel when `executor` has more than one worker) and
-/// written in file order by the calling thread; the formatted-but-
-/// unwritten text never exceeds one window, and the bytes of every file
-/// are identical either way.  A failed open or short write (full disk,
+/// a time (in parallel when `executor` has more than one worker); one
+/// task of each window's run writes the previous window in file order,
+/// on whichever worker takes it, so the writes overlap the formatting.
+/// The text alive never exceeds two windows, and the bytes of every file
+/// are identical at any worker count.  A failed open or short write (full disk,
 /// or the export.open/export.write failpoints) throws sim::HostIoError —
 /// a truncated CSV never goes unreported.
 void export_dataset(const Dataset& data,

@@ -67,20 +67,34 @@ sim::Ms JoinedSession::duration_ms() const {
 
 namespace {
 
+/// std::sort(items, less), skipped when `items` are already strictly
+/// increasing — as engine output almost always is.  Equal neighbours still
+/// take the sort: std::sort may reorder equal elements, and the result
+/// must not depend on whether it ran.
+template <typename T, typename Less>
+void sort_unless_increasing(std::vector<T>& items, Less less) {
+  if (std::adjacent_find(items.begin(), items.end(),
+                         [&](const T& a, const T& b) { return !less(a, b); }) !=
+      items.end()) {
+    std::sort(items.begin(), items.end(), less);
+  }
+}
+
 /// The last step of StreamingJoiner::join: sort chunks into chunk-id order
 /// and snapshots into time order, attach each chunk's last tcp_info
 /// snapshot, and derive the per-chunk retransmission/segment deltas from
 /// the cumulative connection counters.  `session.chunks`/`session.snapshots`
 /// must be populated (any order); pointers are left untouched.
 void finalize_joined_session(JoinedSession& session) {
-  std::sort(session.chunks.begin(), session.chunks.end(),
-            [](const JoinedChunk& a, const JoinedChunk& b) {
-              return a.player->chunk_id < b.player->chunk_id;
-            });
-  std::sort(session.snapshots.begin(), session.snapshots.end(),
-            [](const TcpSnapshotRecord* a, const TcpSnapshotRecord* b) {
-              return a->at_ms < b->at_ms;
-            });
+  sort_unless_increasing(session.chunks,
+                         [](const JoinedChunk& a, const JoinedChunk& b) {
+                           return a.player->chunk_id < b.player->chunk_id;
+                         });
+  sort_unless_increasing(
+      session.snapshots,
+      [](const TcpSnapshotRecord* a, const TcpSnapshotRecord* b) {
+        return a->at_ms < b->at_ms;
+      });
 
   // "Last snapshot of chunk": the last snapshot in time order with the
   // chunk's id, found in one pass over the snapshots.  Each snapshot is

@@ -521,11 +521,25 @@ TEST(ExportTest, ParallelRangesMatchSerialExportByteForByte) {
       std::filesystem::temp_directory_path() / "vstream_export_ranges";
   runtime::Executor executor(4);
   constexpr std::size_t kRange = kExportRangeRows;
+  std::vector<std::pair<std::string, Dataset>> cases;
   for (const std::size_t rows :
        {std::size_t{0}, std::size_t{1}, kRange - 1, kRange, kRange + 1,
         5 * kRange + 17}) {
-    SCOPED_TRACE("rows = " + std::to_string(rows));
-    const Dataset d = dataset_with_rows(rows);
+    cases.emplace_back("rows = " + std::to_string(rows),
+                       dataset_with_rows(rows));
+  }
+  // A 4-worker window is 8 ranges.  Exactly one window: its text is
+  // written only after the last format run.  One window plus one range:
+  // the second run writes the first window while formatting one range.
+  {
+    Dataset d = dataset_with_rows(2 * kRange);  // 2 ranges per stream
+    d.player_sessions.resize(kRange);
+    cases.emplace_back("one window plus one range (9 ranges)", d);
+    d.cdn_sessions.resize(kRange / 2);
+    cases.emplace_back("exactly one window (8 ranges)", d);
+  }
+  for (const auto& [name, d] : cases) {
+    SCOPED_TRACE(name);
     std::filesystem::remove_all(root);
     export_dataset(d, root / "serial");
     export_dataset(d, root / "parallel", &executor);

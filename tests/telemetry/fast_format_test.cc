@@ -109,6 +109,130 @@ TEST(FastFormatTest, DoubleMatchesOstreamOnRandomBitPatterns) {
   }
 }
 
+// ---- the fixed-point fast path against printf %.6g
+//
+// append_double_g6 rounds |v| in [1e-4, 1e6) to six digits in double
+// arithmetic and leaves near-ties and decade carries to std::to_chars.
+// These sweeps aim at exactly those edges, on both signs.
+
+/// Formats through a WriteBuffer on a std::string and compares with
+/// snprintf; reports the first few mismatches and counts the rest.
+class PrintfOracle {
+ public:
+  void check(double v) {
+    check_one(v);
+    check_one(-v);
+  }
+  /// `v` and its `ulps` neighbours on either side.
+  void check_around(double v, int ulps) {
+    for (int i = 0; i < ulps; ++i) v = std::nextafter(v, 0.0);
+    for (int i = 0; i <= 2 * ulps; ++i) {
+      check(v);
+      v = std::nextafter(v, std::numeric_limits<double>::infinity());
+    }
+  }
+  std::size_t checked() const { return checked_; }
+  ~PrintfOracle() { EXPECT_EQ(mismatches_, 0u) << "of " << checked_; }
+
+ private:
+  void check_one(double v) {
+    text_.clear();
+    {
+      WriteBuffer buf(text_);
+      buf.append_double_g6(v);
+    }
+    char ref[64];
+    std::snprintf(ref, sizeof(ref), "%.6g", v);
+    ++checked_;
+    if (text_ != ref && ++mismatches_ <= 10) {
+      ADD_FAILURE() << std::hexfloat << v << ": got " << text_ << ", printf "
+                    << ref;
+    }
+  }
+  std::string text_;
+  std::size_t checked_ = 0;
+  std::size_t mismatches_ = 0;
+};
+
+/// 10^e for e in [-6, 8], the nearest double for negative e.
+double pow10(int e) {
+  return e >= 0 ? std::pow(10.0, e) : 1.0 / std::pow(10.0, -e);
+}
+
+TEST(FastFormatTest, DoubleMatchesPrintfAroundRoundingTies) {
+  // The six-digit ties of each decade [10^e, 10^(e+1)) for e in [-5, 6]
+  // are (m + 0.5) * 10^(e-5), m in [1e5, 1e6): check the double nearest
+  // each sampled tie and its one-ulp neighbours.
+  PrintfOracle oracle;
+  std::mt19937_64 gen(8312);
+  std::uniform_int_distribution<int> mantissa(100000, 999999);
+  for (int e = -5; e <= 6; ++e) {
+    for (int i = 0; i < 20000; ++i) {
+      const int m = i == 0 ? 100000 : i == 1 ? 999999 : mantissa(gen);
+      const double scale = pow10(5 - e);  // exact for e <= 5
+      const double tie = e <= 5 ? (m + 0.5) / scale : (m + 0.5) * 10.0;
+      oracle.check_around(tie, 1);
+    }
+  }
+  EXPECT_EQ(oracle.checked(), 12u * 20000u * 3u * 2u);
+}
+
+TEST(FastFormatTest, DoubleMatchesPrintfAroundPowersOfTen) {
+  PrintfOracle oracle;
+  for (int e = -6; e <= 8; ++e) oracle.check_around(pow10(e), 4);
+}
+
+TEST(FastFormatTest, DoubleMatchesPrintfWhereRoundingCarriesADecade) {
+  // 9.999995 * 10^e rounds up into the next decade (9.999996 -> "10",
+  // 999999.7 -> "1e+06"); the fast path must hand these to to_chars.
+  PrintfOracle oracle;
+  for (const double v : {9.999995, 99999.95, 999999.5, 9.999996, 999999.7,
+                         0.000999999, 0.00999995, 99.99995}) {
+    oracle.check_around(v, 3);
+  }
+  for (int e = -5; e <= 5; ++e) {
+    oracle.check_around(9.999995 * pow10(e), 3);
+    oracle.check_around(9.9999949 * pow10(e), 1);
+    oracle.check_around(9.9999951 * pow10(e), 1);
+  }
+}
+
+TEST(FastFormatTest, DoubleMatchesPrintfOnTelemetryShapedLognormals) {
+  // The shapes of the CSV's doubles: srtt and rttvar (ms), snapshot and
+  // chunk timestamps (ms since session start), first-byte and wait delays.
+  PrintfOracle oracle;
+  std::mt19937_64 gen(1607'01172);
+  std::lognormal_distribution<double> srtt(std::log(60.0), 0.8);
+  std::lognormal_distribution<double> rttvar(std::log(8.0), 1.2);
+  std::lognormal_distribution<double> at_ms(std::log(200'000.0), 1.5);
+  std::lognormal_distribution<double> delay(std::log(5.0), 2.0);
+  for (int i = 0; i < 125'000; ++i) {
+    oracle.check(srtt(gen));
+    oracle.check(rttvar(gen));
+    oracle.check(at_ms(gen));
+    oracle.check(delay(gen));
+  }
+  EXPECT_EQ(oracle.checked(), 1'000'000u);
+}
+
+TEST(FastFormatTest, StringSinkAppendsAfterExistingText) {
+  std::string text = "header\n";
+  std::string expected = text;
+  {
+    WriteBuffer buf(text);
+    for (int i = 0; i < 20000; ++i) {  // several growths
+      buf.append_u64(static_cast<std::uint64_t>(i));
+      buf.append(',');
+      buf.append_double_g6(i / 8.0);
+      buf.append('\n');
+      std::ostringstream row;
+      row << i << ',' << i / 8.0 << '\n';
+      expected += row.str();
+    }
+  }
+  EXPECT_EQ(text, expected);
+}
+
 TEST(FastFormatTest, U64MatchesToString) {
   std::ostringstream out;
   {

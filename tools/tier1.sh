@@ -75,8 +75,9 @@ VSTREAM_SHARDS=4 VSTREAM_THREADS=4 TSAN_OPTIONS=halt_on_error=1 \
   "$tsan_dir/tests/test_engine"
 
 echo "==> tier-1: TSan telemetry suite (4 workers)"
-# The parallel export formats row ranges on pool workers while the
-# calling thread writes the files; its tests run a 4-worker executor,
+# The parallel export formats row ranges on pool workers while one task
+# of the same run, on whichever worker takes it, writes the previous
+# window to the files; its tests run a 4-worker executor,
 # and VSTREAM_THREADS=4 covers the engine runs the suite starts.  The
 # parallel SpillSet::load (one index/count task and one decode task per
 # file, moving records into shared pre-sized outputs) runs at 4 workers
@@ -110,9 +111,10 @@ import json, sys
 with open('$build_dir/BENCH_hotpaths.json') as f:
     doc = json.load(f)
 names = list(doc['metrics'])
-# A TCP round's random draws: each must be measured.
+# A TCP round's random draws and the CSV double formatter: each must be
+# measured.
 for want in ('BM_StandardNormal', 'BM_LognormalMedian', 'BM_PathSampleRtt',
-             'BM_RandomLosses'):
+             'BM_RandomLosses', 'BM_AppendDoubleG6'):
     if not any(n == want or n.startswith(want + '_') for n in names):
         sys.exit('tier-1: BENCH_hotpaths.json lacks ' + want)
 print(len(names))
@@ -145,6 +147,22 @@ done
   >/dev/null
 spill_bytes=$(du -sb "$spill_work/spill-dir" | cut -f1)
 echo "    spill CSVs byte-identical to in-memory ($spill_bytes B of spill files)"
+
+echo "==> tier-1: export thread smoke (byte-identical CSVs at 1 and 4 threads)"
+# The 4-thread export formats windows of row ranges on the pool while one
+# task of each window writes the previous window; every file must match
+# the single-threaded export byte for byte.  200 sessions make 9 ranges
+# (35k snapshot rows), so the second window's run writes the first.
+export_work="$build_dir/tier1-export-smoke"
+rm -rf "$export_work"
+for t in 1 4; do
+  "$build_dir/tools/vstream-sim" --sessions 200 --seed 11 --threads "$t" \
+    --out "$export_work/t$t" >/dev/null
+done
+for f in player_sessions cdn_sessions player_chunks cdn_chunks tcp_snapshots; do
+  cmp "$export_work/t1/$f.csv" "$export_work/t4/$f.csv"
+done
+echo "    CSVs byte-identical at --threads 1 and 4"
 
 echo "==> tier-1: attribution smoke (counterfactual replay, worst-5 blame)"
 attr_work="$build_dir/tier1-attr-smoke"
