@@ -211,9 +211,10 @@ class CsvWriter {
         none);
   }
 
-  /// Append every row of `data`.  Throws sim::HostIoError as soon as a
-  /// file's stream has failed (a short write latches badbit even while
-  /// rows are still buffered), so a full disk stops the export early.
+  /// Append every row of `data`.  Throws sim::HostIoError after the
+  /// first window whose write leaves a file's stream failed (a short
+  /// write latches badbit even while rows are still buffered), so a full
+  /// disk stops the export early.
   void write(const Dataset& data, runtime::Executor* executor) {
     struct Range {
       std::size_t file;
@@ -241,6 +242,13 @@ class CsvWriter {
     std::vector<std::string> written(text.size());
     std::size_t written_base = 0;
     std::size_t written_count = 0;
+    const auto throw_if_failed = [&] {
+      for (std::size_t f = 0; f < kStreamCount; ++f) {
+        if (out_[f].bad()) {
+          throw sim::HostIoError("csv: error writing " + path_[f].string());
+        }
+      }
+    };
     const auto write_previous = [&] {
       for (std::size_t k = 0; k < written_count; ++k) {
         out_[ranges[written_base + k].file].write(
@@ -272,13 +280,10 @@ class CsvWriter {
       text.swap(written);
       written_base = base;
       written_count = count;
+      throw_if_failed();
     }
     write_previous();
-    for (std::size_t f = 0; f < kStreamCount; ++f) {
-      if (out_[f].bad()) {
-        throw sim::HostIoError("csv: error writing " + path_[f].string());
-      }
-    }
+    throw_if_failed();
   }
 
   /// Flush and close every file.  A short write (full disk, or the

@@ -43,7 +43,7 @@ char* write_g6_fixed(char* p, double av) {
                                        : (av >= 1e2 ? 2 : av >= 1e1 ? 1 : 0))
                           : (av >= 1e-2 ? (av >= 1e-1 ? -1 : -2)
                                         : (av >= 1e-3 ? -3 : -4));
-  // One rounding, relative error <= 2^-53: under 1e-10 absolute here.
+  // One rounding, relative error <= 2^-53: under 1.2e-10 absolute here.
   const double scaled = av * kPow10[5 - d];
   const double rounded = round_to_integer(scaled);
   if (std::abs(scaled - rounded) >= 0.5 - 1e-6 || rounded >= 1e6) {

@@ -11,7 +11,7 @@
 //     other finite |v| in [1e-4, 1e6) — nearly every value telemetry
 //     produces — is scaled into [1e5, 1e6) by an exact power of ten,
 //     rounded to six digits in double arithmetic and laid out as
-//     fixed-point text.  The scaling error is below 1e-10, so the rounding
+//     fixed-point text.  The scaling error is below 1.2e-10, so the rounding
 //     agrees with the exact decimal rounding of %.6g unless the scaled
 //     value lies within 1e-6 of a half-integer (a possible tie) or rounds
 //     out of [1e5, 1e6) (a carry into the next decade, as 9.999996 -> "10"

@@ -18,6 +18,7 @@
 #include "runtime/executor.h"
 #include "sim/host_error.h"
 #include "telemetry/join.h"
+#include "telemetry/record_schema.h"
 #include "telemetry/spill_format.h"
 #include "workload/scenario.h"
 
@@ -712,6 +713,34 @@ TEST(ExportStreamTest, FullDiskStopsTheExportAtTheFirstWindow) {
   EXPECT_THROW(export_stream(groups, dir), sim::HostIoError);
   EXPECT_GT(groups.pulled, 0u);
   EXPECT_LT(groups.pulled, d.player_sessions.size() / 2);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(ExportTest, FullDiskStopsDatasetExportAfterTheFailedWindow) {
+  // export_dataset() hands the writer the whole dataset at once; a file
+  // that refuses every write must still stop it after the window whose
+  // write failed, not after formatting every later window.  Ranges go in
+  // stream order, so the last stream's rows are never written.
+  const std::filesystem::path full_device = "/dev/full";
+  if (!std::filesystem::exists(full_device)) {
+    GTEST_SKIP() << "no always-full device";
+  }
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "vstream_export_dataset_full";
+  const Dataset d = dataset_with_rows(5 * kExportRangeRows + 17);
+  runtime::Executor executor(4);
+  for (runtime::Executor* exec : {static_cast<runtime::Executor*>(nullptr),
+                                  &executor}) {
+    SCOPED_TRACE(exec == nullptr ? "serial" : "4 workers");
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    std::filesystem::create_symlink(full_device, dir / "player_sessions.csv");
+    EXPECT_THROW(export_dataset(d, dir, exec), sim::HostIoError);
+    // Several MiB when it fails: report the size, not a diff.
+    const std::string snapshots = file_bytes(dir / "tcp_snapshots.csv");
+    EXPECT_TRUE(snapshots == csv_header<TcpSnapshotRecord>() + "\n")
+        << "tcp_snapshots.csv holds " << snapshots.size() << " bytes";
+  }
   std::filesystem::remove_all(dir);
 }
 
