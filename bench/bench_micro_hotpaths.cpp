@@ -1,6 +1,7 @@
 // google-benchmark microbenchmarks of the simulator's hot paths: the event
 // loop, the serve path, the warm-archive build, tcp_info sampling, the
-// offline join, CSV export and its double formatter, cache operations per
+// offline join, CSV export and its double formatter, the spill codec (one
+// session group encoded and decoded, CRC32C), cache operations per
 // eviction policy, TCP chunk transfers, a TCP round's random draws (normal
 // and log-normal variates, RTT samples, random-loss counts), Zipf sampling
 // and the statistical kernels.
@@ -10,7 +11,11 @@
 // tier-1 perf smoke and cross-commit tooling get machine-readable numbers.
 #include <benchmark/benchmark.h>
 
+#include <unistd.h>
+
+#include <algorithm>
 #include <chrono>
+#include <filesystem>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -31,9 +36,12 @@
 #include "sim/event_queue.h"
 #include "sim/zipf.h"
 #include "telemetry/collector.h"
+#include "telemetry/crc32c.h"
 #include "telemetry/export.h"
 #include "telemetry/fast_format.h"
 #include "telemetry/join.h"
+#include "telemetry/record_group.h"
+#include "telemetry/spill_format.h"
 #include "workload/catalog.h"
 #include "workload/scenario.h"
 
@@ -427,6 +435,78 @@ void BM_AppendDoubleG6(benchmark::State& state) {
                           static_cast<std::int64_t>(values.size()));
 }
 BENCHMARK(BM_AppendDoubleG6);
+
+/// CRC32C over a buffer of the argument's size, on the dispatching path
+/// (the CPU's instruction where it has one); one item per byte.
+void BM_Crc32c(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  std::vector<unsigned char> data(n);
+  sim::Rng rng(7);
+  for (unsigned char& b : data) {
+    b = static_cast<unsigned char>(rng.uniform01() * 256.0);
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(telemetry::crc32c(data.data(), data.size()));
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_Crc32c)->Arg(64)->Arg(8192);
+
+/// The median session group, by record count, of a 50-session paper run:
+/// what one spill block holds.
+const telemetry::SessionRecordGroup& bench_session_group() {
+  static const telemetry::SessionRecordGroup group = [] {
+    workload::Scenario scenario = workload::paper_scenario();
+    scenario.session_count = 50;
+    const engine::RunResult run = engine::run_simulation(scenario);
+    telemetry::DatasetGroupStream stream(run.dataset);
+    std::vector<telemetry::SessionRecordGroup> groups;
+    while (auto g = stream.next()) groups.push_back(std::move(*g));
+    const auto mid = groups.begin() + static_cast<std::ptrdiff_t>(groups.size() / 2);
+    std::nth_element(groups.begin(), mid, groups.end(),
+                     [](const auto& a, const auto& b) {
+                       return a.record_count() < b.record_count();
+                     });
+    return std::move(*mid);
+  }();
+  return group;
+}
+
+/// SpillWriter::write of one session group: columnar encode, both CRCs
+/// and framing, staged for a write to /dev/null; one item per record.
+void BM_SpillEncodeSession(benchmark::State& state) {
+  const telemetry::SessionRecordGroup& group = bench_session_group();
+  telemetry::SpillWriter writer("/dev/null");
+  for (auto _ : state) writer.write(group);
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(group.record_count()));
+}
+BENCHMARK(BM_SpillEncodeSession);
+
+/// SpillReader::read_at of that group's block from a mapped file: payload
+/// CRC and columnar decode into a fresh group; one item per record.
+void BM_SpillDecodeSession(benchmark::State& state) {
+  const telemetry::SessionRecordGroup& group = bench_session_group();
+  const std::filesystem::path path =
+      std::filesystem::temp_directory_path() /
+      ("vstream_bench_spill_decode_" + std::to_string(::getpid()) + ".vspill");
+  {
+    telemetry::SpillWriter writer(path);
+    writer.write(group);
+    writer.close();
+  }
+  {
+    telemetry::SpillReader reader(path);
+    const telemetry::SpillBlockRef ref = reader.index().front();
+    for (auto _ : state) {
+      benchmark::DoNotOptimize(reader.read_at(ref));
+    }
+  }
+  std::filesystem::remove(path);
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(group.record_count()));
+}
+BENCHMARK(BM_SpillDecodeSession);
 
 /// Display reporter that captures every run for the JSON emitter and
 /// forwards everything to the reporter --benchmark_format selects.

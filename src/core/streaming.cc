@@ -32,8 +32,8 @@ struct Fold {
   analysis::PrefixRollupAccumulator prefixes;
   analysis::PerfScoreAccumulator perf;
   analysis::RecoveryImpactAccumulator recovery;
-  /// The two session-level streams: the proxy rule's whole input.
-  telemetry::Dataset session_level;
+  /// Every CDN session record's proxy-rule input, in stream order.
+  std::vector<telemetry::CdnSessionVerdict> verdicts;
   /// Every session group's id, one per group.
   std::vector<std::uint64_t> ids;
   std::size_t incomplete = 0;
@@ -47,14 +47,20 @@ struct Fold {
   }
 
   /// Join and add every group of `stream`, with no proxy filter, and
-  /// keep its session-level records.
+  /// keep its CDN session records' verdicts.  A group holds all of its
+  /// session's records (a session split over files throws at finalize),
+  /// so its first beacon is the session's first beacon.
   void join_all(telemetry::SessionGroupStream& stream) {
     telemetry::StreamingJoiner joiner;
     while (auto group = stream.next()) {
       ids.push_back(group->session_id);
       if (const auto session = joiner.join(*group)) add(*session);
-      append(session_level.player_sessions, std::move(group->player_sessions));
-      append(session_level.cdn_sessions, std::move(group->cdn_sessions));
+      const telemetry::PlayerSessionRecord* beacon =
+          group->player_sessions.empty() ? nullptr
+                                         : &group->player_sessions.front();
+      for (const telemetry::CdnSessionRecord& cdn : group->cdn_sessions) {
+        verdicts.push_back(telemetry::rule_i_verdict(cdn, beacon));
+      }
     }
     incomplete += joiner.dropped_incomplete();
   }
@@ -64,10 +70,7 @@ struct Fold {
     prefixes.merge(std::move(other.prefixes));
     perf.merge(std::move(other.perf));
     recovery.merge(std::move(other.recovery));
-    append(session_level.player_sessions,
-           std::move(other.session_level.player_sessions));
-    append(session_level.cdn_sessions,
-           std::move(other.session_level.cdn_sessions));
+    append(verdicts, std::move(other.verdicts));
     append(ids, std::move(other.ids));
     incomplete += other.incomplete;
     stats += other.stats;
@@ -116,10 +119,10 @@ StreamingAnalysis analyze_spill(const telemetry::SpillSet& spill,
         " has records in more than one spill file");
   }
 
-  // detect_proxies depends on record order only within a session, and
-  // one file holds all of a session's records in stream order.
+  // Both rules count, so the verdicts' file order flags what
+  // detect_proxies over the loaded dataset would.
   StreamingAnalysis out;
-  out.proxies = telemetry::detect_proxies(total.session_level, proxy_config);
+  out.proxies = telemetry::detect_proxies(total.verdicts, proxy_config);
   out.spill = total.stats;
   out.dropped_incomplete = total.incomplete;
   std::move(total).finalize(&out.proxies, &out.session_qoe, out);

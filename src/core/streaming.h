@@ -3,13 +3,14 @@
 // analyze_spill() folds a spilled run (one .vspill file per shard) in one
 // pass, a task per file on a runtime::Executor.  Each task joins every
 // session of its file with a StreamingJoiner (join.h), folds it into the
-// mergeable accumulators of analysis/accumulators.h, and keeps the
-// file's session-level records.  The per-file folds merge in file order;
-// finalize then runs the §3 proxy filter once over the merged
-// session-level records — rule (ii) counts sessions per IP over the whole
-// dataset, so no single file can apply it — and the accumulators leave
-// the flagged sessions out.  Memory is O(sessions), whatever the chunk
-// count.
+// mergeable accumulators of analysis/accumulators.h, and keeps of each
+// CDN session record only what the §3 proxy filter reads: its session,
+// observed IP and rule (i) verdict (telemetry::CdnSessionVerdict).  The
+// per-file folds merge in file order; finalize then applies both rules
+// once over the merged verdicts — rule (ii) counts sessions per IP over
+// the whole dataset, so no single file can apply it — and the
+// accumulators leave the flagged sessions out.  Memory is O(sessions),
+// whatever the chunk count.
 //
 // The accumulators' finalize() sorts by session id, so the result is a
 // pure function of the per-session records: analyze_spill on a spilled

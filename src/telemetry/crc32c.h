@@ -6,8 +6,14 @@
 // properties over short frames are well studied, and RFC 3720 §B.4
 // publishes known-answer vectors (see tests/telemetry/crc32c_test.cc), so
 // the implementation can be verified against an external ground truth
-// rather than only against itself.  Software slicing-by-8 — no hardware
-// intrinsics, so results are identical on every build and platform.
+// rather than only against itself.
+//
+// crc32c_extend dispatches once, at first use, to the SSE4.2 `crc32`
+// instruction where the CPU has it (x86-64 builds with GCC or Clang), and
+// to portable slicing-by-8 tables everywhere else.  Both compute the same
+// function, so every file is readable on every host; the table path stays
+// as the fallback and as the tests' oracle for the instruction path
+// (crc32c_extend_portable).
 //
 // Convention: crc32c(data, n) is the finalized (pre- and post-inverted)
 // checksum, matching the RFC 3720 vectors.  The extend() form chains
@@ -27,6 +33,10 @@ inline constexpr std::uint32_t kCrc32cInit = 0xFFFFFFFFu;
 
 std::uint32_t crc32c_extend(std::uint32_t state, const void* data,
                             std::size_t n);
+
+/// crc32c_extend on the slicing-by-8 tables, whatever the CPU.
+std::uint32_t crc32c_extend_portable(std::uint32_t state, const void* data,
+                                     std::size_t n);
 
 inline std::uint32_t crc32c_finalize(std::uint32_t state) {
   return state ^ 0xFFFFFFFFu;

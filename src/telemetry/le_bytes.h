@@ -3,7 +3,9 @@
 // sidecars (engine/checkpoint.h).
 #pragma once
 
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <string>
 
 namespace vstream::telemetry {
@@ -20,20 +22,23 @@ inline void put_u64(std::string& out, std::uint64_t v) {
   out.append(bytes, 8);
 }
 
+// The loads are one unaligned load each (memcpy), byte-swapped on a
+// big-endian host; the spill decoders use load_u64 per value.
+
 inline std::uint32_t load_u32(const char* p) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(static_cast<unsigned char>(p[i]))
-         << (8 * i);
+  std::uint32_t v;
+  std::memcpy(&v, p, 4);
+  if constexpr (std::endian::native == std::endian::big) {
+    v = __builtin_bswap32(v);
   }
   return v;
 }
 
 inline std::uint64_t load_u64(const char* p) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(static_cast<unsigned char>(p[i]))
-         << (8 * i);
+  std::uint64_t v;
+  std::memcpy(&v, p, 8);
+  if constexpr (std::endian::native == std::endian::big) {
+    v = __builtin_bswap64(v);
   }
   return v;
 }

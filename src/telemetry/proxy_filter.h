@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <unordered_set>
+#include <vector>
 
 #include "telemetry/collector.h"
 
@@ -33,7 +34,29 @@ struct ProxyFilterResult {
   }
 };
 
-/// Identify proxy sessions from the raw (un-joined) dataset.
+/// All the two rules read of one CDN session record: its session, the IP
+/// the CDN observed, and the rule (i) verdict against its session's first
+/// beacon.
+struct CdnSessionVerdict {
+  std::uint64_t session_id = 0;
+  net::IpV4 observed_ip = 0;
+  bool mismatch = false;  ///< rule (i): IP or UA differs from the beacon
+};
+
+/// Rule (i) for `cdn` against its session's first beacon (nullptr when the
+/// session has none: no mismatch).
+CdnSessionVerdict rule_i_verdict(const CdnSessionRecord& cdn,
+                                 const PlayerSessionRecord* beacon);
+
+/// Both rules over the verdicts of every CDN session record of a dataset.
+/// A session can be folded into its verdicts as soon as its records are
+/// complete, so a streaming pass keeps only these.
+ProxyFilterResult detect_proxies(const std::vector<CdnSessionVerdict>& verdicts,
+                                 const ProxyFilterConfig& config = {});
+
+/// Identify proxy sessions from the raw (un-joined) dataset: each CDN
+/// session record's verdict against its session's first beacon, then the
+/// overload above.
 ProxyFilterResult detect_proxies(const Dataset& data,
                                  const ProxyFilterConfig& config = {});
 

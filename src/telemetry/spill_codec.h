@@ -24,19 +24,30 @@
 //   bool col  mode 0 "const": one byte
 //             mode 1 "pack":  ceil(n/8) bytes, LSB-first
 //
-// All decoders are bounds-checked and throw std::runtime_error on any
-// malformed input (truncation, unknown mode, out-of-range exponent,
-// varint overflow) — never UB.  The corruption fuzz runs them under
-// ASan+UBSan on every 1-byte mutation of real files.  Every encoder/
-// decoder pair round-trips bit-exactly, including NaN payloads, ±inf
-// and denormals: doubles only ever move as raw bit patterns.
+// Encoders grow their output once per column by the column's worst case,
+// write through a pointer and trim to what they wrote.  Decoders hand
+// each value to a `store(i, value)` callback, so a caller can decode
+// straight into record fields.
+//
+// All decoders are bounds-checked (once per value, or once per column
+// where the column's size is known up front) and throw std::runtime_error
+// on any malformed input (truncation, unknown mode, out-of-range exponent
+// or xor control byte, varint overflow) — never UB.  The corruption fuzz
+// runs them under ASan+UBSan on every 1-byte mutation of real files.
+// Every encoder/decoder pair round-trips bit-exactly, including NaN
+// payloads, ±inf and denormals: doubles only ever move as raw bit
+// patterns.
 #pragma once
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <stdexcept>
 #include <string>
 #include <vector>
+
+#include "telemetry/le_bytes.h"
 
 namespace vstream::telemetry::codec {
 
@@ -46,19 +57,58 @@ inline constexpr std::uint8_t kModeXor = 1;    ///< f64 columns
 inline constexpr std::uint8_t kModeExp = 2;    ///< f64 columns
 inline constexpr std::uint8_t kModePack = 1;   ///< bool columns
 
+inline constexpr std::size_t kMaxVarintBytes = 10;
+
 [[noreturn]] inline void fail(const char* what) {
   throw std::runtime_error(std::string("spill: ") + what);
 }
+
+namespace detail {
+
+/// The `n` (< 8) bytes at `p` as a little-endian integer.
+inline std::uint64_t load_le_partial(const char* p, std::size_t n) {
+  std::uint64_t v = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    v |= static_cast<std::uint64_t>(static_cast<unsigned char>(p[i]))
+         << (8 * i);
+  }
+  return v;
+}
+
+inline void store_le64(char* p, std::uint64_t v) {
+  if constexpr (std::endian::native == std::endian::big) {
+    v = __builtin_bswap64(v);
+  }
+  std::memcpy(p, &v, 8);
+}
+
+/// Grow `out` by `n` bytes and return where they start.
+inline char* grow(std::string& out, std::size_t n) {
+  const std::size_t at = out.size();
+  out.resize(at + n);
+  return out.data() + at;
+}
+
+/// Trim `out` to end at `w`, the write pointer of the last grow().
+inline void trim(std::string& out, const char* w) {
+  out.resize(static_cast<std::size_t>(w - out.data()));
+}
+
+template <typename T>
+bool all_equal(const std::vector<T>& v) {
+  return std::equal(v.begin() + 1, v.end(), v.begin());
+}
+
+}  // namespace detail
 
 /// Bounds-checked read cursor over one encoded column region.
 struct Reader {
   const char* p;
   const char* end;
 
+  std::size_t left() const { return static_cast<std::size_t>(end - p); }
   void need(std::size_t n) const {
-    if (static_cast<std::size_t>(end - p) < n) {
-      fail("truncated column data");
-    }
+    if (left() < n) fail("truncated column data");
   }
   std::uint8_t u8() {
     need(1);
@@ -66,11 +116,7 @@ struct Reader {
   }
   std::uint64_t raw_u64() {
     need(8);
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(static_cast<unsigned char>(p[i]))
-           << (8 * i);
-    }
+    const std::uint64_t v = load_u64(p);
     p += 8;
     return v;
   }
@@ -78,32 +124,40 @@ struct Reader {
 
 // ----------------------------------------------------------------- varint
 
-inline void put_varint(std::string& out, std::uint64_t v) {
+/// Write `v` at `w`, which has kMaxVarintBytes of room; returns the end.
+inline char* put_varint(char* w, std::uint64_t v) {
   while (v >= 0x80) {
-    out.push_back(static_cast<char>(v | 0x80));
+    *w++ = static_cast<char>(v | 0x80);
     v >>= 7;
   }
-  out.push_back(static_cast<char>(v));
+  *w++ = static_cast<char>(v);
+  return w;
+}
+
+inline void put_varint(std::string& out, std::uint64_t v) {
+  char bytes[kMaxVarintBytes];
+  out.append(bytes, put_varint(bytes, v));
 }
 
 inline std::size_t varint_size(std::uint64_t v) {
-  std::size_t n = 1;
-  while (v >= 0x80) {
-    v >>= 7;
-    ++n;
-  }
-  return n;
+  return (static_cast<unsigned>(64 - std::countl_zero(v | 1)) + 6) / 7;
 }
 
 inline std::uint64_t get_varint(Reader& r) {
+  const std::size_t avail = std::min(r.left(), kMaxVarintBytes);
   std::uint64_t v = 0;
-  for (unsigned i = 0; i < 10; ++i) {
-    const std::uint8_t b = r.u8();
+  for (std::size_t i = 0; i < avail; ++i) {
+    const auto b = static_cast<std::uint8_t>(r.p[i]);
     if (i == 9 && b > 1) fail("varint overflows 64 bits");
     v |= static_cast<std::uint64_t>(b & 0x7F) << (7 * i);
-    if ((b & 0x80) == 0) return v;
+    if ((b & 0x80) == 0) {
+      r.p += i + 1;
+      return v;
+    }
   }
-  fail("unterminated varint");
+  // Ten bytes always end inside the loop (the tenth either terminates or
+  // overflows), so only a short read gets here.
+  fail("truncated column data");
 }
 
 // ----------------------------------------------------------------- zigzag
@@ -124,41 +178,36 @@ inline std::uint64_t unzigzag(std::uint64_t z) {
 inline void encode_int_column(std::string& out,
                               const std::vector<std::uint64_t>& v) {
   if (v.empty()) return;
-  bool all_equal = true;
-  for (const std::uint64_t x : v) {
-    if (x != v[0]) {
-      all_equal = false;
-      break;
-    }
-  }
-  if (all_equal) {
-    out.push_back(static_cast<char>(kModeConst));
-    put_varint(out, v[0]);
+  if (detail::all_equal(v)) {
+    char* w = detail::grow(out, 1 + kMaxVarintBytes);
+    *w++ = static_cast<char>(kModeConst);
+    detail::trim(out, put_varint(w, v[0]));
     return;
   }
-  out.push_back(static_cast<char>(kModeDelta));
+  char* w = detail::grow(out, 1 + kMaxVarintBytes * v.size());
+  *w++ = static_cast<char>(kModeDelta);
   std::uint64_t prev = 0;
   for (const std::uint64_t x : v) {
-    put_varint(out, zigzag(x - prev));
+    w = put_varint(w, zigzag(x - prev));
     prev = x;
   }
+  detail::trim(out, w);
 }
 
-inline void decode_int_column(Reader& r, std::size_t n,
-                              std::vector<std::uint64_t>& out) {
-  out.clear();
+template <typename Store>
+void decode_int_column(Reader& r, std::size_t n, Store&& store) {
   if (n == 0) return;
   const std::uint8_t mode = r.u8();
   if (mode == kModeConst) {
-    out.assign(n, get_varint(r));
+    const std::uint64_t v = get_varint(r);
+    for (std::size_t i = 0; i < n; ++i) store(i, v);
     return;
   }
   if (mode != kModeDelta) fail("unknown int column mode");
-  out.reserve(n);
   std::uint64_t prev = 0;
   for (std::size_t i = 0; i < n; ++i) {
     prev += unzigzag(get_varint(r));
-    out.push_back(prev);
+    store(i, prev);
   }
 }
 
@@ -168,89 +217,73 @@ inline void decode_int_column(Reader& r, std::size_t n,
 
 namespace detail {
 
-inline unsigned trailing_zero_bytes(std::uint64_t x) {
-  unsigned n = 0;
-  while ((x & 0xFF) == 0) {
-    x >>= 8;
-    ++n;
-  }
-  return n;  // x != 0 guaranteed by caller
-}
-
-inline unsigned significant_bytes(std::uint64_t x) {
-  unsigned n = 0;
-  while (x != 0) {
-    x >>= 8;
-    ++n;
-  }
-  return n;
-}
-
-/// Bit-packing writer for 52-bit mantissas (LSB-first within bytes).
-struct BitWriter {
-  std::string& out;
-  std::uint64_t acc = 0;
-  unsigned nbits = 0;
-
-  explicit BitWriter(std::string& o) : out(o) {}
-  void put(std::uint64_t v, unsigned bits) {
-    acc |= v << nbits;
-    nbits += bits;
-    while (nbits >= 8) {
-      out.push_back(static_cast<char>(acc & 0xFF));
-      acc >>= 8;
-      nbits -= 8;
-    }
-  }
-  void finish() {
-    if (nbits > 0) out.push_back(static_cast<char>(acc & 0xFF));
-    acc = 0;
-    nbits = 0;
-  }
-};
-
-struct BitReader {
-  Reader& r;
-  std::uint64_t acc = 0;
-  unsigned nbits = 0;
-
-  explicit BitReader(Reader& rd) : r(rd) {}
-  std::uint64_t get(unsigned bits) {
-    while (nbits < bits) {
-      acc |= static_cast<std::uint64_t>(r.u8()) << nbits;
-      nbits += 8;
-    }
-    const std::uint64_t v =
-        bits == 64 ? acc : acc & ((std::uint64_t{1} << bits) - 1);
-    acc >>= bits;
-    nbits -= bits;
-    return v;
-  }
-};
-
 inline constexpr std::uint64_t kMantissaMask =
     (std::uint64_t{1} << 52) - 1;
 
-inline std::size_t xor_cost(const std::vector<std::uint64_t>& bits) {
-  std::size_t cost = 0;
-  std::uint64_t prev = 0;
-  for (const std::uint64_t b : bits) {
-    const std::uint64_t x = b ^ prev;
-    prev = b;
-    cost += x == 0 ? 1 : 1 + significant_bytes(x >> (8 * trailing_zero_bytes(x)));
-  }
-  return cost;
+/// xor mode's bytes for one x = bits ^ prev: the control byte plus the
+/// span from its lowest to its highest non-zero byte.
+inline std::size_t xor_bytes(std::uint64_t x) {
+  if (x == 0) return 1;
+  return 2 + static_cast<unsigned>(63 - std::countl_zero(x)) / 8 -
+         static_cast<unsigned>(std::countr_zero(x)) / 8;
 }
 
-inline std::size_t exp_cost(const std::vector<std::uint64_t>& bits) {
-  std::size_t cost = (52 * bits.size() + 7) / 8;
+/// The cheaper of xor and exp mode for a non-constant column, by exact
+/// encoded size; a tie goes to xor, the lower mode number.
+inline std::uint8_t f64_mode(const std::vector<std::uint64_t>& bits) {
+  std::size_t xor_cost = 0;
+  std::size_t exp_cost = (52 * bits.size() + 7) / 8;
   std::uint64_t prev = 0;
+  std::uint64_t prev_se = 0;
   for (const std::uint64_t b : bits) {
+    xor_cost += xor_bytes(b ^ prev);
+    prev = b;
+    // 12-bit sign+exponents: each zigzag delta is below 2^13, one varint
+    // byte or two.
     const std::uint64_t se = b >> 52;
-    cost += varint_size(zigzag(se - prev));
-    prev = se;
+    exp_cost += zigzag(se - prev_se) < 0x80 ? 1 : 2;
+    prev_se = se;
   }
-  return cost;
+  return xor_cost <= exp_cost ? kModeXor : kModeExp;
+}
+
+/// Where the first `n` varints at the cursor end: just past their n-th
+/// stop byte, counted 8 bytes at a time.
+inline const char* skip_varints(const Reader& r, std::size_t n) {
+  const char* p = r.p;
+  while (n > 0) {
+    if (r.end - p >= 8) {
+      std::uint64_t stops = ~load_u64(p) & 0x8080808080808080ull;
+      // One bit per stop byte, summed into the top byte by a multiply.
+      const std::size_t k = ((stops >> 7) * 0x0101010101010101ull) >> 56;
+      if (k < n) {
+        n -= k;
+        p += 8;
+        continue;
+      }
+      for (; n > 1; --n) stops &= stops - 1;
+      return p + std::countr_zero(stops) / 8 + 1;
+    }
+    if (p == r.end) fail("truncated column data");
+    if ((*p++ & 0x80) == 0) --n;
+  }
+  return p;
+}
+
+/// One xor-mode value: the control byte and its significant bytes.
+inline std::uint64_t get_xor(Reader& r) {
+  const std::uint8_t ctrl = r.u8();
+  if (ctrl == 0) return 0;
+  const unsigned c = ctrl - 1u;
+  const unsigned tz = c >> 3;
+  const unsigned sig = (c & 7) + 1;
+  if (tz + sig > 8) fail("xor control byte out of range");
+  r.need(sig);
+  const std::uint64_t val =
+      r.left() >= 8 ? load_u64(r.p) & (~std::uint64_t{0} >> (64 - 8 * sig))
+                    : load_le_partial(r.p, sig);
+  r.p += sig;
+  return val << (8 * tz);
 }
 
 }  // namespace detail
@@ -258,97 +291,99 @@ inline std::size_t exp_cost(const std::vector<std::uint64_t>& bits) {
 inline void encode_f64_column(std::string& out,
                               const std::vector<std::uint64_t>& bits) {
   if (bits.empty()) return;
-  bool all_equal = true;
-  for (const std::uint64_t b : bits) {
-    if (b != bits[0]) {
-      all_equal = false;
-      break;
-    }
-  }
-  if (all_equal) {
-    out.push_back(static_cast<char>(kModeConst));
-    for (int i = 0; i < 8; ++i) {
-      out.push_back(static_cast<char>(bits[0] >> (8 * i)));
-    }
+  const std::size_t n = bits.size();
+  if (detail::all_equal(bits)) {
+    char* w = detail::grow(out, 9);
+    *w = static_cast<char>(kModeConst);
+    detail::store_le64(w + 1, bits[0]);
     return;
   }
-  if (detail::xor_cost(bits) <= detail::exp_cost(bits)) {
-    out.push_back(static_cast<char>(kModeXor));
+  if (detail::f64_mode(bits) == kModeXor) {
+    // A value takes at most 9 bytes, and its 8-byte store never passes
+    // that bound.
+    char* w = detail::grow(out, 1 + 9 * n);
+    *w++ = static_cast<char>(kModeXor);
     std::uint64_t prev = 0;
     for (const std::uint64_t b : bits) {
       const std::uint64_t x = b ^ prev;
       prev = b;
       if (x == 0) {
-        out.push_back(0);
+        *w++ = 0;
         continue;
       }
-      const unsigned tz = detail::trailing_zero_bytes(x);
-      const std::uint64_t val = x >> (8 * tz);
-      const unsigned sig = detail::significant_bytes(val);
-      out.push_back(static_cast<char>(1 + 8 * tz + (sig - 1)));
-      for (unsigned i = 0; i < sig; ++i) {
-        out.push_back(static_cast<char>(val >> (8 * i)));
-      }
+      const unsigned tz = static_cast<unsigned>(std::countr_zero(x)) / 8;
+      const std::size_t sig = detail::xor_bytes(x) - 1;
+      *w++ = static_cast<char>(1 + 8 * tz + (sig - 1));
+      detail::store_le64(w, x >> (8 * tz));
+      w += sig;
     }
+    detail::trim(out, w);
     return;
   }
-  out.push_back(static_cast<char>(kModeExp));
+  // Sign+exponent deltas (2 varint bytes at most, see f64_mode), then the
+  // mantissas: each 52-bit mantissa joins the < 8 bits still pending, one
+  // 8-byte store writes them, and the whole bytes among them are kept.
+  // 8 bytes of slack cover the store past the last whole byte.
+  char* w = detail::grow(out, 1 + 2 * n + (52 * n + 7) / 8 + 8);
+  *w++ = static_cast<char>(kModeExp);
   std::uint64_t prev = 0;
   for (const std::uint64_t b : bits) {
     const std::uint64_t se = b >> 52;
-    put_varint(out, zigzag(se - prev));
+    w = put_varint(w, zigzag(se - prev));
     prev = se;
   }
-  detail::BitWriter packer(out);
+  std::uint64_t acc = 0;
+  unsigned nbits = 0;
   for (const std::uint64_t b : bits) {
-    packer.put(b & detail::kMantissaMask, 52);
+    acc |= (b & detail::kMantissaMask) << nbits;
+    nbits += 52;
+    detail::store_le64(w, acc);
+    w += nbits / 8;
+    acc >>= 8 * (nbits / 8);
+    nbits %= 8;
   }
-  packer.finish();
+  if (nbits > 0) *w++ = static_cast<char>(acc);
+  detail::trim(out, w);
 }
 
-inline void decode_f64_column(Reader& r, std::size_t n,
-                              std::vector<std::uint64_t>& out) {
-  out.clear();
+template <typename Store>
+void decode_f64_column(Reader& r, std::size_t n, Store&& store) {
   if (n == 0) return;
   const std::uint8_t mode = r.u8();
   if (mode == kModeConst) {
-    out.assign(n, r.raw_u64());
+    const std::uint64_t v = r.raw_u64();
+    for (std::size_t i = 0; i < n; ++i) store(i, v);
     return;
   }
-  out.reserve(n);
   if (mode == kModeXor) {
     std::uint64_t prev = 0;
     for (std::size_t i = 0; i < n; ++i) {
-      const std::uint8_t ctrl = r.u8();
-      std::uint64_t x = 0;
-      if (ctrl != 0) {
-        const unsigned c = ctrl - 1;
-        const unsigned tz = c >> 3;
-        const unsigned sig = (c & 7) + 1;
-        if (tz + sig > 8) fail("xor control byte out of range");
-        std::uint64_t val = 0;
-        for (unsigned b = 0; b < sig; ++b) {
-          val |= static_cast<std::uint64_t>(r.u8()) << (8 * b);
-        }
-        x = val << (8 * tz);
-      }
-      prev ^= x;
-      out.push_back(prev);
+      prev ^= detail::get_xor(r);
+      store(i, prev);
     }
     return;
   }
   if (mode != kModeExp) fail("unknown f64 column mode");
-  std::vector<std::uint64_t> sign_exp;
-  sign_exp.reserve(n);
+  // The mantissas start after the n-th stop byte (high bit clear) of the
+  // sign+exponent varints; walk both streams from there.  A malformed
+  // varint still fails in the walk, so the accepted set is the same as a
+  // full decode's.
+  Reader sign_exp = r;
+  r.p = detail::skip_varints(r, n);
+  const std::size_t bytes = (52 * n + 7) / 8;
+  r.need(bytes);
+  const char* mantissas = r.p;
+  r.p += bytes;
+  sign_exp.end = mantissas;
   std::uint64_t prev = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    prev += unzigzag(get_varint(r));
+    prev += unzigzag(get_varint(sign_exp));
     if (prev >= 4096) fail("sign+exponent out of range");
-    sign_exp.push_back(prev);
-  }
-  detail::BitReader packer(r);
-  for (std::size_t i = 0; i < n; ++i) {
-    out.push_back((sign_exp[i] << 52) | packer.get(52));
+    const char* q = mantissas + 52 * i / 8;
+    const std::size_t rest = static_cast<std::size_t>(r.p - q);
+    const std::uint64_t word =
+        rest >= 8 ? load_u64(q) : detail::load_le_partial(q, rest);
+    store(i, (prev << 52) | ((word >> (52 * i % 8)) & detail::kMantissaMask));
   }
 }
 
@@ -357,54 +392,35 @@ inline void decode_f64_column(Reader& r, std::size_t n,
 inline void encode_bool_column(std::string& out,
                                const std::vector<std::uint8_t>& v) {
   if (v.empty()) return;
-  bool all_equal = true;
-  for (const std::uint8_t x : v) {
-    if (x != v[0]) {
-      all_equal = false;
-      break;
-    }
-  }
-  if (all_equal) {
-    out.push_back(static_cast<char>(kModeConst));
-    out.push_back(static_cast<char>(v[0] != 0 ? 1 : 0));
+  if (detail::all_equal(v)) {
+    char* w = detail::grow(out, 2);
+    w[0] = static_cast<char>(kModeConst);
+    w[1] = static_cast<char>(v[0] != 0 ? 1 : 0);
     return;
   }
-  out.push_back(static_cast<char>(kModePack));
-  std::uint8_t acc = 0;
-  unsigned nbits = 0;
-  for (const std::uint8_t x : v) {
-    acc |= static_cast<std::uint8_t>((x != 0 ? 1 : 0) << nbits);
-    if (++nbits == 8) {
-      out.push_back(static_cast<char>(acc));
-      acc = 0;
-      nbits = 0;
-    }
+  char* w = detail::grow(out, 1 + (v.size() + 7) / 8);
+  *w++ = static_cast<char>(kModePack);  // grow() zero-filled the bytes
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    w[i / 8] = static_cast<char>(w[i / 8] | (v[i] != 0 ? 1 : 0) << (i % 8));
   }
-  if (nbits > 0) out.push_back(static_cast<char>(acc));
 }
 
-inline void decode_bool_column(Reader& r, std::size_t n,
-                               std::vector<std::uint8_t>& out) {
-  out.clear();
+template <typename Store>
+void decode_bool_column(Reader& r, std::size_t n, Store&& store) {
   if (n == 0) return;
   const std::uint8_t mode = r.u8();
   if (mode == kModeConst) {
-    out.assign(n, static_cast<std::uint8_t>(r.u8() != 0 ? 1 : 0));
+    const bool v = r.u8() != 0;
+    for (std::size_t i = 0; i < n; ++i) store(i, v);
     return;
   }
   if (mode != kModePack) fail("unknown bool column mode");
-  out.reserve(n);
-  std::uint8_t acc = 0;
-  unsigned nbits = 0;
+  const std::size_t bytes = (n + 7) / 8;
+  r.need(bytes);
   for (std::size_t i = 0; i < n; ++i) {
-    if (nbits == 0) {
-      acc = r.u8();
-      nbits = 8;
-    }
-    out.push_back(acc & 1);
-    acc >>= 1;
-    --nbits;
+    store(i, ((static_cast<unsigned char>(r.p[i / 8]) >> (i % 8)) & 1) != 0);
   }
+  r.p += bytes;
 }
 
 // --------------------------------------------------------- string columns

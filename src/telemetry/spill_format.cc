@@ -5,6 +5,7 @@
 #include <cstring>
 #include <fstream>
 #include <limits>
+#include <span>
 #include <stdexcept>
 #include <type_traits>
 #include <utility>
@@ -34,52 +35,50 @@ template <typename Rec>
 void encode_stream(std::string& out, const std::vector<Rec>& recs,
                    std::vector<std::uint64_t>& tmp,
                    std::vector<std::uint8_t>& btmp) {
+  const std::size_t n = recs.size();
   for_each_payload_column<Rec>([&](const auto& col) {
     using T = field_t<Rec, decltype(col)>;
     if constexpr (std::is_same_v<T, std::string>) {
       for (const Rec& r : recs) codec::put_string(out, col.get(r));
     } else if constexpr (std::is_same_v<T, bool>) {
-      btmp.clear();
-      for (const Rec& r : recs) btmp.push_back(col.get(r) ? 1 : 0);
+      btmp.resize(n);
+      for (std::size_t i = 0; i < n; ++i) btmp[i] = col.get(recs[i]) ? 1 : 0;
       codec::encode_bool_column(out, btmp);
     } else if constexpr (std::is_same_v<T, double>) {
-      tmp.clear();
-      for (const Rec& r : recs) {
-        tmp.push_back(std::bit_cast<std::uint64_t>(col.get(r)));
+      tmp.resize(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        tmp[i] = std::bit_cast<std::uint64_t>(col.get(recs[i]));
       }
       codec::encode_f64_column(out, tmp);
     } else {
-      tmp.clear();
-      for (const Rec& r : recs) {
-        tmp.push_back(static_cast<std::uint64_t>(col.get(r)));
+      tmp.resize(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        tmp[i] = static_cast<std::uint64_t>(col.get(recs[i]));
       }
       codec::encode_int_column(out, tmp);
     }
   });
 }
 
-/// Decode one stream's columns into `recs` (already sized), range-checking
-/// every integer against its field type and every enum against its last
+/// Decode one stream's columns straight into `recs`, range-checking every
+/// integer against its field type and every enum against its last
 /// enumerator.
 template <typename Rec>
-void decode_stream(codec::Reader& r, std::vector<Rec>& recs,
-                   std::uint64_t session_id, std::vector<std::uint64_t>& tmp,
-                   std::vector<std::uint8_t>& btmp) {
+void decode_stream(codec::Reader& r, std::span<Rec> recs,
+                   std::uint64_t session_id) {
   for (Rec& rec : recs) rec.session_id = session_id;
+  const std::size_t n = recs.size();
   for_each_payload_column<Rec>([&](const auto& col) {
     using T = field_t<Rec, decltype(col)>;
     if constexpr (std::is_same_v<T, std::string>) {
       for (Rec& rec : recs) col.get(rec) = codec::get_string(r);
     } else if constexpr (std::is_same_v<T, bool>) {
-      codec::decode_bool_column(r, recs.size(), btmp);
-      for (std::size_t i = 0; i < recs.size(); ++i) {
-        col.get(recs[i]) = btmp[i] != 0;
-      }
+      codec::decode_bool_column(
+          r, n, [&](std::size_t i, bool v) { col.get(recs[i]) = v; });
     } else if constexpr (std::is_same_v<T, double>) {
-      codec::decode_f64_column(r, recs.size(), tmp);
-      for (std::size_t i = 0; i < recs.size(); ++i) {
-        col.get(recs[i]) = std::bit_cast<double>(tmp[i]);
-      }
+      codec::decode_f64_column(r, n, [&](std::size_t i, std::uint64_t v) {
+        col.get(recs[i]) = std::bit_cast<double>(v);
+      });
     } else {
       std::uint64_t max = 0;
       if constexpr (std::is_enum_v<T>) {
@@ -87,11 +86,10 @@ void decode_stream(codec::Reader& r, std::vector<Rec>& recs,
       } else {
         max = std::numeric_limits<T>::max();
       }
-      codec::decode_int_column(r, recs.size(), tmp);
-      for (std::size_t i = 0; i < recs.size(); ++i) {
-        if (tmp[i] > max) codec::fail("integer column value out of range");
-        col.get(recs[i]) = static_cast<T>(tmp[i]);
-      }
+      codec::decode_int_column(r, n, [&](std::size_t i, std::uint64_t v) {
+        if (v > max) codec::fail("integer column value out of range");
+        col.get(recs[i]) = static_cast<T>(v);
+      });
     }
   });
 }
@@ -120,19 +118,28 @@ SpillBlockCounts get_counts(codec::Reader& r) {
   return counts;
 }
 
+/// Decode the five streams of a payload whose `counts` `r` has read,
+/// stream s into out.<s>[at[s], at[s] + counts[s]), which must exist.
+/// `out` is a SessionRecordGroup or a Dataset.
+template <typename Streams>
+void decode_streams(codec::Reader& r, std::uint64_t session_id,
+                    const SpillBlockCounts& counts, const SpillBlockCounts& at,
+                    Streams& out) {
+  for_each_stream([&](std::size_t s, auto& recs) {
+    decode_stream(r, std::span(recs).subspan(at[s], counts[s]), session_id);
+  }, out);
+  if (r.p != r.end) codec::fail("trailing bytes in block payload");
+}
+
 SessionRecordGroup decode_payload(const char* data, std::size_t size,
-                                  std::uint64_t session_id,
-                                  std::vector<std::uint64_t>& tmp,
-                                  std::vector<std::uint8_t>& btmp) {
+                                  std::uint64_t session_id) {
   codec::Reader r{data, data + size};
   SessionRecordGroup g;
   g.session_id = session_id;
   const SpillBlockCounts counts = get_counts(r);
-  for_each_stream([&](std::size_t s, auto& recs) {
-    recs.resize(counts[s]);
-    decode_stream(r, recs, session_id, tmp, btmp);
-  }, g);
-  if (r.p != r.end) codec::fail("trailing bytes in block payload");
+  for_each_stream([&](std::size_t s, auto& recs) { recs.resize(counts[s]); },
+                  g);
+  decode_streams(r, session_id, counts, SpillBlockCounts{}, g);
   return g;
 }
 
@@ -279,7 +286,7 @@ void SpillWriter::close() {
 
 SpillReader::SpillReader(const std::filesystem::path& path,
                          SpillReadStats* stats)
-    : map_(path), external_stats_(stats) {
+    : path_(path), map_(path), external_stats_(stats) {
   if (map_.size() < kFileHeaderBytes) {
     throw std::runtime_error("spill: truncated header in " + path.string());
   }
@@ -359,7 +366,7 @@ SpillReader::FrameKind SpillReader::parse_frame(
     return FrameKind::kBlock;
   }
   try {
-    *out = decode_payload(payload, payload_size, session_id, col_, bcol_);
+    *out = decode_payload(payload, payload_size, session_id);
   } catch (const std::exception&) {
     // CRC-valid but undecodable: a writer bug or an adversarial file —
     // either way skip the block rather than abort the analysis.
@@ -415,35 +422,74 @@ std::optional<SessionRecordGroup> SpillReader::read_at(
   return group;
 }
 
-SpillBlockCounts SpillReader::block_counts(const SpillBlockRef& ref) const {
-  // The checks parse_frame makes before decoding, in the same order, so a
-  // block counts records exactly when read_at can decode it (barring a
-  // payload whose columns do not parse).
+const char* SpillReader::block_payload(const SpillBlockRef& ref,
+                                       std::uint64_t* payload_size) const {
+  // The header checks parse_frame makes before decoding, in the same
+  // order.
   const std::uint64_t file_size = map_.size();
   if (ref.offset > file_size ||
       file_size - ref.offset < kBlockHeaderBytes + kBlockTrailerBytes) {
-    return {};
+    return nullptr;
   }
   const char* head = map_.data() + ref.offset;
   if (load_u32(head) != kSpillBlockMarker ||
       crc32c(head, 20) != load_u32(head + 20)) {
-    return {};
+    return nullptr;
   }
-  const std::uint64_t payload_size = load_u64(head + 12);
-  if (payload_size >
+  *payload_size = load_u64(head + 12);
+  if (*payload_size >
       file_size - ref.offset - kBlockHeaderBytes - kBlockTrailerBytes) {
-    return {};
+    return nullptr;
   }
-  const char* payload = head + kBlockHeaderBytes;
-  if (crc32c(payload, payload_size) != load_u32(payload + payload_size)) {
-    return {};
+  return head + kBlockHeaderBytes;
+}
+
+std::optional<SpillBlockCounts> SpillReader::block_counts(
+    const SpillBlockRef& ref) const {
+  std::uint64_t size = 0;
+  const char* payload = block_payload(ref, &size);
+  if (payload == nullptr ||
+      crc32c(payload, size) != load_u32(payload + size)) {
+    return std::nullopt;
   }
-  codec::Reader r{payload, payload + payload_size};
+  codec::Reader r{payload, payload + size};
   try {
     return get_counts(r);
   } catch (const std::exception&) {
-    return {};
+    return std::nullopt;
   }
+}
+
+bool SpillReader::read_into(const SpillBlockRef& ref,
+                            const SpillBlockCounts& counts, Dataset& out,
+                            const SpillBlockCounts& at) {
+  std::uint64_t size = 0;
+  const char* payload = block_payload(ref, &size);
+  codec::Reader r{payload, payload + size};
+  // The slices were sized from `counts`; anything else means the file
+  // was rewritten underneath, and decoding would write past them.
+  bool same = false;
+  if (payload != nullptr) {
+    try {
+      same = get_counts(r) == counts;
+    } catch (const std::exception&) {
+    }
+  }
+  if (!same) {
+    throw std::runtime_error("spill: " + path_.string() +
+                             " changed while loading");
+  }
+  try {
+    decode_streams(r, ref.session_id, counts, at, out);
+  } catch (const std::exception&) {
+    bump(&SpillReadStats::blocks_skipped, 1);
+    bump(&SpillReadStats::bytes_skipped,
+         kBlockHeaderBytes + size + kBlockTrailerBytes);
+    return false;
+  }
+  bump(&SpillReadStats::blocks_ok, 1);
+  bump(&SpillReadStats::bytes_salvaged, size);
+  return true;
 }
 
 // ----------------------------------------------------------------- SpillSet
@@ -559,9 +605,10 @@ Dataset SpillSet::load(SpillReadStats* stats, std::size_t threads) const {
     readers.push_back(std::make_unique<SpillReader>(file));
   }
 
-  // Pass 1, one task per file: index it and count every block's records.
+  // Pass 1, one task per file: index it and count every block's records,
+  // checking each payload CRC — the one check of it this load makes.
   std::vector<std::vector<SpillBlockRef>> index(files);
-  std::vector<std::vector<SpillBlockCounts>> counts(files);
+  std::vector<std::vector<std::optional<SpillBlockCounts>>> counts(files);
   std::vector<std::vector<SpillBlockCounts>> offsets(files);
   executor.parallel_for(
       files,
@@ -580,9 +627,9 @@ Dataset SpillSet::load(SpillReadStats* stats, std::size_t threads) const {
   SpillBlockCounts totals{};
   for (const SetBlock& b : canonical_block_order(index)) {
     offsets[b.file][b.block] = totals;
-    for (std::size_t s = 0; s < totals.size(); ++s) {
-      totals[s] += counts[b.file][b.block][s];
-    }
+    const SpillBlockCounts n = counts[b.file][b.block].value_or(
+        SpillBlockCounts{});
+    for (std::size_t s = 0; s < totals.size(); ++s) totals[s] += n[s];
   }
   Dataset data;
   executor.parallel_for(
@@ -596,32 +643,24 @@ Dataset SpillSet::load(SpillReadStats* stats, std::size_t threads) const {
       },
       nullptr, "spill_load");
 
-  // Pass 2, one task per file: decode its blocks in file order and move
-  // each block's records into its slices.  A block counted in pass 1 that
-  // does not decode leaves its slices default-constructed: a gap.
+  // Pass 2, one task per file: decode its blocks in file order straight
+  // into their slices.  A block counted in pass 1 that does not decode
+  // leaves a gap.  A block pass 1 rejected goes through read_at, which
+  // checks it again and accounts the skip.
   std::vector<std::vector<std::size_t>> gaps(files);
   executor.parallel_for(
       files,
       [&](std::size_t f) {
         for (std::size_t b = 0; b < index[f].size(); ++b) {
-          std::optional<SessionRecordGroup> group =
-              readers[f]->read_at(index[f][b]);
-          if (!group.has_value()) {
-            if (counts[f][b] != SpillBlockCounts{}) gaps[f].push_back(b);
-            continue;
+          if (!counts[f][b].has_value()) {
+            if (readers[f]->read_at(index[f][b]).has_value()) {
+              throw std::runtime_error("spill: " + files_[f].string() +
+                                       " changed while loading");
+            }
+          } else if (!readers[f]->read_into(index[f][b], *counts[f][b], data,
+                                            offsets[f][b])) {
+            gaps[f].push_back(b);
           }
-          for_each_stream(
-              [&](std::size_t s, auto& out, auto& in) {
-                // Both passes read the same mapped bytes; a mismatch means
-                // the file was rewritten underneath the load.
-                if (in.size() != counts[f][b][s]) {
-                  throw std::runtime_error("spill: " + files_[f].string() +
-                                           " changed while loading");
-                }
-                std::move(in.begin(), in.end(),
-                          out.data() + offsets[f][b][s]);
-              },
-              data, *group);
         }
       },
       nullptr, "spill_load");
@@ -631,8 +670,8 @@ Dataset SpillSet::load(SpillReadStats* stats, std::size_t threads) const {
     std::vector<std::pair<std::uint64_t, std::uint64_t>> ranges;
     for (std::size_t f = 0; f < files; ++f) {
       for (const std::size_t b : gaps[f]) {
-        if (counts[f][b][s] != 0) {
-          ranges.emplace_back(offsets[f][b][s], counts[f][b][s]);
+        if ((*counts[f][b])[s] != 0) {
+          ranges.emplace_back(offsets[f][b][s], (*counts[f][b])[s]);
         }
       }
     }

@@ -166,9 +166,8 @@ using SpillBlockCounts = std::array<std::uint64_t, kStreamCount>;
 /// when the file cannot be mapped); after that, damage never throws — torn
 /// tails are truncated and corrupt blocks skipped, accounted in stats()
 /// (and mirrored into the optional external `stats` accumulator, which
-/// lets a SpillSet aggregate salvage over many readers).  Decode scratch
-/// is owned per reader, so one reader per thread scales without shared
-/// state.
+/// lets a SpillSet aggregate salvage over many readers).  Readers share
+/// no state, so one reader per thread scales.
 class SpillReader {
  public:
   explicit SpillReader(const std::filesystem::path& path,
@@ -188,10 +187,19 @@ class SpillReader {
 
   /// The record counts of the block at `ref.offset`, read from the payload
   /// head without decoding the columns, after checking the payload CRC.
-  /// A block that fails the check, or whose counts do not parse or exceed
-  /// the decode-bomb bound, counts zero records.  Touches neither the
-  /// cursor nor the stats, so a reader can size outputs before read_at.
-  SpillBlockCounts block_counts(const SpillBlockRef& ref) const;
+  /// nullopt when the block fails the check, or its counts do not parse or
+  /// exceed the decode-bomb bound.  Touches neither the cursor nor the
+  /// stats, so a reader can size outputs before read_into.
+  std::optional<SpillBlockCounts> block_counts(const SpillBlockRef& ref) const;
+
+  /// Decode the block at `ref.offset`, whose block_counts() were `counts`,
+  /// straight into `out`: stream s's records land at out.<s>[at[s]...],
+  /// which must exist.  The payload CRC is not checked again.  Accounts
+  /// the block in stats() as read_at does; false when its columns do not
+  /// decode, leaving its slices partly written.  Throws std::runtime_error
+  /// when the block's counts are no longer `counts` (the file changed).
+  bool read_into(const SpillBlockRef& ref, const SpillBlockCounts& counts,
+                 Dataset& out, const SpillBlockCounts& at);
 
   const SpillReadStats& stats() const { return stats_; }
   /// Total file size in bytes.
@@ -204,10 +212,13 @@ class SpillReader {
   FrameKind parse_frame(bool decode, std::optional<SessionRecordGroup>* out,
                         SpillBlockRef* ref);
   void bump(std::uint64_t SpillReadStats::* counter, std::uint64_t n);
+  /// The payload of the block at `ref.offset` and its size, when its frame
+  /// header checks out (marker, header CRC, size in bounds); else nullptr.
+  const char* block_payload(const SpillBlockRef& ref,
+                            std::uint64_t* payload_size) const;
 
+  std::filesystem::path path_;
   SpillMapping map_;
-  std::vector<std::uint64_t> col_;   ///< reused column scratch
-  std::vector<std::uint8_t> bcol_;   ///< reused bool column scratch
   std::uint64_t pos_ = 0;
   SpillReadStats stats_;
   SpillReadStats* external_stats_ = nullptr;
@@ -246,11 +257,12 @@ class SpillSet {
   /// `threads` workers (0 resolves through runtime::resolve_thread_count;
   /// capped at the file count; a single worker runs inline).  Pass 1
   /// indexes each file and reads every block's record counts
-  /// (block_counts); the blocks, sorted into the stream's (session id,
-  /// file, offset) order, get their output offsets from a prefix sum, and
-  /// the five outputs are sized once.  Pass 2 decodes each file's blocks
-  /// in file order and moves their records into their slices.  A block
-  /// that passes pass 1 but fails to decode leaves a gap, closed afterwards
+  /// (block_counts, which checks the payload CRC: once per block per
+  /// load); the blocks, sorted into the stream's (session id, file,
+  /// offset) order, get their output offsets from a prefix sum, and the
+  /// five outputs are sized once.  Pass 2 decodes each file's blocks in
+  /// file order straight into their slices (read_into).  A block that
+  /// passes pass 1 but fails to decode leaves a gap, closed afterwards
   /// by one stable compaction of each affected stream.  Output and stats
   /// do not depend on `threads`.
   Dataset load(SpillReadStats* stats = nullptr, std::size_t threads = 0) const;

@@ -13,12 +13,14 @@ SpillSink::SpillSink(const std::filesystem::path& path,
     : path_(path), writer_(path, committed_bytes, blocks_already_written) {}
 
 SessionRecordGroup& SpillSink::group_for(std::uint64_t session_id) {
+  if (last_ != nullptr && last_->session_id == session_id) return *last_;
   auto [it, inserted] = live_.try_emplace(session_id);
   if (inserted) {
     it->second.session_id = session_id;
     peak_live_ = std::max(peak_live_, live_.size());
   }
-  return it->second;
+  last_ = &it->second;
+  return *last_;
 }
 
 void SpillSink::record(PlayerSessionRecord r) {
@@ -46,11 +48,13 @@ void SpillSink::session_complete(std::uint64_t session_id) {
   if (it == live_.end()) return;  // a session may legitimately emit nothing
   writer_.write(it->second);
   live_.erase(it);
+  last_ = nullptr;
 }
 
 void SpillSink::flush_live() {
   for (const auto& [id, group] : live_) writer_.write(group);
   live_.clear();
+  last_ = nullptr;
 }
 
 void SpillSink::finish() {

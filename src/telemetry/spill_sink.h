@@ -67,6 +67,10 @@ class SpillSink final : public RecordSink {
   /// a sort; the live set is small (concurrent sessions), so the log-n
   /// lookup is noise next to record construction.
   std::map<std::uint64_t, SessionRecordGroup> live_;
+  /// The live group written last, or nullptr: one transfer's snapshots
+  /// arrive in a row for one session, and map nodes do not move, so they
+  /// skip the lookup.  Reset whenever a group leaves live_.
+  SessionRecordGroup* last_ = nullptr;
   std::size_t peak_live_ = 0;
 };
 

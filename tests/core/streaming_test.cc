@@ -139,6 +139,46 @@ TEST_F(AnalyzeSpillTest, SessionsSpreadOverFilesMatchDatasetOracle) {
   }
 }
 
+TEST_F(AnalyzeSpillTest, RepeatedBeaconAndDuplicateCdnRecordsMatchOracle) {
+  // Every third session repeats its beacon with another IP (the first
+  // beacon wins) and carries a second CDN session record; every sixth
+  // session's duplicate also disagrees with its beacon, so rule (i) fires
+  // on it alone.
+  {
+    telemetry::SpillWriter w0(dir_ / "shard-0.vspill");
+    telemetry::SpillWriter w1(dir_ / "shard-1.vspill");
+    telemetry::DatasetGroupStream stream(run_.dataset);
+    std::size_t index = 0;
+    while (auto group = stream.next()) {
+      if (index % 3 == 0 && !group->player_sessions.empty() &&
+          !group->cdn_sessions.empty()) {
+        telemetry::PlayerSessionRecord again = group->player_sessions.front();
+        again.client_ip ^= 0xFF;
+        group->player_sessions.push_back(again);
+        telemetry::CdnSessionRecord duplicate = group->cdn_sessions.front();
+        if (index % 6 == 0) duplicate.observed_user_agent += " via proxy";
+        group->cdn_sessions.push_back(duplicate);
+      }
+      (index % 2 == 0 ? w0 : w1).write(*group);
+      ++index;
+    }
+    w0.close();
+    w1.close();
+  }
+  const StreamingAnalysis oracle = analyze_dataset(spill().load(), tau_);
+  EXPECT_GE(oracle.proxies.mismatch_detections, 7u);
+  for (const std::size_t threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const StreamingAnalysis streamed =
+        analyze_spill(spill(), tau_, {}, threads);
+    expect_same(streamed, oracle);
+    EXPECT_EQ(streamed.proxies.mismatch_detections,
+              oracle.proxies.mismatch_detections);
+    EXPECT_EQ(streamed.proxies.volume_detections,
+              oracle.proxies.volume_detections);
+  }
+}
+
 TEST_F(AnalyzeSpillTest, SessionSplitAcrossFilesThrowsNamingIt) {
   ASSERT_TRUE(write_files(2));
   for (const std::size_t threads : {1, 4}) {

@@ -2,14 +2,17 @@
 // classic "123456789" check value and incremental-extension properties.
 // The spill format and checkpoint sidecars both stake their corruption
 // detection on this helper, so it is validated against external ground
-// truth, not just round trips.
+// truth, not just round trips, and its instruction path against its
+// table path.
 #include "telemetry/crc32c.h"
 
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cstdint>
+#include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace vstream::telemetry {
@@ -90,6 +93,66 @@ TEST(Crc32cTest, EveryBitFlipChangesTheChecksum) {
       EXPECT_NE(crc32c(data.data(), data.size()), clean)
           << "byte " << i << " bit " << bit;
       data[i] ^= static_cast<unsigned char>(1 << bit);
+    }
+  }
+}
+
+// crc32c_extend runs on the CPU's CRC32C instruction where it has one;
+// these hold it to the portable table path, which is what every other
+// test above checks against external vectors.  On a host without the
+// instruction both sides are the tables and the tests still run.
+
+std::uint32_t portable(const void* data, std::size_t n) {
+  return crc32c_finalize(crc32c_extend_portable(kCrc32cInit, data, n));
+}
+
+TEST(Crc32cDispatchTest, MatchesPortableOnTheRfc3720Vectors) {
+  std::array<unsigned char, 32> zeros{};
+  std::array<unsigned char, 32> ones{};
+  ones.fill(0xFF);
+  std::array<unsigned char, 32> ascending{};
+  std::array<unsigned char, 32> descending{};
+  for (std::size_t i = 0; i < 32; ++i) {
+    ascending[i] = static_cast<unsigned char>(i);
+    descending[i] = static_cast<unsigned char>(31 - i);
+  }
+  const std::pair<const std::array<unsigned char, 32>*, std::uint32_t>
+      vectors[] = {{&zeros, 0x8A9136AAu},
+                   {&ones, 0x62A8AB43u},
+                   {&ascending, 0x46DD794Eu},
+                   {&descending, 0x113FDB5Cu}};
+  for (const auto& [bytes, want] : vectors) {
+    EXPECT_EQ(crc32c(bytes->data(), bytes->size()), want);
+    EXPECT_EQ(portable(bytes->data(), bytes->size()), want);
+  }
+}
+
+TEST(Crc32cDispatchTest, ExtendMatchesPortableAtEverySplitPoint) {
+  std::vector<unsigned char> data(67);
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<unsigned char>(i * 29 + 11);
+  }
+  const std::uint32_t whole = portable(data.data(), data.size());
+  for (std::size_t split = 0; split <= data.size(); ++split) {
+    std::uint32_t state = crc32c_extend(kCrc32cInit, data.data(), split);
+    state = crc32c_extend(state, data.data() + split, data.size() - split);
+    EXPECT_EQ(crc32c_finalize(state), whole) << "split=" << split;
+    // Mixed chains: one piece on each path.
+    state = crc32c_extend_portable(kCrc32cInit, data.data(), split);
+    state = crc32c_extend(state, data.data() + split, data.size() - split);
+    EXPECT_EQ(crc32c_finalize(state), whole) << "split=" << split;
+  }
+}
+
+TEST(Crc32cDispatchTest, MatchesPortableAtEveryLengthAndAlignment) {
+  std::mt19937_64 rng(3720);
+  std::vector<unsigned char> buffer(300 + 8);
+  for (unsigned char& b : buffer) b = static_cast<unsigned char>(rng());
+  for (std::size_t align = 0; align < 8; ++align) {
+    for (std::size_t len = 0; len <= 300; ++len) {
+      const unsigned char* p = buffer.data() + align;
+      ASSERT_EQ(crc32c(p, len), portable(p, len))
+          << "align " << align << " len " << len;
     }
   }
 }

@@ -108,5 +108,44 @@ TEST(ProxyFilterTest, MixedDataset) {
   for (std::uint64_t s = 1; s <= 30; ++s) EXPECT_FALSE(r.is_proxy(s));
 }
 
+TEST(ProxyFilterTest, RepeatedBeaconAndDuplicateCdnRecords) {
+  // Session 1 has two beacons: the first agrees with the CDN view, the
+  // second does not, and the first wins.  Session 2 has two CDN records,
+  // one with a proxy's UA: each record is judged, and each counts
+  // towards its IP's volume.
+  Dataset d;
+  const net::IpV4 ip1 = net::make_ip(10, 0, 0, 1);
+  const net::IpV4 ip2 = net::make_ip(10, 0, 0, 2);
+  add_session(d, 1, ip1, ip1);
+  PlayerSessionRecord again = d.player_sessions.back();
+  again.client_ip = net::make_ip(198, 18, 0, 1);
+  d.player_sessions.push_back(again);
+  add_session(d, 2, ip2, ip2);
+  CdnSessionRecord duplicate = d.cdn_sessions.back();
+  duplicate.observed_user_agent = "ProxyBot/1.0";
+  d.cdn_sessions.push_back(duplicate);
+  d.cdn_sessions.push_back(d.cdn_sessions.back());
+
+  ProxyFilterConfig config;
+  config.max_sessions_per_ip = 1;
+  const ProxyFilterResult r = detect_proxies(d, config);
+  EXPECT_FALSE(r.is_proxy(1));
+  EXPECT_TRUE(r.is_proxy(2));
+  EXPECT_EQ(r.mismatch_detections, 2u);
+  EXPECT_EQ(r.volume_detections, 1u);  // the agreeing record, on ip2 x3
+
+  // The per-session form a streaming pass uses: each group's CDN records
+  // against the group's first beacon.
+  std::vector<CdnSessionVerdict> verdicts;
+  verdicts.push_back(rule_i_verdict(d.cdn_sessions[0], &d.player_sessions[0]));
+  for (std::size_t i = 1; i < d.cdn_sessions.size(); ++i) {
+    verdicts.push_back(rule_i_verdict(d.cdn_sessions[i], &d.player_sessions[2]));
+  }
+  const ProxyFilterResult v = detect_proxies(verdicts, config);
+  EXPECT_EQ(v.proxy_sessions, r.proxy_sessions);
+  EXPECT_EQ(v.mismatch_detections, r.mismatch_detections);
+  EXPECT_EQ(v.volume_detections, r.volume_detections);
+}
+
 }  // namespace
 }  // namespace vstream::telemetry

@@ -17,6 +17,30 @@ Reader reader_over(const std::string& buf) {
   return Reader{buf.data(), buf.data() + buf.size()};
 }
 
+// The decoders store each value through a callback; these collect a
+// column into a vector that ends up holding exactly the n values.
+
+void decode_int_column(Reader& r, std::size_t n,
+                       std::vector<std::uint64_t>& out) {
+  out.assign(n, 0);
+  codec::decode_int_column(r, n,
+                           [&](std::size_t i, std::uint64_t v) { out[i] = v; });
+}
+
+void decode_f64_column(Reader& r, std::size_t n,
+                       std::vector<std::uint64_t>& out) {
+  out.assign(n, 0);
+  codec::decode_f64_column(r, n,
+                           [&](std::size_t i, std::uint64_t v) { out[i] = v; });
+}
+
+void decode_bool_column(Reader& r, std::size_t n,
+                        std::vector<std::uint8_t>& out) {
+  out.assign(n, 0);
+  codec::decode_bool_column(r, n,
+                            [&](std::size_t i, bool v) { out[i] = v ? 1 : 0; });
+}
+
 // ------------------------------------------------------------------ varint
 
 TEST(SpillCodecVarint, RoundTripsBoundaryValues) {

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "telemetry/crc32c.h"
+#include "telemetry/spill_sink.h"
 
 namespace vstream::telemetry {
 namespace {
@@ -728,6 +729,48 @@ TEST_F(SpillFormatTest, SpillSetAggregatesSalvageStats) {
   EXPECT_TRUE(stats.corrupted());
   EXPECT_GT(stats.torn_tail_bytes, 0u);
   EXPECT_EQ(stats.blocks_ok, 2u);
+}
+
+TEST_F(SpillFormatTest, SinkGroupsInterleavedSessionsAcrossCompletion) {
+  // Records of two sessions interleave; a session that completes and then
+  // records again starts a new group, as does one flushed live.  The sink
+  // caches the group it wrote to last, so every step here must reset or
+  // bypass that cache correctly.
+  const auto path = file("sink.vspill");
+  const auto snap = [](std::uint64_t session, std::uint32_t chunk) {
+    TcpSnapshotRecord r;
+    r.session_id = session;
+    r.chunk_id = chunk;
+    return r;
+  };
+  {
+    SpillSink sink(path);
+    sink.record(snap(1, 10));
+    sink.record(snap(1, 11));
+    sink.record(snap(2, 20));
+    sink.record(snap(1, 12));
+    sink.session_complete(1);
+    sink.record(snap(1, 13));
+    sink.record(snap(2, 21));
+    EXPECT_EQ(sink.live_sessions(), 2u);
+    sink.flush_live();
+    sink.record(snap(2, 22));
+    sink.finish();
+    EXPECT_EQ(sink.blocks_written(), 4u);
+  }
+  SpillReader reader(path);
+  std::vector<std::pair<std::uint64_t, std::vector<std::uint32_t>>> blocks;
+  while (auto group = reader.next()) {
+    std::vector<std::uint32_t> chunks;
+    for (const TcpSnapshotRecord& r : group->tcp_snapshots) {
+      EXPECT_EQ(r.session_id, group->session_id);
+      chunks.push_back(r.chunk_id);
+    }
+    blocks.emplace_back(group->session_id, std::move(chunks));
+  }
+  const std::vector<std::pair<std::uint64_t, std::vector<std::uint32_t>>>
+      want = {{1, {10, 11, 12}}, {1, {13}}, {2, {20, 21}}, {2, {22}}};
+  EXPECT_EQ(blocks, want);
 }
 
 TEST_F(SpillFormatTest, EmptySpillSet) {

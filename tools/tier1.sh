@@ -80,7 +80,7 @@ echo "==> tier-1: TSan telemetry suite (4 workers)"
 # window to the files; its tests run a 4-worker executor,
 # and VSTREAM_THREADS=4 covers the engine runs the suite starts.  The
 # parallel SpillSet::load (one index/count task and one decode task per
-# file, moving records into shared pre-sized outputs) runs at 4 workers
+# file, decoding records straight into shared pre-sized outputs) runs at 4 workers
 # in the load-vs-stream oracle tests and at VSTREAM_THREADS elsewhere.  The two
 # randomized formatter sweeps are single-threaded and compare against
 # iostream output, which TSan slows ~100x, so they are left to the
@@ -111,10 +111,11 @@ import json, sys
 with open('$build_dir/BENCH_hotpaths.json') as f:
     doc = json.load(f)
 names = list(doc['metrics'])
-# A TCP round's random draws and the CSV double formatter: each must be
-# measured.
+# A TCP round's random draws, the CSV double formatter and the spill
+# codec: each must be measured.
 for want in ('BM_StandardNormal', 'BM_LognormalMedian', 'BM_PathSampleRtt',
-             'BM_RandomLosses', 'BM_AppendDoubleG6'):
+             'BM_RandomLosses', 'BM_AppendDoubleG6', 'BM_Crc32c',
+             'BM_SpillEncodeSession', 'BM_SpillDecodeSession'):
     if not any(n == want or n.startswith(want + '_') for n in names):
         sys.exit('tier-1: BENCH_hotpaths.json lacks ' + want)
 print(len(names))
