@@ -287,7 +287,8 @@ BENCHMARK(BM_WarmArchiveBuild)->Unit(benchmark::kMillisecond);
 
 void BM_CollectorSampleTransfer(benchmark::State& state) {
   telemetry::Collector collector(500.0);
-  collector.reserve(4, 1 << 16);
+  // Zero-length chunks: one snapshot slot per "chunk", 1 << 16 in all.
+  collector.reserve(4, 1 << 16, 0.0);
   std::vector<net::RoundSample> rounds(24);
   for (std::size_t i = 0; i < rounds.size(); ++i) {
     rounds[i].at_ms = 40.0 * static_cast<double>(i + 1);
@@ -302,7 +303,7 @@ void BM_CollectorSampleTransfer(benchmark::State& state) {
     if (collector.data().tcp_snapshots.size() > (1u << 16) - 8) {
       state.PauseTiming();
       (void)collector.take();
-      collector.reserve(4, 1 << 16);
+      collector.reserve(4, 1 << 16, 0.0);
       state.ResumeTiming();
     }
   }

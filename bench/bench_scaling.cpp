@@ -8,13 +8,19 @@
 // at 64 logical shards (the engine default) and sweeps the worker pool
 // over {1, 2, 4, 8}, reporting the best-of-reps simulation rate per
 // thread count plus the analyze_spill wall time over a 64-file spill
-// set at the same thread counts.  Every timed run is also checked
+// set at the same thread counts.  Each simulation point also reports its
+// fewest minor page faults over the reps (getrusage, all threads), and
+// the process's peak RSS once the point's reps are done — a high-water
+// mark, so it can only grow along the sweep.  Faults show whether a
+// change moved the memory side of a run or its computation.  Every timed run is also checked
 // byte-identical against the single-threaded reference — a scaling
 // number for a run that changed its output would be meaningless.
 //
 // Environment knobs: VSTREAM_BENCH_SESSIONS overrides the session count
 // (--seed the seed); VSTREAM_THREADS is deliberately ignored (the sweep
 // sets threads explicitly).
+
+#include <sys/resource.h>
 
 #include <chrono>
 #include <cstdio>
@@ -37,6 +43,12 @@ namespace {
 
 constexpr std::size_t kLogicalShards = 64;
 constexpr std::size_t kThreadSweep[] = {1, 2, 4, 8};
+
+rusage self_usage() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return usage;
+}
 
 double now_ms() {
   return std::chrono::duration<double, std::milli>(
@@ -91,14 +103,18 @@ int main(int argc, char** argv) {
   std::string reference_csv;
   for (const std::size_t threads : kThreadSweep) {
     double best_ms = 0.0;
+    long fewest_faults = 0;
     for (std::size_t rep = 0; rep < reps; ++rep) {
       engine::RunOptions options;
       options.shards = kLogicalShards;
       options.threads = threads;
+      const long faults_before = self_usage().ru_minflt;
       const double start = now_ms();
       const engine::RunResult run = engine::run_simulation(scenario, options);
       const double elapsed = now_ms() - start;
+      const long faults = self_usage().ru_minflt - faults_before;
       if (rep == 0 || elapsed < best_ms) best_ms = elapsed;
+      if (rep == 0 || faults < fewest_faults) fewest_faults = faults;
       if (rep == 0) {
         const std::string csv = export_string(run.dataset);
         if (reference_csv.empty()) {
@@ -119,6 +135,15 @@ int main(int argc, char** argv) {
                        rate, "sessions/s"});
     metrics.push_back({"sim_wall_ms_t" + std::to_string(threads), best_ms,
                        "ms"});
+    const double peak_mb =
+        static_cast<double>(self_usage().ru_maxrss) / 1024.0;  // KiB
+    core::print_metric("sim_minor_faults_t" + std::to_string(threads),
+                       static_cast<double>(fewest_faults));
+    core::print_metric("peak_rss_mb_t" + std::to_string(threads), peak_mb);
+    metrics.push_back({"sim_minor_faults_t" + std::to_string(threads),
+                       static_cast<double>(fewest_faults), "faults"});
+    metrics.push_back(
+        {"peak_rss_mb_t" + std::to_string(threads), peak_mb, "MiB"});
   }
 
   // --- analyze_spill sweep over a 64-file spill set ---------------------

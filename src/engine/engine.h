@@ -3,7 +3,7 @@
 // Layering (each layer only sees the one below):
 //
 //   run_simulation()          build world, admit, shard, merge
-//     ShardedRunner           deterministic partition + canonical merge
+//     ShardedRunner           deterministic partition + canonical order
 //       Shard                 one worker's replica stack (fleet, queue, ...)
 //         SessionRuntime      one session's chunk-by-chunk state machine
 //
@@ -13,8 +13,9 @@
 // (one master-RNG draw order), every session runs on its own RNG
 // substream against session-isolated server state plus a shared
 // immutable warm archive, fault epochs are pure functions of simulated
-// time and are replayed identically inside every shard, and the merge
-// re-orders all record streams into canonical session-id order.  Shards
+// time and are replayed identically inside every shard, and every record
+// stream comes back in canonical session-id order (memory mode streams
+// contiguous id ranges in order, spill mode merges its shards).  Shards
 // define the partition; threads (the work-stealing runtime's pool size)
 // define the concurrency — both change wall-clock time only.
 #pragma once

@@ -56,7 +56,8 @@ ShardResult Shard::run(std::span<const AdmittedSession> sessions,
   for (const AdmittedSession& session : sessions) {
     expected_chunks += session.spec.chunk_count;
   }
-  collector_.reserve(sessions.size(), expected_chunks);
+  collector_.reserve(sessions.size(), expected_chunks,
+                     ctx_.catalog->chunk_duration_s() * 1000.0);
 
   // Materialize the runtimes, then let the event queue interleave the
   // sessions: every chunk request fires in true timestamp order.  Routing

@@ -28,7 +28,8 @@
 
 namespace vstream::engine {
 
-/// What one shard hands back for the canonical merge.
+/// What one shard hands back for the canonical merge (or, in memory
+/// mode, for the ordered stream; see run_sharded).
 struct ShardResult {
   /// Empty when the shard ran against a record sink (spill mode): the
   /// records went to the sink as sessions completed instead of

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <numeric>
 #include <span>
 #include <stdexcept>
@@ -13,6 +14,7 @@
 #include <utility>
 
 #include "engine/checkpoint.h"
+#include "runtime/huge_pages.h"
 #include "sim/host_error.h"
 #include "telemetry/spill_sink.h"
 
@@ -36,6 +38,32 @@ struct StreamPlan {
   std::vector<std::size_t> dest;
 };
 
+/// Append the maximal runs of equal session id in `records` to `runs`.
+template <typename Record>
+void collect_runs(const std::vector<Record>& records,
+                  std::vector<SessionRun>& runs) {
+  for (std::size_t i = 0; i < records.size();) {
+    const std::uint64_t session = records[i].session_id;
+    std::size_t end = i + 1;
+    while (end < records.size() && records[end].session_id == session) {
+      ++end;
+    }
+    runs.push_back({session, i, end - i});
+    i = end;
+  }
+}
+
+/// The indices of `runs`, stable-sorted by session id.
+std::vector<std::size_t> sorted_run_order(const std::vector<SessionRun>& runs) {
+  std::vector<std::size_t> order(runs.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&runs](std::size_t a, std::size_t b) {
+                     return runs[a].session < runs[b].session;
+                   });
+  return order;
+}
+
 /// Run-sort plan for one stream.  The runs are listed in concatenation
 /// order and a run's records share one key, so stable-sorting the run
 /// table by session id and laying the runs out back to back gives
@@ -50,32 +78,33 @@ StreamPlan plan_stream(const std::vector<ShardResult>& parts,
   plan.first.reserve(parts.size() + 1);
   for (const ShardResult& part : parts) {
     plan.first.push_back(plan.runs.size());
-    const std::vector<Record>& records = part.dataset.*member;
-    for (std::size_t i = 0; i < records.size();) {
-      const std::uint64_t session = records[i].session_id;
-      std::size_t end = i + 1;
-      while (end < records.size() && records[end].session_id == session) {
-        ++end;
-      }
-      plan.runs.push_back({session, i, end - i});
-      i = end;
-    }
+    collect_runs(part.dataset.*member, plan.runs);
   }
   plan.first.push_back(plan.runs.size());
 
-  std::vector<std::size_t> order(plan.runs.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::stable_sort(order.begin(), order.end(),
-                   [&plan](std::size_t a, std::size_t b) {
-                     return plan.runs[a].session < plan.runs[b].session;
-                   });
   plan.dest.resize(plan.runs.size());
   std::size_t offset = 0;
-  for (const std::size_t r : order) {
+  for (const std::size_t r : sorted_run_order(plan.runs)) {
     plan.dest[r] = offset;
     offset += plan.runs[r].len;
   }
   return plan;
+}
+
+/// Run-sort `from` onto the end of `into`, then free `from`: the same
+/// order as std::stable_sort of `from` by session id.  Each record is
+/// move-constructed once, straight into `into`'s spare capacity.
+template <typename Record>
+void append_run_sorted(std::vector<Record>& from, std::vector<Record>& into) {
+  std::vector<SessionRun> runs;
+  collect_runs(from, runs);
+  for (const std::size_t r : sorted_run_order(runs)) {
+    const auto begin = from.begin() + static_cast<std::ptrdiff_t>(runs[r].begin);
+    into.insert(into.end(), std::make_move_iterator(begin),
+                std::make_move_iterator(
+                    begin + static_cast<std::ptrdiff_t>(runs[r].len)));
+  }
+  std::vector<Record>().swap(from);
 }
 
 /// Move part `part`'s runs of one stream to their planned offsets in
@@ -89,6 +118,27 @@ void move_runs(std::vector<Record>& from, const StreamPlan& plan,
               into.data() + plan.dest[r]);
   }
   std::vector<Record>().swap(from);
+}
+
+/// Fold one part's accounting into `merged`: ground truth and server
+/// stats are element-wise sums, spill files keep part order.  Parts may
+/// disagree on server_stats size (an empty shard that never built a fleet
+/// reports none) — size to the largest part seen, not the first, so a
+/// leading empty shard cannot truncate the fleet counters.
+void fold_accounting(ShardResult& merged, ShardResult& part) {
+  merged.ground_truth.merge(std::move(part.ground_truth));
+  merged.completed = merged.completed && part.completed;
+  merged.checkpoints_degraded =
+      merged.checkpoints_degraded || part.checkpoints_degraded;
+  for (std::filesystem::path& file : part.spill_files) {
+    merged.spill_files.push_back(std::move(file));
+  }
+  if (merged.server_stats.size() < part.server_stats.size()) {
+    merged.server_stats.resize(part.server_stats.size());
+  }
+  for (std::size_t i = 0; i < part.server_stats.size(); ++i) {
+    merged.server_stats[i] += part.server_stats[i];
+  }
 }
 
 /// Run `body(i)` for every i in [0, count): on `executor` when it has
@@ -118,26 +168,8 @@ ShardResult merge_shard_results(std::vector<ShardResult> parts,
                                 runtime::Executor* executor) {
   ShardResult merged;
 
-  // Accounting first, serially in part order: ground truth and server
-  // stats are element-wise sums, spill files must keep shard order.
-  // Parts may disagree on server_stats size (an empty shard that never
-  // built a fleet reports none) — size to the largest part seen, not the
-  // first, so a leading empty shard cannot truncate the fleet counters.
-  for (ShardResult& part : parts) {
-    merged.ground_truth.merge(std::move(part.ground_truth));
-    merged.completed = merged.completed && part.completed;
-    merged.checkpoints_degraded =
-        merged.checkpoints_degraded || part.checkpoints_degraded;
-    for (std::filesystem::path& file : part.spill_files) {
-      merged.spill_files.push_back(std::move(file));
-    }
-    if (merged.server_stats.size() < part.server_stats.size()) {
-      merged.server_stats.resize(part.server_stats.size());
-    }
-    for (std::size_t i = 0; i < part.server_stats.size(); ++i) {
-      merged.server_stats[i] += part.server_stats[i];
-    }
-  }
+  // Accounting first, serially in part order.
+  for (ShardResult& part : parts) fold_accounting(merged, part);
 
   // Run-sort the five record streams.  A plan walks only session ids and
   // sizing touches only the new output, so the five walks and the five
@@ -180,6 +212,126 @@ ShardResult merge_shard_results(std::vector<ShardResult> parts,
   return merged;
 }
 
+namespace {
+
+/// Memory mode as one ordered stream (see run_sharded): contiguous id
+/// ranges run as batches, and each finished batch is run-sorted onto the
+/// end of one pre-reserved output in batch order.
+ShardResult run_in_memory(const workload::Scenario& scenario,
+                          const workload::VideoCatalog& catalog,
+                          const WarmArchive& warm,
+                          const faults::FaultSchedule* faults,
+                          const std::unordered_set<net::Prefix24>* bad_prefixes,
+                          const std::vector<AdmittedSession>& admitted,
+                          std::size_t shard_count,
+                          runtime::Executor& executor,
+                          runtime::ParallelStats* stats) {
+  // Contiguous ranges concatenate into canonical order only if ids
+  // ascend; admit_sessions' order does, a caller's list may not.
+  const auto by_id = [](const AdmittedSession& a, const AdmittedSession& b) {
+    return a.spec.session_id < b.spec.session_id;
+  };
+  std::vector<AdmittedSession> sorted;
+  std::span<const AdmittedSession> sessions(admitted);
+  if (!std::is_sorted(admitted.begin(), admitted.end(), by_id)) {
+    sorted = admitted;
+    std::stable_sort(sorted.begin(), sorted.end(), by_id);
+    sessions = sorted;
+  }
+
+  // shard_count balanced ranges, so the range sizes are the id-mod shard
+  // sizes of dense ids; with more than one worker each range is cut into
+  // kDefaultMemoryBatch-session batches.  An empty range keeps one empty
+  // batch, so the task count is the spill partition's.
+  struct Batch {
+    std::size_t begin;
+    std::size_t count;
+  };
+  const std::size_t n = sessions.size();
+  const std::size_t ranges = std::max<std::size_t>(1, shard_count);
+  const std::size_t batch_size =
+      executor.workers() > 1 ? kDefaultMemoryBatch : 0;
+  std::vector<Batch> batches;
+  batches.reserve(ranges);
+  for (std::size_t r = 0; r < ranges; ++r) {
+    const std::size_t end = (r + 1) * n / ranges;
+    std::size_t offset = r * n / ranges;
+    do {
+      const std::size_t count =
+          batch_size == 0 ? end - offset : std::min(batch_size, end - offset);
+      batches.push_back({offset, count});
+      offset += count;
+    } while (offset < end);
+  }
+
+  // Reserve the output once.  Capacity that is never touched costs no
+  // memory, so the snapshot estimate may run high.
+  ShardResult merged;
+  telemetry::Dataset& out = merged.dataset;
+  std::size_t chunks = 0;
+  for (const AdmittedSession& session : sessions) {
+    chunks += session.spec.chunk_count;
+  }
+  runtime::reserve_huge(out.player_sessions, n);
+  runtime::reserve_huge(out.cdn_sessions, n);
+  runtime::reserve_huge(out.player_chunks, chunks);
+  runtime::reserve_huge(out.cdn_chunks, chunks);
+  runtime::reserve_huge(
+      out.tcp_snapshots,
+      telemetry::expected_snapshots(chunks, catalog.chunk_duration_s() * 1000.0,
+                                    scenario.tcp_sample_interval_ms));
+
+  // In-order handover.  A finished batch parks in its slot.  The task
+  // that finishes batch t, unless another task is draining, appends the
+  // ready batches from `next` on, in batch order, freeing each so later
+  // batches reuse its pages — but none past t until every batch has
+  // finished.  The workers ahead of the oldest batch thus do the
+  // copying, and the one running it does not fall further behind (the
+  // drainer's own next batch would otherwise become the oldest again,
+  // and the backlog would grow with the run).  The output order is the
+  // batch order, never the timing.
+  std::mutex mu;
+  std::vector<ShardResult> done(batches.size());
+  std::vector<char> ready(batches.size(), 0);
+  std::size_t next = 0;
+  std::size_t finished = 0;
+  bool draining = false;
+  executor.parallel_for(
+      batches.size(),
+      [&](std::size_t t) {
+        ShardResult result;
+        {
+          Shard shard(scenario, catalog, warm, faults, bad_prefixes);
+          result =
+              shard.run(sessions.subspan(batches[t].begin, batches[t].count));
+        }
+        std::unique_lock<std::mutex> lock(mu);
+        done[t] = std::move(result);
+        ready[t] = 1;
+        ++finished;
+        if (draining) return;
+        draining = true;
+        while (next < batches.size() && ready[next] != 0 &&
+               (next <= t || finished == batches.size())) {
+          ShardResult batch = std::move(done[next]);
+          lock.unlock();
+          fold_accounting(merged, batch);
+          telemetry::for_each_stream(
+              [](std::size_t, auto& from, auto& into) {
+                append_run_sorted(from, into);
+              },
+              batch.dataset, out);
+          lock.lock();
+          ++next;
+        }
+        draining = false;
+      },
+      stats, "shard");
+  return merged;
+}
+
+}  // namespace
+
 ShardResult run_sharded(const workload::Scenario& scenario,
                         const workload::VideoCatalog& catalog,
                         const WarmArchive& warm,
@@ -202,6 +354,10 @@ ShardResult run_sharded(const workload::Scenario& scenario,
                                 std::to_string(options.spill_format));
   }
   runtime::Executor executor(runtime::resolve_thread_count(options.threads));
+  if (spill_dir == nullptr) {
+    return run_in_memory(scenario, catalog, warm, faults, bad_prefixes,
+                         admitted, shard_count, executor, stats);
+  }
 
   const std::vector<std::vector<AdmittedSession>> parts =
       partition_sessions(admitted, shard_count);
@@ -330,49 +486,7 @@ ShardResult run_sharded(const workload::Scenario& scenario,
   // (which worker, what steal order) are invisible in the output.  A
   // task's exception (resume mismatch, disk full, ...) is parked and
   // rethrown on the calling thread after the run drains.
-  if (spill_dir != nullptr) {
-    executor.parallel_for(parts.size(), run_spilled, stats, "shard");
-  } else {
-    // Memory mode: task = one kDefaultMemoryBatch-session slice of a
-    // shard's partition on a fresh replica.  Batching is just finer sharding
-    // (bit-identical — the checkpoint-equivalence tests prove the same
-    // split), and fine tasks are what lets work-stealing absorb a
-    // skewed partition.  Batch list order (shard, then offset) is the
-    // deterministic merge order; empty shards keep one empty task so
-    // their server-stats shape still reaches the merge.
-    struct MemoryBatch {
-      std::size_t shard;
-      std::size_t offset;
-      std::size_t count;
-    };
-    // One worker: one task per shard, no replica churn.
-    const std::size_t batch_size =
-        executor.workers() > 1 ? kDefaultMemoryBatch : 0;
-    std::vector<MemoryBatch> batches;
-    batches.reserve(parts.size());
-    for (std::size_t s = 0; s < parts.size(); ++s) {
-      const std::size_t size = parts[s].size();
-      std::size_t offset = 0;
-      do {
-        const std::size_t count =
-            batch_size == 0 ? size : std::min(batch_size, size - offset);
-        batches.push_back({s, offset, count});
-        offset += count;
-      } while (offset < size);
-    }
-    results.assign(batches.size(), ShardResult{});
-    executor.parallel_for(
-        batches.size(),
-        [&](std::size_t t) {
-          const MemoryBatch& batch = batches[t];
-          Shard shard(scenario, catalog, warm, faults, bad_prefixes);
-          results[t] = shard.run(
-              std::span<const AdmittedSession>(parts[batch.shard])
-                  .subspan(batch.offset, batch.count));
-        },
-        stats, "shard");
-  }
-
+  executor.parallel_for(parts.size(), run_spilled, stats, "shard");
   return merge_shard_results(std::move(results),
                              executor.workers() > 1 ? &executor : nullptr);
 }

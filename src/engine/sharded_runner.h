@@ -1,12 +1,15 @@
 // ShardedRunner: deterministic parallel execution of a session set.
 //
-// Sessions are partitioned by session id across N *logical* shards, each
-// shard runs its partition on a private replica stack (see Shard), and
-// the per-shard outputs are merged in canonical session-id order.
-// Because session outcomes are session-isolated (cdn::AtsServer::serve) and
-// fault epochs are pure functions of simulated time, the merged output
-// is bit-identical for ANY shard count — shards only change wall-clock
-// time, never results.
+// Sessions are split across N *logical* shards, each shard's sessions run
+// on a private replica stack (see Shard), and the outputs come back in
+// canonical session-id order.  Because session outcomes are
+// session-isolated (cdn::AtsServer::serve) and fault epochs are pure
+// functions of simulated time, the output is bit-identical for ANY shard
+// count and any split — shards only change wall-clock time, never
+// results.  Memory mode splits the id-sorted sessions into contiguous
+// ranges and streams the finished batches, in order, into one output;
+// spill mode partitions by id modulo the shard count, one file per shard,
+// and merges.
 //
 // Logical shards vs physical threads: the shard count defines the
 // determinism partition; the *thread* count (ExecOptions.threads /
@@ -60,25 +63,25 @@ struct ExecOptions {
 };
 
 /// Memory-mode batch granularity: with more than one worker, each shard's
-/// partition is split into batches of this many sessions, each an
+/// contiguous range is split into batches of this many sessions, each an
 /// independent executor task on a fresh replica (batching is just finer
 /// sharding — bit-identical, proven by the checkpoint-equivalence tests).
-/// Small enough that even a worst-case skewed shard splits into dozens
-/// of steal-able tasks, large enough that replica construction stays
-/// negligible next to the sessions it serves.  One worker runs one task
-/// per shard (no replica churn when nothing can steal).
+/// Small enough that the batches in flight, and the finished ones waiting
+/// for an earlier batch, hold little memory, large enough that replica
+/// construction stays negligible next to the sessions it serves.  One
+/// worker runs one task per shard (no replica churn when nothing can
+/// steal).
 inline constexpr std::size_t kDefaultMemoryBatch = 64;
 
-/// Deterministic partition: session id modulo shard_count.  Within each
-/// shard, generation order (ascending ids / nondecreasing start times) is
-/// preserved.
+/// Deterministic partition: session id modulo shard_count, the spill
+/// mode's shard-to-file map.  Within each shard, generation order
+/// (ascending ids / nondecreasing start times) is preserved.
 ///
 /// Worst-case skew: ids strided by a multiple of shard_count (or
 /// clustered in one residue class) land every session in ONE shard —
 /// id-modulo is the canonical partition for determinism, not a balanced
-/// one.  The executor absorbs the imbalance instead: memory-mode batches
-/// (kDefaultMemoryBatch) turn the heavy shard into many steal-able
-/// tasks, so idle workers drain it (see the skew tests in
+/// one.  Memory mode does not use it: its contiguous ranges are balanced
+/// by count whatever the ids (see the skew tests in
 /// tests/engine/merge_test.cc).
 std::vector<std::vector<AdmittedSession>> partition_sessions(
     const std::vector<AdmittedSession>& admitted, std::size_t shard_count);
@@ -105,30 +108,38 @@ std::vector<std::vector<AdmittedSession>> partition_sessions(
 ShardResult merge_shard_results(std::vector<ShardResult> parts,
                                 runtime::Executor* executor = nullptr);
 
-/// Run `admitted` partitioned across `shard_count` logical shards on a
-/// work-stealing pool of `exec->threads` physical workers (null `exec`
-/// resolves ExecOptions{} — VSTREAM_THREADS, else hardware concurrency;
-/// one worker runs everything inline on the calling thread).  All
-/// reference parameters are read-only for the duration; `faults` and
+/// Run `admitted` across `shard_count` logical shards on a work-stealing
+/// pool of `exec->threads` physical workers (null `exec` resolves
+/// ExecOptions{} — VSTREAM_THREADS, else hardware concurrency; one worker
+/// runs everything inline on the calling thread).  All reference
+/// parameters are read-only for the duration; `faults` and
 /// `bad_prefixes` may be null.  `stats` non-null receives the executor's
-/// task/steal accounting for the main run (not the merge).
+/// task/steal accounting for the main run.  Session ids must be unique.
 ///
 /// Task granularity per telemetry mode:
-///   memory      one task per kDefaultMemoryBatch sessions of a shard,
-///               each on a fresh replica — fine-grained, steal-friendly;
-///   spill       one task per shard: a shard owns its spill file, so the
-///               file is single-writer and the file set stays in shard
-///               order for the canonical merge;
+///   memory      the sessions, sorted by id, are cut into `shard_count`
+///               balanced contiguous ranges; one task per
+///               kDefaultMemoryBatch sessions of a range (one per range
+///               with one worker), each on a fresh replica.  Finished
+///               batches are handed over in batch order: each is
+///               run-sorted onto the end of one pre-reserved output and
+///               freed.  The batches cover ascending id ranges, so the
+///               output is canonical with no global merge, and each
+///               record is written into its final buffer once;
+///   spill       one task per id-mod shard: a shard owns its spill file,
+///               so the file is single-writer and the file set stays in
+///               shard order for the canonical merge;
 ///   checkpoint  one task per shard: the sidecar commit sequence within
 ///               a shard is inherently ordered (batches run sequentially
 ///               *inside* the task, exactly as before).
 ///
 /// `spill_dir` selects the telemetry storage model: null materializes
-/// the merged Dataset in RAM (classic); otherwise each shard streams its
+/// the canonical Dataset in RAM; otherwise each shard streams its
 /// completed sessions to <spill_dir>/shard-<i>.vspill through a
 /// telemetry::SpillSink, the merged dataset comes back empty, and the
 /// result's spill_files lists the per-shard files in shard order.  The
-/// directory must already exist.
+/// directory must already exist.  Either way the output equals
+/// merge_shard_results over the partition_sessions parts, byte for byte.
 ///
 /// `checkpoint` non-null enables crash-safe batched execution (spill mode
 /// only — throws std::invalid_argument without `spill_dir`): each shard

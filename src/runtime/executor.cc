@@ -73,8 +73,8 @@ void Executor::execute(Run* run, std::size_t worker, std::size_t first) {
     bool steal = false;
     first = TaskSlot::kIdle;
     if (!have) {
-      // Own deque, back first (the block was pushed in reverse, so the
-      // owner walks its range in ascending order).
+      // Own deque, back first (its tasks were pushed in reverse, so the
+      // owner walks them in ascending order).
       WorkerQueue& own = queues_[worker];
       std::lock_guard<std::mutex> lock(own.mu);
       if (own.items.size() > own.head) {
@@ -85,7 +85,8 @@ void Executor::execute(Run* run, std::size_t worker, std::size_t first) {
     }
     if (!have) {
       // Steal-on-empty: scan the other deques round-robin from our
-      // right-hand neighbour, taking the oldest task (front).
+      // right-hand neighbour, taking the victim's highest pending index
+      // (front), the task its owner would reach last.
       for (std::size_t offset = 1; offset < workers_ && !have; ++offset) {
         WorkerQueue& victim = queues_[(worker + offset) % workers_];
         std::lock_guard<std::mutex> lock(victim.mu);
@@ -192,22 +193,26 @@ void Executor::parallel_for(std::size_t count,
     return;
   }
 
-  // Pre-split [0, count) into one contiguous block per worker, pushed in
-  // reverse so the owner's back-pop walks ascending indices.  All deque
+  // Deal [0, count) round-robin: worker w gets w, w + W, w + 2W, ...,
+  // pushed in reverse so the owner's back-pop walks them in ascending
+  // order.  The tasks in flight are then always the lowest pending
+  // indices, which keeps an in-order consumer's backlog short.  All deque
   // storage is reserved here; nothing on the per-task path allocates.
-  // The caller keeps its block's first task out of the deque, so the pool
-  // cannot steal the whole block before the caller gets to it.
-  const std::size_t caller_first = count >= workers_ ? 0 : TaskSlot::kIdle;
+  // The caller keeps task 0 out of its deque, so the pool cannot steal
+  // it before the caller gets to it.
   for (std::size_t w = 0; w < workers_; ++w) {
-    std::size_t lo = w * count / workers_;
-    if (w == 0 && caller_first == 0) lo = 1;
-    const std::size_t hi = (w + 1) * count / workers_;
     WorkerQueue& queue = queues_[w];
     std::lock_guard<std::mutex> lock(queue.mu);
     queue.items.clear();
     queue.head = 0;
-    queue.items.reserve(hi - lo);
-    for (std::size_t i = hi; i > lo; --i) queue.items.push_back(i - 1);
+    const std::size_t first = w == 0 ? workers_ : w;
+    if (first >= count) continue;
+    const std::size_t last = first + (count - 1 - first) / workers_ * workers_;
+    queue.items.reserve((last - first) / workers_ + 1);
+    for (std::size_t i = last + workers_; i > first;) {
+      i -= workers_;
+      queue.items.push_back(i);
+    }
   }
 
   Run run;
@@ -235,7 +240,7 @@ void Executor::parallel_for(std::size_t count,
   }
   work_cv_.notify_all();
 
-  execute(&run, 0, caller_first);  // the caller is worker 0
+  execute(&run, 0, 0);  // the caller is worker 0
 
   {
     // Wait for every background worker to leave the run: only then is

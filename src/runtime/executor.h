@@ -13,14 +13,16 @@
 //   * fixed worker pool — worker 0 is whatever thread calls
 //     parallel_for(); workers 1..M-1 are background threads parked on a
 //     condition variable between runs;
-//   * per-worker deques — each run pre-splits [0, count) into contiguous
-//     blocks, one deque per worker.  Owners pop from the back (LIFO,
-//     cache-warm), thieves steal from the front (FIFO, the oldest —
-//     i.e. largest remaining — work first);
+//   * per-worker deques — each run deals [0, count) round-robin, worker
+//     w getting w, w + W, w + 2W, ... in its own deque.  Owners pop their
+//     lowest pending index, thieves steal the victim's highest, so the
+//     tasks in flight are the lowest pending indices of the run (the
+//     order an in-order consumer such as run_sharded's memory mode
+//     drains in);
 //   * steal-on-empty — a worker whose own deque drains scans the other
-//     deques round-robin and steals one task at a time, so a skewed
-//     block (one logical shard holding 10x the sessions, split into
-//     batches) is absorbed by whoever is idle;
+//     deques round-robin and steals one task at a time, so a worker stuck
+//     on a long task (a skewed batch) has its remaining tasks taken by
+//     whoever is idle;
 //   * no allocation on the steady-state submit path — deques are
 //     reserved up front per run; enqueueing a task writes into reserved
 //     storage and executing one is a plain indexed call;
@@ -113,11 +115,11 @@ class Executor {
                     const char* label = "task");
 
  private:
-  /// One worker's task deque.  `items[head..size)` are pending; the
-  /// owner pops from the back, thieves take from the front.  The mutex
-  /// guards both cursor and storage — critical sections are a handful
-  /// of instructions, and tasks are coarse (session batches, file
-  /// folds), so contention is irrelevant next to task cost.
+  /// One worker's task deque.  `items[head..size)` are pending, highest
+  /// index first; the owner pops from the back, thieves take from the
+  /// front.  The mutex guards both cursor and storage — critical sections
+  /// are a handful of instructions, and tasks are coarse (session
+  /// batches, file folds), so contention is irrelevant next to task cost.
   struct WorkerQueue {
     std::mutex mu;
     std::vector<std::size_t> items;

@@ -2,17 +2,22 @@
 
 namespace vstream::telemetry {
 
+std::size_t expected_snapshots(std::size_t chunks, sim::Ms chunk_ms,
+                               sim::Ms interval_ms) {
+  if (chunk_ms <= 0.0 || interval_ms <= 0.0) return chunks;
+  return chunks * (static_cast<std::size_t>(chunk_ms / interval_ms) + 1);
+}
+
 void Collector::reserve(std::size_t expected_sessions,
-                        std::size_t expected_chunks) {
+                        std::size_t expected_chunks, sim::Ms chunk_ms) {
   next_sample_at_ms_.reserve(expected_sessions);
   if (sink_ != nullptr) return;  // the Dataset is bypassed entirely
   data_.player_sessions.reserve(expected_sessions);
   data_.cdn_sessions.reserve(expected_sessions);
   data_.player_chunks.reserve(expected_chunks);
   data_.cdn_chunks.reserve(expected_chunks);
-  // At least one snapshot per chunk; long transfers add a few more on the
-  // 500 ms cadence, which the growth policy absorbs from this base.
-  data_.tcp_snapshots.reserve(expected_chunks);
+  data_.tcp_snapshots.reserve(expected_snapshots(
+      expected_chunks, chunk_ms, tcp_sample_interval_ms_));
 }
 
 void Collector::sample_transfer(std::uint64_t session_id,

@@ -15,6 +15,13 @@
 
 namespace vstream::telemetry {
 
+/// tcp_info snapshots expected from `chunks` chunks of `chunk_ms` each at
+/// a `interval_ms` sampling cadence: one per interval of chunk time plus
+/// the end-of-transfer sample.  A reserve size, not a bound — a transfer
+/// that outlasts its chunk's duration samples more.
+std::size_t expected_snapshots(std::size_t chunks, sim::Ms chunk_ms,
+                               sim::Ms interval_ms);
+
 class Collector {
  public:
   /// `sink` is optional and not owned; it must outlive the collector.
@@ -57,12 +64,14 @@ class Collector {
   void session_complete(std::uint64_t session_id);
 
   /// Pre-size every record stream for a run of `expected_sessions` sessions
-  /// requesting `expected_chunks` chunks in total (upper bounds: abandoned
-  /// sessions request fewer).  Steady-state recording then appends into
-  /// reserved capacity instead of growing through reallocation.  With a
-  /// sink attached only the sampling clocks are pre-sized — the record
-  /// vectors are unused.
-  void reserve(std::size_t expected_sessions, std::size_t expected_chunks);
+  /// requesting `expected_chunks` chunks of `chunk_ms` each (the chunk
+  /// counts are upper bounds: abandoned sessions request fewer; the
+  /// snapshot count is expected_snapshots()).  Steady-state recording then
+  /// appends into reserved capacity instead of growing through
+  /// reallocation.  With a sink attached only the sampling clocks are
+  /// pre-sized — the record vectors are unused.
+  void reserve(std::size_t expected_sessions, std::size_t expected_chunks,
+               sim::Ms chunk_ms);
 
   const Dataset& data() const { return data_; }
 

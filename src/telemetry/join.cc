@@ -1,9 +1,9 @@
 #include "telemetry/join.h"
 
 #include <algorithm>
+#include <functional>
 #include <stdexcept>
 #include <string>
-#include <unordered_map>
 
 #include "telemetry/record_schema.h"
 
@@ -176,17 +176,34 @@ std::optional<JoinedSession> StreamingJoiner::join(
     return std::nullopt;
   }
 
-  std::unordered_map<std::uint32_t, const CdnChunkRecord*> cdn_by_chunk;
-  cdn_by_chunk.reserve(records.cdn_chunks.size());
-  for (const CdnChunkRecord& r : records.cdn_chunks) {
-    cdn_by_chunk.emplace(r.chunk_id, &r);  // first wins
-  }
+  // CDN chunks by (chunk id, stream position): the first record of each
+  // id leads its equal range, so the lower bound of an id is the record
+  // that wins.  Player chunks arrive in id order, so each search starts
+  // where the previous one ended; an id that goes back searches from the
+  // start.
+  std::vector<const CdnChunkRecord*> cdn;
+  cdn.reserve(records.cdn_chunks.size());
+  for (const CdnChunkRecord& r : records.cdn_chunks) cdn.push_back(&r);
+  sort_unless_increasing(
+      cdn, [](const CdnChunkRecord* a, const CdnChunkRecord* b) {
+        return a->chunk_id != b->chunk_id ? a->chunk_id < b->chunk_id
+                                          : std::less<>{}(a, b);
+      });
+  const auto id_below = [](const CdnChunkRecord* c, std::uint32_t id) {
+    return c->chunk_id < id;
+  };
   session.chunks.reserve(records.player_chunks.size());
+  auto from = cdn.begin();
+  std::uint32_t previous = 0;
   for (const PlayerChunkRecord& r : records.player_chunks) {
+    if (r.chunk_id < previous) from = cdn.begin();
+    previous = r.chunk_id;
+    from = std::lower_bound(from, cdn.end(), r.chunk_id, id_below);
     JoinedChunk chunk;
     chunk.player = &r;
-    const auto it = cdn_by_chunk.find(r.chunk_id);
-    if (it != cdn_by_chunk.end()) chunk.cdn = it->second;
+    if (from != cdn.end() && (*from)->chunk_id == r.chunk_id) {
+      chunk.cdn = *from;
+    }
     session.chunks.push_back(chunk);
   }
 

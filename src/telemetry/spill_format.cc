@@ -12,6 +12,7 @@
 
 #include "failpoints/failpoint.h"
 #include "runtime/executor.h"
+#include "runtime/huge_pages.h"
 #include "sim/host_error.h"
 #include "telemetry/crc32c.h"
 #include "telemetry/le_bytes.h"
@@ -623,7 +624,8 @@ Dataset SpillSet::load(SpillReadStats* stats, std::size_t threads) const {
       nullptr, "spill_load");
 
   // A prefix sum over the canonical order gives each block its offset in
-  // each output; the five outputs are sized once, one task each.
+  // each output; the five outputs are sized once, one task each, with
+  // huge-page advice so the first touch takes few faults.
   SpillBlockCounts totals{};
   for (const SetBlock& b : canonical_block_order(index)) {
     offsets[b.file][b.block] = totals;
@@ -637,7 +639,9 @@ Dataset SpillSet::load(SpillReadStats* stats, std::size_t threads) const {
       [&](std::size_t task) {
         for_each_stream(
             [&](std::size_t s, auto& out) {
-              if (s == task) out.resize(totals[s]);
+              if (s != task) return;
+              runtime::reserve_huge(out, totals[s]);
+              out.resize(totals[s]);
             },
             data);
       },

@@ -1,30 +1,37 @@
 // merge_shard_results edge cases, its run-sort against a reference
-// std::stable_sort, and partition-skew behavior.
+// std::stable_sort, memory mode's ordered stream against the merge, and
+// partition-skew behavior.
 //
-// The canonical merge is the one place every shard's (or batch's) output
-// flows through, so its edge cases — empty parts, parts with no records,
-// parts that disagree on server-stats shape — decide whether odd
-// partitions stay bit-identical.  The skew tests document the worst case
-// of the id-modulo partition (it is canonical, not balanced) and prove
-// the executor's batch granularity absorbs it.
+// The canonical merge is the one place every spilled shard's output
+// flows through, and memory mode's ordered stream must reproduce it, so
+// their edge cases — empty parts, parts with no records, parts that
+// disagree on server-stats shape — decide whether odd partitions stay
+// bit-identical.  The skew tests document the worst case of the
+// id-modulo partition (it is canonical, not balanced) and show that
+// memory mode's contiguous ranges do not inherit it.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <limits>
 #include <memory>
 #include <random>
 #include <sstream>
+#include <optional>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "engine/admission.h"
 #include "engine/engine.h"
+#include "engine/shard.h"
 #include "engine/sharded_runner.h"
 #include "engine/warmup.h"
+#include "faults/fault_schedule.h"
 #include "runtime/executor.h"
 #include "telemetry/export.h"
 #include "workload/population.h"
@@ -310,14 +317,14 @@ TEST(PartitionSkewTest, StridedIdsCollapseIntoOneShard) {
 }
 
 TEST(PartitionSkewTest, TenToOneSkewStillSpreadsAcrossWorkers) {
-  // One shard holding 10x the sessions must not serialize the run: the
-  // memory-mode batch granularity turns the heavy shard into many
-  // steal-able tasks.  Build a real world, then remap session ids so
-  // shard 0 of 4 holds 10x what shard 1 holds (the other two are empty)
-  // and kDefaultMemoryBatch splits it into 8 tasks, run with 4 workers,
-  // and require (a) more than one worker executed tasks — or at least
-  // one steal happened — and (b) the output is bit-identical to the
-  // single-threaded run.
+  // Ids that would put 10x the sessions in one id-mod shard must not
+  // serialize the run.  Build a real world, then remap session ids so
+  // residue 0 of 4 holds 10x what residue 1 holds (the other two are
+  // empty) and the ids are no longer in admission order, run with 4
+  // workers, and require (a) the task count of 4 balanced contiguous
+  // ranges cut into kDefaultMemoryBatch batches, (b) more than one worker
+  // executed tasks — or at least one steal happened — and (c) the output
+  // is bit-identical to the single-threaded run.
   constexpr std::size_t kBatch = engine::kDefaultMemoryBatch;
   constexpr std::size_t kHeavy = 8 * kBatch;
   constexpr std::size_t kLight = kHeavy / 10;
@@ -352,12 +359,98 @@ TEST(PartitionSkewTest, TenToOneSkewStillSpreadsAcrossWorkers) {
   runtime::ParallelStats stats;
   const engine::ShardResult skewed = run(4, &stats);
 
-  // 8 tasks for the heavy shard, one per started batch for the light
-  // one, one for each empty shard.
-  EXPECT_EQ(stats.tasks, kHeavy / kBatch + (kLight + kBatch - 1) / kBatch + 2);
+  // Memory mode cuts the id-sorted sessions into 4 balanced ranges, one
+  // task per started batch of each.
+  std::size_t expected_tasks = 0;
+  for (std::size_t r = 0; r < 4; ++r) {
+    const std::size_t size =
+        (r + 1) * admitted.size() / 4 - r * admitted.size() / 4;
+    expected_tasks += (size + kBatch - 1) / kBatch;
+  }
+  EXPECT_EQ(stats.tasks, expected_tasks);
   EXPECT_TRUE(stats.workers_used() >= 2 || stats.steals >= 1)
       << "heavy shard was executed by a single worker with no steals";
   EXPECT_EQ(export_string(reference.dataset), export_string(skewed.dataset));
+}
+
+// ---------------------------------------------- ordered memory stream
+
+void expect_same_accounting(const engine::ShardResult& a,
+                            const engine::ShardResult& b) {
+  EXPECT_EQ(a.ground_truth.ds_anomalies, b.ground_truth.ds_anomalies);
+  EXPECT_EQ(a.ground_truth.proxied, b.ground_truth.proxied);
+  EXPECT_EQ(a.ground_truth.total_chunks, b.ground_truth.total_chunks);
+  EXPECT_EQ(a.ground_truth.total_ds_anomalies,
+            b.ground_truth.total_ds_anomalies);
+  EXPECT_EQ(a.ground_truth.stall_abandonments,
+            b.ground_truth.stall_abandonments);
+  EXPECT_EQ(a.ground_truth.request_timeouts, b.ground_truth.request_timeouts);
+  EXPECT_EQ(a.ground_truth.chunk_retries, b.ground_truth.chunk_retries);
+  EXPECT_EQ(a.ground_truth.failover_events, b.ground_truth.failover_events);
+  EXPECT_EQ(a.ground_truth.failed_sessions, b.ground_truth.failed_sessions);
+  static_assert(std::has_unique_object_representations_v<cdn::ServerStats>);
+  ASSERT_EQ(a.server_stats.size(), b.server_stats.size());
+  EXPECT_EQ(std::memcmp(a.server_stats.data(), b.server_stats.data(),
+                        a.server_stats.size() * sizeof(cdn::ServerStats)),
+            0);
+  EXPECT_EQ(a.completed, b.completed);
+}
+
+TEST(OrderedStreamTest, MemoryModeEqualsMergeOfIdModParts) {
+  // Memory-mode run_sharded streams contiguous id ranges into one output;
+  // the spill path and the reference below run the id-mod parts and
+  // merge them.  Both must agree byte for byte, records and accounting,
+  // at any thread and shard count, with and without faults.
+  workload::Scenario scenario = workload::test_scenario();
+  scenario.session_count = 150;
+  sim::Rng rng(scenario.seed);
+  const workload::VideoCatalog catalog(scenario.catalog, rng);
+  workload::Population population(scenario.population, rng);
+  workload::SessionGenerator generator(scenario.sessions, catalog, population);
+  const cdn::Fleet prototype(scenario.fleet, catalog.size());
+  const engine::WarmArchive warm =
+      engine::build_warm_archive(prototype, catalog, 0.92, false);
+  const std::vector<engine::AdmittedSession> admitted =
+      engine::admit_sessions(scenario, generator, rng);
+
+  for (const char* profile : {"none", "overload"}) {
+    const std::optional<faults::FaultSchedule> schedule =
+        faults::FaultSchedule::named(profile);
+    ASSERT_TRUE(schedule.has_value());
+    const faults::FaultSchedule* faults =
+        schedule->empty() ? nullptr : &*schedule;
+    for (const std::size_t shards : {1u, 7u, 64u}) {
+      std::vector<engine::ShardResult> parts;
+      for (const auto& part : engine::partition_sessions(admitted, shards)) {
+        engine::Shard shard(scenario, catalog, warm, faults, nullptr);
+        parts.push_back(shard.run(part));
+      }
+      const engine::ShardResult reference =
+          engine::merge_shard_results(std::move(parts));
+      const std::string reference_csv = export_string(reference.dataset);
+      for (const std::size_t threads : {1u, 4u}) {
+        SCOPED_TRACE(std::string(profile) + " shards=" +
+                     std::to_string(shards) +
+                     " threads=" + std::to_string(threads));
+        engine::ExecOptions exec;
+        exec.threads = threads;
+        const engine::ShardResult streamed =
+            engine::run_sharded(scenario, catalog, warm, faults, nullptr,
+                                admitted, shards, nullptr, nullptr, &exec);
+        // Not EXPECT_EQ: gtest's line diff of two multi-MB strings takes
+        // memory quadratic in the line count.
+        const std::string streamed_csv = export_string(streamed.dataset);
+        const auto [at, _] = std::mismatch(
+            streamed_csv.begin(), streamed_csv.end(), reference_csv.begin(),
+            reference_csv.end());
+        EXPECT_TRUE(streamed_csv == reference_csv)
+            << "CSV bytes differ from offset "
+            << (at - streamed_csv.begin()) << " of " << streamed_csv.size()
+            << " (reference " << reference_csv.size() << ")";
+        expect_same_accounting(streamed, reference);
+      }
+    }
+  }
 }
 
 TEST(ShardedRunnerTest, SpillFormatPinAcceptsOnlyTheOneFormat) {

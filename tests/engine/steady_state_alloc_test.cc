@@ -67,7 +67,8 @@ TEST(SteadyStateAllocTest, ChunkServingAllocatesNothingAfterWarmup) {
   workload::SessionGenerator generator(scenario.sessions, catalog, population);
   cdn::Fleet fleet(scenario.fleet, catalog.size());
   telemetry::Collector collector(scenario.tcp_sample_interval_ms);
-  collector.reserve(/*expected_sessions=*/8, /*expected_chunks=*/4096);
+  collector.reserve(/*expected_sessions=*/8, /*expected_chunks=*/4096,
+                    catalog.chunk_duration_s() * 1000.0);
   engine::GroundTruth ground_truth;
   std::unordered_set<net::Prefix24> bad_prefixes;
   std::vector<net::RoundSample> round_scratch;

@@ -7,9 +7,12 @@
 // lifetime race turns into a hard failure.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <map>
+#include <mutex>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
@@ -139,6 +142,53 @@ TEST(ExecutorTest, TrueConcurrencyRendezvous) {
     }
   });
   EXPECT_TRUE(ok.load()) << "tasks never met — pool is not concurrent";
+}
+
+TEST(ExecutorTest, DealsRoundRobinSoTheLowestIndicesRunFirst) {
+  // Two rounds of W tasks, each round a barrier that opens only when all
+  // W of its tasks run at once.  Dealt round-robin, worker w holds w and
+  // w + W, so every worker enters round 1 with its own task and nothing
+  // is stolen.  Dealt in contiguous blocks, one worker would hold two
+  // round-1 tasks and the barrier would time out.  Timeboxed so a
+  // regression fails instead of hanging.
+  constexpr std::size_t kWorkers = 4;
+  Executor executor(kWorkers);
+  std::array<std::atomic<std::size_t>, 2> arrived{};
+  std::atomic<bool> ok{true};
+  std::mutex mu;
+  std::map<std::thread::id, std::vector<std::size_t>> ran;
+  ParallelStats stats;
+  executor.parallel_for(
+      2 * kWorkers,
+      [&](std::size_t i) {
+        {
+          std::lock_guard<std::mutex> lock(mu);
+          ran[std::this_thread::get_id()].push_back(i);
+        }
+        std::atomic<std::size_t>& round = arrived[i / kWorkers];
+        round.fetch_add(1);
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(30);
+        while (round.load() < kWorkers) {
+          if (std::chrono::steady_clock::now() > deadline) {
+            ok.store(false);
+            return;
+          }
+          std::this_thread::yield();
+        }
+      },
+      &stats);
+  ASSERT_TRUE(ok.load()) << "a round's tasks never ran all at once";
+  EXPECT_EQ(stats.steals, 0u);
+  ASSERT_EQ(ran.size(), kWorkers);
+  // Worker w ran w, then w + W; the caller is worker 0.
+  EXPECT_EQ(ran[std::this_thread::get_id()],
+            (std::vector<std::size_t>{0, kWorkers}));
+  for (const auto& [thread, tasks] : ran) {
+    ASSERT_EQ(tasks.size(), 2u);
+    EXPECT_LT(tasks[0], kWorkers);
+    EXPECT_EQ(tasks[1], tasks[0] + kWorkers);
+  }
 }
 
 TEST(ExecutorTest, ReentrantParallelForFallsBackInline) {

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 namespace vstream::telemetry {
 namespace {
@@ -267,6 +269,38 @@ TEST(JoinTest, CanonicalizeKeepsPerSessionRecordOrder) {
   EXPECT_EQ(s.player->user_agent, "Override/UA");  // last wins
   ASSERT_NE(s.chunks[0].cdn, nullptr);
   EXPECT_DOUBLE_EQ(s.chunks[0].cdn->dread_ms, 80.0);  // first wins
+}
+
+TEST(JoinTest, CdnChunksPairByIdFirstInStreamWinsInAnyOrder) {
+  // CDN chunks out of id order with a later duplicate, player chunks whose
+  // id goes back and one id with no CDN record: each player chunk pairs
+  // with the first CDN record of its id in stream order.
+  const std::vector<PlayerSessionRecord> player(1);
+  const std::vector<CdnSessionRecord> cdn_session(1);
+  std::vector<PlayerChunkRecord> player_chunks;
+  for (const std::uint32_t id : {2u, 0u, 1u, 2u, 5u}) {
+    PlayerChunkRecord r;
+    r.chunk_id = id;
+    player_chunks.push_back(r);
+  }
+  std::vector<CdnChunkRecord> cdn_chunks;
+  for (const std::uint32_t id : {1u, 2u, 0u, 2u, 3u}) {
+    CdnChunkRecord r;
+    r.chunk_id = id;
+    cdn_chunks.push_back(r);
+  }
+  StreamingJoiner joiner;
+  const std::optional<JoinedSession> joined =
+      joiner.join({0, player, cdn_session, player_chunks, cdn_chunks, {}});
+  ASSERT_TRUE(joined.has_value());
+  // Chunks come back in id order: 0, 1, 2, 2, 5.
+  const std::vector<const CdnChunkRecord*> expected = {
+      &cdn_chunks[2], &cdn_chunks[0], &cdn_chunks[1], &cdn_chunks[1],
+      nullptr};
+  ASSERT_EQ(joined->chunks.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(joined->chunks[i].cdn, expected[i]) << "chunk " << i;
+  }
 }
 
 TEST(JoinTest, RecordHelpers) {
