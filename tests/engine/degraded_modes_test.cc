@@ -6,11 +6,11 @@
 
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/exit_codes.h"
+#include "csv_diff.h"
 #include "engine/engine.h"
 #include "failpoints/failpoint.h"
 #include "sim/host_error.h"
@@ -22,16 +22,6 @@ namespace vstream {
 namespace {
 
 namespace fs = std::filesystem;
-
-std::string export_string(const telemetry::Dataset& data) {
-  std::ostringstream out;
-  telemetry::write_csv(out, data.player_sessions);
-  telemetry::write_csv(out, data.cdn_sessions);
-  telemetry::write_csv(out, data.player_chunks);
-  telemetry::write_csv(out, data.cdn_chunks);
-  telemetry::write_csv(out, data.tcp_snapshots);
-  return out.str();
-}
 
 workload::Scenario small_scenario() {
   workload::Scenario s = workload::test_scenario();
@@ -78,7 +68,7 @@ TEST_F(DegradedModesTest, CheckpointWriteFailureDegradesButCompletes) {
   telemetry::SpillReadStats stats;
   const telemetry::Dataset salvaged = degraded.spill.load(&stats);
   EXPECT_FALSE(stats.corrupted());
-  EXPECT_EQ(export_string(salvaged), export_string(reference.dataset));
+  EXPECT_TRUE(test::same_csv(salvaged, reference.dataset));
 }
 
 TEST_F(DegradedModesTest, CheckpointRenameFailureAlsoDegrades) {

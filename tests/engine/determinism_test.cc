@@ -4,11 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 
 #include "core/streaming.h"
+#include "csv_diff.h"
 #include "engine/engine.h"
 #include "engine/replay.h"
 #include "telemetry/export.h"
@@ -18,18 +18,6 @@
 
 namespace vstream {
 namespace {
-
-/// Serialize every record stream exactly as export_dataset would write the
-/// files; byte-equality of this string is byte-equality of the exports.
-std::string export_string(const telemetry::Dataset& data) {
-  std::ostringstream out;
-  telemetry::write_csv(out, data.player_sessions);
-  telemetry::write_csv(out, data.cdn_sessions);
-  telemetry::write_csv(out, data.player_chunks);
-  telemetry::write_csv(out, data.cdn_chunks);
-  telemetry::write_csv(out, data.tcp_snapshots);
-  return out.str();
-}
 
 workload::Scenario small_scenario() {
   workload::Scenario s = workload::test_scenario();
@@ -91,7 +79,7 @@ TEST(EngineDeterminismTest, SameSeedTwiceIsByteIdentical) {
   engine::RunResult first = engine::run_simulation(scenario, options);
   engine::RunResult second = engine::run_simulation(scenario, options);
   EXPECT_FALSE(first.dataset.player_chunks.empty());
-  EXPECT_EQ(export_string(first.dataset), export_string(second.dataset));
+  EXPECT_TRUE(test::same_csv(first.dataset, second.dataset));
   expect_equal_ground_truth(first.ground_truth, second.ground_truth);
   expect_equal_server_stats(first.server_stats, second.server_stats);
 }
@@ -101,7 +89,7 @@ TEST(EngineDeterminismTest, DifferentSeedsDiffer) {
   const engine::RunResult first = engine::run_simulation(scenario);
   scenario.seed += 1;
   const engine::RunResult second = engine::run_simulation(scenario);
-  EXPECT_NE(export_string(first.dataset), export_string(second.dataset));
+  EXPECT_FALSE(test::same_csv(first.dataset, second.dataset));
 }
 
 TEST(EngineDeterminismTest, ShardCountInvariantFaultFree) {
@@ -109,7 +97,6 @@ TEST(EngineDeterminismTest, ShardCountInvariantFaultFree) {
   engine::RunOptions base;
   base.shards = 1;
   const engine::RunResult reference = engine::run_simulation(scenario, base);
-  const std::string reference_csv = export_string(reference.dataset);
   ASSERT_FALSE(reference.dataset.player_chunks.empty());
 
   for (const std::size_t shards : {2, 4, 8}) {
@@ -117,7 +104,7 @@ TEST(EngineDeterminismTest, ShardCountInvariantFaultFree) {
     options.shards = shards;
     const engine::RunResult run = engine::run_simulation(scenario, options);
     EXPECT_EQ(run.shard_count, shards);
-    EXPECT_EQ(export_string(run.dataset), reference_csv)
+    EXPECT_TRUE(test::same_csv(run.dataset, reference.dataset))
         << "shards=" << shards;
     expect_equal_ground_truth(run.ground_truth, reference.ground_truth);
     expect_equal_server_stats(run.server_stats, reference.server_stats);
@@ -130,7 +117,6 @@ TEST(EngineDeterminismTest, ShardCountInvariantUnderFaults) {
   base.shards = 1;
   base.faults = eventful_schedule();
   const engine::RunResult reference = engine::run_simulation(scenario, base);
-  const std::string reference_csv = export_string(reference.dataset);
 
   // The schedule must actually bite, or the test proves nothing.
   EXPECT_GT(reference.ground_truth.chunk_retries +
@@ -144,7 +130,7 @@ TEST(EngineDeterminismTest, ShardCountInvariantUnderFaults) {
     options.shards = shards;
     options.faults = eventful_schedule();
     const engine::RunResult run = engine::run_simulation(scenario, options);
-    EXPECT_EQ(export_string(run.dataset), reference_csv)
+    EXPECT_TRUE(test::same_csv(run.dataset, reference.dataset))
         << "shards=" << shards;
     expect_equal_ground_truth(run.ground_truth, reference.ground_truth);
     expect_equal_server_stats(run.server_stats, reference.server_stats);
@@ -170,7 +156,6 @@ TEST(EngineDeterminismTest, ShardCountInvariantUnderOverloadProtection) {
   base.shards = 1;
   base.faults = overload_schedule();
   const engine::RunResult reference = engine::run_simulation(scenario, base);
-  const std::string reference_csv = export_string(reference.dataset);
 
   // The protection layer must actually engage, or the test proves nothing:
   // the flash crowd sheds low-priority work and the brownout trips
@@ -188,7 +173,7 @@ TEST(EngineDeterminismTest, ShardCountInvariantUnderOverloadProtection) {
     options.shards = shards;
     options.faults = overload_schedule();
     const engine::RunResult run = engine::run_simulation(scenario, options);
-    EXPECT_EQ(export_string(run.dataset), reference_csv)
+    EXPECT_TRUE(test::same_csv(run.dataset, reference.dataset))
         << "shards=" << shards;
     expect_equal_ground_truth(run.ground_truth, reference.ground_truth);
     expect_equal_server_stats(run.server_stats, reference.server_stats);
@@ -202,8 +187,8 @@ TEST(EngineDeterminismTest, ShardCountLargerThanSessionsStillMatches) {
   one.shards = 1;
   engine::RunOptions many;
   many.shards = 8;  // most shards run empty
-  EXPECT_EQ(export_string(engine::run_simulation(scenario, one).dataset),
-            export_string(engine::run_simulation(scenario, many).dataset));
+  EXPECT_TRUE(test::same_csv(engine::run_simulation(scenario, many).dataset,
+                             engine::run_simulation(scenario, one).dataset));
 }
 
 /// Fresh per-test scratch directory for spill files.
@@ -221,7 +206,6 @@ TEST(EngineDeterminismTest, SpillRunMatchesInMemoryForEveryShardCount) {
   engine::RunOptions base;
   base.shards = 1;
   const engine::RunResult reference = engine::run_simulation(scenario, base);
-  const std::string reference_csv = export_string(reference.dataset);
   ASSERT_FALSE(reference.dataset.player_chunks.empty());
 
   const std::filesystem::path dir = spill_scratch("shards");
@@ -238,7 +222,7 @@ TEST(EngineDeterminismTest, SpillRunMatchesInMemoryForEveryShardCount) {
 
     // Materializing the spill set reproduces the canonical in-memory
     // dataset byte for byte — CSV export is the oracle.
-    EXPECT_EQ(export_string(run.spill.load()), reference_csv)
+    EXPECT_TRUE(test::same_csv(run.spill.load(), reference.dataset))
         << "shards=" << shards;
     expect_equal_ground_truth(run.ground_truth, reference.ground_truth);
     expect_equal_server_stats(run.server_stats, reference.server_stats);
@@ -362,7 +346,6 @@ TEST(EngineDeterminismTest, CheckpointedRunMatchesUninterrupted) {
   engine::RunOptions base;
   base.shards = 1;
   const engine::RunResult reference = engine::run_simulation(scenario, base);
-  const std::string reference_csv = export_string(reference.dataset);
 
   const std::filesystem::path dir = spill_scratch("ckpt");
   for (const std::size_t shards : {1, 2, 4}) {
@@ -374,7 +357,7 @@ TEST(EngineDeterminismTest, CheckpointedRunMatchesUninterrupted) {
 
     EXPECT_TRUE(run.completed) << "shards=" << shards;
     ASSERT_TRUE(run.spilled()) << "shards=" << shards;
-    EXPECT_EQ(export_string(run.spill.load()), reference_csv)
+    EXPECT_TRUE(test::same_csv(run.spill.load(), reference.dataset))
         << "shards=" << shards;
     expect_equal_ground_truth(run.ground_truth, reference.ground_truth);
     expect_equal_server_stats(run.server_stats, reference.server_stats);
@@ -399,7 +382,6 @@ TEST(EngineDeterminismTest, ResumedRunIsBitIdenticalToUninterrupted) {
   base.shards = 1;
   base.faults = eventful_schedule();
   const engine::RunResult reference = engine::run_simulation(scenario, base);
-  const std::string reference_csv = export_string(reference.dataset);
   const double tau = reference.catalog->chunk_duration_s();
   const core::StreamingAnalysis reference_analysis =
       core::analyze_dataset(reference.dataset, tau);
@@ -429,7 +411,7 @@ TEST(EngineDeterminismTest, ResumedRunIsBitIdenticalToUninterrupted) {
 
     // Byte-identical CSV export, bit-identical accounting and analysis.
     telemetry::SpillReadStats stats;
-    EXPECT_EQ(export_string(resumed.spill.load(&stats)), reference_csv)
+    EXPECT_TRUE(test::same_csv(resumed.spill.load(&stats), reference.dataset))
         << "shards=" << shards;
     EXPECT_FALSE(stats.corrupted()) << "shards=" << shards;
     expect_equal_ground_truth(resumed.ground_truth, reference.ground_truth);
@@ -465,12 +447,12 @@ TEST(EngineDeterminismTest, ResumeOfCompletedRunIsANoOp) {
   options.checkpoint_interval = 50;
   const engine::RunResult first = engine::run_simulation(scenario, options);
   EXPECT_TRUE(first.completed);
-  const std::string first_csv = export_string(first.spill.load());
+  const telemetry::Dataset first_data = first.spill.load();
 
   options.resume = true;
   const engine::RunResult again = engine::run_simulation(scenario, options);
   EXPECT_TRUE(again.completed);
-  EXPECT_EQ(export_string(again.spill.load()), first_csv);
+  EXPECT_TRUE(test::same_csv(again.spill.load(), first_data));
   std::filesystem::remove_all(dir);
 }
 
@@ -499,7 +481,6 @@ TEST(ThreadDeterminismTest, ThreadsTimesShardsMatrixFaultFree) {
   base.shards = 1;
   base.threads = 1;
   const engine::RunResult reference = engine::run_simulation(scenario, base);
-  const std::string reference_csv = export_string(reference.dataset);
   ASSERT_FALSE(reference.dataset.player_chunks.empty());
 
   for (const std::size_t shards : {1, 4, 64}) {
@@ -509,7 +490,7 @@ TEST(ThreadDeterminismTest, ThreadsTimesShardsMatrixFaultFree) {
       options.threads = threads;
       const engine::RunResult run = engine::run_simulation(scenario, options);
       EXPECT_EQ(run.thread_count, threads);
-      EXPECT_EQ(export_string(run.dataset), reference_csv)
+      EXPECT_TRUE(test::same_csv(run.dataset, reference.dataset))
           << "shards=" << shards << " threads=" << threads;
       expect_equal_ground_truth(run.ground_truth, reference.ground_truth);
       expect_equal_server_stats(run.server_stats, reference.server_stats);
@@ -524,7 +505,6 @@ TEST(ThreadDeterminismTest, ThreadCountInvariantUnderFaults) {
   base.threads = 1;
   base.faults = eventful_schedule();
   const engine::RunResult reference = engine::run_simulation(scenario, base);
-  const std::string reference_csv = export_string(reference.dataset);
   EXPECT_GT(reference.ground_truth.chunk_retries +
                 reference.ground_truth.request_timeouts +
                 reference.ground_truth.failover_events,
@@ -537,7 +517,7 @@ TEST(ThreadDeterminismTest, ThreadCountInvariantUnderFaults) {
       options.threads = threads;
       options.faults = eventful_schedule();
       const engine::RunResult run = engine::run_simulation(scenario, options);
-      EXPECT_EQ(export_string(run.dataset), reference_csv)
+      EXPECT_TRUE(test::same_csv(run.dataset, reference.dataset))
           << "shards=" << shards << " threads=" << threads;
       expect_equal_ground_truth(run.ground_truth, reference.ground_truth);
       expect_equal_server_stats(run.server_stats, reference.server_stats);
@@ -552,7 +532,6 @@ TEST(ThreadDeterminismTest, ThreadCountInvariantUnderOverloadProtection) {
   base.threads = 1;
   base.faults = overload_schedule();
   const engine::RunResult reference = engine::run_simulation(scenario, base);
-  const std::string reference_csv = export_string(reference.dataset);
   std::uint64_t shed = 0;
   for (const cdn::ServerStats& s : reference.server_stats) {
     shed += s.shed_requests;
@@ -565,7 +544,7 @@ TEST(ThreadDeterminismTest, ThreadCountInvariantUnderOverloadProtection) {
     options.threads = 8;
     options.faults = overload_schedule();
     const engine::RunResult run = engine::run_simulation(scenario, options);
-    EXPECT_EQ(export_string(run.dataset), reference_csv)
+    EXPECT_TRUE(test::same_csv(run.dataset, reference.dataset))
         << "shards=" << shards;
     expect_equal_ground_truth(run.ground_truth, reference.ground_truth);
     expect_equal_server_stats(run.server_stats, reference.server_stats);
@@ -578,7 +557,6 @@ TEST(ThreadDeterminismTest, SpilledRunsAreThreadCountInvariant) {
   base.shards = 1;
   base.threads = 1;
   const engine::RunResult reference = engine::run_simulation(scenario, base);
-  const std::string reference_csv = export_string(reference.dataset);
 
   const std::filesystem::path dir = spill_scratch("threads_spill");
   for (const std::size_t threads : {1, 2, 4, 8}) {
@@ -590,7 +568,7 @@ TEST(ThreadDeterminismTest, SpilledRunsAreThreadCountInvariant) {
     const engine::RunResult run = engine::run_simulation(scenario, options);
     ASSERT_TRUE(run.spilled()) << "threads=" << threads;
     EXPECT_EQ(run.spill.files().size(), 4u) << "threads=" << threads;
-    EXPECT_EQ(export_string(run.spill.load()), reference_csv)
+    EXPECT_TRUE(test::same_csv(run.spill.load(), reference.dataset))
         << "threads=" << threads;
     expect_equal_server_stats(run.server_stats, reference.server_stats);
   }
@@ -603,7 +581,7 @@ TEST(ThreadDeterminismTest, SpilledRunsAreThreadCountInvariant) {
   const engine::RunResult run = engine::run_simulation(scenario, wide);
   ASSERT_TRUE(run.spilled());
   EXPECT_EQ(run.spill.files().size(), 64u);
-  EXPECT_EQ(export_string(run.spill.load()), reference_csv);
+  EXPECT_TRUE(test::same_csv(run.spill.load(), reference.dataset));
   std::filesystem::remove_all(dir);
 }
 
@@ -617,7 +595,6 @@ TEST(ThreadDeterminismTest, ResumedRunIsThreadCountInvariant) {
   base.threads = 1;
   base.faults = eventful_schedule();
   const engine::RunResult reference = engine::run_simulation(scenario, base);
-  const std::string reference_csv = export_string(reference.dataset);
 
   const std::filesystem::path dir = spill_scratch("threads_resume");
   for (const std::size_t threads : {4, 8}) {
@@ -639,7 +616,7 @@ TEST(ThreadDeterminismTest, ResumedRunIsThreadCountInvariant) {
         engine::run_simulation(scenario, options);
     EXPECT_TRUE(resumed.completed) << "threads=" << threads;
     ASSERT_TRUE(resumed.spilled()) << "threads=" << threads;
-    EXPECT_EQ(export_string(resumed.spill.load()), reference_csv)
+    EXPECT_TRUE(test::same_csv(resumed.spill.load(), reference.dataset))
         << "threads=" << threads;
     expect_equal_ground_truth(resumed.ground_truth, reference.ground_truth);
     expect_equal_server_stats(resumed.server_stats, reference.server_stats);
@@ -768,7 +745,7 @@ void expect_replay_matches_cells(const faults::FaultSchedule& schedule,
         ASSERT_TRUE(replayed.has_value())
             << tag << " session " << id << " not admitted";
         const telemetry::Dataset original = session_slice(run.dataset, id);
-        EXPECT_EQ(export_string(replayed->dataset), export_string(original))
+        EXPECT_TRUE(test::same_csv(replayed->dataset, original))
             << tag << " session " << id << " shards=" << shards
             << " threads=" << threads;
 

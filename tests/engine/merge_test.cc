@@ -18,7 +18,6 @@
 #include <limits>
 #include <memory>
 #include <random>
-#include <sstream>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -26,6 +25,7 @@
 #include <utility>
 #include <vector>
 
+#include "csv_diff.h"
 #include "engine/admission.h"
 #include "engine/engine.h"
 #include "engine/shard.h"
@@ -40,16 +40,6 @@
 
 namespace vstream {
 namespace {
-
-std::string export_string(const telemetry::Dataset& data) {
-  std::ostringstream out;
-  telemetry::write_csv(out, data.player_sessions);
-  telemetry::write_csv(out, data.cdn_sessions);
-  telemetry::write_csv(out, data.player_chunks);
-  telemetry::write_csv(out, data.cdn_chunks);
-  telemetry::write_csv(out, data.tcp_snapshots);
-  return out.str();
-}
 
 std::filesystem::path merge_scratch(const char* tag) {
   const std::filesystem::path dir =
@@ -150,7 +140,7 @@ TEST(MergeShardResultsTest, ParallelMergeIsByteIdenticalToSerial) {
   runtime::Executor executor(4);
   const engine::ShardResult parallel =
       engine::merge_shard_results(build_parts(), &executor);
-  EXPECT_EQ(export_string(serial.dataset), export_string(parallel.dataset));
+  EXPECT_TRUE(test::same_csv(parallel.dataset, serial.dataset));
 }
 
 // ------------------------------------------ run-sort vs. stable sort
@@ -221,15 +211,13 @@ void expect_matches_stable_sort(const std::vector<std::vector<Tagged>>& spec) {
     }
     return parts;
   };
-  const std::string expected = export_string(reference_merge(build()));
-  EXPECT_EQ(
-      export_string(engine::merge_shard_results(build(), nullptr).dataset),
-      expected)
+  const telemetry::Dataset expected = reference_merge(build());
+  EXPECT_TRUE(test::same_csv(
+      engine::merge_shard_results(build(), nullptr).dataset, expected))
       << "serial merge";
   runtime::Executor executor(4);
-  EXPECT_EQ(
-      export_string(engine::merge_shard_results(build(), &executor).dataset),
-      expected)
+  EXPECT_TRUE(test::same_csv(
+      engine::merge_shard_results(build(), &executor).dataset, expected))
       << "4-worker merge";
 }
 
@@ -370,7 +358,7 @@ TEST(PartitionSkewTest, TenToOneSkewStillSpreadsAcrossWorkers) {
   EXPECT_EQ(stats.tasks, expected_tasks);
   EXPECT_TRUE(stats.workers_used() >= 2 || stats.steals >= 1)
       << "heavy shard was executed by a single worker with no steals";
-  EXPECT_EQ(export_string(reference.dataset), export_string(skewed.dataset));
+  EXPECT_TRUE(test::same_csv(skewed.dataset, reference.dataset));
 }
 
 // ---------------------------------------------- ordered memory stream
@@ -427,7 +415,6 @@ TEST(OrderedStreamTest, MemoryModeEqualsMergeOfIdModParts) {
       }
       const engine::ShardResult reference =
           engine::merge_shard_results(std::move(parts));
-      const std::string reference_csv = export_string(reference.dataset);
       for (const std::size_t threads : {1u, 4u}) {
         SCOPED_TRACE(std::string(profile) + " shards=" +
                      std::to_string(shards) +
@@ -437,16 +424,7 @@ TEST(OrderedStreamTest, MemoryModeEqualsMergeOfIdModParts) {
         const engine::ShardResult streamed =
             engine::run_sharded(scenario, catalog, warm, faults, nullptr,
                                 admitted, shards, nullptr, nullptr, &exec);
-        // Not EXPECT_EQ: gtest's line diff of two multi-MB strings takes
-        // memory quadratic in the line count.
-        const std::string streamed_csv = export_string(streamed.dataset);
-        const auto [at, _] = std::mismatch(
-            streamed_csv.begin(), streamed_csv.end(), reference_csv.begin(),
-            reference_csv.end());
-        EXPECT_TRUE(streamed_csv == reference_csv)
-            << "CSV bytes differ from offset "
-            << (at - streamed_csv.begin()) << " of " << streamed_csv.size()
-            << " (reference " << reference_csv.size() << ")";
+        EXPECT_TRUE(test::same_csv(streamed.dataset, reference.dataset));
         expect_same_accounting(streamed, reference);
       }
     }
@@ -483,13 +461,12 @@ TEST(MergeEdgeCaseTest, MostlyEmptyShardsMatchSingleShardBothPaths) {
   engine::RunOptions one;
   one.shards = 1;
   const engine::RunResult reference = engine::run_simulation(scenario, one);
-  const std::string reference_csv = export_string(reference.dataset);
 
   engine::RunOptions memory;
   memory.shards = 8;
   memory.threads = 4;
-  EXPECT_EQ(export_string(engine::run_simulation(scenario, memory).dataset),
-            reference_csv);
+  EXPECT_TRUE(test::same_csv(engine::run_simulation(scenario, memory).dataset,
+                             reference.dataset));
 
   engine::RunOptions spill;
   spill.shards = 8;
@@ -499,7 +476,7 @@ TEST(MergeEdgeCaseTest, MostlyEmptyShardsMatchSingleShardBothPaths) {
   const engine::RunResult spilled = engine::run_simulation(scenario, spill);
   ASSERT_TRUE(spilled.spilled());
   EXPECT_EQ(spilled.spill.files().size(), 8u);  // empty shards spill too
-  EXPECT_EQ(export_string(spilled.spill.load()), reference_csv);
+  EXPECT_TRUE(test::same_csv(spilled.spill.load(), reference.dataset));
   std::filesystem::remove_all(dir);
 }
 
@@ -512,13 +489,12 @@ TEST(MergeEdgeCaseTest, SingleSessionShardsMatchSingleShardBothPaths) {
   engine::RunOptions one;
   one.shards = 1;
   const engine::RunResult reference = engine::run_simulation(scenario, one);
-  const std::string reference_csv = export_string(reference.dataset);
 
   engine::RunOptions four;
   four.shards = 4;
   four.threads = 4;
-  EXPECT_EQ(export_string(engine::run_simulation(scenario, four).dataset),
-            reference_csv);
+  EXPECT_TRUE(test::same_csv(engine::run_simulation(scenario, four).dataset,
+                             reference.dataset));
 
   engine::RunOptions spill;
   spill.shards = 4;
@@ -527,7 +503,7 @@ TEST(MergeEdgeCaseTest, SingleSessionShardsMatchSingleShardBothPaths) {
   spill.telemetry_spill_dir = dir.string();
   const engine::RunResult spilled = engine::run_simulation(scenario, spill);
   ASSERT_TRUE(spilled.spilled());
-  EXPECT_EQ(export_string(spilled.spill.load()), reference_csv);
+  EXPECT_TRUE(test::same_csv(spilled.spill.load(), reference.dataset));
   std::filesystem::remove_all(dir);
 }
 
