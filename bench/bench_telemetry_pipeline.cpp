@@ -70,17 +70,15 @@ int run_child(const std::string& mode, std::size_t sessions,
     engine::RunOptions options;
     options.telemetry_spill_dir = spill_dir.string();
     if (mode == "ckpt") {
-      // Crash-safe variant: same spill pipeline plus batch boundaries,
-      // per-batch flushes and checkpoint sidecars at the default interval.
+      // Crash-safe variant: same spill pipeline plus checkpoint commits
+      // (a flush and a sidecar) at the default interval.
       // The delta against plain spill is the durability tax.
       options.checkpoint_dir = (spill_dir / "ckpt").string();
     }
     const engine::RunResult run = engine::run_simulation(scenario, options);
     sim_ms = ms_since(start);
-    for (const std::filesystem::path& file : run.spill.files()) {
-      std::error_code ec;
-      spill_bytes += std::filesystem::file_size(file, ec);
-    }
+    std::error_code ec;
+    spill_bytes = std::filesystem::file_size(run.spill.file(), ec);
     // One read pass to count records (also exercises the reader), then
     // the incremental two-pass analysis.
     {

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <iterator>
-#include <stdexcept>
-#include <string>
 #include <utility>
 
 #include "runtime/executor.h"
@@ -34,8 +32,6 @@ struct Fold {
   analysis::RecoveryImpactAccumulator recovery;
   /// Every CDN session record's proxy-rule input, in stream order.
   std::vector<telemetry::CdnSessionVerdict> verdicts;
-  /// Every session group's id, one per group.
-  std::vector<std::uint64_t> ids;
   std::size_t incomplete = 0;
   telemetry::SpillReadStats stats;
 
@@ -48,12 +44,11 @@ struct Fold {
 
   /// Join and add every group of `stream`, with no proxy filter, and
   /// keep its CDN session records' verdicts.  A group holds all of its
-  /// session's records (a session split over files throws at finalize),
-  /// so its first beacon is the session's first beacon.
+  /// session's records, so its first beacon is the session's first
+  /// beacon.
   void join_all(telemetry::SessionGroupStream& stream) {
     telemetry::StreamingJoiner joiner;
     while (auto group = stream.next()) {
-      ids.push_back(group->session_id);
       if (const auto session = joiner.join(*group)) add(*session);
       const telemetry::PlayerSessionRecord* beacon =
           group->player_sessions.empty() ? nullptr
@@ -71,7 +66,6 @@ struct Fold {
     perf.merge(std::move(other.perf));
     recovery.merge(std::move(other.recovery));
     append(verdicts, std::move(other.verdicts));
-    append(ids, std::move(other.ids));
     incomplete += other.incomplete;
     stats += other.stats;
   }
@@ -96,31 +90,21 @@ StreamingAnalysis analyze_spill(const telemetry::SpillSet& spill,
                                 const telemetry::ProxyFilterConfig& proxy_config,
                                 std::size_t threads) {
   runtime::Executor executor(runtime::resolve_thread_count(threads));
-  const std::vector<std::filesystem::path>& files = spill.files();
 
-  // The one pass, a task per file, each into its own fold; the folds
-  // merge in file order.  The per-file salvage counters sum to exactly
-  // the merged stream's totals.
-  std::vector<Fold> folds(files.size(), Fold(chunk_duration_s));
-  executor.parallel_for(files.size(), [&](std::size_t f) {
-    telemetry::SpillSet one;
-    one.add_file(files[f]);
-    folds[f].join_all(*one.open(&folds[f].stats));
-  });
+  // The one pass, a task per range, each into its own fold; the folds
+  // merge in range order.  The index scan's and the per-range salvage
+  // counters sum to exactly the whole-file stream's totals.
   Fold total(chunk_duration_s);
+  std::vector<std::vector<telemetry::SpillBlockRef>> ranges =
+      spill.ranges(&total.stats);
+  std::vector<Fold> folds(ranges.size(), Fold(chunk_duration_s));
+  executor.parallel_for(ranges.size(), [&](std::size_t r) {
+    folds[r].join_all(*spill.open(std::move(ranges[r]), &folds[r].stats));
+  });
   for (Fold& fold : folds) total.merge(std::move(fold));
 
-  // A session split across files would have been joined as torn halves.
-  std::sort(total.ids.begin(), total.ids.end());
-  const auto split = std::adjacent_find(total.ids.begin(), total.ids.end());
-  if (split != total.ids.end()) {
-    throw std::invalid_argument(
-        "analyze_spill: session " + std::to_string(*split) +
-        " has records in more than one spill file");
-  }
-
-  // Both rules count, so the verdicts' file order flags what
-  // detect_proxies over the loaded dataset would.
+  // Both rules count, so the verdicts' order flags what detect_proxies
+  // over the loaded dataset would.
   StreamingAnalysis out;
   out.proxies = telemetry::detect_proxies(total.verdicts, proxy_config);
   out.spill = total.stats;

@@ -1,16 +1,18 @@
 // Analysis over spilled telemetry, one session resident at a time.
 //
-// analyze_spill() folds a spilled run (one .vspill file per shard) in one
-// pass, a task per file on a runtime::Executor.  Each task joins every
-// session of its file with a StreamingJoiner (join.h), folds it into the
-// mergeable accumulators of analysis/accumulators.h, and keeps of each
-// CDN session record only what the §3 proxy filter reads: its session,
-// observed IP and rule (i) verdict (telemetry::CdnSessionVerdict).  The
-// per-file folds merge in file order; finalize then applies both rules
-// once over the merged verdicts — rule (ii) counts sessions per IP over
-// the whole dataset, so no single file can apply it — and the
-// accumulators leave the flagged sessions out.  Memory is O(sessions),
-// whatever the chunk count.
+// analyze_spill() folds a spilled run (its one .vspill file) in one pass:
+// the file's id-sorted block index is cut into ranges of whole sessions
+// (telemetry::SpillSet::ranges), a task per range on a runtime::Executor.
+// Each task reads its range through a reader of its own, joins every
+// session with a StreamingJoiner (join.h), folds it into the mergeable
+// accumulators of analysis/accumulators.h, and keeps of each CDN session
+// record only what the §3 proxy filter reads: its session, observed IP
+// and rule (i) verdict (telemetry::CdnSessionVerdict).  The per-range
+// folds merge in range order; finalize then applies both rules once over
+// the merged verdicts — rule (ii) counts sessions per IP over the whole
+// dataset, so no single range can apply it — and the accumulators leave
+// the flagged sessions out.  Memory is O(sessions), whatever the chunk
+// count.
 //
 // The accumulators' finalize() sorts by session id, so the result is a
 // pure function of the per-session records: analyze_spill on a spilled
@@ -50,13 +52,11 @@ struct StreamingAnalysis {
 /// Analyze a spilled run (engine::RunResult::spill).  `chunk_duration_s`
 /// is Eq. 2's tau — workload::VideoCatalog::chunk_duration_s().
 ///
-/// `threads` is the worker count of the pool the per-file tasks run on;
+/// `threads` is the worker count of the pool the per-range tasks run on;
 /// 0 resolves via runtime::resolve_thread_count (VSTREAM_THREADS, else
 /// hardware concurrency), and 1 — the default — runs every task inline.
-/// Every value produces a bit-identical StreamingAnalysis.  Each
-/// session's records must sit in one file, as the engine writes them (a
-/// session completes wholly on one shard); a session id found in more
-/// than one file throws std::invalid_argument naming it.
+/// Every value produces a bit-identical StreamingAnalysis.  A range holds
+/// whole sessions, so every session joins from all of its blocks.
 StreamingAnalysis analyze_spill(const telemetry::SpillSet& spill,
                                 double chunk_duration_s,
                                 const telemetry::ProxyFilterConfig& proxy_config = {},

@@ -17,7 +17,8 @@ namespace vstream::engine {
 namespace {
 
 constexpr std::uint32_t kCkptMagic = 0x504B4356;  // "VCKP"
-constexpr std::uint32_t kCkptVersion = 1;
+// Any other version reads as "no checkpoint".
+constexpr std::uint32_t kCkptVersion = 2;
 
 using telemetry::load_u32;
 using telemetry::load_u64;
@@ -198,11 +199,9 @@ std::uint64_t run_fingerprint(const std::vector<AdmittedSession>& admitted,
 }
 
 void write_checkpoint(const std::filesystem::path& path,
-                      const ShardCheckpoint& checkpoint) {
+                      const RunCheckpoint& checkpoint) {
   std::string payload;
   put_u64(payload, checkpoint.fingerprint);
-  put_u64(payload, checkpoint.shard_index);
-  put_u64(payload, checkpoint.shard_count);
   put_u64(payload, checkpoint.next_index);
   put_u64(payload, checkpoint.spill_committed_bytes);
   put_u64(payload, checkpoint.spill_blocks_written);
@@ -253,7 +252,7 @@ void write_checkpoint(const std::filesystem::path& path,
   }
 }
 
-std::optional<ShardCheckpoint> read_checkpoint(
+std::optional<RunCheckpoint> read_checkpoint(
     const std::filesystem::path& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return std::nullopt;
@@ -283,10 +282,8 @@ std::optional<ShardCheckpoint> read_checkpoint(
 
   try {
     Cursor c{payload.data(), payload.data() + payload.size()};
-    ShardCheckpoint checkpoint;
+    RunCheckpoint checkpoint;
     checkpoint.fingerprint = c.get_u64();
-    checkpoint.shard_index = c.get_u64();
-    checkpoint.shard_count = c.get_u64();
     checkpoint.next_index = c.get_u64();
     checkpoint.spill_committed_bytes = c.get_u64();
     checkpoint.spill_blocks_written = c.get_u64();

@@ -1,36 +1,35 @@
-// Per-shard checkpoint sidecars: the durable state a crashed run needs to
-// restart from its last committed batch instead of from zero.
+// The checkpoint sidecar: the durable state a crashed run needs to restart
+// from its last committed batch instead of from zero.
 //
-// A checkpointed run executes each shard's partition in sequential batches
-// of `interval` sessions, every batch on a fresh Shard replica.  Because
-// session outcomes are session-isolated (own RNG substream, isolated
-// serving, fault epochs pure functions of simulated time), running a
-// partition in batches is just a finer sharding — covered by the engine's
-// shard-count-invariance guarantee — so batch boundaries never change any
-// result.  What a batch boundary adds is a durable cut: the shard's spill
-// file is flushed, and this sidecar records everything needed to continue
-// after the cut.
+// A run executes its sessions, sorted by id, in batches on fresh Shard
+// replicas, and hands the finished batches over in batch order (see
+// sharded_runner.h).  Because session outcomes are session-isolated (own
+// RNG substream, isolated serving, fault epochs pure functions of
+// simulated time), batch boundaries never change any result.  With
+// checkpointing the handover adds a durable cut at the first batch
+// boundary past every `interval` sessions, and at the end of the run: it
+// flushes the run's spill file and replaces this sidecar.
 //
-// Contents of one sidecar (shard-<i>.vckpt):
+// Contents of the one sidecar (run.vckpt) — a watermark:
 //   * the run fingerprint — a hash over the admitted session schedule,
 //     the shard count, and the fault schedule.  Resuming against a
 //     different scenario/seed/shard count is a user error and throws
 //     (the fingerprints cannot match by construction);
-//   * next_index — how many of this shard's sessions are fully committed;
+//   * next_index — how many sessions, in id order, are handed over;
 //   * the spill file's committed byte offset and block count (a resumed
 //     SpillWriter truncates the uncommitted tail there);
-//   * the accumulated GroundTruth and per-server ServerStats of the
-//     committed batches (both merge commutatively with later batches).
+//   * the folded GroundTruth and per-server ServerStats of the handed-over
+//     batches (both merge commutatively with later batches).
 //
 // Admission, the warm archive, and per-session RNG substreams are pure
 // functions of (scenario, seed) and are simply re-derived on resume —
 // none of that state is stored.
 //
-// Durability model: sidecars are written to <path>.tmp and renamed over
-// the old sidecar, so a crash mid-checkpoint leaves the previous one
-// intact.  The whole payload is CRC32C-guarded; a missing, torn, or
-// corrupt sidecar reads as "no checkpoint" (the shard restarts from
-// zero — always safe, never wrong).
+// Durability model: the sidecar is written to <path>.tmp and renamed over
+// the old one, so a crash mid-checkpoint leaves the previous one intact.
+// The whole payload is CRC32C-guarded; a missing, torn, or corrupt
+// sidecar, or one of another format version, reads as "no checkpoint"
+// (the run restarts from zero — always safe, never wrong).
 #pragma once
 
 #include <cstdint>
@@ -45,17 +44,15 @@
 
 namespace vstream::engine {
 
-/// One shard's resumable state after its latest committed batch.
-struct ShardCheckpoint {
+/// A run's resumable state after its latest commit.
+struct RunCheckpoint {
   std::uint64_t fingerprint = 0;  ///< run_fingerprint() of the owning run
-  std::uint64_t shard_index = 0;
-  std::uint64_t shard_count = 0;
-  /// Sessions [0, next_index) of this shard's partition are committed.
+  /// Sessions [0, next_index) of the id-sorted schedule are handed over.
   std::uint64_t next_index = 0;
   /// Spill file state at the cut (SpillWriter::flush_committed()).
   std::uint64_t spill_committed_bytes = 0;
   std::uint64_t spill_blocks_written = 0;
-  /// Accounting accumulated over the committed batches.  injected_faults
+  /// Accounting folded over the handed-over batches.  injected_faults
   /// is not stored: the engine sets it once on the merged result.
   GroundTruth ground_truth;
   std::vector<cdn::ServerStats> server_stats;
@@ -76,13 +73,14 @@ std::uint64_t run_fingerprint(const std::vector<AdmittedSession>& admitted,
 /// the runner's degradation policy (continue without checkpoints) keeps
 /// a consistent resume point.
 void write_checkpoint(const std::filesystem::path& path,
-                      const ShardCheckpoint& checkpoint);
+                      const RunCheckpoint& checkpoint);
 
-/// Read a sidecar.  Missing, torn, or corrupt files return nullopt — the
-/// caller restarts that shard from zero.  A well-formed sidecar whose
-/// fingerprint disagrees with the resuming run is NOT detected here;
-/// compare ShardCheckpoint::fingerprint at the call site.
-std::optional<ShardCheckpoint> read_checkpoint(
+/// Read a sidecar.  Missing, torn, or corrupt files and other format
+/// versions return nullopt — the caller restarts from zero.  A
+/// well-formed sidecar whose fingerprint disagrees with the resuming run
+/// is NOT detected here; compare RunCheckpoint::fingerprint at the call
+/// site.
+std::optional<RunCheckpoint> read_checkpoint(
     const std::filesystem::path& path);
 
 }  // namespace vstream::engine

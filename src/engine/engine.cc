@@ -45,7 +45,7 @@ RunResult run_simulation(const workload::Scenario& scenario,
       admit_sessions(world, generator, rng);
 
   // Crash safety implies spill mode (record durability lives in the
-  // spill files); with no spill dir configured the checkpoint directory
+  // spill file); with no spill dir configured the checkpoint directory
   // carries both.
   std::string spill_dir = options.telemetry_spill_dir;
   const std::string& ckpt_dir = options.checkpoint_dir;
@@ -73,7 +73,7 @@ RunResult run_simulation(const workload::Scenario& scenario,
     checkpoint.fingerprint =
         run_fingerprint(admitted, result.shard_count,
                         options.faults.empty() ? nullptr : &options.faults);
-    checkpoint.stop_after_batches = options.stop_after_checkpoints;
+    checkpoint.stop_after_checkpoints = options.stop_after_checkpoints;
   }
 
   ExecOptions exec;

@@ -2,8 +2,8 @@
 //
 // Layering (each layer only sees the one below):
 //
-//   run_simulation()          build world, admit, shard, merge
-//     ShardedRunner           deterministic partition + canonical order
+//   run_simulation()          build world, admit, run the ordered stream
+//     ShardedRunner           id ranges in batches, handed over in order
 //       Shard                 one worker's replica stack (fleet, queue, ...)
 //         SessionRuntime      one session's chunk-by-chunk state machine
 //
@@ -14,8 +14,8 @@
 // substream against session-isolated server state plus a shared
 // immutable warm archive, fault epochs are pure functions of simulated
 // time and are replayed identically inside every shard, and every record
-// stream comes back in canonical session-id order (memory mode streams
-// contiguous id ranges in order, spill mode merges its shards).  Shards
+// stream comes back in canonical session-id order (one ordered stream of
+// contiguous id ranges, into memory or into one spill file).  Shards
 // define the partition; threads (the work-stealing runtime's pool size)
 // define the concurrency — both change wall-clock time only.
 #pragma once
@@ -56,24 +56,24 @@ struct RunOptions {
   faults::FaultSchedule faults;
   /// Prefixes with known persistent problems (§4.2-1 a-priori ABR hints).
   std::unordered_set<net::Prefix24> bad_prefixes;
-  /// Non-empty: stream telemetry to per-shard spill files in this
+  /// Non-empty: stream telemetry to one spill file, run.vspill, in this
   /// directory (created if missing) instead of materializing the Dataset
   /// — RunResult.dataset comes back empty and RunResult.spill holds the
-  /// file set.  Empty: classic in-memory telemetry.
+  /// file.  Empty: classic in-memory telemetry.
   std::string telemetry_spill_dir;
-  /// Non-empty: crash-safe execution — run in checkpointed batches and
-  /// write per-shard shard-<i>.vckpt sidecars to this directory (created
-  /// if missing).  Checkpointing implies spill mode; when no spill dir is
-  /// configured the checkpoint directory doubles as the spill directory.
-  /// Empty: no checkpointing.
+  /// Non-empty: crash-safe execution — commit checkpoints to one sidecar,
+  /// run.vckpt, in this directory (created if missing).  Checkpointing
+  /// implies spill mode; when no spill dir is configured the checkpoint
+  /// directory doubles as the spill directory.  Empty: no checkpointing.
   std::string checkpoint_dir;
-  /// Resume from the sidecars in the checkpoint directory.  Missing or
-  /// corrupt sidecars restart their shard from zero; sidecars from a
-  /// different run configuration throw.  Requires checkpointing.
+  /// Resume from the sidecar in the checkpoint directory.  A missing,
+  /// corrupt or old-format sidecar restarts the run from zero; a sidecar
+  /// from a different run configuration throws.  Requires checkpointing.
   bool resume = false;
-  /// Sessions per shard between checkpoints.  0: 1000.
+  /// Sessions between checkpoints (a commit lands at the first batch
+  /// boundary past each multiple, and at the end).  0: 1000.
   std::size_t checkpoint_interval = 0;
-  /// Test/chaos hook: stop every shard after this many committed batches
+  /// Test/chaos hook: stop after this many checkpoint commits
   /// (RunResult.completed turns false; a resume finishes the run).
   std::size_t stop_after_checkpoints = 0;
 };
@@ -92,12 +92,12 @@ struct RunResult {
   std::size_t shard_count = 0;
   /// Physical worker threads that executed it.
   std::size_t thread_count = 0;
-  /// Spill mode only: the per-shard spill files, in shard order.
-  /// spill.open() streams the run's sessions in canonical order;
-  /// spill.load() materializes the canonical Dataset.
+  /// Spill mode only: the run's spill file.  spill.open() streams the
+  /// run's sessions in canonical order; spill.load() materializes the
+  /// canonical Dataset.
   telemetry::SpillSet spill;
   /// False only when a checkpointed run stopped early
-  /// (RunOptions.stop_after_checkpoints): the spill/checkpoint files hold
+  /// (RunOptions.stop_after_checkpoints): the spill file and sidecar hold
   /// a committed prefix; run again with resume=true to finish.
   bool completed = true;
   /// True when checkpoint sidecar writes failed mid-run and the run

@@ -28,8 +28,8 @@
 
 namespace vstream::engine {
 
-/// What one shard hands back for the canonical merge (or, in memory
-/// mode, for the ordered stream; see run_sharded).
+/// What one batch hands back to run_sharded's ordered handover, and what
+/// run_sharded returns (see sharded_runner.h).
 struct ShardResult {
   /// Empty when the shard ran against a record sink (spill mode): the
   /// records went to the sink as sessions completed instead of
@@ -37,17 +37,15 @@ struct ShardResult {
   telemetry::Dataset dataset;
   GroundTruth ground_truth;
   std::vector<cdn::ServerStats> server_stats;  // pop * servers_per_pop + server
-  /// Spill mode: the file(s) this shard's sink wrote, in shard order
-  /// after the merge.
+  /// Spill mode: the run's spill file (run_sharded's result only).
   std::vector<std::filesystem::path> spill_files;
   /// False only when a checkpointed run was stopped early
-  /// (CheckpointConfig::stop_after_batches): the spill files hold a
+  /// (CheckpointConfig::stop_after_checkpoints): the spill file holds a
   /// committed prefix and a resume can finish the run.
   bool completed = true;
   /// True when a checkpoint sidecar write failed mid-run and the run
   /// degraded to checkpoint-free execution (results stay complete and
-  /// correct; only crash-resumability is lost).  ORed across shards by
-  /// the merge.
+  /// correct; only crash-resumability is lost).
   bool checkpoints_degraded = false;
 };
 

@@ -22,6 +22,9 @@ namespace vstream::engine {
 
 namespace {
 
+constexpr const char* kSpillFile = "run.vspill";  // in the spill directory
+constexpr const char* kCheckpointFile = "run.vckpt";  // in the checkpoint one
+
 /// A maximal run of one session's records inside one part's stream.
 struct SessionRun {
   std::uint64_t session = 0;
@@ -121,18 +124,13 @@ void move_runs(std::vector<Record>& from, const StreamPlan& plan,
 }
 
 /// Fold one part's accounting into `merged`: ground truth and server
-/// stats are element-wise sums, spill files keep part order.  Parts may
+/// stats are element-wise sums.  Parts may
 /// disagree on server_stats size (an empty shard that never built a fleet
 /// reports none) — size to the largest part seen, not the first, so a
 /// leading empty shard cannot truncate the fleet counters.
 void fold_accounting(ShardResult& merged, ShardResult& part) {
   merged.ground_truth.merge(std::move(part.ground_truth));
   merged.completed = merged.completed && part.completed;
-  merged.checkpoints_degraded =
-      merged.checkpoints_degraded || part.checkpoints_degraded;
-  for (std::filesystem::path& file : part.spill_files) {
-    merged.spill_files.push_back(std::move(file));
-  }
   if (merged.server_stats.size() < part.server_stats.size()) {
     merged.server_stats.resize(part.server_stats.size());
   }
@@ -212,126 +210,6 @@ ShardResult merge_shard_results(std::vector<ShardResult> parts,
   return merged;
 }
 
-namespace {
-
-/// Memory mode as one ordered stream (see run_sharded): contiguous id
-/// ranges run as batches, and each finished batch is run-sorted onto the
-/// end of one pre-reserved output in batch order.
-ShardResult run_in_memory(const workload::Scenario& scenario,
-                          const workload::VideoCatalog& catalog,
-                          const WarmArchive& warm,
-                          const faults::FaultSchedule* faults,
-                          const std::unordered_set<net::Prefix24>* bad_prefixes,
-                          const std::vector<AdmittedSession>& admitted,
-                          std::size_t shard_count,
-                          runtime::Executor& executor,
-                          runtime::ParallelStats* stats) {
-  // Contiguous ranges concatenate into canonical order only if ids
-  // ascend; admit_sessions' order does, a caller's list may not.
-  const auto by_id = [](const AdmittedSession& a, const AdmittedSession& b) {
-    return a.spec.session_id < b.spec.session_id;
-  };
-  std::vector<AdmittedSession> sorted;
-  std::span<const AdmittedSession> sessions(admitted);
-  if (!std::is_sorted(admitted.begin(), admitted.end(), by_id)) {
-    sorted = admitted;
-    std::stable_sort(sorted.begin(), sorted.end(), by_id);
-    sessions = sorted;
-  }
-
-  // shard_count balanced ranges, so the range sizes are the id-mod shard
-  // sizes of dense ids; with more than one worker each range is cut into
-  // kDefaultMemoryBatch-session batches.  An empty range keeps one empty
-  // batch, so the task count is the spill partition's.
-  struct Batch {
-    std::size_t begin;
-    std::size_t count;
-  };
-  const std::size_t n = sessions.size();
-  const std::size_t ranges = std::max<std::size_t>(1, shard_count);
-  const std::size_t batch_size =
-      executor.workers() > 1 ? kDefaultMemoryBatch : 0;
-  std::vector<Batch> batches;
-  batches.reserve(ranges);
-  for (std::size_t r = 0; r < ranges; ++r) {
-    const std::size_t end = (r + 1) * n / ranges;
-    std::size_t offset = r * n / ranges;
-    do {
-      const std::size_t count =
-          batch_size == 0 ? end - offset : std::min(batch_size, end - offset);
-      batches.push_back({offset, count});
-      offset += count;
-    } while (offset < end);
-  }
-
-  // Reserve the output once.  Capacity that is never touched costs no
-  // memory, so the snapshot estimate may run high.
-  ShardResult merged;
-  telemetry::Dataset& out = merged.dataset;
-  std::size_t chunks = 0;
-  for (const AdmittedSession& session : sessions) {
-    chunks += session.spec.chunk_count;
-  }
-  runtime::reserve_huge(out.player_sessions, n);
-  runtime::reserve_huge(out.cdn_sessions, n);
-  runtime::reserve_huge(out.player_chunks, chunks);
-  runtime::reserve_huge(out.cdn_chunks, chunks);
-  runtime::reserve_huge(
-      out.tcp_snapshots,
-      telemetry::expected_snapshots(chunks, catalog.chunk_duration_s() * 1000.0,
-                                    scenario.tcp_sample_interval_ms));
-
-  // In-order handover.  A finished batch parks in its slot.  The task
-  // that finishes batch t, unless another task is draining, appends the
-  // ready batches from `next` on, in batch order, freeing each so later
-  // batches reuse its pages — but none past t until every batch has
-  // finished.  The workers ahead of the oldest batch thus do the
-  // copying, and the one running it does not fall further behind (the
-  // drainer's own next batch would otherwise become the oldest again,
-  // and the backlog would grow with the run).  The output order is the
-  // batch order, never the timing.
-  std::mutex mu;
-  std::vector<ShardResult> done(batches.size());
-  std::vector<char> ready(batches.size(), 0);
-  std::size_t next = 0;
-  std::size_t finished = 0;
-  bool draining = false;
-  executor.parallel_for(
-      batches.size(),
-      [&](std::size_t t) {
-        ShardResult result;
-        {
-          Shard shard(scenario, catalog, warm, faults, bad_prefixes);
-          result =
-              shard.run(sessions.subspan(batches[t].begin, batches[t].count));
-        }
-        std::unique_lock<std::mutex> lock(mu);
-        done[t] = std::move(result);
-        ready[t] = 1;
-        ++finished;
-        if (draining) return;
-        draining = true;
-        while (next < batches.size() && ready[next] != 0 &&
-               (next <= t || finished == batches.size())) {
-          ShardResult batch = std::move(done[next]);
-          lock.unlock();
-          fold_accounting(merged, batch);
-          telemetry::for_each_stream(
-              [](std::size_t, auto& from, auto& into) {
-                append_run_sorted(from, into);
-              },
-              batch.dataset, out);
-          lock.lock();
-          ++next;
-        }
-        draining = false;
-      },
-      stats, "shard");
-  return merged;
-}
-
-}  // namespace
-
 ShardResult run_sharded(const workload::Scenario& scenario,
                         const workload::VideoCatalog& catalog,
                         const WarmArchive& warm,
@@ -354,141 +232,226 @@ ShardResult run_sharded(const workload::Scenario& scenario,
                                 std::to_string(options.spill_format));
   }
   runtime::Executor executor(runtime::resolve_thread_count(options.threads));
-  if (spill_dir == nullptr) {
-    return run_in_memory(scenario, catalog, warm, faults, bad_prefixes,
-                         admitted, shard_count, executor, stats);
+
+  // Contiguous ranges concatenate into canonical order only if ids
+  // ascend; admit_sessions' order does, a caller's list may not.
+  const auto by_id = [](const AdmittedSession& a, const AdmittedSession& b) {
+    return a.spec.session_id < b.spec.session_id;
+  };
+  std::vector<AdmittedSession> sorted;
+  std::span<const AdmittedSession> sessions(admitted);
+  if (!std::is_sorted(admitted.begin(), admitted.end(), by_id)) {
+    sorted = admitted;
+    std::stable_sort(sorted.begin(), sorted.end(), by_id);
+    sessions = sorted;
   }
 
-  const std::vector<std::vector<AdmittedSession>> parts =
-      partition_sessions(admitted, shard_count);
-  std::vector<ShardResult> results(parts.size());
+  // shard_count balanced ranges, so the range sizes are the id-mod shard
+  // sizes of dense ids, each cut into kDefaultMemoryBatch-session
+  // batches.  An empty range keeps one empty batch, so a range is never
+  // fewer than one task.  The layout depends on the session and shard
+  // counts only, so a resumed run cuts the same batches.
+  struct Batch {
+    std::size_t begin;
+    std::size_t count;
+  };
+  const std::size_t n = sessions.size();
+  const std::size_t ranges = std::max<std::size_t>(1, shard_count);
+  std::vector<Batch> batches;
+  batches.reserve(ranges);
+  for (std::size_t r = 0; r < ranges; ++r) {
+    const std::size_t end = (r + 1) * n / ranges;
+    std::size_t offset = r * n / ranges;
+    do {
+      const std::size_t count = std::min(kDefaultMemoryBatch, end - offset);
+      batches.push_back({offset, count});
+      offset += count;
+    } while (offset < end);
+  }
 
-  // Degradation policy: a failed sidecar write (full disk, unwritable
-  // dir, checkpoint.write/rename failpoint) must not kill a run whose
-  // *data* path is healthy — the spill writes themselves still commit.
-  // First failure warns once; the flag stops every shard's further
-  // checkpoint attempts (the disk is shared, retrying per batch just
-  // spams), and existing sidecars are left intact, so a crash after
-  // degradation still resumes from the last good checkpoint.
-  std::atomic<bool> checkpoints_disabled{false};
-
-  // Spill mode: task = logical shard.  A shard owns its spill file (single
-  // writer, and the file set keeps shard order for the canonical merge).
-  // Without checkpointing the partition runs as one batch.  With it, the
-  // partition runs in sequential batches on fresh Shard replicas
-  // (batching is just a finer sharding — see engine/checkpoint.h), and
-  // every batch flushes the spill file and writes a sidecar.
-  const auto run_spilled = [&](std::size_t i) {
-    const std::span<const AdmittedSession> part(parts[i]);
-    const std::filesystem::path spill_file =
-        *spill_dir / ("shard-" + std::to_string(i) + ".vspill");
-    const std::filesystem::path ckpt_file =
-        checkpoint == nullptr
-            ? std::filesystem::path()
-            : checkpoint->dir / ("shard-" + std::to_string(i) + ".vckpt");
-
-    std::size_t next = 0;
-    GroundTruth ground_truth;
-    std::vector<cdn::ServerStats> server_stats;
-    std::unique_ptr<telemetry::SpillSink> sink;
+  // The output: one Dataset reserved once (capacity never touched costs
+  // no memory, so the snapshot estimate may run high), or the spill
+  // file, resumed at the sidecar's watermark when there is one.
+  ShardResult merged;
+  std::unique_ptr<telemetry::SpillWriter> writer;
+  std::size_t handed = 0;  // sessions handed over, in id order
+  if (spill_dir == nullptr) {
+    telemetry::Dataset& out = merged.dataset;
+    std::size_t chunks = 0;
+    for (const AdmittedSession& session : sessions) {
+      chunks += session.spec.chunk_count;
+    }
+    runtime::reserve_huge(out.player_sessions, n);
+    runtime::reserve_huge(out.cdn_sessions, n);
+    runtime::reserve_huge(out.player_chunks, chunks);
+    runtime::reserve_huge(out.cdn_chunks, chunks);
+    runtime::reserve_huge(
+        out.tcp_snapshots,
+        telemetry::expected_snapshots(chunks,
+                                      catalog.chunk_duration_s() * 1000.0,
+                                      scenario.tcp_sample_interval_ms));
+  } else {
+    const std::filesystem::path spill_file = *spill_dir / kSpillFile;
     if (checkpoint != nullptr && checkpoint->resume) {
-      if (std::optional<ShardCheckpoint> saved = read_checkpoint(ckpt_file)) {
+      const std::filesystem::path ckpt_file = checkpoint->dir / kCheckpointFile;
+      if (std::optional<RunCheckpoint> saved = read_checkpoint(ckpt_file)) {
+        const auto first = std::find_if(
+            batches.begin(), batches.end(),
+            [&](const Batch& b) { return b.begin >= saved->next_index; });
         if (saved->fingerprint != checkpoint->fingerprint ||
-            saved->shard_index != i ||
-            saved->shard_count != parts.size()) {
+            (first == batches.end() ? saved->next_index != n
+                                    : first->begin != saved->next_index)) {
           throw std::runtime_error(
               "checkpoint: " + ckpt_file.string() +
               " belongs to a different run configuration (scenario, seed, "
               "shard count, or fault schedule changed) — refusing to mix");
         }
-        next = std::min<std::size_t>(saved->next_index, part.size());
-        ground_truth = std::move(saved->ground_truth);
-        server_stats = std::move(saved->server_stats);
-        sink = std::make_unique<telemetry::SpillSink>(
+        batches.erase(batches.begin(), first);
+        handed = saved->next_index;
+        merged.ground_truth = std::move(saved->ground_truth);
+        merged.server_stats = std::move(saved->server_stats);
+        writer = std::make_unique<telemetry::SpillWriter>(
             spill_file, saved->spill_committed_bytes,
             saved->spill_blocks_written);
       }
     }
-    if (sink == nullptr) {  // fresh start (no/invalid sidecar)
-      next = 0;
-      ground_truth = GroundTruth{};
-      server_stats.clear();
-      sink = std::make_unique<telemetry::SpillSink>(spill_file);
+    if (writer == nullptr) {  // fresh start (no or unreadable sidecar)
+      writer = std::make_unique<telemetry::SpillWriter>(spill_file);
     }
+    merged.spill_files.push_back(spill_file);
+  }
 
-    const std::size_t interval =
-        checkpoint != nullptr ? std::max<std::size_t>(1, checkpoint->interval)
-                              : part.size();
-    std::size_t batches = 0;
-    while (next < part.size()) {
-      const std::size_t count = std::min(interval, part.size() - next);
-      Shard shard(scenario, catalog, warm, faults, bad_prefixes, sink.get());
-      ShardResult batch = shard.run(part.subspan(next, count));
-      next += count;
-      ground_truth.merge(std::move(batch.ground_truth));
-      if (server_stats.empty()) {
-        server_stats.resize(batch.server_stats.size());
-      }
-      for (std::size_t j = 0; j < batch.server_stats.size(); ++j) {
-        server_stats[j] += batch.server_stats[j];
-      }
-      if (checkpoint == nullptr) continue;
-
-      ShardCheckpoint cp;
-      cp.fingerprint = checkpoint->fingerprint;
-      cp.shard_index = i;
-      cp.shard_count = parts.size();
-      cp.next_index = next;
-      // Sessions the batch never completed (the finish() epilogue would
-      // normally write them) must be durable before the batch counts as
-      // committed, and the flush must precede recording the offset: every
-      // byte the sidecar claims is then in the OS page cache, which
-      // survives SIGKILL.
-      sink->flush_live();
-      cp.spill_committed_bytes = sink->flush_committed();
-      cp.spill_blocks_written = sink->blocks_written();
-      cp.ground_truth = ground_truth;
-      cp.server_stats = server_stats;
-      if (!checkpoints_disabled.load(std::memory_order_relaxed)) {
-        try {
-          write_checkpoint(ckpt_file, cp);
-        } catch (const sim::HostIoError& error) {
-          if (!checkpoints_disabled.exchange(true)) {
-            std::fprintf(
-                stderr,
-                "vstream: warning: %s — continuing without further "
-                "checkpoints (run completes; crash-resume falls back to the "
-                "last good sidecar)\n",
-                error.what());
-          }
-        }
-      }
-
-      ++batches;
-      if (checkpoint->stop_after_batches != 0 &&
-          batches >= checkpoint->stop_after_batches && next < part.size()) {
-        // Deliberate early stop (test/chaos hook): leave the spill file in
-        // its committed state for a later resume.
-        results[i].completed = false;
-        break;
+  // Checkpoint commits, made by the handover.  Degradation policy: a
+  // failed sidecar write (full disk, unwritable dir,
+  // checkpoint.write/rename failpoint) must not kill a run whose *data*
+  // path is healthy — the spill writes themselves still commit.  The
+  // first failure warns once and stops further sidecar writes (retrying
+  // per commit just spams); the last good sidecar is left intact, so a
+  // crash after degradation still resumes from it.
+  const std::size_t interval =
+      checkpoint != nullptr ? std::max<std::size_t>(1, checkpoint->interval)
+                            : 1;
+  std::size_t next_commit = (handed / interval + 1) * interval;
+  std::size_t commits = 0;
+  std::atomic<bool> stopped{false};
+  const auto commit = [&] {
+    RunCheckpoint cp;
+    cp.fingerprint = checkpoint->fingerprint;
+    cp.next_index = handed;
+    // The flush precedes recording the offset: every byte the sidecar
+    // claims is then in the OS page cache, which survives SIGKILL.
+    cp.spill_committed_bytes = writer->flush_committed();
+    cp.spill_blocks_written = writer->blocks_written();
+    cp.ground_truth = merged.ground_truth;
+    cp.server_stats = merged.server_stats;
+    if (!merged.checkpoints_degraded) {
+      try {
+        write_checkpoint(checkpoint->dir / kCheckpointFile, cp);
+      } catch (const sim::HostIoError& error) {
+        merged.checkpoints_degraded = true;
+        std::fprintf(
+            stderr,
+            "vstream: warning: %s — continuing without further "
+            "checkpoints (run completes; crash-resume falls back to the "
+            "last good sidecar)\n",
+            error.what());
       }
     }
-    if (results[i].completed) sink->finish();
-    results[i].ground_truth = std::move(ground_truth);
-    results[i].server_stats = std::move(server_stats);
-    results[i].spill_files.push_back(spill_file);
-    results[i].checkpoints_degraded =
-        checkpoints_disabled.load(std::memory_order_relaxed);
+    ++commits;
+    if (checkpoint->stop_after_checkpoints != 0 &&
+        commits >= checkpoint->stop_after_checkpoints && handed < n) {
+      // Deliberate early stop (test/chaos hook): the spill file stays in
+      // its committed state for a later resume.
+      stopped = true;
+      merged.completed = false;
+    }
   };
 
-  // Everything shared is read-only while tasks run; each task writes
-  // only its own results slot, so the executor's placement decisions
-  // (which worker, what steal order) are invisible in the output.  A
-  // task's exception (resume mismatch, disk full, ...) is parked and
-  // rethrown on the calling thread after the run drains.
-  executor.parallel_for(parts.size(), run_spilled, stats, "shard");
-  return merge_shard_results(std::move(results),
-                             executor.workers() > 1 ? &executor : nullptr);
+  // Fold a batch's accounting, then run-sort its records onto the end of
+  // the output, or append its blocks, already in id order, to the file.
+  struct Finished {
+    ShardResult result;
+    std::unique_ptr<telemetry::SpillSink> spill;
+  };
+  const auto hand_over = [&](Finished& batch, const Batch& b) {
+    fold_accounting(merged, batch.result);
+    if (writer == nullptr) {
+      telemetry::for_each_stream(
+          [](std::size_t, auto& from, auto& into) {
+            append_run_sorted(from, into);
+          },
+          batch.result.dataset, merged.dataset);
+      return;
+    }
+    for (const telemetry::SpillSink::Block& block : batch.spill->blocks()) {
+      writer->append(batch.spill->frame(block));
+    }
+    batch.spill.reset();
+    handed = b.begin + b.count;
+    if (checkpoint != nullptr && (handed >= next_commit || handed == n)) {
+      next_commit = (handed / interval + 1) * interval;
+      commit();
+    }
+  };
+
+  // In-order handover.  A finished batch parks in its slot.  The task
+  // that finishes batch t, unless another task is draining, hands over
+  // the ready batches from `next` on, in batch order, freeing each so
+  // later batches reuse its pages — but none past t until every batch has
+  // finished.  The workers ahead of the oldest batch thus do the
+  // handover, and the one running it does not fall further behind (the
+  // drainer's own next batch would otherwise become the oldest again,
+  // and the backlog would grow with the run).  The output order is the
+  // batch order, never the timing.  A handover that throws (a spill
+  // write error) or stops the run (a checkpoint stop) leaves `draining`
+  // set and raises `stopped`: nothing more is handed over, and the
+  // batches not yet started skip their simulation.
+  std::mutex mu;
+  std::vector<Finished> done(batches.size());
+  std::vector<char> ready(batches.size(), 0);
+  std::size_t next = 0;
+  std::size_t finished = 0;
+  bool draining = false;
+  executor.parallel_for(
+      batches.size(),
+      [&](std::size_t t) {
+        if (stopped.load(std::memory_order_relaxed)) return;
+        Finished result;
+        {
+          if (writer != nullptr) {
+            result.spill = std::make_unique<telemetry::SpillSink>();
+          }
+          Shard shard(scenario, catalog, warm, faults, bad_prefixes,
+                      result.spill.get());
+          result.result =
+              shard.run(sessions.subspan(batches[t].begin, batches[t].count));
+          if (result.spill != nullptr) result.spill->finish();
+        }
+        std::unique_lock<std::mutex> lock(mu);
+        done[t] = std::move(result);
+        ready[t] = 1;
+        ++finished;
+        if (draining) return;
+        draining = true;
+        while (!stopped && next < batches.size() && ready[next] != 0 &&
+               (next <= t || finished == batches.size())) {
+          Finished batch = std::move(done[next]);
+          lock.unlock();
+          try {
+            hand_over(batch, batches[next]);
+          } catch (...) {
+            stopped = true;
+            throw;
+          }
+          lock.lock();
+          ++next;
+        }
+        if (!stopped) draining = false;
+      },
+      stats, "shard");
+
+  if (writer != nullptr && merged.completed) writer->close();
+  return merged;
 }
 
 }  // namespace vstream::engine

@@ -30,8 +30,8 @@
 // `once:` / `after:` triggers are deterministic in the site's *armed
 // evaluation count*: the N-th evaluation of a site fires regardless of
 // thread interleaving whenever the site itself is evaluated a
-// deterministic number of times (spill writes per shard, checkpoint
-// commits, export flushes all are).  `prob:` draws from one per-site
+// deterministic number of times (spill writes, in canonical block
+// order; checkpoint commits; export flushes all are).  `prob:` draws from one per-site
 // locked RNG, so the fire *count* distribution is reproducible for a
 // seed but the mapping onto evaluations may vary with thread timing —
 // chaos campaigns treat every outcome through the same invariant (clean

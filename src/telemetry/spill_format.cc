@@ -164,6 +164,21 @@ void check_file_header(const char* raw, const std::filesystem::path& path) {
 
 }  // namespace
 
+// ------------------------------------------------------- SpillBlockEncoder
+
+void SpillBlockEncoder::encode(const SessionRecordGroup& group,
+                               std::string& out) {
+  payload_.clear();
+  encode_payload(payload_, group, col_, bcol_);
+  const std::size_t head = out.size();
+  put_u32(out, kSpillBlockMarker);
+  put_u64(out, group.session_id);
+  put_u64(out, payload_.size());
+  put_u32(out, crc32c(out.data() + head, out.size() - head));  // header CRC
+  out += payload_;
+  put_u32(out, crc32c(payload_.data(), payload_.size()));
+}
+
 // -------------------------------------------------------------- SpillWriter
 
 void SpillWriter::write_file_header() {
@@ -214,35 +229,26 @@ SpillWriter::SpillWriter(const std::filesystem::path& path,
 SpillWriter::~SpillWriter() = default;  // backend drains + closes best-effort
 
 void SpillWriter::write(const SessionRecordGroup& group) {
+  block_.clear();
+  encoder_.encode(group, block_);
+  append(block_);
+}
+
+void SpillWriter::append(std::string_view block) {
   // Failpoint spill.write: an injected host failure takes the same road
   // as a real one — poison the writer, throw from this very call.  Frames
   // staged before the failure still drain (they are complete and
-  // committed), matching the pre-async behavior where earlier blocks
-  // survived in the stream buffer.
+  // committed).
   if (failpoints::should_fail(failpoints::Site::kSpillWrite)) {
     poisoned_ = true;
   }
   if (poisoned_ || io_->failed()) {
     throw sim::HostIoError("spill: error writing " + path_.string());
   }
-  scratch_.clear();
-  encode_payload(scratch_, group, col_, bcol_);
-
-  // One contiguous frame image: block header (incl. both CRCs staged
-  // back to back), payload, payload CRC, then the commit frame.  The
-  // backend staged-buffer drain turns many frames into one write(2).
-  frame_.clear();
-  put_u32(frame_, kSpillBlockMarker);
-  put_u64(frame_, group.session_id);
-  put_u64(frame_, scratch_.size());
-  put_u32(frame_, crc32c(frame_.data(), frame_.size()));  // header CRC
-  put_u32(frame_, crc32c(scratch_.data(), scratch_.size()));
-  io_->append(frame_.data(), kBlockHeaderBytes);
-  io_->append(scratch_.data(), scratch_.size());
-  io_->append(frame_.data() + kBlockHeaderBytes, kBlockTrailerBytes);
+  io_->append(block.data(), block.size());
   ++blocks_written_;
 
-  // Commit record: the group above is fully written; a recovery scan that
+  // Commit record: the block above is fully written; a recovery scan that
   // sees this frame knows every prior byte belongs to complete blocks.
   frame_.clear();
   put_u32(frame_, kSpillCommitMarker);
@@ -255,9 +261,7 @@ void SpillWriter::write(const SessionRecordGroup& group) {
   if (io_->failed()) {
     throw sim::HostIoError("spill: error writing " + path_.string());
   }
-
-  offset_ += kBlockHeaderBytes + scratch_.size() + kBlockTrailerBytes +
-             kCommitFrameBytes;
+  offset_ += block.size() + kCommitFrameBytes;
 }
 
 std::uint64_t SpillWriter::flush_committed() {
@@ -401,6 +405,7 @@ std::vector<SpillBlockRef> SpillReader::index() {
   pos_ = kFileHeaderBytes;
   std::vector<SpillBlockRef> refs;
   for (;;) {
+    map_.release(pos_);
     SpillBlockRef ref;
     switch (parse_frame(/*decode=*/false, nullptr, &ref)) {
       case FrameKind::kBlock:
@@ -417,6 +422,7 @@ std::vector<SpillBlockRef> SpillReader::index() {
 
 std::optional<SessionRecordGroup> SpillReader::read_at(
     const SpillBlockRef& ref) {
+  map_.release(ref.offset);
   pos_ = ref.offset;
   std::optional<SessionRecordGroup> group;
   parse_frame(/*decode=*/true, &group, nullptr);
@@ -497,57 +503,25 @@ bool SpillReader::read_into(const SpillBlockRef& ref,
 
 namespace {
 
-/// One block of a spill set: its file and its position in that file's
-/// index.
-struct SetBlock {
-  std::uint64_t session_id;
-  std::size_t file;
-  std::size_t block;
-};
-
-/// The canonical block order of a spill set: every file's index
-/// concatenated in file order, then stable-sorted by session id — that is
-/// (session id, file, offset) order, so a session split over blocks or
-/// files concatenates them as the canonical in-memory merge does.
-/// SpillSetStream and SpillSet::load both read blocks in this order.
-std::vector<SetBlock> canonical_block_order(
-    const std::vector<std::vector<SpillBlockRef>>& index) {
-  std::vector<SetBlock> order;
-  for (std::size_t f = 0; f < index.size(); ++f) {
-    for (std::size_t b = 0; b < index[f].size(); ++b) {
-      order.push_back(SetBlock{index[f][b].session_id, f, b});
-    }
-  }
-  std::stable_sort(order.begin(), order.end(),
-                   [](const SetBlock& a, const SetBlock& b) {
-                     return a.session_id < b.session_id;
-                   });
-  return order;
-}
-
-/// Merged ascending-session-id stream over a set of spill files, read in
-/// canonical_block_order.  Corrupt blocks are skipped (accounted in
-/// `stats`); a session whose every block is corrupt is absent from the
-/// stream.
-class SpillSetStream final : public SessionGroupStream {
+/// Reads a run of the canonical block index through one reader (none
+/// for an empty set), a session's blocks concatenated into one group.
+/// Corrupt blocks are skipped (accounted in `stats`); a session whose
+/// every block is corrupt is absent from the stream.
+class SpillBlockStream final : public SessionGroupStream {
  public:
-  SpillSetStream(const std::vector<std::filesystem::path>& files,
-                 SpillReadStats* stats) {
-    for (const std::filesystem::path& file : files) {
-      readers_.push_back(std::make_unique<SpillReader>(file, stats));
-      index_.push_back(readers_.back()->index());
-    }
-    order_ = canonical_block_order(index_);
+  SpillBlockStream(const std::filesystem::path& file,
+                   std::vector<SpillBlockRef> blocks, SpillReadStats* stats)
+      : blocks_(std::move(blocks)) {
+    if (!file.empty()) reader_.emplace(file, stats);
   }
 
   std::optional<SessionRecordGroup> next() override {
-    while (cursor_ < order_.size()) {
-      const std::uint64_t id = order_[cursor_].session_id;
+    while (cursor_ < blocks_.size()) {
+      const std::uint64_t id = blocks_[cursor_].session_id;
       std::optional<SessionRecordGroup> group;
-      while (cursor_ < order_.size() && order_[cursor_].session_id == id) {
-        const SetBlock& b = order_[cursor_++];
+      while (cursor_ < blocks_.size() && blocks_[cursor_].session_id == id) {
         std::optional<SessionRecordGroup> piece =
-            readers_[b.file]->read_at(index_[b.file][b.block]);
+            reader_->read_at(blocks_[cursor_++]);
         if (!piece.has_value()) continue;  // corrupt block: salvage the rest
         if (!group.has_value()) {
           group = std::move(piece);
@@ -561,9 +535,8 @@ class SpillSetStream final : public SessionGroupStream {
   }
 
  private:
-  std::vector<std::unique_ptr<SpillReader>> readers_;
-  std::vector<std::vector<SpillBlockRef>> index_;
-  std::vector<SetBlock> order_;
+  std::optional<SpillReader> reader_;
+  std::vector<SpillBlockRef> blocks_;
   std::size_t cursor_ = 0;
 };
 
@@ -586,52 +559,85 @@ void close_gaps(std::vector<Record>& out,
 
 }  // namespace
 
+void SpillSet::add_file(std::filesystem::path path) {
+  if (!file_.empty()) {
+    throw std::invalid_argument("spill: a run has one spill file; " +
+                                file_.string() + " is set, not adding " +
+                                path.string());
+  }
+  file_ = std::move(path);
+}
+
+std::vector<std::vector<SpillBlockRef>> SpillSet::ranges(
+    SpillReadStats* stats) const {
+  if (file_.empty()) return {};
+  std::vector<SpillBlockRef> index = SpillReader(file_, stats).index();
+  std::stable_sort(index.begin(), index.end(),
+                   [](const SpillBlockRef& a, const SpillBlockRef& b) {
+                     return a.session_id < b.session_id;
+                   });
+  std::vector<std::vector<SpillBlockRef>> out;
+  for (std::size_t b = 0, sessions = 0; b < index.size(); ++b) {
+    const bool first_block =
+        b == 0 || index[b].session_id != index[b - 1].session_id;
+    if (first_block && sessions++ % kSpillRangeSessions == 0) {
+      out.emplace_back();
+    }
+    out.back().push_back(index[b]);
+  }
+  return out;
+}
+
+std::unique_ptr<SessionGroupStream> SpillSet::open(
+    std::vector<SpillBlockRef> blocks, SpillReadStats* stats) const {
+  return std::make_unique<SpillBlockStream>(file_, std::move(blocks), stats);
+}
+
 std::unique_ptr<SessionGroupStream> SpillSet::open(
     SpillReadStats* stats) const {
-  return std::make_unique<SpillSetStream>(files_, stats);
+  std::vector<SpillBlockRef> all;
+  for (std::vector<SpillBlockRef>& range : ranges(stats)) {
+    all.insert(all.end(), range.begin(), range.end());
+  }
+  return open(std::move(all), stats);
 }
 
 Dataset SpillSet::load(SpillReadStats* stats, std::size_t threads) const {
-  // Both passes are one task per file, so workers beyond the file count
-  // would only ever park.
-  const std::size_t files = files_.size();
+  // Readers open in range order after the index scan, so a bad file
+  // throws what open() would throw, at any thread count.
+  SpillReadStats index_stats;
+  const std::vector<std::vector<SpillBlockRef>> index = ranges(&index_stats);
+  const std::size_t tasks = index.size();
   runtime::Executor executor(std::min(runtime::resolve_thread_count(threads),
-                                      std::max<std::size_t>(files, 1)));
+                                      std::max<std::size_t>(tasks, 1)));
 
-  // Readers open in file order, so an unopenable file throws what open()
-  // would throw, at any thread count.  Each reader keeps its own stats.
-  std::vector<std::unique_ptr<SpillReader>> readers;
-  readers.reserve(files);
-  for (const std::filesystem::path& file : files_) {
-    readers.push_back(std::make_unique<SpillReader>(file));
-  }
-
-  // Pass 1, one task per file: index it and count every block's records,
-  // checking each payload CRC — the one check of it this load makes.
-  std::vector<std::vector<SpillBlockRef>> index(files);
-  std::vector<std::vector<std::optional<SpillBlockCounts>>> counts(files);
-  std::vector<std::vector<SpillBlockCounts>> offsets(files);
+  // Pass 1, one task per range: count every block's records, checking
+  // each payload CRC — the one check of it this load makes.
+  std::vector<std::vector<std::optional<SpillBlockCounts>>> counts(tasks);
   executor.parallel_for(
-      files,
-      [&](std::size_t f) {
-        index[f] = readers[f]->index();
-        counts[f].reserve(index[f].size());
-        for (const SpillBlockRef& ref : index[f]) {
-          counts[f].push_back(readers[f]->block_counts(ref));
+      tasks,
+      [&](std::size_t r) {
+        const SpillReader reader(file_);
+        counts[r].reserve(index[r].size());
+        for (const SpillBlockRef& ref : index[r]) {
+          counts[r].push_back(reader.block_counts(ref));
         }
-        offsets[f].resize(index[f].size());
       },
       nullptr, "spill_load");
 
-  // A prefix sum over the canonical order gives each block its offset in
-  // each output; the five outputs are sized once, one task each, with
+  // A prefix sum in canonical order gives each block its offset in each
+  // output; the five outputs are sized once, one task each, with
   // huge-page advice so the first touch takes few faults.
+  std::vector<std::vector<SpillBlockCounts>> offsets(tasks);
   SpillBlockCounts totals{};
-  for (const SetBlock& b : canonical_block_order(index)) {
-    offsets[b.file][b.block] = totals;
-    const SpillBlockCounts n = counts[b.file][b.block].value_or(
-        SpillBlockCounts{});
-    for (std::size_t s = 0; s < totals.size(); ++s) totals[s] += n[s];
+  for (std::size_t r = 0; r < tasks; ++r) {
+    offsets[r].reserve(index[r].size());
+    for (const std::optional<SpillBlockCounts>& n : counts[r]) {
+      offsets[r].push_back(totals);
+      for (std::size_t s = 0; s < totals.size(); ++s) {
+        totals[s] += n.value_or(SpillBlockCounts{})[s];
+      }
+    }
   }
   Dataset data;
   executor.parallel_for(
@@ -647,23 +653,25 @@ Dataset SpillSet::load(SpillReadStats* stats, std::size_t threads) const {
       },
       nullptr, "spill_load");
 
-  // Pass 2, one task per file: decode its blocks in file order straight
-  // into their slices.  A block counted in pass 1 that does not decode
-  // leaves a gap.  A block pass 1 rejected goes through read_at, which
-  // checks it again and accounts the skip.
-  std::vector<std::vector<std::size_t>> gaps(files);
+  // Pass 2, one task per range: decode its blocks straight into their
+  // slices.  A block counted in pass 1 that does not decode leaves a
+  // gap.  A block pass 1 rejected goes through read_at, which checks it
+  // again and accounts the skip.
+  std::vector<SpillReadStats> range_stats(tasks);
+  std::vector<std::vector<std::size_t>> gaps(tasks);
   executor.parallel_for(
-      files,
-      [&](std::size_t f) {
-        for (std::size_t b = 0; b < index[f].size(); ++b) {
-          if (!counts[f][b].has_value()) {
-            if (readers[f]->read_at(index[f][b]).has_value()) {
-              throw std::runtime_error("spill: " + files_[f].string() +
+      tasks,
+      [&](std::size_t r) {
+        SpillReader reader(file_, &range_stats[r]);
+        for (std::size_t b = 0; b < index[r].size(); ++b) {
+          if (!counts[r][b].has_value()) {
+            if (reader.read_at(index[r][b]).has_value()) {
+              throw std::runtime_error("spill: " + file_.string() +
                                        " changed while loading");
             }
-          } else if (!readers[f]->read_into(index[f][b], *counts[f][b], data,
-                                            offsets[f][b])) {
-            gaps[f].push_back(b);
+          } else if (!reader.read_into(index[r][b], *counts[r][b], data,
+                                       offsets[r][b])) {
+            gaps[r].push_back(b);
           }
         }
       },
@@ -671,19 +679,20 @@ Dataset SpillSet::load(SpillReadStats* stats, std::size_t threads) const {
 
   // Close the gaps, one stable compaction per affected stream.
   for_each_stream([&](std::size_t s, auto& out) {
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> ranges;
-    for (std::size_t f = 0; f < files; ++f) {
-      for (const std::size_t b : gaps[f]) {
-        if ((*counts[f][b])[s] != 0) {
-          ranges.emplace_back(offsets[f][b][s], (*counts[f][b])[s]);
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> holes;
+    for (std::size_t r = 0; r < tasks; ++r) {
+      for (const std::size_t b : gaps[r]) {
+        if ((*counts[r][b])[s] != 0) {
+          holes.emplace_back(offsets[r][b][s], (*counts[r][b])[s]);
         }
       }
     }
-    close_gaps(out, std::move(ranges));
+    close_gaps(out, std::move(holes));
   }, data);
 
   if (stats != nullptr) {
-    for (const auto& reader : readers) *stats += reader->stats();
+    *stats += index_stats;
+    for (const SpillReadStats& s : range_stats) *stats += s;
   }
   return data;
 }

@@ -29,9 +29,10 @@
 //
 // The per-record session_id is NOT stored — it is block-level and
 // re-applied on read.  `payload_size` makes blocks skippable without
-// decoding, which is how SpillSet builds its per-file index: one header
+// decoding, which is how SpillSet builds its block index: one header
 // scan, then random-access reads in ascending session-id order regardless
-// of write order.
+// of write order (the engine writes one file per run, already in that
+// order).
 //
 // Byte path (spill_io.h): writers stage frames in a buffer drained
 // synchronously as one contiguous write per ~256 KiB; readers map the file
@@ -52,6 +53,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "telemetry/record_group.h"
@@ -91,12 +93,27 @@ struct SpillReadStats {
   bool operator==(const SpillReadStats&) const = default;
 };
 
-/// Appends session blocks to one spill file.  Not thread-safe; in the
-/// sharded engine each shard owns one writer.  Frames are staged and
-/// written through SpillFileBackend (buffered, synchronous); write
-/// errors — real or failpoint-injected — surface as sim::HostIoError
-/// from the write()/flush_committed()/close() call that observes them
-/// and poison the writer for good.
+/// Encodes session record groups as block frames (header, columnar
+/// payload, payload CRC; no commit frame), reusing its scratch.  One
+/// encoder per thread.
+class SpillBlockEncoder {
+ public:
+  /// Append `group`'s block frame to `out`, its vectors in their current
+  /// (emission) order.
+  void encode(const SessionRecordGroup& group, std::string& out);
+
+ private:
+  std::string payload_;
+  std::vector<std::uint64_t> col_;
+  std::vector<std::uint8_t> bcol_;
+};
+
+/// Appends session blocks to one spill file.  Not thread-safe; the
+/// sharded engine's in-order handover owns the run's one writer.  Frames
+/// are staged and written through SpillFileBackend (buffered,
+/// synchronous); write errors — real or failpoint-injected — surface as
+/// sim::HostIoError from the write()/append()/flush_committed()/close()
+/// call that observes them and poison the writer for good.
 class SpillWriter {
  public:
   /// Creates/truncates `path` and writes the file header.  Throws
@@ -123,6 +140,10 @@ class SpillWriter {
   /// for byte-identical CSV re-export).
   void write(const SessionRecordGroup& group);
 
+  /// Append one block frame made by SpillBlockEncoder, then its commit
+  /// frame: write() for a block encoded elsewhere.
+  void append(std::string_view block);
+
   /// Drain staged frames to the OS and return the committed byte offset —
   /// the value a checkpoint must record for a later resume.  Throws on
   /// write errors.
@@ -140,10 +161,9 @@ class SpillWriter {
 
   std::filesystem::path path_;
   std::unique_ptr<SpillFileBackend> io_;
-  std::string scratch_;  ///< reused payload buffer
-  std::string frame_;    ///< reused frame-header/commit buffer
-  std::vector<std::uint64_t> col_;   ///< reused column scratch
-  std::vector<std::uint8_t> bcol_;   ///< reused bool column scratch
+  SpillBlockEncoder encoder_;
+  std::string block_;  ///< reused block frame of write()
+  std::string frame_;  ///< reused file-header/commit buffer
   std::uint64_t blocks_written_ = 0;
   std::uint64_t offset_ = 0;  ///< bytes written so far (header + frames)
   bool poisoned_ = false;     ///< sticky failpoint-injected failure
@@ -177,12 +197,15 @@ class SpillReader {
   std::optional<SessionRecordGroup> next();
 
   /// Scan every frame header (payloads skipped, not CRC-checked) and
-  /// return the structurally valid block refs in file order.  Leaves the
+  /// return the structurally valid block refs in file order, dropping
+  /// the scanned pages as it goes (SpillMapping::release).  Leaves the
   /// sequential cursor at end of file.
   std::vector<SpillBlockRef> index();
 
-  /// Read the block at `ref.offset` (moves the sequential cursor).
-  /// nullopt when the block is corrupt (accounted in stats()).
+  /// Read the block at `ref.offset` (moves the sequential cursor), first
+  /// dropping the pages below it (SpillMapping::release), so a reader
+  /// walking a file in order keeps only what is ahead of it.  nullopt
+  /// when the block is corrupt (accounted in stats()).
   std::optional<SessionRecordGroup> read_at(const SpillBlockRef& ref);
 
   /// The record counts of the block at `ref.offset`, read from the payload
@@ -224,51 +247,62 @@ class SpillReader {
   SpillReadStats* external_stats_ = nullptr;
 };
 
-class SpillGroupStream;
+/// Sessions per range of a spill file's parallel read (SpillSet::ranges).
+inline constexpr std::size_t kSpillRangeSessions = 64;
 
-/// A set of spill files (one per shard) that together hold one run's
-/// telemetry.  Files are kept in shard order: when a session's blocks
-/// appear in several files, the merged stream concatenates them in file
-/// order — the same tie-break the canonical in-memory merge applies.
+/// One run's spill file.  Its blocks read in canonical order: the block
+/// index stable-sorted by session id, so a session whose blocks are
+/// spread over the file concatenates them in file order.
 class SpillSet {
  public:
-  SpillSet() = default;
+  /// Set the file.  Throws std::invalid_argument when the set already
+  /// holds one: a run writes one file.
+  void add_file(std::filesystem::path path);
+  /// The file; empty when none was added.
+  const std::filesystem::path& file() const { return file_; }
+  bool empty() const { return file_.empty(); }
 
-  void add_file(std::filesystem::path path) {
-    files_.push_back(std::move(path));
-  }
-  const std::vector<std::filesystem::path>& files() const { return files_; }
-  bool empty() const { return files_.empty(); }
+  /// The block index in canonical order, cut into consecutive ranges of
+  /// kSpillRangeSessions whole sessions (the last may hold fewer): the
+  /// tasks of a parallel read.  `stats` receives the header scan's
+  /// accounting.  Throws what SpillReader's constructor throws.
+  std::vector<std::vector<SpillBlockRef>> ranges(
+      SpillReadStats* stats = nullptr) const;
 
-  /// Open a merged stream over all files in ascending session-id order.
-  /// When `stats` is non-null it accumulates salvage accounting across
-  /// every file as the stream is consumed (final once the stream returns
-  /// nullopt).  Corrupt blocks are skipped; a session whose every block is
-  /// corrupt disappears from the stream.
+  /// Stream `blocks` (one of ranges(), or all of them) through a reader
+  /// of its own, a session's blocks concatenated, accumulating the reads'
+  /// accounting in `stats`.  Corrupt blocks are skipped; a session whose
+  /// every block is corrupt is absent from the stream.
+  std::unique_ptr<SessionGroupStream> open(std::vector<SpillBlockRef> blocks,
+                                           SpillReadStats* stats) const;
+
+  /// The whole file in ascending session-id order (ranges() and open()),
+  /// both in `stats`, final once the stream returns nullopt.
   std::unique_ptr<SessionGroupStream> open(
       SpillReadStats* stats = nullptr) const;
 
   /// Materialize every record back into one canonical Dataset (ascending
   /// session id, per-session emission order) — byte-equivalent to the
-  /// in-memory run's merged dataset, and record for record what draining
-  /// open() yields, with the same salvage accounting in `stats`.
+  /// in-memory run's dataset, and record for record what draining open()
+  /// yields, with the same salvage accounting in `stats`.
   ///
-  /// Two passes, each one task per file on a runtime::Executor of
-  /// `threads` workers (0 resolves through runtime::resolve_thread_count;
-  /// capped at the file count; a single worker runs inline).  Pass 1
-  /// indexes each file and reads every block's record counts
+  /// Two passes over ranges(), each one task per range on a
+  /// runtime::Executor of `threads` workers (0 resolves through
+  /// runtime::resolve_thread_count; capped at the range count; a single
+  /// worker runs inline).  Each task maps the file through a reader of
+  /// its own, so the pages it touched leave the RSS with it.  Pass 1
+  /// reads every block's record counts
   /// (block_counts, which checks the payload CRC: once per block per
-  /// load); the blocks, sorted into the stream's (session id, file,
-  /// offset) order, get their output offsets from a prefix sum, and the
-  /// five outputs are sized once.  Pass 2 decodes each file's blocks in
-  /// file order straight into their slices (read_into).  A block that
-  /// passes pass 1 but fails to decode leaves a gap, closed afterwards
-  /// by one stable compaction of each affected stream.  Output and stats
-  /// do not depend on `threads`.
+  /// load); a prefix sum in canonical order gives each block its output
+  /// offsets, and the five outputs are sized once.  Pass 2 decodes each
+  /// range's blocks straight into their slices (read_into).  A block that
+  /// passes pass 1 but fails to decode leaves a gap, closed afterwards by
+  /// one stable compaction of each affected stream.  Output and stats do
+  /// not depend on `threads`.
   Dataset load(SpillReadStats* stats = nullptr, std::size_t threads = 0) const;
 
  private:
-  std::vector<std::filesystem::path> files_;
+  std::filesystem::path file_;
 };
 
 }  // namespace vstream::telemetry

@@ -5,6 +5,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "sim/host_error.h"
@@ -35,6 +36,16 @@ SpillMapping::SpillMapping(const std::filesystem::path& path) {
   }
   ::madvise(base, size_, MADV_SEQUENTIAL);
   data_ = static_cast<const char*>(base);
+}
+
+void SpillMapping::release(std::uint64_t offset) {
+  static const std::uint64_t page =
+      static_cast<std::uint64_t>(::sysconf(_SC_PAGESIZE));
+  const std::uint64_t end = std::min(offset, size_) / page * page;
+  if (end < released_ + (std::uint64_t{4} << 20)) return;
+  ::madvise(const_cast<char*>(data_) + released_, end - released_,
+            MADV_DONTNEED);
+  released_ = end;
 }
 
 SpillMapping::~SpillMapping() {

@@ -42,15 +42,22 @@ class SpillMapping {
   std::uint64_t size() const { return size_; }
   const char* data() const { return data_; }
 
+  /// Drop the pages wholly below `offset` from the process's resident set
+  /// once they add up to 4 MiB past the last drop.  Touched pages of a
+  /// mapping count in RSS until it is unmapped; dropped ones stay in the
+  /// page cache and fault back in if read again.
+  void release(std::uint64_t offset);
+
  private:
   const char* data_ = nullptr;
   std::uint64_t size_ = 0;
+  std::uint64_t released_ = 0;  ///< pages below this offset were dropped
 };
 
 // -------------------------------------------------------------- write side
 
-/// Buffered appender for one spill file.  Not thread-safe; one shard owns
-/// one backend.
+/// Buffered appender for one spill file.  Not thread-safe; one
+/// SpillWriter owns one backend.
 class SpillFileBackend {
  public:
   /// Opens `path` (truncating or appending).  Throws sim::HostIoError

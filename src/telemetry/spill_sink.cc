@@ -4,21 +4,10 @@
 
 namespace vstream::telemetry {
 
-SpillSink::SpillSink(const std::filesystem::path& path)
-    : path_(path), writer_(path) {}
-
-SpillSink::SpillSink(const std::filesystem::path& path,
-                     std::uint64_t committed_bytes,
-                     std::uint64_t blocks_already_written)
-    : path_(path), writer_(path, committed_bytes, blocks_already_written) {}
-
 SessionRecordGroup& SpillSink::group_for(std::uint64_t session_id) {
   if (last_ != nullptr && last_->session_id == session_id) return *last_;
   auto [it, inserted] = live_.try_emplace(session_id);
-  if (inserted) {
-    it->second.session_id = session_id;
-    peak_live_ = std::max(peak_live_, live_.size());
-  }
+  if (inserted) it->second.session_id = session_id;
   last_ = &it->second;
   return *last_;
 }
@@ -43,23 +32,28 @@ void SpillSink::record(TcpSnapshotRecord r) {
   group_for(r.session_id).tcp_snapshots.push_back(std::move(r));
 }
 
+void SpillSink::encode(const SessionRecordGroup& group) {
+  const std::size_t begin = bytes_.size();
+  encoder_.encode(group, bytes_);
+  blocks_.push_back({group.session_id, begin, bytes_.size() - begin});
+}
+
 void SpillSink::session_complete(std::uint64_t session_id) {
   const auto it = live_.find(session_id);
   if (it == live_.end()) return;  // a session may legitimately emit nothing
-  writer_.write(it->second);
+  encode(it->second);
   live_.erase(it);
   last_ = nullptr;
 }
 
-void SpillSink::flush_live() {
-  for (const auto& [id, group] : live_) writer_.write(group);
+void SpillSink::finish() {
+  for (const auto& [id, group] : live_) encode(group);
   live_.clear();
   last_ = nullptr;
-}
-
-void SpillSink::finish() {
-  flush_live();
-  writer_.close();
+  std::stable_sort(blocks_.begin(), blocks_.end(),
+                   [](const Block& a, const Block& b) {
+                     return a.session_id < b.session_id;
+                   });
 }
 
 }  // namespace vstream::telemetry

@@ -1,15 +1,23 @@
-// SpillSink: a RecordSink that bounds record memory by spilling each
-// completed session's record group to disk.
+// SpillSink: a RecordSink that bounds record memory by encoding each
+// completed session's record group as a spill block.
 //
-// Records buffer in RAM only while their session is live; the collector's
-// session_complete() notification (driven by the engine as each session
-// finishes) serializes the group as one spill block and frees it.  Peak
-// record memory is therefore proportional to the number of concurrently
-// *live* sessions — independent of how many chunks the run produces —
-// which is the whole point of the streaming telemetry pipeline.
+// Records buffer as objects only while their session is live; the
+// collector's session_complete() notification (driven by the engine as
+// each session finishes) encodes the group as one block frame into the
+// sink's byte buffer and frees it.  The sink writes no file: the engine
+// runs one sink per batch, and its in-order handover appends the batch's
+// blocks to the run's one spill file (SpillWriter::append).  Encoded
+// blocks take a fraction of the records' memory, and a batch holds few
+// sessions, so peak record memory is bounded by the batches in flight —
+// independent of how many chunks the run produces.
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <map>
+#include <string>
+#include <string_view>
+#include <vector>
 
 #include "telemetry/record_sink.h"
 #include "telemetry/spill_format.h"
@@ -18,15 +26,12 @@ namespace vstream::telemetry {
 
 class SpillSink final : public RecordSink {
  public:
-  /// Creates/truncates the spill file.  Throws when the file cannot be
-  /// opened.
-  explicit SpillSink(const std::filesystem::path& path);
-
-  /// Resume an existing spill file at a checkpointed committed offset:
-  /// uncommitted tail frames are truncated and appending continues.
-  /// Throws on a missing/short/incompatible file.
-  SpillSink(const std::filesystem::path& path, std::uint64_t committed_bytes,
-            std::uint64_t blocks_already_written);
+  /// One encoded block: its session and its frame's place in the buffer.
+  struct Block {
+    std::uint64_t session_id = 0;
+    std::size_t begin = 0;
+    std::size_t size = 0;
+  };
 
   void record(PlayerSessionRecord r) override;
   void record(CdnSessionRecord r) override;
@@ -34,44 +39,38 @@ class SpillSink final : public RecordSink {
   void record(CdnChunkRecord r) override;
   void record(TcpSnapshotRecord r) override;
 
-  /// Serialize the session's buffered group as one block and drop it.
+  /// Encode the session's buffered group as one block and drop it.
   void session_complete(std::uint64_t session_id) override;
 
-  /// Spill any sessions still live (abandoned sessions) in ascending
-  /// session-id order — a deterministic epilogue — then flush and close
-  /// the file, throwing on write errors.
+  /// Encode the sessions still live (abandoned sessions) in ascending
+  /// session-id order — a deterministic epilogue — then stable-sort the
+  /// blocks by session id, so blocks() is in canonical order.
   void finish() override;
 
-  /// The finish() epilogue without the close: spill still-live sessions in
-  /// ascending-id order and keep appending.  A checkpointed run calls this
-  /// at every batch boundary so no session's records are hostage to the
-  /// in-memory buffer when the batch is declared committed.
-  void flush_live();
-
-  /// Flush written frames and return the committed byte offset for a
-  /// checkpoint (see SpillWriter::flush_committed).  Throws on I/O errors.
-  std::uint64_t flush_committed() { return writer_.flush_committed(); }
-
-  const std::filesystem::path& path() const { return path_; }
+  /// The encoded blocks: after finish(), in ascending session id, a
+  /// session's blocks in emission order.
+  const std::vector<Block>& blocks() const { return blocks_; }
+  /// The frame of `block`, for SpillWriter::append.
+  std::string_view frame(const Block& block) const {
+    return std::string_view(bytes_).substr(block.begin, block.size);
+  }
   std::size_t live_sessions() const { return live_.size(); }
-  std::size_t peak_live_sessions() const { return peak_live_; }
-  std::uint64_t blocks_written() const { return writer_.blocks_written(); }
-  std::uint64_t committed_bytes() const { return writer_.committed_bytes(); }
 
  private:
   SessionRecordGroup& group_for(std::uint64_t session_id);
+  void encode(const SessionRecordGroup& group);
 
-  std::filesystem::path path_;
-  SpillWriter writer_;
-  /// Ordered so finish() can flush leftovers in ascending-id order without
-  /// a sort; the live set is small (concurrent sessions), so the log-n
-  /// lookup is noise next to record construction.
+  SpillBlockEncoder encoder_;
+  std::string bytes_;
+  std::vector<Block> blocks_;
+  /// Ordered so finish() can encode leftovers in ascending-id order
+  /// without a sort; the live set is small (concurrent sessions), so the
+  /// log-n lookup is noise next to record construction.
   std::map<std::uint64_t, SessionRecordGroup> live_;
   /// The live group written last, or nullptr: one transfer's snapshots
   /// arrive in a row for one session, and map nodes do not move, so they
   /// skip the lookup.  Reset whenever a group leaves live_.
   SessionRecordGroup* last_ = nullptr;
-  std::size_t peak_live_ = 0;
 };
 
 }  // namespace vstream::telemetry

@@ -1,14 +1,11 @@
-// analyze_spill over hand-written spill files: sessions spread over two
-// files match the in-memory oracle, and a session whose records span two
-// files (which the engine never writes) is refused.
+// analyze_spill over hand-written spill files whose sessions are out of id
+// order: the per-range analysis matches the in-memory oracle.
 #include "core/streaming.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <filesystem>
-#include <optional>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -17,16 +14,6 @@
 
 namespace vstream::core {
 namespace {
-
-/// The first `n` records of `from`, or the rest after them.
-template <typename Record>
-std::vector<Record> head(const std::vector<Record>& from, std::size_t n) {
-  return {from.begin(), from.begin() + static_cast<std::ptrdiff_t>(n)};
-}
-template <typename Record>
-std::vector<Record> tail(const std::vector<Record>& from, std::size_t n) {
-  return {from.begin() + static_cast<std::ptrdiff_t>(n), from.end()};
-}
 
 void expect_same(const StreamingAnalysis& got, const StreamingAnalysis& want) {
   EXPECT_EQ(got.sessions_joined, want.sessions_joined);
@@ -53,12 +40,13 @@ void expect_same(const StreamingAnalysis& got, const StreamingAnalysis& want) {
   EXPECT_EQ(got.session_qoe, want.session_qoe);
 }
 
-/// Hand-written two-file spill sets of one 40-session run.
+/// Hand-written spill files of one 150-session run: three ranges of
+/// analyze_spill.
 class AnalyzeSpillTest : public ::testing::Test {
  protected:
   void SetUp() override {
     workload::Scenario scenario = workload::test_scenario();
-    scenario.session_count = 40;
+    scenario.session_count = 150;
     run_ = engine::run_simulation(scenario);
     tau_ = run_.catalog->chunk_duration_s();
     // One directory per test: ctest runs the tests as parallel processes.
@@ -70,52 +58,29 @@ class AnalyzeSpillTest : public ::testing::Test {
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }
 
-  /// Session groups alternate between two files, and group 5 loses its
-  /// CDN session record, so the drop counts are not all zero.  When
-  /// `split_session` is set, that session is cut in half instead: its
-  /// player side and first chunks in file 0, its CDN side and the
-  /// remaining chunks in file 1.  Returns whether a session was split.
-  bool write_files(std::optional<std::uint64_t> split_session) {
-    telemetry::SpillWriter w0(dir_ / "shard-0.vspill");
-    telemetry::SpillWriter w1(dir_ / "shard-1.vspill");
+  /// Write the run's session groups, each passed through `edit` with its
+  /// index, to one file: the even-indexed groups first, then the odd
+  /// ones, so the file is not in id order.
+  template <typename Edit>
+  void write_file(Edit edit) {
+    std::vector<telemetry::SessionRecordGroup> groups;
     telemetry::DatasetGroupStream stream(run_.dataset);
-    std::size_t index = 0;
-    bool split = false;
     while (auto group = stream.next()) {
-      if (split_session == group->session_id) {
-        split = true;
-        const std::size_t pc = group->player_chunks.size() / 2;
-        const std::size_t cc = group->cdn_chunks.size() / 2;
-        const std::size_t ts = group->tcp_snapshots.size() / 2;
-        telemetry::SessionRecordGroup first;
-        first.session_id = group->session_id;
-        first.player_sessions = group->player_sessions;
-        first.player_chunks = head(group->player_chunks, pc);
-        first.cdn_chunks = head(group->cdn_chunks, cc);
-        first.tcp_snapshots = head(group->tcp_snapshots, ts);
-        telemetry::SessionRecordGroup second;
-        second.session_id = group->session_id;
-        second.cdn_sessions = group->cdn_sessions;
-        second.player_chunks = tail(group->player_chunks, pc);
-        second.cdn_chunks = tail(group->cdn_chunks, cc);
-        second.tcp_snapshots = tail(group->tcp_snapshots, ts);
-        w0.write(first);
-        w1.write(second);
-      } else {
-        if (index == 5) group->cdn_sessions.clear();
-        (index % 2 == 0 ? w0 : w1).write(*group);
-      }
-      ++index;
+      edit(groups.size(), *group);
+      groups.push_back(std::move(*group));
     }
-    w0.close();
-    w1.close();
-    return split;
+    telemetry::SpillWriter writer(dir_ / "run.vspill");
+    for (const std::size_t parity : {0, 1}) {
+      for (std::size_t i = parity; i < groups.size(); i += 2) {
+        writer.write(groups[i]);
+      }
+    }
+    writer.close();
   }
 
   telemetry::SpillSet spill() const {
     telemetry::SpillSet set;
-    set.add_file(dir_ / "shard-0.vspill");
-    set.add_file(dir_ / "shard-1.vspill");
+    set.add_file(dir_ / "run.vspill");
     return set;
   }
 
@@ -125,10 +90,14 @@ class AnalyzeSpillTest : public ::testing::Test {
 };
 
 TEST_F(AnalyzeSpillTest, SessionsSpreadOverFilesMatchDatasetOracle) {
-  write_files(std::nullopt);
+  // Group 5 loses its CDN session record, so the drop counts are not all
+  // zero.
+  write_file([](std::size_t index, telemetry::SessionRecordGroup& group) {
+    if (index == 5) group.cdn_sessions.clear();
+  });
   const StreamingAnalysis oracle = analyze_dataset(spill().load(), tau_);
   EXPECT_EQ(oracle.dropped_incomplete, 1u);
-  EXPECT_EQ(oracle.sessions_joined + oracle.dropped_as_proxy, 39u);
+  EXPECT_EQ(oracle.sessions_joined + oracle.dropped_as_proxy, 149u);
 
   for (const std::size_t threads : {1, 4}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
@@ -144,27 +113,17 @@ TEST_F(AnalyzeSpillTest, RepeatedBeaconAndDuplicateCdnRecordsMatchOracle) {
   // beacon wins) and carries a second CDN session record; every sixth
   // session's duplicate also disagrees with its beacon, so rule (i) fires
   // on it alone.
-  {
-    telemetry::SpillWriter w0(dir_ / "shard-0.vspill");
-    telemetry::SpillWriter w1(dir_ / "shard-1.vspill");
-    telemetry::DatasetGroupStream stream(run_.dataset);
-    std::size_t index = 0;
-    while (auto group = stream.next()) {
-      if (index % 3 == 0 && !group->player_sessions.empty() &&
-          !group->cdn_sessions.empty()) {
-        telemetry::PlayerSessionRecord again = group->player_sessions.front();
-        again.client_ip ^= 0xFF;
-        group->player_sessions.push_back(again);
-        telemetry::CdnSessionRecord duplicate = group->cdn_sessions.front();
-        if (index % 6 == 0) duplicate.observed_user_agent += " via proxy";
-        group->cdn_sessions.push_back(duplicate);
-      }
-      (index % 2 == 0 ? w0 : w1).write(*group);
-      ++index;
+  write_file([](std::size_t index, telemetry::SessionRecordGroup& group) {
+    if (index % 3 == 0 && !group.player_sessions.empty() &&
+        !group.cdn_sessions.empty()) {
+      telemetry::PlayerSessionRecord again = group.player_sessions.front();
+      again.client_ip ^= 0xFF;
+      group.player_sessions.push_back(again);
+      telemetry::CdnSessionRecord duplicate = group.cdn_sessions.front();
+      if (index % 6 == 0) duplicate.observed_user_agent += " via proxy";
+      group.cdn_sessions.push_back(duplicate);
     }
-    w0.close();
-    w1.close();
-  }
+  });
   const StreamingAnalysis oracle = analyze_dataset(spill().load(), tau_);
   EXPECT_GE(oracle.proxies.mismatch_detections, 7u);
   for (const std::size_t threads : {1, 4}) {
@@ -176,21 +135,6 @@ TEST_F(AnalyzeSpillTest, RepeatedBeaconAndDuplicateCdnRecordsMatchOracle) {
               oracle.proxies.mismatch_detections);
     EXPECT_EQ(streamed.proxies.volume_detections,
               oracle.proxies.volume_detections);
-  }
-}
-
-TEST_F(AnalyzeSpillTest, SessionSplitAcrossFilesThrowsNamingIt) {
-  ASSERT_TRUE(write_files(2));
-  for (const std::size_t threads : {1, 4}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    try {
-      analyze_spill(spill(), tau_, {}, threads);
-      ADD_FAILURE() << "a session split across files must throw";
-    } catch (const std::invalid_argument& error) {
-      EXPECT_NE(std::string(error.what()).find("session 2 "),
-                std::string::npos)
-          << error.what();
-    }
   }
 }
 

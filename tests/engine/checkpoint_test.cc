@@ -12,6 +12,8 @@
 #include <string>
 
 #include "engine/engine.h"
+#include "telemetry/crc32c.h"
+#include "telemetry/le_bytes.h"
 #include "workload/scenario.h"
 
 namespace vstream::engine {
@@ -35,11 +37,9 @@ class CheckpointTest : public ::testing::Test {
   std::filesystem::path dir_;
 };
 
-ShardCheckpoint sample_checkpoint() {
-  ShardCheckpoint cp;
+RunCheckpoint sample_checkpoint() {
+  RunCheckpoint cp;
   cp.fingerprint = 0xDEADBEEFCAFEF00Dull;
-  cp.shard_index = 2;
-  cp.shard_count = 4;
   cp.next_index = 1'500;
   cp.spill_committed_bytes = 123'456;
   cp.spill_blocks_written = 789;
@@ -76,13 +76,11 @@ ShardCheckpoint sample_checkpoint() {
 }
 
 TEST_F(CheckpointTest, RoundTripsEveryField) {
-  const ShardCheckpoint cp = sample_checkpoint();
-  write_checkpoint(file("shard-2.vckpt"), cp);
-  const auto read = read_checkpoint(file("shard-2.vckpt"));
+  const RunCheckpoint cp = sample_checkpoint();
+  write_checkpoint(file("run.vckpt"), cp);
+  const auto read = read_checkpoint(file("run.vckpt"));
   ASSERT_TRUE(read.has_value());
   EXPECT_EQ(read->fingerprint, cp.fingerprint);
-  EXPECT_EQ(read->shard_index, cp.shard_index);
-  EXPECT_EQ(read->shard_count, cp.shard_count);
   EXPECT_EQ(read->next_index, cp.next_index);
   EXPECT_EQ(read->spill_committed_bytes, cp.spill_committed_bytes);
   EXPECT_EQ(read->spill_blocks_written, cp.spill_blocks_written);
@@ -98,7 +96,7 @@ TEST_F(CheckpointTest, RoundTripsEveryField) {
 }
 
 TEST_F(CheckpointTest, RewriteReplacesAtomically) {
-  ShardCheckpoint cp = sample_checkpoint();
+  RunCheckpoint cp = sample_checkpoint();
   write_checkpoint(file("s.vckpt"), cp);
   cp.next_index = 9'999;
   write_checkpoint(file("s.vckpt"), cp);
@@ -133,6 +131,37 @@ TEST_F(CheckpointTest, EveryByteFlipReadsAsNoneOrValid) {
     EXPECT_FALSE(read_checkpoint(file("mut.vckpt")).has_value())
         << "byte " << i;
   }
+}
+
+TEST_F(CheckpointTest, OldFormatSidecarReadsAsNone) {
+  // A version-1 sidecar: one per id-modulo shard, with the shard's index
+  // and count after the fingerprint.  Built from a current one by
+  // reinserting those fields, so only the format differs; its CRC is
+  // valid, and it still reads as "no checkpoint" — a fresh start.
+  write_checkpoint(file("run.vckpt"), sample_checkpoint());
+  std::string bytes;
+  {
+    std::ifstream in(file("run.vckpt"), std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in),
+                 std::istreambuf_iterator<char>());
+  }
+  ASSERT_GT(bytes.size(), 16u + 8u + 4u);
+  std::string payload = bytes.substr(16, bytes.size() - 16 - 4);
+  std::string shard_fields;
+  telemetry::put_u64(shard_fields, 2);  // shard_index
+  telemetry::put_u64(shard_fields, 4);  // shard_count
+  payload.insert(8, shard_fields);
+  std::string old;
+  telemetry::put_u32(old, telemetry::load_u32(bytes.data()));  // magic
+  telemetry::put_u32(old, 1);                                  // version
+  telemetry::put_u64(old, payload.size());
+  old += payload;
+  telemetry::put_u32(old, telemetry::crc32c(payload.data(), payload.size()));
+  {
+    std::ofstream out(file("old.vckpt"), std::ios::binary | std::ios::trunc);
+    out.write(old.data(), static_cast<std::streamsize>(old.size()));
+  }
+  EXPECT_FALSE(read_checkpoint(file("old.vckpt")).has_value());
 }
 
 TEST_F(CheckpointTest, EveryTruncationReadsAsNone) {

@@ -1,14 +1,13 @@
 // merge_shard_results edge cases, its run-sort against a reference
-// std::stable_sort, memory mode's ordered stream against the merge, and
+// std::stable_sort, run_sharded's ordered stream against the merge, and
 // partition-skew behavior.
 //
-// The canonical merge is the one place every spilled shard's output
-// flows through, and memory mode's ordered stream must reproduce it, so
-// their edge cases — empty parts, parts with no records, parts that
-// disagree on server-stats shape — decide whether odd partitions stay
-// bit-identical.  The skew tests document the worst case of the
-// id-modulo partition (it is canonical, not balanced) and show that
-// memory mode's contiguous ranges do not inherit it.
+// The id-modulo partition and the canonical merge are the reference the
+// ordered stream must reproduce, so their edge cases — empty parts, parts
+// with no records, parts that disagree on server-stats shape — decide
+// whether odd partitions stay bit-identical.  The skew tests document the
+// worst case of the id-modulo partition (it is canonical, not balanced)
+// and show that run_sharded's contiguous ranges do not inherit it.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -385,9 +384,9 @@ void expect_same_accounting(const engine::ShardResult& a,
 }
 
 TEST(OrderedStreamTest, MemoryModeEqualsMergeOfIdModParts) {
-  // Memory-mode run_sharded streams contiguous id ranges into one output;
-  // the spill path and the reference below run the id-mod parts and
-  // merge them.  Both must agree byte for byte, records and accounting,
+  // run_sharded streams contiguous id ranges into one output, a Dataset
+  // or one spill file; the reference below runs the id-mod parts and
+  // merges them.  All must agree byte for byte, records and accounting,
   // at any thread and shard count, with and without faults.
   workload::Scenario scenario = workload::test_scenario();
   scenario.session_count = 150;
@@ -426,6 +425,17 @@ TEST(OrderedStreamTest, MemoryModeEqualsMergeOfIdModParts) {
                                 admitted, shards, nullptr, nullptr, &exec);
         EXPECT_TRUE(test::same_csv(streamed.dataset, reference.dataset));
         expect_same_accounting(streamed, reference);
+
+        const std::filesystem::path dir = merge_scratch("ordered_spill");
+        const engine::ShardResult spilled =
+            engine::run_sharded(scenario, catalog, warm, faults, nullptr,
+                                admitted, shards, &dir, nullptr, &exec);
+        ASSERT_EQ(spilled.spill_files.size(), 1u);
+        telemetry::SpillSet spill;
+        spill.add_file(spilled.spill_files.front());
+        EXPECT_TRUE(test::same_csv(spill.load(), reference.dataset));
+        expect_same_accounting(spilled, reference);
+        std::filesystem::remove_all(dir);
       }
     }
   }
@@ -475,7 +485,7 @@ TEST(MergeEdgeCaseTest, MostlyEmptyShardsMatchSingleShardBothPaths) {
   spill.telemetry_spill_dir = dir.string();
   const engine::RunResult spilled = engine::run_simulation(scenario, spill);
   ASSERT_TRUE(spilled.spilled());
-  EXPECT_EQ(spilled.spill.files().size(), 8u);  // empty shards spill too
+  EXPECT_EQ(spilled.spill.file(), dir / "run.vspill");  // one file
   EXPECT_TRUE(test::same_csv(spilled.spill.load(), reference.dataset));
   std::filesystem::remove_all(dir);
 }

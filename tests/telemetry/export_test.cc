@@ -625,20 +625,20 @@ TEST(ExportStreamTest, MatchesExportDatasetAcrossWindows) {
   const Dataset d = multi_window_dataset();
   ASSERT_GT(record_count(d), 3 * window_records(4));
 
-  // The same sessions as a two-file spill set, alternating files.
+  // The same sessions as a spill file out of id order: the even ids
+  // first, then the odd ones.
   SpillSet spill;
   {
-    SpillWriter even(root / "shard-0.vspill");
-    SpillWriter odd(root / "shard-1.vspill");
-    DatasetGroupStream groups(d);
-    while (std::optional<SessionRecordGroup> group = groups.next()) {
-      (group->session_id % 2 == 0 ? even : odd).write(*group);
+    SpillWriter writer(root / "run.vspill");
+    for (const std::uint64_t parity : {0, 1}) {
+      DatasetGroupStream groups(d);
+      while (std::optional<SessionRecordGroup> group = groups.next()) {
+        if (group->session_id % 2 == parity) writer.write(*group);
+      }
     }
-    even.close();
-    odd.close();
+    writer.close();
   }
-  spill.add_file(root / "shard-0.vspill");
-  spill.add_file(root / "shard-1.vspill");
+  spill.add_file(root / "run.vspill");
 
   const auto expected = reference_files(d);
   export_dataset(d, root / "dataset");

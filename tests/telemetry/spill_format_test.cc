@@ -212,6 +212,26 @@ TEST_F(SpillFormatTest, RoundTripsEveryFieldBitExact) {
   EXPECT_EQ(reader.stats().commit_frames, blocks);
 }
 
+TEST_F(SpillFormatTest, AppendOfAnEncodedBlockEqualsWrite) {
+  // The engine encodes blocks on its workers and appends them in order;
+  // the file must be the one write() makes of the same groups.
+  SpillBlockEncoder encoder;
+  std::string blocks[2];
+  encoder.encode(full_group(4), blocks[0]);
+  encoder.encode(full_group(9), blocks[1]);
+  {
+    SpillWriter written(file("written.vspill"));
+    written.write(full_group(4));
+    written.write(full_group(9));
+    written.close();
+    SpillWriter appended(file("appended.vspill"));
+    for (const std::string& block : blocks) appended.append(block);
+    appended.close();
+    EXPECT_EQ(appended.committed_bytes(), written.committed_bytes());
+  }
+  EXPECT_EQ(read_all(file("appended.vspill")), read_all(file("written.vspill")));
+}
+
 TEST_F(SpillFormatTest, IndexAndRandomAccessRead) {
   const auto path = file("index.vspill");
   {
@@ -236,71 +256,68 @@ TEST_F(SpillFormatTest, IndexAndRandomAccessRead) {
   expect_groups_equal(full_group(30), *at0);
 }
 
-TEST_F(SpillFormatTest, SpillSetStreamsAscendingAcrossFiles) {
-  SpillSet set;
+TEST_F(SpillFormatTest, OneFileStreamsAndLoadsInIdOrder) {
+  // The readers sort the block index by session id: a file in any order
+  // streams and loads in canonical order.
   {
-    SpillWriter a(file("shard-0.vspill"));
-    a.write(full_group(5));
-    a.write(full_group(1));
-    a.close();
-    SpillWriter b(file("shard-1.vspill"));
-    b.write(full_group(4));
-    b.write(full_group(2));
-    b.close();
+    SpillWriter writer(file("run.vspill"));
+    for (const std::uint64_t id : {5, 1, 4, 2}) writer.write(full_group(id));
+    writer.close();
   }
-  set.add_file(file("shard-0.vspill"));
-  set.add_file(file("shard-1.vspill"));
-
+  SpillSet set;
+  set.add_file(file("run.vspill"));
   const auto stream = set.open();
   std::vector<std::uint64_t> ids;
   while (auto group = stream->next()) ids.push_back(group->session_id);
   EXPECT_EQ(ids, (std::vector<std::uint64_t>{1, 2, 4, 5}));
+  expect_load_matches_stream(set);
 }
 
-TEST_F(SpillFormatTest, SessionSplitAcrossFilesConcatenatesInFileOrder) {
-  // The canonical in-memory merge tie-breaks equal session ids by shard
-  // order; the spill stream must do the same when one session's blocks
-  // land in several files.
-  SessionRecordGroup first;
-  first.session_id = 9;
-  PlayerChunkRecord pc0;
-  pc0.session_id = 9;
-  pc0.chunk_id = 0;
-  first.player_chunks.push_back(pc0);
+TEST_F(SpillFormatTest, SecondFileIsRefused) {
+  SpillSet set;
+  set.add_file(file("run.vspill"));
+  EXPECT_THROW(set.add_file(file("other.vspill")), std::invalid_argument);
+  EXPECT_EQ(set.file(), file("run.vspill"));
+}
 
-  SessionRecordGroup second;
-  second.session_id = 9;
-  PlayerChunkRecord pc1;
-  pc1.session_id = 9;
-  pc1.chunk_id = 1;
-  second.player_chunks.push_back(pc1);
-
+TEST_F(SpillFormatTest, RangesHoldWholeSessionsInIdOrder) {
+  // 2 * kSpillRangeSessions + 3 sessions, written in descending id order,
+  // and the session at the first cut (id kSpillRangeSessions - 1) in two
+  // blocks at opposite ends of the file: three ranges, each holding whole
+  // sessions in ascending id order, the split session's blocks in file
+  // order.
+  constexpr std::uint64_t kSessions = 2 * kSpillRangeSessions + 3;
+  constexpr std::uint64_t kSplit = kSpillRangeSessions - 1;
+  SessionRecordGroup tail = full_group(kSplit);
+  tail.player_sessions.clear();
   {
-    SpillWriter a(file("shard-0.vspill"));
-    a.write(first);
-    a.close();
-    SpillWriter b(file("shard-1.vspill"));
-    b.write(second);
-    b.close();
+    SpillWriter writer(file("run.vspill"));
+    for (std::uint64_t id = kSessions; id-- > 0;) writer.write(full_group(id));
+    writer.write(tail);
+    writer.close();
   }
   SpillSet set;
-  set.add_file(file("shard-0.vspill"));
-  set.add_file(file("shard-1.vspill"));
-
-  const auto stream = set.open();
-  auto group = stream->next();
-  ASSERT_TRUE(group.has_value());
-  EXPECT_EQ(group->session_id, 9u);
-  ASSERT_EQ(group->player_chunks.size(), 2u);
-  EXPECT_EQ(group->player_chunks[0].chunk_id, 0u);
-  EXPECT_EQ(group->player_chunks[1].chunk_id, 1u);
-  EXPECT_FALSE(stream->next().has_value());
-
-  // load() materializes the same concatenation.
-  const Dataset loaded = set.load();
-  ASSERT_EQ(loaded.player_chunks.size(), 2u);
-  EXPECT_EQ(loaded.player_chunks[0].chunk_id, 0u);
-  EXPECT_EQ(loaded.player_chunks[1].chunk_id, 1u);
+  set.add_file(file("run.vspill"));
+  SpillReadStats stats;
+  const auto ranges = set.ranges(&stats);
+  EXPECT_EQ(stats.commit_frames, kSessions + 1);
+  ASSERT_EQ(ranges.size(), 3u);
+  EXPECT_EQ(ranges[0].size(), kSpillRangeSessions + 1);
+  EXPECT_EQ(ranges[1].size(), kSpillRangeSessions);
+  EXPECT_EQ(ranges[2].size(), 3u);
+  std::vector<std::uint64_t> ids;
+  std::vector<std::uint64_t> want;
+  for (const auto& range : ranges) {
+    for (const SpillBlockRef& ref : range) ids.push_back(ref.session_id);
+  }
+  for (std::uint64_t id = 0; id < kSessions; ++id) {
+    want.push_back(id);
+    if (id == kSplit) want.push_back(id);
+  }
+  EXPECT_EQ(ids, want);
+  EXPECT_EQ(ranges[0][kSplit].session_id, kSplit);
+  EXPECT_EQ(ranges[0][kSplit + 1].session_id, kSplit);
+  EXPECT_LT(ranges[0][kSplit].offset, ranges[0][kSplit + 1].offset);
   expect_load_matches_stream(set);
 }
 
@@ -528,79 +545,62 @@ TEST_F(SpillFormatTest, FuzzTruncateEveryOffsetNeverCrashes) {
 }
 
 TEST_F(SpillFormatTest, LoadMatchesStreamOnEveryFlipAndTruncation) {
-  // A two-file set with a session (3) split across the files; every
-  // one-byte flip and every truncation of either file must load to what
-  // the merged stream yields, records and salvage stats alike.
-  const std::filesystem::path paths[] = {file("shard-0.vspill"),
-                                         file("shard-1.vspill")};
+  // A file with a session (3) in two blocks around another's; every
+  // one-byte flip and every truncation must load to what the stream
+  // yields, records and salvage stats alike.
+  const std::filesystem::path path = file("run.vspill");
   {
-    SpillWriter a(paths[0]);
-    a.write(full_group(1));
-    a.write(full_group(3));
-    a.close();
-    SpillWriter b(paths[1]);
-    b.write(full_group(2));
-    b.write(full_group(3));
-    b.close();
+    SpillWriter writer(path);
+    for (const std::uint64_t id : {1, 3, 2, 3}) writer.write(full_group(id));
+    writer.close();
   }
   SpillSet set;
-  set.add_file(paths[0]);
-  set.add_file(paths[1]);
+  set.add_file(path);
   expect_load_matches_stream(set);
 
-  for (const std::filesystem::path& path : paths) {
-    const std::string clean = read_all(path);
-    for (std::size_t i = 0; i < clean.size(); ++i) {
-      SCOPED_TRACE(path.filename().string() + " flip " + std::to_string(i));
-      std::string bytes = clean;
-      bytes[i] = static_cast<char>(bytes[i] ^ 0xA5);
-      write_all(path, bytes);
-      if (i < 8) {
-        EXPECT_THROW(set.load(nullptr, 4), std::runtime_error);
-        continue;
-      }
-      expect_load_matches_stream(set);
+  const std::string clean = read_all(path);
+  for (std::size_t i = 0; i < clean.size(); ++i) {
+    SCOPED_TRACE("flip " + std::to_string(i));
+    std::string bytes = clean;
+    bytes[i] = static_cast<char>(bytes[i] ^ 0xA5);
+    write_all(path, bytes);
+    if (i < 8) {
+      EXPECT_THROW(set.load(nullptr, 4), std::runtime_error);
+      continue;
     }
-    for (std::size_t len = 0; len < clean.size(); ++len) {
-      SCOPED_TRACE(path.filename().string() + " len " + std::to_string(len));
-      write_all(path, clean.substr(0, len));
-      if (len < 8) {
-        EXPECT_THROW(set.load(nullptr, 4), std::runtime_error);
-        continue;
-      }
-      expect_load_matches_stream(set);
+    expect_load_matches_stream(set);
+  }
+  for (std::size_t len = 0; len < clean.size(); ++len) {
+    SCOPED_TRACE("len " + std::to_string(len));
+    write_all(path, clean.substr(0, len));
+    if (len < 8) {
+      EXPECT_THROW(set.load(nullptr, 4), std::runtime_error);
+      continue;
     }
-    write_all(path, clean);
+    expect_load_matches_stream(set);
   }
 }
 
 TEST_F(SpillFormatTest, LoadClosesTheGapOfAnUndecodableBlock) {
-  // Block 2 of shard-0 is reframed with valid header and payload CRCs
-  // around a payload with one trailing byte: its counts read fine, so the
-  // load reserves its slices, but it does not decode.  The gap it leaves
-  // sits between good blocks (shard-1's half of session 2, then 3) and
-  // must be closed without a trace.
-  const auto a_path = file("shard-0.vspill");
-  const auto b_path = file("shard-1.vspill");
+  // Block 2 (session 2's first half) is reframed with valid header and
+  // payload CRCs around a payload with one trailing byte: its counts read
+  // fine, so the load reserves its slices, but it does not decode.  The
+  // gap it leaves sits between good blocks (session 1, then session 2's
+  // second half) and must be closed without a trace.
+  const auto path = file("run.vspill");
   {
-    SpillWriter a(a_path);
-    a.write(full_group(1));
-    a.write(full_group(2));
-    a.write(full_group(3));
-    a.close();
-    SpillWriter b(b_path);
-    b.write(full_group(2));
-    b.write(full_group(4));
-    b.close();
+    SpillWriter writer(path);
+    for (const std::uint64_t id : {1, 2, 3, 2, 4}) writer.write(full_group(id));
+    writer.close();
   }
   std::uint64_t offset = 0;
   {
-    SpillReader probe(a_path);
+    SpillReader probe(path);
     const auto index = probe.index();
-    ASSERT_EQ(index.size(), 3u);
+    ASSERT_EQ(index.size(), 5u);
     offset = index[1].offset;
   }
-  std::string bytes = read_all(a_path);
+  std::string bytes = read_all(path);
   std::uint64_t payload_size = 0;
   for (int i = 0; i < 8; ++i) {
     payload_size |= std::uint64_t{static_cast<unsigned char>(
@@ -617,19 +617,18 @@ TEST_F(SpillFormatTest, LoadClosesTheGapOfAnUndecodableBlock) {
   frame += payload;
   put_le(frame, crc32c(payload.data(), payload.size()), 4);
   bytes.replace(offset, 24 + payload_size + 4, frame);
-  write_all(a_path, bytes);
+  write_all(path, bytes);
 
   {
-    SpillReader reader(a_path);
+    SpillReader reader(path);
     const auto index = reader.index();
-    ASSERT_EQ(index.size(), 3u);
+    ASSERT_EQ(index.size(), 5u);
     EXPECT_EQ(reader.block_counts(index[1]), reader.block_counts(index[0]));
     EXPECT_FALSE(reader.read_at(index[1]).has_value());
   }
 
   SpillSet set;
-  set.add_file(a_path);
-  set.add_file(b_path);
+  set.add_file(path);
   expect_load_matches_stream(set);
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
     SpillReadStats stats;
@@ -704,22 +703,18 @@ TEST_F(SpillFormatTest, EnumBeyondItsLastEnumeratorIsUndecodable) {
 }
 
 TEST_F(SpillFormatTest, SpillSetAggregatesSalvageStats) {
-  SpillSet set;
+  // A torn tail counts once in the stream's stats, beside the intact
+  // blocks before it, whichever reader of the set met it.
+  const auto path = file("run.vspill");
   {
-    SpillWriter a(file("shard-0.vspill"));
-    a.write(full_group(1));
-    a.write(full_group(3));
-    a.close();
-    SpillWriter b(file("shard-1.vspill"));
-    b.write(full_group(2));
-    b.close();
+    SpillWriter writer(path);
+    for (const std::uint64_t id : {1, 3, 2}) writer.write(full_group(id));
+    writer.close();
   }
-  // Tear shard-1's tail mid-block.
-  const auto b_path = file("shard-1.vspill");
-  std::filesystem::resize_file(b_path,
-                               std::filesystem::file_size(b_path) - 30);
-  set.add_file(file("shard-0.vspill"));
-  set.add_file(b_path);
+  // Tear the tail mid-block.
+  std::filesystem::resize_file(path, std::filesystem::file_size(path) - 30);
+  SpillSet set;
+  set.add_file(path);
 
   SpillReadStats stats;
   const auto stream = set.open(&stats);
@@ -729,34 +724,45 @@ TEST_F(SpillFormatTest, SpillSetAggregatesSalvageStats) {
   EXPECT_TRUE(stats.corrupted());
   EXPECT_GT(stats.torn_tail_bytes, 0u);
   EXPECT_EQ(stats.blocks_ok, 2u);
+  expect_load_matches_stream(set);
 }
 
 TEST_F(SpillFormatTest, SinkGroupsInterleavedSessionsAcrossCompletion) {
   // Records of two sessions interleave; a session that completes and then
-  // records again starts a new group, as does one flushed live.  The sink
-  // caches the group it wrote to last, so every step here must reset or
-  // bypass that cache correctly.
-  const auto path = file("sink.vspill");
+  // records again starts a new group, as does one left live at finish().
+  // The sink caches the group it wrote to last, so every step here must
+  // reset or bypass that cache correctly.  finish() sorts the blocks by
+  // session id, each session's in emission order, and they append to a
+  // file that reads back block for block.
   const auto snap = [](std::uint64_t session, std::uint32_t chunk) {
     TcpSnapshotRecord r;
     r.session_id = session;
     r.chunk_id = chunk;
     return r;
   };
+  SpillSink sink;
+  sink.record(snap(2, 20));
+  sink.record(snap(1, 10));
+  sink.record(snap(1, 11));
+  sink.record(snap(2, 21));
+  sink.record(snap(1, 12));
+  sink.session_complete(2);
+  sink.record(snap(2, 22));
+  sink.session_complete(1);
+  sink.record(snap(1, 13));
+  EXPECT_EQ(sink.live_sessions(), 2u);
+  sink.finish();
+  EXPECT_EQ(sink.live_sessions(), 0u);
+  ASSERT_EQ(sink.blocks().size(), 4u);
+
+  const auto path = file("sink.vspill");
   {
-    SpillSink sink(path);
-    sink.record(snap(1, 10));
-    sink.record(snap(1, 11));
-    sink.record(snap(2, 20));
-    sink.record(snap(1, 12));
-    sink.session_complete(1);
-    sink.record(snap(1, 13));
-    sink.record(snap(2, 21));
-    EXPECT_EQ(sink.live_sessions(), 2u);
-    sink.flush_live();
-    sink.record(snap(2, 22));
-    sink.finish();
-    EXPECT_EQ(sink.blocks_written(), 4u);
+    SpillWriter writer(path);
+    for (const SpillSink::Block& block : sink.blocks()) {
+      writer.append(sink.frame(block));
+    }
+    writer.close();
+    EXPECT_EQ(writer.blocks_written(), 4u);
   }
   SpillReader reader(path);
   std::vector<std::pair<std::uint64_t, std::vector<std::uint32_t>>> blocks;
@@ -771,6 +777,8 @@ TEST_F(SpillFormatTest, SinkGroupsInterleavedSessionsAcrossCompletion) {
   const std::vector<std::pair<std::uint64_t, std::vector<std::uint32_t>>>
       want = {{1, {10, 11, 12}}, {1, {13}}, {2, {20, 21}}, {2, {22}}};
   EXPECT_EQ(blocks, want);
+  EXPECT_FALSE(reader.stats().corrupted());
+  EXPECT_EQ(reader.stats().commit_frames, 4u);
 }
 
 TEST_F(SpillFormatTest, EmptySpillSet) {

@@ -2,9 +2,10 @@
 // definition fixes, so any change to the encoders, the decoders or the
 // framing that is meant to be invisible must leave them untouched:
 //
-//   (a) the FNV-1a of every spill file of a small fixed run (the overload
-//       profile, 4 shards): the encoders' bytes, mode choices and
-//       tie-breaks;
+//   (a) the FNV-1a of the spill file of a small fixed run (the overload
+//       profile), which must be the same at shards {1, 4} x threads
+//       {1, 4}: the encoders' bytes, mode choices and tie-breaks, and the
+//       file's canonical block order;
 //   (b) one hash over how both readers treat every one-byte flip and every
 //       truncation of a real spill file, plus every flip inside a block
 //       payload with the payload CRC resealed, so the column decoders
@@ -14,15 +15,12 @@
 //       decoders' accept/reject set, and what they make of what they
 //       accept.
 //
-// The values were captured from the codec as first released in format v4.
 // A deliberate format change re-blesses them: the failure messages print
 // the fresh values.
 #include <gtest/gtest.h>
 
 #include <bit>
-#include <cinttypes>
 #include <cstdint>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -135,54 +133,48 @@ void digest_reads(Fnv& fnv, const SpillSet& set) {
 
 class SpillGoldenTest : public ::testing::Test {
  protected:
-  /// One spilled run shared by both goldens: test_scenario() (300
-  /// sessions) under the overload fault profile, on 4 shards.
-  static void SetUpTestSuite() {
+  void SetUp() override {
     // One directory per process: ctest runs the tests as parallel
     // processes.
-    dir_ = new std::filesystem::path(
-        std::filesystem::temp_directory_path() /
-        ("vstream_spill_golden_" + std::to_string(::getpid())));
-    std::filesystem::remove_all(*dir_);
-    std::filesystem::create_directories(*dir_);
-    engine::RunOptions options;
-    options.shards = 4;
-    options.faults = *faults::FaultSchedule::named("overload");
-    options.telemetry_spill_dir = (*dir_ / "run").string();
-    files_ = new std::vector<std::filesystem::path>(
-        engine::run_simulation(workload::test_scenario(), options)
-            .spill.files());
+    dir_ = std::filesystem::temp_directory_path() /
+           ("vstream_spill_golden_" + std::to_string(::getpid()));
+    std::filesystem::remove_all(dir_);
+    std::filesystem::create_directories(dir_);
   }
-  static void TearDownTestSuite() {
+  void TearDown() override {
     std::error_code ec;
-    std::filesystem::remove_all(*dir_, ec);
-    delete files_;
-    delete dir_;
+    std::filesystem::remove_all(dir_, ec);
   }
 
-  static std::filesystem::path* dir_;
-  static std::vector<std::filesystem::path>* files_;
+  std::filesystem::path dir_;
 };
 
-std::filesystem::path* SpillGoldenTest::dir_ = nullptr;
-std::vector<std::filesystem::path>* SpillGoldenTest::files_ = nullptr;
-
 TEST_F(SpillGoldenTest, SmallOverloadRunWritesPinnedBytes) {
-  const std::vector<std::uint64_t> golden = {
-      0xA9891C421CA77ED2ull, 0x3DA59714B743A1C3ull, 0x7D4FEA75D91506ECull,
-      0x0A521626EDED24D1ull};
-  std::vector<std::uint64_t> got;
-  std::string fresh;
-  for (const std::filesystem::path& file : *files_) {
-    const std::string bytes = read_all(file);
-    Fnv fnv;
-    fnv.bytes(bytes.data(), bytes.size());
-    got.push_back(fnv.h);
-    char line[64];
-    std::snprintf(line, sizeof line, "0x%016" PRIX64 "ull, ", fnv.h);
-    fresh += line;
+  // test_scenario() (300 sessions) under the overload fault profile.  The
+  // file is in canonical order, so neither the partition nor the worker
+  // count may move a byte of it.
+  constexpr std::uint64_t kGolden = 0x70883B8C0C1EC1E9ull;
+  for (const std::size_t shards : {1, 4}) {
+    for (const std::size_t threads : {1, 4}) {
+      engine::RunOptions options;
+      options.shards = shards;
+      options.threads = threads;
+      options.faults = *faults::FaultSchedule::named("overload");
+      options.telemetry_spill_dir =
+          (dir_ / ("s" + std::to_string(shards) + "t" +
+                   std::to_string(threads)))
+              .string();
+      const std::string bytes = read_all(
+          engine::run_simulation(workload::test_scenario(), options)
+              .spill.file());
+      Fnv fnv;
+      fnv.bytes(bytes.data(), bytes.size());
+      EXPECT_EQ(fnv.h, kGolden)
+          << "shards=" << shards << " threads=" << threads
+          << "; fresh value: 0x" << std::hex << std::uppercase << fnv.h
+          << "ull";
+    }
   }
-  EXPECT_EQ(got, golden) << "fresh values: " << fresh;
 }
 
 TEST_F(SpillGoldenTest, EveryMutationOfARealFileReadsAsPinned) {
@@ -202,7 +194,7 @@ TEST_F(SpillGoldenTest, EveryMutationOfARealFileReadsAsPinned) {
   }
   ASSERT_EQ(index.size(), 4u);
 
-  const std::filesystem::path path = *dir_ / "mutant.vspill";
+  const std::filesystem::path path = dir_ / "mutant.vspill";
   SpillSet set;
   set.add_file(path);
   Fnv fnv;

@@ -137,8 +137,8 @@ mkdir -p "$spill_work"
   --telemetry-spill "$spill_work/spill-dir" \
   --out "$spill_work/spill" >/dev/null
 spill_files=$(ls "$spill_work/spill-dir"/*.vspill 2>/dev/null | wc -l)
-if [ "$spill_files" -lt 1 ]; then
-  echo "tier-1: spill run left no .vspill files" >&2
+if [ "$spill_files" -ne 1 ]; then
+  echo "tier-1: spill run left $spill_files .vspill files, not one" >&2
   exit 1
 fi
 for f in player_sessions cdn_sessions player_chunks cdn_chunks tcp_snapshots; do
@@ -146,8 +146,18 @@ for f in player_sessions cdn_sessions player_chunks cdn_chunks tcp_snapshots; do
 done
 "$build_dir/tools/vstream-analyze" "$spill_work/spill-dir" --spill-stats \
   >/dev/null
+# The file is written in canonical order: its bytes depend on neither the
+# worker count nor the shard count.
+for t in 1 4; do
+  "$build_dir/tools/vstream-sim" --sessions 200 --seed 11 --shards 4 \
+    --threads "$t" --telemetry-spill "$spill_work/threads-$t" >/dev/null
+done
+"$build_dir/tools/vstream-sim" --sessions 200 --seed 11 --shards 64 \
+  --telemetry-spill "$spill_work/shards-64" >/dev/null
+cmp "$spill_work/threads-1/run.vspill" "$spill_work/threads-4/run.vspill"
+cmp "$spill_work/spill-dir/run.vspill" "$spill_work/shards-64/run.vspill"
 spill_bytes=$(du -sb "$spill_work/spill-dir" | cut -f1)
-echo "    spill CSVs byte-identical to in-memory ($spill_bytes B of spill files)"
+echo "    spill CSVs byte-identical to in-memory; one $spill_bytes B spill file, the same at --threads 1 and 4 and at --shards 4 and 64"
 
 echo "==> tier-1: export thread smoke (byte-identical CSVs at 1 and 4 threads)"
 # The 4-thread export formats windows of row ranges on the pool while one

@@ -7,9 +7,9 @@
 //                       [--fault-profile none|eventful|overload]
 //                       [--worst N] [--attribution-out FILE]
 //
-// --spill-stats prints a per-file byte-level report for a spill
-// directory instead of running the analyses: block and salvage counts and
-// file bytes.
+// --spill-stats prints a byte-level report of a spill directory's file
+// instead of running the analyses: block and salvage counts and file
+// bytes.
 //
 // --attribution replays the worst `--worst N` (default 20) sessions of
 // the dataset in DIR under each subsystem idealization
@@ -21,10 +21,12 @@
 // the measured records) and reported as a warning with
 // `replay_matches_baseline: false` in the JSON.
 //
-// DIR may hold either the CSV export (player_sessions.csv, ...) or a set
-// of binary shard-*.vspill spill files written by `vstream_sim
+// DIR may hold either the CSV export (player_sessions.csv, ...) or the
+// one binary run.vspill spill file written by `vstream_sim
 // --telemetry-spill DIR` / `--checkpoint DIR`; spill directories are
-// detected automatically.  Damaged spill data is salvaged block by block
+// detected automatically, and one holding more than one .vspill file is a
+// usage error (exit 2): a run writes one.  Damaged spill data is salvaged
+// block by block
 // (a "spill recovery" section reports what was skipped) rather than
 // aborting the analysis — but the tool then exits with the documented
 // salvage-incomplete status (4, core/exit_codes.h) so scripts learn the
@@ -68,10 +70,8 @@ using namespace vstream;
 
 namespace {
 
-/// Every *.vspill file in `dir`, sorted by name so the set is stable no
-/// matter the directory iteration order (the canonical merge is
-/// order-insensitive anyway; sorting keeps the salvage accounting
-/// reproducible too).
+/// Every *.vspill file in `dir`, sorted by name so a diagnostic naming
+/// them is stable no matter the directory iteration order.
 std::vector<std::filesystem::path> spill_files_in(const std::string& dir) {
   std::vector<std::filesystem::path> files;
   if (!std::filesystem::is_directory(dir)) return files;
@@ -84,38 +84,23 @@ std::vector<std::filesystem::path> spill_files_in(const std::string& dir) {
   return files;
 }
 
-/// --spill-stats: byte-level inspection of each spill file.  A full
-/// sequential read per file (so payload CRCs are actually verified and
-/// the salvage numbers are real, not header-scan estimates).
-int run_spill_stats(const std::vector<std::filesystem::path>& files) {
-  telemetry::SpillReadStats total;
-  std::uint64_t total_file_bytes = 0;
-  for (const std::filesystem::path& file : files) {
-    telemetry::SpillReader reader(file);
-    while (reader.next().has_value()) {
-    }
-    const telemetry::SpillReadStats& s = reader.stats();
-    core::print_header(file.filename().string());
-    core::print_metric("file_bytes", static_cast<double>(reader.file_bytes()));
-    core::print_metric("blocks_ok", static_cast<double>(s.blocks_ok));
-    core::print_metric("blocks_skipped", static_cast<double>(s.blocks_skipped));
-    core::print_metric("commit_frames", static_cast<double>(s.commit_frames));
-    core::print_metric("bytes_salvaged", static_cast<double>(s.bytes_salvaged));
-    core::print_metric("bytes_skipped", static_cast<double>(s.bytes_skipped));
-    core::print_metric("torn_tail_bytes",
-                       static_cast<double>(s.torn_tail_bytes));
-    total += s;
-    total_file_bytes += reader.file_bytes();
+/// --spill-stats: byte-level inspection of the spill file.  A full
+/// sequential read (so payload CRCs are actually verified and the salvage
+/// numbers are real, not header-scan estimates).
+int run_spill_stats(const std::filesystem::path& file) {
+  telemetry::SpillReader reader(file);
+  while (reader.next().has_value()) {
   }
-  core::print_header("total");
-  core::print_metric("spill_files", static_cast<double>(files.size()));
-  core::print_metric("file_bytes", static_cast<double>(total_file_bytes));
-  core::print_metric("blocks_ok", static_cast<double>(total.blocks_ok));
-  core::print_metric("blocks_skipped",
-                     static_cast<double>(total.blocks_skipped));
-  core::print_metric("bytes_salvaged",
-                     static_cast<double>(total.bytes_salvaged));
-  return total.corrupted() ? core::kExitSalvageIncomplete : core::kExitOk;
+  const telemetry::SpillReadStats& s = reader.stats();
+  core::print_header(file.filename().string());
+  core::print_metric("file_bytes", static_cast<double>(reader.file_bytes()));
+  core::print_metric("blocks_ok", static_cast<double>(s.blocks_ok));
+  core::print_metric("blocks_skipped", static_cast<double>(s.blocks_skipped));
+  core::print_metric("commit_frames", static_cast<double>(s.commit_frames));
+  core::print_metric("bytes_salvaged", static_cast<double>(s.bytes_salvaged));
+  core::print_metric("bytes_skipped", static_cast<double>(s.bytes_skipped));
+  core::print_metric("torn_tail_bytes", static_cast<double>(s.torn_tail_bytes));
+  return s.corrupted() ? core::kExitSalvageIncomplete : core::kExitOk;
 }
 
 /// --attribution: counterfactual replay of the worst sessions in `data`.
@@ -200,26 +185,30 @@ int run_tool(int argc, char** argv) {
       return 2;
     }
   }
+  const std::vector<std::filesystem::path> spill_files = spill_files_in(dir);
+  if (spill_files.size() > 1) {
+    std::fprintf(stderr,
+                 "%s: %zu .vspill files in %s; a run writes one — point DIR "
+                 "at one run's directory\n",
+                 argv[0], spill_files.size(), dir.c_str());
+    return core::kExitConfig;
+  }
   if (spill_stats_only) {
-    const std::vector<std::filesystem::path> files = spill_files_in(dir);
-    if (files.empty()) {
+    if (spill_files.empty()) {
       std::fprintf(stderr, "--spill-stats: no *.vspill files in %s\n",
                    dir.c_str());
       return 2;
     }
-    return run_spill_stats(files);
+    return run_spill_stats(spill_files.front());
   }
 
-  // Spill directories analyze from the binary files directly; corrupt
+  // Spill directories analyze from the binary file directly; corrupt
   // blocks degrade to salvage accounting instead of a failed import.
   telemetry::Dataset data;
   telemetry::SpillReadStats spill_stats;
-  const std::vector<std::filesystem::path> spill_files = spill_files_in(dir);
   if (!spill_files.empty()) {
     telemetry::SpillSet spill;
-    for (const std::filesystem::path& file : spill_files) {
-      spill.add_file(file);
-    }
+    spill.add_file(spill_files.front());
     data = spill.load(&spill_stats);
   } else {
     data = telemetry::import_dataset(dir);

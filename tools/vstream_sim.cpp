@@ -26,17 +26,19 @@
 // thread count also drives the incremental spill analysis and CSV
 // export.
 //
-// --telemetry-spill DIR streams telemetry to per-shard binary spill files
-// in DIR instead of holding every record in memory; the summary and any
-// --out CSV export are then produced incrementally from the spill set and
-// are byte-identical to the in-memory run.
+// --telemetry-spill DIR streams telemetry to one binary spill file,
+// DIR/run.vspill, instead of holding every record in memory; the file is
+// written in canonical order and its bytes do not depend on --shards or
+// --threads.  The summary and any --out CSV export are then produced
+// incrementally from it and are byte-identical to the in-memory run.
 //
-// --checkpoint DIR makes the run crash-safe: per-shard checkpoint
-// sidecars land in DIR (which doubles as the spill directory unless
-// --telemetry-spill is also given), and --resume restarts from the last
-// committed checkpoint after a crash — the final output is byte-identical
-// to a run that was never interrupted.  See tools/vstream_chaos.cpp for
-// the kill-and-resume harness that proves it.
+// --checkpoint DIR makes the run crash-safe: one checkpoint sidecar,
+// DIR/run.vckpt, is replaced at the first batch boundary past every
+// --checkpoint-interval sessions (DIR doubles as the spill directory
+// unless --telemetry-spill is also given), and --resume restarts from the
+// last committed checkpoint after a crash — the final output is
+// byte-identical to a run that was never interrupted.  See
+// tools/vstream_chaos.cpp for the kill-and-resume harness that proves it.
 //
 // Errors surface as a one-line diagnostic and a documented exit status
 // (core/exit_codes.h): 2 usage/config, 3 host I/O failure (disk full,
